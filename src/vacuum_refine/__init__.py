@@ -75,6 +75,7 @@ from .hamiltonian import (
     to_matrix,
     transverse_ising_pair,
 )
+from .pauli import PauliWord, apply_word, column_phases, compile_word
 from .statevector import (
     HADAMARD,
     PAULI_MATRICES,

@@ -18,8 +18,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .hamiltonian import PauliSum, evolution_unitary, exact_diagonalize, interpolate
-from .statevector import StateVector, apply_gate, apply_pauli_string, basis_state
+from .hamiltonian import PauliSum, Spectrum, evolution_unitary, exact_diagonalize, interpolate
+from .pauli import apply_word
+from .statevector import GateMatrix, StateVector, apply_gate, basis_state
 from .statevector import expectation_observable, fidelity
 
 _GRID_ATOL = 1e-9
@@ -107,8 +108,18 @@ def _split_key(term: tuple[float, str]) -> tuple[int, str]:
     return rank, term[1]
 
 
-def evolve_step(state: StateVector, h: PauliSum, dt: float, mode: EvolutionMode) -> StateVector:
-    """Advance the state by one step of duration ``dt`` under a fixed operator."""
+def evolve_step(
+    state: StateVector,
+    h: PauliSum,
+    dt: float,
+    mode: EvolutionMode,
+    propagator: GateMatrix | None = None,
+) -> StateVector:
+    """Advance the state by one step of duration ``dt`` under a fixed operator.
+
+    In ``exact_step`` mode ``propagator``, when given, is the caller's
+    ``evolution_unitary(h, dt)``; without it one is built here.
+    """
     if h.num_qubits != state.num_qubits:
         raise DomainError(
             f"operator acts on {h.num_qubits} qubit(s), state has {state.num_qubits}"
@@ -116,15 +127,14 @@ def evolve_step(state: StateVector, h: PauliSum, dt: float, mode: EvolutionMode)
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt!r}")
     if mode is EvolutionMode.EXACT_STEP:
-        gate = evolution_unitary(h, dt)
+        gate = propagator if propagator is not None else evolution_unitary(h, dt)
         return apply_gate(state, gate, list(range(state.num_qubits)))
     if mode is EvolutionMode.TROTTER1:
-        for coeff, string in sorted(h.terms, key=_split_key):
+        amps = state.amplitudes
+        for (coeff, _), word in sorted(zip(h.terms, h.words), key=lambda tw: _split_key(tw[0])):
             angle = coeff * dt
-            rotated = apply_pauli_string(state, string)
-            amps = np.cos(angle) * state.amplitudes - 1j * np.sin(angle) * rotated.amplitudes
-            state = StateVector(state.num_qubits, amps)
-        return state
+            amps = np.cos(angle) * amps - 1j * np.sin(angle) * apply_word(word, amps)
+        return StateVector(state.num_qubits, amps)
     raise DomainError(f"unsupported evolution mode {mode!r}")
 
 
@@ -205,8 +215,11 @@ def run_adiabatic(
     for k in range(schedule.num_ramp_steps):
         s_k = (k + 0.5) * schedule.dt / schedule.total_time
         h_k = interpolate(h0, h1, s_k)
-        state = evolve_step(state, h_k, schedule.dt, mode)
         spectrum = exact_diagonalize(h_k)
+        propagator = None
+        if mode is EvolutionMode.EXACT_STEP:
+            propagator = evolution_unitary(h_k, schedule.dt, spectrum=spectrum)
+        state = evolve_step(state, h_k, schedule.dt, mode, propagator)
         if spectrum.degenerate:
             trajectory.metadata["warnings"].append(
                 f"degenerate instantaneous ground level at step {k} (s={s_k!r})"
@@ -233,12 +246,16 @@ def run_hold(
     start_time: float = 0.0,
     include_initial: bool = False,
     fidelity_target: StateVector | None = None,
+    spectrum: Spectrum | None = None,
 ) -> tuple[StateVector, Trajectory]:
     """Evolve under a fixed operator for ``schedule.hold_time``.
 
     Record times are offset by ``start_time`` so a hold can continue a
     ramp trajectory.  Fidelity is taken against ``fidelity_target`` when
-    given, otherwise against the ground state of ``h``.
+    given, otherwise against the ground state of ``h``.  ``spectrum`` is
+    the caller's ``exact_diagonalize(h)``; without it ``h`` is
+    diagonalized here, at most once, and only when needed.  Every hold
+    step applies the same propagator.
     """
     observables = dict(observables or {})
     _check_observables(observables, state.num_qubits)
@@ -249,8 +266,10 @@ def run_hold(
     trajectory = Trajectory(
         metadata={"mode": mode.value, "hold_time": schedule.hold_time, "warnings": []}
     )
-    if fidelity_target is None:
+    exact = mode is EvolutionMode.EXACT_STEP and schedule.num_hold_steps > 0
+    if spectrum is None and (fidelity_target is None or exact):
         spectrum = exact_diagonalize(h)
+    if fidelity_target is None:
         if spectrum.degenerate:
             trajectory.metadata["warnings"].append(
                 "ground level of the held operator is degenerate"
@@ -258,8 +277,9 @@ def run_hold(
         fidelity_target = spectrum.ground_state
     if include_initial:
         _record(trajectory, start_time, state, h, observables, fidelity_target, record_snapshots)
+    propagator = evolution_unitary(h, schedule.dt, spectrum=spectrum) if exact else None
     for j in range(schedule.num_hold_steps):
-        state = evolve_step(state, h, schedule.dt, mode)
+        state = evolve_step(state, h, schedule.dt, mode, propagator)
         _record(
             trajectory,
             start_time + (j + 1) * schedule.dt,

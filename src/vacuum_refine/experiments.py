@@ -44,7 +44,6 @@ from .statevector import (
 REFERENCE_PREP_QUALITY = 0.999242  # benchmark 2|alpha|^2 - 1 for the default J=pi/4 run
 
 _OBS_KEY = "expval_Z"
-_THREADS_ENV = "VACUUM_REFINE_THREADS"
 
 
 @dataclass
@@ -54,21 +53,6 @@ class CommandResult:
     outputs: list[str] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-
-
-def thread_cap() -> int:
-    """Worker-count ceiling from the environment (evaluation is sequential,
-    so a single worker is always within the cap)."""
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"{_THREADS_ENV}: expected an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"{_THREADS_ENV}: must be >= 1, got {cap}")
-    return cap
 
 
 def _fmt(value) -> str:
@@ -151,7 +135,6 @@ def _write_manifest(
         "command": command,
         "version": __version__,
         "seed": config.estimation.seed,
-        "thread_cap": thread_cap(),
         "duration_seconds": time.perf_counter() - started,
         "outputs": outputs,
         "config": config_to_text(config),
@@ -184,6 +167,7 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
     started = time.perf_counter()
     _ensure_output_dir(config.output_prefix)
     h1, estimator, observables, final, ramp = _prepare(config)
+    spectrum = exact_diagonalize(h1)
     held, hold = run_hold(
         final,
         h1,
@@ -192,12 +176,12 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
         observables,
         record_snapshots=not estimator.exact,
         start_time=config.schedule.total_time,
+        spectrum=spectrum,
     )
     rows = _trajectory_rows(ramp.records + hold.records, estimator, observables[_OBS_KEY])
     trajectory_path = f"{config.output_prefix}_trajectory.csv"
     _write_csv(trajectory_path, ["t", "expval_Z", "std_error", "fidelity", "energy"], rows)
 
-    spectrum = exact_diagonalize(h1)
     final_fidelity = fidelity(final, spectrum.ground_state)
     prep_quality = 2.0 * final_fidelity - 1.0
     summary = {
@@ -270,6 +254,7 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
         hold_h = h1
         hold_obs = observables
         hold_target = None
+        hold_spectrum = spectrum
         post_z, _ = estimator.evaluate(collapsed, observables[_OBS_KEY])
     else:
         post_state = tagged
@@ -278,6 +263,7 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
         hold_target = StateVector(
             2, np.kron(np.array([1.0, 0.0]), spectrum.ground_state.amplitudes)
         )
+        hold_spectrum = None
         post_z = mixed_z_exact
     _, hold = run_hold(
         post_state,
@@ -289,6 +275,7 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
         start_time=config.schedule.total_time,
         include_initial=True,
         fidelity_target=hold_target,
+        spectrum=hold_spectrum,
     )
     rows = _trajectory_rows(ramp.records, estimator, observables[_OBS_KEY])
     rows += _trajectory_rows(hold.records, estimator, hold_obs[_OBS_KEY])
@@ -347,6 +334,7 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
         target_infidelity=config.refine.target_infidelity,
         powers=config.filter.powers,
         fixed_theta=fixed_theta,
+        spectrum=spectrum,
     )
     rows = []
     for index, step in enumerate(report.steps, start=1):

@@ -161,13 +161,20 @@ def choose_theta(e0_prime: float) -> float:
 
 
 def controlled_u_power(
-    joint: StateVector, ancilla: int, h: PauliSum, theta: float, k: int
+    joint: StateVector,
+    ancilla: int,
+    h: PauliSum,
+    theta: float,
+    k: int,
+    spectrum: Spectrum | None = None,
 ) -> StateVector:
     """Apply the k-th power of i*exp(-i*theta*h/2) controlled on one ancilla.
 
     The system register occupies the trailing ``h.num_qubits`` qubits of
     ``joint``.  The power of the global phase i is kept inside the
-    controlled matrix, where it acts as a relative phase.
+    controlled matrix, where it acts as a relative phase.  ``spectrum``
+    is the caller's ``exact_diagonalize(h)``; without it ``h`` is
+    diagonalized here.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"power k must be a positive integer, got {k!r}")
@@ -179,7 +186,7 @@ def controlled_u_power(
     targets = list(range(joint.num_qubits - n_sys, joint.num_qubits))
     if ancilla in targets:
         raise DomainError(f"ancilla {ancilla} overlaps the system register {targets}")
-    bare = evolution_unitary(h, k * theta / 2.0)
+    bare = evolution_unitary(h, k * theta / 2.0, spectrum=spectrum)
     gate = GateMatrix(n_sys, (1j**k) * bare.entries)
     return apply_controlled(joint, [ancilla], gate, targets)
 
@@ -194,7 +201,11 @@ def filter_amplitude(energy: float, theta: float, config: FilterConfig) -> compl
 
 
 def apply_filter(
-    system_state: StateVector, h: PauliSum, config: FilterConfig, discard: bool = True
+    system_state: StateVector,
+    h: PauliSum,
+    config: FilterConfig,
+    discard: bool = True,
+    spectrum: Spectrum | None = None,
 ) -> FilterOutcome:
     """Run the m-ancilla filter circuit against a system state.
 
@@ -202,6 +213,8 @@ def apply_filter(
     register.  With ``discard`` the all-zeros ancilla outcome is
     post-selected and the collapsed system state returned; otherwise the
     entangled joint state is returned for mixed-value estimation.
+    ``spectrum`` is the caller's ``exact_diagonalize(h)``; without it
+    ``h`` is diagonalized once here for all ancillas.
     """
     if h.num_qubits != system_state.num_qubits:
         raise DomainError(
@@ -211,10 +224,12 @@ def apply_filter(
     ancilla_amps = np.zeros(2**m, dtype=np.complex128)
     ancilla_amps[0] = 1.0
     joint = StateVector(m + h.num_qubits, np.kron(ancilla_amps, system_state.amplitudes))
+    if spectrum is None:
+        spectrum = exact_diagonalize(h)
     for a in range(m):
         joint = apply_gate(joint, HADAMARD, [a])
     for a in range(m):
-        joint = controlled_u_power(joint, a, h, config.theta, config.powers[a])
+        joint = controlled_u_power(joint, a, h, config.theta, config.powers[a], spectrum)
     for a in range(m):
         joint = apply_gate(joint, HADAMARD, [a])
     if discard:
@@ -235,23 +250,26 @@ def refine_iteratively(
     target_infidelity: float = 1e-8,
     powers: tuple[int, ...] | None = None,
     fixed_theta: float | None = None,
+    spectrum: Spectrum | None = None,
 ) -> RefinementReport:
     """Alternate energy estimation and filtering until the state is clean.
 
     Each pass estimates E0' on the current state, picks
     theta = pi / E0' (or reuses ``fixed_theta``), filters with ``m``
     ancillas and post-selects.  Per-pass metrics come from the exact
-    spectrum, which serves as the measuring stick, not as an input to the
-    circuit.  A pass whose post-selection is impossible or whose energy
-    estimate cannot set a phase is recorded with the pre-filter metrics
-    and aborts the loop; completed passes always report post-filter
-    metrics.
+    spectrum, which serves as the measuring stick and as the source of
+    the filter's propagators.  A pass whose post-selection is impossible
+    or whose energy estimate cannot set a phase is recorded with the
+    pre-filter metrics and aborts the loop; completed passes always
+    report post-filter metrics.  ``spectrum`` is the caller's
+    ``exact_diagonalize(h)``; without it ``h`` is diagonalized here.
     """
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters!r}")
     if target_infidelity < 0:
         raise DomainError(f"target_infidelity must be >= 0, got {target_infidelity!r}")
-    spectrum = exact_diagonalize(h)
+    if spectrum is None:
+        spectrum = exact_diagonalize(h)
     if spectrum.degenerate:
         raise DomainError("iterative refinement needs a non-degenerate ground level")
     state = system_state
@@ -262,7 +280,9 @@ def refine_iteratively(
         theta = float("nan")
         try:
             theta = fixed_theta if fixed_theta is not None else choose_theta(e0_prime)
-            outcome = apply_filter(state, h, FilterConfig(m, theta, powers), discard=True)
+            outcome = apply_filter(
+                state, h, FilterConfig(m, theta, powers), discard=True, spectrum=spectrum
+            )
         except (DegenerateEnergyError, ImpossibleOutcomeError) as exc:
             weights = eigen_overlaps(state, spectrum).weights
             steps.append(

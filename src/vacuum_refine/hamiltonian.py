@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,7 +12,8 @@ from .errors import (
     NumericalConsistencyError,
     ResourceLimitError,
 )
-from .statevector import PAULI_MATRICES, GateMatrix, StateVector
+from .pauli import PauliWord, column_phases, compile_word
+from .statevector import GateMatrix, StateVector
 
 DEFAULT_DENSE_CAP = 10
 DEGENERACY_TOL = 1e-10
@@ -27,11 +26,14 @@ class PauliSum:
 
     Terms are validated, merged by string, stripped of exact-zero
     coefficients and stored sorted, so two operators built from the same
-    content compare equal.
+    content compare equal.  ``words`` holds each term's compiled X/Z
+    bitmask form, in the order of ``terms``; every dense build and every
+    application of the operator reads it.
     """
 
     num_qubits: int
     terms: tuple[tuple[float, str], ...]
+    words: tuple[PauliWord, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.num_qubits, int) or self.num_qubits < 1:
@@ -51,6 +53,7 @@ class PauliSum:
             (coeff, string) for string, coeff in sorted(merged.items()) if coeff != 0.0
         )
         object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "words", tuple(compile_word(s) for _, s in cleaned))
 
     def scaled(self, factor: float) -> "PauliSum":
         """Multiply every coefficient by a real factor."""
@@ -112,9 +115,10 @@ def to_matrix(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
             f"dense matrix for {h.num_qubits} qubit(s) exceeds the cap of {cap}"
         )
     dim = 2**h.num_qubits
+    columns = np.arange(dim)
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for coeff, string in h.terms:
-        out += coeff * reduce(np.kron, (PAULI_MATRICES[ch] for ch in string))
+    for (coeff, _), word in zip(h.terms, h.words):
+        out[columns ^ word.x_mask, columns] += coeff * column_phases(word, columns)
     if np.max(np.abs(out - out.conj().T)) > 1e-12:
         raise NumericalConsistencyError("dense matrix is not Hermitian")
     return out
@@ -149,12 +153,10 @@ class Spectrum:
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
-    fixed = vectors.copy()
-    for j in range(fixed.shape[1]):
-        col = fixed[:, j]
-        pivot = col[np.argmax(np.abs(col))]
-        fixed[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return fixed
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    # np.hypot rounds the modulus as abs() of a complex scalar does; np.abs
+    # can differ in the last bit, which would move digits of the outputs.
+    return vectors * (pivots.conj() / np.hypot(pivots.real, pivots.imag))
 
 
 def exact_diagonalize(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> Spectrum:
@@ -174,9 +176,19 @@ def exact_diagonalize(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> Spectrum:
     return Spectrum(h.num_qubits, values, vectors)
 
 
-def evolution_unitary(h: PauliSum, duration: float, cap: int = DEFAULT_DENSE_CAP) -> GateMatrix:
-    """The full-register propagator exp(-i * h * duration)."""
-    spectrum = exact_diagonalize(h, cap)
+def evolution_unitary(
+    h: PauliSum,
+    duration: float,
+    cap: int = DEFAULT_DENSE_CAP,
+    spectrum: Spectrum | None = None,
+) -> GateMatrix:
+    """The full-register propagator exp(-i * h * duration).
+
+    ``spectrum`` is the caller's ``exact_diagonalize(h)``; without it the
+    operator is diagonalized here.
+    """
+    if spectrum is None:
+        spectrum = exact_diagonalize(h, cap)
     phases = np.exp(-1j * spectrum.eigenvalues * duration)
     v = spectrum.eigenvectors
     return GateMatrix(h.num_qubits, (v * phases) @ v.conj().T)

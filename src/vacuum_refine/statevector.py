@@ -25,6 +25,7 @@ from .errors import (
     NumericalConsistencyError,
     UnitarityError,
 )
+from .pauli import apply_word, compile_word
 
 if TYPE_CHECKING:
     from .hamiltonian import PauliSum
@@ -277,14 +278,7 @@ def apply_pauli_string(state: StateVector, string: str) -> StateVector:
         raise DomainError(
             f"Pauli string {string!r} does not match register size {state.num_qubits}"
         )
-    psi = state.amplitudes.reshape((2,) * state.num_qubits)
-    for q, ch in enumerate(string):
-        if ch == "I":
-            continue
-        if ch not in PAULI_MATRICES:
-            raise DomainError(f"unknown Pauli letter {ch!r} in {string!r}")
-        psi = _apply_matrix_nd(psi, PAULI_MATRICES[ch], [q])
-    return StateVector(state.num_qubits, psi.reshape(-1))
+    return StateVector(state.num_qubits, apply_word(compile_word(string), state.amplitudes))
 
 
 def expectation_observable(state: StateVector, observable: "PauliSum") -> float:
@@ -293,9 +287,10 @@ def expectation_observable(state: StateVector, observable: "PauliSum") -> float:
         raise DomainError(
             f"observable acts on {observable.num_qubits} qubit(s), state has {state.num_qubits}"
         )
+    psi = state.amplitudes
     total = 0.0 + 0.0j
-    for coeff, string in observable.terms:
-        total += coeff * np.vdot(state.amplitudes, apply_pauli_string(state, string).amplitudes)
+    for (coeff, _), word in zip(observable.terms, observable.words):
+        total += coeff * np.vdot(psi, apply_word(word, psi))
     if abs(total.imag) > _IMAG_RESIDUE_LIMIT:
         raise NumericalConsistencyError(
             f"expectation value has imaginary residue {total.imag:.3e}"

@@ -16,6 +16,7 @@ from vacuum_refine import (
     interpolate,
     run_adiabatic,
     run_hold,
+    transverse_ising_pair,
 )
 
 J = np.pi / 4
@@ -195,6 +196,34 @@ def test_hold_oscillation_closed_form():
     values = {round(r.t, 9): r.observables["expval_Z"] for r in traj.records}
     assert values[4.0] == pytest.approx(values[0.0], abs=1e-10)
     assert values[8.0] == pytest.approx(values[0.0], abs=1e-10)
+
+
+def test_exact_ramp_diagonalizes_each_operator_once(count_calls):
+    diagonalized = count_calls("hamiltonian.exact_diagonalize")
+    sched = Schedule(total_time=2.0, dt=0.25)
+    run_adiabatic(
+        initial_hamiltonian(J, 2), transverse_ising_pair(J), sched, EvolutionMode.EXACT_STEP
+    )
+    # h0 once, then one spectrum per step serving both propagator and fidelity
+    assert len(diagonalized) == sched.num_ramp_steps + 1
+    assert len({args[0] for args in diagonalized}) == len(diagonalized)
+
+
+def test_hold_builds_one_propagator(count_calls):
+    h1 = transverse_ising_pair(J)
+    spectrum = exact_diagonalize(h1)
+    sched = Schedule(total_time=1.0, dt=0.25, hold_time=2.0)
+    propagators = count_calls("hamiltonian.evolution_unitary")
+    diagonalized = count_calls("hamiltonian.exact_diagonalize")
+    start = basis_state(2, 0)
+    final, _ = run_hold(start, h1, sched, EvolutionMode.EXACT_STEP)
+    assert len(propagators) == 1
+    assert len(diagonalized) == 1
+    # a spectrum handed down replaces the diagonalization, same result
+    given, _ = run_hold(start, h1, sched, EvolutionMode.EXACT_STEP, spectrum=spectrum)
+    assert len(propagators) == 2
+    assert len(diagonalized) == 1
+    assert given.amplitudes.tobytes() == final.amplitudes.tobytes()
 
 
 def test_hold_time_offset_and_target():

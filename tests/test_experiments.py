@@ -14,7 +14,6 @@ from vacuum_refine import (
     parse_config,
 )
 from vacuum_refine.cli import main
-from vacuum_refine.experiments import thread_cap
 
 SMALL = """
 schedule.T = 2
@@ -240,21 +239,25 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("VACUUM_REFINE_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("VACUUM_REFINE_THREADS", "4")
-    assert thread_cap() == 4
-    config = _config(tmp_path)
-    cmd_sweep(config)
-    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["thread_cap"] == 4
-    monkeypatch.setenv("VACUUM_REFINE_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        thread_cap()
-    monkeypatch.setenv("VACUUM_REFINE_THREADS", "0")
-    with pytest.raises(ConfigError):
-        thread_cap()
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        (cmd_sweep, ""),
+        (cmd_filter_run, ""),
+        (cmd_filter_run, "filter.discard = false\n"),
+        (cmd_refine, ""),
+    ],
+)
+def test_each_operator_diagonalized_once(tmp_path, count_calls, command, extra):
+    config = _config(tmp_path, extra)
+    diagonalized = count_calls("hamiltonian.exact_diagonalize")
+    command(config)
+    operators = [args[0] for args in diagonalized]
+    assert len(set(operators)) == len(operators)
+    # h0, one operator per ramp step, the target; keep mode also holds
+    # under the target embedded beside the ancilla
+    embedded = 1 if extra else 0
+    assert len(operators) == config.schedule.num_ramp_steps + 2 + embedded
 
 
 def test_output_prefix_directory_created(tmp_path):

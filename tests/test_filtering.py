@@ -240,6 +240,23 @@ def test_apply_filter_keep_branch():
     )
 
 
+def test_apply_filter_uses_supplied_spectrum(count_calls):
+    h = transverse_ising_pair(J)
+    spec = exact_diagonalize(h)
+    psi = StateVector(2, spec.eigenvectors @ np.array([0.8, 0.4, 0.4, 0.2]))
+    config = FilterConfig(3, choose_theta(float(spec.eigenvalues[0])))
+    diagonalized = count_calls("hamiltonian.exact_diagonalize")
+    given = apply_filter(psi, h, config, spectrum=spec)
+    assert diagonalized == []
+    # without a spectrum, one diagonalization serves every ancilla
+    built = apply_filter(psi, h, config)
+    assert len(diagonalized) == 1
+    assert given.refined_state.amplitudes.tobytes() == built.refined_state.amplitudes.tobytes()
+    report = refine_iteratively(psi, h, m=3, spectrum=spec)
+    assert not report.status.startswith("aborted")
+    assert len(diagonalized) == 1
+
+
 def test_filter_on_exact_ground_is_identity():
     spec, v0, _ = _eigpair()
     h = hadamard_hamiltonian(J)

@@ -17,7 +17,9 @@ from vacuum_refine import (
     transverse_ising_pair,
 )
 
-from oracles import pauli_sum_matrix
+from vacuum_refine.hamiltonian import _fix_phases
+
+from oracles import haar_unitary, pauli_sum_matrix
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 
@@ -64,16 +66,21 @@ def test_interpolate_endpoints_and_affinity():
 
 
 def test_to_matrix_matches_dense_oracle():
+    # Entries are sums of coeff * (1, i, -1 or -i) in term order on both
+    # routes, so the bitmask build must agree with the oracle exactly.
     rng = np.random.default_rng(5)
     letters = np.array(list("IXYZ"))
-    for _ in range(25):
-        n = int(rng.integers(1, 4))
+    with_y = 0
+    for _ in range(30):
+        n = int(rng.integers(1, 7))
         terms = tuple(
             (float(rng.normal()), "".join(rng.choice(letters, size=n)))
             for _ in range(int(rng.integers(1, 5)))
         )
         h = PauliSum(n, terms)
-        assert np.allclose(to_matrix(h), pauli_sum_matrix(terms, n), atol=1e-13)
+        with_y += any("Y" in s for _, s in h.terms)
+        assert np.array_equal(to_matrix(h), pauli_sum_matrix(h.terms, n))
+    assert with_y >= 15
 
 
 def test_to_matrix_cap():
@@ -137,6 +144,23 @@ def test_phase_convention_is_deterministic():
         pivot = col[np.argmax(np.abs(col))]
         assert abs(pivot.imag) < 1e-14
         assert pivot.real > 0
+
+
+def _fix_phases_by_column(vectors):
+    fixed = vectors.copy()
+    for j in range(fixed.shape[1]):
+        col = fixed[:, j]
+        pivot = col[np.argmax(np.abs(col))]
+        fixed[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return fixed
+
+
+def test_fix_phases_matches_column_loop():
+    rng = np.random.default_rng(8)
+    for dim in (2, 4, 16, 64, 256):
+        for _ in range(4):
+            vectors = haar_unitary(dim, rng)
+            assert _fix_phases(vectors).tobytes() == _fix_phases_by_column(vectors).tobytes()
 
 
 def test_degenerate_flag():

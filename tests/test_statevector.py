@@ -24,7 +24,14 @@ from vacuum_refine import (
     rz,
 )
 
-from oracles import embed_controlled, embed_gate, haar_unitary, random_state
+from oracles import (
+    embed_controlled,
+    embed_gate,
+    haar_unitary,
+    pauli_sum_matrix,
+    pauli_word_matrix,
+    random_state,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -202,6 +209,28 @@ def test_apply_pauli_string_matches_letters():
     assert np.allclose(flipped.amplitudes, state.amplitudes)
     signed = apply_pauli_string(state, "Z")
     assert signed.amplitudes == pytest.approx([INV_SQRT2, -INV_SQRT2])
+
+
+def test_apply_pauli_string_matches_dense_oracle():
+    rng = np.random.default_rng(12)
+    letters = np.array(list("IXYZ"))
+    for n in range(1, 7):
+        for _ in range(6):
+            string = "".join(rng.choice(letters, size=n))
+            psi = random_state(n, rng)
+            applied = apply_pauli_string(StateVector(n, psi), string).amplitudes
+            assert np.array_equal(applied, pauli_word_matrix(string) @ psi), string
+            terms = tuple(
+                (float(rng.normal()), "".join(rng.choice(letters, size=n))) for _ in range(4)
+            )
+            observable = PauliSum(n, terms)
+            dense = np.vdot(psi, pauli_sum_matrix(observable.terms, n) @ psi).real
+            value = expectation_observable(StateVector(n, psi), observable)
+            assert value == pytest.approx(dense, abs=1e-12)
+    with pytest.raises(DomainError):
+        apply_pauli_string(basis_state(2, 0), "XQ")
+    with pytest.raises(DomainError):
+        apply_pauli_string(basis_state(2, 0), "X")
 
 
 def test_expectation_observable_basics():
