@@ -89,9 +89,12 @@ class ExperimentConfig:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return number
 
 
 def _parse_int(key: str, value: str) -> int:

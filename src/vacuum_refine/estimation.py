@@ -24,7 +24,7 @@ class EigenOverlaps:
         coeffs = np.asarray(self.coefficients, dtype=np.complex128).reshape(-1)
         object.__setattr__(self, "coefficients", coeffs)
         total = float(np.sum(np.abs(coeffs) ** 2))
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise NumericalConsistencyError(
                 f"overlap weights sum to {total!r}, expected 1 within 1e-10"
             )

@@ -397,7 +397,7 @@ def _load_state_file(path: str, expected_qubits: int) -> StateVector:
         )
     amps = np.asarray(values, dtype=np.complex128)
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:
         raise ConfigError(f"{path}: amplitudes have norm {norm!r}, expected 1 within 1e-6")
     return StateVector(expected_qubits, amps / norm)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,9 @@ class PauliSum:
             if any(ch not in "IXYZ" for ch in string):
                 raise DomainError(f"Pauli string {string!r} contains letters outside IXYZ")
             merged[string] = merged.get(string, 0.0) + float(coeff)
+        for string, coeff in merged.items():
+            if not math.isfinite(coeff):
+                raise DomainError(f"coefficient of {string!r} is not finite ({coeff!r})")
         cleaned = tuple(
             (coeff, string) for string, coeff in sorted(merged.items()) if coeff != 0.0
         )
@@ -109,24 +113,47 @@ def interpolate(h0: PauliSum, h1: PauliSum, s: float) -> PauliSum:
 
 
 def to_matrix(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense Hermitian matrix of the operator, refused above ``cap`` qubits."""
+    """Dense Hermitian matrix of the operator, refused above ``cap`` qubits.
+
+    The matrix is float64 when every word has an even number of Y letters
+    (an even power of i, so every phase is +1 or -1) and complex128
+    otherwise.  Entry ``[c ^ x, c]`` of each word is its coefficient times
+    its phase, and the words are summed in the order of ``h.terms``.
+    """
     if h.num_qubits > cap:
         raise ResourceLimitError(
             f"dense matrix for {h.num_qubits} qubit(s) exceeds the cap of {cap}"
         )
     dim = 2**h.num_qubits
     columns = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for (coeff, _), word in zip(h.terms, h.words):
-        out[columns ^ word.x_mask, columns] += coeff * column_phases(word, columns)
-    if np.max(np.abs(out - out.conj().T)) > 1e-12:
+    coeffs = np.array([coeff for coeff, _ in h.terms]).reshape(-1, 1)
+    masks = np.array(
+        [(w.x_mask, w.z_mask, w.i_power) for w in h.words], dtype=np.int64
+    ).reshape(-1, 3)
+    real = all(w.i_power % 2 == 0 for w in h.words)
+    out = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
+    # Blocks of at most max(dim, 64) terms keep the (term, column) grid and
+    # its temporaries within a few times the matrix's size for any number
+    # of terms; np.add.at sums in term order within and across blocks.
+    step = max(dim, 64)
+    for start in range(0, len(masks), step):
+        block = masks[start : start + step]
+        phases = column_phases(block[:, 1:2], block[:, 2:], columns)
+        if real:
+            phases = phases.real
+        np.add.at(out, (columns ^ block[:, :1], columns), coeffs[start : start + step] * phases)
+    if not np.max(np.abs(out - out.conj().T)) <= 1e-12:
         raise NumericalConsistencyError("dense matrix is not Hermitian")
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues (ascending) and phase-fixed eigenvector columns."""
+    """Eigenvalues (ascending) and phase-fixed eigenvector columns.
+
+    For a real operator the eigenvectors are float64 and sign-fixed real;
+    otherwise they are complex128.
+    """
 
     num_qubits: int
     eigenvalues: np.ndarray
@@ -152,7 +179,11 @@ class Spectrum:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    For real vectors the factor is the pivot's sign, so this is a sign fix
+    and the columns stay real.
+    """
     pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
     # np.hypot rounds the modulus as abs() of a complex scalar does; np.abs
     # can differ in the last bit, which would move digits of the outputs.
@@ -160,19 +191,23 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def exact_diagonalize(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> Spectrum:
-    """Full eigendecomposition of the operator with deterministic phases."""
+    """Full eigendecomposition of the operator with deterministic phases.
+
+    A real operator's float64 matrix goes through real ``eigh`` and real
+    checks; the dtype of ``to_matrix`` selects the arithmetic throughout.
+    """
     matrix = to_matrix(h, cap)
     try:
         values, vectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalConsistencyError(f"eigensolver failed to converge: {exc}") from exc
     vectors = _fix_phases(vectors)
-    residual = np.max(np.abs(matrix @ vectors - vectors * values))
-    if residual > _CHECK_ATOL:
-        raise NumericalConsistencyError(f"eigenpair residual {residual:.3e} too large")
     ortho = np.max(np.abs(vectors.conj().T @ vectors - np.eye(vectors.shape[0])))
-    if ortho > _CHECK_ATOL:
+    if not ortho <= _CHECK_ATOL:
         raise NumericalConsistencyError(f"eigenvectors not orthonormal ({ortho:.3e})")
+    residual = np.max(np.abs(matrix @ vectors - vectors * values))
+    if not residual <= _CHECK_ATOL:
+        raise NumericalConsistencyError(f"eigenpair residual {residual:.3e} too large")
     return Spectrum(h.num_qubits, values, vectors)
 
 
@@ -213,6 +248,8 @@ def parse_pauli_text(text: str) -> PauliSum:
             coeff = float(parts[0])
         except ValueError:
             raise ConfigError(f"line {lineno}: bad coefficient {parts[0]!r}") from None
+        if not math.isfinite(coeff):
+            raise ConfigError(f"line {lineno}: coefficient {parts[0]!r} is not finite")
         string = parts[1].upper()
         if any(ch not in "IXYZ" for ch in string):
             raise ConfigError(f"line {lineno}: bad Pauli string {parts[1]!r}")

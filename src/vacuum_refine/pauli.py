@@ -44,13 +44,17 @@ def compile_word(string: str) -> PauliWord:
     return PauliWord(x_mask, z_mask, string.count("Y") % 4)
 
 
-def column_phases(word: PauliWord, columns: np.ndarray) -> np.ndarray:
-    """The nonzero entries P[c ^ x, c] for each basis index c in ``columns``."""
-    parity = np.bitwise_count(columns & word.z_mask) & 1
-    return _I_POWERS[(word.i_power + 2 * parity) % 4]
+def column_phases(z_mask, i_power, columns: np.ndarray) -> np.ndarray:
+    """The nonzero entries P[c ^ x, c] for each basis index c in ``columns``.
+
+    ``z_mask`` and ``i_power`` are those of a word, or integer arrays of
+    several words that broadcast against ``columns``: the phase of |c> is
+    i^(i_power + 2 popcount(c & z_mask)).
+    """
+    return _I_POWERS[(i_power + 2 * np.bitwise_count(columns & z_mask)) & 3]
 
 
 def apply_word(word: PauliWord, amplitudes: np.ndarray) -> np.ndarray:
     """P @ amplitudes for a flat amplitude vector, as a new array."""
     source = np.arange(amplitudes.shape[0]) ^ word.x_mask
-    return column_phases(word, source) * amplitudes[source]
+    return column_phases(word.z_mask, word.i_power, source) * amplitudes[source]

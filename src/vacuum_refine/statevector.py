@@ -60,7 +60,7 @@ class GateMatrix:
                 f"gate on {self.arity} qubit(s) needs a {dim}x{dim} matrix, got shape {entries.shape}"
             )
         residue = np.max(np.abs(entries.conj().T @ entries - np.eye(dim)))
-        if residue > _UNITARY_ATOL:
+        if not residue <= _UNITARY_ATOL:
             raise UnitarityError(f"matrix is not unitary (max residue {residue:.3e})")
         object.__setattr__(self, "entries", entries)
 
@@ -109,7 +109,7 @@ class StateVector:
                 f"got {amps.shape[0]}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= _NORM_ATOL:
             raise DomainError(f"amplitudes are not normalized (|psi|^2 = {norm_sq!r})")
         object.__setattr__(self, "amplitudes", amps)
 

@@ -50,6 +50,8 @@ def test_overlaps_must_be_normalized():
 
     with pytest.raises(NumericalConsistencyError):
         EigenOverlaps(np.array([1.0, 1.0]))
+    with pytest.raises(NumericalConsistencyError):
+        EigenOverlaps(np.array([np.nan, 0.0]))
 
 
 def test_corrected_expectation_identity():

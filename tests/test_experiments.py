@@ -240,6 +240,31 @@ def test_cli_config_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("diag", "model.J = nan", "finite"),
+        ("sweep", "schedule.T = inf", "finite"),
+        ("sweep", "schedule.dt = nan", "finite"),
+        ("diag", "model.hamiltonian = {operator_file}", "finite"),
+        ("diag", "diag.state_file = {state_file}", "norm nan"),
+    ],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, command, setting, message):
+    operator_file = tmp_path / "chain.txt"
+    operator_file.write_text("nan ZZ\n")
+    state_file = tmp_path / "state.txt"
+    state_file.write_text("nan 0\n0 0\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        f"output.prefix = {tmp_path}/run\n"
+        + setting.format(operator_file=operator_file, state_file=state_file)
+        + "\n"
+    )
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, extra",
     [
         (cmd_sweep, ""),

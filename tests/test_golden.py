@@ -2,8 +2,12 @@
 
 The files under ``tests/golden/`` were written by the package before the
 operator representation moved to X/Z bitmasks; every CSV and diag report
-must still come out byte for byte the same.  Manifests are not compared
-because they carry a wall-clock duration.
+must still come out byte for byte the same.  The two exceptions are
+``diag_pair`` and ``refine_pair``, rewritten when real operators moved to
+real arithmetic: a value near zero moved there by less than 1e-15, which
+``test_real_arithmetic_moves_only_rounding_noise`` checks against the
+complex path.  Manifests are not compared because they carry a
+wall-clock duration.
 
 To rewrite the snapshots after a deliberate, documented output change:
 
@@ -12,13 +16,15 @@ To rewrite the snapshots after a deliberate, documented output change:
 
 from __future__ import annotations
 
+import re
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vacuum_refine import cmd_diag, cmd_filter_run, cmd_refine, cmd_sweep, parse_config
+from vacuum_refine import cmd_diag, cmd_filter_run, cmd_refine, cmd_sweep, hamiltonian, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -69,6 +75,27 @@ def test_outputs_match_snapshot(name, tmp_path):
     assert sorted(files) == expected
     for filename, content in files.items():
         assert content == (GOLDEN / filename).read_bytes(), filename
+
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+@pytest.mark.parametrize("name", ["diag_pair", "refine_pair"])
+def test_real_arithmetic_moves_only_rounding_noise(name, tmp_path, monkeypatch):
+    real = _run(name, tmp_path)
+    build = hamiltonian.to_matrix
+
+    def complex_matrix(h, cap=hamiltonian.DEFAULT_DENSE_CAP):
+        return build(h, cap).astype(np.complex128)
+
+    monkeypatch.setattr(hamiltonian, "to_matrix", complex_matrix)
+    complex_path = _run(name, tmp_path / "complex")
+    assert sorted(real) == sorted(complex_path)
+    for filename, content in real.items():
+        got, expected = content.decode(), complex_path[filename].decode()
+        assert NUMBER.sub("#", got) == NUMBER.sub("#", expected)
+        for a, b in zip(NUMBER.findall(got), NUMBER.findall(expected)):
+            assert abs(float(a) - float(b)) <= 1e-15, (filename, a, b)
 
 
 if __name__ == "__main__":

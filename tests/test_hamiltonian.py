@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from vacuum_refine import (
     ConfigError,
     DomainError,
+    NumericalConsistencyError,
     PauliSum,
     ResourceLimitError,
     exact_diagonalize,
@@ -25,6 +28,19 @@ scipy_linalg = pytest.importorskip("scipy.linalg")
 
 J = np.pi / 4
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# two Y letters per word: i^2 = -1, so the matrix is still real
+REAL_WITH_YY = PauliSum(3, ((0.7, "YYI"), (-0.4, "IYY"), (0.9, "XIZ"), (-0.3, "ZZX")))
+
+
+def _tfim_chain(n, seed=3):
+    """Open TFIM chain -sum J_i Z_i Z_i+1 - sum g_i X_i with drawn couplings."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for i in range(n - 1):
+        terms.append((-float(rng.uniform(0.5, 1.5)), "I" * i + "ZZ" + "I" * (n - i - 2)))
+    for i in range(n):
+        terms.append((-float(rng.uniform(0.5, 1.5)), "I" * i + "X" + "I" * (n - i - 1)))
+    return PauliSum(n, tuple(terms))
 
 
 def test_pauli_sum_validation():
@@ -34,6 +50,12 @@ def test_pauli_sum_validation():
         PauliSum(2, ((1.0, "Z"),))
     with pytest.raises(DomainError):
         PauliSum(1, ((1.0 + 1.0j, "Z"),))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DomainError, match="not finite"):
+            PauliSum(1, ((bad, "Z"),))
+    # finite inputs whose merged sum overflows are refused as well
+    with pytest.raises(DomainError, match="not finite"):
+        PauliSum(1, ((1e308, "Z"), (1e308, "Z")))
 
 
 def test_pauli_sum_merges_and_sorts():
@@ -81,6 +103,15 @@ def test_to_matrix_matches_dense_oracle():
         with_y += any("Y" in s for _, s in h.terms)
         assert np.array_equal(to_matrix(h), pauli_sum_matrix(h.terms, n))
     assert with_y >= 15
+    # far more terms than columns: every 4-qubit word (256, complex) and
+    # every one without Y (81, real), each built in several blocks of terms
+    for letters, dtype in (("IXYZ", np.complex128), ("IXZ", np.float64)):
+        strings = ["".join(w) for w in itertools.product(letters, repeat=4)]
+        h = PauliSum(4, tuple((float(rng.normal()), s) for s in strings))
+        assert len(h.terms) == len(strings)
+        got = to_matrix(h)
+        assert got.dtype == dtype
+        assert np.array_equal(got, pauli_sum_matrix(h.terms, 4))
 
 
 def test_to_matrix_cap():
@@ -169,22 +200,87 @@ def test_degenerate_flag():
     # the lowest column is still returned deterministically; callers decide
     # whether degeneracy is fatal
     assert spec.ground_state.num_qubits == 2
+    # the real path flags a degenerate ground level too
+    ferro = exact_diagonalize(PauliSum(2, ((-1.0, "ZZ"),)))
+    assert ferro.eigenvectors.dtype == np.float64
+    assert ferro.degenerate
 
 
 def test_evolution_unitary_matches_expm():
     rng = np.random.default_rng(21)
     letters = np.array(list("IXYZ"))
+    operators = []
     for _ in range(10):
         n = int(rng.integers(1, 3))
         terms = tuple(
             (float(rng.normal()), "".join(rng.choice(letters, size=n)))
             for _ in range(3)
         )
-        h = PauliSum(n, terms)
+        operators.append(PauliSum(n, terms))
+    # propagators built from real spectra, including one with Y letters
+    real = [_tfim_chain(3), _tfim_chain(5), transverse_ising_pair(J), REAL_WITH_YY]
+    assert all(exact_diagonalize(h).eigenvectors.dtype == np.float64 for h in real)
+    for h in operators + real:
         t = float(rng.uniform(0.1, 3.0))
         got = evolution_unitary(h, t).entries
         expected = scipy_linalg.expm(-1j * t * to_matrix(h))
         assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "h",
+    [_tfim_chain(n) for n in range(1, 7)]
+    + [transverse_ising_pair(J), hadamard_hamiltonian(J), REAL_WITH_YY],
+    ids=[f"chain{n}" for n in range(1, 7)] + ["tfim2", "hadamard", "yy"],
+)
+def test_real_operator_diagonalized_in_real_arithmetic(h):
+    assert to_matrix(h).dtype == np.float64
+    spec = exact_diagonalize(h)
+    assert spec.eigenvectors.dtype == np.float64
+    oracle = pauli_sum_matrix(h.terms, h.num_qubits)
+    values, vectors = np.linalg.eigh(oracle)
+    assert np.max(np.abs(spec.eigenvalues - values)) < 1e-12
+    # a non-degenerate level's projector does not depend on the phase fix
+    spacing = np.diff(values)
+    for j in range(len(values)):
+        below = spacing[j - 1] if j > 0 else np.inf
+        above = spacing[j] if j < len(spacing) else np.inf
+        if min(below, above) < 1e-6:
+            continue
+        got = np.outer(spec.eigenvectors[:, j], spec.eigenvectors[:, j])
+        expected = np.outer(vectors[:, j], vectors[:, j].conj())
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_single_y_operator_stays_complex():
+    h = PauliSum(2, ((0.8, "YZ"), (-0.5, "XI"), (0.3, "ZZ")))
+    assert to_matrix(h).dtype == np.complex128
+    spec = exact_diagonalize(h)
+    assert spec.eigenvectors.dtype == np.complex128
+    values = np.linalg.eigh(pauli_sum_matrix(h.terms, 2))[0]
+    assert np.max(np.abs(spec.eigenvalues - values)) < 1e-12
+
+
+def test_hermiticity_guard_catches_nan():
+    h = PauliSum(1, ((1.0, "X"),))
+    # bypass the constructor's finiteness check to reach the guard itself
+    object.__setattr__(h, "terms", ((float("nan"), "X"),))
+    with pytest.raises(NumericalConsistencyError, match="Hermitian"):
+        to_matrix(h)
+
+
+def test_residual_guard_catches_nan(monkeypatch):
+    vectors = np.array([[1.0, 1.0], [-1.0, 1.0]]) * INV_SQRT2
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([np.nan, 1.0]), vectors))
+    with pytest.raises(NumericalConsistencyError, match="residual"):
+        exact_diagonalize(PauliSum(1, ((1.0, "X"),)))
+
+
+def test_orthonormality_guard_catches_nan(monkeypatch):
+    vectors = np.array([[np.nan, 1.0], [1.0, 0.0]])
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([-1.0, 1.0]), vectors))
+    with pytest.raises(NumericalConsistencyError, match="orthonormal"):
+        exact_diagonalize(PauliSum(1, ((1.0, "X"),)))
 
 
 def test_evolution_unitary_group_property():
@@ -213,7 +309,7 @@ def test_pauli_text_parsing_details():
 
 @pytest.mark.parametrize(
     "bad",
-    ["0.5", "abc ZZ", "0.5 Z\n0.25 ZZ", "0.5 QQ", ""],
+    ["0.5", "abc ZZ", "0.5 Z\n0.25 ZZ", "0.5 QQ", "", "nan ZZ", "inf Z", "-inf Z"],
 )
 def test_pauli_text_errors(bad):
     with pytest.raises(ConfigError):

@@ -53,6 +53,8 @@ def test_basis_state_rejects_bad_index():
 def test_state_requires_normalization():
     with pytest.raises(DomainError):
         StateVector(1, np.array([1.0, 1.0]))
+    with pytest.raises(DomainError, match="normalized"):
+        StateVector(1, np.array([np.nan, 0.0]))
     normalized = StateVector.normalized([1.0, 1.0])
     assert normalized.amplitudes == pytest.approx([INV_SQRT2, INV_SQRT2])
 
@@ -93,6 +95,8 @@ def test_apply_gate_validates_targets_and_arity():
 def test_non_unitary_matrix_rejected():
     with pytest.raises(UnitarityError):
         GateMatrix(1, np.array([[1.0, 0.0], [0.0, 2.0]]))
+    with pytest.raises(UnitarityError):
+        GateMatrix(1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_apply_gate_matches_dense_oracle():
