@@ -65,6 +65,7 @@ from .filtering import (
 from .hamiltonian import (
     PauliSum,
     Spectrum,
+    apply_evolution,
     evolution_unitary,
     exact_diagonalize,
     format_pauli_text,

@@ -4,9 +4,10 @@ The total ramp time T is split into N = T / dt equal steps.  Step k
 evolves under the interpolated operator frozen at the midpoint parameter
 s_k = (k + 1/2) * dt / T, which keeps the discretization error of the
 schedule at second order in dt.  Steps themselves are taken either
-exactly (dense propagator) or with a first-order splitting that applies
-Z-type factors before X-type factors, lexicographically within each
-class.
+exactly, by applying exp(-i * h * dt) straight from the step operator's
+spectrum (``apply_evolution``), or with a first-order splitting that
+applies Z-type factors before X-type factors, lexicographically within
+each class.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .hamiltonian import PauliSum, Spectrum, evolution_unitary, exact_diagonalize, interpolate
+from .hamiltonian import PauliSum, Spectrum, apply_evolution, exact_diagonalize, interpolate
 from .pauli import apply_word
-from .statevector import GateMatrix, StateVector, apply_gate, basis_state
+from .statevector import StateVector, basis_state
 from .statevector import expectation_observable, fidelity
 
 _GRID_ATOL = 1e-9
@@ -113,12 +114,14 @@ def evolve_step(
     h: PauliSum,
     dt: float,
     mode: EvolutionMode,
-    propagator: GateMatrix | None = None,
+    spectrum: Spectrum | None = None,
 ) -> StateVector:
     """Advance the state by one step of duration ``dt`` under a fixed operator.
 
-    In ``exact_step`` mode ``propagator``, when given, is the caller's
-    ``evolution_unitary(h, dt)``; without it one is built here.
+    In ``exact_step`` mode the step is applied from ``spectrum``, which
+    must be the caller's ``exact_diagonalize(h)``: only its size is
+    checked here.  Without it ``h`` is diagonalized here.  ``trotter1``
+    mode ignores it.
     """
     if h.num_qubits != state.num_qubits:
         raise DomainError(
@@ -127,8 +130,9 @@ def evolve_step(
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt!r}")
     if mode is EvolutionMode.EXACT_STEP:
-        gate = propagator if propagator is not None else evolution_unitary(h, dt)
-        return apply_gate(state, gate, list(range(state.num_qubits)))
+        if spectrum is None:
+            spectrum = exact_diagonalize(h)
+        return StateVector(state.num_qubits, apply_evolution(spectrum, dt, state.amplitudes))
     if mode is EvolutionMode.TROTTER1:
         amps = state.amplitudes
         for (coeff, _), word in sorted(zip(h.terms, h.words), key=lambda tw: _split_key(tw[0])):
@@ -216,10 +220,7 @@ def run_adiabatic(
         s_k = (k + 0.5) * schedule.dt / schedule.total_time
         h_k = interpolate(h0, h1, s_k)
         spectrum = exact_diagonalize(h_k)
-        propagator = None
-        if mode is EvolutionMode.EXACT_STEP:
-            propagator = evolution_unitary(h_k, schedule.dt, spectrum=spectrum)
-        state = evolve_step(state, h_k, schedule.dt, mode, propagator)
+        state = evolve_step(state, h_k, schedule.dt, mode, spectrum)
         if spectrum.degenerate:
             trajectory.metadata["warnings"].append(
                 f"degenerate instantaneous ground level at step {k} (s={s_k!r})"
@@ -252,10 +253,11 @@ def run_hold(
 
     Record times are offset by ``start_time`` so a hold can continue a
     ramp trajectory.  Fidelity is taken against ``fidelity_target`` when
-    given, otherwise against the ground state of ``h``.  ``spectrum`` is
-    the caller's ``exact_diagonalize(h)``; without it ``h`` is
-    diagonalized here, at most once, and only when needed.  Every hold
-    step applies the same propagator.
+    given, otherwise against the ground state of ``h``.  ``spectrum``
+    must be the caller's ``exact_diagonalize(h)``, since only its size is
+    checked; without it ``h`` is diagonalized here, at most once, and
+    only when needed.  Every exact
+    hold step is applied from that one spectrum.
     """
     observables = dict(observables or {})
     _check_observables(observables, state.num_qubits)
@@ -277,9 +279,8 @@ def run_hold(
         fidelity_target = spectrum.ground_state
     if include_initial:
         _record(trajectory, start_time, state, h, observables, fidelity_target, record_snapshots)
-    propagator = evolution_unitary(h, schedule.dt, spectrum=spectrum) if exact else None
     for j in range(schedule.num_hold_steps):
-        state = evolve_step(state, h, schedule.dt, mode, propagator)
+        state = evolve_step(state, h, schedule.dt, mode, spectrum)
         _record(
             trajectory,
             start_time + (j + 1) * schedule.dt,

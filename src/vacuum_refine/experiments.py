@@ -129,6 +129,7 @@ def _write_manifest(
     config: ExperimentConfig,
     outputs: list[str],
     started: float,
+    warnings: list[str],
 ) -> str:
     path = f"{config.output_prefix}_manifest.json"
     payload = {
@@ -138,6 +139,7 @@ def _write_manifest(
         "duration_seconds": time.perf_counter() - started,
         "outputs": outputs,
         "config": config_to_text(config),
+        "warnings": warnings,
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -197,7 +199,8 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
     _write_csv(summary_path, list(summary), [tuple(summary.values())])
 
     outputs = [trajectory_path, summary_path]
-    manifest = _write_manifest("sweep", config, outputs, started)
+    warnings = ramp.metadata["warnings"] + hold.metadata["warnings"]
+    manifest = _write_manifest("sweep", config, outputs, started, warnings)
     lines = [
         f"trajectory written to {trajectory_path} ({len(rows)} records)",
         f"prep quality 2|alpha|^2-1 = {prep_quality:.9f} "
@@ -297,7 +300,8 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
     _write_csv(summary_path, list(summary), [tuple(summary.values())])
 
     outputs = [trajectory_path, summary_path]
-    manifest = _write_manifest("filter-run", config, outputs, started)
+    warnings = ramp.metadata["warnings"] + hold.metadata["warnings"]
+    manifest = _write_manifest("filter-run", config, outputs, started, warnings)
     lines = [
         f"trajectory written to {trajectory_path} ({len(rows)} records)",
         f"raw = {raw:.9f}  2p0-1 = {denom:.9f}  corrected = raw/(2p0-1) = {corrected:.9f}",
@@ -321,7 +325,7 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
             f"got {h1.num_qubits}"
         )
     h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
-    final, _ = run_adiabatic(h0, h1, config.schedule, config.mode)
+    final, ramp = run_adiabatic(h0, h1, config.schedule, config.mode)
     spectrum = exact_diagonalize(h1)
     start_fidelity = fidelity(final, spectrum.ground_state)
 
@@ -364,7 +368,7 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
         "final_excited_weight": report.steps[-1].excited_weight if report.steps else 1.0 - start_fidelity,
     }
     outputs = [refinement_path]
-    manifest = _write_manifest("refine", config, outputs, started)
+    manifest = _write_manifest("refine", config, outputs, started, ramp.metadata["warnings"])
     lines = [
         f"refinement written to {refinement_path} ({len(rows)} pass(es))",
         f"start fidelity {start_fidelity:.9f} -> final fidelity {summary['final_fidelity']:.9f} "
@@ -437,6 +441,6 @@ def cmd_diag(config: ExperimentConfig) -> CommandResult:
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
     outputs = [report_path]
-    manifest = _write_manifest("diag", config, outputs, started)
+    manifest = _write_manifest("diag", config, outputs, started, [])
     lines.append(f"manifest written to {manifest}")
     return CommandResult(outputs=outputs + [manifest], lines=lines, summary=summary)

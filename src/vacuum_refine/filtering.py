@@ -41,7 +41,7 @@ from .errors import (
     ImpossibleOutcomeError,
 )
 from .estimation import eigen_overlaps, shot_expectation
-from .hamiltonian import PauliSum, Spectrum, evolution_unitary, exact_diagonalize
+from .hamiltonian import PauliSum, Spectrum, apply_evolution, exact_diagonalize
 from .statevector import (
     HADAMARD,
     X,
@@ -171,10 +171,12 @@ def controlled_u_power(
     """Apply the k-th power of i*exp(-i*theta*h/2) controlled on one ancilla.
 
     The system register occupies the trailing ``h.num_qubits`` qubits of
-    ``joint``.  The power of the global phase i is kept inside the
-    controlled matrix, where it acts as a relative phase.  ``spectrum``
-    is the caller's ``exact_diagonalize(h)``; without it ``h`` is
-    diagonalized here.
+    ``joint`` and every qubit before it is an ancilla.  The power is
+    applied from the spectrum, with its phases scaled by i^k, to the
+    system amplitudes of the branches where ``ancilla`` is 1, so the
+    power of the global phase i acts as a relative phase between the
+    branches.  ``spectrum`` must be the caller's ``exact_diagonalize(h)``,
+    since only its size is checked; without it ``h`` is diagonalized here.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"power k must be a positive integer, got {k!r}")
@@ -183,12 +185,18 @@ def controlled_u_power(
         raise DomainError(
             f"joint register of {joint.num_qubits} qubit(s) has no room for ancillas"
         )
-    targets = list(range(joint.num_qubits - n_sys, joint.num_qubits))
-    if ancilla in targets:
-        raise DomainError(f"ancilla {ancilla} overlaps the system register {targets}")
-    bare = evolution_unitary(h, k * theta / 2.0, spectrum=spectrum)
-    gate = GateMatrix(n_sys, (1j**k) * bare.entries)
-    return apply_controlled(joint, [ancilla], gate, targets)
+    num_ancillas = joint.num_qubits - n_sys
+    if not isinstance(ancilla, (int, np.integer)) or not 0 <= ancilla < num_ancillas:
+        raise DomainError(
+            f"ancilla {ancilla!r} is not one of the {num_ancillas} qubit(s) "
+            f"ahead of the system register"
+        )
+    if spectrum is None:
+        spectrum = exact_diagonalize(h)
+    psi = joint.amplitudes.reshape((2,) * num_ancillas + (-1,)).copy()
+    branch = tuple(1 if a == ancilla else slice(None) for a in range(num_ancillas))
+    psi[branch] = apply_evolution(spectrum, k * theta / 2.0, psi[branch], phase=1j**k)
+    return StateVector(joint.num_qubits, psi.reshape(-1))
 
 
 def filter_amplitude(energy: float, theta: float, config: FilterConfig) -> complex:

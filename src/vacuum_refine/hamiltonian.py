@@ -14,7 +14,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .pauli import PauliWord, column_phases, compile_word
-from .statevector import GateMatrix, StateVector
+from .statevector import _UNITARY_ATOL, GateMatrix, StateVector
 
 DEFAULT_DENSE_CAP = 10
 DEGENERACY_TOL = 1e-10
@@ -195,6 +195,9 @@ def exact_diagonalize(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> Spectrum:
 
     A real operator's float64 matrix goes through real ``eigh`` and real
     checks; the dtype of ``to_matrix`` selects the arithmetic throughout.
+    The eigenvectors must be orthonormal to the unitarity tolerance of a
+    gate, because every propagator is applied straight from them
+    (``apply_evolution``) and is never checked as a matrix.
     """
     matrix = to_matrix(h, cap)
     try:
@@ -203,12 +206,34 @@ def exact_diagonalize(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> Spectrum:
         raise NumericalConsistencyError(f"eigensolver failed to converge: {exc}") from exc
     vectors = _fix_phases(vectors)
     ortho = np.max(np.abs(vectors.conj().T @ vectors - np.eye(vectors.shape[0])))
-    if not ortho <= _CHECK_ATOL:
+    if not ortho <= _UNITARY_ATOL:
         raise NumericalConsistencyError(f"eigenvectors not orthonormal ({ortho:.3e})")
     residual = np.max(np.abs(matrix @ vectors - vectors * values))
     if not residual <= _CHECK_ATOL:
         raise NumericalConsistencyError(f"eigenpair residual {residual:.3e} too large")
     return Spectrum(h.num_qubits, values, vectors)
+
+
+def apply_evolution(
+    spectrum: Spectrum, duration: float, amplitudes: np.ndarray, phase: complex = 1.0
+) -> np.ndarray:
+    """Apply ``phase * exp(-i * h * duration)`` to amplitudes, from h's spectrum.
+
+    The last axis of ``amplitudes`` is the system axis, so this takes a
+    single vector or a stack of rows, one per branch of other registers.
+    Each row x becomes V (phases * (V^H x)): two O(d^2) products, with no
+    d x d matrix built.  The spectrum must come from
+    ``exact_diagonalize``, whose orthonormality guard is the only
+    unitarity check the result gets; only its size is checked here.
+    """
+    if amplitudes.shape[-1] != spectrum.dim:
+        raise DomainError(
+            f"spectrum dimension {spectrum.dim} does not match state dimension "
+            f"{amplitudes.shape[-1]}"
+        )
+    v = spectrum.eigenvectors
+    phases = phase * np.exp(-1j * spectrum.eigenvalues * duration)
+    return ((amplitudes.conj() @ v).conj() * phases) @ v.T
 
 
 def evolution_unitary(
@@ -217,16 +242,18 @@ def evolution_unitary(
     cap: int = DEFAULT_DENSE_CAP,
     spectrum: Spectrum | None = None,
 ) -> GateMatrix:
-    """The full-register propagator exp(-i * h * duration).
+    """The full-register propagator exp(-i * h * duration) as a dense gate.
 
-    ``spectrum`` is the caller's ``exact_diagonalize(h)``; without it the
+    This is ``apply_evolution`` applied to the identity, for callers that
+    need the matrix itself; the commands never build it.  ``spectrum``
+    must be the caller's ``exact_diagonalize(h)``; without it the
     operator is diagonalized here.
     """
     if spectrum is None:
         spectrum = exact_diagonalize(h, cap)
-    phases = np.exp(-1j * spectrum.eigenvalues * duration)
-    v = spectrum.eigenvectors
-    return GateMatrix(h.num_qubits, (v * phases) @ v.conj().T)
+    # Row r of the result is the propagator applied to basis vector r,
+    # i.e. column r of the propagator, hence the transpose.
+    return GateMatrix(h.num_qubits, apply_evolution(spectrum, duration, np.eye(spectrum.dim)).T)
 
 
 def parse_pauli_text(text: str) -> PauliSum:

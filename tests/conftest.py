@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from vacuum_refine.statevector import GateMatrix
+
 # make the shared oracle helpers importable from every test module
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -35,3 +37,21 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def count_gates(monkeypatch):
+    """Record every ``GateMatrix`` built while the test runs.
+
+    Returns the list each new gate is appended to; module-level gate
+    constants, built at import, are not counted.
+    """
+    built: list = []
+    check = GateMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(GateMatrix, "__post_init__", counted)
+    return built

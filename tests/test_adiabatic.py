@@ -198,18 +198,22 @@ def test_hold_oscillation_closed_form():
     assert values[8.0] == pytest.approx(values[0.0], abs=1e-10)
 
 
-def test_exact_ramp_diagonalizes_each_operator_once(count_calls):
+def test_exact_ramp_diagonalizes_each_operator_once(count_calls, count_gates):
     diagonalized = count_calls("hamiltonian.exact_diagonalize")
+    propagators = count_calls("hamiltonian.evolution_unitary")
     sched = Schedule(total_time=2.0, dt=0.25)
     run_adiabatic(
         initial_hamiltonian(J, 2), transverse_ising_pair(J), sched, EvolutionMode.EXACT_STEP
     )
-    # h0 once, then one spectrum per step serving both propagator and fidelity
+    # h0 once, then one spectrum per step serving both the step and fidelity
     assert len(diagonalized) == sched.num_ramp_steps + 1
     assert len({args[0] for args in diagonalized}) == len(diagonalized)
+    # every step is applied from its spectrum; no dense propagator is built
+    assert propagators == []
+    assert count_gates == []
 
 
-def test_hold_builds_one_propagator(count_calls):
+def test_hold_builds_no_dense_propagator(count_calls, count_gates):
     h1 = transverse_ising_pair(J)
     spectrum = exact_diagonalize(h1)
     sched = Schedule(total_time=1.0, dt=0.25, hold_time=2.0)
@@ -217,13 +221,13 @@ def test_hold_builds_one_propagator(count_calls):
     diagonalized = count_calls("hamiltonian.exact_diagonalize")
     start = basis_state(2, 0)
     final, _ = run_hold(start, h1, sched, EvolutionMode.EXACT_STEP)
-    assert len(propagators) == 1
     assert len(diagonalized) == 1
     # a spectrum handed down replaces the diagonalization, same result
     given, _ = run_hold(start, h1, sched, EvolutionMode.EXACT_STEP, spectrum=spectrum)
-    assert len(propagators) == 2
     assert len(diagonalized) == 1
     assert given.amplitudes.tobytes() == final.amplitudes.tobytes()
+    assert propagators == []
+    assert count_gates == []
 
 
 def test_hold_time_offset_and_target():
@@ -257,6 +261,16 @@ def test_mismatched_registers_rejected():
     h1 = hadamard_hamiltonian(J)
     with pytest.raises(DomainError):
         run_adiabatic(h0, h1, BENCHMARK, EvolutionMode.EXACT_STEP)
+
+
+def test_spectrum_of_wrong_size_rejected():
+    h = transverse_ising_pair(J)
+    wrong = exact_diagonalize(hadamard_hamiltonian(J))
+    with pytest.raises(DomainError, match="spectrum dimension"):
+        evolve_step(basis_state(2, 0), h, 0.25, EvolutionMode.EXACT_STEP, wrong)
+    sched = Schedule(total_time=1.0, dt=0.25, hold_time=1.0)
+    with pytest.raises(DomainError, match="spectrum dimension"):
+        run_hold(basis_state(2, 0), h, sched, EvolutionMode.EXACT_STEP, spectrum=wrong)
 
 
 def test_observable_register_checked():

@@ -51,6 +51,8 @@ def test_sweep_outputs(tmp_path):
     assert str(tmp_path / "run_trajectory.csv") in manifest["outputs"]
     # config echo parses back to the exact config used
     assert parse_config(manifest["config"]) == _config(tmp_path)
+    # the benchmark ramp and its target have non-degenerate ground levels
+    assert manifest["warnings"] == []
 
 
 def test_sweep_shot_mode_is_deterministic(tmp_path):
@@ -295,3 +297,38 @@ def test_manifest_has_no_duration_in_csvs(tmp_path):
     cmd_sweep(_config(tmp_path))
     for name in ("run_trajectory.csv", "run_summary.csv"):
         assert "duration" not in (tmp_path / name).read_text()
+
+
+@pytest.mark.parametrize(
+    "command, operator, extra, expected",
+    [
+        # -ZZ: the held target's ground level |00>, |11> is degenerate
+        (cmd_sweep, "-1 ZZ", "", ["ground level of the held operator is degenerate"]),
+        # ramping -Z to +Z: the middle step's operator is exactly zero
+        (cmd_sweep, "1 Z", "", ["degenerate instantaneous ground level at step 1 (s=0.5)"]),
+        (
+            cmd_filter_run,
+            "1 Z",
+            "filter.discard = false\n",
+            ["degenerate instantaneous ground level at step 1 (s=0.5)"],
+        ),
+        (cmd_refine, "1 Z", "", ["degenerate instantaneous ground level at step 1 (s=0.5)"]),
+    ],
+    ids=["sweep_degenerate_target", "sweep_crossing", "filter_run_crossing", "refine_crossing"],
+)
+def test_manifest_records_run_warnings(tmp_path, command, operator, extra, expected):
+    model = tmp_path / "model.txt"
+    model.write_text(operator + "\n")
+    config = parse_config(
+        f"model.hamiltonian = {model}\nmodel.J = 1\n"
+        "schedule.T = 3\nschedule.dt = 1\nschedule.hold_time = 1\n"
+        + extra
+        + f"output.prefix = {tmp_path}/run\n"
+    )
+    result = command(config)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["warnings"] == expected
+    # warnings live in the manifest alone
+    for path in result.outputs:
+        if not path.endswith("_manifest.json"):
+            assert "degenerate" not in open(path, encoding="utf-8").read()

@@ -151,6 +151,22 @@ def test_controlled_u_power_matches_dense_oracle():
         assert np.max(np.abs(got - dense @ amps)) < 1e-12
 
 
+def test_controlled_u_power_middle_ancilla_matches_dense_oracle():
+    from oracles import random_state
+
+    rng = np.random.default_rng(17)
+    h = transverse_ising_pair(J)
+    vals, vecs = np.linalg.eigh(pauli_sum_matrix(h.terms, 2))
+    theta = -1.3
+    for k in (1, 2, 3, 4):
+        # three ancillas ahead of the two system qubits, controlled on the middle one
+        amps = random_state(5, rng)
+        got = controlled_u_power(StateVector(5, amps), 1, h, theta, k).amplitudes
+        u = (vecs * np.exp(-1j * vals * k * theta / 2.0)) @ vecs.conj().T
+        dense = embed_controlled((1j**k) * u, [1], [3, 4], 5)
+        assert np.max(np.abs(got - dense @ amps)) < 1e-12
+
+
 def test_controlled_u_power_validation():
     h = hadamard_hamiltonian(J)
     joint = basis_state(2, 0)
@@ -159,7 +175,12 @@ def test_controlled_u_power_validation():
     with pytest.raises(DomainError):
         controlled_u_power(joint, 1, h, 1.0, 1)  # ancilla inside system register
     with pytest.raises(DomainError):
+        controlled_u_power(joint, -1, h, 1.0, 1)
+    with pytest.raises(DomainError):
         controlled_u_power(basis_state(1, 0), 0, h, 1.0, 1)
+    wrong = exact_diagonalize(transverse_ising_pair(J))
+    with pytest.raises(DomainError, match="spectrum dimension"):
+        controlled_u_power(joint, 0, h, 1.0, 1, spectrum=wrong)
 
 
 def test_filter_amplitude_resonance_and_rejection():
@@ -240,12 +261,13 @@ def test_apply_filter_keep_branch():
     )
 
 
-def test_apply_filter_uses_supplied_spectrum(count_calls):
+def test_apply_filter_uses_supplied_spectrum(count_calls, count_gates):
     h = transverse_ising_pair(J)
     spec = exact_diagonalize(h)
     psi = StateVector(2, spec.eigenvectors @ np.array([0.8, 0.4, 0.4, 0.2]))
     config = FilterConfig(3, choose_theta(float(spec.eigenvalues[0])))
     diagonalized = count_calls("hamiltonian.exact_diagonalize")
+    propagators = count_calls("hamiltonian.evolution_unitary")
     given = apply_filter(psi, h, config, spectrum=spec)
     assert diagonalized == []
     # without a spectrum, one diagonalization serves every ancilla
@@ -255,6 +277,9 @@ def test_apply_filter_uses_supplied_spectrum(count_calls):
     report = refine_iteratively(psi, h, m=3, spectrum=spec)
     assert not report.status.startswith("aborted")
     assert len(diagonalized) == 1
+    # every controlled power is applied from the spectrum, never as a gate
+    assert propagators == []
+    assert count_gates == []
 
 
 def test_filter_on_exact_ground_is_identity():

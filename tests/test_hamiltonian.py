@@ -9,6 +9,7 @@ from vacuum_refine import (
     NumericalConsistencyError,
     PauliSum,
     ResourceLimitError,
+    apply_evolution,
     exact_diagonalize,
     evolution_unitary,
     format_pauli_text,
@@ -281,6 +282,36 @@ def test_orthonormality_guard_catches_nan(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([-1.0, 1.0]), vectors))
     with pytest.raises(NumericalConsistencyError, match="orthonormal"):
         exact_diagonalize(PauliSum(1, ((1.0, "X"),)))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [_tfim_chain(n) for n in range(1, 7)]
+    + [transverse_ising_pair(J), PauliSum(3, ((0.6, "XYZ"), (-0.8, "ZIX"), (0.3, "IZZ")))],
+    ids=[f"chain{n}" for n in range(1, 7)] + ["tfim2", "one_y"],
+)
+def test_apply_evolution_matches_expm(h):
+    rng = np.random.default_rng(h.num_qubits)
+    spec = exact_diagonalize(h)
+    dim = spec.dim
+    t = 0.83
+    u = scipy_linalg.expm(-1j * t * pauli_sum_matrix(h.terms, h.num_qubits))
+    x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    assert np.max(np.abs(apply_evolution(spec, t, x) - u @ x)) < 1e-12
+    # a stack of rows, each evolved on its own, with a unit phase on top
+    rows = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    got = apply_evolution(spec, t, rows, phase=1j)
+    assert got.shape == rows.shape
+    assert np.max(np.abs(got - 1j * rows @ u.T)) < 1e-12
+
+
+def test_orthonormality_guard_is_tight(monkeypatch):
+    # column 1 is an eigenvector of Z to within 2e-11, inside the residual
+    # tolerance, but the pair is 1e-11 away from orthonormal
+    vectors = np.array([[0.0, 1.0], [1.0, 1e-11]])
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([-1.0, 1.0]), vectors))
+    with pytest.raises(NumericalConsistencyError, match="orthonormal"):
+        exact_diagonalize(PauliSum(1, ((1.0, "Z"),)))
 
 
 def test_evolution_unitary_group_property():
