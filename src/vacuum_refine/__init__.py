@@ -73,6 +73,8 @@ from .hamiltonian import (
     initial_hamiltonian,
     interpolate,
     parse_pauli_text,
+    ramp_coefficients,
+    ramp_spectra,
     to_matrix,
     transverse_ising_pair,
 )
@@ -97,6 +99,7 @@ from .statevector import (
     postselect,
     rx,
     rz,
+    weighted_expectation,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")] + ["__version__"]

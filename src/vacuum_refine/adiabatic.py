@@ -8,6 +8,15 @@ exactly, by applying exp(-i * h * dt) straight from the step operator's
 spectrum (``apply_evolution``), or with a first-order splitting that
 applies Z-type factors before X-type factors, lexicographically within
 each class.
+
+Every ramp operator is known before the first step, so ``run_adiabatic``
+takes all their spectra from ``ramp_spectra``: one (steps x words)
+coefficient array, dense matrices built as stacks, one ``eigh`` per stack
+and the Hermiticity, orthonormality and residual guards vectorized over
+it.  Each spectrum is bit-identical to diagonalizing the interpolated
+operator on its own, and each recorded energy combines per-word
+expectation values with the step's coefficient row, so no operator is
+built per step in exact mode.
 """
 
 from __future__ import annotations
@@ -19,10 +28,18 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .hamiltonian import PauliSum, Spectrum, apply_evolution, exact_diagonalize, interpolate
+from .hamiltonian import (
+    PauliSum,
+    Spectrum,
+    apply_evolution,
+    exact_diagonalize,
+    interpolate,
+    ramp_coefficients,
+    ramp_spectra,
+)
 from .pauli import apply_word
 from .statevector import StateVector, basis_state
-from .statevector import expectation_observable, fidelity
+from .statevector import expectation_observable, fidelity, weighted_expectation
 
 _GRID_ATOL = 1e-9
 _ENERGY_KEY = "energy"
@@ -150,13 +167,13 @@ def _record(
     trajectory: Trajectory,
     t: float,
     state: StateVector,
-    h_now: PauliSum,
+    energy: float,
     observables: Mapping[str, PauliSum],
     target: StateVector,
     keep_snapshot: bool,
 ) -> None:
     values = {name: expectation_observable(state, obs) for name, obs in observables.items()}
-    values[_ENERGY_KEY] = expectation_observable(state, h_now)
+    values[_ENERGY_KEY] = energy
     trajectory.append(
         TrajectoryRecord(
             t=t,
@@ -184,13 +201,20 @@ def run_adiabatic(
     mode: EvolutionMode,
     observables: Mapping[str, PauliSum] | None = None,
     record_snapshots: bool = False,
+    records: bool = True,
 ) -> tuple[StateVector, Trajectory]:
     """Ramp from the preparation operator to the target operator.
 
     Starts from |0...0>, takes ``schedule.num_ramp_steps`` midpoint steps
     and records observables, instantaneous energy and fidelity to the
-    instantaneous ground state after each one.  A degenerate instantaneous
+    instantaneous ground state at the start and after each step; with
+    ``records`` false nothing is recorded.  A degenerate instantaneous
     ground level is recorded as a metadata warning, not an error.
+
+    Every operator of the ramp, h0 (s = 0) and each step's, is known
+    before the first step, so their spectra come from one stacked
+    computation (``ramp_spectra``), and each energy combines per-word
+    expectation values with that step's coefficient row.
     """
     if h0.num_qubits != h1.num_qubits:
         raise DomainError(
@@ -212,28 +236,36 @@ def run_adiabatic(
             "warnings": [],
         }
     )
-    start_spectrum = exact_diagonalize(h0)
-    if start_spectrum.degenerate:
-        trajectory.metadata["warnings"].append("degenerate ground level at s=0")
-    _record(trajectory, 0.0, state, h0, observables, start_spectrum.ground_state, record_snapshots)
-    for k in range(schedule.num_ramp_steps):
-        s_k = (k + 0.5) * schedule.dt / schedule.total_time
-        h_k = interpolate(h0, h1, s_k)
-        spectrum = exact_diagonalize(h_k)
-        state = evolve_step(state, h_k, schedule.dt, mode, spectrum)
-        if spectrum.degenerate:
-            trajectory.metadata["warnings"].append(
-                f"degenerate instantaneous ground level at step {k} (s={s_k!r})"
+    warnings = trajectory.metadata["warnings"]
+    s_values = [0.0] + [
+        (k + 0.5) * schedule.dt / schedule.total_time for k in range(schedule.num_ramp_steps)
+    ]
+    words, coeffs = ramp_coefficients(h0, h1, s_values)
+    spectra = ramp_spectra(h0, h1, s_values)
+    for k, (s_k, row, spectrum) in enumerate(zip(s_values, coeffs, spectra)):
+        if k == 0:
+            if spectrum.degenerate:
+                warnings.append("degenerate ground level at s=0")
+        else:
+            if mode is EvolutionMode.EXACT_STEP:
+                amplitudes = apply_evolution(spectrum, schedule.dt, state.amplitudes)
+                state = StateVector(n, amplitudes)
+            else:
+                state = evolve_step(state, interpolate(h0, h1, s_k), schedule.dt, mode)
+            if spectrum.degenerate:
+                warnings.append(
+                    f"degenerate instantaneous ground level at step {k - 1} (s={s_k!r})"
+                )
+        if records:
+            _record(
+                trajectory,
+                k * schedule.dt,
+                state,
+                weighted_expectation(state, row.tolist(), words),
+                observables,
+                spectrum.ground_state,
+                record_snapshots,
             )
-        _record(
-            trajectory,
-            (k + 1) * schedule.dt,
-            state,
-            h_k,
-            observables,
-            spectrum.ground_state,
-            record_snapshots,
-        )
     return state, trajectory
 
 
@@ -278,14 +310,22 @@ def run_hold(
             )
         fidelity_target = spectrum.ground_state
     if include_initial:
-        _record(trajectory, start_time, state, h, observables, fidelity_target, record_snapshots)
+        _record(
+            trajectory,
+            start_time,
+            state,
+            expectation_observable(state, h),
+            observables,
+            fidelity_target,
+            record_snapshots,
+        )
     for j in range(schedule.num_hold_steps):
         state = evolve_step(state, h, schedule.dt, mode, spectrum)
         _record(
             trajectory,
             start_time + (j + 1) * schedule.dt,
             state,
-            h,
+            expectation_observable(state, h),
             observables,
             fidelity_target,
             record_snapshots,

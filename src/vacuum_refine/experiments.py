@@ -32,8 +32,8 @@ from .adiabatic import (
 from .config import EstimationConfig, ExperimentConfig, build_model, config_to_text
 from .errors import ConfigError, DomainError
 from .estimation import corrected_expectation, cross_term, shot_expectation
-from .filtering import refine_iteratively, tag_circuit_one_qubit
-from .hamiltonian import PauliSum, exact_diagonalize, initial_hamiltonian
+from .filtering import RefinementReport, refine_iteratively, tag_circuit_one_qubit
+from .hamiltonian import PauliSum, Spectrum, exact_diagonalize, initial_hamiltonian
 from .statevector import (
     StateVector,
     expectation_observable,
@@ -314,6 +314,27 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
     return CommandResult(outputs=outputs + [manifest], lines=lines, summary=summary)
 
 
+def _excited_level_warnings(report: RefinementReport, spectrum: Spectrum) -> list[str]:
+    """One warning per pass whose E0' lies nearer an excited level than the ground level.
+
+    Such a pass tunes the filter to that excited level, so it keeps the
+    excited component and its rows can look healthy while the estimate
+    sits on the wrong level.
+    """
+    levels = spectrum.eigenvalues
+    warnings = []
+    for index, step in enumerate(report.steps, start=1):
+        # ties go to the lower level, so an E0' midway is not reported
+        nearest = int(np.argmin(np.abs(levels - step.e0_prime)))
+        if nearest > 0:
+            warnings.append(
+                f"pass {index}: E0' = {_fmt(step.e0_prime)} lies nearer excited level "
+                f"{nearest} (E = {_fmt(levels[nearest])}) than the ground level "
+                f"(E = {_fmt(levels[0])})"
+            )
+    return warnings
+
+
 def cmd_refine(config: ExperimentConfig) -> CommandResult:
     """Ramp, then iterative estimate/filter/post-select passes."""
     started = time.perf_counter()
@@ -325,7 +346,7 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
             f"got {h1.num_qubits}"
         )
     h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
-    final, ramp = run_adiabatic(h0, h1, config.schedule, config.mode)
+    final, ramp = run_adiabatic(h0, h1, config.schedule, config.mode, records=False)
     spectrum = exact_diagonalize(h1)
     start_fidelity = fidelity(final, spectrum.ground_state)
 
@@ -368,7 +389,8 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
         "final_excited_weight": report.steps[-1].excited_weight if report.steps else 1.0 - start_fidelity,
     }
     outputs = [refinement_path]
-    manifest = _write_manifest("refine", config, outputs, started, ramp.metadata["warnings"])
+    warnings = ramp.metadata["warnings"] + _excited_level_warnings(report, spectrum)
+    manifest = _write_manifest("refine", config, outputs, started, warnings)
     lines = [
         f"refinement written to {refinement_path} ({len(rows)} pass(es))",
         f"start fidelity {start_fidelity:.9f} -> final fidelity {summary['final_fidelity']:.9f} "

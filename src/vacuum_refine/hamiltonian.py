@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +20,10 @@ from .statevector import _UNITARY_ATOL, GateMatrix, StateVector
 DEFAULT_DENSE_CAP = 10
 DEGENERACY_TOL = 1e-10
 _CHECK_ATOL = 1e-10
+# At most about this many matrix entries are built and diagonalized in one
+# stack: every one-qubit ramp step fits in one, while at 8 qubits and more
+# a stack is a single matrix, so peak memory does not grow with the steps.
+_STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -98,18 +103,112 @@ def transverse_ising_pair(J: float, transverse: float = 1.0) -> PauliSum:
     return PauliSum(2, ((-J, "ZZ"), (-J * transverse, "XI"), (-J * transverse, "IX")))
 
 
-def interpolate(h0: PauliSum, h1: PauliSum, s: float) -> PauliSum:
-    """The convex combination (1 - s) * h0 + s * h1 with merged terms."""
+def _check_ramp(h0: PauliSum, h1: PauliSum, s_values: Sequence[float]) -> None:
     if h0.num_qubits != h1.num_qubits:
         raise DomainError(
             f"operators act on different registers: {h0.num_qubits} vs {h1.num_qubits}"
         )
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"interpolation parameter s={s!r} outside [0, 1]")
+    for s in s_values:
+        if not 0.0 <= s <= 1.0:
+            raise DomainError(f"interpolation parameter s={s!r} outside [0, 1]")
+
+
+def interpolate(h0: PauliSum, h1: PauliSum, s: float) -> PauliSum:
+    """The convex combination (1 - s) * h0 + s * h1 with merged terms."""
+    _check_ramp(h0, h1, (s,))
     terms = tuple(((1.0 - s) * c, p) for c, p in h0.terms) + tuple(
         (s * c, p) for c, p in h1.terms
     )
     return PauliSum(h0.num_qubits, terms)
+
+
+def ramp_coefficients(
+    h0: PauliSum, h1: PauliSum, s_values: Sequence[float]
+) -> tuple[tuple[PauliWord, ...], np.ndarray]:
+    """The words and coefficients of (1 - s) * h0 + s * h1 for every s at once.
+
+    The words are the union of both operators' strings, sorted by string,
+    as ``interpolate`` sorts them.  Row k of the (steps x words) array is
+    (1 - s_k) * c0 + s_k * c1, with 0 for a string an operator lacks: the
+    coefficients of ``interpolate(h0, h1, s_k)``, except that a
+    coefficient which vanishes stays in place as an exact zero.
+    """
+    _check_ramp(h0, h1, s_values)
+    words = {p: w for h in (h0, h1) for (_, p), w in zip(h.terms, h.words)}
+    strings = sorted(words)
+    position = {p: i for i, p in enumerate(strings)}
+    c0 = np.zeros(len(strings))
+    c1 = np.zeros(len(strings))
+    for coeff, string in h0.terms:
+        c0[position[string]] = coeff
+    for coeff, string in h1.terms:
+        c1[position[string]] = coeff
+    s = np.asarray(s_values, dtype=np.float64)
+    return tuple(words[p] for p in strings), np.outer(1.0 - s, c0) + np.outer(s, c1)
+
+
+def _real_rows(words: Sequence[PauliWord], coeffs: np.ndarray) -> np.ndarray:
+    """Whether each row's operator is real: no nonzero coefficient on an odd-Y word.
+
+    Such an operator has only phases +1 and -1, so its matrix is float64.
+    """
+    odd = np.array([w.i_power % 2 == 1 for w in words], dtype=bool)
+    return ~np.any((coeffs != 0.0) & odd, axis=1)
+
+
+def _dense_stack(
+    num_qubits: int,
+    words: Sequence[PauliWord],
+    coeffs: np.ndarray,
+    real: bool,
+    cap: int,
+) -> np.ndarray:
+    """Dense matrices of sum_t coeffs[k, t] * words[t], one per row k, as one stack.
+
+    Entry ``[k, c ^ x, c]`` of each word is its coefficient in row k times
+    its phase, and each entry sums the words in order, starting from zero.
+    """
+    if num_qubits > cap:
+        raise ResourceLimitError(
+            f"dense matrix for {num_qubits} qubit(s) exceeds the cap of {cap}"
+        )
+    dim = 2**num_qubits
+    rows = coeffs.shape[0]
+    columns = np.arange(dim)
+    masks = np.array(
+        [(w.x_mask, w.z_mask, w.i_power) for w in words], dtype=np.int64
+    ).reshape(-1, 3)
+    out = np.zeros((rows, dim, dim), dtype=np.float64 if real else np.complex128)
+    stack = np.arange(rows).reshape(-1, 1, 1)
+    # Blocks of terms keep the (matrix, term, column) grid and its
+    # temporaries within the larger of the stack's size and _STACK_ENTRIES
+    # for any number of terms; np.add.at sums in term order within and
+    # across blocks.
+    step = max(dim, _STACK_ENTRIES // (rows * dim))
+    for start in range(0, len(masks), step):
+        block = masks[start : start + step]
+        phases = column_phases(block[:, 1:2], block[:, 2:], columns)
+        if real:
+            phases = phases.real
+        np.add.at(
+            out,
+            (stack, columns ^ block[:, :1], columns),
+            coeffs[:, start : start + step, None] * phases,
+        )
+    asymmetry = np.max(np.abs(out - out.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    _refuse_above(asymmetry, 1e-12, "dense matrix is not Hermitian")
+    return out
+
+
+def _refuse_above(values: np.ndarray, tol: float, message: str) -> None:
+    """Raise for the first value that is not <= tol, NaN included."""
+    passed = values <= tol
+    if not passed.all():
+        raise NumericalConsistencyError(message.format(values[~passed][0]))
+
+
+def _coefficient_row(h: PauliSum) -> np.ndarray:
+    return np.array([coeff for coeff, _ in h.terms], dtype=np.float64).reshape(1, -1)
 
 
 def to_matrix(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
@@ -118,33 +217,11 @@ def to_matrix(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     The matrix is float64 when every word has an even number of Y letters
     (an even power of i, so every phase is +1 or -1) and complex128
     otherwise.  Entry ``[c ^ x, c]`` of each word is its coefficient times
-    its phase, and the words are summed in the order of ``h.terms``.
+    its phase, and the words are summed in the order of ``h.terms``.  This
+    is the one-operator case of the stacked build ``ramp_spectra`` uses.
     """
-    if h.num_qubits > cap:
-        raise ResourceLimitError(
-            f"dense matrix for {h.num_qubits} qubit(s) exceeds the cap of {cap}"
-        )
-    dim = 2**h.num_qubits
-    columns = np.arange(dim)
-    coeffs = np.array([coeff for coeff, _ in h.terms]).reshape(-1, 1)
-    masks = np.array(
-        [(w.x_mask, w.z_mask, w.i_power) for w in h.words], dtype=np.int64
-    ).reshape(-1, 3)
-    real = all(w.i_power % 2 == 0 for w in h.words)
-    out = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
-    # Blocks of at most max(dim, 64) terms keep the (term, column) grid and
-    # its temporaries within a few times the matrix's size for any number
-    # of terms; np.add.at sums in term order within and across blocks.
-    step = max(dim, 64)
-    for start in range(0, len(masks), step):
-        block = masks[start : start + step]
-        phases = column_phases(block[:, 1:2], block[:, 2:], columns)
-        if real:
-            phases = phases.real
-        np.add.at(out, (columns ^ block[:, :1], columns), coeffs[start : start + step] * phases)
-    if not np.max(np.abs(out - out.conj().T)) <= 1e-12:
-        raise NumericalConsistencyError("dense matrix is not Hermitian")
-    return out
+    coeffs = _coefficient_row(h)
+    return _dense_stack(h.num_qubits, h.words, coeffs, _real_rows(h.words, coeffs)[0], cap)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,37 +258,90 @@ class Spectrum:
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
-    For real vectors the factor is the pivot's sign, so this is a sign fix
-    and the columns stay real.
+    Works on one matrix or a stack of them.  For real vectors the factor
+    is the pivot's sign, so this is a sign fix and the columns stay real.
     """
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    dim = vectors.shape[-1]
+    stack = vectors.reshape(-1, dim, dim)
+    rows = np.argmax(np.abs(stack), axis=-2)
+    pivots = stack[np.arange(len(stack))[:, np.newaxis], rows, np.arange(dim)]
+    pivots = pivots.reshape(vectors.shape[:-2] + (1, dim))
     # np.hypot rounds the modulus as abs() of a complex scalar does; np.abs
     # can differ in the last bit, which would move digits of the outputs.
     return vectors * (pivots.conj() / np.hypot(pivots.real, pivots.imag))
+
+
+def _diagonalize_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose a (k, d, d) stack of Hermitian matrices with one ``eigh``.
+
+    Returns the (k, d) eigenvalues and the (k, d, d) phase-fixed
+    eigenvectors.  Every guard runs on every matrix of the stack.  The
+    eigenvectors must be orthonormal to the unitarity tolerance of a gate,
+    because every propagator is applied straight from them
+    (``apply_evolution``) and is never checked as a matrix.
+    """
+    try:
+        values, vectors = np.linalg.eigh(matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalConsistencyError(f"eigensolver failed to converge: {exc}") from exc
+    vectors = _fix_phases(vectors)
+    identity = np.eye(matrices.shape[-1])
+    ortho = np.max(np.abs(vectors.conj().swapaxes(-1, -2) @ vectors - identity), axis=(-2, -1))
+    _refuse_above(ortho, _UNITARY_ATOL, "eigenvectors not orthonormal ({:.3e})")
+    residual = np.max(
+        np.abs(matrices @ vectors - vectors * values[:, np.newaxis, :]), axis=(-2, -1)
+    )
+    _refuse_above(residual, _CHECK_ATOL, "eigenpair residual {:.3e} too large")
+    return values, vectors
+
+
+def _stacked_spectra(
+    num_qubits: int,
+    words: Sequence[PauliWord],
+    coeffs: np.ndarray,
+    cap: int = DEFAULT_DENSE_CAP,
+) -> Iterator[Spectrum]:
+    """One spectrum per row of ``coeffs``, built and diagonalized in stacks.
+
+    A stack holds consecutive rows of one dtype (``_real_rows``), at most
+    ``_STACK_ENTRIES`` matrix entries or a single matrix; stacks are built
+    as they are consumed, so memory stays at one stack however many rows.
+    """
+    real = _real_rows(words, coeffs).tolist()
+    chunk = max(1, _STACK_ENTRIES // 4**num_qubits)
+    start = 0
+    while start < len(coeffs):
+        stop = start + 1
+        while stop < min(start + chunk, len(coeffs)) and real[stop] == real[start]:
+            stop += 1
+        matrices = _dense_stack(num_qubits, words, coeffs[start:stop], real[start], cap)
+        values, vectors = _diagonalize_stack(matrices)
+        for k in range(stop - start):
+            yield Spectrum(num_qubits, values[k], vectors[k])
+        start = stop
 
 
 def exact_diagonalize(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> Spectrum:
     """Full eigendecomposition of the operator with deterministic phases.
 
     A real operator's float64 matrix goes through real ``eigh`` and real
-    checks; the dtype of ``to_matrix`` selects the arithmetic throughout.
-    The eigenvectors must be orthonormal to the unitarity tolerance of a
-    gate, because every propagator is applied straight from them
-    (``apply_evolution``) and is never checked as a matrix.
+    checks; the dtype of the matrix selects the arithmetic throughout.
+    This is the one-operator case of ``ramp_spectra``'s stacked path.
     """
-    matrix = to_matrix(h, cap)
-    try:
-        values, vectors = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalConsistencyError(f"eigensolver failed to converge: {exc}") from exc
-    vectors = _fix_phases(vectors)
-    ortho = np.max(np.abs(vectors.conj().T @ vectors - np.eye(vectors.shape[0])))
-    if not ortho <= _UNITARY_ATOL:
-        raise NumericalConsistencyError(f"eigenvectors not orthonormal ({ortho:.3e})")
-    residual = np.max(np.abs(matrix @ vectors - vectors * values))
-    if not residual <= _CHECK_ATOL:
-        raise NumericalConsistencyError(f"eigenpair residual {residual:.3e} too large")
-    return Spectrum(h.num_qubits, values, vectors)
+    return next(_stacked_spectra(h.num_qubits, h.words, _coefficient_row(h), cap))
+
+
+def ramp_spectra(h0: PauliSum, h1: PauliSum, s_values: Sequence[float]) -> Iterator[Spectrum]:
+    """The spectrum of (1 - s) * h0 + s * h1 for each s, in order.
+
+    Equal bit for bit to ``exact_diagonalize(interpolate(h0, h1, s))`` for
+    each s, but every matrix comes from one coefficient array
+    (``ramp_coefficients``) and each stack of them goes through one
+    ``eigh`` with vectorized guards.  Arguments are checked at once; the
+    spectra are computed as they are taken.
+    """
+    words, coeffs = ramp_coefficients(h0, h1, s_values)
+    return _stacked_spectra(h0.num_qubits, words, coeffs)
 
 
 def apply_evolution(

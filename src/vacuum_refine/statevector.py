@@ -25,7 +25,7 @@ from .errors import (
     NumericalConsistencyError,
     UnitarityError,
 )
-from .pauli import apply_word, compile_word
+from .pauli import PauliWord, apply_word, compile_word
 
 if TYPE_CHECKING:
     from .hamiltonian import PauliSum
@@ -287,10 +287,22 @@ def expectation_observable(state: StateVector, observable: "PauliSum") -> float:
         raise DomainError(
             f"observable acts on {observable.num_qubits} qubit(s), state has {state.num_qubits}"
         )
+    return weighted_expectation(state, [c for c, _ in observable.terms], observable.words)
+
+
+def weighted_expectation(
+    state: StateVector, coeffs: Sequence[float], words: Sequence[PauliWord]
+) -> float:
+    """Exact expectation of sum_t coeffs[t] * words[t], summed in order.
+
+    Exact-zero coefficients are skipped, so a word that cancels adds
+    nothing, as if it had been merged away.
+    """
     psi = state.amplitudes
     total = 0.0 + 0.0j
-    for (coeff, _), word in zip(observable.terms, observable.words):
-        total += coeff * np.vdot(psi, apply_word(word, psi))
+    for coeff, word in zip(coeffs, words):
+        if coeff != 0.0:
+            total += coeff * np.vdot(psi, apply_word(word, psi))
     if abs(total.imag) > _IMAG_RESIDUE_LIMIT:
         raise NumericalConsistencyError(
             f"expectation value has imaginary residue {total.imag:.3e}"

@@ -1,6 +1,7 @@
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from vacuum_refine.statevector import GateMatrix
@@ -55,3 +56,22 @@ def count_gates(monkeypatch):
 
     monkeypatch.setattr(GateMatrix, "__post_init__", counted)
     return built
+
+
+@pytest.fixture
+def count_diagonalized(monkeypatch):
+    """Record every matrix handed to ``np.linalg.eigh`` while the test runs.
+
+    A stack of matrices adds one entry per matrix, so the list counts the
+    operators diagonalized however they were batched.
+    """
+    matrices: list[np.ndarray] = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        stack = np.asarray(a)
+        matrices.extend(m.copy() for m in stack.reshape(-1, *stack.shape[-2:]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return matrices

@@ -16,6 +16,7 @@ from vacuum_refine import (
     interpolate,
     run_adiabatic,
     run_hold,
+    to_matrix,
     transverse_ising_pair,
 )
 
@@ -198,19 +199,37 @@ def test_hold_oscillation_closed_form():
     assert values[8.0] == pytest.approx(values[0.0], abs=1e-10)
 
 
-def test_exact_ramp_diagonalizes_each_operator_once(count_calls, count_gates):
-    diagonalized = count_calls("hamiltonian.exact_diagonalize")
+def test_exact_ramp_diagonalizes_each_operator_once(
+    count_diagonalized, count_calls, count_gates
+):
     propagators = count_calls("hamiltonian.evolution_unitary")
+    h0, h1 = initial_hamiltonian(J, 2), transverse_ising_pair(J)
     sched = Schedule(total_time=2.0, dt=0.25)
-    run_adiabatic(
-        initial_hamiltonian(J, 2), transverse_ising_pair(J), sched, EvolutionMode.EXACT_STEP
-    )
+    run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP)
     # h0 once, then one spectrum per step serving both the step and fidelity
-    assert len(diagonalized) == sched.num_ramp_steps + 1
-    assert len({args[0] for args in diagonalized}) == len(diagonalized)
+    steps = [interpolate(h0, h1, (k + 0.5) / 8) for k in range(8)]
+    expected = [to_matrix(h) for h in [h0] + steps]
+    assert [m.tobytes() for m in count_diagonalized] == [m.tobytes() for m in expected]
+    assert len({m.tobytes() for m in count_diagonalized}) == sched.num_ramp_steps + 1
     # every step is applied from its spectrum; no dense propagator is built
     assert propagators == []
     assert count_gates == []
+
+
+def test_ramp_without_records_evolves_the_same():
+    h0, h1 = initial_hamiltonian(1.0, 1), PauliSum(1, ((1.0, "Z"),))
+    sched = Schedule(total_time=3.0, dt=1.0)
+    for mode in EvolutionMode:
+        recorded, full = run_adiabatic(h0, h1, sched, mode, {"z": h1})
+        final, bare = run_adiabatic(h0, h1, sched, mode, {"z": h1}, records=False)
+        assert final.amplitudes.tobytes() == recorded.amplitudes.tobytes()
+        assert len(full.records) == 4
+        assert bare.records == []
+        # warnings still come from every step's spectrum
+        assert bare.metadata == full.metadata
+        assert bare.metadata["warnings"] == [
+            "degenerate instantaneous ground level at step 1 (s=0.5)"
+        ]
 
 
 def test_hold_builds_no_dense_propagator(count_calls, count_gates):

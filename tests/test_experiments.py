@@ -275,11 +275,10 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, command, setting, mess
         (cmd_refine, ""),
     ],
 )
-def test_each_operator_diagonalized_once(tmp_path, count_calls, command, extra):
+def test_each_operator_diagonalized_once(tmp_path, count_diagonalized, command, extra):
     config = _config(tmp_path, extra)
-    diagonalized = count_calls("hamiltonian.exact_diagonalize")
     command(config)
-    operators = [args[0] for args in diagonalized]
+    operators = [(m.shape, m.tobytes()) for m in count_diagonalized]
     assert len(set(operators)) == len(operators)
     # h0, one operator per ramp step, the target; keep mode also holds
     # under the target embedded beside the ancilla
@@ -299,6 +298,12 @@ def test_manifest_has_no_duration_in_csvs(tmp_path):
         assert "duration" not in (tmp_path / name).read_text()
 
 
+LOCKED_ON_EXCITED = [
+    f"pass {i}: E0' = 1 lies nearer excited level 1 (E = 1) than the ground level (E = -1)"
+    for i in range(1, 6)
+]
+
+
 @pytest.mark.parametrize(
     "command, operator, extra, expected",
     [
@@ -312,7 +317,14 @@ def test_manifest_has_no_duration_in_csvs(tmp_path):
             "filter.discard = false\n",
             ["degenerate instantaneous ground level at step 1 (s=0.5)"],
         ),
-        (cmd_refine, "1 Z", "", ["degenerate instantaneous ground level at step 1 (s=0.5)"]),
+        # the ramp ends in |0>, the excited level of Z, and every pass's
+        # E0' = 1 sits on that level
+        (
+            cmd_refine,
+            "1 Z",
+            "",
+            ["degenerate instantaneous ground level at step 1 (s=0.5)"] + LOCKED_ON_EXCITED,
+        ),
     ],
     ids=["sweep_degenerate_target", "sweep_crossing", "filter_run_crossing", "refine_crossing"],
 )
@@ -332,3 +344,29 @@ def test_manifest_records_run_warnings(tmp_path, command, operator, extra, expec
     for path in result.outputs:
         if not path.endswith("_manifest.json"):
             assert "degenerate" not in open(path, encoding="utf-8").read()
+
+
+def test_refine_locked_on_excited_level_is_reported(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text("1 Z\n")
+    cfg_path = tmp_path / "refine.cfg"
+    cfg_path.write_text(
+        f"model.hamiltonian = {model}\nmodel.J = 1\nschedule.T = 3\nschedule.dt = 1\n"
+        f"output.prefix = {tmp_path}/run\n"
+    )
+    assert main(["refine", "--config", str(cfg_path)]) == 0
+    assert "(max_iterations)" in capsys.readouterr().out
+    # the CSV is unchanged: five plausible-looking rows at fidelity 0
+    rows = _read_csv(tmp_path / "run_refinement.csv")[1:]
+    assert rows == [[str(i), "1", "3.14159265", "1", "0", "1", "ok"] for i in range(1, 6)]
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["warnings"][1:] == LOCKED_ON_EXCITED
+
+
+def test_refine_on_the_ground_level_warns_nothing(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "pair_refine.cfg"), encoding="utf-8") as handle:
+        lines = [line for line in handle if not line.startswith("output.prefix")]
+    cmd_refine(parse_config("".join(lines) + f"output.prefix = {tmp_path}/run\n"))
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["warnings"] == []

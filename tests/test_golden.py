@@ -27,7 +27,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from vacuum_refine import cmd_diag, cmd_filter_run, cmd_refine, cmd_sweep, hamiltonian, parse_config
@@ -89,13 +88,17 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 @pytest.mark.parametrize("name", ["diag_pair", "refine_pair"])
 def test_real_arithmetic_moves_only_rounding_noise(name, tmp_path, monkeypatch):
     real = _run(name, tmp_path)
-    build = hamiltonian.to_matrix
+    build = hamiltonian._dense_stack
+    forced = []
 
-    def complex_matrix(h, cap=hamiltonian.DEFAULT_DENSE_CAP):
-        return build(h, cap).astype(np.complex128)
+    def complex_stack(num_qubits, words, coeffs, real, cap):
+        forced.append(real)
+        return build(num_qubits, words, coeffs, False, cap)
 
-    monkeypatch.setattr(hamiltonian, "to_matrix", complex_matrix)
+    # every dense matrix, one operator's or a ramp stack's, is built here
+    monkeypatch.setattr(hamiltonian, "_dense_stack", complex_stack)
     complex_path = _run(name, tmp_path / "complex")
+    assert any(forced)
     assert sorted(real) == sorted(complex_path)
     for filename, content in real.items():
         got, expected = content.decode(), complex_path[filename].decode()

@@ -17,6 +17,7 @@ from vacuum_refine import (
     initial_hamiltonian,
     interpolate,
     parse_pauli_text,
+    ramp_spectra,
     to_matrix,
     transverse_ising_pair,
 )
@@ -272,14 +273,15 @@ def test_hermiticity_guard_catches_nan():
 
 def test_residual_guard_catches_nan(monkeypatch):
     vectors = np.array([[1.0, 1.0], [-1.0, 1.0]]) * INV_SQRT2
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([np.nan, 1.0]), vectors))
+    # eigh sees a stack of one matrix and answers with stacked arrays
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([[np.nan, 1.0]]), vectors[None]))
     with pytest.raises(NumericalConsistencyError, match="residual"):
         exact_diagonalize(PauliSum(1, ((1.0, "X"),)))
 
 
 def test_orthonormality_guard_catches_nan(monkeypatch):
     vectors = np.array([[np.nan, 1.0], [1.0, 0.0]])
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([-1.0, 1.0]), vectors))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([[-1.0, 1.0]]), vectors[None]))
     with pytest.raises(NumericalConsistencyError, match="orthonormal"):
         exact_diagonalize(PauliSum(1, ((1.0, "X"),)))
 
@@ -309,9 +311,88 @@ def test_orthonormality_guard_is_tight(monkeypatch):
     # column 1 is an eigenvector of Z to within 2e-11, inside the residual
     # tolerance, but the pair is 1e-11 away from orthonormal
     vectors = np.array([[0.0, 1.0], [1.0, 1e-11]])
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([-1.0, 1.0]), vectors))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([[-1.0, 1.0]]), vectors[None]))
     with pytest.raises(NumericalConsistencyError, match="orthonormal"):
         exact_diagonalize(PauliSum(1, ((1.0, "Z"),)))
+
+
+def _midpoints(steps):
+    return [0.0] + [(k + 0.5) / steps for k in range(steps)]
+
+
+# (h0, h1, s values): TFIM chains (at n = 6, 40 steps span several stacks),
+# a target with one Y letter (complex from the first step on), a Y word
+# whose coefficient cancels at s = 1/2 (a real step between complex ones),
+# and -Z to +Z, whose middle step is the zero operator
+RAMPS = {
+    "chain1": (initial_hamiltonian(J, 1), _tfim_chain(1), _midpoints(12)),
+    "chain4": (initial_hamiltonian(J, 4), _tfim_chain(4), _midpoints(12)),
+    "chain6": (initial_hamiltonian(J, 6), _tfim_chain(6), _midpoints(40)),
+    "one_y": (
+        initial_hamiltonian(J, 2),
+        PauliSum(2, ((0.8, "YZ"), (-0.5, "XI"), (0.3, "ZZ"))),
+        _midpoints(6) + [1.0],
+    ),
+    "y_cancels": (
+        PauliSum(1, ((1.0, "Y"), (-1.0, "Z"))),
+        PauliSum(1, ((-1.0, "Y"), (0.5, "X"))),
+        [0.0, 0.25, 0.5, 0.75, 1.0],
+    ),
+    "zero_step": (PauliSum(1, ((-1.0, "Z"),)), PauliSum(1, ((1.0, "Z"),)), _midpoints(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(RAMPS))
+def test_ramp_spectra_match_exact_diagonalize(name):
+    h0, h1, s_values = RAMPS[name]
+    spectra = list(ramp_spectra(h0, h1, s_values))
+    assert len(spectra) == len(s_values)
+    for s, got in zip(s_values, spectra):
+        expected = exact_diagonalize(interpolate(h0, h1, s))
+        assert got.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+        assert got.eigenvectors.dtype == expected.eigenvectors.dtype
+        assert got.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
+        assert got.degenerate == expected.degenerate
+    if name == "y_cancels":
+        assert [g.eigenvectors.dtype for g in spectra] == [np.complex128] * 2 + [
+            np.float64
+        ] + [np.complex128] * 2
+    if name == "zero_step":
+        assert [g.degenerate for g in spectra] == [False, False, True, False]
+
+
+def test_ramp_spectra_checks_arguments():
+    h0, h1 = initial_hamiltonian(J, 2), transverse_ising_pair(J)
+    with pytest.raises(DomainError, match="outside"):
+        ramp_spectra(h0, h1, [0.5, 1.5])
+    with pytest.raises(DomainError, match="different registers"):
+        ramp_spectra(h0, initial_hamiltonian(J, 3), [0.5])
+
+
+def _duplicate_column(vectors):
+    vectors[:, 1] = vectors[:, 0]
+
+
+def _nan_entry(vectors):
+    vectors[0, 0] = np.nan
+
+
+@pytest.mark.parametrize("corrupt", [_nan_entry, _duplicate_column], ids=["nan", "duplicate"])
+def test_stacked_guard_refuses_one_bad_matrix(monkeypatch, corrupt):
+    eigh = np.linalg.eigh
+    stacks = []
+
+    def corrupted(m):
+        values, vectors = eigh(m)
+        stacks.append(len(m))
+        corrupt(vectors[3])
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(NumericalConsistencyError, match="orthonormal"):
+        list(ramp_spectra(initial_hamiltonian(J, 2), transverse_ising_pair(J), _midpoints(8)))
+    # one stack held all nine operators; only the fourth was bad
+    assert stacks == [9]
 
 
 def test_evolution_unitary_group_property():
