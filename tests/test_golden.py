@@ -50,6 +50,14 @@ CASES = {
         f"model.hamiltonian = {CHAIN3Y}\nschedule.T = 4\nschedule.dt = 0.125\n"
         "schedule.hold_time = 1\nmode = trotter1\n",
     ),
+    # Shot mode on three qubits: a three-term observable (several seeds
+    # per record), marginals over the other qubits, and the hold.
+    "sweep_chain3y_shots": (
+        cmd_sweep,
+        None,
+        f"model.hamiltonian = {CHAIN3Y}\nschedule.T = 4\nschedule.dt = 0.125\n"
+        "schedule.hold_time = 1\nestimation.method = shots\nestimation.shots = 5000\n",
+    ),
     "refine_chain3y": (
         cmd_refine,
         None,
