@@ -14,16 +14,24 @@ takes all their spectra from ``ramp_spectra``: one (steps x words)
 coefficient array, dense matrices built as stacks, one ``eigh`` per stack
 and the Hermiticity, orthonormality and residual guards vectorized over
 it.  Each spectrum is bit-identical to diagonalizing the interpolated
-operator on its own, and each recorded energy combines per-word
-expectation values with the step's coefficient row, so no operator is
-built per step in exact mode.
+operator on its own, and both step modes read each step's coefficient
+row, so no operator is built per step.
+
+The step loops of ``run_adiabatic`` and ``run_hold`` only advance
+amplitudes.  Each recorded state is copied into a (rows, d) block of at
+most ``_STACK_ENTRIES`` amplitudes, and each block is read out with
+stacked calls: the norm check, one ``apply_word`` per word for the
+energies and observables, and the overlaps with the rows' fidelity
+targets.  Each value is bit-identical to reading out the state alone.
+With ``record_states`` the trajectory keeps the recorded amplitudes as
+one (records, d) stack, from which shot-mode estimates are drawn.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,15 +39,21 @@ from .errors import DomainError
 from .hamiltonian import (
     PauliSum,
     Spectrum,
+    _coefficient_row,
     apply_evolution,
     exact_diagonalize,
-    interpolate,
     ramp_coefficients,
     ramp_spectra,
 )
-from .pauli import apply_word
-from .statevector import StateVector, basis_state
-from .statevector import expectation_observable, fidelity, weighted_expectation
+from .pauli import PauliWord, apply_word
+from .statevector import (
+    _STACK_ENTRIES,
+    StateVector,
+    basis_state,
+    check_normalized,
+    expectations,
+    fidelities,
+)
 
 _GRID_ATOL = 1e-9
 _ENERGY_KEY = "energy"
@@ -97,15 +111,19 @@ class TrajectoryRecord:
     t: float
     observables: dict[str, float]
     fidelity: float
-    snapshot: StateVector | None = None
 
 
 @dataclass
 class Trajectory:
-    """Time-ordered records plus run metadata (warnings, schedule echo)."""
+    """Time-ordered records plus run metadata (warnings, schedule echo).
+
+    ``states`` holds the amplitudes of the recorded states, one row per
+    record, when the run was asked to keep them, and is None otherwise.
+    """
 
     records: list[TrajectoryRecord] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    states: np.ndarray | None = None
 
     def append(self, record: TrajectoryRecord) -> None:
         if self.records and record.t <= self.records[-1].t:
@@ -115,15 +133,46 @@ class Trajectory:
         self.records.append(record)
 
 
-def _split_key(term: tuple[float, str]) -> tuple[int, str]:
-    letters = set(term[1])
-    if letters <= {"I", "Z"}:
-        rank = 0
-    elif letters <= {"I", "X"}:
-        rank = 1
-    else:
-        rank = 2
-    return rank, term[1]
+def _split_rank(word: PauliWord) -> int:
+    """Z-type words (I and Z letters) first, then X-type, then the rest."""
+    if word.x_mask == 0:
+        return 0
+    if word.z_mask == 0:
+        return 1
+    return 2
+
+
+def _trotter_order(words: Sequence[PauliWord]) -> list[int]:
+    """Term indices in splitting order; words given sorted by string stay so within a class."""
+    return sorted(range(len(words)), key=lambda t: _split_rank(words[t]))
+
+
+def _advance(
+    amplitudes: np.ndarray,
+    mode: EvolutionMode,
+    dt: float,
+    spectrum: Spectrum | None,
+    words: Sequence[PauliWord],
+    coeffs: np.ndarray,
+    order: Sequence[int],
+) -> np.ndarray:
+    """One step of duration ``dt`` under sum_t coeffs[t] * words[t], as new amplitudes.
+
+    ``exact_step`` applies exp(-i h dt) from ``spectrum``; ``trotter1``
+    applies exp(-i c_t P_t dt) = cos(c_t dt) - i sin(c_t dt) P_t for each
+    word in ``order``, skipping exact-zero coefficients.
+    """
+    if mode is EvolutionMode.EXACT_STEP:
+        return apply_evolution(spectrum, dt, amplitudes)
+    if mode is EvolutionMode.TROTTER1:
+        for t in order:
+            if coeffs[t] != 0.0:
+                angle = coeffs[t] * dt
+                amplitudes = np.cos(angle) * amplitudes - 1j * np.sin(angle) * apply_word(
+                    words[t], amplitudes
+                )
+        return amplitudes
+    raise DomainError(f"unsupported evolution mode {mode!r}")
 
 
 def evolve_step(
@@ -146,42 +195,89 @@ def evolve_step(
         )
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt!r}")
-    if mode is EvolutionMode.EXACT_STEP:
-        if spectrum is None:
-            spectrum = exact_diagonalize(h)
-        return StateVector(state.num_qubits, apply_evolution(spectrum, dt, state.amplitudes))
-    if mode is EvolutionMode.TROTTER1:
-        amps = state.amplitudes
-        for (coeff, _), word in sorted(zip(h.terms, h.words), key=lambda tw: _split_key(tw[0])):
-            angle = coeff * dt
-            amps = np.cos(angle) * amps - 1j * np.sin(angle) * apply_word(word, amps)
-        return StateVector(state.num_qubits, amps)
-    raise DomainError(f"unsupported evolution mode {mode!r}")
-
-
-def _clamped_fidelity(state: StateVector, target: StateVector) -> float:
-    return min(fidelity(state, target), 1.0)
-
-
-def _record(
-    trajectory: Trajectory,
-    t: float,
-    state: StateVector,
-    energy: float,
-    observables: Mapping[str, PauliSum],
-    target: StateVector,
-    keep_snapshot: bool,
-) -> None:
-    values = {name: expectation_observable(state, obs) for name, obs in observables.items()}
-    values[_ENERGY_KEY] = energy
-    trajectory.append(
-        TrajectoryRecord(
-            t=t,
-            observables=values,
-            fidelity=_clamped_fidelity(state, target),
-            snapshot=state if keep_snapshot else None,
-        )
+    if mode is EvolutionMode.EXACT_STEP and spectrum is None:
+        spectrum = exact_diagonalize(h)
+    coeffs = _coefficient_row(h)[0]
+    amplitudes = _advance(
+        state.amplitudes, mode, dt, spectrum, h.words, coeffs, _trotter_order(h.words)
     )
+    return StateVector(state.num_qubits, amplitudes)
+
+
+class _Recorder:
+    """Turns ``count`` recorded states into trajectory records, a block of rows at a time.
+
+    ``add`` copies a state, its energy coefficient row and its fidelity
+    target into the current block.  A full block is read out with stacked
+    calls: the norm check of every row, each observable, the energies,
+    and the fidelities, clamped to 1.
+
+    A block has as many rows as a stack of ramp spectra has matrices
+    (``_STACK_ENTRIES`` // d^2, at least one), and never more than the
+    records still to come, so it holds at most ``_STACK_ENTRIES``
+    amplitudes.  At one qubit that is 16384 states, a whole shipped run;
+    from 8 qubits on a block is one state, read out before the next
+    spectrum is computed, so recording adds nothing to the ramp's peak
+    memory.
+    """
+
+    def __init__(
+        self,
+        trajectory: Trajectory,
+        count: int,
+        num_qubits: int,
+        energy_words: Sequence[PauliWord],
+        observables: Mapping[str, PauliSum],
+        keep_states: bool,
+    ):
+        self.trajectory = trajectory
+        self.remaining = count
+        self.dim = 2**num_qubits
+        self.energy_words = energy_words
+        self.observables = {
+            name: (_coefficient_row(obs), obs.words) for name, obs in observables.items()
+        }
+        self.kept: list[np.ndarray] | None = [] if keep_states else None
+        self._new_block()
+
+    def _new_block(self) -> None:
+        rows = min(self.remaining, max(1, _STACK_ENTRIES // self.dim**2))
+        self.times: list[float] = []
+        self.states = np.empty((rows, self.dim), dtype=np.complex128)
+        self.targets = np.empty((rows, self.dim), dtype=np.complex128)
+        self.energy = np.empty((rows, len(self.energy_words)))
+
+    def add(self, t: float, amplitudes: np.ndarray, energy_coeffs: np.ndarray, target: np.ndarray) -> None:
+        row = len(self.times)
+        self.times.append(t)
+        self.states[row] = amplitudes
+        self.energy[row] = energy_coeffs
+        self.targets[row] = target
+        self.remaining -= 1
+        if row + 1 == len(self.states):
+            self._flush()
+            self._new_block()
+
+    def _flush(self) -> None:
+        states = self.states
+        check_normalized(states)
+        columns = {
+            name: expectations(states, coeffs, words).tolist()
+            for name, (coeffs, words) in self.observables.items()
+        }
+        energies = expectations(states, self.energy, self.energy_words).tolist()
+        overlaps = fidelities(states, self.targets)
+        for row, t in enumerate(self.times):
+            values = {name: column[row] for name, column in columns.items()}
+            values[_ENERGY_KEY] = energies[row]
+            self.trajectory.append(TrajectoryRecord(t, values, min(overlaps[row], 1.0)))
+        if self.kept is not None:
+            self.kept.append(states)
+
+    def finish(self) -> None:
+        """Hand the recorded states to the trajectory, if they are kept."""
+        if self.kept is not None:
+            self.trajectory.states = np.concatenate(self.kept or [self.states])
 
 
 def _check_observables(observables: Mapping[str, PauliSum], num_qubits: int) -> None:
@@ -200,7 +296,7 @@ def run_adiabatic(
     schedule: Schedule,
     mode: EvolutionMode,
     observables: Mapping[str, PauliSum] | None = None,
-    record_snapshots: bool = False,
+    record_states: bool = False,
     records: bool = True,
 ) -> tuple[StateVector, Trajectory]:
     """Ramp from the preparation operator to the target operator.
@@ -208,13 +304,15 @@ def run_adiabatic(
     Starts from |0...0>, takes ``schedule.num_ramp_steps`` midpoint steps
     and records observables, instantaneous energy and fidelity to the
     instantaneous ground state at the start and after each step; with
-    ``records`` false nothing is recorded.  A degenerate instantaneous
+    ``records`` false nothing is recorded, and with ``record_states`` the
+    trajectory keeps the recorded amplitudes.  A degenerate instantaneous
     ground level is recorded as a metadata warning, not an error.
 
     Every operator of the ramp, h0 (s = 0) and each step's, is known
     before the first step, so their spectra come from one stacked
-    computation (``ramp_spectra``), and each energy combines per-word
-    expectation values with that step's coefficient row.
+    computation (``ramp_spectra``), and both step modes and the energies
+    read the same (steps x words) coefficient array.  The step loop only
+    advances amplitudes; the records are read out in blocks (``_Recorder``).
     """
     if h0.num_qubits != h1.num_qubits:
         raise DomainError(
@@ -223,7 +321,6 @@ def run_adiabatic(
     observables = dict(observables or {})
     _check_observables(observables, h0.num_qubits)
     n = h0.num_qubits
-    state = basis_state(n, 0)
     trajectory = Trajectory(
         metadata={
             "mode": mode.value,
@@ -242,31 +339,26 @@ def run_adiabatic(
     ]
     words, coeffs = ramp_coefficients(h0, h1, s_values)
     spectra = ramp_spectra(h0, h1, s_values)
+    order = _trotter_order(words)
+    recorder = None
+    if records:
+        recorder = _Recorder(trajectory, len(s_values), n, words, observables, record_states)
+    amplitudes = basis_state(n, 0).amplitudes
     for k, (s_k, row, spectrum) in enumerate(zip(s_values, coeffs, spectra)):
         if k == 0:
             if spectrum.degenerate:
                 warnings.append("degenerate ground level at s=0")
         else:
-            if mode is EvolutionMode.EXACT_STEP:
-                amplitudes = apply_evolution(spectrum, schedule.dt, state.amplitudes)
-                state = StateVector(n, amplitudes)
-            else:
-                state = evolve_step(state, interpolate(h0, h1, s_k), schedule.dt, mode)
+            amplitudes = _advance(amplitudes, mode, schedule.dt, spectrum, words, row, order)
             if spectrum.degenerate:
                 warnings.append(
                     f"degenerate instantaneous ground level at step {k - 1} (s={s_k!r})"
                 )
-        if records:
-            _record(
-                trajectory,
-                k * schedule.dt,
-                state,
-                weighted_expectation(state, row.tolist(), words),
-                observables,
-                spectrum.ground_state,
-                record_snapshots,
-            )
-    return state, trajectory
+        if recorder is not None:
+            recorder.add(k * schedule.dt, amplitudes, row, spectrum.eigenvectors[:, 0])
+    if recorder is not None:
+        recorder.finish()
+    return StateVector(n, amplitudes), trajectory
 
 
 def run_hold(
@@ -275,7 +367,7 @@ def run_hold(
     schedule: Schedule,
     mode: EvolutionMode,
     observables: Mapping[str, PauliSum] | None = None,
-    record_snapshots: bool = False,
+    record_states: bool = False,
     start_time: float = 0.0,
     include_initial: bool = False,
     fidelity_target: StateVector | None = None,
@@ -288,8 +380,9 @@ def run_hold(
     given, otherwise against the ground state of ``h``.  ``spectrum``
     must be the caller's ``exact_diagonalize(h)``, since only its size is
     checked; without it ``h`` is diagonalized here, at most once, and
-    only when needed.  Every exact
-    hold step is applied from that one spectrum.
+    only when needed.  Every exact hold step is applied from that one
+    spectrum; as on the ramp, the step loop only advances amplitudes and
+    the records are read out in blocks.
     """
     observables = dict(observables or {})
     _check_observables(observables, state.num_qubits)
@@ -309,25 +402,22 @@ def run_hold(
                 "ground level of the held operator is degenerate"
             )
         fidelity_target = spectrum.ground_state
+    coeffs = _coefficient_row(h)[0]
+    order = _trotter_order(h.words)
+    recorder = _Recorder(
+        trajectory,
+        schedule.num_hold_steps + include_initial,
+        state.num_qubits,
+        h.words,
+        observables,
+        record_states,
+    )
+    target = fidelity_target.amplitudes
+    amplitudes = state.amplitudes
     if include_initial:
-        _record(
-            trajectory,
-            start_time,
-            state,
-            expectation_observable(state, h),
-            observables,
-            fidelity_target,
-            record_snapshots,
-        )
+        recorder.add(start_time, amplitudes, coeffs, target)
     for j in range(schedule.num_hold_steps):
-        state = evolve_step(state, h, schedule.dt, mode, spectrum)
-        _record(
-            trajectory,
-            start_time + (j + 1) * schedule.dt,
-            state,
-            expectation_observable(state, h),
-            observables,
-            fidelity_target,
-            record_snapshots,
-        )
-    return state, trajectory
+        amplitudes = _advance(amplitudes, mode, schedule.dt, spectrum, h.words, coeffs, order)
+        recorder.add(start_time + (j + 1) * schedule.dt, amplitudes, coeffs, target)
+    recorder.finish()
+    return StateVector(state.num_qubits, amplitudes), trajectory

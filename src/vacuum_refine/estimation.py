@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CorrectionError, DomainError, NumericalConsistencyError
 from .hamiltonian import PauliSum, Spectrum, to_matrix
-from .statevector import HADAMARD, S_DAG, StateVector, apply_gate, measure_sample
+from .statevector import HADAMARD, S_DAG, StateVector, sample_counts
 
 _MIN_CORRECTION_DENOM = 1e-6
+# Gates that turn the eigenbasis of a letter into the Z basis, in order.
+_TO_Z_BASIS = {"X": (HADAMARD,), "Y": (S_DAG, HADAMARD)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,34 +74,60 @@ def corrected_expectation(raw: float, p0: float) -> float:
     return raw / denom
 
 
-def shot_expectation(state: StateVector, pauli_string: str, shots: int, seed: int) -> EstimateResult:
-    """Estimate <P> for one Pauli word by sampling rotated Z measurements."""
-    if len(pauli_string) != state.num_qubits:
+def _rotate(psi: np.ndarray, gate: np.ndarray, axis: int) -> np.ndarray:
+    """Apply a one-qubit gate to one axis of a stack of [2]*n shaped states.
+
+    Elementwise products, not a matmul, so that each row comes out the
+    same however many rows share the stack.
+    """
+    a0, a1 = np.take(psi, 0, axis), np.take(psi, 1, axis)
+    return np.stack((gate[0, 0] * a0 + gate[0, 1] * a1, gate[1, 0] * a0 + gate[1, 1] * a1), axis)
+
+
+def shot_estimates(
+    amplitudes: np.ndarray, pauli_string: str, shots: int, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled <P> and its standard error for each row of a (rows, d) state stack.
+
+    X and Y letters are rotated to Z for the whole stack, then row r
+    draws ``shots`` Z-basis samples of the word's qubits with seed
+    ``seeds[r]`` (``sample_counts``) and averages their parities.
+    """
+    num_qubits = len(pauli_string)
+    if amplitudes.shape[-1] != 2**num_qubits:
         raise DomainError(
-            f"Pauli string {pauli_string!r} does not match register size {state.num_qubits}"
+            f"Pauli string {pauli_string!r} does not match register dimension "
+            f"{amplitudes.shape[-1]}"
         )
     if any(ch not in "IXYZ" for ch in pauli_string):
         raise DomainError(f"bad Pauli string {pauli_string!r}")
     if not isinstance(shots, int) or shots < 1:
         raise DomainError(f"shots must be a positive integer, got {shots!r}")
+    rows = amplitudes.shape[0]
     measured = [q for q, ch in enumerate(pauli_string) if ch != "I"]
     if not measured:
-        return EstimateResult(value=1.0, std_error=0.0, shots=shots, seed=seed)
-    rotated = state
+        return np.ones(rows), np.zeros(rows)
+    psi = amplitudes.reshape((rows,) + (2,) * num_qubits)
     for q, ch in enumerate(pauli_string):
-        if ch == "X":
-            rotated = apply_gate(rotated, HADAMARD, [q])
-        elif ch == "Y":
-            rotated = apply_gate(rotated, S_DAG, [q])
-            rotated = apply_gate(rotated, HADAMARD, [q])
-    histogram = measure_sample(rotated, measured, shots, seed)
-    acc = 0
-    for bits, count in histogram.items():
-        sign = -1 if bits.count("1") % 2 else 1
-        acc += sign * count
-    mean = acc / shots
-    std_error = math.sqrt(max(0.0, 1.0 - mean * mean) / shots)
-    return EstimateResult(value=float(mean), std_error=float(std_error), shots=shots, seed=seed)
+        for gate in _TO_Z_BASIS.get(ch, ()):
+            psi = _rotate(psi, gate.entries, 1 + q)
+    counts = sample_counts(psi.reshape(rows, -1), num_qubits, measured, shots, seeds)
+    signs = np.where(np.bitwise_count(np.arange(counts.shape[1])) & 1, -1, 1)
+    mean = (counts @ signs) / shots
+    return mean, np.sqrt(np.maximum(0.0, 1.0 - mean * mean) / shots)
+
+
+def shot_expectation(state: StateVector, pauli_string: str, shots: int, seed: int) -> EstimateResult:
+    """Estimate <P> for one Pauli word by sampling rotated Z measurements.
+
+    This is the one-row case of ``shot_estimates``.
+    """
+    if len(pauli_string) != state.num_qubits:
+        raise DomainError(
+            f"Pauli string {pauli_string!r} does not match register size {state.num_qubits}"
+        )
+    values, errors = shot_estimates(state.amplitudes[np.newaxis], pauli_string, shots, [seed])
+    return EstimateResult(value=float(values[0]), std_error=float(errors[0]), shots=shots, seed=seed)
 
 
 def cross_term(state: StateVector, spectrum: Spectrum, observable: PauliSum) -> float:

@@ -7,8 +7,11 @@ the config and seed; wall-clock duration lives in the manifest alone, so
 repeated runs produce byte-identical CSV and report files.
 
 Shot-mode estimation draws one seed per estimate, advancing a counter
-from the configured base seed in a fixed record order, which makes every
-sampled column reproducible.
+from the configured base seed in a fixed order (record by record, and
+term by term within a record), which makes every sampled column
+reproducible.  A trajectory's estimates are drawn from the stack of its
+recorded states (``Trajectory.states``), one stacked estimate per
+observable term; the counter then continues with the next estimate.
 """
 
 from __future__ import annotations
@@ -23,20 +26,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .adiabatic import (
-    EvolutionMode,
-    TrajectoryRecord,
-    run_adiabatic,
-    run_hold,
-)
+from .adiabatic import Trajectory, run_adiabatic, run_hold
 from .config import EstimationConfig, ExperimentConfig, build_model, config_to_text
 from .errors import ConfigError, DomainError
-from .estimation import corrected_expectation, cross_term, shot_expectation
+from .estimation import corrected_expectation, cross_term, shot_estimates
 from .filtering import RefinementReport, refine_iteratively, tag_circuit_one_qubit
-from .hamiltonian import PauliSum, Spectrum, exact_diagonalize, initial_hamiltonian
+from .hamiltonian import (
+    PauliSum,
+    Spectrum,
+    _coefficient_row,
+    exact_diagonalize,
+    initial_hamiltonian,
+)
 from .statevector import (
+    _STACK_ENTRIES,
     StateVector,
     expectation_observable,
+    expectations,
     fidelity,
     postselect,
 )
@@ -85,22 +91,47 @@ class _Estimator:
         self.exact = settings.method == "exact"
         self._counter = 0
 
-    def _next_seed(self) -> int:
-        seed = self.settings.seed + self._counter
-        self._counter += 1
-        return seed
+    def evaluate_rows(
+        self, amplitudes: np.ndarray, observable: PauliSum
+    ) -> tuple[list[float], list[float]]:
+        """(values, standard errors) of one observable on each row of a state stack.
+
+        Row r, term t takes seed base + counter + r * terms + t, as if
+        the rows were estimated one after another; each term is one
+        stacked estimate over the rows, in blocks of at most
+        ``_STACK_ENTRIES`` amplitudes.
+        """
+        rows = amplitudes.shape[0]
+        if self.exact:
+            values = expectations(amplitudes, _coefficient_row(observable), observable.words)
+            return values.tolist(), [0.0] * rows
+        terms = len(observable.terms)
+        first = self.settings.seed + self._counter
+        self._counter += rows * terms
+        seeds = [range(first + t, first + rows * terms, terms) for t in range(terms)]
+        block = max(1, _STACK_ENTRIES // amplitudes.shape[-1])
+        values: list[float] = []
+        errors: list[float] = []
+        for start in range(0, rows, block):
+            part = amplitudes[start : start + block]
+            total = np.zeros(len(part))
+            variance = [0.0] * len(part)
+            for t, (coeff, string) in enumerate(observable.terms):
+                value, error = shot_estimates(
+                    part, string, self.settings.shots, seeds[t][start : start + block]
+                )
+                total += coeff * value
+                # Python's float ** 2 rounds as libm pow does, which differs
+                # from x * x in about one value in a thousand.
+                variance = [v + (coeff * e) ** 2 for v, e in zip(variance, error.tolist())]
+            values += total.tolist()
+            errors += [math.sqrt(v) for v in variance]
+        return values, errors
 
     def evaluate(self, state: StateVector, observable: PauliSum) -> tuple[float, float]:
         """Return (value, standard error) for one observable on one state."""
-        if self.exact:
-            return expectation_observable(state, observable), 0.0
-        total = 0.0
-        variance = 0.0
-        for coeff, string in observable.terms:
-            result = shot_expectation(state, string, self.settings.shots, self._next_seed())
-            total += coeff * result.value
-            variance += (coeff * result.std_error) ** 2
-        return total, math.sqrt(variance)
+        values, errors = self.evaluate_rows(state.amplitudes[np.newaxis], observable)
+        return values[0], errors[0]
 
 
 def _mean_z(num_qubits: int) -> PauliSum:
@@ -112,16 +143,18 @@ def _mean_z(num_qubits: int) -> PauliSum:
 
 
 def _trajectory_rows(
-    records: list[TrajectoryRecord], estimator: _Estimator, observable: PauliSum
+    trajectory: Trajectory, estimator: _Estimator, observable: PauliSum
 ) -> list[tuple]:
-    rows = []
-    for record in records:
-        if estimator.exact:
-            value, err = record.observables[_OBS_KEY], 0.0
-        else:
-            value, err = estimator.evaluate(record.snapshot, observable)
-        rows.append((record.t, value, err, record.fidelity, record.observables["energy"]))
-    return rows
+    records = trajectory.records
+    if estimator.exact:
+        values = [record.observables[_OBS_KEY] for record in records]
+        errors = [0.0] * len(records)
+    else:
+        values, errors = estimator.evaluate_rows(trajectory.states, observable)
+    return [
+        (record.t, value, err, record.fidelity, record.observables["energy"])
+        for record, value, err in zip(records, values, errors)
+    ]
 
 
 def _write_manifest(
@@ -159,7 +192,7 @@ def _prepare(config: ExperimentConfig):
         config.schedule,
         config.mode,
         observables,
-        record_snapshots=not estimator.exact,
+        record_states=not estimator.exact,
     )
     return h1, estimator, observables, final, ramp
 
@@ -176,11 +209,12 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
         config.schedule,
         config.mode,
         observables,
-        record_snapshots=not estimator.exact,
+        record_states=not estimator.exact,
         start_time=config.schedule.total_time,
         spectrum=spectrum,
     )
-    rows = _trajectory_rows(ramp.records + hold.records, estimator, observables[_OBS_KEY])
+    rows = _trajectory_rows(ramp, estimator, observables[_OBS_KEY])
+    rows += _trajectory_rows(hold, estimator, observables[_OBS_KEY])
     trajectory_path = f"{config.output_prefix}_trajectory.csv"
     _write_csv(trajectory_path, ["t", "expval_Z", "std_error", "fidelity", "energy"], rows)
 
@@ -274,14 +308,14 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
         config.schedule,
         config.mode,
         hold_obs,
-        record_snapshots=not estimator.exact,
+        record_states=not estimator.exact,
         start_time=config.schedule.total_time,
         include_initial=True,
         fidelity_target=hold_target,
         spectrum=hold_spectrum,
     )
-    rows = _trajectory_rows(ramp.records, estimator, observables[_OBS_KEY])
-    rows += _trajectory_rows(hold.records, estimator, hold_obs[_OBS_KEY])
+    rows = _trajectory_rows(ramp, estimator, observables[_OBS_KEY])
+    rows += _trajectory_rows(hold, estimator, hold_obs[_OBS_KEY])
     trajectory_path = f"{config.output_prefix}_trajectory.csv"
     _write_csv(trajectory_path, ["t", "expval_Z", "std_error", "fidelity", "energy"], rows)
 
@@ -339,6 +373,11 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
     """Ramp, then iterative estimate/filter/post-select passes."""
     started = time.perf_counter()
     _ensure_output_dir(config.output_prefix)
+    if config.estimation.method != "exact":
+        raise ConfigError(
+            f"estimation.method: refine supports only exact estimation, "
+            f"got {config.estimation.method!r}"
+        )
     h1 = build_model(config)
     if not 1 <= h1.num_qubits <= 4:
         raise ConfigError(

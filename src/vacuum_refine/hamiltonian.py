@@ -14,16 +14,16 @@ from .errors import (
     NumericalConsistencyError,
     ResourceLimitError,
 )
-from .pauli import PauliWord, column_phases, compile_word
-from .statevector import _UNITARY_ATOL, GateMatrix, StateVector
+from .pauli import PauliWord, column_phases, compile_word, word_masks
+from .statevector import _STACK_ENTRIES, _UNITARY_ATOL, GateMatrix, StateVector
 
 DEFAULT_DENSE_CAP = 10
 DEGENERACY_TOL = 1e-10
 _CHECK_ATOL = 1e-10
-# At most about this many matrix entries are built and diagonalized in one
-# stack: every one-qubit ramp step fits in one, while at 8 qubits and more
-# a stack is a single matrix, so peak memory does not grow with the steps.
-_STACK_ENTRIES = 2**16
+# At most about _STACK_ENTRIES matrix entries are built and diagonalized in
+# one stack: every one-qubit ramp step fits in one, while at 8 qubits and
+# more a stack is a single matrix, so peak memory does not grow with the
+# steps.
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,7 @@ def _dense_stack(
     dim = 2**num_qubits
     rows = coeffs.shape[0]
     columns = np.arange(dim)
-    masks = np.array(
-        [(w.x_mask, w.z_mask, w.i_power) for w in words], dtype=np.int64
-    ).reshape(-1, 3)
+    masks = word_masks(words)
     out = np.zeros((rows, dim, dim), dtype=np.float64 if real else np.complex128)
     stack = np.arange(rows).reshape(-1, 1, 1)
     # Blocks of terms keep the (matrix, term, column) grid and its

@@ -14,6 +14,7 @@ every product with them is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +55,31 @@ def column_phases(z_mask, i_power, columns: np.ndarray) -> np.ndarray:
     return _I_POWERS[(i_power + 2 * np.bitwise_count(columns & z_mask)) & 3]
 
 
+def word_masks(words: Sequence[PauliWord]) -> np.ndarray:
+    """The (words, 3) int64 table of each word's X mask, Z mask and power of i."""
+    return np.array(
+        [(w.x_mask, w.z_mask, w.i_power) for w in words], dtype=np.int64
+    ).reshape(-1, 3)
+
+
+def apply_words(words: Sequence[PauliWord], amplitudes: np.ndarray) -> np.ndarray:
+    """Every word applied along the last axis: (..., d) amplitudes give (..., words, d).
+
+    The last axis is the register, so this takes one amplitude vector or
+    a (rows, d) stack of them; one gather and one product serve all the
+    words and rows.  The result is C-ordered: a gather along the last
+    axis comes out column-major, and BLAS sums a strided row in another
+    order than a contiguous one.
+    """
+    masks = word_masks(words)
+    source = np.arange(amplitudes.shape[-1]) ^ masks[:, :1]
+    phases = column_phases(masks[:, 1:2], masks[:, 2:], source)
+    return np.multiply(phases, amplitudes[..., source], order="C")
+
+
 def apply_word(word: PauliWord, amplitudes: np.ndarray) -> np.ndarray:
-    """P @ amplitudes for a flat amplitude vector, as a new array."""
-    source = np.arange(amplitudes.shape[0]) ^ word.x_mask
-    return column_phases(word.z_mask, word.i_power, source) * amplitudes[source]
+    """P applied along the last axis of ``amplitudes``, as a new array.
+
+    The one-word case of ``apply_words``.
+    """
+    return apply_words((word,), amplitudes)[..., 0, :]

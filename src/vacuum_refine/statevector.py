@@ -10,6 +10,10 @@ Conventions used throughout the package:
   target is the most significant bit of the gate's own matrix index.
 * Operations never mutate their inputs; they return new ``StateVector``
   instances.  Amplitude arrays are treated as read-only.
+* Readouts (norm check, expectation values, overlaps, sampling) work on a
+  (rows, d) stack of amplitude vectors, one state per row, and the
+  single-state functions are their one-row case.  Each row's result is
+  the same bit for bit however many rows share the stack.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import (
     NumericalConsistencyError,
     UnitarityError,
 )
-from .pauli import PauliWord, apply_word, compile_word
+from .pauli import PauliWord, apply_word, apply_words, compile_word
 
 if TYPE_CHECKING:
     from .hamiltonian import PauliSum
@@ -34,6 +38,9 @@ _NORM_ATOL = 1e-8
 _UNITARY_ATOL = 1e-12
 _MIN_POSTSELECT_PROB = 1e-12
 _IMAG_RESIDUE_LIMIT = 1e-8
+# At most about this many entries go into one stack built at once: state
+# amplitudes or applied words here, matrix entries in ``hamiltonian``.
+_STACK_ENTRIES = 2**16
 
 PAULI_MATRICES: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=np.complex128),
@@ -108,9 +115,7 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} qubit(s), "
                 f"got {amps.shape[0]}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= _NORM_ATOL:
-            raise DomainError(f"amplitudes are not normalized (|psi|^2 = {norm_sq!r})")
+        check_normalized(amps[np.newaxis])
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
@@ -124,6 +129,18 @@ class StateVector:
         if norm < 1e-12:
             raise DomainError("cannot normalize a zero vector")
         return cls(n, amps / norm)
+
+
+def check_normalized(amplitudes: np.ndarray) -> None:
+    """Refuse a (rows, d) stack unless every row has unit norm within 1e-8.
+
+    A row holding NaN is refused too.  ``StateVector`` runs this on its
+    one row.
+    """
+    # the largest deviation is NaN when any row holds NaN
+    worst = np.abs((np.abs(amplitudes) ** 2).sum(axis=-1) - 1.0).max(initial=0.0)
+    if not worst <= _NORM_ATOL:
+        raise DomainError(f"amplitudes are not normalized (||psi|^2 - 1| = {worst:.3e})")
 
 
 def basis_state(num_qubits: int, index: int = 0) -> StateVector:
@@ -246,6 +263,38 @@ def postselect(
     return prob, collapsed
 
 
+def sample_counts(
+    amplitudes: np.ndarray,
+    num_qubits: int,
+    qubits: Sequence[int],
+    shots: int,
+    seeds: Sequence[int],
+) -> np.ndarray:
+    """Z-basis outcome counts of the listed qubits for each row of a stack.
+
+    Row r of the (rows, 2^k) result holds ``shots`` Born-rule draws from
+    the marginal of state r, made by ``np.random.default_rng(seeds[r])``;
+    column i counts outcome i, whose bits read the listed qubits with the
+    first one leftmost.  The marginals are summed, clipped and normalized
+    for the whole stack at once; only the draws run per row.
+    """
+    qs = _check_qubits(num_qubits, qubits, "measured qubit")
+    if not isinstance(shots, int) or shots < 1:
+        raise DomainError(f"shots must be a positive integer, got {shots!r}")
+    rows = amplitudes.shape[0]
+    probs = np.abs(amplitudes.reshape((rows,) + (2,) * num_qubits)) ** 2
+    other = tuple(1 + q for q in range(num_qubits) if q not in qs)
+    marginal = probs.sum(axis=other) if other else probs
+    order = sorted(qs)
+    marginal = np.transpose(marginal, [0] + [1 + order.index(q) for q in qs])
+    marginal = np.clip(marginal.reshape(rows, -1), 0.0, None)
+    marginal = marginal / marginal.sum(axis=-1, keepdims=True)
+    counts = np.empty(marginal.shape, dtype=np.int64)
+    for row, (seed, p) in enumerate(zip(seeds, marginal)):
+        counts[row] = np.random.default_rng(seed).multinomial(shots, p)
+    return counts
+
+
 def measure_sample(
     state: StateVector, qubits: Sequence[int], shots: int, rng_seed: int
 ) -> dict[str, int]:
@@ -254,22 +303,11 @@ def measure_sample(
     Returns a histogram mapping bitstrings (first listed qubit leftmost)
     to counts.  Counts follow the joint distribution of ``shots``
     independent Born-rule draws and are reproducible for a fixed seed.
+    This is the one-row case of ``sample_counts``.
     """
-    qs = _check_qubits(state.num_qubits, qubits, "measured qubit")
-    if not isinstance(shots, int) or shots < 1:
-        raise DomainError(f"shots must be a positive integer, got {shots!r}")
-    n = state.num_qubits
-    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
-    other = tuple(q for q in range(n) if q not in qs)
-    marginal = probs.sum(axis=other) if other else probs
-    order = sorted(qs)
-    marginal = np.transpose(marginal, [order.index(q) for q in qs]).reshape(-1)
-    marginal = np.clip(marginal, 0.0, None)
-    marginal = marginal / marginal.sum()
-    rng = np.random.default_rng(rng_seed)
-    counts = rng.multinomial(shots, marginal)
-    k = len(qs)
-    return {format(i, f"0{k}b"): int(c) for i, c in enumerate(counts) if c > 0}
+    counts = sample_counts(state.amplitudes[np.newaxis], state.num_qubits, qubits, shots, [rng_seed])
+    k = len(qubits)
+    return {format(i, f"0{k}b"): int(c) for i, c in enumerate(counts[0]) if c > 0}
 
 
 def apply_pauli_string(state: StateVector, string: str) -> StateVector:
@@ -290,28 +328,74 @@ def expectation_observable(state: StateVector, observable: "PauliSum") -> float:
     return weighted_expectation(state, [c for c, _ in observable.terms], observable.words)
 
 
+def row_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_r|b_r> for each row r of two (rows, d) stacks; ``b`` may be one row.
+
+    For C-ordered stacks a batched matmul computes each row as ``np.vdot``
+    does on that row, bit for bit; ``np.einsum`` and a summed elementwise
+    product order the additions differently and move the last bit, and so
+    does a strided row.
+    """
+    return (a.conj()[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
+
+
+def expectations(
+    amplitudes: np.ndarray, coeffs: np.ndarray, words: Sequence[PauliWord]
+) -> np.ndarray:
+    """<psi_r| sum_t coeffs[r, t] * words[t] |psi_r> for each row r, as floats.
+
+    ``coeffs`` is (rows, terms), or one (1, terms) row shared by every
+    state.  Each row sums its words in order, starting from 0 + 0j, and
+    skips a word whose coefficient is exactly zero, as if it had been
+    merged away.
+    """
+    rows, dim = amplitudes.shape
+    kept = coeffs != 0.0
+    used = np.flatnonzero(kept.any(axis=0)).tolist()
+    in_all = kept.all(axis=0).tolist()
+    bras = amplitudes.conj()[:, np.newaxis, np.newaxis, :]
+    total = np.zeros(rows, dtype=np.complex128)
+    # The words' overlaps come from one gather and one batched matmul per
+    # chunk of words, each chunk holding at most _STACK_ENTRIES amplitudes.
+    chunk = max(1, _STACK_ENTRIES // (rows * dim))
+    for start in range(0, len(used), chunk):
+        part = used[start : start + chunk]
+        applied = apply_words([words[t] for t in part], amplitudes)
+        terms = coeffs[:, part] * (bras @ applied[..., np.newaxis])[..., 0, 0]
+        for column, t in enumerate(part):
+            term = terms[:, column]
+            total = total + term if in_all[t] else np.where(kept[:, t], total + term, total)
+    worst = np.abs(total.imag).max(initial=0.0)  # NaN when any row is NaN
+    if not worst <= _IMAG_RESIDUE_LIMIT:
+        raise NumericalConsistencyError(f"expectation value has imaginary residue {worst:.3e}")
+    return total.real
+
+
 def weighted_expectation(
     state: StateVector, coeffs: Sequence[float], words: Sequence[PauliWord]
 ) -> float:
     """Exact expectation of sum_t coeffs[t] * words[t], summed in order.
 
     Exact-zero coefficients are skipped, so a word that cancels adds
-    nothing, as if it had been merged away.
+    nothing, as if it had been merged away.  This is the one-row case of
+    ``expectations``.
     """
-    psi = state.amplitudes
-    total = 0.0 + 0.0j
-    for coeff, word in zip(coeffs, words):
-        if coeff != 0.0:
-            total += coeff * np.vdot(psi, apply_word(word, psi))
-    if abs(total.imag) > _IMAG_RESIDUE_LIMIT:
-        raise NumericalConsistencyError(
-            f"expectation value has imaginary residue {total.imag:.3e}"
-        )
-    return float(total.real)
+    row = np.asarray(coeffs, dtype=np.float64).reshape(1, -1)
+    return float(expectations(state.amplitudes[np.newaxis], row, words)[0])
+
+
+def fidelities(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Squared overlaps |<a_r|b_r>|^2 of the rows of two stacks (``b`` may be one row).
+
+    The modulus is Python's ``abs`` of each complex overlap, which rounds
+    as ``abs`` of a numpy complex scalar does; the vectorized ``np.abs``
+    can differ in the last bit.
+    """
+    return [abs(z) ** 2 for z in row_overlaps(a, b).tolist()]
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared overlap |<a|b>|^2 of two pure states."""
     if a.num_qubits != b.num_qubits:
         raise DomainError(f"register sizes differ: {a.num_qubits} vs {b.num_qubits}")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return fidelities(a.amplitudes[np.newaxis], b.amplitudes[np.newaxis])[0]

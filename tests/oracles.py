@@ -91,3 +91,43 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Normalized random complex amplitudes for ``n`` qubits."""
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return amps / np.linalg.norm(amps)
+
+
+def expectation_per_state(psi: np.ndarray, terms, matrices: dict | None = None) -> float:
+    """<psi| sum_t c_t P_t |psi> for one state, one word at a time.
+
+    Each word acts through its dense matrix and is paired with ``np.vdot``;
+    the terms are summed in order from 0 + 0j, skipping exact-zero
+    coefficients.  ``matrices`` caches word matrices between calls.
+    """
+    matrices = {} if matrices is None else matrices
+    total = 0.0 + 0.0j
+    for coeff, string in terms:
+        if coeff != 0.0:
+            if string not in matrices:
+                matrices[string] = pauli_word_matrix(string)
+            total += coeff * np.vdot(psi, matrices[string] @ psi)
+    return float(total.real)
+
+
+def fidelity_per_state(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 from ``np.vdot`` and the modulus of a numpy complex scalar."""
+    return float(abs(np.vdot(a, b)) ** 2)
+
+
+def sample_per_state(
+    amplitudes: np.ndarray, n: int, qubits: list[int], shots: int, seed: int
+) -> np.ndarray:
+    """Z-basis counts of the listed qubits of one state, outcome i in column i.
+
+    The marginal is summed, reordered, clipped and normalized for this
+    state alone, then drawn with ``np.random.default_rng(seed)``.
+    """
+    probs = np.abs(amplitudes.reshape((2,) * n)) ** 2
+    other = tuple(q for q in range(n) if q not in qubits)
+    marginal = probs.sum(axis=other) if other else probs
+    order = sorted(qubits)
+    marginal = np.transpose(marginal, [order.index(q) for q in qubits]).reshape(-1)
+    marginal = np.clip(marginal, 0.0, None)
+    marginal = marginal / marginal.sum()
+    return np.random.default_rng(seed).multinomial(shots, marginal)

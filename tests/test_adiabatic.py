@@ -6,6 +6,7 @@ from vacuum_refine import (
     EvolutionMode,
     PauliSum,
     Schedule,
+    Spectrum,
     StateVector,
     basis_state,
     evolve_step,
@@ -19,6 +20,8 @@ from vacuum_refine import (
     to_matrix,
     transverse_ising_pair,
 )
+
+from oracles import expectation_per_state, fidelity_per_state
 
 J = np.pi / 4
 
@@ -317,6 +320,96 @@ def test_trajectory_time_ordering_enforced():
     from vacuum_refine import Trajectory, TrajectoryRecord
 
     traj = Trajectory(metadata={})
-    traj.append(TrajectoryRecord(t=0.0, observables={}, fidelity=1.0, snapshot=None))
+    traj.append(TrajectoryRecord(t=0.0, observables={}, fidelity=1.0))
     with pytest.raises(DomainError):
-        traj.append(TrajectoryRecord(t=0.0, observables={}, fidelity=1.0, snapshot=None))
+        traj.append(TrajectoryRecord(t=0.0, observables={}, fidelity=1.0))
+
+
+# --- records read out in blocks ------------------------------------------
+
+CHAIN6 = PauliSum(
+    6,
+    tuple((-0.9 - 0.1 * q, "I" * q + "ZZ" + "I" * (4 - q)) for q in range(5))
+    + tuple((-0.7 + 0.05 * q, "I" * q + "X" + "I" * (5 - q)) for q in range(6))
+    + ((0.3, "YYIIII"),),
+)
+
+
+def test_block_readout_matches_per_state_readout():
+    # six qubits: blocks of 16 rows, so the 41 ramp records span three
+    # blocks and the 21 hold records two
+    h0 = initial_hamiltonian(J, 6)
+    observable = PauliSum(6, ((0.5, "ZIIIII"), (0.25, "IIZZII"), (-0.5, "IXIIIY")))
+    sched = Schedule(total_time=2.0, dt=0.05, hold_time=1.0)
+    final, ramp = run_adiabatic(
+        h0, CHAIN6, sched, EvolutionMode.EXACT_STEP, {"o": observable}, record_states=True
+    )
+    assert ramp.states.shape == (41, 64)
+    assert ramp.states[-1].tobytes() == final.amplitudes.tobytes()
+    matrices: dict = {}
+    state = basis_state(6, 0)
+    s_values = [0.0] + [(k + 0.5) * sched.dt / sched.total_time for k in range(40)]
+    for k, (record, psi, s) in enumerate(zip(ramp.records, ramp.states, s_values)):
+        h_k = interpolate(h0, CHAIN6, s)
+        spectrum = exact_diagonalize(h_k)
+        if k:
+            state = evolve_step(state, h_k, sched.dt, EvolutionMode.EXACT_STEP, spectrum)
+        assert psi.tobytes() == state.amplitudes.tobytes()
+        assert record.observables["energy"] == expectation_per_state(psi, h_k.terms, matrices)
+        assert record.observables["o"] == expectation_per_state(psi, observable.terms, matrices)
+        ground = spectrum.ground_state.amplitudes
+        assert record.fidelity == min(fidelity_per_state(psi, ground), 1.0)
+
+    held, hold = run_hold(
+        final,
+        CHAIN6,
+        sched,
+        EvolutionMode.EXACT_STEP,
+        {"o": observable},
+        record_states=True,
+        include_initial=True,
+    )
+    assert hold.states.shape == (21, 64)
+    assert hold.states[-1].tobytes() == held.amplitudes.tobytes()
+    ground = exact_diagonalize(CHAIN6).ground_state.amplitudes
+    for record, psi in zip(hold.records, hold.states):
+        assert record.observables["energy"] == expectation_per_state(psi, CHAIN6.terms, matrices)
+        assert record.fidelity == min(fidelity_per_state(psi, ground), 1.0)
+
+
+def test_states_are_kept_only_when_asked():
+    h0, h1 = initial_hamiltonian(J, 1), hadamard_hamiltonian(J)
+    sched = Schedule(total_time=1.0, dt=0.25, hold_time=0.5)
+    _, ramp = run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP)
+    assert ramp.states is None
+    _, bare = run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP, record_states=True, records=False)
+    assert bare.states is None
+    _, empty = run_hold(basis_state(1, 0), h1, Schedule(1.0, 0.25), EvolutionMode.EXACT_STEP, record_states=True)
+    assert empty.records == [] and empty.states.shape == (0, 2)
+
+
+def test_hold_refuses_a_state_that_leaves_the_unit_sphere():
+    # a non-unitary "spectrum" grows the norm step by step; the block's
+    # norm check refuses the first record past the tolerance
+    grow = Spectrum(1, np.array([0.0, 1e-8j]), np.eye(2))
+    plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
+    sched = Schedule(total_time=1.0, dt=0.25, hold_time=2.5)
+    with pytest.raises(DomainError, match="not normalized"):
+        run_hold(plus, hadamard_hamiltonian(J), sched, EvolutionMode.EXACT_STEP, spectrum=grow, fidelity_target=plus)
+
+
+def test_trotter_ramp_reads_the_coefficient_rows(count_calls):
+    # trotter1 steps read the same coefficient rows as exact mode and
+    # build no operator per step, with the result of stepping each
+    # interpolated operator on its own
+    interpolated = count_calls("hamiltonian.interpolate")
+    h0 = initial_hamiltonian(J, 3)
+    h1 = PauliSum(3, ((-0.9, "ZZI"), (-0.7, "XII"), (0.35, "YYI"), (0.2, "XYZ"), (-0.6, "IXI")))
+    sched = Schedule(total_time=2.0, dt=0.25)
+    final, _ = run_adiabatic(h0, h1, sched, EvolutionMode.TROTTER1)
+    assert interpolated == []
+    state = basis_state(3, 0)
+    for k in range(sched.num_ramp_steps):
+        step = interpolate(h0, h1, (k + 0.5) * sched.dt / sched.total_time)
+        state = evolve_step(state, step, sched.dt, EvolutionMode.TROTTER1)
+    assert final.amplitudes.tobytes() == state.amplitudes.tobytes()

@@ -19,6 +19,9 @@ from vacuum_refine import (
     shot_expectation,
     transverse_ising_pair,
 )
+from vacuum_refine.estimation import shot_estimates
+
+from oracles import random_state, sample_per_state
 
 J = np.pi / 4
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -180,3 +183,51 @@ def test_cross_term_dimension_check():
     spec = exact_diagonalize(hadamard_hamiltonian(J))
     with pytest.raises(DomainError):
         cross_term(basis_state(1, 0), spec, PauliSum(2, ((1.0, "ZZ"),)))
+
+
+# --- the stacked shot estimator against the per-state code -------------
+
+
+def _random_stack(n, rows, rng):
+    return np.array([random_state(n, rng) for _ in range(rows)])
+
+
+@pytest.mark.parametrize("string", ["X", "Y", "XYZ", "YIX", "IYY", "ZIZ", "IZI"])
+def test_shot_estimates_match_one_state_at_a_time(string):
+    # X and Y letters take the rotation path estimate_e0 uses
+    n = len(string)
+    rng = np.random.default_rng(70 + n)
+    states = _random_stack(n, 7, rng)
+    seeds = [900 + 5 * row for row in range(7)]
+    values, errors = shot_estimates(states, string, 3000, seeds)
+    for row, psi in enumerate(states):
+        one = shot_expectation(StateVector(n, psi), string, 3000, seeds[row])
+        assert (one.value, one.std_error) == (values[row], errors[row])
+
+
+@pytest.mark.parametrize("string", ["ZIZ", "IZI", "ZZZ"])
+def test_shot_estimates_match_per_state_sampling(string):
+    # a Z word samples the marginal of its qubits; 2 of 3 for ZIZ
+    rng = np.random.default_rng(72)
+    states = _random_stack(3, 6, rng)
+    seeds = [40 + row for row in range(6)]
+    measured = [q for q, ch in enumerate(string) if ch == "Z"]
+    values, errors = shot_estimates(states, string, 5000, seeds)
+    for row, psi in enumerate(states):
+        counts = sample_per_state(psi, 3, measured, 5000, seeds[row])
+        parity = sum((-1) ** bin(i).count("1") * int(c) for i, c in enumerate(counts))
+        mean = parity / 5000
+        assert values[row] == mean
+        assert errors[row] == np.sqrt(max(0.0, 1.0 - mean * mean) / 5000)
+
+
+def test_shot_estimates_validation():
+    states = _random_stack(2, 3, np.random.default_rng(73))
+    with pytest.raises(DomainError, match="register dimension"):
+        shot_estimates(states, "Z", 10, [1, 2, 3])
+    with pytest.raises(DomainError):
+        shot_estimates(states, "ZQ", 10, [1, 2, 3])
+    with pytest.raises(DomainError):
+        shot_estimates(states, "ZZ", 0, [1, 2, 3])
+    values, errors = shot_estimates(states, "II", 10, [1, 2, 3])
+    assert values.tolist() == [1.0] * 3 and errors.tolist() == [0.0] * 3

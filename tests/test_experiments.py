@@ -110,6 +110,27 @@ def test_filter_run_rejects_multi_qubit_model(tmp_path):
         cmd_filter_run(config)
 
 
+def test_refine_rejects_shot_estimation(tmp_path, capsys):
+    # refine estimates E0' exactly; a shots setting must not be ignored
+    extra = "model.hamiltonian = tfim2\nestimation.method = shots\nestimation.shots = 10\n"
+    with pytest.raises(ConfigError, match="estimation.method"):
+        cmd_refine(_config(tmp_path, extra))
+    assert not (tmp_path / "run_refinement.csv").exists()
+    cfg = tmp_path / "refine.cfg"
+    cfg.write_text(SMALL + extra + f"output.prefix = {tmp_path}/cli\n")
+    assert main(["refine", "--config", str(cfg)]) == 2
+    assert "estimation.method" in capsys.readouterr().err
+
+
+def test_sweep_shot_mode_without_hold_records(tmp_path):
+    # an empty hold leaves an empty state stack; the ramp's rows remain
+    text = "schedule.T = 2\nschedule.dt = 0.25\nschedule.hold_time = 0\nestimation.method = shots\n"
+    cmd_sweep(parse_config(text + f"output.prefix = {tmp_path}/run\n"))
+    table = _read_csv(tmp_path / "run_trajectory.csv")
+    assert len(table) == 1 + 9
+    assert all(float(row[2]) >= 0.0 for row in table[1:])
+
+
 def test_refine_converges_on_pair_model(tmp_path):
     extra = (
         "model.hamiltonian = tfim2\n"

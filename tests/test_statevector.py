@@ -6,6 +6,7 @@ from vacuum_refine import (
     DomainError,
     GateMatrix,
     ImpossibleOutcomeError,
+    NumericalConsistencyError,
     PauliSum,
     S,
     StateVector,
@@ -22,15 +23,27 @@ from vacuum_refine import (
     postselect,
     rx,
     rz,
+    weighted_expectation,
+)
+from vacuum_refine.pauli import compile_word
+from vacuum_refine.statevector import (
+    check_normalized,
+    expectations,
+    fidelities,
+    row_overlaps,
+    sample_counts,
 )
 
 from oracles import (
     embed_controlled,
     embed_gate,
+    expectation_per_state,
+    fidelity_per_state,
     haar_unitary,
     pauli_sum_matrix,
     pauli_word_matrix,
     random_state,
+    sample_per_state,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -279,3 +292,81 @@ def test_gate_phase_kept_verbatim():
     # S on |1> multiplies by i, no hidden normalization of phases
     one = basis_state(1, 1)
     assert apply_gate(one, S, [0]).amplitudes[1] == pytest.approx(1j)
+
+
+# --- stacked readouts against the per-state code ------------------------
+
+
+def _random_stack(n, rows, rng):
+    return np.array([random_state(n, rng) for _ in range(rows)])
+
+
+@pytest.mark.parametrize("n, rows", [(1, 6), (4, 6), (8, 6), (4, 1100)])
+def test_stacked_expectations_match_per_state(n, rows):
+    # 1100 rows of 16 amplitudes take the four words three, then one, at a time
+    rng = np.random.default_rng(40 + n)
+    states = _random_stack(n, rows, rng)
+    strings = ["Y" + "I" * (n - 1), "Z" * n, "".join(rng.choice(list("IXYZ"), n)), "X" * n]
+    words = [compile_word(s) for s in strings]
+    coeffs = rng.normal(size=(rows, len(strings)))
+    coeffs[2, 1] = 0.0  # this row skips the word
+    coeffs[4] = 0.0  # this row skips every word
+    matrices: dict = {}
+    got = expectations(states, coeffs, words)
+    shared = expectations(states, coeffs[:1], words)
+    for row, psi in enumerate(states):
+        terms = list(zip(coeffs[row].tolist(), strings))
+        expected = expectation_per_state(psi, terms, matrices)
+        assert got[row] == expected
+        state = StateVector(n, psi)
+        assert weighted_expectation(state, coeffs[row].tolist(), words) == expected
+        assert shared[row] == expectation_per_state(psi, list(zip(coeffs[0].tolist(), strings)), matrices)
+    assert got[4] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_stacked_fidelities_match_per_state(n):
+    rng = np.random.default_rng(50 + n)
+    a, b = _random_stack(n, 7, rng), _random_stack(n, 7, rng)
+    overlaps = row_overlaps(a, b)
+    got = fidelities(a, b)
+    against_one = fidelities(a, b[2:3])
+    for row in range(7):
+        assert overlaps[row] == np.vdot(a[row], b[row])
+        assert got[row] == fidelity_per_state(a[row], b[row])
+        assert against_one[row] == fidelity_per_state(a[row], b[2])
+        assert fidelity(StateVector(n, a[row]), StateVector(n, b[row])) == got[row]
+
+
+def test_stacked_norm_check_refuses_an_interior_row():
+    rng = np.random.default_rng(60)
+    states = _random_stack(3, 6, rng)
+    check_normalized(states)
+    for bad in (1.001, np.nan):
+        broken = states.copy()
+        broken[3] *= bad
+        with pytest.raises(DomainError, match="not normalized"):
+            check_normalized(broken)
+
+
+def test_stacked_expectations_refuse_a_nan_row():
+    rng = np.random.default_rng(61)
+    states = _random_stack(2, 5, rng)
+    states[2] = np.nan
+    words = [compile_word("ZX")]
+    with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
+        expectations(states, np.ones((1, 1)), words)
+
+
+@pytest.mark.parametrize("qubits", [[0], [1], [0, 2], [2, 0], [1, 2], [2, 1, 0]])
+def test_stacked_sampling_matches_per_state(qubits):
+    rng = np.random.default_rng(62)
+    states = _random_stack(3, 5, rng)
+    seeds = [700 + 3 * row for row in range(5)]
+    counts = sample_counts(states, 3, qubits, 4000, seeds)
+    k = len(qubits)
+    for row, psi in enumerate(states):
+        expected = sample_per_state(psi, 3, qubits, 4000, seeds[row])
+        assert counts[row].tolist() == expected.tolist()
+        histogram = measure_sample(StateVector(3, psi), qubits, 4000, seeds[row])
+        assert histogram == {format(i, f"0{k}b"): int(c) for i, c in enumerate(expected) if c}
