@@ -36,7 +36,7 @@ print("start weights:", np.round(weights, 6))
 print()
 
 for m in (2, 3):
-    report = refine_iteratively(start, h1, m=m, max_iters=5)
+    report = refine_iteratively(start, h1, spectrum, m=m, max_iters=5)
     print(f"m = {m} ancillas (powers {tuple(2 ** j for j in range(m))}):")
     print("  pass   E0'         theta      P(keep)    fidelity        excited")
     for i, s in enumerate(report.steps, start=1):

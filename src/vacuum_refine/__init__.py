@@ -57,7 +57,6 @@ from .filtering import (
     apply_filter,
     choose_theta,
     controlled_u_power,
-    estimate_e0,
     filter_amplitude,
     refine_iteratively,
     tag_circuit_one_qubit,
@@ -68,7 +67,6 @@ from .hamiltonian import (
     apply_evolution,
     evolution_unitary,
     exact_diagonalize,
-    format_pauli_text,
     hadamard_hamiltonian,
     initial_hamiltonian,
     interpolate,
@@ -81,12 +79,8 @@ from .hamiltonian import (
 from .pauli import PauliWord, apply_word, column_phases, compile_word
 from .statevector import (
     HADAMARD,
-    PAULI_MATRICES,
-    S,
     S_DAG,
     X,
-    Y,
-    Z,
     GateMatrix,
     StateVector,
     apply_controlled,
@@ -97,9 +91,4 @@ from .statevector import (
     fidelity,
     measure_sample,
     postselect,
-    rx,
-    rz,
-    weighted_expectation,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")] + ["__version__"]

@@ -39,7 +39,6 @@ from .errors import DomainError
 from .hamiltonian import (
     PauliSum,
     Spectrum,
-    _coefficient_row,
     apply_evolution,
     exact_diagonalize,
     ramp_coefficients,
@@ -49,6 +48,7 @@ from .pauli import PauliWord, apply_word
 from .statevector import (
     _STACK_ENTRIES,
     StateVector,
+    _coefficient_row,
     basis_state,
     check_normalized,
     expectations,
@@ -185,9 +185,8 @@ def evolve_step(
     """Advance the state by one step of duration ``dt`` under a fixed operator.
 
     In ``exact_step`` mode the step is applied from ``spectrum``, which
-    must be the caller's ``exact_diagonalize(h)``: only its size is
-    checked here.  Without it ``h`` is diagonalized here.  ``trotter1``
-    mode ignores it.
+    must be ``exact_diagonalize(h)``: only its size is checked here, and
+    a missing one is refused.  ``trotter1`` mode ignores it.
     """
     if h.num_qubits != state.num_qubits:
         raise DomainError(
@@ -196,7 +195,7 @@ def evolve_step(
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt!r}")
     if mode is EvolutionMode.EXACT_STEP and spectrum is None:
-        spectrum = exact_diagonalize(h)
+        raise DomainError("an exact step needs the spectrum of its operator")
     coeffs = _coefficient_row(h)[0]
     amplitudes = _advance(
         state.amplitudes, mode, dt, spectrum, h.words, coeffs, _trotter_order(h.words)
@@ -378,11 +377,13 @@ def run_hold(
     Record times are offset by ``start_time`` so a hold can continue a
     ramp trajectory.  Fidelity is taken against ``fidelity_target`` when
     given, otherwise against the ground state of ``h``.  ``spectrum``
-    must be the caller's ``exact_diagonalize(h)``, since only its size is
-    checked; without it ``h`` is diagonalized here, at most once, and
-    only when needed.  Every exact hold step is applied from that one
-    spectrum; as on the ramp, the step loop only advances amplitudes and
-    the records are read out in blocks.
+    must be ``exact_diagonalize(h)``, since only its size is checked.
+    Without it ``h`` is diagonalized here, once, and only when exact
+    steps or the fidelity target need it: an operator that exists only
+    for the hold, such as an ancilla-embedded one, has no spectrum
+    elsewhere.  Every exact hold step is applied from that one spectrum;
+    as on the ramp, the step loop only advances amplitudes and the
+    records are read out in blocks.
     """
     observables = dict(observables or {})
     _check_observables(observables, state.num_qubits)

@@ -17,6 +17,7 @@ Recognized keys:
     filter.ancillas        ancilla count m for filtering passes
     filter.theta_mode      ``auto`` | ``fixed``
     filter.theta           phase parameter, required when mode is fixed
+                           and refused otherwise
     filter.powers          comma list of propagator powers (default 2^j)
     filter.discard         post-select the ancillas (true) or keep the
                            joint state for mixed estimation (false)
@@ -215,6 +216,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"filter.ancillas: must be >= 1, got {filter_settings.ancillas}")
     if filter_settings.theta_mode == "fixed" and filter_settings.theta is None:
         raise ConfigError("filter.theta: required when filter.theta_mode = fixed")
+    if filter_settings.theta_mode != "fixed" and filter_settings.theta is not None:
+        raise ConfigError("filter.theta: set only with filter.theta_mode = fixed")
     if (
         filter_settings.powers is not None
         and len(filter_settings.powers) != filter_settings.ancillas

@@ -24,7 +24,7 @@ class NumericalConsistencyError(VacuumRefineError):
 
 
 class ResourceLimitError(VacuumRefineError):
-    """A dense-matrix operation exceeded the configured qubit cap."""
+    """A dense-matrix operation exceeded the qubit cap, ``DEFAULT_DENSE_CAP``."""
 
 
 class DegenerateEnergyError(VacuumRefineError):

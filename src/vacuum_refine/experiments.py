@@ -31,16 +31,11 @@ from .config import EstimationConfig, ExperimentConfig, build_model, config_to_t
 from .errors import ConfigError, DomainError
 from .estimation import corrected_expectation, cross_term, shot_estimates
 from .filtering import RefinementReport, refine_iteratively, tag_circuit_one_qubit
-from .hamiltonian import (
-    PauliSum,
-    Spectrum,
-    _coefficient_row,
-    exact_diagonalize,
-    initial_hamiltonian,
-)
+from .hamiltonian import PauliSum, Spectrum, exact_diagonalize, initial_hamiltonian
 from .statevector import (
     _STACK_ENTRIES,
     StateVector,
+    _coefficient_row,
     expectation_observable,
     expectations,
     fidelity,
@@ -180,9 +175,12 @@ def _write_manifest(
     return path
 
 
-def _prepare(config: ExperimentConfig):
-    """Shared ramp stage: returns (system operator, ramp final state, trajectories)."""
-    h1 = build_model(config)
+def _prepare(config: ExperimentConfig, h1: PauliSum):
+    """Shared ramp stage to the built model ``h1``.
+
+    Returns the estimator, the observables, the ramp's final state and
+    its trajectory.
+    """
     h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
     estimator = _Estimator(config.estimation)
     observables = {_OBS_KEY: _mean_z(h1.num_qubits)}
@@ -194,14 +192,15 @@ def _prepare(config: ExperimentConfig):
         observables,
         record_states=not estimator.exact,
     )
-    return h1, estimator, observables, final, ramp
+    return estimator, observables, final, ramp
 
 
 def cmd_sweep(config: ExperimentConfig) -> CommandResult:
     """Ramp plus hold with no filtering; the discretized benchmark sweep."""
     started = time.perf_counter()
     _ensure_output_dir(config.output_prefix)
-    h1, estimator, observables, final, ramp = _prepare(config)
+    h1 = build_model(config)
+    estimator, observables, final, ramp = _prepare(config, h1)
     spectrum = exact_diagonalize(h1)
     held, hold = run_hold(
         final,
@@ -258,9 +257,10 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
     """
     started = time.perf_counter()
     _ensure_output_dir(config.output_prefix)
-    h1, estimator, observables, final, ramp = _prepare(config)
+    h1 = build_model(config)
     if h1.num_qubits != 1:
         raise ConfigError("model.hamiltonian: filter-run requires a one-qubit model")
+    estimator, observables, final, ramp = _prepare(config, h1)
     spectrum = exact_diagonalize(h1)
 
     pre_tag_z = expectation_observable(final, observables[_OBS_KEY])
@@ -393,12 +393,12 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
     report = refine_iteratively(
         final,
         h1,
+        spectrum,
         m=config.filter.ancillas,
         max_iters=config.refine.max_iters,
         target_infidelity=config.refine.target_infidelity,
         powers=config.filter.powers,
         fixed_theta=fixed_theta,
-        spectrum=spectrum,
     )
     rows = []
     for index, step in enumerate(report.steps, start=1):

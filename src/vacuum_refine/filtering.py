@@ -9,9 +9,10 @@ alpha|0>|E0> + beta|1>|E1>, so reading the ancilla either discards the
 excited component (post-selection) or decoheres the superposition into a
 mixture whose measured values can be corrected in closed form.
 
-The second, ``apply_filter``, needs no eigenbasis knowledge.  Each of m
-ancillas is put on the Hadamard axis and kicks back the phase of a
-controlled propagator power
+The second, ``apply_filter``, needs no eigenbasis change, only the
+propagator, which the simulation applies from the operator's spectrum.
+Each of m ancillas is put on the Hadamard axis and kicks back the phase
+of a controlled propagator power
 
     U(theta)^p = (i * exp(-i * theta * H / 2))^p.
 
@@ -40,8 +41,8 @@ from .errors import (
     DomainError,
     ImpossibleOutcomeError,
 )
-from .estimation import eigen_overlaps, shot_expectation
-from .hamiltonian import PauliSum, Spectrum, apply_evolution, exact_diagonalize
+from .estimation import eigen_overlaps
+from .hamiltonian import PauliSum, Spectrum, apply_evolution
 from .statevector import (
     HADAMARD,
     X,
@@ -86,17 +87,10 @@ class FilterConfig:
 
 @dataclass(frozen=True, eq=False)
 class FilterOutcome:
-    """Result of one filter application.
-
-    ``refined_state`` holds the post-selected system register when the
-    excited branch was discarded; ``joint_state`` holds the full
-    ancilla+system register otherwise, for mixed-value estimation.
-    """
+    """Probability of the all-zeros ancilla outcome and the system state it leaves."""
 
     success_probability: float
-    kept: bool
-    refined_state: StateVector | None = None
-    joint_state: StateVector | None = None
+    refined_state: StateVector
 
 
 @dataclass(frozen=True)
@@ -141,16 +135,6 @@ def tag_circuit_one_qubit(joint: StateVector, spectrum: Spectrum) -> StateVector
     return apply_gate(tagged, GateMatrix(1, spectrum.eigenvectors), [1])
 
 
-def estimate_e0(state: StateVector, h: PauliSum, shots: int = 0, seed: int = 0) -> float:
-    """Energy estimate <psi|h|psi>, exact or from per-term sampling."""
-    if shots:
-        total = 0.0
-        for index, (coeff, string) in enumerate(h.terms):
-            total += coeff * shot_expectation(state, string, shots, seed + index).value
-        return total
-    return expectation_observable(state, h)
-
-
 def choose_theta(e0_prime: float) -> float:
     """Phase parameter pi / E0' putting the estimated level on resonance."""
     if abs(e0_prime) < _MIN_E0_PRIME:
@@ -163,24 +147,22 @@ def choose_theta(e0_prime: float) -> float:
 def controlled_u_power(
     joint: StateVector,
     ancilla: int,
-    h: PauliSum,
+    spectrum: Spectrum,
     theta: float,
     k: int,
-    spectrum: Spectrum | None = None,
 ) -> StateVector:
     """Apply the k-th power of i*exp(-i*theta*h/2) controlled on one ancilla.
 
-    The system register occupies the trailing ``h.num_qubits`` qubits of
-    ``joint`` and every qubit before it is an ancilla.  The power is
-    applied from the spectrum, with its phases scaled by i^k, to the
-    system amplitudes of the branches where ``ancilla`` is 1, so the
-    power of the global phase i acts as a relative phase between the
-    branches.  ``spectrum`` must be the caller's ``exact_diagonalize(h)``,
-    since only its size is checked; without it ``h`` is diagonalized here.
+    ``spectrum`` is ``exact_diagonalize(h)``.  The system register
+    occupies the trailing ``spectrum.num_qubits`` qubits of ``joint`` and
+    every qubit before it is an ancilla.  The power is applied from the
+    spectrum, with its phases scaled by i^k, to the system amplitudes of
+    the branches where ``ancilla`` is 1, so the power of the global phase
+    i acts as a relative phase between the branches.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"power k must be a positive integer, got {k!r}")
-    n_sys = h.num_qubits
+    n_sys = spectrum.num_qubits
     if joint.num_qubits <= n_sys:
         raise DomainError(
             f"joint register of {joint.num_qubits} qubit(s) has no room for ancillas"
@@ -191,8 +173,6 @@ def controlled_u_power(
             f"ancilla {ancilla!r} is not one of the {num_ancillas} qubit(s) "
             f"ahead of the system register"
         )
-    if spectrum is None:
-        spectrum = exact_diagonalize(h)
     psi = joint.amplitudes.reshape((2,) * num_ancillas + (-1,)).copy()
     branch = tuple(1 if a == ancilla else slice(None) for a in range(num_ancillas))
     psi[branch] = apply_evolution(spectrum, k * theta / 2.0, psi[branch], phase=1j**k)
@@ -209,88 +189,69 @@ def filter_amplitude(energy: float, theta: float, config: FilterConfig) -> compl
 
 
 def apply_filter(
-    system_state: StateVector,
-    h: PauliSum,
-    config: FilterConfig,
-    discard: bool = True,
-    spectrum: Spectrum | None = None,
+    system_state: StateVector, spectrum: Spectrum, config: FilterConfig
 ) -> FilterOutcome:
-    """Run the m-ancilla filter circuit against a system state.
+    """Run the m-ancilla filter circuit against a system state and post-select.
 
+    ``spectrum`` is ``exact_diagonalize(h)`` and serves every ancilla.
     Ancillas are allocated internally in |0...0> ahead of the system
-    register.  With ``discard`` the all-zeros ancilla outcome is
-    post-selected and the collapsed system state returned; otherwise the
-    entangled joint state is returned for mixed-value estimation.
-    ``spectrum`` is the caller's ``exact_diagonalize(h)``; without it
-    ``h`` is diagonalized once here for all ancillas.
+    register, and the all-zeros ancilla outcome is post-selected.
     """
-    if h.num_qubits != system_state.num_qubits:
+    n_sys = spectrum.num_qubits
+    if n_sys != system_state.num_qubits:
         raise DomainError(
-            f"operator acts on {h.num_qubits} qubit(s), state has {system_state.num_qubits}"
+            f"operator acts on {n_sys} qubit(s), state has {system_state.num_qubits}"
         )
     m = config.num_ancillas
     ancilla_amps = np.zeros(2**m, dtype=np.complex128)
     ancilla_amps[0] = 1.0
-    joint = StateVector(m + h.num_qubits, np.kron(ancilla_amps, system_state.amplitudes))
-    if spectrum is None:
-        spectrum = exact_diagonalize(h)
+    joint = StateVector(m + n_sys, np.kron(ancilla_amps, system_state.amplitudes))
     for a in range(m):
         joint = apply_gate(joint, HADAMARD, [a])
     for a in range(m):
-        joint = controlled_u_power(joint, a, h, config.theta, config.powers[a], spectrum)
+        joint = controlled_u_power(joint, a, spectrum, config.theta, config.powers[a])
     for a in range(m):
         joint = apply_gate(joint, HADAMARD, [a])
-    if discard:
-        probability, refined = postselect(joint, list(range(m)), "0" * m)
-        return FilterOutcome(
-            success_probability=probability, kept=True, refined_state=refined
-        )
-    block = joint.amplitudes.reshape((2**m, -1))[0]
-    probability = float(np.sum(np.abs(block) ** 2))
-    return FilterOutcome(success_probability=probability, kept=False, joint_state=joint)
+    probability, refined = postselect(joint, list(range(m)), "0" * m)
+    return FilterOutcome(success_probability=probability, refined_state=refined)
 
 
 def refine_iteratively(
     system_state: StateVector,
     h: PauliSum,
+    spectrum: Spectrum,
     m: int,
     max_iters: int = 5,
     target_infidelity: float = 1e-8,
     powers: tuple[int, ...] | None = None,
     fixed_theta: float | None = None,
-    spectrum: Spectrum | None = None,
 ) -> RefinementReport:
     """Alternate energy estimation and filtering until the state is clean.
 
-    Each pass estimates E0' on the current state, picks
-    theta = pi / E0' (or reuses ``fixed_theta``), filters with ``m``
-    ancillas and post-selects.  Per-pass metrics come from the exact
-    spectrum, which serves as the measuring stick and as the source of
-    the filter's propagators.  A pass whose post-selection is impossible
-    or whose energy estimate cannot set a phase is recorded with the
-    pre-filter metrics and aborts the loop; completed passes always
-    report post-filter metrics.  ``spectrum`` is the caller's
-    ``exact_diagonalize(h)``; without it ``h`` is diagonalized here.
+    ``spectrum`` is ``exact_diagonalize(h)``.  Each pass estimates
+    E0' = <psi|h|psi> on the current state, picks theta = pi / E0' (or
+    reuses ``fixed_theta``), filters with ``m`` ancillas and post-selects.
+    Per-pass metrics come from the exact spectrum, which serves as the
+    measuring stick and as the source of the filter's propagators.  A
+    pass whose post-selection is impossible or whose energy estimate
+    cannot set a phase is recorded with the pre-filter metrics and aborts
+    the loop; completed passes always report post-filter metrics.
     """
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters!r}")
     if target_infidelity < 0:
         raise DomainError(f"target_infidelity must be >= 0, got {target_infidelity!r}")
-    if spectrum is None:
-        spectrum = exact_diagonalize(h)
     if spectrum.degenerate:
         raise DomainError("iterative refinement needs a non-degenerate ground level")
     state = system_state
     steps: list[RefinementStep] = []
     status = "max_iterations"
     for _ in range(max_iters):
-        e0_prime = estimate_e0(state, h)
+        e0_prime = expectation_observable(state, h)
         theta = float("nan")
         try:
             theta = fixed_theta if fixed_theta is not None else choose_theta(e0_prime)
-            outcome = apply_filter(
-                state, h, FilterConfig(m, theta, powers), discard=True, spectrum=spectrum
-            )
+            outcome = apply_filter(state, spectrum, FilterConfig(m, theta, powers))
         except (DegenerateEnergyError, ImpossibleOutcomeError) as exc:
             weights = eigen_overlaps(state, spectrum).weights
             steps.append(

@@ -15,7 +15,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .pauli import PauliWord, column_phases, compile_word, word_masks
-from .statevector import _STACK_ENTRIES, _UNITARY_ATOL, GateMatrix, StateVector
+from .statevector import _STACK_ENTRIES, _UNITARY_ATOL, GateMatrix, StateVector, _coefficient_row
 
 DEFAULT_DENSE_CAP = 10
 DEGENERACY_TOL = 1e-10
@@ -64,22 +64,14 @@ class PauliSum:
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "words", tuple(compile_word(s) for _, s in cleaned))
 
-    def scaled(self, factor: float) -> "PauliSum":
-        """Multiply every coefficient by a real factor."""
-        return PauliSum(self.num_qubits, tuple((factor * c, s) for c, s in self.terms))
 
-
-def hadamard_hamiltonian(J: float, num_qubits: int = 1) -> PauliSum:
+def hadamard_hamiltonian(J: float) -> PauliSum:
     """The single-qubit target operator -J * (Z + X) / sqrt(2).
 
     Its eigenvalues are -J and +J and the ground state has <Z> = 1/sqrt(2).
-    Only one qubit is supported; larger registers have no analogue with
-    this normalization.
     """
     if J <= 0:
         raise DomainError(f"coupling J must be positive, got {J!r}")
-    if num_qubits != 1:
-        raise DomainError("the Hadamard-axis model is defined on exactly one qubit")
     w = -J / np.sqrt(2.0)
     return PauliSum(1, ((w, "X"), (w, "Z")))
 
@@ -96,11 +88,11 @@ def initial_hamiltonian(J: float, num_qubits: int) -> PauliSum:
     return PauliSum(num_qubits, terms)
 
 
-def transverse_ising_pair(J: float, transverse: float = 1.0) -> PauliSum:
-    """A two-qubit demo target: -J * (Z0 Z1 + g * (X0 + X1))."""
+def transverse_ising_pair(J: float) -> PauliSum:
+    """A two-qubit demo target: -J * (Z0 Z1 + X0 + X1)."""
     if J <= 0:
         raise DomainError(f"coupling J must be positive, got {J!r}")
-    return PauliSum(2, ((-J, "ZZ"), (-J * transverse, "XI"), (-J * transverse, "IX")))
+    return PauliSum(2, ((-J, "ZZ"), (-J, "XI"), (-J, "IX")))
 
 
 def _check_ramp(h0: PauliSum, h1: PauliSum, s_values: Sequence[float]) -> None:
@@ -161,16 +153,16 @@ def _dense_stack(
     words: Sequence[PauliWord],
     coeffs: np.ndarray,
     real: bool,
-    cap: int,
 ) -> np.ndarray:
     """Dense matrices of sum_t coeffs[k, t] * words[t], one per row k, as one stack.
 
     Entry ``[k, c ^ x, c]`` of each word is its coefficient in row k times
     its phase, and each entry sums the words in order, starting from zero.
+    Registers above ``DEFAULT_DENSE_CAP`` qubits are refused.
     """
-    if num_qubits > cap:
+    if num_qubits > DEFAULT_DENSE_CAP:
         raise ResourceLimitError(
-            f"dense matrix for {num_qubits} qubit(s) exceeds the cap of {cap}"
+            f"dense matrix for {num_qubits} qubit(s) exceeds the cap of {DEFAULT_DENSE_CAP}"
         )
     dim = 2**num_qubits
     rows = coeffs.shape[0]
@@ -205,12 +197,8 @@ def _refuse_above(values: np.ndarray, tol: float, message: str) -> None:
         raise NumericalConsistencyError(message.format(values[~passed][0]))
 
 
-def _coefficient_row(h: PauliSum) -> np.ndarray:
-    return np.array([coeff for coeff, _ in h.terms], dtype=np.float64).reshape(1, -1)
-
-
-def to_matrix(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense Hermitian matrix of the operator, refused above ``cap`` qubits.
+def to_matrix(h: PauliSum) -> np.ndarray:
+    """Dense Hermitian matrix of the operator, refused above ``DEFAULT_DENSE_CAP`` qubits.
 
     The matrix is float64 when every word has an even number of Y letters
     (an even power of i, so every phase is +1 or -1) and complex128
@@ -219,7 +207,7 @@ def to_matrix(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     is the one-operator case of the stacked build ``ramp_spectra`` uses.
     """
     coeffs = _coefficient_row(h)
-    return _dense_stack(h.num_qubits, h.words, coeffs, _real_rows(h.words, coeffs)[0], cap)[0]
+    return _dense_stack(h.num_qubits, h.words, coeffs, _real_rows(h.words, coeffs)[0])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,10 +282,7 @@ def _diagonalize_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stacked_spectra(
-    num_qubits: int,
-    words: Sequence[PauliWord],
-    coeffs: np.ndarray,
-    cap: int = DEFAULT_DENSE_CAP,
+    num_qubits: int, words: Sequence[PauliWord], coeffs: np.ndarray
 ) -> Iterator[Spectrum]:
     """One spectrum per row of ``coeffs``, built and diagonalized in stacks.
 
@@ -312,21 +297,21 @@ def _stacked_spectra(
         stop = start + 1
         while stop < min(start + chunk, len(coeffs)) and real[stop] == real[start]:
             stop += 1
-        matrices = _dense_stack(num_qubits, words, coeffs[start:stop], real[start], cap)
+        matrices = _dense_stack(num_qubits, words, coeffs[start:stop], real[start])
         values, vectors = _diagonalize_stack(matrices)
         for k in range(stop - start):
             yield Spectrum(num_qubits, values[k], vectors[k])
         start = stop
 
 
-def exact_diagonalize(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> Spectrum:
+def exact_diagonalize(h: PauliSum) -> Spectrum:
     """Full eigendecomposition of the operator with deterministic phases.
 
     A real operator's float64 matrix goes through real ``eigh`` and real
     checks; the dtype of the matrix selects the arithmetic throughout.
     This is the one-operator case of ``ramp_spectra``'s stacked path.
     """
-    return next(_stacked_spectra(h.num_qubits, h.words, _coefficient_row(h), cap))
+    return next(_stacked_spectra(h.num_qubits, h.words, _coefficient_row(h)))
 
 
 def ramp_spectra(h0: PauliSum, h1: PauliSum, s_values: Sequence[float]) -> Iterator[Spectrum]:
@@ -364,24 +349,17 @@ def apply_evolution(
     return ((amplitudes.conj() @ v).conj() * phases) @ v.T
 
 
-def evolution_unitary(
-    h: PauliSum,
-    duration: float,
-    cap: int = DEFAULT_DENSE_CAP,
-    spectrum: Spectrum | None = None,
-) -> GateMatrix:
+def evolution_unitary(spectrum: Spectrum, duration: float) -> GateMatrix:
     """The full-register propagator exp(-i * h * duration) as a dense gate.
 
-    This is ``apply_evolution`` applied to the identity, for callers that
-    need the matrix itself; the commands never build it.  ``spectrum``
-    must be the caller's ``exact_diagonalize(h)``; without it the
-    operator is diagonalized here.
+    ``spectrum`` is ``exact_diagonalize(h)``.  This is ``apply_evolution``
+    applied to the identity, for callers that need the matrix itself; the
+    commands never build it.
     """
-    if spectrum is None:
-        spectrum = exact_diagonalize(h, cap)
     # Row r of the result is the propagator applied to basis vector r,
     # i.e. column r of the propagator, hence the transpose.
-    return GateMatrix(h.num_qubits, apply_evolution(spectrum, duration, np.eye(spectrum.dim)).T)
+    identity = np.eye(spectrum.dim)
+    return GateMatrix(spectrum.num_qubits, apply_evolution(spectrum, duration, identity).T)
 
 
 def parse_pauli_text(text: str) -> PauliSum:
@@ -418,8 +396,3 @@ def parse_pauli_text(text: str) -> PauliSum:
     if not entries or width is None:
         raise ConfigError("operator text contains no terms")
     return PauliSum(width, tuple(entries))
-
-
-def format_pauli_text(h: PauliSum) -> str:
-    """Serialize an operator to the text format; round-trips losslessly."""
-    return "\n".join(f"{coeff!r} {string}" for coeff, string in h.terms) + "\n"

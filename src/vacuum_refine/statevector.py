@@ -42,13 +42,6 @@ _IMAG_RESIDUE_LIMIT = 1e-8
 # amplitudes or applied words here, matrix entries in ``hamiltonian``.
 _STACK_ENTRIES = 2**16
 
-PAULI_MATRICES: dict[str, np.ndarray] = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
 
 @dataclass(frozen=True, eq=False)
 class GateMatrix:
@@ -78,25 +71,9 @@ def _gate(matrix: Iterable[Iterable[complex]]) -> GateMatrix:
     return GateMatrix(arity, m)
 
 
-X = _gate(PAULI_MATRICES["X"])
-Y = _gate(PAULI_MATRICES["Y"])
-Z = _gate(PAULI_MATRICES["Z"])
+X = _gate([[0, 1], [1, 0]])
 HADAMARD = _gate(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0))
-S = _gate([[1, 0], [0, 1j]])
 S_DAG = _gate([[1, 0], [0, -1j]])
-
-
-def rz(theta: float) -> GateMatrix:
-    """Rotation about Z: exp(-i * theta * Z / 2)."""
-    half = 0.5 * theta
-    return _gate([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
-
-
-def rx(theta: float) -> GateMatrix:
-    """Rotation about X: exp(-i * theta * X / 2)."""
-    half = 0.5 * theta
-    c, s = np.cos(half), -1j * np.sin(half)
-    return _gate([[c, s], [s, c]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,18 +94,6 @@ class StateVector:
             )
         check_normalized(amps[np.newaxis])
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def normalized(cls, amplitudes: Iterable[complex]) -> "StateVector":
-        """Build a state from raw amplitudes, rescaling them to unit norm."""
-        amps = np.asarray(list(amplitudes), dtype=np.complex128).reshape(-1)
-        n = int(round(np.log2(amps.shape[0]))) if amps.shape[0] > 1 else 0
-        if amps.shape[0] < 2 or amps.shape[0] != 2**n:
-            raise DomainError(f"amplitude count {amps.shape[0]} is not a power of two >= 2")
-        norm = float(np.linalg.norm(amps))
-        if norm < 1e-12:
-            raise DomainError("cannot normalize a zero vector")
-        return cls(n, amps / norm)
 
 
 def check_normalized(amplitudes: np.ndarray) -> None:
@@ -320,12 +285,22 @@ def apply_pauli_string(state: StateVector, string: str) -> StateVector:
 
 
 def expectation_observable(state: StateVector, observable: "PauliSum") -> float:
-    """Exact expectation value of a real-weighted Pauli-string operator."""
+    """Exact expectation value of a real-weighted Pauli-string operator.
+
+    The terms are summed in order; this is the one-row case of
+    ``expectations`` with the observable's coefficient row.
+    """
     if observable.num_qubits != state.num_qubits:
         raise DomainError(
             f"observable acts on {observable.num_qubits} qubit(s), state has {state.num_qubits}"
         )
-    return weighted_expectation(state, [c for c, _ in observable.terms], observable.words)
+    row = _coefficient_row(observable)
+    return float(expectations(state.amplitudes[np.newaxis], row, observable.words)[0])
+
+
+def _coefficient_row(h: "PauliSum") -> np.ndarray:
+    """The operator's coefficients as one (1, terms) float64 row."""
+    return np.array([coeff for coeff, _ in h.terms], dtype=np.float64).reshape(1, -1)
 
 
 def row_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -369,19 +344,6 @@ def expectations(
     if not worst <= _IMAG_RESIDUE_LIMIT:
         raise NumericalConsistencyError(f"expectation value has imaginary residue {worst:.3e}")
     return total.real
-
-
-def weighted_expectation(
-    state: StateVector, coeffs: Sequence[float], words: Sequence[PauliWord]
-) -> float:
-    """Exact expectation of sum_t coeffs[t] * words[t], summed in order.
-
-    Exact-zero coefficients are skipped, so a word that cancels adds
-    nothing, as if it had been merged away.  This is the one-row case of
-    ``expectations``.
-    """
-    row = np.asarray(coeffs, dtype=np.float64).reshape(1, -1)
-    return float(expectations(state.amplitudes[np.newaxis], row, words)[0])
 
 
 def fidelities(a: np.ndarray, b: np.ndarray) -> list[float]:

@@ -27,9 +27,9 @@ from vacuum_refine import (
     cmd_sweep,
     corrected_expectation,
     eigen_overlaps,
-    estimate_e0,
     evolution_unitary,
     exact_diagonalize,
+    expectation_observable,
     filter_amplitude,
     hadamard_hamiltonian,
     initial_hamiltonian,
@@ -263,7 +263,7 @@ def test_criterion_6_filter_closed_form():
         mix = float(rng.uniform(0.2, 0.8))
         coeffs = np.array([np.sqrt(mix), np.sqrt(1 - mix) * np.exp(2j * np.pi * rng.random())])
         psi = StateVector(1, spectrum.eigenvectors @ coeffs)
-        outcome = apply_filter(psi, h, config, discard=True)
+        outcome = apply_filter(psi, spectrum, config)
         refined_coeffs = eigen_overlaps(outcome.refined_state, spectrum).coefficients
         scale = np.sqrt(outcome.success_probability)
         for j in range(2):
@@ -279,7 +279,7 @@ def test_criterion_6_filter_closed_form():
     theta = choose_theta(-J)
     config = FilterConfig(2, theta)
     psi = StateVector(1, spectrum.eigenvectors @ np.array([INV_SQRT2, INV_SQRT2]))
-    outcome = apply_filter(psi, hadamard_hamiltonian(J), config, discard=True)
+    outcome = apply_filter(psi, spectrum, config)
     excited_left = abs(
         np.sqrt(outcome.success_probability)
         * eigen_overlaps(outcome.refined_state, spectrum).coefficients[1]
@@ -314,7 +314,7 @@ def test_criterion_7_iterative_refinement(outdir):
     worst = 0.0
     fidelities = []
     for _ in range(5):
-        e0p = estimate_e0(state, h1)
+        e0p = expectation_observable(state, h1)
         theta = choose_theta(e0p)
         config = FilterConfig(3, theta)
         before = eigen_overlaps(state, spectrum).weights
@@ -323,7 +323,7 @@ def test_criterion_7_iterative_refinement(outdir):
         )
         predicted = before * amps
         predicted /= predicted.sum()
-        outcome = apply_filter(state, h1, config, discard=True)
+        outcome = apply_filter(state, spectrum, config)
         state = outcome.refined_state
         after = eigen_overlaps(state, spectrum).weights
         worst = max(worst, float(np.max(np.abs(after - predicted))))
@@ -397,7 +397,7 @@ def test_criterion_8_numerical_hygiene():
     ratio = deviation(1.0 / 12.0) / deviation(1.0 / 24.0)
 
     # group property of the dense propagator
-    pair = transverse_ising_pair(J)
+    pair = exact_diagonalize(transverse_ising_pair(J))
     u1 = evolution_unitary(pair, 0.7).entries
     u2 = evolution_unitary(pair, 1.1).entries
     u12 = evolution_unitary(pair, 1.8).entries

@@ -53,8 +53,18 @@ def test_exact_step_phases_eigenstate():
     # |0> is the -J eigenstate of -J Z, so one step contributes e^{+iJ dt}
     h = initial_hamiltonian(J, 1)
     dt = 0.5
-    stepped = evolve_step(basis_state(1, 0), h, dt, EvolutionMode.EXACT_STEP)
+    spectrum = exact_diagonalize(h)
+    stepped = evolve_step(basis_state(1, 0), h, dt, EvolutionMode.EXACT_STEP, spectrum)
     assert stepped.amplitudes[0] == pytest.approx(np.exp(1j * J * dt), abs=1e-14)
+
+
+def test_exact_step_needs_a_spectrum():
+    h = initial_hamiltonian(J, 1)
+    with pytest.raises(DomainError, match="spectrum"):
+        evolve_step(basis_state(1, 0), h, 0.5, EvolutionMode.EXACT_STEP)
+    # a trotter1 step reads only the operator's terms
+    stepped = evolve_step(basis_state(1, 0), h, 0.5, EvolutionMode.TROTTER1)
+    assert stepped.amplitudes[0] == pytest.approx(np.exp(0.5j * J), abs=1e-14)
 
 
 def test_trotter_exact_agree_for_commuting_terms():
@@ -64,7 +74,7 @@ def test_trotter_exact_agree_for_commuting_terms():
     from oracles import random_state
 
     state = StateVector(2, random_state(2, rng))
-    a = evolve_step(state, h, 0.37, EvolutionMode.EXACT_STEP)
+    a = evolve_step(state, h, 0.37, EvolutionMode.EXACT_STEP, exact_diagonalize(h))
     b = evolve_step(state, h, 0.37, EvolutionMode.TROTTER1)
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
@@ -74,10 +84,11 @@ def test_single_step_error_scales_quadratically():
     # step at dt/2, each against the exact step of matching duration, gives
     # an error ratio of about 4
     h = interpolate(initial_hamiltonian(J, 1), hadamard_hamiltonian(J), 0.5)
+    spectrum = exact_diagonalize(h)
     state = basis_state(1, 0)
 
     def err(dt):
-        a = evolve_step(state, h, dt, EvolutionMode.EXACT_STEP)
+        a = evolve_step(state, h, dt, EvolutionMode.EXACT_STEP, spectrum)
         b = evolve_step(state, h, dt, EvolutionMode.TROTTER1)
         return np.linalg.norm(a.amplitudes - b.amplitudes)
 
@@ -272,7 +283,7 @@ def test_hold_time_offset_and_target():
 def test_crossing_ramp_records_degeneracy_warning():
     # ramping -JZ to +JZ passes through zero coupling where the levels meet
     h0 = initial_hamiltonian(J, 1)
-    h1 = h0.scaled(-1.0)
+    h1 = PauliSum(1, ((J, "Z"),))
     sched = Schedule(total_time=1.0, dt=1.0 / 3.0)
     _, traj = run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP)
     assert any("degenerate" in w for w in traj.metadata["warnings"])

@@ -12,6 +12,7 @@ from vacuum_refine import (
     parse_config,
     with_overrides,
 )
+from vacuum_refine.cli import main
 
 
 def test_empty_config_gives_benchmark_defaults():
@@ -119,6 +120,17 @@ def test_fixed_theta_mode_requires_theta():
         parse_config("filter.theta_mode = fixed")
     config = parse_config("filter.theta_mode = fixed\nfilter.theta = -4.0")
     assert config.filter.theta == -4.0
+
+
+def test_theta_without_fixed_mode_rejected(tmp_path, capsys):
+    # auto mode picks theta = pi/E0' each pass, so a given theta would be ignored
+    for text in ("filter.theta = 0.5", "filter.theta_mode = auto\nfilter.theta = 0.5"):
+        with pytest.raises(ConfigError, match="filter.theta"):
+            parse_config(text)
+    cfg = tmp_path / "theta.cfg"
+    cfg.write_text(f"filter.theta = 0.5\noutput.prefix = {tmp_path}/run\n")
+    assert main(["refine", "--config", str(cfg)]) == 2
+    assert "filter.theta" in capsys.readouterr().err
 
 
 def test_powers_must_match_ancilla_count():

@@ -96,7 +96,7 @@ def test_shot_expectation_x_basis():
 
 def test_shot_expectation_y_basis():
     # (|0> + i|1>)/sqrt(2) is the +1 eigenstate of Y
-    state = StateVector.normalized([1.0, 1.0j])
+    state = StateVector(1, np.array([INV_SQRT2, 1j * INV_SQRT2]))
     assert shot_expectation(state, "Y", 1000, seed=3).value == 1.0
 
 
@@ -194,7 +194,7 @@ def _random_stack(n, rows, rng):
 
 @pytest.mark.parametrize("string", ["X", "Y", "XYZ", "YIX", "IYY", "ZIZ", "IZI"])
 def test_shot_estimates_match_one_state_at_a_time(string):
-    # X and Y letters take the rotation path estimate_e0 uses
+    # X and Y letters take the basis-rotation path before sampling
     n = len(string)
     rng = np.random.default_rng(70 + n)
     states = _random_stack(n, 7, rng)

@@ -13,6 +13,7 @@ from vacuum_refine import (
     cmd_sweep,
     parse_config,
 )
+from vacuum_refine import experiments
 from vacuum_refine.cli import main
 
 SMALL = """
@@ -108,6 +109,15 @@ def test_filter_run_rejects_multi_qubit_model(tmp_path):
     config = _config(tmp_path, "model.hamiltonian = tfim2\n")
     with pytest.raises(ConfigError, match="one-qubit"):
         cmd_filter_run(config)
+
+
+def test_filter_run_refuses_multi_qubit_model_before_the_ramp(tmp_path, monkeypatch):
+    def no_ramp(*args, **kwargs):
+        raise AssertionError("the ramp ran before the model was checked")
+
+    monkeypatch.setattr(experiments, "run_adiabatic", no_ramp)
+    with pytest.raises(ConfigError, match="one-qubit"):
+        cmd_filter_run(_config(tmp_path, "model.hamiltonian = tfim2\n"))
 
 
 def test_refine_rejects_shot_estimation(tmp_path, capsys):

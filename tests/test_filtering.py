@@ -12,7 +12,6 @@ from vacuum_refine import (
     choose_theta,
     controlled_u_power,
     eigen_overlaps,
-    estimate_e0,
     exact_diagonalize,
     expectation_observable,
     filter_amplitude,
@@ -90,22 +89,14 @@ def test_tag_preconditions():
 
 
 def test_estimate_e0_exact():
+    # each pass estimates E0' as the exact energy <psi|h|psi> of its input
     spec, v0, v1 = _eigpair()
     h = hadamard_hamiltonian(J)
-    assert estimate_e0(StateVector(1, v0), h) == pytest.approx(-J, abs=1e-12)
+    ground = refine_iteratively(StateVector(1, v0), h, spec, m=1, max_iters=1)
+    assert ground.steps[0].e0_prime == pytest.approx(-J, abs=1e-12)
     mixed = StateVector(1, np.sqrt(0.9) * v0 + np.sqrt(0.1) * v1)
-    assert estimate_e0(mixed, h) == pytest.approx(0.9 * -J + 0.1 * J, abs=1e-12)
-
-
-def test_estimate_e0_shots_deterministic_and_close():
-    spec, v0, v1 = _eigpair()
-    h = hadamard_hamiltonian(J)
-    mixed = StateVector(1, np.sqrt(0.9) * v0 + np.sqrt(0.1) * v1)
-    first = estimate_e0(mixed, h, shots=100_000, seed=5)
-    second = estimate_e0(mixed, h, shots=100_000, seed=5)
-    assert first == second
-    assert first == pytest.approx(0.8 * -J, abs=0.02)
-    assert estimate_e0(mixed, h, shots=100_000, seed=6) != first
+    report = refine_iteratively(mixed, h, spec, m=1, max_iters=1)
+    assert report.steps[0].e0_prime == pytest.approx(0.9 * -J + 0.1 * J, abs=1e-12)
 
 
 def test_choose_theta():
@@ -121,11 +112,10 @@ def test_controlled_u_power_phase_kickback():
     # with the ancilla in |+> and the system in an eigenstate |E>, the k-th
     # controlled power writes z^k = (i e^{-i E theta/2})^k onto the |1> branch
     spec, v0, _ = _eigpair()
-    h = hadamard_hamiltonian(J)
     theta = -4.0
     for k in (1, 2, 4):
         joint = StateVector(2, np.kron([1.0, 1.0] / np.sqrt(2.0), v0))
-        moved = controlled_u_power(joint, 0, h, theta, k)
+        moved = controlled_u_power(joint, 0, spec, theta, k)
         blocks = moved.amplitudes.reshape(2, 2)
         z = 1j * np.exp(-0.5j * -J * theta)
         ratio = blocks[1] @ v0.conj()
@@ -139,13 +129,14 @@ def test_controlled_u_power_matches_dense_oracle():
     from oracles import random_state
 
     h = transverse_ising_pair(J)
+    spec = exact_diagonalize(h)
     hmat = pauli_sum_matrix(h.terms, 2)
     vals, vecs = np.linalg.eigh(hmat)
     theta = 0.8
     for k in (1, 2, 3):
         amps = random_state(3, rng)
         joint = StateVector(3, amps)
-        got = controlled_u_power(joint, 0, h, theta, k).amplitudes
+        got = controlled_u_power(joint, 0, spec, theta, k).amplitudes
         u = (vecs * np.exp(-1j * vals * k * theta / 2.0)) @ vecs.conj().T
         dense = embed_controlled((1j**k) * u, [0], [1, 2], 3)
         assert np.max(np.abs(got - dense @ amps)) < 1e-12
@@ -156,31 +147,33 @@ def test_controlled_u_power_middle_ancilla_matches_dense_oracle():
 
     rng = np.random.default_rng(17)
     h = transverse_ising_pair(J)
+    spec = exact_diagonalize(h)
     vals, vecs = np.linalg.eigh(pauli_sum_matrix(h.terms, 2))
     theta = -1.3
     for k in (1, 2, 3, 4):
         # three ancillas ahead of the two system qubits, controlled on the middle one
         amps = random_state(5, rng)
-        got = controlled_u_power(StateVector(5, amps), 1, h, theta, k).amplitudes
+        got = controlled_u_power(StateVector(5, amps), 1, spec, theta, k).amplitudes
         u = (vecs * np.exp(-1j * vals * k * theta / 2.0)) @ vecs.conj().T
         dense = embed_controlled((1j**k) * u, [1], [3, 4], 5)
         assert np.max(np.abs(got - dense @ amps)) < 1e-12
 
 
 def test_controlled_u_power_validation():
-    h = hadamard_hamiltonian(J)
+    spec, _, _ = _eigpair()
     joint = basis_state(2, 0)
     with pytest.raises(DomainError):
-        controlled_u_power(joint, 0, h, 1.0, 0)
+        controlled_u_power(joint, 0, spec, 1.0, 0)
     with pytest.raises(DomainError):
-        controlled_u_power(joint, 1, h, 1.0, 1)  # ancilla inside system register
+        controlled_u_power(joint, 1, spec, 1.0, 1)  # ancilla inside system register
     with pytest.raises(DomainError):
-        controlled_u_power(joint, -1, h, 1.0, 1)
+        controlled_u_power(joint, -1, spec, 1.0, 1)
     with pytest.raises(DomainError):
-        controlled_u_power(basis_state(1, 0), 0, h, 1.0, 1)
-    wrong = exact_diagonalize(transverse_ising_pair(J))
-    with pytest.raises(DomainError, match="spectrum dimension"):
-        controlled_u_power(joint, 0, h, 1.0, 1, spectrum=wrong)
+        controlled_u_power(basis_state(1, 0), 0, spec, 1.0, 1)
+    # the system register is as wide as the spectrum's operator
+    pair = exact_diagonalize(transverse_ising_pair(J))
+    with pytest.raises(DomainError, match="no room for ancillas"):
+        controlled_u_power(joint, 0, pair, 1.0, 1)
 
 
 def test_filter_amplitude_resonance_and_rejection():
@@ -206,7 +199,6 @@ def test_filter_amplitude_magnitude_closed_form():
 
 def test_apply_filter_matches_closed_form_one_qubit():
     spec, v0, v1 = _eigpair()
-    h = hadamard_hamiltonian(J)
     rng = np.random.default_rng(17)
     for _ in range(20):
         mix = rng.uniform(0.05, 0.95)
@@ -214,7 +206,7 @@ def test_apply_filter_matches_closed_form_one_qubit():
         psi = StateVector(1, alpha * v0 + beta * v1)
         theta = choose_theta(float(rng.uniform(-2.0, -0.3)))
         config = FilterConfig(int(rng.integers(1, 4)), theta)
-        outcome = apply_filter(psi, h, config, discard=True)
+        outcome = apply_filter(psi, spec, config)
         a0 = filter_amplitude(spec.eigenvalues[0], theta, config)
         a1 = filter_amplitude(spec.eigenvalues[1], theta, config)
         unnorm = a0 * alpha * v0 + a1 * beta * v1
@@ -234,31 +226,13 @@ def test_apply_filter_matches_closed_form_two_qubit():
     psi = StateVector(2, spec.eigenvectors @ coeffs)
     theta = choose_theta(float(spec.eigenvalues[0]))
     config = FilterConfig(2, theta)
-    outcome = apply_filter(psi, h, config, discard=True)
+    outcome = apply_filter(psi, spec, config)
     amps = np.array([filter_amplitude(e, theta, config) for e in spec.eigenvalues])
     unnorm = spec.eigenvectors @ (amps * coeffs)
     prob = np.sum(np.abs(unnorm) ** 2)
     assert outcome.success_probability == pytest.approx(prob, abs=1e-12)
     overlap = abs(np.vdot(unnorm / np.sqrt(prob), outcome.refined_state.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
-def test_apply_filter_keep_branch():
-    spec, v0, v1 = _eigpair()
-    h = hadamard_hamiltonian(J)
-    psi = StateVector(1, np.sqrt(0.8) * v0 + np.sqrt(0.2) * v1)
-    config = FilterConfig(2, choose_theta(-J))
-    outcome = apply_filter(psi, h, config, discard=False)
-    assert not outcome.kept
-    assert outcome.refined_state is None
-    assert outcome.joint_state.num_qubits == 3
-    # joint state stays normalized; the zero-block weight is the success prob
-    norm = np.sum(np.abs(outcome.joint_state.amplitudes) ** 2)
-    assert norm == pytest.approx(1.0, abs=1e-12)
-    discarded = apply_filter(psi, h, config, discard=True)
-    assert outcome.success_probability == pytest.approx(
-        discarded.success_probability, abs=1e-14
-    )
 
 
 def test_apply_filter_uses_supplied_spectrum(count_calls, count_gates):
@@ -268,15 +242,11 @@ def test_apply_filter_uses_supplied_spectrum(count_calls, count_gates):
     config = FilterConfig(3, choose_theta(float(spec.eigenvalues[0])))
     diagonalized = count_calls("hamiltonian.exact_diagonalize")
     propagators = count_calls("hamiltonian.evolution_unitary")
-    given = apply_filter(psi, h, config, spectrum=spec)
-    assert diagonalized == []
-    # without a spectrum, one diagonalization serves every ancilla
-    built = apply_filter(psi, h, config)
-    assert len(diagonalized) == 1
-    assert given.refined_state.amplitudes.tobytes() == built.refined_state.amplitudes.tobytes()
-    report = refine_iteratively(psi, h, m=3, spectrum=spec)
+    apply_filter(psi, spec, config)
+    report = refine_iteratively(psi, h, spec, m=3)
     assert not report.status.startswith("aborted")
-    assert len(diagonalized) == 1
+    # the one spectrum serves every ancilla of every pass
+    assert diagonalized == []
     # every controlled power is applied from the spectrum, never as a gate
     assert propagators == []
     assert count_gates == []
@@ -284,8 +254,7 @@ def test_apply_filter_uses_supplied_spectrum(count_calls, count_gates):
 
 def test_filter_on_exact_ground_is_identity():
     spec, v0, _ = _eigpair()
-    h = hadamard_hamiltonian(J)
-    outcome = apply_filter(StateVector(1, v0), h, FilterConfig(2, choose_theta(-J)))
+    outcome = apply_filter(StateVector(1, v0), spec, FilterConfig(2, choose_theta(-J)))
     assert outcome.success_probability == pytest.approx(1.0, abs=1e-12)
     overlap = abs(np.vdot(v0, outcome.refined_state.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -294,7 +263,7 @@ def test_filter_on_exact_ground_is_identity():
 def test_refine_fixed_point():
     spec, v0, _ = _eigpair()
     h = hadamard_hamiltonian(J)
-    report = refine_iteratively(StateVector(1, v0), h, m=2)
+    report = refine_iteratively(StateVector(1, v0), h, spec, m=2)
     assert report.status == "converged"
     assert len(report.steps) == 1
     step = report.steps[0]
@@ -307,7 +276,7 @@ def test_refine_cleans_mixed_state():
     spec, v0, v1 = _eigpair()
     h = hadamard_hamiltonian(J)
     start = StateVector(1, np.sqrt(0.9) * v0 + np.sqrt(0.1) * v1)
-    report = refine_iteratively(start, h, m=2, max_iters=5)
+    report = refine_iteratively(start, h, spec, m=2, max_iters=5)
     assert report.status == "converged"
     weights = [s.excited_weight for s in report.steps]
     assert all(b < a for a, b in zip(weights, weights[1:]))
@@ -326,7 +295,7 @@ def test_refine_first_pass_matches_closed_form():
     h = hadamard_hamiltonian(J)
     w = 0.85
     start = StateVector(1, np.sqrt(w) * v0 + np.sqrt(1 - w) * v1)
-    report = refine_iteratively(start, h, m=2, max_iters=1)
+    report = refine_iteratively(start, h, spec, m=2, max_iters=1)
     e0p = w * -J + (1 - w) * J
     theta = choose_theta(e0p)
     config = FilterConfig(2, theta)
@@ -343,7 +312,7 @@ def test_refine_aborts_on_zero_energy_estimate():
     spec, v0, v1 = _eigpair()
     h = hadamard_hamiltonian(J)
     balanced = StateVector(1, np.sqrt(0.5) * v0 + np.sqrt(0.5) * v1)
-    report = refine_iteratively(balanced, h, m=2)
+    report = refine_iteratively(balanced, h, spec, m=2)
     assert report.status.startswith("aborted")
     assert len(report.steps) == 1
     step = report.steps[0]
@@ -359,7 +328,7 @@ def test_refine_aborts_when_postselection_impossible():
     # a pure excited state with theta on the ground resonance is rejected
     # with certainty, so the all-zeros outcome never occurs
     report = refine_iteratively(
-        StateVector(1, v1), h, m=2, fixed_theta=choose_theta(-J)
+        StateVector(1, v1), h, spec, m=2, fixed_theta=choose_theta(-J)
     )
     assert report.status.startswith("aborted")
     step = report.steps[0]
@@ -371,13 +340,14 @@ def test_refine_aborts_when_postselection_impossible():
 
 def test_refine_rejects_degenerate_operator():
     with pytest.raises(DomainError):
-        refine_iteratively(basis_state(2, 0), PauliSum(2, ((1.0, "ZZ"),)), m=1)
+        h = PauliSum(2, ((1.0, "ZZ"),))
+        refine_iteratively(basis_state(2, 0), h, exact_diagonalize(h), m=1)
 
 
 def test_refine_respects_max_iters():
     spec, v0, v1 = _eigpair()
     h = hadamard_hamiltonian(J)
     start = StateVector(1, np.sqrt(0.9) * v0 + np.sqrt(0.1) * v1)
-    report = refine_iteratively(start, h, m=1, max_iters=1, target_infidelity=0.0)
+    report = refine_iteratively(start, h, spec, m=1, max_iters=1, target_infidelity=0.0)
     assert report.status == "max_iterations"
     assert len(report.steps) == 1

@@ -99,9 +99,9 @@ def test_real_arithmetic_moves_only_rounding_noise(name, tmp_path, monkeypatch):
     build = hamiltonian._dense_stack
     forced = []
 
-    def complex_stack(num_qubits, words, coeffs, real, cap):
+    def complex_stack(num_qubits, words, coeffs, real):
         forced.append(real)
-        return build(num_qubits, words, coeffs, False, cap)
+        return build(num_qubits, words, coeffs, False)
 
     # every dense matrix, one operator's or a ramp stack's, is built here
     monkeypatch.setattr(hamiltonian, "_dense_stack", complex_stack)

@@ -12,7 +12,6 @@ from vacuum_refine import (
     apply_evolution,
     exact_diagonalize,
     evolution_unitary,
-    format_pauli_text,
     hadamard_hamiltonian,
     initial_hamiltonian,
     interpolate,
@@ -120,8 +119,6 @@ def test_to_matrix_cap():
     big = PauliSum(11, ((1.0, "Z" * 11),))
     with pytest.raises(ResourceLimitError):
         to_matrix(big)
-    # raising the cap lets it through
-    assert to_matrix(big, cap=11).shape == (2048, 2048)
 
 
 def test_hadamard_spectrum_closed_form():
@@ -224,7 +221,7 @@ def test_evolution_unitary_matches_expm():
     assert all(exact_diagonalize(h).eigenvectors.dtype == np.float64 for h in real)
     for h in operators + real:
         t = float(rng.uniform(0.1, 3.0))
-        got = evolution_unitary(h, t).entries
+        got = evolution_unitary(exact_diagonalize(h), t).entries
         expected = scipy_linalg.expm(-1j * t * to_matrix(h))
         assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -396,18 +393,18 @@ def test_stacked_guard_refuses_one_bad_matrix(monkeypatch, corrupt):
 
 
 def test_evolution_unitary_group_property():
-    h = transverse_ising_pair(J)
-    u1 = evolution_unitary(h, 0.4).entries
-    u2 = evolution_unitary(h, 0.9).entries
-    u12 = evolution_unitary(h, 1.3).entries
+    spectrum = exact_diagonalize(transverse_ising_pair(J))
+    u1 = evolution_unitary(spectrum, 0.4).entries
+    u2 = evolution_unitary(spectrum, 0.9).entries
+    u12 = evolution_unitary(spectrum, 1.3).entries
     assert np.max(np.abs(u2 @ u1 - u12)) < 1e-12
-    ident = evolution_unitary(h, 0.0).entries
+    ident = evolution_unitary(spectrum, 0.0).entries
     assert np.allclose(ident, np.eye(4), atol=1e-14)
 
 
 def test_pauli_text_round_trip():
     h = transverse_ising_pair(J)
-    text = format_pauli_text(h)
+    text = "".join(f"{coeff!r} {string}\n" for coeff, string in h.terms)
     parsed = parse_pauli_text(text)
     assert parsed == h
 
@@ -431,9 +428,3 @@ def test_pauli_text_errors(bad):
 def test_pauli_text_error_names_line():
     with pytest.raises(ConfigError, match="line 3"):
         parse_pauli_text("# ok\n0.5 ZZ\nnonsense\n")
-
-
-def test_scaled():
-    h = hadamard_hamiltonian(J).scaled(2.0)
-    w = -2 * J * INV_SQRT2
-    assert h.terms == ((w, "X"), (w, "Z"))

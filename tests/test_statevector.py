@@ -7,12 +7,11 @@ from vacuum_refine import (
     GateMatrix,
     ImpossibleOutcomeError,
     NumericalConsistencyError,
+    S_DAG,
     PauliSum,
-    S,
     StateVector,
     UnitarityError,
     X,
-    Z,
     apply_controlled,
     apply_gate,
     apply_pauli_string,
@@ -21,9 +20,6 @@ from vacuum_refine import (
     fidelity,
     measure_sample,
     postselect,
-    rx,
-    rz,
-    weighted_expectation,
 )
 from vacuum_refine.pauli import compile_word
 from vacuum_refine.statevector import (
@@ -68,8 +64,6 @@ def test_state_requires_normalization():
         StateVector(1, np.array([1.0, 1.0]))
     with pytest.raises(DomainError, match="normalized"):
         StateVector(1, np.array([np.nan, 0.0]))
-    normalized = StateVector.normalized([1.0, 1.0])
-    assert normalized.amplitudes == pytest.approx([INV_SQRT2, INV_SQRT2])
 
 
 def test_apply_x_flips_msb_qubit():
@@ -79,20 +73,8 @@ def test_apply_x_flips_msb_qubit():
 
 def test_apply_hadamard_then_z_gives_minus():
     state = apply_gate(basis_state(1, 0), HADAMARD, [0])
-    state = apply_gate(state, Z, [0])
+    state = apply_gate(state, GateMatrix(1, np.diag([1.0, -1.0])), [0])
     assert state.amplitudes == pytest.approx([INV_SQRT2, -INV_SQRT2])
-
-
-def test_rotation_gates_match_direct_matrices():
-    theta = 0.73
-    expected_rz = np.array(
-        [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]]
-    )
-    assert np.allclose(rz(theta).entries, expected_rz, atol=1e-15)
-    expected_rx = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * np.array(
-        [[0, 1], [1, 0]]
-    )
-    assert np.allclose(rx(theta).entries, expected_rx, atol=1e-15)
 
 
 def test_apply_gate_validates_targets_and_arity():
@@ -221,7 +203,7 @@ def test_measure_sample_total_variation_converges():
 
 
 def test_apply_pauli_string_matches_letters():
-    state = StateVector.normalized([1.0, 1.0])
+    state = StateVector(1, np.array([INV_SQRT2, INV_SQRT2]))
     flipped = apply_pauli_string(state, "X")
     assert np.allclose(flipped.amplitudes, state.amplitudes)
     signed = apply_pauli_string(state, "Z")
@@ -289,9 +271,9 @@ def test_norm_preserved_through_gate_sequences():
 
 
 def test_gate_phase_kept_verbatim():
-    # S on |1> multiplies by i, no hidden normalization of phases
+    # S^dagger on |1> multiplies by -i, no hidden normalization of phases
     one = basis_state(1, 1)
-    assert apply_gate(one, S, [0]).amplitudes[1] == pytest.approx(1j)
+    assert apply_gate(one, S_DAG, [0]).amplitudes[1] == pytest.approx(-1j)
 
 
 # --- stacked readouts against the per-state code ------------------------
@@ -318,8 +300,7 @@ def test_stacked_expectations_match_per_state(n, rows):
         terms = list(zip(coeffs[row].tolist(), strings))
         expected = expectation_per_state(psi, terms, matrices)
         assert got[row] == expected
-        state = StateVector(n, psi)
-        assert weighted_expectation(state, coeffs[row].tolist(), words) == expected
+        assert expectations(psi[np.newaxis], coeffs[row : row + 1], words)[0] == expected
         assert shared[row] == expectation_per_state(psi, list(zip(coeffs[0].tolist(), strings)), matrices)
     assert got[4] == 0.0
 
