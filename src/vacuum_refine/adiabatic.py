@@ -5,26 +5,29 @@ evolves under the interpolated operator frozen at the midpoint parameter
 s_k = (k + 1/2) * dt / T, which keeps the discretization error of the
 schedule at second order in dt.  Steps themselves are taken either
 exactly, by applying exp(-i * h * dt) straight from the step operator's
-spectrum (``apply_evolution``), or with a first-order splitting that
-applies Z-type factors before X-type factors, lexicographically within
-each class.
+eigendecomposition, or with a first-order splitting that applies Z-type
+factors before X-type factors, lexicographically within each class.
 
 Every ramp operator is known before the first step, so ``run_adiabatic``
-takes all their spectra from ``ramp_spectra``: one (steps x words)
-coefficient array, dense matrices built as stacks, one ``eigh`` per stack
-and the Hermiticity, orthonormality and residual guards vectorized over
-it.  Each spectrum is bit-identical to diagonalizing the interpolated
-operator on its own, and both step modes read each step's coefficient
-row, so no operator is built per step.
+writes them all as one (steps x words) coefficient array
+(``ramp_coefficients``) and takes their eigendecompositions stack by
+stack: dense matrices built as a stack, one ``eigh`` per stack and the
+Hermiticity, orthonormality and residual guards vectorized over it.  Both
+step modes read each step's coefficient row, so no operator is built per
+step.
 
-The step loops of ``run_adiabatic`` and ``run_hold`` only advance
-amplitudes.  Each recorded state is copied into a (rows, d) block of at
-most ``_STACK_ENTRIES`` amplitudes, and each block is read out with
-stacked calls: the norm check, one ``apply_word`` per word for the
-energies and observables, and the overlaps with the rows' fidelity
-targets.  Each value is bit-identical to reading out the state alone.
-With ``record_states`` the trajectory keeps the recorded amplitudes as
-one (records, d) stack, from which shot-mode estimates are drawn.
+The ramp and the hold work a block of states at a time.  For each stack
+of the ramp, one ``np.exp`` gives every step's phases and one comparison
+every step's degeneracy flag; the step loop only applies the propagator
+kernel (``_propagate``) and writes each new state into the block's
+(rows, d) array.  The hold computes its phases once and fills blocks of
+the same size.  Each block is read out with stacked calls
+(``_Recorder``): the norm check, one ``apply_word`` per word for the
+energies and observables, the overlaps with the fidelity targets and the
+time-order check of its records.  Each value is bit-identical to stepping
+and reading out the state alone.  With ``record_states`` the trajectory
+keeps the recorded amplitudes as one (records, d) stack, from which
+shot-mode estimates are drawn.
 """
 
 from __future__ import annotations
@@ -37,12 +40,15 @@ import numpy as np
 
 from .errors import DomainError
 from .hamiltonian import (
+    DEGENERACY_TOL,
     PauliSum,
     Spectrum,
+    _check_spectrum_dim,
+    _propagate,
+    _spectrum_stacks,
     apply_evolution,
     exact_diagonalize,
     ramp_coefficients,
-    ramp_spectra,
 )
 from .pauli import PauliWord, apply_word
 from .statevector import (
@@ -126,11 +132,22 @@ class Trajectory:
     states: np.ndarray | None = None
 
     def append(self, record: TrajectoryRecord) -> None:
-        if self.records and record.t <= self.records[-1].t:
+        self.extend([record])
+
+    def extend(self, records: Sequence[TrajectoryRecord]) -> None:
+        """Append records, refusing them unless every time exceeds the one before.
+
+        The times are compared as one array, the last record already held
+        included; a NaN time is refused.
+        """
+        times = np.array([r.t for r in self.records[-1:]] + [r.t for r in records])
+        later = times[1:] > times[:-1]
+        if not later.all():
+            bad = int(np.argmin(later))
             raise DomainError(
-                f"record times must increase, got {record.t} after {self.records[-1].t}"
+                f"record times must increase, got {times[bad + 1]} after {times[bad]}"
             )
-        self.records.append(record)
+        self.records.extend(records)
 
 
 def _split_rank(word: PauliWord) -> int:
@@ -147,32 +164,25 @@ def _trotter_order(words: Sequence[PauliWord]) -> list[int]:
     return sorted(range(len(words)), key=lambda t: _split_rank(words[t]))
 
 
-def _advance(
+def _trotter_step(
     amplitudes: np.ndarray,
-    mode: EvolutionMode,
     dt: float,
-    spectrum: Spectrum | None,
     words: Sequence[PauliWord],
     coeffs: np.ndarray,
     order: Sequence[int],
 ) -> np.ndarray:
-    """One step of duration ``dt`` under sum_t coeffs[t] * words[t], as new amplitudes.
+    """One ``trotter1`` step of duration ``dt`` under sum_t coeffs[t] * words[t].
 
-    ``exact_step`` applies exp(-i h dt) from ``spectrum``; ``trotter1``
-    applies exp(-i c_t P_t dt) = cos(c_t dt) - i sin(c_t dt) P_t for each
+    Applies exp(-i c_t P_t dt) = cos(c_t dt) - i sin(c_t dt) P_t for each
     word in ``order``, skipping exact-zero coefficients.
     """
-    if mode is EvolutionMode.EXACT_STEP:
-        return apply_evolution(spectrum, dt, amplitudes)
-    if mode is EvolutionMode.TROTTER1:
-        for t in order:
-            if coeffs[t] != 0.0:
-                angle = coeffs[t] * dt
-                amplitudes = np.cos(angle) * amplitudes - 1j * np.sin(angle) * apply_word(
-                    words[t], amplitudes
-                )
-        return amplitudes
-    raise DomainError(f"unsupported evolution mode {mode!r}")
+    for t in order:
+        if coeffs[t] != 0.0:
+            angle = coeffs[t] * dt
+            amplitudes = np.cos(angle) * amplitudes - 1j * np.sin(angle) * apply_word(
+                words[t], amplitudes
+            )
+    return amplitudes
 
 
 def evolve_step(
@@ -194,89 +204,82 @@ def evolve_step(
         )
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt!r}")
-    if mode is EvolutionMode.EXACT_STEP and spectrum is None:
-        raise DomainError("an exact step needs the spectrum of its operator")
-    coeffs = _coefficient_row(h)[0]
-    amplitudes = _advance(
-        state.amplitudes, mode, dt, spectrum, h.words, coeffs, _trotter_order(h.words)
-    )
+    if mode is EvolutionMode.EXACT_STEP:
+        if spectrum is None:
+            raise DomainError("an exact step needs the spectrum of its operator")
+        amplitudes = apply_evolution(spectrum, dt, state.amplitudes)
+    elif mode is EvolutionMode.TROTTER1:
+        coeffs = _coefficient_row(h)[0]
+        amplitudes = _trotter_step(state.amplitudes, dt, h.words, coeffs, _trotter_order(h.words))
+    else:
+        raise DomainError(f"unsupported evolution mode {mode!r}")
     return StateVector(state.num_qubits, amplitudes)
 
 
 class _Recorder:
-    """Turns ``count`` recorded states into trajectory records, a block of rows at a time.
+    """Turns blocks of recorded states into trajectory records.
 
-    ``add`` copies a state, its energy coefficient row and its fidelity
-    target into the current block.  A full block is read out with stacked
-    calls: the norm check of every row, each observable, the energies,
-    and the fidelities, clamped to 1.
+    ``read`` takes a (rows, d) block of states with their record times,
+    their energy coefficient rows and their fidelity targets; a block
+    whose states share one operator passes one (1, words) row and one
+    (1, d) target.  The block is read out with stacked calls: the norm
+    check of every row, each observable, the energies, the fidelities,
+    clamped to 1, and the time-order check of its records.
 
-    A block has as many rows as a stack of ramp spectra has matrices
-    (``_STACK_ENTRIES`` // d^2, at least one), and never more than the
-    records still to come, so it holds at most ``_STACK_ENTRIES``
-    amplitudes.  At one qubit that is 16384 states, a whole shipped run;
-    from 8 qubits on a block is one state, read out before the next
-    spectrum is computed, so recording adds nothing to the ramp's peak
-    memory.
+    The caller sizes the blocks.  A ramp block is one stack of
+    eigendecompositions and a hold block has as many rows as such a
+    stack (``_STACK_ENTRIES`` // d^2, at least one), so a block holds at
+    most ``_STACK_ENTRIES`` amplitudes.  At one qubit the whole shipped
+    ramp is one block; from 8 qubits on a block is one state, read out
+    before the next eigendecomposition, so recording adds nothing to the
+    ramp's peak memory.
     """
 
     def __init__(
         self,
         trajectory: Trajectory,
-        count: int,
-        num_qubits: int,
+        dim: int,
         energy_words: Sequence[PauliWord],
         observables: Mapping[str, PauliSum],
         keep_states: bool,
     ):
         self.trajectory = trajectory
-        self.remaining = count
-        self.dim = 2**num_qubits
+        self.dim = dim
         self.energy_words = energy_words
         self.observables = {
             name: (_coefficient_row(obs), obs.words) for name, obs in observables.items()
         }
         self.kept: list[np.ndarray] | None = [] if keep_states else None
-        self._new_block()
 
-    def _new_block(self) -> None:
-        rows = min(self.remaining, max(1, _STACK_ENTRIES // self.dim**2))
-        self.times: list[float] = []
-        self.states = np.empty((rows, self.dim), dtype=np.complex128)
-        self.targets = np.empty((rows, self.dim), dtype=np.complex128)
-        self.energy = np.empty((rows, len(self.energy_words)))
-
-    def add(self, t: float, amplitudes: np.ndarray, energy_coeffs: np.ndarray, target: np.ndarray) -> None:
-        row = len(self.times)
-        self.times.append(t)
-        self.states[row] = amplitudes
-        self.energy[row] = energy_coeffs
-        self.targets[row] = target
-        self.remaining -= 1
-        if row + 1 == len(self.states):
-            self._flush()
-            self._new_block()
-
-    def _flush(self) -> None:
-        states = self.states
+    def read(
+        self,
+        times: Sequence[float],
+        states: np.ndarray,
+        energy_coeffs: np.ndarray,
+        targets: np.ndarray,
+    ) -> None:
         check_normalized(states)
         columns = {
             name: expectations(states, coeffs, words).tolist()
             for name, (coeffs, words) in self.observables.items()
         }
-        energies = expectations(states, self.energy, self.energy_words).tolist()
-        overlaps = fidelities(states, self.targets)
-        for row, t in enumerate(self.times):
+        energies = expectations(states, energy_coeffs, self.energy_words).tolist()
+        overlaps = fidelities(states, targets)
+        records = []
+        for row, t in enumerate(times):
             values = {name: column[row] for name, column in columns.items()}
             values[_ENERGY_KEY] = energies[row]
-            self.trajectory.append(TrajectoryRecord(t, values, min(overlaps[row], 1.0)))
+            records.append(TrajectoryRecord(t, values, min(overlaps[row], 1.0)))
+        self.trajectory.extend(records)
         if self.kept is not None:
             self.kept.append(states)
 
     def finish(self) -> None:
         """Hand the recorded states to the trajectory, if they are kept."""
         if self.kept is not None:
-            self.trajectory.states = np.concatenate(self.kept or [self.states])
+            self.trajectory.states = np.concatenate(
+                self.kept or [np.empty((0, self.dim), dtype=np.complex128)]
+            )
 
 
 def _check_observables(observables: Mapping[str, PauliSum], num_qubits: int) -> None:
@@ -308,10 +311,12 @@ def run_adiabatic(
     ground level is recorded as a metadata warning, not an error.
 
     Every operator of the ramp, h0 (s = 0) and each step's, is known
-    before the first step, so their spectra come from one stacked
-    computation (``ramp_spectra``), and both step modes and the energies
-    read the same (steps x words) coefficient array.  The step loop only
-    advances amplitudes; the records are read out in blocks (``_Recorder``).
+    before the first step, so both step modes and the energies read one
+    (steps x words) coefficient array, and the eigendecompositions come
+    stack by stack from it.  Each stack's phases and degeneracy flags are
+    taken at once, the step loop only advances amplitudes into the
+    stack's block of states, and the block is read out at once
+    (``_Recorder``).
     """
     if h0.num_qubits != h1.num_qubits:
         raise DomainError(
@@ -333,28 +338,40 @@ def run_adiabatic(
         }
     )
     warnings = trajectory.metadata["warnings"]
+    dt = schedule.dt
     s_values = [0.0] + [
-        (k + 0.5) * schedule.dt / schedule.total_time for k in range(schedule.num_ramp_steps)
+        (k + 0.5) * dt / schedule.total_time for k in range(schedule.num_ramp_steps)
     ]
     words, coeffs = ramp_coefficients(h0, h1, s_values)
-    spectra = ramp_spectra(h0, h1, s_values)
+    exact = mode is EvolutionMode.EXACT_STEP
     order = _trotter_order(words)
     recorder = None
     if records:
-        recorder = _Recorder(trajectory, len(s_values), n, words, observables, record_states)
+        recorder = _Recorder(trajectory, 2**n, words, observables, record_states)
     amplitudes = basis_state(n, 0).amplitudes
-    for k, (s_k, row, spectrum) in enumerate(zip(s_values, coeffs, spectra)):
-        if k == 0:
-            if spectrum.degenerate:
-                warnings.append("degenerate ground level at s=0")
-        else:
-            amplitudes = _advance(amplitudes, mode, schedule.dt, spectrum, words, row, order)
-            if spectrum.degenerate:
-                warnings.append(
-                    f"degenerate instantaneous ground level at step {k - 1} (s={s_k!r})"
-                )
+    for start, values, vectors in _spectrum_stacks(n, words, coeffs):
+        stop = start + len(values)
+        if exact:
+            phases = np.exp(-1j * values * dt)
+        states = np.empty((len(values), 2**n), dtype=np.complex128)
+        for r, k in enumerate(range(start, stop)):
+            if k:
+                if exact:
+                    amplitudes = _propagate(vectors[r], phases[r], amplitudes)
+                else:
+                    amplitudes = _trotter_step(amplitudes, dt, words, coeffs[k], order)
+            states[r] = amplitudes
+        degenerate = values[:, 1] - values[:, 0] < DEGENERACY_TOL
+        for k in (start + np.flatnonzero(degenerate)).tolist():
+            warnings.append(
+                f"degenerate instantaneous ground level at step {k - 1} (s={s_values[k]!r})"
+                if k
+                else "degenerate ground level at s=0"
+            )
         if recorder is not None:
-            recorder.add(k * schedule.dt, amplitudes, row, spectrum.eigenvectors[:, 0])
+            times = [k * dt for k in range(start, stop)]
+            targets = np.ascontiguousarray(vectors[:, :, 0])
+            recorder.read(times, states, coeffs[start:stop], targets)
     if recorder is not None:
         recorder.finish()
     return StateVector(n, amplitudes), trajectory
@@ -381,9 +398,10 @@ def run_hold(
     Without it ``h`` is diagonalized here, once, and only when exact
     steps or the fidelity target need it: an operator that exists only
     for the hold, such as an ancilla-embedded one, has no spectrum
-    elsewhere.  Every exact hold step is applied from that one spectrum;
-    as on the ramp, the step loop only advances amplitudes and the
-    records are read out in blocks.
+    elsewhere.  Every exact hold step is applied from that one spectrum,
+    with phases computed once; as on the ramp, the step loop only
+    advances amplitudes into a block of states, and each block is read
+    out at once.
     """
     observables = dict(observables or {})
     _check_observables(observables, state.num_qubits)
@@ -394,31 +412,39 @@ def run_hold(
     trajectory = Trajectory(
         metadata={"mode": mode.value, "hold_time": schedule.hold_time, "warnings": []}
     )
+    dt = schedule.dt
+    dim = 2**state.num_qubits
     exact = mode is EvolutionMode.EXACT_STEP and schedule.num_hold_steps > 0
-    if spectrum is None and (fidelity_target is None or exact):
-        spectrum = exact_diagonalize(h)
+    if exact or fidelity_target is None:
+        if spectrum is None:
+            spectrum = exact_diagonalize(h)
+        _check_spectrum_dim(spectrum, dim)
     if fidelity_target is None:
         if spectrum.degenerate:
             trajectory.metadata["warnings"].append(
                 "ground level of the held operator is degenerate"
             )
         fidelity_target = spectrum.ground_state
-    coeffs = _coefficient_row(h)[0]
+    if exact:
+        phases = np.exp(-1j * spectrum.eigenvalues * dt)
+    coeffs = _coefficient_row(h)
     order = _trotter_order(h.words)
-    recorder = _Recorder(
-        trajectory,
-        schedule.num_hold_steps + include_initial,
-        state.num_qubits,
-        h.words,
-        observables,
-        record_states,
-    )
-    target = fidelity_target.amplitudes
+    recorder = _Recorder(trajectory, dim, h.words, observables, record_states)
+    target = fidelity_target.amplitudes[np.newaxis]
+    times = [start_time] * include_initial + [
+        start_time + (j + 1) * dt for j in range(schedule.num_hold_steps)
+    ]
+    block = max(1, _STACK_ENTRIES // dim**2)
     amplitudes = state.amplitudes
-    if include_initial:
-        recorder.add(start_time, amplitudes, coeffs, target)
-    for j in range(schedule.num_hold_steps):
-        amplitudes = _advance(amplitudes, mode, schedule.dt, spectrum, h.words, coeffs, order)
-        recorder.add(start_time + (j + 1) * schedule.dt, amplitudes, coeffs, target)
+    for start in range(0, len(times), block):
+        states = np.empty((min(block, len(times) - start), dim), dtype=np.complex128)
+        for r in range(len(states)):
+            if start + r >= include_initial:
+                if exact:
+                    amplitudes = _propagate(spectrum.eigenvectors, phases, amplitudes)
+                else:
+                    amplitudes = _trotter_step(amplitudes, dt, h.words, coeffs[0], order)
+            states[r] = amplitudes
+        recorder.read(times[start : start + len(states)], states, coeffs, target)
     recorder.finish()
     return StateVector(state.num_qubits, amplitudes), trajectory

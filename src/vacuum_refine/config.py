@@ -23,7 +23,7 @@ Recognized keys:
                            joint state for mixed estimation (false)
     estimation.method      ``exact`` | ``shots``
     estimation.shots       samples per estimate in shot mode
-    estimation.seed        base RNG seed (the CLI --seed overrides it)
+    estimation.seed        base RNG seed, >= 0 (the CLI --seed overrides it)
     refine.max_iters       pass limit for iterative refinement
     refine.target_infidelity   stop threshold on the excited weight
     diag.state_file        amplitude text file analyzed by the diag command
@@ -127,6 +127,12 @@ def _parse_choice(key: str, value: str, choices: tuple[str, ...]) -> str:
     if value not in choices:
         raise ConfigError(f"{key}: expected one of {', '.join(choices)}, got {value!r}")
     return value
+
+
+def _check_seed(seed: int) -> None:
+    # shot estimates seed np.random.default_rng, which refuses negative seeds
+    if seed < 0:
+        raise ConfigError(f"estimation.seed: must be >= 0, got {seed}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -240,6 +246,7 @@ def parse_config(text: str) -> ExperimentConfig:
     )
     if estimation.shots < 1:
         raise ConfigError(f"estimation.shots: must be >= 1, got {estimation.shots}")
+    _check_seed(estimation.seed)
 
     refine = RefineSettings(
         max_iters=_parse_int("refine.max_iters", raw["refine.max_iters"])
@@ -315,6 +322,7 @@ def with_overrides(
 ) -> ExperimentConfig:
     """Apply CLI-level seed and output-prefix overrides."""
     if seed is not None:
+        _check_seed(seed)
         config = replace(config, estimation=replace(config.estimation, seed=seed))
     if out is not None:
         config = replace(config, output_prefix=out)

@@ -31,7 +31,13 @@ from .config import EstimationConfig, ExperimentConfig, build_model, config_to_t
 from .errors import ConfigError, DomainError
 from .estimation import corrected_expectation, cross_term, shot_estimates
 from .filtering import RefinementReport, refine_iteratively, tag_circuit_one_qubit
-from .hamiltonian import PauliSum, Spectrum, exact_diagonalize, initial_hamiltonian
+from .hamiltonian import (
+    DEFAULT_DENSE_CAP,
+    PauliSum,
+    Spectrum,
+    exact_diagonalize,
+    initial_hamiltonian,
+)
 from .statevector import (
     _STACK_ENTRIES,
     StateVector,
@@ -56,6 +62,9 @@ class CommandResult:
     summary: dict = field(default_factory=dict)
 
 
+_FLOAT_FORMAT = "{:.9g}".format
+
+
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -69,7 +78,8 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            # almost every value is a Python float: format it without _fmt's type tests
+            writer.writerow([_FLOAT_FORMAT(v) if type(v) is float else _fmt(v) for v in row])
 
 
 def _ensure_output_dir(prefix: str) -> None:
@@ -383,6 +393,15 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
         raise ConfigError(
             f"model.hamiltonian: refinement supports 1 to 4 system qubits, "
             f"got {h1.num_qubits}"
+        )
+    joint = config.filter.ancillas + h1.num_qubits
+    if joint > 2 * DEFAULT_DENSE_CAP:
+        # the filter's joint state would have more amplitudes than the
+        # largest dense matrix the package builds has entries
+        raise ConfigError(
+            f"filter.ancillas: {config.filter.ancillas} ancilla(s) and {h1.num_qubits} "
+            f"system qubit(s) make a {joint}-qubit register, above the limit of "
+            f"{2 * DEFAULT_DENSE_CAP}"
         )
     h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
     final, ramp = run_adiabatic(h0, h1, config.schedule, config.mode, records=False)

@@ -281,14 +281,18 @@ def _diagonalize_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _stacked_spectra(
+def _spectrum_stacks(
     num_qubits: int, words: Sequence[PauliWord], coeffs: np.ndarray
-) -> Iterator[Spectrum]:
-    """One spectrum per row of ``coeffs``, built and diagonalized in stacks.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(first row, eigenvalues, eigenvectors) of each stack of rows of ``coeffs``.
 
     A stack holds consecutive rows of one dtype (``_real_rows``), at most
-    ``_STACK_ENTRIES`` matrix entries or a single matrix; stacks are built
-    as they are consumed, so memory stays at one stack however many rows.
+    ``_STACK_ENTRIES`` matrix entries or a single matrix.  Its rows
+    ``first`` to ``first + k`` are built (``_dense_stack``) and
+    diagonalized (``_diagonalize_stack``) as one (k, d, d) stack, giving
+    (k, d) eigenvalues and (k, d, d) eigenvectors.  Stacks are built as
+    they are consumed, so memory stays at one stack however many rows.
+    Every diagonalization in the package runs here.
     """
     real = _real_rows(words, coeffs).tolist()
     chunk = max(1, _STACK_ENTRIES // 4**num_qubits)
@@ -299,8 +303,7 @@ def _stacked_spectra(
             stop += 1
         matrices = _dense_stack(num_qubits, words, coeffs[start:stop], real[start])
         values, vectors = _diagonalize_stack(matrices)
-        for k in range(stop - start):
-            yield Spectrum(num_qubits, values[k], vectors[k])
+        yield start, values, vectors
         start = stop
 
 
@@ -311,7 +314,8 @@ def exact_diagonalize(h: PauliSum) -> Spectrum:
     checks; the dtype of the matrix selects the arithmetic throughout.
     This is the one-operator case of ``ramp_spectra``'s stacked path.
     """
-    return next(_stacked_spectra(h.num_qubits, h.words, _coefficient_row(h)))
+    _, values, vectors = next(_spectrum_stacks(h.num_qubits, h.words, _coefficient_row(h)))
+    return Spectrum(h.num_qubits, values[0], vectors[0])
 
 
 def ramp_spectra(h0: PauliSum, h1: PauliSum, s_values: Sequence[float]) -> Iterator[Spectrum]:
@@ -324,7 +328,29 @@ def ramp_spectra(h0: PauliSum, h1: PauliSum, s_values: Sequence[float]) -> Itera
     spectra are computed as they are taken.
     """
     words, coeffs = ramp_coefficients(h0, h1, s_values)
-    return _stacked_spectra(h0.num_qubits, words, coeffs)
+    return (
+        Spectrum(h0.num_qubits, values[k], vectors[k])
+        for _, values, vectors in _spectrum_stacks(h0.num_qubits, words, coeffs)
+        for k in range(len(values))
+    )
+
+
+def _check_spectrum_dim(spectrum: Spectrum, dim: int) -> None:
+    """Refuse a spectrum whose dimension is not the state dimension ``dim``."""
+    if spectrum.dim != dim:
+        raise DomainError(
+            f"spectrum dimension {spectrum.dim} does not match state dimension {dim}"
+        )
+
+
+def _propagate(vectors: np.ndarray, phases: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """V (phases * (V^H x)) for each row x of ``amplitudes``, with V = ``vectors``.
+
+    The kernel of every propagator the package applies: with ``phases`` =
+    exp(-i * eigenvalues * t) it applies exp(-i h t).  Nothing is checked
+    here; the callers check the sizes once.
+    """
+    return ((amplitudes.conj() @ vectors).conj() * phases) @ vectors.T
 
 
 def apply_evolution(
@@ -334,19 +360,14 @@ def apply_evolution(
 
     The last axis of ``amplitudes`` is the system axis, so this takes a
     single vector or a stack of rows, one per branch of other registers.
-    Each row x becomes V (phases * (V^H x)): two O(d^2) products, with no
-    d x d matrix built.  The spectrum must come from
+    Each row x becomes V (phases * (V^H x)) (``_propagate``): two O(d^2)
+    products, with no d x d matrix built.  The spectrum must come from
     ``exact_diagonalize``, whose orthonormality guard is the only
     unitarity check the result gets; only its size is checked here.
     """
-    if amplitudes.shape[-1] != spectrum.dim:
-        raise DomainError(
-            f"spectrum dimension {spectrum.dim} does not match state dimension "
-            f"{amplitudes.shape[-1]}"
-        )
-    v = spectrum.eigenvectors
+    _check_spectrum_dim(spectrum, amplitudes.shape[-1])
     phases = phase * np.exp(-1j * spectrum.eigenvalues * duration)
-    return ((amplitudes.conj() @ v).conj() * phases) @ v.T
+    return _propagate(spectrum.eigenvectors, phases, amplitudes)
 
 
 def evolution_unitary(spectrum: Spectrum, duration: float) -> GateMatrix:

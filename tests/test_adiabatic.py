@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,22 +10,29 @@ from vacuum_refine import (
     Schedule,
     Spectrum,
     StateVector,
+    apply_evolution,
     basis_state,
     evolve_step,
     exact_diagonalize,
+    expectation_observable,
     fidelity,
     hadamard_hamiltonian,
     initial_hamiltonian,
     interpolate,
+    parse_pauli_text,
+    ramp_coefficients,
+    ramp_spectra,
     run_adiabatic,
     run_hold,
     to_matrix,
     transverse_ising_pair,
 )
+from vacuum_refine.hamiltonian import _spectrum_stacks
 
 from oracles import expectation_per_state, fidelity_per_state
 
 J = np.pi / 4
+CHAIN3Y = parse_pauli_text((Path(__file__).parent / "golden" / "chain3y.txt").read_text())
 
 BENCHMARK = Schedule(total_time=36.0, dt=1.0 / 24.0, hold_time=12.0)
 
@@ -334,6 +343,15 @@ def test_trajectory_time_ordering_enforced():
     traj.append(TrajectoryRecord(t=0.0, observables={}, fidelity=1.0))
     with pytest.raises(DomainError):
         traj.append(TrajectoryRecord(t=0.0, observables={}, fidelity=1.0))
+    # a block is checked as a whole: one bad time refuses every record of it
+    block = [TrajectoryRecord(t, {}, 1.0) for t in (1.0, 2.0, 2.0, 3.0)]
+    with pytest.raises(DomainError, match="got 2.0 after 2.0"):
+        traj.extend(block)
+    with pytest.raises(DomainError):
+        traj.extend([TrajectoryRecord(float("nan"), {}, 1.0)])
+    assert len(traj.records) == 1
+    traj.extend(block[:2])
+    assert [r.t for r in traj.records] == [0.0, 1.0, 2.0]
 
 
 # --- records read out in blocks ------------------------------------------
@@ -424,3 +442,123 @@ def test_trotter_ramp_reads_the_coefficient_rows(count_calls):
         step = interpolate(h0, h1, (k + 0.5) * sched.dt / sched.total_time)
         state = evolve_step(state, step, sched.dt, EvolutionMode.TROTTER1)
     assert final.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+# --- stack-fed loops against a per-step oracle ----------------------------
+
+
+def _ramp_oracle(h0, h1, schedule, observables):
+    """The exact ramp stepped and read out one state at a time.
+
+    Returns (t, amplitudes, observables with energy, fidelity) per record
+    and the warnings, from one ``Spectrum`` per step.
+    """
+    n, dt = h0.num_qubits, schedule.dt
+    steps = schedule.num_ramp_steps
+    s_values = [0.0] + [(k + 0.5) * dt / schedule.total_time for k in range(steps)]
+    state = basis_state(n, 0)
+    rows, warnings = [], []
+    for k, (s, spectrum) in enumerate(zip(s_values, ramp_spectra(h0, h1, s_values))):
+        if k:
+            state = StateVector(n, apply_evolution(spectrum, dt, state.amplitudes))
+        if spectrum.degenerate:
+            warnings.append(
+                f"degenerate instantaneous ground level at step {k - 1} (s={s!r})"
+                if k
+                else "degenerate ground level at s=0"
+            )
+        values = {name: expectation_observable(state, obs) for name, obs in observables.items()}
+        values["energy"] = expectation_observable(state, interpolate(h0, h1, s))
+        ground = min(fidelity(state, spectrum.ground_state), 1.0)
+        rows.append((k * dt, state.amplitudes, values, ground))
+    return rows, warnings
+
+
+def _hold_oracle(state, h, schedule, observables, start_time, include_initial):
+    spectrum = exact_diagonalize(h)
+    rows = []
+
+    def record(t):
+        values = {name: expectation_observable(state, obs) for name, obs in observables.items()}
+        values["energy"] = expectation_observable(state, h)
+        ground = min(fidelity(state, spectrum.ground_state), 1.0)
+        rows.append((t, state.amplitudes, values, ground))
+
+    if include_initial:
+        record(start_time)
+    for j in range(schedule.num_hold_steps):
+        state = StateVector(state.num_qubits, apply_evolution(spectrum, schedule.dt, state.amplitudes))
+        record(start_time + (j + 1) * schedule.dt)
+    return rows
+
+
+def _assert_matches(trajectory, rows):
+    assert len(trajectory.records) == len(rows) == len(trajectory.states)
+    for record, psi, (t, amplitudes, values, ground) in zip(trajectory.records, trajectory.states, rows):
+        assert record.t == t
+        assert psi.tobytes() == amplitudes.tobytes()
+        assert record.observables == values
+        assert record.fidelity == ground
+
+
+def _mean_z(n):
+    return PauliSum(n, tuple((1.0 / n, "I" * q + "Z" + "I" * (n - q - 1)) for q in range(n)))
+
+
+@pytest.mark.parametrize(
+    "h1, schedule, stacks",
+    [
+        # the shipped one-qubit ramp: all 865 operators in one stack
+        (hadamard_hamiltonian(J), BENCHMARK, [0]),
+        # s = 0 has no Y word, so it is real and the complex rest is a second stack
+        (CHAIN3Y, Schedule(total_time=4.0, dt=0.125, hold_time=1.0), [0, 1]),
+    ],
+)
+def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
+    n = h1.num_qubits
+    h0 = initial_hamiltonian(J, n)
+    observables = {"expval_Z": _mean_z(n)}
+    s_values = [0.0] + [
+        (k + 0.5) * schedule.dt / schedule.total_time for k in range(schedule.num_ramp_steps)
+    ]
+    words, coeffs = ramp_coefficients(h0, h1, s_values)
+    assert [start for start, _, _ in _spectrum_stacks(n, words, coeffs)] == stacks
+    final, ramp = run_adiabatic(
+        h0, h1, schedule, EvolutionMode.EXACT_STEP, observables, record_states=True
+    )
+    rows, warnings = _ramp_oracle(h0, h1, schedule, observables)
+    _assert_matches(ramp, rows)
+    assert ramp.metadata["warnings"] == warnings
+    assert final.amplitudes.tobytes() == rows[-1][1].tobytes()
+
+    for hold_schedule in (schedule, Schedule(schedule.total_time, schedule.dt)):
+        for include_initial in (False, True):
+            held, hold = run_hold(
+                final,
+                h1,
+                hold_schedule,
+                EvolutionMode.EXACT_STEP,
+                observables,
+                record_states=True,
+                start_time=schedule.total_time,
+                include_initial=include_initial,
+            )
+            expected = _hold_oracle(
+                final, h1, hold_schedule, observables, schedule.total_time, include_initial
+            )
+            assert len(expected) == hold_schedule.num_hold_steps + include_initial
+            _assert_matches(hold, expected)
+            last = expected[-1][1] if expected else final.amplitudes
+            assert held.amplitudes.tobytes() == last.tobytes()
+
+
+def test_exact_loops_apply_no_evolution_per_step(count_calls):
+    # the ramp and the hold run the propagator kernel from their stacked
+    # phases; apply_evolution, with its per-call phases and size check, is
+    # not called once per step
+    applied = count_calls("hamiltonian.apply_evolution")
+    h0, h1 = initial_hamiltonian(J, 1), hadamard_hamiltonian(J)
+    observables = {"expval_Z": _mean_z(1)}
+    final, _ = run_adiabatic(h0, h1, BENCHMARK, EvolutionMode.EXACT_STEP, observables)
+    run_hold(final, h1, BENCHMARK, EvolutionMode.EXACT_STEP, observables, include_initial=True)
+    assert applied == []

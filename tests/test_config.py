@@ -151,6 +151,32 @@ def test_with_overrides():
     assert untouched == config
 
 
+def test_negative_seed_rejected():
+    # shot estimates seed np.random.default_rng, which refuses a negative seed
+    with pytest.raises(ConfigError, match="estimation.seed"):
+        parse_config("estimation.seed = -1")
+    with pytest.raises(ConfigError, match="estimation.seed"):
+        with_overrides(parse_config(""), seed=-5)
+    assert with_overrides(parse_config(""), seed=0).estimation.seed == 0
+
+
+def test_negative_seed_is_a_config_error_before_the_ramp(tmp_path, capsys, count_calls):
+    ramps = count_calls("adiabatic.run_adiabatic")
+    cfg = tmp_path / "shots.cfg"
+    cfg.write_text(
+        "estimation.method = shots\nestimation.shots = 10\n"
+        f"output.prefix = {tmp_path}/run\n"
+    )
+    for command in ("filter-run", "sweep"):
+        assert main([command, "--config", str(cfg), "--seed", "-5"]) == 2
+        assert "estimation.seed" in capsys.readouterr().err
+    (tmp_path / "seed.cfg").write_text(cfg.read_text() + "estimation.seed = -5\n")
+    assert main(["sweep", "--config", str(tmp_path / "seed.cfg")]) == 2
+    assert "estimation.seed" in capsys.readouterr().err
+    assert ramps == []
+    assert not any(tmp_path.glob("run_*"))
+
+
 def test_build_model_builtins():
     hadamard = build_model(parse_config("model.J = 1.0"))
     assert hadamard.num_qubits == 1

@@ -132,6 +132,64 @@ def test_refine_rejects_shot_estimation(tmp_path, capsys):
     assert "estimation.method" in capsys.readouterr().err
 
 
+def test_refine_refuses_a_joint_register_above_the_limit(tmp_path, capsys, count_calls):
+    # 19 ancillas on two qubits would need 2^21 amplitudes per filter state;
+    # the refusal comes before the ramp
+    ramps = count_calls("adiabatic.run_adiabatic")
+    extra = "model.hamiltonian = tfim2\nfilter.ancillas = 19\n"
+    with pytest.raises(ConfigError, match="filter.ancillas"):
+        cmd_refine(_config(tmp_path, extra))
+    cfg = tmp_path / "refine.cfg"
+    cfg.write_text(SMALL + extra + f"output.prefix = {tmp_path}/cli\n")
+    assert main(["refine", "--config", str(cfg)]) == 2
+    assert "filter.ancillas" in capsys.readouterr().err
+    assert ramps == []
+
+
+def test_refine_accepts_a_joint_register_at_the_limit(tmp_path, monkeypatch):
+    # 18 ancillas on two qubits make 20 qubits: the ramp is reached
+    class Reached(Exception):
+        pass
+
+    def ramp(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(experiments, "run_adiabatic", ramp)
+    with pytest.raises(Reached):
+        cmd_refine(_config(tmp_path, "model.hamiltonian = tfim2\nfilter.ancillas = 18\n"))
+
+
+FORMATTED = [
+    -0.0,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    1e16,
+    5e-324,
+    0.1,
+    -1.0 / 3.0,
+    np.float64(2.0 / 3.0),
+    np.float64(-0.0),
+]
+
+
+@pytest.mark.parametrize("value", FORMATTED, ids=repr)
+def test_floats_are_written_with_nine_significant_digits(tmp_path, value):
+    expected = format(float(value), ".9g")
+    assert experiments._fmt(value) == expected
+    path = tmp_path / "value.csv"
+    experiments._write_csv(str(path), ["v"], [(value,)])
+    assert path.read_text() == f"v\n{expected}\n"
+
+
+def test_integers_and_strings_are_written_as_they_are(tmp_path):
+    values = (7, np.int64(-12), 2**60, "ok")
+    assert [experiments._fmt(v) for v in values] == ["7", "-12", str(2**60), "ok"]
+    path = tmp_path / "values.csv"
+    experiments._write_csv(str(path), list("abcd"), [values])
+    assert path.read_text() == f"a,b,c,d\n7,-12,{2**60},ok\n"
+
+
 def test_sweep_shot_mode_without_hold_records(tmp_path):
     # an empty hold leaves an empty state stack; the ramp's rows remain
     text = "schedule.T = 2\nschedule.dt = 0.25\nschedule.hold_time = 0\nestimation.method = shots\n"
