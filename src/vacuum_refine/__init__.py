@@ -72,7 +72,6 @@ from .hamiltonian import (
     interpolate,
     parse_pauli_text,
     ramp_coefficients,
-    ramp_spectra,
     to_matrix,
     transverse_ising_pair,
 )

@@ -71,13 +71,6 @@ class EvolutionMode(enum.Enum):
     EXACT_STEP = "exact_step"
     TROTTER1 = "trotter1"
 
-    @classmethod
-    def parse(cls, name: str) -> "EvolutionMode":
-        for mode in cls:
-            if mode.value == name:
-                return mode
-        raise DomainError(f"unknown evolution mode {name!r}")
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -88,6 +81,10 @@ class Schedule:
     hold_time: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("total_time", "dt", "hold_time"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.total_time <= 0:
             raise DomainError(f"total_time must be positive, got {self.total_time!r}")
         if self.dt <= 0 or self.dt > self.total_time:
@@ -130,9 +127,6 @@ class Trajectory:
     records: list[TrajectoryRecord] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
     states: np.ndarray | None = None
-
-    def append(self, record: TrajectoryRecord) -> None:
-        self.extend([record])
 
     def extend(self, records: Sequence[TrajectoryRecord]) -> None:
         """Append records, refusing them unless every time exceeds the one before.

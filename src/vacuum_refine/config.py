@@ -2,39 +2,27 @@
 
 The on-disk format is one ``section.key = value`` assignment per line,
 with ``#`` comments and blank lines allowed.  Floats use ``.`` as the
-decimal separator, booleans are ``true``/``false``, and every key is
-optional: an empty file describes the default single-qubit benchmark
-(J = pi/4, ramp 36 at dt = 1/24, hold 12, exact steps).
+decimal separator and must be finite, booleans are ``true``/``false``,
+and every key is optional: an empty file describes the default
+single-qubit benchmark (J = pi/4, ramp 36 at dt = 1/24, hold 12, exact
+steps).
 
-Recognized keys:
-
-    model.J                coupling strength, > 0
-    model.hamiltonian      ``hadamard`` | ``tfim2`` | path to operator text
-    schedule.T             ramp duration
-    schedule.dt            step size (T/dt and hold_time/dt integral)
-    schedule.hold_time     fixed-operator evolution after the ramp
-    mode                   ``exact_step`` | ``trotter1``
-    filter.ancillas        ancilla count m for filtering passes
-    filter.theta_mode      ``auto`` | ``fixed``
-    filter.theta           phase parameter, required when mode is fixed
-                           and refused otherwise
-    filter.powers          comma list of propagator powers (default 2^j)
-    filter.discard         post-select the ancillas (true) or keep the
-                           joint state for mixed estimation (false)
-    estimation.method      ``exact`` | ``shots``
-    estimation.shots       samples per estimate in shot mode
-    estimation.seed        base RNG seed, >= 0 (the CLI --seed overrides it)
-    refine.max_iters       pass limit for iterative refinement
-    refine.target_infidelity   stop threshold on the excited weight
-    diag.state_file        amplitude text file analyzed by the diag command
-    output.prefix          path prefix for CSV/report/manifest files
+The key table ``_KEYS`` is the one description of the format: for each
+key, in the order ``config_to_text`` writes them, the ``ExperimentConfig``
+field it sets, how its value is parsed and written, and its bound.
+Defaults come from the dataclasses.  Only the rules joining several keys
+are written out: ``filter.theta`` goes with ``filter.theta_mode = fixed``
+alone, ``filter.powers`` lists one power per ancilla, and ``Schedule``
+needs T/dt and hold_time/dt integral.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .adiabatic import EvolutionMode, Schedule
 from .errors import ConfigError, DomainError
@@ -44,8 +32,6 @@ from .hamiltonian import (
     parse_pauli_text,
     transverse_ising_pair,
 )
-
-_BUILTIN_MODELS = ("hadamard", "tfim2")
 
 
 @dataclass(frozen=True)
@@ -118,21 +104,109 @@ def _parse_powers(key: str, value: str) -> tuple[int, ...]:
         powers = tuple(int(part.strip()) for part in value.split(","))
     except ValueError:
         raise ConfigError(f"{key}: expected a comma list of integers, got {value!r}") from None
-    if not powers or any(p < 1 for p in powers):
+    if any(p < 1 for p in powers):
         raise ConfigError(f"{key}: powers must be positive integers, got {value!r}")
     return powers
 
 
-def _parse_choice(key: str, value: str, choices: tuple[str, ...]) -> str:
-    if value not in choices:
-        raise ConfigError(f"{key}: expected one of {', '.join(choices)}, got {value!r}")
-    return value
+class _Kind(NamedTuple):
+    """How a value is read from its config text and written back."""
+
+    parse: Callable[[str, str], Any]
+    show: Callable[[Any], str]
 
 
-def _check_seed(seed: int) -> None:
+_FLOAT = _Kind(_parse_float, repr)
+_INT = _Kind(_parse_int, str)
+_BOOL = _Kind(_parse_bool, lambda flag: "true" if flag else "false")
+_TEXT = _Kind(lambda key, value: value, str)
+_POWERS = _Kind(_parse_powers, lambda powers: ",".join(str(p) for p in powers))
+
+
+def _choice(values: Iterable[Any]) -> _Kind:
+    """One of ``values``: strings, or the members of an enum, named by their values."""
+    by_name = {getattr(v, "value", v): v for v in values}
+
+    def parse(key: str, value: str) -> Any:
+        if value not in by_name:
+            raise ConfigError(f"{key}: expected one of {', '.join(by_name)}, got {value!r}")
+        return by_name[value]
+
+    return _Kind(parse, lambda v: getattr(v, "value", v))
+
+
+_COMPARE = {">": operator.gt, ">=": operator.ge}
+
+
+class _Key(NamedTuple):
+    """A key's field path in ``ExperimentConfig`` (``"schedule.dt"``, ``"mode"``),
+    the kind of its value and its bound, an operator and a limit (``"> 0"``)."""
+
+    path: str
+    kind: _Kind
+    bound: str | None = None
+
+    def check(self, key: str, value: Any) -> Any:
+        """Return ``value``, refusing it by key name when it breaks the bound."""
+        if self.bound is not None:
+            op, limit = self.bound.split()
+            if not _COMPARE[op](value, float(limit)):
+                raise ConfigError(f"{key}: must be {self.bound}, got {value!r}")
+        return value
+
+    def get(self, config: ExperimentConfig) -> Any:
+        value = config
+        for name in self.path.split("."):
+            value = getattr(value, name)
+        return value
+
+
+# Every key, in the order config_to_text writes them.  A value that is None
+# (an optional key left unset) is not written.
+_KEYS = {
+    "model.J": _Key("model.J", _FLOAT, "> 0"),
+    "model.hamiltonian": _Key("model.hamiltonian", _TEXT),
+    "schedule.T": _Key("schedule.total_time", _FLOAT),
+    "schedule.dt": _Key("schedule.dt", _FLOAT),
+    "schedule.hold_time": _Key("schedule.hold_time", _FLOAT),
+    "mode": _Key("mode", _choice(EvolutionMode)),
+    "filter.ancillas": _Key("filter.ancillas", _INT, ">= 1"),
+    "filter.theta_mode": _Key("filter.theta_mode", _choice(("auto", "fixed"))),
+    "filter.theta": _Key("filter.theta", _FLOAT),
+    "filter.powers": _Key("filter.powers", _POWERS),
+    "filter.discard": _Key("filter.discard", _BOOL),
+    "estimation.method": _Key("estimation.method", _choice(("exact", "shots"))),
+    "estimation.shots": _Key("estimation.shots", _INT, ">= 1"),
     # shot estimates seed np.random.default_rng, which refuses negative seeds
-    if seed < 0:
-        raise ConfigError(f"estimation.seed: must be >= 0, got {seed}")
+    "estimation.seed": _Key("estimation.seed", _INT, ">= 0"),
+    "refine.max_iters": _Key("refine.max_iters", _INT, ">= 1"),
+    "refine.target_infidelity": _Key("refine.target_infidelity", _FLOAT, ">= 0"),
+    "diag.state_file": _Key("state_file", _TEXT),
+    "output.prefix": _Key("output_prefix", _TEXT),
+}
+
+
+def _assign(config: ExperimentConfig, values: dict[str, Any]) -> ExperimentConfig:
+    """A copy of ``config`` with each key of ``values`` set to its checked value.
+
+    The fields of one section are replaced together, so a section's own
+    checks (``Schedule``'s) see its final values; their ``DomainError``
+    becomes a ``ConfigError`` naming the section.
+    """
+    top: dict[str, Any] = {}
+    sections: dict[str, dict[str, Any]] = {}
+    for key, value in values.items():
+        name, _, sub = _KEYS[key].path.partition(".")
+        if sub:
+            sections.setdefault(name, {})[sub] = value
+        else:
+            top[name] = value
+    for name, fields in sections.items():
+        try:
+            top[name] = replace(getattr(config, name), **fields)
+        except DomainError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    return replace(config, **top)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -150,131 +224,28 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
-
-    known = {
-        "model.J",
-        "model.hamiltonian",
-        "schedule.T",
-        "schedule.dt",
-        "schedule.hold_time",
-        "mode",
-        "filter.ancillas",
-        "filter.theta_mode",
-        "filter.theta",
-        "filter.powers",
-        "filter.discard",
-        "estimation.method",
-        "estimation.shots",
-        "estimation.seed",
-        "refine.max_iters",
-        "refine.target_infidelity",
-        "diag.state_file",
-        "output.prefix",
-    }
     for key in raw:
-        if key not in known:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
 
-    defaults = ExperimentConfig()
-    model = ModelConfig(
-        J=_parse_float("model.J", raw["model.J"]) if "model.J" in raw else defaults.model.J,
-        hamiltonian=raw.get("model.hamiltonian", defaults.model.hamiltonian),
-    )
-    if model.J <= 0:
-        raise ConfigError(f"model.J: must be positive, got {model.J!r}")
+    values = {
+        key: entry.check(key, entry.kind.parse(key, raw[key]))
+        for key, entry in _KEYS.items()
+        if key in raw
+    }
+    config = _assign(ExperimentConfig(), values)
 
-    try:
-        schedule = Schedule(
-            total_time=_parse_float("schedule.T", raw["schedule.T"])
-            if "schedule.T" in raw
-            else defaults.schedule.total_time,
-            dt=_parse_float("schedule.dt", raw["schedule.dt"])
-            if "schedule.dt" in raw
-            else defaults.schedule.dt,
-            hold_time=_parse_float("schedule.hold_time", raw["schedule.hold_time"])
-            if "schedule.hold_time" in raw
-            else defaults.schedule.hold_time,
-        )
-    except DomainError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
-
-    try:
-        mode = EvolutionMode.parse(raw.get("mode", defaults.mode.value))
-    except DomainError as exc:
-        raise ConfigError(f"mode: {exc}") from exc
-
-    filter_settings = FilterSettings(
-        ancillas=_parse_int("filter.ancillas", raw["filter.ancillas"])
-        if "filter.ancillas" in raw
-        else defaults.filter.ancillas,
-        theta_mode=_parse_choice(
-            "filter.theta_mode", raw.get("filter.theta_mode", "auto"), ("auto", "fixed")
-        ),
-        theta=_parse_float("filter.theta", raw["filter.theta"]) if "filter.theta" in raw else None,
-        powers=_parse_powers("filter.powers", raw["filter.powers"])
-        if "filter.powers" in raw
-        else None,
-        discard=_parse_bool("filter.discard", raw["filter.discard"])
-        if "filter.discard" in raw
-        else defaults.filter.discard,
-    )
-    if filter_settings.ancillas < 1:
-        raise ConfigError(f"filter.ancillas: must be >= 1, got {filter_settings.ancillas}")
-    if filter_settings.theta_mode == "fixed" and filter_settings.theta is None:
+    settings = config.filter
+    if settings.theta_mode == "fixed" and settings.theta is None:
         raise ConfigError("filter.theta: required when filter.theta_mode = fixed")
-    if filter_settings.theta_mode != "fixed" and filter_settings.theta is not None:
+    if settings.theta_mode != "fixed" and settings.theta is not None:
         raise ConfigError("filter.theta: set only with filter.theta_mode = fixed")
-    if (
-        filter_settings.powers is not None
-        and len(filter_settings.powers) != filter_settings.ancillas
-    ):
+    if settings.powers is not None and len(settings.powers) != settings.ancillas:
         raise ConfigError(
-            f"filter.powers: {len(filter_settings.powers)} power(s) listed for "
-            f"{filter_settings.ancillas} ancilla(s)"
+            f"filter.powers: {len(settings.powers)} power(s) listed for "
+            f"{settings.ancillas} ancilla(s)"
         )
-
-    estimation = EstimationConfig(
-        method=_parse_choice(
-            "estimation.method", raw.get("estimation.method", "exact"), ("exact", "shots")
-        ),
-        shots=_parse_int("estimation.shots", raw["estimation.shots"])
-        if "estimation.shots" in raw
-        else defaults.estimation.shots,
-        seed=_parse_int("estimation.seed", raw["estimation.seed"])
-        if "estimation.seed" in raw
-        else defaults.estimation.seed,
-    )
-    if estimation.shots < 1:
-        raise ConfigError(f"estimation.shots: must be >= 1, got {estimation.shots}")
-    _check_seed(estimation.seed)
-
-    refine = RefineSettings(
-        max_iters=_parse_int("refine.max_iters", raw["refine.max_iters"])
-        if "refine.max_iters" in raw
-        else defaults.refine.max_iters,
-        target_infidelity=_parse_float(
-            "refine.target_infidelity", raw["refine.target_infidelity"]
-        )
-        if "refine.target_infidelity" in raw
-        else defaults.refine.target_infidelity,
-    )
-    if refine.max_iters < 1:
-        raise ConfigError(f"refine.max_iters: must be >= 1, got {refine.max_iters}")
-    if refine.target_infidelity < 0:
-        raise ConfigError(
-            f"refine.target_infidelity: must be >= 0, got {refine.target_infidelity}"
-        )
-
-    return ExperimentConfig(
-        model=model,
-        schedule=schedule,
-        mode=mode,
-        filter=filter_settings,
-        estimation=estimation,
-        refine=refine,
-        state_file=raw.get("diag.state_file"),
-        output_prefix=raw.get("output.prefix", defaults.output_prefix),
-    )
+    return config
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -287,59 +258,37 @@ def load_config(path: str) -> ExperimentConfig:
 
 def config_to_text(config: ExperimentConfig) -> str:
     """Serialize a config to canonical text; parsing it back is lossless."""
-    lines = [
-        f"model.J = {config.model.J!r}",
-        f"model.hamiltonian = {config.model.hamiltonian}",
-        f"schedule.T = {config.schedule.total_time!r}",
-        f"schedule.dt = {config.schedule.dt!r}",
-        f"schedule.hold_time = {config.schedule.hold_time!r}",
-        f"mode = {config.mode.value}",
-        f"filter.ancillas = {config.filter.ancillas}",
-        f"filter.theta_mode = {config.filter.theta_mode}",
-    ]
-    if config.filter.theta is not None:
-        lines.append(f"filter.theta = {config.filter.theta!r}")
-    if config.filter.powers is not None:
-        lines.append(f"filter.powers = {','.join(str(p) for p in config.filter.powers)}")
-    lines.extend(
-        [
-            f"filter.discard = {'true' if config.filter.discard else 'false'}",
-            f"estimation.method = {config.estimation.method}",
-            f"estimation.shots = {config.estimation.shots}",
-            f"estimation.seed = {config.estimation.seed}",
-            f"refine.max_iters = {config.refine.max_iters}",
-            f"refine.target_infidelity = {config.refine.target_infidelity!r}",
-        ]
-    )
-    if config.state_file is not None:
-        lines.append(f"diag.state_file = {config.state_file}")
-    lines.append(f"output.prefix = {config.output_prefix}")
+    lines = []
+    for key, entry in _KEYS.items():
+        value = entry.get(config)
+        if value is not None:
+            lines.append(f"{key} = {entry.kind.show(value)}")
     return "\n".join(lines) + "\n"
 
 
 def with_overrides(
     config: ExperimentConfig, seed: int | None = None, out: str | None = None
 ) -> ExperimentConfig:
-    """Apply CLI-level seed and output-prefix overrides."""
-    if seed is not None:
-        _check_seed(seed)
-        config = replace(config, estimation=replace(config.estimation, seed=seed))
-    if out is not None:
-        config = replace(config, output_prefix=out)
-    return config
+    """Apply CLI-level seed and output-prefix overrides, checked as their keys are."""
+    given = {"estimation.seed": seed, "output.prefix": out}
+    return _assign(
+        config,
+        {key: _KEYS[key].check(key, value) for key, value in given.items() if value is not None},
+    )
+
+
+_MODELS = {"hadamard": hadamard_hamiltonian, "tfim2": transverse_ising_pair}
 
 
 def build_model(config: ExperimentConfig) -> PauliSum:
     """Resolve the configured target operator (builtin name or file path)."""
     name = config.model.hamiltonian
-    if name == "hadamard":
-        return hadamard_hamiltonian(config.model.J)
-    if name == "tfim2":
-        return transverse_ising_pair(config.model.J)
+    if name in _MODELS:
+        return _MODELS[name](config.model.J)
     if not os.path.isfile(name):
         raise ConfigError(
             f"model.hamiltonian: {name!r} is neither a builtin "
-            f"({', '.join(_BUILTIN_MODELS)}) nor an existing file"
+            f"({', '.join(_MODELS)}) nor an existing file"
         )
     with open(name, "r", encoding="utf-8") as handle:
         return parse_pauli_text(handle.read())

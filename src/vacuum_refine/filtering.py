@@ -32,6 +32,7 @@ estimate -> filter -> post-select sharpens E0' and the state together.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,8 @@ class FilterConfig:
         if powers is None:
             powers = tuple(2**j for j in range(self.num_ancillas))
         else:
+            if not all(isinstance(p, numbers.Integral) for p in powers):
+                raise DomainError(f"powers must be integers, got {tuple(powers)!r}")
             powers = tuple(int(p) for p in powers)
             if len(powers) != self.num_ancillas:
                 raise DomainError(

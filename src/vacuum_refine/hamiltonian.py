@@ -204,7 +204,7 @@ def to_matrix(h: PauliSum) -> np.ndarray:
     (an even power of i, so every phase is +1 or -1) and complex128
     otherwise.  Entry ``[c ^ x, c]`` of each word is its coefficient times
     its phase, and the words are summed in the order of ``h.terms``.  This
-    is the one-operator case of the stacked build ``ramp_spectra`` uses.
+    is the one-operator case of the stacked build, ``_dense_stack``.
     """
     coeffs = _coefficient_row(h)
     return _dense_stack(h.num_qubits, h.words, coeffs, _real_rows(h.words, coeffs)[0])[0]
@@ -312,27 +312,10 @@ def exact_diagonalize(h: PauliSum) -> Spectrum:
 
     A real operator's float64 matrix goes through real ``eigh`` and real
     checks; the dtype of the matrix selects the arithmetic throughout.
-    This is the one-operator case of ``ramp_spectra``'s stacked path.
+    This is the one-operator case of the stacked path, ``_spectrum_stacks``.
     """
     _, values, vectors = next(_spectrum_stacks(h.num_qubits, h.words, _coefficient_row(h)))
     return Spectrum(h.num_qubits, values[0], vectors[0])
-
-
-def ramp_spectra(h0: PauliSum, h1: PauliSum, s_values: Sequence[float]) -> Iterator[Spectrum]:
-    """The spectrum of (1 - s) * h0 + s * h1 for each s, in order.
-
-    Equal bit for bit to ``exact_diagonalize(interpolate(h0, h1, s))`` for
-    each s, but every matrix comes from one coefficient array
-    (``ramp_coefficients``) and each stack of them goes through one
-    ``eigh`` with vectorized guards.  Arguments are checked at once; the
-    spectra are computed as they are taken.
-    """
-    words, coeffs = ramp_coefficients(h0, h1, s_values)
-    return (
-        Spectrum(h0.num_qubits, values[k], vectors[k])
-        for _, values, vectors in _spectrum_stacks(h0.num_qubits, words, coeffs)
-        for k in range(len(values))
-    )
 
 
 def _check_spectrum_dim(spectrum: Spectrum, dim: int) -> None:

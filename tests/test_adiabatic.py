@@ -21,7 +21,6 @@ from vacuum_refine import (
     interpolate,
     parse_pauli_text,
     ramp_coefficients,
-    ramp_spectra,
     run_adiabatic,
     run_hold,
     to_matrix,
@@ -51,11 +50,20 @@ def test_schedule_validation():
     assert sched.num_hold_steps == 2
 
 
-def test_mode_parse():
-    assert EvolutionMode.parse("exact_step") is EvolutionMode.EXACT_STEP
-    assert EvolutionMode.parse("trotter1") is EvolutionMode.TROTTER1
-    with pytest.raises(DomainError):
-        EvolutionMode.parse("rk4")
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((1.0, 0.5, float("nan")), "hold_time"),
+        ((float("nan"), 0.5), "total_time"),
+        ((float("inf"), 0.5), "total_time"),
+        ((1.0, float("inf")), "dt"),
+        ((1.0, 0.5, float("-inf")), "hold_time"),
+    ],
+)
+def test_schedule_refuses_non_finite_values(args, name):
+    # round() in the integrality check raised a bare ValueError or OverflowError
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        Schedule(*args)
 
 
 def test_exact_step_phases_eigenstate():
@@ -340,9 +348,9 @@ def test_trajectory_time_ordering_enforced():
     from vacuum_refine import Trajectory, TrajectoryRecord
 
     traj = Trajectory(metadata={})
-    traj.append(TrajectoryRecord(t=0.0, observables={}, fidelity=1.0))
+    traj.extend([TrajectoryRecord(t=0.0, observables={}, fidelity=1.0)])
     with pytest.raises(DomainError):
-        traj.append(TrajectoryRecord(t=0.0, observables={}, fidelity=1.0))
+        traj.extend([TrajectoryRecord(t=0.0, observables={}, fidelity=1.0)])
     # a block is checked as a whole: one bad time refuses every record of it
     block = [TrajectoryRecord(t, {}, 1.0) for t in (1.0, 2.0, 2.0, 3.0)]
     with pytest.raises(DomainError, match="got 2.0 after 2.0"):
@@ -451,14 +459,16 @@ def _ramp_oracle(h0, h1, schedule, observables):
     """The exact ramp stepped and read out one state at a time.
 
     Returns (t, amplitudes, observables with energy, fidelity) per record
-    and the warnings, from one ``Spectrum`` per step.
+    and the warnings, from ``exact_diagonalize(interpolate(h0, h1, s))``
+    per step, so no stacked path is involved.
     """
     n, dt = h0.num_qubits, schedule.dt
     steps = schedule.num_ramp_steps
     s_values = [0.0] + [(k + 0.5) * dt / schedule.total_time for k in range(steps)]
     state = basis_state(n, 0)
     rows, warnings = [], []
-    for k, (s, spectrum) in enumerate(zip(s_values, ramp_spectra(h0, h1, s_values))):
+    for k, s in enumerate(s_values):
+        spectrum = exact_diagonalize(interpolate(h0, h1, s))
         if k:
             state = StateVector(n, apply_evolution(spectrum, dt, state.amplitudes))
         if spectrum.degenerate:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +7,18 @@ import pytest
 from vacuum_refine import (
     ConfigError,
     EvolutionMode,
+    ExperimentConfig,
     build_model,
     config_to_text,
     load_config,
     parse_config,
     with_overrides,
 )
+from vacuum_refine import config as config_module
 from vacuum_refine.cli import main
+
+KEYS = config_module._KEYS
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_empty_config_gives_benchmark_defaults():
@@ -207,3 +213,65 @@ def test_load_config(tmp_path):
     assert load_config(str(path)).model.J == 2.0
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.cfg"))
+
+
+# key -> (a value other than its default, as config_to_text writes it;
+#         the lines of other keys that value needs)
+NON_DEFAULT = {
+    "model.J": ("0.5", ""),
+    "model.hamiltonian": ("tfim2", ""),
+    "schedule.T": ("48.0", ""),
+    "schedule.dt": ("0.125", ""),
+    "schedule.hold_time": ("0.5", ""),
+    "mode": ("trotter1", ""),
+    "filter.ancillas": ("3", ""),
+    "filter.theta_mode": ("fixed", "filter.theta = -1.3"),
+    "filter.theta": ("-1.3", "filter.theta_mode = fixed"),
+    "filter.powers": ("1,3", ""),
+    "filter.discard": ("false", ""),
+    "estimation.method": ("shots", ""),
+    "estimation.shots": ("250", ""),
+    "estimation.seed": ("0", ""),
+    "refine.max_iters": ("7", ""),
+    "refine.target_infidelity": ("0.0", ""),
+    "diag.state_file": ("states/psi.txt", ""),
+    "output.prefix": ("runs/x", ""),
+}
+
+
+@pytest.mark.parametrize("key", list(KEYS))
+def test_every_key_round_trips(key):
+    value, needs = NON_DEFAULT[key]
+    line = f"{key} = {value}"
+    config = parse_config(f"{line}\n{needs}")
+    assert KEYS[key].get(config) != KEYS[key].get(ExperimentConfig())
+    text = config_to_text(config)
+    assert line in text.splitlines()
+    assert parse_config(text) == config
+
+
+def test_overrides_go_through_the_key_table(monkeypatch):
+    base = parse_config("")
+    seen = []
+    check = config_module._Key.check
+
+    def spy(entry, key, value):
+        seen.append(key)
+        return check(entry, key, value)
+
+    monkeypatch.setattr(config_module._Key, "check", spy)
+    bumped = with_overrides(base, seed=17, out="runs/y")
+    assert seen == ["estimation.seed", "output.prefix"]
+    assert bumped == parse_config("estimation.seed = 17\noutput.prefix = runs/y")
+    # the bound applied to --seed is the one the table gives estimation.seed
+    tighter = KEYS["estimation.seed"]._replace(bound=">= 100")
+    monkeypatch.setitem(KEYS, "estimation.seed", tighter)
+    with pytest.raises(ConfigError, match="estimation.seed: must be >= 100, got 50"):
+        with_overrides(base, seed=50)
+
+
+def test_readme_lists_the_keys_of_the_table():
+    section = README.read_text(encoding="utf-8").split("## Config format", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert [row.split("`")[1] for row in rows] == list(KEYS)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ def test_filter_config_powers():
         FilterConfig(2, 1.0, powers=(1,))
     with pytest.raises(DomainError):
         FilterConfig(2, 1.0, powers=(0, 1))
+
+
+def test_filter_config_refuses_non_integer_powers():
+    # a power of 1.5 was truncated to U^1, and 0.5 refused as "got (0, 2)"
+    for powers in ((1.5, 2), (0.5, 2), (2.0, 4)):
+        with pytest.raises(DomainError, match=re.escape(f"got {powers!r}")):
+            FilterConfig(2, 1.0, powers=powers)
+    assert FilterConfig(2, 1.0, powers=(np.int64(1), 3)).powers == (1, 3)
 
 
 def test_tag_leaves_ground_unmarked():

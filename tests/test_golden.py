@@ -42,7 +42,15 @@ CASES = {
     "filter_keep_benchmark": (cmd_filter_run, "configs/benchmark.cfg", "filter.discard = false\n"),
     "filter_shots": (cmd_filter_run, "configs/benchmark_shots.cfg", ""),
     "refine_pair": (cmd_refine, "configs/pair_refine.cfg", ""),
+    # A fixed filter phase and odd propagator powers instead of pi/E0' and 2^j.
+    "refine_pair_fixed_theta": (
+        cmd_refine,
+        "configs/pair_refine.cfg",
+        "filter.theta_mode = fixed\nfilter.theta = -1.3\nfilter.powers = 1,3,5\n",
+    ),
     "diag_pair": (cmd_diag, "configs/pair_refine.cfg", ""),
+    # The ancilla-embedded hold in shot mode.
+    "filter_keep_shots": (cmd_filter_run, "configs/benchmark_shots.cfg", "filter.discard = false\n"),
     # A three-qubit operator with Y letters, through both step modes.
     "sweep_chain3y_trotter": (
         cmd_sweep,
@@ -84,7 +92,8 @@ def _run(name: str, directory: Path) -> dict[str, bytes]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_snapshot(name, tmp_path):
     files = _run(name, tmp_path)
-    expected = sorted(p.name for p in GOLDEN.glob(f"{name}_*"))
+    # <case>_<kind>.<ext>, so refine_pair does not claim refine_pair_fixed_theta's file
+    expected = sorted(p.name for p in GOLDEN.iterdir() if p.name.rsplit("_", 1)[0] == name)
     assert sorted(files) == expected
     for filename, content in files.items():
         assert content == (GOLDEN / filename).read_bytes(), filename

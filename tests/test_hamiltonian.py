@@ -16,12 +16,12 @@ from vacuum_refine import (
     initial_hamiltonian,
     interpolate,
     parse_pauli_text,
-    ramp_spectra,
+    ramp_coefficients,
     to_matrix,
     transverse_ising_pair,
 )
 
-from vacuum_refine.hamiltonian import _fix_phases
+from vacuum_refine.hamiltonian import DEGENERACY_TOL, _fix_phases, _spectrum_stacks
 
 from oracles import haar_unitary, pauli_sum_matrix
 
@@ -339,31 +339,41 @@ RAMPS = {
 }
 
 
+def _ramp_spectra(h0, h1, s_values):
+    """(eigenvalues, eigenvectors, degenerate) per s from the stacked path."""
+    words, coeffs = ramp_coefficients(h0, h1, s_values)
+    return [
+        (values[k], vectors[k], values[k, 1] - values[k, 0] < DEGENERACY_TOL)
+        for _, values, vectors in _spectrum_stacks(h0.num_qubits, words, coeffs)
+        for k in range(len(values))
+    ]
+
+
 @pytest.mark.parametrize("name", list(RAMPS))
 def test_ramp_spectra_match_exact_diagonalize(name):
     h0, h1, s_values = RAMPS[name]
-    spectra = list(ramp_spectra(h0, h1, s_values))
+    spectra = _ramp_spectra(h0, h1, s_values)
     assert len(spectra) == len(s_values)
-    for s, got in zip(s_values, spectra):
+    for s, (values, vectors, degenerate) in zip(s_values, spectra):
         expected = exact_diagonalize(interpolate(h0, h1, s))
-        assert got.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
-        assert got.eigenvectors.dtype == expected.eigenvectors.dtype
-        assert got.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
-        assert got.degenerate == expected.degenerate
+        assert values.tobytes() == expected.eigenvalues.tobytes()
+        assert vectors.dtype == expected.eigenvectors.dtype
+        assert vectors.tobytes() == expected.eigenvectors.tobytes()
+        assert degenerate == expected.degenerate
     if name == "y_cancels":
-        assert [g.eigenvectors.dtype for g in spectra] == [np.complex128] * 2 + [
+        assert [v.dtype for _, v, _ in spectra] == [np.complex128] * 2 + [
             np.float64
         ] + [np.complex128] * 2
     if name == "zero_step":
-        assert [g.degenerate for g in spectra] == [False, False, True, False]
+        assert [d for _, _, d in spectra] == [False, False, True, False]
 
 
 def test_ramp_spectra_checks_arguments():
     h0, h1 = initial_hamiltonian(J, 2), transverse_ising_pair(J)
     with pytest.raises(DomainError, match="outside"):
-        ramp_spectra(h0, h1, [0.5, 1.5])
+        ramp_coefficients(h0, h1, [0.5, 1.5])
     with pytest.raises(DomainError, match="different registers"):
-        ramp_spectra(h0, initial_hamiltonian(J, 3), [0.5])
+        ramp_coefficients(h0, initial_hamiltonian(J, 3), [0.5])
 
 
 def _duplicate_column(vectors):
@@ -387,7 +397,7 @@ def test_stacked_guard_refuses_one_bad_matrix(monkeypatch, corrupt):
 
     monkeypatch.setattr(np.linalg, "eigh", corrupted)
     with pytest.raises(NumericalConsistencyError, match="orthonormal"):
-        list(ramp_spectra(initial_hamiltonian(J, 2), transverse_ising_pair(J), _midpoints(8)))
+        _ramp_spectra(initial_hamiltonian(J, 2), transverse_ising_pair(J), _midpoints(8))
     # one stack held all nine operators; only the fourth was bad
     assert stacks == [9]
 
