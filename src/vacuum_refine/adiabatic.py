@@ -12,9 +12,13 @@ Every ramp operator is known before the first step, so ``run_adiabatic``
 writes them all as one (steps x words) coefficient array
 (``ramp_coefficients``) and takes their eigendecompositions stack by
 stack: dense matrices built as a stack, one ``eigh`` per stack and the
-Hermiticity, orthonormality and residual guards vectorized over it.  Both
-step modes read each step's coefficient row, so no operator is built per
-step.
+Hermiticity, orthonormality and residual guards vectorized over it.  The
+stacks are diagonalized on up to one thread per core of the process's
+affinity at once, as many as a fixed budget of matrix entries in flight
+allows, each eigendecomposition on one BLAS thread, and arrive in order
+(``_SpectrumStacks``); the trajectory's metadata records how many threads
+they used (``diagonalization_workers``).  Both step modes read each step's
+coefficient row, so no operator is built per step.
 
 The ramp and the hold work a block of states at a time.  For each stack
 of the ramp, one ``np.exp`` gives every step's phases and one comparison
@@ -43,9 +47,9 @@ from .hamiltonian import (
     DEGENERACY_TOL,
     PauliSum,
     Spectrum,
+    _SpectrumStacks,
     _check_spectrum_dim,
     _propagate,
-    _spectrum_stacks,
     apply_evolution,
     exact_diagonalize,
     ramp_coefficients,
@@ -343,7 +347,8 @@ def run_adiabatic(
     if records:
         recorder = _Recorder(trajectory, 2**n, words, observables, record_states)
     amplitudes = basis_state(n, 0).amplitudes
-    for start, values, vectors in _spectrum_stacks(n, words, coeffs):
+    stacks = _SpectrumStacks(n, words, coeffs)
+    for start, values, vectors in stacks:
         stop = start + len(values)
         if exact:
             phases = np.exp(-1j * values * dt)
@@ -366,6 +371,8 @@ def run_adiabatic(
             times = [k * dt for k in range(start, stop)]
             targets = np.ascontiguousarray(vectors[:, :, 0])
             recorder.read(times, states, coeffs[start:stop], targets)
+        del values, vectors  # free before the next stack is diagonalized
+    trajectory.metadata["diagonalization_workers"] = stacks.workers
     if recorder is not None:
         recorder.finish()
     return StateVector(n, amplitudes), trajectory

@@ -109,6 +109,16 @@ def _parse_powers(key: str, value: str) -> tuple[int, ...]:
     return powers
 
 
+def _parse_text(key: str, value: str) -> str:
+    # config_to_text writes the value raw after "key = ", so it must read back whole
+    if not value or value != value.strip() or "#" in value or len(value.splitlines()) > 1:
+        raise ConfigError(
+            f"{key}: expected text without '#', line breaks or leading or trailing "
+            f"blanks, got {value!r}"
+        )
+    return value
+
+
 class _Kind(NamedTuple):
     """How a value is read from its config text and written back."""
 
@@ -119,7 +129,7 @@ class _Kind(NamedTuple):
 _FLOAT = _Kind(_parse_float, repr)
 _INT = _Kind(_parse_int, str)
 _BOOL = _Kind(_parse_bool, lambda flag: "true" if flag else "false")
-_TEXT = _Kind(lambda key, value: value, str)
+_TEXT = _Kind(_parse_text, str)
 _POWERS = _Kind(_parse_powers, lambda powers: ",".join(str(p) for p in powers))
 
 
@@ -269,11 +279,15 @@ def config_to_text(config: ExperimentConfig) -> str:
 def with_overrides(
     config: ExperimentConfig, seed: int | None = None, out: str | None = None
 ) -> ExperimentConfig:
-    """Apply CLI-level seed and output-prefix overrides, checked as their keys are."""
+    """Apply CLI-level seed and output-prefix overrides, read as their keys' text is."""
     given = {"estimation.seed": seed, "output.prefix": out}
     return _assign(
         config,
-        {key: _KEYS[key].check(key, value) for key, value in given.items() if value is not None},
+        {
+            key: _KEYS[key].check(key, _KEYS[key].kind.parse(key, str(value)))
+            for key, value in given.items()
+            if value is not None
+        },
     )
 
 

@@ -35,6 +35,7 @@ from .hamiltonian import (
     DEFAULT_DENSE_CAP,
     PauliSum,
     Spectrum,
+    _blas,
     exact_diagonalize,
     initial_hamiltonian,
 )
@@ -168,8 +169,11 @@ def _write_manifest(
     outputs: list[str],
     started: float,
     warnings: list[str],
+    workers: int,
 ) -> str:
+    """Write the run manifest; ``workers`` is the number of threads the stacks used."""
     path = f"{config.output_prefix}_manifest.json"
+    blas = _blas()
     payload = {
         "command": command,
         "version": __version__,
@@ -178,6 +182,8 @@ def _write_manifest(
         "outputs": outputs,
         "config": config_to_text(config),
         "warnings": warnings,
+        "blas_threads": blas.threads() if blas is not None else "unknown",
+        "diagonalization_workers": workers,
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -243,7 +249,9 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
 
     outputs = [trajectory_path, summary_path]
     warnings = ramp.metadata["warnings"] + hold.metadata["warnings"]
-    manifest = _write_manifest("sweep", config, outputs, started, warnings)
+    manifest = _write_manifest(
+        "sweep", config, outputs, started, warnings, ramp.metadata["diagonalization_workers"]
+    )
     lines = [
         f"trajectory written to {trajectory_path} ({len(rows)} records)",
         f"prep quality 2|alpha|^2-1 = {prep_quality:.9f} "
@@ -345,7 +353,9 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
 
     outputs = [trajectory_path, summary_path]
     warnings = ramp.metadata["warnings"] + hold.metadata["warnings"]
-    manifest = _write_manifest("filter-run", config, outputs, started, warnings)
+    manifest = _write_manifest(
+        "filter-run", config, outputs, started, warnings, ramp.metadata["diagonalization_workers"]
+    )
     lines = [
         f"trajectory written to {trajectory_path} ({len(rows)} records)",
         f"raw = {raw:.9f}  2p0-1 = {denom:.9f}  corrected = raw/(2p0-1) = {corrected:.9f}",
@@ -448,7 +458,9 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
     }
     outputs = [refinement_path]
     warnings = ramp.metadata["warnings"] + _excited_level_warnings(report, spectrum)
-    manifest = _write_manifest("refine", config, outputs, started, warnings)
+    manifest = _write_manifest(
+        "refine", config, outputs, started, warnings, ramp.metadata["diagonalization_workers"]
+    )
     lines = [
         f"refinement written to {refinement_path} ({len(rows)} pass(es))",
         f"start fidelity {start_fidelity:.9f} -> final fidelity {summary['final_fidelity']:.9f} "
@@ -521,6 +533,6 @@ def cmd_diag(config: ExperimentConfig) -> CommandResult:
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
     outputs = [report_path]
-    manifest = _write_manifest("diag", config, outputs, started, [])
+    manifest = _write_manifest("diag", config, outputs, started, [], 1)
     lines.append(f"manifest written to {manifest}")
     return CommandResult(outputs=outputs + [manifest], lines=lines, summary=summary)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import fnmatch
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +29,17 @@ _CHECK_ATOL = 1e-10
 # At most about _STACK_ENTRIES matrix entries are built and diagonalized in
 # one stack: every one-qubit ramp step fits in one, while at 8 qubits and
 # more a stack is a single matrix, so peak memory does not grow with the
-# steps.
+# steps.  Stacks diagonalized by several threads at once hold at most
+# _FLIGHT_ENTRIES matrix entries between them: two full stacks, about 3 MB
+# more than one at 8 qubits, whatever the core count; from 9 qubits one
+# matrix is more than half of it, so the stacks are diagonalized one at a
+# time.
+_FLIGHT_ENTRIES = 2 * _STACK_ENTRIES
+
+# The thread-count getter and setter of the OpenBLAS that numpy (>= 2.0)
+# wheels bundle in numpy.libs.
+_BLAS_GET = "scipy_openblas_get_num_threads64_"
+_BLAS_SET = "scipy_openblas_set_num_threads64_"
 
 
 @dataclass(frozen=True)
@@ -148,6 +164,12 @@ def _real_rows(words: Sequence[PauliWord], coeffs: np.ndarray) -> np.ndarray:
     return ~np.any((coeffs != 0.0) & odd, axis=1)
 
 
+def _max_entry(buffer: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of each matrix of a (k, d, d) stack; a real stack is overwritten."""
+    magnitudes = np.abs(buffer, out=buffer) if buffer.dtype == np.float64 else np.abs(buffer)
+    return np.max(magnitudes, axis=(-2, -1))
+
+
 def _dense_stack(
     num_qubits: int,
     words: Sequence[PauliWord],
@@ -185,8 +207,9 @@ def _dense_stack(
             (stack, columns ^ block[:, :1], columns),
             coeffs[:, start : start + step, None] * phases,
         )
-    asymmetry = np.max(np.abs(out - out.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    _refuse_above(asymmetry, 1e-12, "dense matrix is not Hermitian")
+    difference = np.conjugate(out.swapaxes(-1, -2))
+    np.subtract(out, difference, out=difference)
+    _refuse_above(_max_entry(difference), 1e-12, "dense matrix is not Hermitian")
     return out
 
 
@@ -242,10 +265,11 @@ class Spectrum:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+    """Rotate each column, in place, so its largest-magnitude entry is real positive.
 
-    Works on one matrix or a stack of them.  For real vectors the factor
-    is the pivot's sign, so this is a sign fix and the columns stay real.
+    Works on one matrix or a stack of them, and returns it.  For real
+    vectors the factor is the pivot's sign, so this is a sign fix and the
+    columns stay real.
     """
     dim = vectors.shape[-1]
     stack = vectors.reshape(-1, dim, dim)
@@ -254,7 +278,8 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     pivots = pivots.reshape(vectors.shape[:-2] + (1, dim))
     # np.hypot rounds the modulus as abs() of a complex scalar does; np.abs
     # can differ in the last bit, which would move digits of the outputs.
-    return vectors * (pivots.conj() / np.hypot(pivots.real, pivots.imag))
+    vectors *= pivots.conj() / np.hypot(pivots.real, pivots.imag)
+    return vectors
 
 
 def _diagonalize_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,47 +289,205 @@ def _diagonalize_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors.  Every guard runs on every matrix of the stack.  The
     eigenvectors must be orthonormal to the unitarity tolerance of a gate,
     because every propagator is applied straight from them
-    (``apply_evolution``) and is never checked as a matrix.
+    (``apply_evolution``) and is never checked as a matrix.  Both guards
+    are computed in one reused (k, d, d) buffer.
     """
     try:
         values, vectors = np.linalg.eigh(matrices)
     except np.linalg.LinAlgError as exc:
         raise NumericalConsistencyError(f"eigensolver failed to converge: {exc}") from exc
     vectors = _fix_phases(vectors)
-    identity = np.eye(matrices.shape[-1])
-    ortho = np.max(np.abs(vectors.conj().swapaxes(-1, -2) @ vectors - identity), axis=(-2, -1))
-    _refuse_above(ortho, _UNITARY_ATOL, "eigenvectors not orthonormal ({:.3e})")
-    residual = np.max(
-        np.abs(matrices @ vectors - vectors * values[:, np.newaxis, :]), axis=(-2, -1)
-    )
-    _refuse_above(residual, _CHECK_ATOL, "eigenpair residual {:.3e} too large")
+    k, dim = values.shape
+    adjoint = vectors.swapaxes(-1, -2)
+    if vectors.dtype != np.float64:
+        adjoint = adjoint.conj()
+    buffer = np.matmul(adjoint, vectors)
+    buffer.reshape(k, dim * dim)[:, :: dim + 1] -= 1.0
+    _refuse_above(_max_entry(buffer), _UNITARY_ATOL, "eigenvectors not orthonormal ({:.3e})")
+    np.matmul(matrices, vectors, out=buffer)
+    buffer -= vectors * values[:, np.newaxis, :]
+    _refuse_above(_max_entry(buffer), _CHECK_ATOL, "eigenpair residual {:.3e} too large")
     return values, vectors
 
 
-def _spectrum_stacks(
-    num_qubits: int, words: Sequence[PauliWord], coeffs: np.ndarray
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+class _Blas:
+    """The loaded OpenBLAS's thread count, read and pinned through its C API."""
+
+    def __init__(self, get: Callable[[], int], set_: Callable[[int], None]):
+        self._get = get
+        self._set = set_
+        self._lock = threading.Lock()
+        self._pins = 0
+        self._saved = 0
+
+    def threads(self) -> int:
+        return int(self._get())
+
+    @contextlib.contextmanager
+    def one_thread(self) -> Iterator[None]:
+        """Run OpenBLAS on one thread inside the block.
+
+        The count is process-wide, so nested or overlapping blocks share
+        one pin: the first saves the count and the last restores it.
+        """
+        with self._lock:
+            if self._pins == 0:
+                self._saved = self.threads()
+                self._set(1)
+            self._pins += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._pins -= 1
+                if self._pins == 0:
+                    self._set(self._saved)
+
+
+@functools.cache
+def _blas() -> _Blas | None:
+    """A handle on numpy's bundled OpenBLAS, or None when none is found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(fnmatch.filter(os.listdir(libs), "*openblas*"))
+    except OSError:
+        return None
+    for name in names:
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        if hasattr(lib, _BLAS_GET) and hasattr(lib, _BLAS_SET):
+            get, set_ = getattr(lib, _BLAS_GET), getattr(lib, _BLAS_SET)
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return _Blas(get, set_)
+    return None
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _workers(stacks: int, stack_entries: int) -> int:
+    """Threads that diagonalize ``stacks`` stacks of up to ``stack_entries`` entries.
+
+    One per core, at most one per stack, and no more than keep
+    ``_FLIGHT_ENTRIES`` entries in flight.  Several threads run only when
+    each eigendecomposition can be held to one BLAS thread; otherwise it
+    is one.
+    """
+    workers = min(stacks, _cores(), max(1, _FLIGHT_ENTRIES // stack_entries))
+    if workers < 2 or _blas() is None:
+        return 1
+    return workers
+
+
+def _in_order(count: int, compute: Callable[[int], Any], workers: int) -> Iterator[Any]:
+    """Yield compute(0), ..., compute(count - 1), computed by ``workers`` threads.
+
+    The calling thread computes items 0, workers, 2 * workers, ... and
+    helper thread w the items w, w + workers, ...  An item starts only
+    while it is fewer than ``workers`` places ahead of the first item the
+    consumer has not finished with, so at most ``workers`` items are in
+    flight; with one worker no helper starts and each item is computed as
+    it is consumed.  An exception raised computing an item is raised when
+    that item is due.  However the consumer stops, the helpers are stopped and
+    joined before this generator returns.
+    """
+    results: dict[int, tuple] = {}
+    ready = threading.Condition()
+    finished = 0
+    stopping = False
+
+    def helper(first: int) -> None:
+        for i in range(first, count, workers):
+            with ready:
+                ready.wait_for(lambda: stopping or i < finished + workers)
+                if stopping:
+                    return
+            try:
+                result = (compute(i), None)
+            except BaseException as exc:  # raised in the consumer's thread instead
+                result = (None, exc)
+            with ready:
+                results[i] = result
+                ready.notify_all()
+
+    helpers: list[threading.Thread] = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=helper, args=(w,), daemon=True)
+            thread.start()
+            helpers.append(thread)
+        for i in range(count):
+            if i % workers == 0:
+                item = compute(i)
+            else:
+                with ready:
+                    ready.wait_for(lambda: i in results)
+                    item, error = results.pop(i)
+                if error is not None:
+                    raise error
+            yield item
+            item = None  # the consumer's reference is then the last one
+            with ready:
+                finished = i + 1
+                ready.notify_all()
+    finally:
+        with ready:
+            stopping = True
+            ready.notify_all()
+        for thread in helpers:
+            thread.join()
+
+
+class _SpectrumStacks:
     """(first row, eigenvalues, eigenvectors) of each stack of rows of ``coeffs``.
 
     A stack holds consecutive rows of one dtype (``_real_rows``), at most
     ``_STACK_ENTRIES`` matrix entries or a single matrix.  Its rows
     ``first`` to ``first + k`` are built (``_dense_stack``) and
     diagonalized (``_diagonalize_stack``) as one (k, d, d) stack, giving
-    (k, d) eigenvalues and (k, d, d) eigenvectors.  Stacks are built as
-    they are consumed, so memory stays at one stack however many rows.
-    Every diagonalization in the package runs here.
+    (k, d) eigenvalues and (k, d, d) eigenvectors.  Every diagonalization
+    in the package runs here.
+
+    Iterating yields the stacks in order, computed by ``workers`` threads
+    (``_workers``, ``_in_order``): one per core of the process's affinity,
+    at most one stack in flight per thread and ``_FLIGHT_ENTRIES`` entries
+    in flight in all.  With one worker the calling thread computes each
+    stack as it is consumed.  With more, OpenBLAS is held to one thread
+    for the whole process from the first stack until the iteration ends or
+    is abandoned, consumer's work between stacks included; the previous
+    count is then restored.  One BLAS thread per eigendecomposition is what
+    makes the threads pay: OpenBLAS's own threads do not speed up ``eigh``
+    at these sizes.
     """
-    real = _real_rows(words, coeffs).tolist()
-    chunk = max(1, _STACK_ENTRIES // 4**num_qubits)
-    start = 0
-    while start < len(coeffs):
-        stop = start + 1
-        while stop < min(start + chunk, len(coeffs)) and real[stop] == real[start]:
-            stop += 1
-        matrices = _dense_stack(num_qubits, words, coeffs[start:stop], real[start])
+
+    def __init__(self, num_qubits: int, words: Sequence[PauliWord], coeffs: np.ndarray):
+        self._num_qubits = num_qubits
+        self._words = words
+        self._coeffs = coeffs
+        self._real = real = _real_rows(words, coeffs).tolist()
+        chunk = max(1, _STACK_ENTRIES // 4**num_qubits)
+        self._starts = starts = [0]
+        while starts[-1] < len(coeffs):
+            start = starts[-1]
+            stop = start + 1
+            while stop < min(start + chunk, len(coeffs)) and real[stop] == real[start]:
+                stop += 1
+            starts.append(stop)
+        self.workers = _workers(len(starts) - 1, chunk * 4**num_qubits)
+
+    def _diagonalize(self, i: int) -> tuple[int, np.ndarray, np.ndarray]:
+        start, stop = self._starts[i], self._starts[i + 1]
+        matrices = _dense_stack(
+            self._num_qubits, self._words, self._coeffs[start:stop], self._real[start]
+        )
         values, vectors = _diagonalize_stack(matrices)
-        yield start, values, vectors
-        start = stop
+        return start, values, vectors
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        with _blas().one_thread() if self.workers > 1 else contextlib.nullcontext():
+            yield from _in_order(len(self._starts) - 1, self._diagonalize, self.workers)
 
 
 def exact_diagonalize(h: PauliSum) -> Spectrum:
@@ -312,9 +495,10 @@ def exact_diagonalize(h: PauliSum) -> Spectrum:
 
     A real operator's float64 matrix goes through real ``eigh`` and real
     checks; the dtype of the matrix selects the arithmetic throughout.
-    This is the one-operator case of the stacked path, ``_spectrum_stacks``.
+    This is the one-operator case of the stacked path, ``_SpectrumStacks``.
     """
-    _, values, vectors = next(_spectrum_stacks(h.num_qubits, h.words, _coefficient_row(h)))
+    stacks = _SpectrumStacks(h.num_qubits, h.words, _coefficient_row(h))
+    _, values, vectors = next(iter(stacks))
     return Spectrum(h.num_qubits, values[0], vectors[0])
 
 

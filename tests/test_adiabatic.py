@@ -26,7 +26,7 @@ from vacuum_refine import (
     to_matrix,
     transverse_ising_pair,
 )
-from vacuum_refine.hamiltonian import _spectrum_stacks
+from vacuum_refine.hamiltonian import _SpectrumStacks
 
 from oracles import expectation_per_state, fidelity_per_state
 
@@ -532,7 +532,7 @@ def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
         (k + 0.5) * schedule.dt / schedule.total_time for k in range(schedule.num_ramp_steps)
     ]
     words, coeffs = ramp_coefficients(h0, h1, s_values)
-    assert [start for start, _, _ in _spectrum_stacks(n, words, coeffs)] == stacks
+    assert [start for start, _, _ in _SpectrumStacks(n, words, coeffs)] == stacks
     final, ramp = run_adiabatic(
         h0, h1, schedule, EvolutionMode.EXACT_STEP, observables, record_states=True
     )

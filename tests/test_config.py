@@ -275,3 +275,57 @@ def test_readme_lists_the_keys_of_the_table():
     section = section.split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     assert [row.split("`")[1] for row in rows] == list(KEYS)
+
+
+# every key, each set to a value other than its default, as config_to_text writes it
+EVERY_KEY = """\
+model.J = 0.5
+model.hamiltonian = tfim2
+schedule.T = 48.0
+schedule.dt = 0.125
+schedule.hold_time = 0.5
+mode = trotter1
+filter.ancillas = 3
+filter.theta_mode = fixed
+filter.theta = -1.3
+filter.powers = 1,2,4
+filter.discard = false
+estimation.method = shots
+estimation.shots = 250
+estimation.seed = 0
+refine.max_iters = 7
+refine.target_infidelity = 0.0
+diag.state_file = states/psi 1.txt
+output.prefix = runs/x=1/run
+"""
+
+
+def test_config_setting_every_key_round_trips():
+    assert [line.split(" = ")[0] for line in EVERY_KEY.splitlines()] == list(KEYS)
+    config = parse_config(EVERY_KEY)
+    assert config_to_text(config) == EVERY_KEY
+    assert parse_config(config_to_text(config)) == config
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    ["runs/#1", " runs/x", "runs/x ", "runs/\nx", "runs/\rx", "runs/x\n", ""],
+    ids=["hash", "leading", "trailing", "newline", "carriage", "final_newline", "empty"],
+)
+def test_text_that_cannot_be_written_back_is_refused(prefix):
+    # config_to_text writes text raw, and the parser would cut or strip such
+    # a value: "runs/#1" would read back as "runs/"
+    with pytest.raises(ConfigError, match="output.prefix"):
+        with_overrides(parse_config(""), out=prefix)
+    with pytest.raises(ConfigError, match="model.hamiltonian"):
+        KEYS["model.hamiltonian"].kind.parse("model.hamiltonian", prefix)
+
+
+def test_cli_refuses_an_out_that_cannot_be_written_back(tmp_path, capsys, count_calls):
+    ramps = count_calls("adiabatic.run_adiabatic")
+    path = tmp_path / "run.cfg"
+    path.write_text("schedule.T = 1\nschedule.dt = 0.5\n")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "#1")]) == 2
+    assert "output.prefix" in capsys.readouterr().err
+    assert ramps == []
+    assert list(tmp_path.iterdir()) == [path]

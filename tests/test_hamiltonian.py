@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +23,15 @@ from vacuum_refine import (
     transverse_ising_pair,
 )
 
-from vacuum_refine.hamiltonian import DEGENERACY_TOL, _fix_phases, _spectrum_stacks
+from vacuum_refine import hamiltonian
+from vacuum_refine.hamiltonian import (
+    _FLIGHT_ENTRIES,
+    DEGENERACY_TOL,
+    _fix_phases,
+    _in_order,
+    _SpectrumStacks,
+)
+from vacuum_refine.statevector import _STACK_ENTRIES
 
 from oracles import haar_unitary, pauli_sum_matrix
 
@@ -190,7 +200,8 @@ def test_fix_phases_matches_column_loop():
     for dim in (2, 4, 16, 64, 256):
         for _ in range(4):
             vectors = haar_unitary(dim, rng)
-            assert _fix_phases(vectors).tobytes() == _fix_phases_by_column(vectors).tobytes()
+            expected = _fix_phases_by_column(vectors).tobytes()
+            assert _fix_phases(vectors).tobytes() == expected
 
 
 def test_degenerate_flag():
@@ -344,7 +355,7 @@ def _ramp_spectra(h0, h1, s_values):
     words, coeffs = ramp_coefficients(h0, h1, s_values)
     return [
         (values[k], vectors[k], values[k, 1] - values[k, 0] < DEGENERACY_TOL)
-        for _, values, vectors in _spectrum_stacks(h0.num_qubits, words, coeffs)
+        for _, values, vectors in _SpectrumStacks(h0.num_qubits, words, coeffs)
         for k in range(len(values))
     ]
 
@@ -438,3 +449,195 @@ def test_pauli_text_errors(bad):
 def test_pauli_text_error_names_line():
     with pytest.raises(ConfigError, match="line 3"):
         parse_pauli_text("# ok\n0.5 ZZ\nnonsense\n")
+
+
+# a 7-qubit ramp of 12 steps: 13 operators in stacks of at most 4, so 4 stacks
+POOL_RAMP = ramp_coefficients(initial_hamiltonian(J, 7), _tfim_chain(7), _midpoints(12))
+
+
+def _stacks(monkeypatch, cores=None, blas=True):
+    """Every stack of POOL_RAMP, and the thread that built each with the BLAS
+    thread count it saw; ``cores`` replaces the core count, and without
+    ``blas`` the handle on OpenBLAS is missing."""
+    if cores is not None:
+        monkeypatch.setattr(hamiltonian, "_cores", lambda: cores)
+    if not blas:
+        monkeypatch.setattr(hamiltonian, "_blas", lambda: None)
+    seen = []
+    diagonalize = hamiltonian._diagonalize_stack
+    handle = hamiltonian._blas()
+
+    def recorded(matrices):
+        seen.append((threading.current_thread(), handle.threads() if handle else None))
+        return diagonalize(matrices)
+
+    monkeypatch.setattr(hamiltonian, "_diagonalize_stack", recorded)
+    stacks = list(_SpectrumStacks(7, *POOL_RAMP))
+    return stacks, seen
+
+
+def _blas_or_skip():
+    blas = hamiltonian._blas()
+    if blas is None:
+        pytest.skip("no handle on the thread count of numpy's OpenBLAS")
+    return blas
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_pooled_stacks_match_the_serial_loop_bit_for_bit(monkeypatch, cores):
+    blas = _blas_or_skip()
+    before = blas.threads()
+    with monkeypatch.context() as serial_patch:
+        serial_patch.setattr(hamiltonian, "_workers", lambda stacks, entries: 1)
+        serial, serial_seen = _stacks(serial_patch)
+    # a budget of one full stack per core, so that three threads can run
+    monkeypatch.setattr(hamiltonian, "_FLIGHT_ENTRIES", cores * _STACK_ENTRIES)
+    pooled, pooled_seen = _stacks(monkeypatch, cores)
+    assert [start for start, _, _ in pooled] == [0, 4, 8, 12]
+    for (s0, v0, w0), (s1, v1, w1) in zip(serial, pooled):
+        assert s0 == s1
+        assert v0.tobytes() == v1.tobytes()
+        assert w0.tobytes() == w1.tobytes()
+    assert {thread for thread, _ in serial_seen} == {threading.main_thread()}
+    helpers = {thread for thread, _ in pooled_seen} - {threading.main_thread()}
+    assert len(helpers) == cores - 1
+    assert not any(thread.is_alive() for thread in helpers)
+    # each pooled eigendecomposition ran on one BLAS thread; the count is
+    # restored once the stacks are consumed
+    assert {count for _, count in pooled_seen} == {1}
+    assert blas.threads() == before
+
+
+def test_serial_loop_without_a_handle_on_blas(monkeypatch):
+    _blas_or_skip()
+    with monkeypatch.context() as pooled_patch:
+        pooled, _ = _stacks(pooled_patch, cores=2)
+    serial, seen = _stacks(monkeypatch, cores=2, blas=False)
+    assert hamiltonian._workers(4, _STACK_ENTRIES) == 1
+    assert {thread for thread, _ in seen} == {threading.main_thread()}
+    for (s0, v0, w0), (s1, v1, w1) in zip(pooled, serial):
+        assert s0 == s1
+        assert v0.tobytes() == v1.tobytes()
+        assert w0.tobytes() == w1.tobytes()
+
+
+def test_guard_failure_in_a_helper_surfaces_when_its_stack_is_due(monkeypatch):
+    blas = _blas_or_skip()
+    before = blas.threads()
+    monkeypatch.setattr(hamiltonian, "_cores", lambda: 2)
+    eigh = np.linalg.eigh
+    helpers = []
+
+    def corrupted(m):
+        values, vectors = eigh(m)
+        if threading.current_thread() is not threading.main_thread():
+            helpers.append(threading.current_thread())
+            vectors[0, :, 1] = vectors[0, :, 0]
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    stacks = iter(_SpectrumStacks(7, *POOL_RAMP))
+    start, _, _ = next(stacks)
+    assert start == 0
+    # the second stack was the helper's: its error is raised when it is due
+    with pytest.raises(NumericalConsistencyError, match="orthonormal"):
+        next(stacks)
+    assert helpers
+    assert not any(thread.is_alive() for thread in helpers)
+    assert blas.threads() == before
+
+
+def test_abandoned_stacks_stop_the_helpers_and_restore_blas(monkeypatch):
+    blas = _blas_or_skip()
+    before = blas.threads()
+    monkeypatch.setattr(hamiltonian, "_cores", lambda: 2)
+    started = set(threading.enumerate())
+    stacks = iter(_SpectrumStacks(7, *POOL_RAMP))
+    next(stacks)
+    # the helper has the second and fourth stacks; it waits to start the
+    # fourth until the consumer is done with the second
+    helpers = set(threading.enumerate()) - started
+    assert len(helpers) == 1
+    assert blas.threads() == 1
+    # dropped after its first stack, as exact_diagonalize drops it
+    del stacks
+    assert not any(thread.is_alive() for thread in helpers)
+    assert blas.threads() == before
+
+
+def test_workers_follow_the_stacks_the_cores_and_the_entry_budget(monkeypatch):
+    _blas_or_skip()
+    monkeypatch.setattr(hamiltonian, "_cores", lambda: 64)
+    assert _FLIGHT_ENTRIES == 2 * _STACK_ENTRIES
+    # two full stacks fill the budget, whatever the cores
+    assert _SpectrumStacks(7, *POOL_RAMP).workers == 2
+    assert hamiltonian._workers(40, 4**8) == 2
+    # from 9 qubits one matrix is more than half of the budget
+    nine = ramp_coefficients(initial_hamiltonian(J, 9), _tfim_chain(9), _midpoints(3))
+    assert _SpectrumStacks(9, *nine).workers == 1
+    assert hamiltonian._workers(4, 4**9) == 1
+    # small stacks are limited by the stacks and the cores
+    assert hamiltonian._workers(3, 16) == 3
+    assert hamiltonian._workers(100, 16) == 64
+    monkeypatch.setattr(hamiltonian, "_cores", lambda: 1)
+    assert hamiltonian._workers(100, 16) == 1
+    assert hamiltonian._workers(1, 16) == 1
+
+
+def test_in_order_yields_in_order_and_raises_when_due():
+    squares = _in_order(7, lambda i: i * i, 3)
+    assert list(squares) == [i * i for i in range(7)]
+
+    def fails_at_four(i):
+        if i == 4:
+            raise DomainError("item 4")
+        return i
+
+    items = _in_order(7, fails_at_four, 3)
+    assert [next(items) for _ in range(4)] == [0, 1, 2, 3]
+    with pytest.raises(DomainError, match="item 4"):
+        next(items)
+
+
+def test_in_order_under_stress_keeps_order_and_its_window():
+    # more workers than cores, and threads switched as often as possible:
+    # a lost update to the window would let more than `workers` items run
+    workers, count = 6, 60
+    lock = threading.Lock()
+    counts = {"started": 0, "consumed": 0, "most": 0}
+
+    def compute(i):
+        with lock:
+            counts["started"] += 1
+            counts["most"] = max(counts["most"], counts["started"] - counts["consumed"])
+        return i
+
+    got = []
+
+    def consume():
+        for item in _in_order(count, compute, workers):
+            got.append(item)
+            with lock:
+                counts["consumed"] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumer = threading.Thread(target=consume)
+        consumer.start()
+        consumer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not consumer.is_alive()
+    assert got == list(range(count))
+    assert counts["most"] <= workers
+
+
+def test_nested_pins_restore_the_outer_count():
+    blas = _blas_or_skip()
+    before = blas.threads()
+    with blas.one_thread():
+        with blas.one_thread():
+            assert blas.threads() == 1
+        assert blas.threads() == 1
+    assert blas.threads() == before
