@@ -30,7 +30,7 @@ from .adiabatic import Trajectory, run_adiabatic, run_hold
 from .config import EstimationConfig, ExperimentConfig, build_model, config_to_text
 from .errors import ConfigError, DomainError
 from .estimation import corrected_expectation, cross_term, shot_estimates
-from .filtering import RefinementReport, refine_iteratively, tag_circuit_one_qubit
+from .filtering import FilterConfig, RefinementReport, refine_iteratively, tag_circuit_one_qubit
 from .hamiltonian import (
     DEFAULT_DENSE_CAP,
     PauliSum,
@@ -399,20 +399,16 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
             f"got {config.estimation.method!r}"
         )
     h1 = build_model(config)
-    if not 1 <= h1.num_qubits <= 4:
+    if not 1 <= h1.num_qubits <= DEFAULT_DENSE_CAP:
         raise ConfigError(
-            f"model.hamiltonian: refinement supports 1 to 4 system qubits, "
+            f"model.hamiltonian: refinement supports 1 to {DEFAULT_DENSE_CAP} system qubits, "
             f"got {h1.num_qubits}"
         )
-    joint = config.filter.ancillas + h1.num_qubits
-    if joint > 2 * DEFAULT_DENSE_CAP:
-        # the filter's joint state would have more amplitudes than the
-        # largest dense matrix the package builds has entries
-        raise ConfigError(
-            f"filter.ancillas: {config.filter.ancillas} ancilla(s) and {h1.num_qubits} "
-            f"system qubit(s) make a {joint}-qubit register, above the limit of "
-            f"{2 * DEFAULT_DENSE_CAP}"
-        )
+    # refuse unusable filter settings before the ramp, not at the first pass
+    try:
+        FilterConfig(config.filter.ancillas, 0.0, config.filter.powers)
+    except DomainError as exc:
+        raise ConfigError(f"filter: {exc}") from exc
     h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
     final, ramp = run_adiabatic(h0, h1, config.schedule, config.mode, records=False)
     spectrum = exact_diagonalize(h1)

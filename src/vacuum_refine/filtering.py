@@ -1,32 +1,43 @@
 """Ancilla-driven eigenstate filtering with post-selection.
 
-Two circuits live here.  The first, ``tag_circuit_one_qubit``, entangles
-a single ancilla with the two energy eigenstates of a one-qubit system:
-basis-changing the system so the eigenbasis aligns with the computational
-basis, copying that bit onto the ancilla, and changing basis back.  An
-approximate ground state alpha|E0> + beta|E1> becomes
+Two circuits are modelled here, each by its action on the system
+register.  The first, ``tag_circuit_one_qubit``, entangles a single
+ancilla with the two energy eigenstates of a one-qubit system:
+basis-changing the system so the eigenbasis aligns with the
+computational basis, copying that bit onto the ancilla, and changing
+basis back.  An approximate ground state alpha|E0> + beta|E1> becomes
 alpha|0>|E0> + beta|1>|E1>, so reading the ancilla either discards the
 excited component (post-selection) or decoheres the superposition into a
-mixture whose measured values can be corrected in closed form.
+mixture whose measured values can be corrected in closed form.  The
+package writes that result directly: with c = V^H psi, ancilla row a of
+the joint state is V[:, a] * c[a].
 
 The second, ``apply_filter``, needs no eigenbasis change, only the
 propagator, which the simulation applies from the operator's spectrum.
-Each of m ancillas is put on the Hadamard axis and kicks back the phase
-of a controlled propagator power
+In the circuit, each of m ancillas is put on the Hadamard axis and kicks
+back the phase of a controlled propagator power
 
     U(theta)^p = (i * exp(-i * theta * H / 2))^p.
 
 After the closing Hadamard wall, the all-zeros ancilla branch carries the
-system state with each eigencomponent of energy E multiplied by
+system state multiplied by the product of (I + U^p_j) / 2 over the
+ancillas, an operator on the system register alone, which is what the
+package applies: one propagator per ancilla, no joint register.  An
+eigencomponent of energy E is multiplied by
 
     A(E) = prod_j (1 + z^p_j) / 2,     z = i * exp(-i * E * theta / 2),
 
-the closed form exposed as ``filter_amplitude``.  Choosing
-theta = pi / E0' with E0' a (possibly rough) ground-energy estimate makes
-z = 1 at resonance, passing the ground component through untouched while
-suppressing the rest; the leading global phase i is applied as a
-controlled phase, which is why it matters physically.  Iterating
-estimate -> filter -> post-select sharpens E0' and the state together.
+the closed form exposed as ``filter_amplitude``.  The joint-register
+circuits themselves (Hadamard walls, controlled powers, post-selection;
+basis change, CNOT, basis change back) are the test oracles that the
+filter and the tag are held to, beside ``filter_amplitude``.
+
+Choosing theta = pi / E0' with E0' a (possibly rough) ground-energy
+estimate makes z = 1 at resonance, passing the ground component through
+untouched while suppressing the rest; the leading global phase i is
+applied as a controlled phase, which is why it matters physically.
+Iterating estimate -> filter -> post-select sharpens E0' and the state
+together.
 """
 
 from __future__ import annotations
@@ -44,19 +55,13 @@ from .errors import (
 )
 from .estimation import eigen_overlaps
 from .hamiltonian import PauliSum, Spectrum, apply_evolution
-from .statevector import (
-    HADAMARD,
-    X,
-    GateMatrix,
-    StateVector,
-    apply_controlled,
-    apply_gate,
-    expectation_observable,
-    postselect,
-)
+from .statevector import _MIN_POSTSELECT_PROB, StateVector, expectation_observable
 
 _ANCILLA_RESIDUE_LIMIT = 1e-10
 _MIN_E0_PRIME = 1e-9
+# the largest integer a float64 holds exactly: a larger power would not
+# even enter p * theta / 2 as itself
+_MAX_POWER = 2**53
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,11 @@ class FilterConfig:
             )
         powers = self.powers
         if powers is None:
+            if self.num_ancillas > _MAX_POWER.bit_length():
+                raise DomainError(
+                    f"{self.num_ancillas} ancillas need powers up to 2^{self.num_ancillas - 1}, "
+                    f"above 2^53"
+                )
             powers = tuple(2**j for j in range(self.num_ancillas))
         else:
             if not all(isinstance(p, numbers.Integral) for p in powers):
@@ -85,6 +95,8 @@ class FilterConfig:
                 )
             if any(p < 1 for p in powers):
                 raise DomainError(f"powers must be strictly positive, got {powers}")
+            if max(powers) > _MAX_POWER:
+                raise DomainError(f"powers must be at most 2^53, got {powers}")
         object.__setattr__(self, "powers", powers)
 
 
@@ -119,7 +131,8 @@ def tag_circuit_one_qubit(joint: StateVector, spectrum: Spectrum) -> StateVector
 
     Expects a two-qubit register |0>|psi> and the diagonalized one-qubit
     system operator; returns the tagged state with the ancilla marking the
-    excited component.
+    excited component.  With c = V^H psi the tagged state's ancilla row a
+    is V[:, a] * c[a], the circuit's action written out.
     """
     if joint.num_qubits != 2:
         raise DomainError(f"tagging needs an ancilla+system pair, got {joint.num_qubits} qubit(s)")
@@ -132,10 +145,9 @@ def tag_circuit_one_qubit(joint: StateVector, spectrum: Spectrum) -> StateVector
         raise DomainError(
             f"ancilla must start in |0> (found population {ancilla_one:.3e} on |1>)"
         )
-    to_eigen = GateMatrix(1, spectrum.eigenvectors.conj().T)
-    tagged = apply_gate(joint, to_eigen, [1])
-    tagged = apply_controlled(tagged, [1], X, [0])
-    return apply_gate(tagged, GateMatrix(1, spectrum.eigenvectors), [1])
+    vectors = spectrum.eigenvectors
+    coefficients = vectors.conj().T @ joint.amplitudes[:2]
+    return StateVector(2, (vectors * coefficients).T)
 
 
 def choose_theta(e0_prime: float) -> float:
@@ -194,28 +206,31 @@ def filter_amplitude(energy: float, theta: float, config: FilterConfig) -> compl
 def apply_filter(
     system_state: StateVector, spectrum: Spectrum, config: FilterConfig
 ) -> FilterOutcome:
-    """Run the m-ancilla filter circuit against a system state and post-select.
+    """Filter a system state with m ancillas and post-select all zeros.
 
     ``spectrum`` is ``exact_diagonalize(h)`` and serves every ancilla.
-    Ancillas are allocated internally in |0...0> ahead of the system
-    register, and the all-zeros ancilla outcome is post-selected.
+    The all-zeros ancilla branch of the circuit is the system state under
+    prod_j (I + U^p_j) / 2, so each ancilla, in order, costs one
+    propagator on the system register; the branch's squared norm is the
+    outcome's probability.
     """
     n_sys = spectrum.num_qubits
     if n_sys != system_state.num_qubits:
         raise DomainError(
             f"operator acts on {n_sys} qubit(s), state has {system_state.num_qubits}"
         )
-    m = config.num_ancillas
-    ancilla_amps = np.zeros(2**m, dtype=np.complex128)
-    ancilla_amps[0] = 1.0
-    joint = StateVector(m + n_sys, np.kron(ancilla_amps, system_state.amplitudes))
-    for a in range(m):
-        joint = apply_gate(joint, HADAMARD, [a])
-    for a in range(m):
-        joint = controlled_u_power(joint, a, spectrum, config.theta, config.powers[a])
-    for a in range(m):
-        joint = apply_gate(joint, HADAMARD, [a])
-    probability, refined = postselect(joint, list(range(m)), "0" * m)
+    psi = system_state.amplitudes
+    for p in config.powers:
+        # i^(p mod 4) is exact; Python's complex power is exact only up to p = 100
+        phase = 1j ** (p % 4)
+        psi = (psi + apply_evolution(spectrum, p * config.theta / 2.0, psi, phase=phase)) / 2.0
+    probability = float(np.sum(np.abs(psi) ** 2))
+    if probability < _MIN_POSTSELECT_PROB:
+        m = config.num_ancillas
+        raise ImpossibleOutcomeError(
+            f"outcome {'0' * m} on qubits {list(range(m))} has probability {probability:.3e}"
+        )
+    refined = StateVector(n_sys, psi / np.sqrt(probability))
     return FilterOutcome(success_probability=probability, refined_state=refined)
 
 

@@ -131,3 +131,50 @@ def sample_per_state(
     marginal = np.clip(marginal, 0.0, None)
     marginal = marginal / marginal.sum()
     return np.random.default_rng(seed).multinomial(shots, marginal)
+
+
+HADAMARD_2X2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+
+
+def filter_circuit(
+    hmat: np.ndarray, amplitudes: np.ndarray, theta: float, powers
+) -> tuple[float, np.ndarray]:
+    """The m-ancilla filter as a joint-register circuit, post-selected on all zeros.
+
+    The ancillas (qubits 0..m-1) start in |0...0> ahead of the system
+    register.  A Hadamard wall, then on ancilla j the controlled power
+    (i * exp(-i * theta * H / 2))^p_j, built from ``np.linalg.eigh`` of
+    the dense operator ``hmat``, then a second Hadamard wall; every gate
+    is a full matrix from ``embed_gate``/``embed_controlled``.  Returns
+    the all-zeros outcome's probability and the renormalized system
+    amplitudes left behind.
+    """
+    m = len(powers)
+    n_sys = int(round(np.log2(hmat.shape[0])))
+    total = m + n_sys
+    system = list(range(m, total))
+    vals, vecs = np.linalg.eigh(hmat)
+    joint = np.zeros(2**total, dtype=np.complex128)
+    joint[: 2**n_sys] = amplitudes
+    for a in range(m):
+        joint = embed_gate(HADAMARD_2X2, [a], total) @ joint
+    for a, p in enumerate(powers):
+        power = (1j**p) * (vecs * np.exp(-1j * vals * p * theta / 2.0)) @ vecs.conj().T
+        joint = embed_controlled(power, [a], system, total) @ joint
+    for a in range(m):
+        joint = embed_gate(HADAMARD_2X2, [a], total) @ joint
+    # the all-zeros ancilla outcome is the leading block of the MSB-first index
+    branch = joint[: 2**n_sys]
+    probability = float(np.sum(np.abs(branch) ** 2))
+    return probability, branch / np.sqrt(probability)
+
+
+def tag_circuit(joint: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
+    """The one-qubit tag as a circuit on ancilla (qubit 0) and system (qubit 1).
+
+    Basis change V^H on the system, a CNOT from the system onto the
+    ancilla, and V back, each as a full matrix.
+    """
+    out = embed_gate(eigenvectors.conj().T, [1], 2) @ joint
+    out = embed_controlled(PAULI_2X2["X"], [1], [0], 2) @ out
+    return embed_gate(eigenvectors, [1], 2) @ out

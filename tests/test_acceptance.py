@@ -41,7 +41,7 @@ from vacuum_refine import (
     transverse_ising_pair,
 )
 
-from oracles import embed_gate, haar_unitary, random_state
+from oracles import embed_gate, filter_circuit, haar_unitary, pauli_sum_matrix, random_state
 
 J = np.pi / 4
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -242,10 +242,14 @@ def test_criterion_5_correction_pipeline(outdir):
 
 
 def test_criterion_6_filter_closed_form():
+    # The package's filter and the joint-register circuit oracle are each
+    # held to the closed form; the package is also held to the circuit.
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     checked = 0
     worst = 0.0
+    worst_circuit = 0.0
+    worst_vs_circuit = 0.0
     while checked < 200:
         # random one-qubit operator c*I + a*Z + b*X has levels c +/- r,
         # giving two independent (E, theta, m) triples per circuit run
@@ -264,12 +268,22 @@ def test_criterion_6_filter_closed_form():
         coeffs = np.array([np.sqrt(mix), np.sqrt(1 - mix) * np.exp(2j * np.pi * rng.random())])
         psi = StateVector(1, spectrum.eigenvectors @ coeffs)
         outcome = apply_filter(psi, spectrum, config)
+        probability, circuit = filter_circuit(
+            pauli_sum_matrix(h.terms, 1), psi.amplitudes, theta, config.powers
+        )
+        worst_vs_circuit = max(
+            worst_vs_circuit,
+            abs(outcome.success_probability - probability),
+            float(np.max(np.abs(outcome.refined_state.amplitudes - circuit))),
+        )
         refined_coeffs = eigen_overlaps(outcome.refined_state, spectrum).coefficients
-        scale = np.sqrt(outcome.success_probability)
+        circuit_coeffs = spectrum.eigenvectors.conj().T @ circuit
         for j in range(2):
-            got = scale * refined_coeffs[j] / coeffs[j]
             want = filter_amplitude(float(spectrum.eigenvalues[j]), theta, config)
+            got = np.sqrt(outcome.success_probability) * refined_coeffs[j] / coeffs[j]
             worst = max(worst, abs(got - want))
+            got = np.sqrt(probability) * circuit_coeffs[j] / coeffs[j]
+            worst_circuit = max(worst_circuit, abs(got - want))
             checked += 1
 
     # resonance: the targeted level passes with amplitude exactly one
@@ -290,7 +304,15 @@ def test_criterion_6_filter_closed_form():
         6,
         "filter closed form",
         [
-            (f"{checked} random triples, worst |circuit - formula| = {worst:.3e}", worst < 1e-10),
+            (f"{checked} random triples, worst |filter - formula| = {worst:.3e}", worst < 1e-10),
+            (
+                f"worst |circuit - formula| = {worst_circuit:.3e}",
+                worst_circuit < 1e-10,
+            ),
+            (
+                f"worst |filter - circuit| = {worst_vs_circuit:.3e}",
+                worst_vs_circuit < 1e-12,
+            ),
             (f"resonance amplitude {resonance!r}", abs(resonance - 1.0) < 1e-12),
             (f"excited rejection amplitude {excited_left:.3e}", excited_left < 1e-12),
             (f"runtime {elapsed:.2f}s < 10s", elapsed < 10.0),
@@ -310,8 +332,10 @@ def test_criterion_7_iterative_refinement(outdir):
     start_fidelity = float(start_weights[0])
 
     # walk the refinement loop by hand, checking each pass against the
-    # closed-form amplitude ratios
+    # closed-form amplitude ratios and against the joint-register circuit
+    hmat = pauli_sum_matrix(h1.terms, 2)
     worst = 0.0
+    worst_circuit = 0.0
     fidelities = []
     for _ in range(5):
         e0p = expectation_observable(state, h1)
@@ -324,6 +348,14 @@ def test_criterion_7_iterative_refinement(outdir):
         predicted = before * amps
         predicted /= predicted.sum()
         outcome = apply_filter(state, spectrum, config)
+        probability, circuit = filter_circuit(hmat, state.amplitudes, theta, config.powers)
+        worst_circuit = max(
+            worst_circuit,
+            abs(outcome.success_probability - probability),
+            float(np.max(np.abs(outcome.refined_state.amplitudes - circuit))),
+        )
+        circuit_weights = np.abs(spectrum.eigenvectors.conj().T @ circuit) ** 2
+        worst = max(worst, float(np.max(np.abs(circuit_weights - predicted))))
         state = outcome.refined_state
         after = eigen_overlaps(state, spectrum).weights
         worst = max(worst, float(np.max(np.abs(after - predicted))))
@@ -346,6 +378,10 @@ def test_criterion_7_iterative_refinement(outdir):
         [
             (f"start fidelity {start_fidelity!r} >= 0.9", start_fidelity >= 0.9),
             (f"per-pass weights match closed form (worst {worst:.3e})", worst < 1e-8),
+            (
+                f"per-pass filter matches the circuit (worst {worst_circuit:.3e})",
+                worst_circuit < 1e-12,
+            ),
             (
                 f"fidelity {max(fidelities)!r} >= 0.9999 within {len(fidelities)} <= 5 passes",
                 len(fidelities) <= 5 and max(fidelities) >= 0.9999,

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,22 +133,29 @@ def test_refine_rejects_shot_estimation(tmp_path, capsys):
     assert "estimation.method" in capsys.readouterr().err
 
 
-def test_refine_refuses_a_joint_register_above_the_limit(tmp_path, capsys, count_calls):
-    # 19 ancillas on two qubits would need 2^21 amplitudes per filter state;
-    # the refusal comes before the ramp
+def test_refine_refuses_a_model_above_the_dense_cap(tmp_path, capsys, count_calls):
+    # 11 system qubits are one above DEFAULT_DENSE_CAP; the refusal comes before the ramp
     ramps = count_calls("adiabatic.run_adiabatic")
-    extra = "model.hamiltonian = tfim2\nfilter.ancillas = 19\n"
-    with pytest.raises(ConfigError, match="filter.ancillas"):
-        cmd_refine(_config(tmp_path, extra))
+    model = tmp_path / "chain11.txt"
+    model.write_text(_chain_text(11))
     cfg = tmp_path / "refine.cfg"
-    cfg.write_text(SMALL + extra + f"output.prefix = {tmp_path}/cli\n")
+    cfg.write_text(SMALL + f"model.hamiltonian = {model}\noutput.prefix = {tmp_path}/cli\n")
     assert main(["refine", "--config", str(cfg)]) == 2
-    assert "filter.ancillas" in capsys.readouterr().err
+    assert "refinement supports 1 to 10 system qubits, got 11" in capsys.readouterr().err
     assert ramps == []
 
 
-def test_refine_accepts_a_joint_register_at_the_limit(tmp_path, monkeypatch):
-    # 18 ancillas on two qubits make 20 qubits: the ramp is reached
+@pytest.mark.parametrize(
+    "extra, accepted",
+    [
+        ("filter.ancillas = 54\n", True),
+        ("filter.ancillas = 55\n", False),
+        ("filter.ancillas = 2\nfilter.powers = 1,9007199254740992\n", True),
+        ("filter.ancillas = 2\nfilter.powers = 1,9007199254740993\n", False),
+    ],
+)
+def test_refine_refuses_powers_above_2_to_53_before_the_ramp(tmp_path, monkeypatch, extra, accepted):
+    # a larger power has no exact float64, so its phase p * theta / 2 would be wrong
     class Reached(Exception):
         pass
 
@@ -155,8 +163,25 @@ def test_refine_accepts_a_joint_register_at_the_limit(tmp_path, monkeypatch):
         raise Reached
 
     monkeypatch.setattr(experiments, "run_adiabatic", ramp)
-    with pytest.raises(Reached):
-        cmd_refine(_config(tmp_path, "model.hamiltonian = tfim2\nfilter.ancillas = 18\n"))
+    expected = Reached if accepted else ConfigError
+    with pytest.raises(expected):
+        cmd_refine(_config(tmp_path, "model.hamiltonian = tfim2\n" + extra))
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_refine_runs_a_chain_beyond_four_qubits(tmp_path, n):
+    model = tmp_path / f"chain{n}.txt"
+    model.write_text(_chain_text(n))
+    config = parse_config(
+        f"model.hamiltonian = {model}\nschedule.T = 2\nschedule.dt = 0.25\n"
+        f"schedule.hold_time = 0\nfilter.ancillas = 3\noutput.prefix = {tmp_path}/run\n"
+    )
+    result = cmd_refine(config)
+    rows = _read_csv(tmp_path / "run_refinement.csv")[1:]
+    assert len(rows) == config.refine.max_iters == result.summary["passes"]
+    for row in rows:
+        assert row[-1] == "ok"
+        assert float(row[4]) + float(row[5]) == pytest.approx(1.0, abs=1e-9)
 
 
 FORMATTED = [
@@ -432,7 +457,7 @@ def test_manifest_records_run_warnings(tmp_path, command, operator, extra, expec
     # warnings live in the manifest alone
     for path in result.outputs:
         if not path.endswith("_manifest.json"):
-            assert "degenerate" not in open(path, encoding="utf-8").read()
+            assert "degenerate" not in Path(path).read_text(encoding="utf-8")
 
 
 def test_refine_locked_on_excited_level_is_reported(tmp_path, capsys):

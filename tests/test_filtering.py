@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from vacuum_refine import (
     DegenerateEnergyError,
     DomainError,
     FilterConfig,
+    ImpossibleOutcomeError,
     PauliSum,
     StateVector,
     apply_filter,
@@ -23,7 +25,13 @@ from vacuum_refine import (
     transverse_ising_pair,
 )
 
-from oracles import embed_controlled, pauli_sum_matrix
+from oracles import (
+    embed_controlled,
+    filter_circuit,
+    pauli_sum_matrix,
+    random_state,
+    tag_circuit,
+)
 
 J = np.pi / 4
 
@@ -37,6 +45,14 @@ def _joint_with_ancilla(system_amps):
     return StateVector(2, np.kron([1.0, 0.0], system_amps))
 
 
+def _tag(joint, spec):
+    """The package's tag, checked against the gate-by-gate circuit."""
+    tagged = tag_circuit_one_qubit(joint, spec)
+    circuit = tag_circuit(joint.amplitudes, spec.eigenvectors)
+    assert np.max(np.abs(tagged.amplitudes - circuit)) < 1e-12
+    return tagged
+
+
 def test_filter_config_powers():
     assert FilterConfig(3, 1.0).powers == (1, 2, 4)
     assert FilterConfig(2, 1.0, powers=(1, 3)).powers == (1, 3)
@@ -46,6 +62,13 @@ def test_filter_config_powers():
         FilterConfig(2, 1.0, powers=(1,))
     with pytest.raises(DomainError):
         FilterConfig(2, 1.0, powers=(0, 1))
+    # a power above 2^53 has no exact float64, so p * theta / 2 is not its phase
+    assert FilterConfig(54, 1.0).powers[-1] == 2**53
+    assert FilterConfig(1, 1.0, powers=(2**53,)).powers == (2**53,)
+    with pytest.raises(DomainError, match="2\\^1099, above 2\\^53"):
+        FilterConfig(1100, 1.0)
+    with pytest.raises(DomainError, match="at most 2\\^53"):
+        FilterConfig(2, 1.0, powers=(1, 2**53 + 1))
 
 
 def test_filter_config_refuses_non_integer_powers():
@@ -58,14 +81,14 @@ def test_filter_config_refuses_non_integer_powers():
 
 def test_tag_leaves_ground_unmarked():
     spec, v0, _ = _eigpair()
-    tagged = tag_circuit_one_qubit(_joint_with_ancilla(v0), spec)
+    tagged = _tag(_joint_with_ancilla(v0), spec)
     prob_ancilla_one = np.sum(np.abs(tagged.amplitudes.reshape(2, 2)[1]) ** 2)
     assert prob_ancilla_one < 1e-12
 
 
 def test_tag_marks_excited_component():
     spec, _, v1 = _eigpair()
-    tagged = tag_circuit_one_qubit(_joint_with_ancilla(v1), spec)
+    tagged = _tag(_joint_with_ancilla(v1), spec)
     prob_ancilla_one = np.sum(np.abs(tagged.amplitudes.reshape(2, 2)[1]) ** 2)
     assert prob_ancilla_one == pytest.approx(1.0, abs=1e-12)
 
@@ -74,7 +97,7 @@ def test_tag_splits_superposition_and_kills_coherence():
     spec, v0, v1 = _eigpair()
     alpha, beta = np.sqrt(0.7), np.sqrt(0.3)
     psi = alpha * v0 + beta * v1
-    tagged = tag_circuit_one_qubit(_joint_with_ancilla(psi), spec)
+    tagged = _tag(_joint_with_ancilla(psi), spec)
     blocks = tagged.amplitudes.reshape(2, 2)
     assert np.sum(np.abs(blocks[0]) ** 2) == pytest.approx(0.7, abs=1e-12)
     assert np.sum(np.abs(blocks[1]) ** 2) == pytest.approx(0.3, abs=1e-12)
@@ -83,6 +106,17 @@ def test_tag_splits_superposition_and_kills_coherence():
     zmat = np.array([[1.0, 0.0], [0.0, -1.0]])
     mixed = 0.7 * np.real(v0.conj() @ zmat @ v0) + 0.3 * np.real(v1.conj() @ zmat @ v1)
     assert expectation_observable(tagged, z_sys) == pytest.approx(mixed, abs=1e-12)
+
+
+def test_tag_matches_circuit_on_random_operators():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        c, a, b = rng.uniform(-1.0, 1.0, size=3)
+        spec = exact_diagonalize(PauliSum(1, ((c, "I"), (a, "Z"), (b, "X"))))
+        joint = _joint_with_ancilla(random_state(1, rng))
+        before = joint.amplitudes.copy()
+        _tag(joint, spec)
+        assert np.array_equal(joint.amplitudes, before)
 
 
 def test_tag_preconditions():
@@ -252,14 +286,81 @@ def test_apply_filter_uses_supplied_spectrum(count_calls, count_gates):
     config = FilterConfig(3, choose_theta(float(spec.eigenvalues[0])))
     diagonalized = count_calls("hamiltonian.exact_diagonalize")
     propagators = count_calls("hamiltonian.evolution_unitary")
+    circuit = [
+        count_calls(name)
+        for name in (
+            "statevector.apply_gate",
+            "statevector.apply_controlled",
+            "statevector.postselect",
+            "filtering.controlled_u_power",
+        )
+    ]
     apply_filter(psi, spec, config)
     report = refine_iteratively(psi, h, spec, m=3)
     assert not report.status.startswith("aborted")
     # the one spectrum serves every ancilla of every pass
     assert diagonalized == []
-    # every controlled power is applied from the spectrum, never as a gate
+    # every factor is applied from the spectrum to the system register:
+    # no dense propagator, no gate and no joint register
     assert propagators == []
     assert count_gates == []
+    assert circuit == [[], [], [], []]
+
+
+def _random_operator(n, rng):
+    """Every Pauli word on ``n`` qubits with a random real weight."""
+    words = ("".join(w) for w in itertools.product("IXYZ", repeat=n))
+    return PauliSum(n, tuple((float(rng.normal()), w) for w in words))
+
+
+@pytest.mark.parametrize("powers", [(1, 2, 4), (3, 3), (1, 5, 2)], ids=str)
+@pytest.mark.parametrize("n", [2, 3])
+def test_apply_filter_matches_circuit_oracle(n, powers):
+    rng = np.random.default_rng(100 * n + sum(powers))
+    for _ in range(3):
+        h = _random_operator(n, rng)
+        spec = exact_diagonalize(h)
+        hmat = pauli_sum_matrix(h.terms, n)
+        theta = float(rng.uniform(0.3, 3.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+        amps = random_state(n, rng)
+        outcome = apply_filter(StateVector(n, amps), spec, FilterConfig(len(powers), theta, powers))
+        probability, refined = filter_circuit(hmat, amps, theta, powers)
+        assert probability > 1e-3
+        assert abs(outcome.success_probability - probability) < 1e-12
+        assert np.max(np.abs(outcome.refined_state.amplitudes - refined)) < 1e-12
+
+
+def test_apply_filter_refuses_an_excited_eigenstate_on_its_rejection_zero():
+    # theta = -pi / E1 makes z = -1 at E1, so the first factor (1 + z) / 2
+    # removes the excited eigenstate entirely
+    spec = exact_diagonalize(transverse_ising_pair(J))
+    excited = StateVector(2, spec.eigenvectors[:, 1])
+    config = FilterConfig(2, -np.pi / float(spec.eigenvalues[1]))
+    assert abs(filter_amplitude(float(spec.eigenvalues[1]), config.theta, config)) < 1e-15
+    with pytest.raises(ImpossibleOutcomeError, match="outcome 00 on qubits"):
+        apply_filter(excited, spec, config)
+
+
+def test_apply_filter_phase_of_a_large_power_is_exact():
+    # on the E = 0 level of I + Z the factor is (1 + i^p) / 2, and i^p = i
+    # for p = 2^30 + 1, so the outcome has probability 1/2; Python's
+    # 1j ** p is off by about 6e-8 at this power
+    spec = exact_diagonalize(PauliSum(1, ((1.0, "I"), (1.0, "Z"))))
+    assert spec.eigenvalues[0] == 0.0
+    outcome = apply_filter(basis_state(1, 1), spec, FilterConfig(1, 1.0, powers=(2**30 + 1,)))
+    assert abs(outcome.success_probability - 0.5) < 1e-15
+
+
+def test_apply_filter_leaves_its_input_untouched():
+    rng = np.random.default_rng(5)
+    h = transverse_ising_pair(J)
+    spec = exact_diagonalize(h)
+    psi = StateVector(2, random_state(2, rng))
+    before = psi.amplitudes.copy()
+    psi.amplitudes.setflags(write=False)
+    outcome = apply_filter(psi, spec, FilterConfig(3, choose_theta(float(spec.eigenvalues[0]))))
+    assert np.array_equal(psi.amplitudes, before)
+    assert not np.shares_memory(outcome.refined_state.amplitudes, psi.amplitudes)
 
 
 def test_filter_on_exact_ground_is_identity():
@@ -348,10 +449,14 @@ def test_refine_aborts_when_postselection_impossible():
     assert step.excited_weight == pytest.approx(1.0, abs=1e-12)
 
 
-def test_refine_rejects_degenerate_operator():
-    with pytest.raises(DomainError):
-        h = PauliSum(2, ((1.0, "ZZ"),))
-        refine_iteratively(basis_state(2, 0), h, exact_diagonalize(h), m=1)
+def test_refine_rejects_degenerate_operator(count_calls):
+    filtered = count_calls("filtering.apply_filter")
+    # every level doubled; then only the ground level (-0.5 twice, -0.1, 1.1)
+    for terms in (((1.0, "ZZ"),), ((0.5, "ZZ"), (0.3, "ZI"), (0.3, "IZ"))):
+        h = PauliSum(2, terms)
+        with pytest.raises(DomainError, match="non-degenerate ground level"):
+            refine_iteratively(basis_state(2, 1), h, exact_diagonalize(h), m=1)
+    assert filtered == []
 
 
 def test_refine_respects_max_iters():

@@ -11,8 +11,14 @@ came to be applied straight from the spectrum, V (phases * (V^H x)),
 instead of through a dense matrix: only ``excited_weight``, which is
 1 - F at the float64 resolution of F near 1, moved, at pass 3 from
 2.79122649e-08 to 2.79122654e-08 and at pass 4 from 2.61337174e-10 to
-2.61337618e-10.  Manifests are not compared because they carry a
-wall-clock duration.
+2.61337618e-10.  ``refine_pair`` and ``refine_pair_fixed_theta`` were
+rewritten when the filter came to be applied on the system register as
+prod_j (I + U^p_j) / 2 instead of through the joint ancilla circuit;
+again only ``excited_weight`` moved, by 2e-16 to 7e-16 in 1 - F:
+``refine_pair`` pass 3 from 2.79122654e-08 to 2.79122652e-08, and
+``refine_pair_fixed_theta`` pass 4 from 3.14068476e-08 to 3.14068469e-08
+and pass 5 from 2.8493401e-09 to 2.84933988e-09.  Manifests are not
+compared because they carry a wall-clock duration.
 
 To rewrite the snapshots of the named cases after a deliberate,
 documented output change (every other snapshot is left alone):
