@@ -24,8 +24,9 @@ The ramp and the hold work a block of states at a time.  For each stack
 of the ramp, one ``np.exp`` gives every step's phases and one comparison
 every step's degeneracy flag; the step loop only applies the propagator
 kernel (``_propagate``) and writes each new state into the block's
-(rows, d) array.  The hold computes its phases once and fills blocks of
-the same size.  Each block is read out with stacked calls
+(rows, d) array.  The hold computes its phases once, casts a real
+operator's eigenvectors to complex once (``_complex_pair``) and fills
+blocks of the same size.  Each block is read out with stacked calls
 (``_Recorder``): the norm check, one ``apply_word`` per word for the
 energies and observables, the overlaps with the fidelity targets and the
 time-order check of its records.  Each value is bit-identical to stepping
@@ -49,6 +50,7 @@ from .hamiltonian import (
     Spectrum,
     _SpectrumStacks,
     _check_spectrum_dim,
+    _complex_pair,
     _propagate,
     apply_evolution,
     exact_diagonalize,
@@ -400,9 +402,9 @@ def run_hold(
     steps or the fidelity target need it: an operator that exists only
     for the hold, such as an ancilla-embedded one, has no spectrum
     elsewhere.  Every exact hold step is applied from that one spectrum,
-    with phases computed once; as on the ramp, the step loop only
-    advances amplitudes into a block of states, and each block is read
-    out at once.
+    with phases and complex eigenvectors computed once; as on the ramp,
+    the step loop only advances amplitudes into a block of states, and
+    each block is read out at once.
     """
     observables = dict(observables or {})
     _check_observables(observables, state.num_qubits)
@@ -428,6 +430,7 @@ def run_hold(
         fidelity_target = spectrum.ground_state
     if exact:
         phases = np.exp(-1j * spectrum.eigenvalues * dt)
+        vectors, transposed = _complex_pair(spectrum.eigenvectors)
     coeffs = _coefficient_row(h)
     order = _trotter_order(h.words)
     recorder = _Recorder(trajectory, dim, h.words, observables, record_states)
@@ -442,7 +445,7 @@ def run_hold(
         for r in range(len(states)):
             if start + r >= include_initial:
                 if exact:
-                    amplitudes = _propagate(spectrum.eigenvectors, phases, amplitudes)
+                    amplitudes = _propagate(vectors, phases, amplitudes, transposed)
                 else:
                     amplitudes = _trotter_step(amplitudes, dt, h.words, coeffs[0], order)
             states[r] = amplitudes

@@ -12,6 +12,10 @@ term by term within a record), which makes every sampled column
 reproducible.  A trajectory's estimates are drawn from the stack of its
 recorded states (``Trajectory.states``), one stacked estimate per
 observable term; the counter then continues with the next estimate.
+Each estimate draws what ``np.random.default_rng(seed)`` would draw: the
+PCG64 states of a stack's seeds are computed in bulk and one generator
+is set to each in turn (``statevector.sample_counts``), so the seeds and
+streams are those of one fresh generator per estimate.
 """
 
 from __future__ import annotations
@@ -63,9 +67,6 @@ class CommandResult:
     summary: dict = field(default_factory=dict)
 
 
-_FLOAT_FORMAT = "{:.9g}".format
-
-
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -75,12 +76,18 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+    # Almost every row holds only Python floats, which need no quoting and
+    # which "%.9g" writes as format(v, ".9g") does: such a row is written
+    # with one template, any other row by csv.writer with _fmt.
+    floats = ",".join(["%.9g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            # almost every value is a Python float: format it without _fmt's type tests
-            writer.writerow([_FLOAT_FORMAT(v) if type(v) is float else _fmt(v) for v in row])
+            if len(row) == len(header) and all(type(v) is float for v in row):
+                handle.write(floats % tuple(row))
+            else:
+                writer.writerow([_fmt(v) for v in row])
 
 
 def _ensure_output_dir(prefix: str) -> None:

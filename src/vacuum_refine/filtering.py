@@ -190,16 +190,19 @@ def controlled_u_power(
         )
     psi = joint.amplitudes.reshape((2,) * num_ancillas + (-1,)).copy()
     branch = tuple(1 if a == ancilla else slice(None) for a in range(num_ancillas))
-    psi[branch] = apply_evolution(spectrum, k * theta / 2.0, psi[branch], phase=1j**k)
+    psi[branch] = apply_evolution(spectrum, k * theta / 2.0, psi[branch], phase=1j ** (k % 4))
     return StateVector(joint.num_qubits, psi.reshape(-1))
 
 
 def filter_amplitude(energy: float, theta: float, config: FilterConfig) -> complex:
-    """Closed-form amplitude multiplier for an eigencomponent of ``energy``."""
-    z = 1j * np.exp(-0.5j * energy * theta)
+    """Closed-form amplitude multiplier for an eigencomponent of ``energy``.
+
+    Each power's phase i^p * exp(-i * energy * p * theta / 2) is built as
+    ``apply_filter`` builds it, with i^p exact as i^(p mod 4).
+    """
     result = 1.0 + 0.0j
     for p in config.powers:
-        result *= (1.0 + z**p) / 2.0
+        result *= (1 + 1j ** (p % 4) * np.exp(-1j * energy * (p * theta / 2.0))) / 2
     return complex(result)
 
 

@@ -510,14 +510,40 @@ def _check_spectrum_dim(spectrum: Spectrum, dim: int) -> None:
         )
 
 
-def _propagate(vectors: np.ndarray, phases: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+def _propagate(
+    vectors: np.ndarray,
+    phases: np.ndarray,
+    amplitudes: np.ndarray,
+    transposed: np.ndarray | None = None,
+) -> np.ndarray:
     """V (phases * (V^H x)) for each row x of ``amplitudes``, with V = ``vectors``.
 
     The kernel of every propagator the package applies: with ``phases`` =
-    exp(-i * eigenvalues * t) it applies exp(-i h t).  Nothing is checked
-    here; the callers check the sizes once.
+    exp(-i * eigenvalues * t) it applies exp(-i h t).  ``transposed`` is
+    V.T, the view ``vectors.T`` when not given; a caller that applies one
+    V many times passes the pair from ``_complex_pair``.  Nothing is
+    checked here; the callers check the sizes once.
     """
-    return ((amplitudes.conj() @ vectors).conj() * phases) @ vectors.T
+    if transposed is None:
+        transposed = vectors.T
+    return ((amplitudes.conj() @ vectors).conj() * phases) @ transposed
+
+
+def _complex_pair(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, V.T) as the complex operands of repeated ``_propagate`` calls.
+
+    A real V is cast to complex128 once and its transpose copied C-ordered.
+    numpy casts a real operand of each product to a C-ordered complex copy,
+    so the kernel gives the same bits from this pair, where BLAS on the
+    F-ordered view of the cast V.T would not.  Complex eigenvectors come
+    back as they are, with their ``.T`` view.  Casting pays only when V
+    drives many steps: a ramp stack's V drives one step from 8 qubits on,
+    and there the explicit cast is slower than numpy's.
+    """
+    if np.iscomplexobj(vectors):
+        return vectors, vectors.T
+    cast = vectors.astype(np.complex128)
+    return cast, np.ascontiguousarray(cast.T)
 
 
 def apply_evolution(

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -238,15 +239,22 @@ def sample_counts(
     """Z-basis outcome counts of the listed qubits for each row of a stack.
 
     Row r of the (rows, 2^k) result holds ``shots`` Born-rule draws from
-    the marginal of state r, made by ``np.random.default_rng(seeds[r])``;
-    column i counts outcome i, whose bits read the listed qubits with the
-    first one leftmost.  The marginals are summed, clipped and normalized
-    for the whole stack at once; only the draws run per row.
+    the marginal of state r, the ``multinomial`` draw that
+    ``np.random.default_rng(seeds[r])`` makes; column i counts outcome i,
+    whose bits read the listed qubits with the first one leftmost.  The
+    marginals are summed, clipped and normalized for the whole stack at
+    once, and the rows' PCG64 states are computed in bulk
+    (``_pcg64_states``): one generator is set to each row's state in turn
+    and only the draws run per row.  The first row's state is checked
+    against numpy's own seeding, so a numpy that seeds differently raises
+    ``NumericalConsistencyError`` instead of drawing other counts.
     """
     qs = _check_qubits(num_qubits, qubits, "measured qubit")
     if not isinstance(shots, int) or shots < 1:
         raise DomainError(f"shots must be a positive integer, got {shots!r}")
     rows = amplitudes.shape[0]
+    if len(seeds) != rows:
+        raise DomainError(f"{len(seeds)} seed(s) for {rows} state(s)")
     probs = np.abs(amplitudes.reshape((rows,) + (2,) * num_qubits)) ** 2
     other = tuple(1 + q for q in range(num_qubits) if q not in qs)
     marginal = probs.sum(axis=other) if other else probs
@@ -255,9 +263,106 @@ def sample_counts(
     marginal = np.clip(marginal.reshape(rows, -1), 0.0, None)
     marginal = marginal / marginal.sum(axis=-1, keepdims=True)
     counts = np.empty(marginal.shape, dtype=np.int64)
-    for row, (seed, p) in enumerate(zip(seeds, marginal)):
-        counts[row] = np.random.default_rng(seed).multinomial(shots, p)
+    states = _pcg64_states(seeds)
+    bit_generator = np.random.PCG64(seeds[0])
+    if bit_generator.state["state"] != {"state": states[0][0], "inc": states[0][1]}:
+        raise NumericalConsistencyError(
+            f"PCG64 state computed for seed {seeds[0]!r} differs from numpy's seeding"
+        )
+    generator = np.random.Generator(bit_generator)
+    for row, ((state, inc), p) in enumerate(zip(states, marginal)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        counts[row] = generator.multinomial(shots, p)
     return counts
+
+
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, 4-word pool)
+# and the 128-bit multiplier PCG64 steps its state with.
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """The (state, inc) pair ``np.random.PCG64(seed)`` starts from, per seed.
+
+    numpy's seeding, done for all seeds at once: ``SeedSequence(seed)``
+    hashes the seed's 32-bit words, low word first, into a 4-word pool,
+    and ``generate_state(4, np.uint64)`` hashes the pool into four words,
+    here as uint32 array arithmetic over the seeds.  PCG64's set-seed then
+    takes words 0-1 as the initial state and words 2-3 as the stream, high
+    word first.  Seeds of up to four words share one pass, since a zero
+    word hashes as numpy's padding does; a longer seed's extra words are
+    mixed in after the pool, so those seeds are hashed per word count.
+    A seed that is not an integer raises ``TypeError`` and a negative one
+    ``ValueError``, as numpy's seeding does.
+    """
+    values = [operator.index(seed) for seed in seeds]
+    if values and min(values) < 0:
+        raise ValueError(f"expected non-negative integer seeds, got {min(values)}")
+    widths = [max(_POOL_WORDS, -(-value.bit_length() // 32)) for value in values]
+    states: list[tuple[int, int]] = [(0, 0)] * len(values)
+    for width in sorted(set(widths)):
+        rows = [r for r, w in enumerate(widths) if w == width]
+        words = np.empty((2 * -(-width // 2), len(rows)), dtype=np.uint32)
+        for pair in range(len(words) // 2):
+            half = np.array([values[r] >> 64 * pair & _MASK64 for r in rows], dtype=np.uint64)
+            words[2 * pair] = half & _MASK32
+            words[2 * pair + 1] = half >> 32
+        high_state, low_state, high_seq, low_seq = _generate_state(_seed_pool(words[:width]))
+        for r, hs, ls, hq, lq in zip(rows, high_state, low_state, high_seq, low_seq):
+            inc = ((hq << 64 | lq) << 1 | 1) & _MASK128
+            states[r] = (((inc + (hs << 64 | ls)) * _PCG_MULT + inc) & _MASK128, inc)
+    return states
+
+
+def _seed_pool(words: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence's entropy pool for each column of (width >= 4, seeds) uint32 words."""
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(_XSHIFT))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(_XSHIFT))
+
+    pool = [hashmix(words[i]) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra in words[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(extra))
+    return pool
+
+
+def _generate_state(pool: list[np.ndarray]) -> list[list[int]]:
+    """``generate_state(4, np.uint64)`` of each pool column, as four lists of ints."""
+    hash_const = _INIT_B
+    out = []
+    for i in range(2 * _POOL_WORDS):
+        value = pool[i % _POOL_WORDS] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append((value ^ (value >> np.uint32(_XSHIFT))).astype(np.uint64))
+    return [(out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(_POOL_WORDS)]
 
 
 def measure_sample(

@@ -130,7 +130,16 @@ def sample_per_state(
     marginal = np.transpose(marginal, [order.index(q) for q in qubits]).reshape(-1)
     marginal = np.clip(marginal, 0.0, None)
     marginal = marginal / marginal.sum()
-    return np.random.default_rng(seed).multinomial(shots, marginal)
+    return multinomial_per_row(marginal[np.newaxis], shots, [seed])[0]
+
+
+def multinomial_per_row(marginals: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """Counts of ``shots`` draws from each row of ``marginals``, row r drawn
+    by a fresh ``np.random.default_rng(seeds[r])``."""
+    counts = np.empty(marginals.shape, dtype=np.int64)
+    for row, (seed, p) in enumerate(zip(seeds, marginals)):
+        counts[row] = np.random.default_rng(seed).multinomial(shots, p)
+    return counts
 
 
 HADAMARD_2X2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)

@@ -241,6 +241,30 @@ def test_filter_amplitude_magnitude_closed_form():
         assert abs(amp) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("powers", [(2**30 + 1,), (2**40 + 3,), (3, 2**30 + 1, 2**40 + 3)])
+def test_closed_form_holds_at_large_powers(powers):
+    # i^p is exact as i^(p mod 4) in the closed form too, so it keeps up
+    # with apply_filter where Python's complex power drifts by about p * 1e-16
+    spec, v0, v1 = _eigpair()
+    theta = choose_theta(-1.3)
+    config = FilterConfig(len(powers), theta, powers)
+    for energy, vector in zip(spec.eigenvalues, (v0, v1)):
+        outcome = apply_filter(StateVector(1, vector), spec, config)
+        amplitude = filter_amplitude(energy, theta, config)
+        assert abs(outcome.success_probability - abs(amplitude) ** 2) < 1e-12
+
+
+def test_controlled_u_power_phase_is_exact_at_large_powers():
+    spec, v0, _ = _eigpair()
+    theta = -4.0
+    for k in (2**30 + 1, 2**40 + 3):
+        joint = StateVector(2, np.kron([0.0, 1.0], v0))
+        moved = controlled_u_power(joint, 0, spec, theta, k)
+        ratio = moved.amplitudes.reshape(2, 2)[1] @ v0.conj()
+        expected = 1j ** (k % 4) * np.exp(-1j * spec.eigenvalues[0] * (k * theta / 2.0))
+        assert abs(ratio - expected) < 1e-12
+
+
 def test_apply_filter_matches_closed_form_one_qubit():
     spec, v0, v1 = _eigpair()
     rng = np.random.default_rng(17)

@@ -27,8 +27,10 @@ from vacuum_refine import hamiltonian
 from vacuum_refine.hamiltonian import (
     _FLIGHT_ENTRIES,
     DEGENERACY_TOL,
+    _complex_pair,
     _fix_phases,
     _in_order,
+    _propagate,
     _SpectrumStacks,
 )
 from vacuum_refine.statevector import _STACK_ENTRIES
@@ -411,6 +413,26 @@ def test_stacked_guard_refuses_one_bad_matrix(monkeypatch, corrupt):
         _ramp_spectra(initial_hamiltonian(J, 2), transverse_ising_pair(J), _midpoints(8))
     # one stack held all nine operators; only the fourth was bad
     assert stacks == [9]
+
+
+@pytest.mark.parametrize("dim", [2, 16, 256])
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_cast_once_kernel_matches_the_implicit_cast_bit_for_bit(dim, rows):
+    rng = np.random.default_rng(dim + (rows or 0))
+    vectors, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    phases = np.exp(-1j * rng.normal(size=dim))
+    shape = (dim,) if rows is None else (rows, dim)
+    amplitudes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cast, transposed = _complex_pair(vectors)
+    assert cast.dtype == np.complex128 and transposed.flags.c_contiguous
+    expected = _propagate(vectors, phases, amplitudes)
+    assert np.array_equal(_propagate(cast, phases, amplitudes, transposed), expected)
+
+
+def test_complex_eigenvectors_are_paired_as_they_are():
+    vectors = haar_unitary(4, np.random.default_rng(5))
+    cast, transposed = _complex_pair(vectors)
+    assert cast is vectors and transposed.base is vectors
 
 
 def test_evolution_unitary_group_property():

@@ -21,8 +21,10 @@ from vacuum_refine import (
     measure_sample,
     postselect,
 )
+from vacuum_refine import statevector
 from vacuum_refine.pauli import compile_word
 from vacuum_refine.statevector import (
+    _pcg64_states,
     check_normalized,
     expectations,
     fidelities,
@@ -36,6 +38,7 @@ from oracles import (
     expectation_per_state,
     fidelity_per_state,
     haar_unitary,
+    multinomial_per_row,
     pauli_sum_matrix,
     pauli_word_matrix,
     random_state,
@@ -351,3 +354,70 @@ def test_stacked_sampling_matches_per_state(qubits):
         assert counts[row].tolist() == expected.tolist()
         histogram = measure_sample(StateVector(3, psi), qubits, 4000, seeds[row])
         assert histogram == {format(i, f"0{k}b"): int(c) for i, c in enumerate(expected) if c}
+
+
+# Seeds at the word-count boundaries of numpy's SeedSequence (one to four
+# 32-bit words share a pass; five and more words are mixed in one by one),
+# and runs of consecutive seeds across 2^32 and 2^128.
+SEED_EDGES = (
+    [0, 1, 5, 2**32 - 1, 2**32, 2**64, 2**100 + 3, 2**128, 2**160 + 3, 2**200 + 11, 2**300]
+    + list(range(2**32 - 4, 2**32 + 4))
+    + list(range(2**128 - 4, 2**128 + 4))
+)
+
+
+def test_bulk_pcg64_states_match_numpy_seeding():
+    states = _pcg64_states(SEED_EDGES)
+    for seed, (state, inc) in zip(SEED_EDGES, states):
+        assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}, seed
+    assert _pcg64_states([]) == []
+    assert _pcg64_states([np.int64(7), np.uint64(2**64 - 1)]) == _pcg64_states([7, 2**64 - 1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sampling_matches_a_fresh_default_rng_per_row(n):
+    # 2, 4 and 8 outcomes, on a run of seeds that crosses 2^32
+    rng = np.random.default_rng(63)
+    states = _random_stack(n, 12, rng)
+    seeds = range(2**32 - 6, 2**32 + 6)
+    marginals = np.clip(np.abs(states) ** 2, 0.0, None)
+    marginals = marginals / marginals.sum(axis=-1, keepdims=True)
+    expected = multinomial_per_row(marginals, 1000, seeds)
+    counts = sample_counts(states, n, list(range(n)), 1000, seeds)
+    assert counts.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize(
+    "bad, error", [(-1, ValueError), (-(2**64) + 3, ValueError), (1.5, TypeError)]
+)
+def test_sampling_refuses_seeds_numpy_refuses(bad, error):
+    # the exception type numpy's own seeding raises, in any row; a negative
+    # seed does not wrap around to a large one
+    with pytest.raises(error):
+        np.random.default_rng(bad)
+    states = _random_stack(1, 2, np.random.default_rng(64))
+    for seeds in ([bad, 5], [5, bad]):
+        with pytest.raises(error):
+            sample_counts(states, 1, [0], 10, seeds)
+
+
+def test_sampling_refuses_an_unseeded_row():
+    states = _random_stack(1, 2, np.random.default_rng(64))
+    with pytest.raises(TypeError):
+        sample_counts(states, 1, [0], 10, [5, None])
+
+
+def test_sampling_needs_one_seed_per_row():
+    states = _random_stack(1, 3, np.random.default_rng(65))
+    with pytest.raises(DomainError, match="2 seed"):
+        sample_counts(states, 1, [0], 10, [1, 2])
+
+
+def test_sampling_refuses_a_state_numpy_would_not_seed(monkeypatch):
+    def shifted(seeds):
+        return [(state ^ 1, inc) for state, inc in _pcg64_states(seeds)]
+
+    monkeypatch.setattr(statevector, "_pcg64_states", shifted)
+    states = _random_stack(1, 2, np.random.default_rng(66))
+    with pytest.raises(NumericalConsistencyError, match="PCG64 state"):
+        sample_counts(states, 1, [0], 10, [3, 4])
