@@ -79,8 +79,6 @@ from .pauli import PauliWord, apply_word, column_phases, compile_word
 from .statevector import (
     HADAMARD,
     S_DAG,
-    X,
-    GateMatrix,
     StateVector,
     apply_controlled,
     apply_gate,

@@ -16,8 +16,8 @@ Hermiticity, orthonormality and residual guards vectorized over it.  The
 stacks are diagonalized on up to one thread per core of the process's
 affinity at once, as many as a fixed budget of matrix entries in flight
 allows, each eigendecomposition on one BLAS thread, and arrive in order
-(``_SpectrumStacks``); the trajectory's metadata records how many threads
-they used (``diagonalization_workers``).  Both step modes read each step's
+(``_SpectrumStacks``); the trajectory records how many threads they used
+(``Trajectory.diagonalization_workers``).  Both step modes read each step's
 coefficient row, so no operator is built per step.
 
 The ramp and the hold work a block of states at a time.  For each stack
@@ -124,14 +124,18 @@ class TrajectoryRecord:
 
 @dataclass
 class Trajectory:
-    """Time-ordered records plus run metadata (warnings, schedule echo).
+    """Time-ordered records plus what the run noticed.
 
-    ``states`` holds the amplitudes of the recorded states, one row per
-    record, when the run was asked to keep them, and is None otherwise.
+    ``warnings`` lists the degenerate ground levels met on the way, and
+    ``diagonalization_workers`` the threads the ramp's eigendecompositions
+    ran on (0 for a hold).  ``states`` holds the amplitudes of the recorded
+    states, one row per record, when the run was asked to keep them, and
+    is None otherwise.
     """
 
     records: list[TrajectoryRecord] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
+    diagonalization_workers: int = 0
     states: np.ndarray | None = None
 
     def extend(self, records: Sequence[TrajectoryRecord]) -> None:
@@ -308,7 +312,7 @@ def run_adiabatic(
     instantaneous ground state at the start and after each step; with
     ``records`` false nothing is recorded, and with ``record_states`` the
     trajectory keeps the recorded amplitudes.  A degenerate instantaneous
-    ground level is recorded as a metadata warning, not an error.
+    ground level is recorded as a trajectory warning, not an error.
 
     Every operator of the ramp, h0 (s = 0) and each step's, is known
     before the first step, so both step modes and the energies read one
@@ -325,19 +329,7 @@ def run_adiabatic(
     observables = dict(observables or {})
     _check_observables(observables, h0.num_qubits)
     n = h0.num_qubits
-    trajectory = Trajectory(
-        metadata={
-            "mode": mode.value,
-            "schedule": {
-                "total_time": schedule.total_time,
-                "dt": schedule.dt,
-                "hold_time": schedule.hold_time,
-            },
-            "interpolation_rule": "midpoint",
-            "warnings": [],
-        }
-    )
-    warnings = trajectory.metadata["warnings"]
+    trajectory = Trajectory()
     dt = schedule.dt
     s_values = [0.0] + [
         (k + 0.5) * dt / schedule.total_time for k in range(schedule.num_ramp_steps)
@@ -364,7 +356,7 @@ def run_adiabatic(
             states[r] = amplitudes
         degenerate = values[:, 1] - values[:, 0] < DEGENERACY_TOL
         for k in (start + np.flatnonzero(degenerate)).tolist():
-            warnings.append(
+            trajectory.warnings.append(
                 f"degenerate instantaneous ground level at step {k - 1} (s={s_values[k]!r})"
                 if k
                 else "degenerate ground level at s=0"
@@ -374,7 +366,7 @@ def run_adiabatic(
             targets = np.ascontiguousarray(vectors[:, :, 0])
             recorder.read(times, states, coeffs[start:stop], targets)
         del values, vectors  # free before the next stack is diagonalized
-    trajectory.metadata["diagonalization_workers"] = stacks.workers
+    trajectory.diagonalization_workers = stacks.workers
     if recorder is not None:
         recorder.finish()
     return StateVector(n, amplitudes), trajectory
@@ -412,9 +404,7 @@ def run_hold(
         raise DomainError(
             f"operator acts on {h.num_qubits} qubit(s), state has {state.num_qubits}"
         )
-    trajectory = Trajectory(
-        metadata={"mode": mode.value, "hold_time": schedule.hold_time, "warnings": []}
-    )
+    trajectory = Trajectory()
     dt = schedule.dt
     dim = 2**state.num_qubits
     exact = mode is EvolutionMode.EXACT_STEP and schedule.num_hold_steps > 0
@@ -424,9 +414,7 @@ def run_hold(
         _check_spectrum_dim(spectrum, dim)
     if fidelity_target is None:
         if spectrum.degenerate:
-            trajectory.metadata["warnings"].append(
-                "ground level of the held operator is degenerate"
-            )
+            trajectory.warnings.append("ground level of the held operator is degenerate")
         fidelity_target = spectrum.ground_state
     if exact:
         phases = np.exp(-1j * spectrum.eigenvalues * dt)

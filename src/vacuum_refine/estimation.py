@@ -1,4 +1,9 @@
-"""Expectation-value estimation: eigenbasis overlaps, shot noise, correction."""
+"""Expectation-value estimation: eigenbasis overlaps, shot noise, correction.
+
+Shot estimates rotate each X or Y letter to Z with the plain basis-change
+arrays ``HADAMARD`` and ``S_DAG``, applied to a whole stack of states by
+``statevector._apply_matrix``, then sample Z-basis parities.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +14,10 @@ import numpy as np
 
 from .errors import CorrectionError, DomainError, NumericalConsistencyError
 from .hamiltonian import PauliSum, Spectrum, to_matrix
-from .statevector import HADAMARD, S_DAG, StateVector, sample_counts
+from .statevector import HADAMARD, S_DAG, StateVector, _apply_matrix, sample_counts
 
 _MIN_CORRECTION_DENOM = 1e-6
-# Gates that turn the eigenbasis of a letter into the Z basis, in order.
+# Basis changes that turn the eigenbasis of a letter into the Z basis, in order.
 _TO_Z_BASIS = {"X": (HADAMARD,), "Y": (S_DAG, HADAMARD)}
 
 
@@ -74,24 +79,16 @@ def corrected_expectation(raw: float, p0: float) -> float:
     return raw / denom
 
 
-def _rotate(psi: np.ndarray, gate: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a one-qubit gate to one axis of a stack of [2]*n shaped states.
-
-    Elementwise products, not a matmul, so that each row comes out the
-    same however many rows share the stack.
-    """
-    a0, a1 = np.take(psi, 0, axis), np.take(psi, 1, axis)
-    return np.stack((gate[0, 0] * a0 + gate[0, 1] * a1, gate[1, 0] * a0 + gate[1, 1] * a1), axis)
-
-
 def shot_estimates(
     amplitudes: np.ndarray, pauli_string: str, shots: int, seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled <P> and its standard error for each row of a (rows, d) state stack.
 
-    X and Y letters are rotated to Z for the whole stack, then row r
-    draws ``shots`` Z-basis samples of the word's qubits with seed
-    ``seeds[r]`` (``sample_counts``) and averages their parities.
+    X and Y letters are rotated to Z for the whole stack by the
+    elementwise ``_apply_matrix``, so no row's bits depend on the stack;
+    then row r draws ``shots`` Z-basis samples of the word's qubits with
+    seed ``seeds[r]`` (``sample_counts``) and averages their parities.
+    A stack of no rows gives two empty arrays.
     """
     num_qubits = len(pauli_string)
     if amplitudes.shape[-1] != 2**num_qubits:
@@ -110,8 +107,8 @@ def shot_estimates(
     psi = amplitudes.reshape((rows,) + (2,) * num_qubits)
     for q, ch in enumerate(pauli_string):
         for gate in _TO_Z_BASIS.get(ch, ()):
-            psi = _rotate(psi, gate.entries, 1 + q)
-    counts = sample_counts(psi.reshape(rows, -1), num_qubits, measured, shots, seeds)
+            psi = _apply_matrix(psi, gate, [1 + q])
+    counts = sample_counts(psi.reshape(amplitudes.shape), num_qubits, measured, shots, seeds)
     signs = np.where(np.bitwise_count(np.arange(counts.shape[1])) & 1, -1, 1)
     mean = (counts @ signs) / shots
     return mean, np.sqrt(np.maximum(0.0, 1.0 - mean * mean) / shots)

@@ -255,9 +255,9 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
     _write_csv(summary_path, list(summary), [tuple(summary.values())])
 
     outputs = [trajectory_path, summary_path]
-    warnings = ramp.metadata["warnings"] + hold.metadata["warnings"]
+    warnings = ramp.warnings + hold.warnings
     manifest = _write_manifest(
-        "sweep", config, outputs, started, warnings, ramp.metadata["diagonalization_workers"]
+        "sweep", config, outputs, started, warnings, ramp.diagonalization_workers
     )
     lines = [
         f"trajectory written to {trajectory_path} ({len(rows)} records)",
@@ -359,9 +359,9 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
     _write_csv(summary_path, list(summary), [tuple(summary.values())])
 
     outputs = [trajectory_path, summary_path]
-    warnings = ramp.metadata["warnings"] + hold.metadata["warnings"]
+    warnings = ramp.warnings + hold.warnings
     manifest = _write_manifest(
-        "filter-run", config, outputs, started, warnings, ramp.metadata["diagonalization_workers"]
+        "filter-run", config, outputs, started, warnings, ramp.diagonalization_workers
     )
     lines = [
         f"trajectory written to {trajectory_path} ({len(rows)} records)",
@@ -460,9 +460,9 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
         "final_excited_weight": report.steps[-1].excited_weight if report.steps else 1.0 - start_fidelity,
     }
     outputs = [refinement_path]
-    warnings = ramp.metadata["warnings"] + _excited_level_warnings(report, spectrum)
+    warnings = ramp.warnings + _excited_level_warnings(report, spectrum)
     manifest = _write_manifest(
-        "refine", config, outputs, started, warnings, ramp.metadata["diagonalization_workers"]
+        "refine", config, outputs, started, warnings, ramp.diagonalization_workers
     )
     lines = [
         f"refinement written to {refinement_path} ({len(rows)} pass(es))",

@@ -21,7 +21,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .pauli import PauliWord, column_phases, compile_word, word_masks
-from .statevector import _STACK_ENTRIES, _UNITARY_ATOL, GateMatrix, StateVector, _coefficient_row
+from .statevector import _STACK_ENTRIES, _UNITARY_ATOL, StateVector, _coefficient_row
 
 DEFAULT_DENSE_CAP = 10
 DEGENERACY_TOL = 1e-10
@@ -563,17 +563,18 @@ def apply_evolution(
     return _propagate(spectrum.eigenvectors, phases, amplitudes)
 
 
-def evolution_unitary(spectrum: Spectrum, duration: float) -> GateMatrix:
-    """The full-register propagator exp(-i * h * duration) as a dense gate.
+def evolution_unitary(spectrum: Spectrum, duration: float) -> np.ndarray:
+    """The full-register propagator exp(-i * h * duration) as a dense matrix.
 
     ``spectrum`` is ``exact_diagonalize(h)``.  This is ``apply_evolution``
     applied to the identity, for callers that need the matrix itself; the
-    commands never build it.
+    commands never build it.  As for ``apply_evolution``, the spectrum's
+    orthonormality guard is the result's unitarity check.
     """
     # Row r of the result is the propagator applied to basis vector r,
     # i.e. column r of the propagator, hence the transpose.
     identity = np.eye(spectrum.dim)
-    return GateMatrix(spectrum.num_qubits, apply_evolution(spectrum, duration, identity).T)
+    return apply_evolution(spectrum, duration, identity).T
 
 
 def parse_pauli_text(text: str) -> PauliSum:

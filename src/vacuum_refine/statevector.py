@@ -6,8 +6,11 @@ Conventions used throughout the package:
   bit of the amplitude index, so ``|q0 q1 ... q(n-1)>`` lives at index
   ``sum(bit_k * 2**(n-1-k))``.  Reshaping the amplitude vector to
   ``[2] * num_qubits`` therefore puts qubit ``k`` on axis ``k``.
-* Multi-qubit gates read their target list the same way: the first listed
-  target is the most significant bit of the gate's own matrix index.
+* A gate is a plain 2^k x 2^k unitary array for k targets, checked once
+  when it is applied.  Multi-qubit gates read their target list the same
+  way as kets: the first listed target is the most significant bit of the
+  gate's own matrix index.  One elementwise kernel (``_apply_matrix``)
+  applies every dense gate, the shot estimator's basis changes included.
 * Operations never mutate their inputs; they return new ``StateVector``
   instances.  Amplitude arrays are treated as read-only.
 * Readouts (norm check, expectation values, overlaps, sampling) work on a
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -44,37 +47,9 @@ _IMAG_RESIDUE_LIMIT = 1e-8
 _STACK_ENTRIES = 2**16
 
 
-@dataclass(frozen=True, eq=False)
-class GateMatrix:
-    """A unitary acting on ``arity`` qubits, stored as a dense matrix."""
-
-    arity: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.arity, int) or self.arity < 1:
-            raise DomainError(f"gate arity must be a positive integer, got {self.arity!r}")
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        dim = 2**self.arity
-        if entries.shape != (dim, dim):
-            raise DomainError(
-                f"gate on {self.arity} qubit(s) needs a {dim}x{dim} matrix, got shape {entries.shape}"
-            )
-        residue = np.max(np.abs(entries.conj().T @ entries - np.eye(dim)))
-        if not residue <= _UNITARY_ATOL:
-            raise UnitarityError(f"matrix is not unitary (max residue {residue:.3e})")
-        object.__setattr__(self, "entries", entries)
-
-
-def _gate(matrix: Iterable[Iterable[complex]]) -> GateMatrix:
-    m = np.asarray(matrix, dtype=np.complex128)
-    arity = int(round(np.log2(m.shape[0])))
-    return GateMatrix(arity, m)
-
-
-X = _gate([[0, 1], [1, 0]])
-HADAMARD = _gate(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0))
-S_DAG = _gate([[1, 0], [0, -1j]])
+# The basis changes that shot estimation rotates X and Y letters to Z with.
+HADAMARD = np.asarray(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0), dtype=np.complex128)
+S_DAG = np.asarray([[1, 0], [0, -1j]], dtype=np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,61 +108,68 @@ def _check_qubits(num_qubits: int, qubits: Sequence[int], label: str) -> list[in
     return [int(q) for q in qs]
 
 
-def _coerce_gate(gate: GateMatrix | np.ndarray) -> GateMatrix:
-    if isinstance(gate, GateMatrix):
-        return gate
-    return _gate(np.asarray(gate, dtype=np.complex128))
+def _checked_gate(gate: np.ndarray, arity: int) -> np.ndarray:
+    """``gate`` as a complex matrix, refused unless it is unitary on ``arity`` qubits."""
+    matrix = np.asarray(gate, dtype=np.complex128)
+    dim = 2**arity
+    if matrix.shape != (dim, dim):
+        raise DomainError(
+            f"gate on {arity} qubit(s) needs a {dim}x{dim} matrix, got shape {matrix.shape}"
+        )
+    residue = np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim)))
+    if not residue <= _UNITARY_ATOL:  # NaN fails too
+        raise UnitarityError(f"matrix is not unitary (max residue {residue:.3e})")
+    return matrix
 
 
-def _apply_matrix_nd(psi: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Apply ``matrix`` to the listed axes of a [2]*n shaped array."""
+def _apply_matrix(psi: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Apply a 2^k x 2^k matrix to the k listed axes of an array of 2-wide axes.
+
+    The first listed axis is the most significant bit of the matrix index.
+    Output index i is ``matrix[i, 0] * block[0]``, then ``matrix[i, j] *
+    block[j]`` added in column order: elementwise products, not a matmul,
+    so that each row of a stack of states comes out the same, bit for bit,
+    however many rows share the stack.
+    """
     k = len(axes)
-    n = psi.ndim
     moved = np.moveaxis(psi, axes, range(k))
-    tail = moved.shape[k:]
-    block = moved.reshape(2**k, -1)
-    block = matrix @ block
-    moved = block.reshape((2,) * k + tail)
-    return np.moveaxis(moved, range(k), axes)
+    block = moved.reshape((2**k,) + moved.shape[k:])
+    out = []
+    for row in matrix:
+        total = row[0] * block[0]
+        for j in range(1, len(block)):
+            total = total + row[j] * block[j]
+        out.append(total)
+    return np.moveaxis(np.stack(out).reshape(moved.shape), range(k), axes)
 
 
-def apply_gate(
-    state: StateVector, gate: GateMatrix | np.ndarray, targets: Sequence[int]
-) -> StateVector:
-    """Apply a unitary to the listed target qubits."""
-    g = _coerce_gate(gate)
+def apply_gate(state: StateVector, gate: np.ndarray, targets: Sequence[int]) -> StateVector:
+    """Apply a unitary matrix to the listed target qubits."""
     ts = _check_qubits(state.num_qubits, targets, "target")
-    if len(ts) != g.arity:
-        raise DomainError(f"gate arity {g.arity} does not match {len(ts)} target(s)")
+    matrix = _checked_gate(gate, len(ts))
     psi = state.amplitudes.reshape((2,) * state.num_qubits)
-    psi = _apply_matrix_nd(psi, g.entries, ts)
-    return StateVector(state.num_qubits, psi.reshape(-1))
+    return StateVector(state.num_qubits, _apply_matrix(psi, matrix, ts).reshape(-1))
 
 
 def apply_controlled(
-    state: StateVector,
-    controls: Sequence[int],
-    gate: GateMatrix | np.ndarray,
-    targets: Sequence[int],
+    state: StateVector, controls: Sequence[int], gate: np.ndarray, targets: Sequence[int]
 ) -> StateVector:
     """Apply a gate to the targets only on the all-controls-one subspace.
 
     The gate matrix is applied literally, so a global phase baked into it
     becomes a physical relative phase between the control branches.
     """
-    g = _coerce_gate(gate)
     cs = _check_qubits(state.num_qubits, controls, "control")
     ts = _check_qubits(state.num_qubits, targets, "target")
     if set(cs) & set(ts):
         raise DomainError(f"controls {cs} and targets {ts} overlap")
-    if len(ts) != g.arity:
-        raise DomainError(f"gate arity {g.arity} does not match {len(ts)} target(s)")
+    matrix = _checked_gate(gate, len(ts))
     n = state.num_qubits
     psi = state.amplitudes.reshape((2,) * n).copy()
     selector = tuple(1 if q in cs else slice(None) for q in range(n))
     remaining = [q for q in range(n) if q not in cs]
     sub_axes = [remaining.index(t) for t in ts]
-    psi[selector] = _apply_matrix_nd(psi[selector], g.entries, sub_axes)
+    psi[selector] = _apply_matrix(psi[selector], matrix, sub_axes)
     return StateVector(n, psi.reshape(-1))
 
 
@@ -247,7 +229,8 @@ def sample_counts(
     (``_pcg64_states``): one generator is set to each row's state in turn
     and only the draws run per row.  The first row's state is checked
     against numpy's own seeding, so a numpy that seeds differently raises
-    ``NumericalConsistencyError`` instead of drawing other counts.
+    ``NumericalConsistencyError`` instead of drawing other counts.  A stack
+    of no rows, with no seeds, gives a (0, 2^k) array.
     """
     qs = _check_qubits(num_qubits, qubits, "measured qubit")
     if not isinstance(shots, int) or shots < 1:
@@ -255,6 +238,8 @@ def sample_counts(
     rows = amplitudes.shape[0]
     if len(seeds) != rows:
         raise DomainError(f"{len(seeds)} seed(s) for {rows} state(s)")
+    if not rows:
+        return np.empty((0, 2 ** len(qs)), dtype=np.int64)
     probs = np.abs(amplitudes.reshape((rows,) + (2,) * num_qubits)) ** 2
     other = tuple(1 + q for q in range(num_qubits) if q not in qs)
     marginal = probs.sum(axis=other) if other else probs

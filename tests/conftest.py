@@ -4,8 +4,6 @@ import sys
 import numpy as np
 import pytest
 
-from vacuum_refine.statevector import GateMatrix
-
 # make the shared oracle helpers importable from every test module
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -38,24 +36,6 @@ def count_calls(monkeypatch):
         return calls
 
     return install
-
-
-@pytest.fixture
-def count_gates(monkeypatch):
-    """Record every ``GateMatrix`` built while the test runs.
-
-    Returns the list each new gate is appended to; module-level gate
-    constants, built at import, are not counted.
-    """
-    built: list = []
-    check = GateMatrix.__post_init__
-
-    def counted(self):
-        built.append(self)
-        check(self)
-
-    monkeypatch.setattr(GateMatrix, "__post_init__", counted)
-    return built
 
 
 @pytest.fixture

@@ -434,9 +434,9 @@ def test_criterion_8_numerical_hygiene():
 
     # group property of the dense propagator
     pair = exact_diagonalize(transverse_ising_pair(J))
-    u1 = evolution_unitary(pair, 0.7).entries
-    u2 = evolution_unitary(pair, 1.1).entries
-    u12 = evolution_unitary(pair, 1.8).entries
+    u1 = evolution_unitary(pair, 0.7)
+    u2 = evolution_unitary(pair, 1.1)
+    u12 = evolution_unitary(pair, 1.8)
     group_err = float(np.max(np.abs(u2 @ u1 - u12)))
 
     elapsed = time.perf_counter() - started

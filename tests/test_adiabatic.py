@@ -122,7 +122,7 @@ def test_benchmark_ramp_reaches_ground():
     assert len(traj.records) == BENCHMARK.num_ramp_steps + 1
     assert traj.records[0].t == 0.0
     assert traj.records[-1].t == pytest.approx(36.0)
-    assert traj.metadata["warnings"] == []
+    assert traj.warnings == []
 
 
 def test_sudden_ramp_keeps_initial_overlap():
@@ -230,9 +230,7 @@ def test_hold_oscillation_closed_form():
     assert values[8.0] == pytest.approx(values[0.0], abs=1e-10)
 
 
-def test_exact_ramp_diagonalizes_each_operator_once(
-    count_diagonalized, count_calls, count_gates
-):
+def test_exact_ramp_diagonalizes_each_operator_once(count_diagonalized, count_calls):
     propagators = count_calls("hamiltonian.evolution_unitary")
     h0, h1 = initial_hamiltonian(J, 2), transverse_ising_pair(J)
     sched = Schedule(total_time=2.0, dt=0.25)
@@ -244,7 +242,6 @@ def test_exact_ramp_diagonalizes_each_operator_once(
     assert len({m.tobytes() for m in count_diagonalized}) == sched.num_ramp_steps + 1
     # every step is applied from its spectrum; no dense propagator is built
     assert propagators == []
-    assert count_gates == []
 
 
 def test_ramp_without_records_evolves_the_same():
@@ -257,13 +254,13 @@ def test_ramp_without_records_evolves_the_same():
         assert len(full.records) == 4
         assert bare.records == []
         # warnings still come from every step's spectrum
-        assert bare.metadata == full.metadata
-        assert bare.metadata["warnings"] == [
+        assert bare.diagonalization_workers == full.diagonalization_workers
+        assert bare.warnings == full.warnings == [
             "degenerate instantaneous ground level at step 1 (s=0.5)"
         ]
 
 
-def test_hold_builds_no_dense_propagator(count_calls, count_gates):
+def test_hold_builds_no_dense_propagator(count_calls):
     h1 = transverse_ising_pair(J)
     spectrum = exact_diagonalize(h1)
     sched = Schedule(total_time=1.0, dt=0.25, hold_time=2.0)
@@ -277,7 +274,6 @@ def test_hold_builds_no_dense_propagator(count_calls, count_gates):
     assert len(diagonalized) == 1
     assert given.amplitudes.tobytes() == final.amplitudes.tobytes()
     assert propagators == []
-    assert count_gates == []
 
 
 def test_hold_time_offset_and_target():
@@ -303,7 +299,7 @@ def test_crossing_ramp_records_degeneracy_warning():
     h1 = PauliSum(1, ((J, "Z"),))
     sched = Schedule(total_time=1.0, dt=1.0 / 3.0)
     _, traj = run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP)
-    assert any("degenerate" in w for w in traj.metadata["warnings"])
+    assert any("degenerate" in w for w in traj.warnings)
 
 
 def test_mismatched_registers_rejected():
@@ -347,7 +343,7 @@ def test_energy_key_reserved():
 def test_trajectory_time_ordering_enforced():
     from vacuum_refine import Trajectory, TrajectoryRecord
 
-    traj = Trajectory(metadata={})
+    traj = Trajectory()
     traj.extend([TrajectoryRecord(t=0.0, observables={}, fidelity=1.0)])
     with pytest.raises(DomainError):
         traj.extend([TrajectoryRecord(t=0.0, observables={}, fidelity=1.0)])
@@ -538,7 +534,7 @@ def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
     )
     rows, warnings = _ramp_oracle(h0, h1, schedule, observables)
     _assert_matches(ramp, rows)
-    assert ramp.metadata["warnings"] == warnings
+    assert ramp.warnings == warnings
     assert final.amplitudes.tobytes() == rows[-1][1].tobytes()
 
     for hold_schedule in (schedule, Schedule(schedule.total_time, schedule.dt)):

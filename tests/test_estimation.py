@@ -20,8 +20,9 @@ from vacuum_refine import (
     transverse_ising_pair,
 )
 from vacuum_refine.estimation import shot_estimates
+from vacuum_refine.statevector import sample_counts
 
-from oracles import random_state, sample_per_state
+from oracles import PAULI_2X2, random_state, sample_per_state
 
 J = np.pi / 4
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -125,10 +126,10 @@ def test_shot_expectation_deterministic():
 
 def test_shot_expectation_two_qubit_parity():
     # Bell pair: <ZZ> = 1 exactly
-    from vacuum_refine import X, apply_controlled
+    from vacuum_refine import apply_controlled
 
     bell = apply_gate(basis_state(2, 0), HADAMARD, [0])
-    bell = apply_controlled(bell, [0], X, [1])
+    bell = apply_controlled(bell, [0], PAULI_2X2["X"], [1])
     assert shot_expectation(bell, "ZZ", 2000, seed=9).value == 1.0
 
 
@@ -231,3 +232,13 @@ def test_shot_estimates_validation():
         shot_estimates(states, "ZZ", 0, [1, 2, 3])
     values, errors = shot_estimates(states, "II", 10, [1, 2, 3])
     assert values.tolist() == [1.0] * 3 and errors.tolist() == [0.0] * 3
+
+
+def test_no_states_draw_no_samples():
+    empty = np.empty((0, 8), dtype=np.complex128)
+    assert sample_counts(empty, 3, [2, 0], 10, []).shape == (0, 4)
+    with pytest.raises(DomainError, match="1 seed"):
+        sample_counts(empty, 3, [0], 10, [1])
+    for string in ("ZZZ", "XYI", "III"):
+        values, errors = shot_estimates(empty, string, 10, [])
+        assert values.shape == errors.shape == (0,)

@@ -234,7 +234,7 @@ def test_evolution_unitary_matches_expm():
     assert all(exact_diagonalize(h).eigenvectors.dtype == np.float64 for h in real)
     for h in operators + real:
         t = float(rng.uniform(0.1, 3.0))
-        got = evolution_unitary(exact_diagonalize(h), t).entries
+        got = evolution_unitary(exact_diagonalize(h), t)
         expected = scipy_linalg.expm(-1j * t * to_matrix(h))
         assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -437,11 +437,11 @@ def test_complex_eigenvectors_are_paired_as_they_are():
 
 def test_evolution_unitary_group_property():
     spectrum = exact_diagonalize(transverse_ising_pair(J))
-    u1 = evolution_unitary(spectrum, 0.4).entries
-    u2 = evolution_unitary(spectrum, 0.9).entries
-    u12 = evolution_unitary(spectrum, 1.3).entries
+    u1 = evolution_unitary(spectrum, 0.4)
+    u2 = evolution_unitary(spectrum, 0.9)
+    u12 = evolution_unitary(spectrum, 1.3)
     assert np.max(np.abs(u2 @ u1 - u12)) < 1e-12
-    ident = evolution_unitary(spectrum, 0.0).entries
+    ident = evolution_unitary(spectrum, 0.0)
     assert np.allclose(ident, np.eye(4), atol=1e-14)
 
 

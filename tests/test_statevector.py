@@ -4,14 +4,12 @@ import pytest
 from vacuum_refine import (
     HADAMARD,
     DomainError,
-    GateMatrix,
     ImpossibleOutcomeError,
     NumericalConsistencyError,
     S_DAG,
     PauliSum,
     StateVector,
     UnitarityError,
-    X,
     apply_controlled,
     apply_gate,
     apply_pauli_string,
@@ -24,6 +22,7 @@ from vacuum_refine import (
 from vacuum_refine import statevector
 from vacuum_refine.pauli import compile_word
 from vacuum_refine.statevector import (
+    _apply_matrix,
     _pcg64_states,
     check_normalized,
     expectations,
@@ -33,6 +32,7 @@ from vacuum_refine.statevector import (
 )
 
 from oracles import (
+    PAULI_2X2,
     embed_controlled,
     embed_gate,
     expectation_per_state,
@@ -46,6 +46,7 @@ from oracles import (
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+X = PAULI_2X2["X"]
 
 
 def test_basis_state_layout():
@@ -76,7 +77,7 @@ def test_apply_x_flips_msb_qubit():
 
 def test_apply_hadamard_then_z_gives_minus():
     state = apply_gate(basis_state(1, 0), HADAMARD, [0])
-    state = apply_gate(state, GateMatrix(1, np.diag([1.0, -1.0])), [0])
+    state = apply_gate(state, np.diag([1.0, -1.0]), [0])
     assert state.amplitudes == pytest.approx([INV_SQRT2, -INV_SQRT2])
 
 
@@ -91,10 +92,22 @@ def test_apply_gate_validates_targets_and_arity():
 
 
 def test_non_unitary_matrix_rejected():
-    with pytest.raises(UnitarityError):
-        GateMatrix(1, np.array([[1.0, 0.0], [0.0, 2.0]]))
-    with pytest.raises(UnitarityError):
-        GateMatrix(1, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    # both gate functions check the plain array once, before applying it
+    state = basis_state(3, 0)
+    for apply in (
+        lambda gate, targets: apply_gate(state, gate, targets),
+        lambda gate, targets: apply_controlled(state, [2], gate, targets),
+    ):
+        with pytest.raises(DomainError, match="needs a 2x2 matrix"):
+            apply(np.eye(4), [0])
+        with pytest.raises(DomainError, match="needs a 4x4 matrix"):
+            apply(np.eye(2), [0, 1])
+        with pytest.raises(DomainError, match="needs a 2x2 matrix"):
+            apply(np.ones(2), [0])
+        with pytest.raises(UnitarityError):
+            apply(np.array([[1.0, 0.0], [0.0, 2.0]]), [0])
+        with pytest.raises(UnitarityError):
+            apply(np.array([[np.nan, 0.0], [0.0, 1.0]]), [0])
 
 
 def test_apply_gate_matches_dense_oracle():
@@ -132,7 +145,7 @@ def test_cnot_action():
 def test_controlled_global_phase_becomes_relative():
     # a controlled i*identity must imprint the phase on the |1> branch only
     plus = apply_gate(basis_state(2, 0), HADAMARD, [0])
-    phased = apply_controlled(plus, [0], GateMatrix(1, 1j * np.eye(2)), [1])
+    phased = apply_controlled(plus, [0], 1j * np.eye(2), [1])
     assert phased.amplitudes[0b00] == pytest.approx(INV_SQRT2)
     assert phased.amplitudes[0b10] == pytest.approx(1j * INV_SQRT2)
 
@@ -277,6 +290,32 @@ def test_gate_phase_kept_verbatim():
     # S^dagger on |1> multiplies by -i, no hidden normalization of phases
     one = basis_state(1, 1)
     assert apply_gate(one, S_DAG, [0]).amplitudes[1] == pytest.approx(-1j)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_apply_matrix_gives_each_row_of_a_stack_its_own_bits(k):
+    # rows of 4 qubits, the gate on k of them in a scrambled order
+    rng = np.random.default_rng(80 + k)
+    matrix = haar_unitary(2**k, rng)
+    states = _random_stack(4, 9, rng).reshape((9,) + (2,) * 4)
+    axes = [int(q) for q in rng.choice(4, size=k, replace=False)]
+    stacked = _apply_matrix(states, matrix, [1 + q for q in axes])
+    for row in range(9):
+        alone = _apply_matrix(states[row], matrix, axes)
+        assert stacked[row].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("gate", [HADAMARD, S_DAG], ids=["hadamard", "s_dag"])
+def test_apply_matrix_on_one_qubit_is_the_two_term_sum(gate):
+    # the shot estimator's basis changes: row i is g[i,0]*a0 + g[i,1]*a1
+    states = _random_stack(3, 5, np.random.default_rng(85)).reshape((5, 2, 2, 2))
+    for axis in (1, 2, 3):
+        a0, a1 = np.take(states, 0, axis), np.take(states, 1, axis)
+        expected = np.stack(
+            (gate[0, 0] * a0 + gate[0, 1] * a1, gate[1, 0] * a0 + gate[1, 1] * a1), axis
+        )
+        got = _apply_matrix(states, gate, [axis])
+        assert got.tobytes() == expected.tobytes()
 
 
 # --- stacked readouts against the per-state code ------------------------
