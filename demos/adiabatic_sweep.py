@@ -36,14 +36,14 @@ for mode in (EvolutionMode.EXACT_STEP, EvolutionMode.TROTTER1):
     held, hold = run_hold(
         final, h1, schedule, mode, observables={"expval_Z": z}, start_time=36.0
     )
-    values = np.array([r.observables["expval_Z"] for r in hold.records])
+    values = np.array(hold.observables["expval_Z"])
     center = (values.max() + values.min()) / 2
     print(f"  hold <Z> range [{values.min():.6f}, {values.max():.6f}]")
     print(f"  oscillation center {center:.6f} vs exact {1 / np.sqrt(2):.6f} "
           f"(offset {center - 1 / np.sqrt(2):+.2e})")
     # sample one period: records are dt apart, 96 records = 4 time units
-    t0 = hold.records[0].observables["expval_Z"]
-    t4 = hold.records[95].observables["expval_Z"]
+    t0 = hold.observables["expval_Z"][0]
+    t4 = hold.observables["expval_Z"][95]
     print(f"  <Z> repeats after 4 time units: {t0:.9f} vs {t4:.9f}")
     print()
 

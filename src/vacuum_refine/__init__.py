@@ -6,7 +6,6 @@ from .adiabatic import (
     EvolutionMode,
     Schedule,
     Trajectory,
-    TrajectoryRecord,
     evolve_step,
     run_adiabatic,
     run_hold,

@@ -29,10 +29,12 @@ operator's eigenvectors to complex once (``_complex_pair``) and fills
 blocks of the same size.  Each block is read out with stacked calls
 (``_Recorder``): the norm check, one ``apply_word`` per word for the
 energies and observables, the overlaps with the fidelity targets and the
-time-order check of its records.  Each value is bit-identical to stepping
-and reading out the state alone.  With ``record_states`` the trajectory
-keeps the recorded amplitudes as one (records, d) stack, from which
-shot-mode estimates are drawn.
+time-order check of its records.  The values go straight into the
+trajectory's columns (``Trajectory``: times, fidelities and one list of
+floats per observable), with no object built per record.  Each value is
+bit-identical to stepping and reading out the state alone.  With
+``record_states`` the trajectory keeps the recorded amplitudes as one
+(records, d) stack, from which shot-mode estimates are drawn.
 """
 
 from __future__ import annotations
@@ -115,43 +117,51 @@ class Schedule:
         return int(round(self.hold_time / self.dt))
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    t: float
-    observables: dict[str, float]
-    fidelity: float
-
-
 @dataclass
 class Trajectory:
-    """Time-ordered records plus what the run noticed.
+    """Time-ordered records, as columns, plus what the run noticed.
 
-    ``warnings`` lists the degenerate ground levels met on the way, and
-    ``diagonalization_workers`` the threads the ramp's eigendecompositions
-    ran on (0 for a hold).  ``states`` holds the amplitudes of the recorded
-    states, one row per record, when the run was asked to keep them, and
-    is None otherwise.
+    Record r is ``times[r]``, ``fidelity[r]`` and ``observables[name][r]``
+    for each observable name, ``"energy"`` included; every value is a
+    Python float.  ``warnings`` lists the degenerate ground levels met on
+    the way, and ``diagonalization_workers`` the threads the ramp's
+    eigendecompositions ran on (0 for a hold).  ``states`` holds the
+    amplitudes of the recorded states, one row per record, when the run
+    was asked to keep them, and is None otherwise.
     """
 
-    records: list[TrajectoryRecord] = field(default_factory=list)
+    times: list[float] = field(default_factory=list)
+    fidelity: list[float] = field(default_factory=list)
+    observables: dict[str, list[float]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     diagonalization_workers: int = 0
     states: np.ndarray | None = None
 
-    def extend(self, records: Sequence[TrajectoryRecord]) -> None:
+    def extend(
+        self,
+        times: Sequence[float],
+        observables: Mapping[str, Sequence[float]],
+        fidelity: Sequence[float],
+    ) -> None:
         """Append records, refusing them unless every time exceeds the one before.
 
-        The times are compared as one array, the last record already held
-        included; a NaN time is refused.
+        The times are compared as one array, the last time already held
+        included; a NaN time is refused.  Every column must hold one value
+        per time, and a refused block appends nothing.
         """
-        times = np.array([r.t for r in self.records[-1:]] + [r.t for r in records])
-        later = times[1:] > times[:-1]
+        if any(len(column) != len(times) for column in [fidelity, *observables.values()]):
+            raise DomainError(f"each column needs one value per time, {len(times)} in all")
+        stamps = np.array(self.times[-1:] + list(times))
+        later = stamps[1:] > stamps[:-1]
         if not later.all():
             bad = int(np.argmin(later))
             raise DomainError(
-                f"record times must increase, got {times[bad + 1]} after {times[bad]}"
+                f"record times must increase, got {stamps[bad + 1]} after {stamps[bad]}"
             )
-        self.records.extend(records)
+        self.times.extend(times)
+        self.fidelity.extend(fidelity)
+        for name, values in observables.items():
+            self.observables.setdefault(name, []).extend(values)
 
 
 def _split_rank(word: PauliWord) -> int:
@@ -221,14 +231,17 @@ def evolve_step(
 
 
 class _Recorder:
-    """Turns blocks of recorded states into trajectory records.
+    """Turns blocks of recorded states into the trajectory's columns.
 
+    The trajectory holds one empty column per observable and one for the
+    energy from the start, so a run that records nothing still has them.
     ``read`` takes a (rows, d) block of states with their record times,
     their energy coefficient rows and their fidelity targets; a block
     whose states share one operator passes one (1, words) row and one
     (1, d) target.  The block is read out with stacked calls: the norm
     check of every row, each observable, the energies, the fidelities,
-    clamped to 1, and the time-order check of its records.
+    clamped to 1, and the time-order check of its times; their values
+    are appended to the columns, and no per-record object is built.
 
     The caller sizes the blocks.  A ramp block is one stack of
     eigendecompositions and a hold block has as many rows as such a
@@ -254,6 +267,7 @@ class _Recorder:
             name: (_coefficient_row(obs), obs.words) for name, obs in observables.items()
         }
         self.kept: list[np.ndarray] | None = [] if keep_states else None
+        trajectory.observables = {name: [] for name in [*observables, _ENERGY_KEY]}
 
     def read(
         self,
@@ -267,14 +281,9 @@ class _Recorder:
             name: expectations(states, coeffs, words).tolist()
             for name, (coeffs, words) in self.observables.items()
         }
-        energies = expectations(states, energy_coeffs, self.energy_words).tolist()
-        overlaps = fidelities(states, targets)
-        records = []
-        for row, t in enumerate(times):
-            values = {name: column[row] for name, column in columns.items()}
-            values[_ENERGY_KEY] = energies[row]
-            records.append(TrajectoryRecord(t, values, min(overlaps[row], 1.0)))
-        self.trajectory.extend(records)
+        columns[_ENERGY_KEY] = expectations(states, energy_coeffs, self.energy_words).tolist()
+        clamped = [min(f, 1.0) for f in fidelities(states, targets)]
+        self.trajectory.extend(times, columns, clamped)
         if self.kept is not None:
             self.kept.append(states)
 

@@ -12,15 +12,22 @@ term by term within a record), which makes every sampled column
 reproducible.  A trajectory's estimates are drawn from the stack of its
 recorded states (``Trajectory.states``), one stacked estimate per
 observable term; the counter then continues with the next estimate.
-Each estimate draws what ``np.random.default_rng(seed)`` would draw: the
-PCG64 states of a stack's seeds are computed in bulk and one generator
-is set to each in turn (``statevector.sample_counts``), so the seeds and
-streams are those of one fresh generator per estimate.
+Each estimate draws what ``np.random.default_rng(seed)`` would draw: a
+stack's seeds are hashed in bulk and each estimate's PCG64 is built from
+its hashed words (``statevector.sample_counts``), so the seeds and
+streams are those of one fresh generator per estimate.  Every word
+estimated here has one letter other than I, so each draw has two
+outcomes and is one binomial.
+
+A trajectory's CSV rows are its columns (``Trajectory.times``, the
+observable and energy columns, ``Trajectory.fidelity``) zipped with the
+estimates, and a table of floats alone is written by one string format.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -76,18 +83,20 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
-    # Almost every row holds only Python floats, which need no quoting and
-    # which "%.9g" writes as format(v, ".9g") does: such a row is written
-    # with one template, any other row by csv.writer with _fmt.
-    floats = ",".join(["%.9g"] * len(header)) + "\n"
+    # A table whose every value is a Python float, in rows of the header's
+    # width, needs no quoting, and "%.9g" writes each value as _fmt does:
+    # such a table is written by one format of the "%.9g" row template
+    # repeated once per row.  The check covers every value, so any other
+    # table goes through csv.writer with _fmt.
+    values = tuple(itertools.chain.from_iterable(rows))
+    floats = set(map(len, rows)) <= {len(header)} and set(map(type, values)) <= {float}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            if len(row) == len(header) and all(type(v) is float for v in row):
-                handle.write(floats % tuple(row))
-            else:
-                writer.writerow([_fmt(v) for v in row])
+        if floats:
+            handle.write((",".join(["%.9g"] * len(header)) + "\n") * len(rows) % values)
+        else:
+            writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _ensure_output_dir(prefix: str) -> None:
@@ -158,16 +167,15 @@ def _mean_z(num_qubits: int) -> PauliSum:
 def _trajectory_rows(
     trajectory: Trajectory, estimator: _Estimator, observable: PauliSum
 ) -> list[tuple]:
-    records = trajectory.records
+    """(t, value, std_error, fidelity, energy) per record, zipped from the columns."""
     if estimator.exact:
-        values = [record.observables[_OBS_KEY] for record in records]
-        errors = [0.0] * len(records)
+        values = trajectory.observables[_OBS_KEY]
+        errors = [0.0] * len(values)
     else:
         values, errors = estimator.evaluate_rows(trajectory.states, observable)
-    return [
-        (record.t, value, err, record.fidelity, record.observables["energy"])
-        for record, value, err in zip(records, values, errors)
-    ]
+    return list(
+        zip(trajectory.times, values, errors, trajectory.fidelity, trajectory.observables["energy"])
+    )
 
 
 def _write_manifest(

@@ -466,15 +466,14 @@ class _SpectrumStacks:
         self._num_qubits = num_qubits
         self._words = words
         self._coeffs = coeffs
-        self._real = real = _real_rows(words, coeffs).tolist()
+        real = _real_rows(words, coeffs)
+        self._real = real.tolist()
         chunk = max(1, _STACK_ENTRIES // 4**num_qubits)
-        self._starts = starts = [0]
-        while starts[-1] < len(coeffs):
-            start = starts[-1]
-            stop = start + 1
-            while stop < min(start + chunk, len(coeffs)) and real[stop] == real[start]:
-                stop += 1
-            starts.append(stop)
+        # runs of rows of one dtype, each split every ``chunk`` rows
+        bounds = [0, *(np.flatnonzero(real[1:] != real[:-1]) + 1).tolist(), len(coeffs)]
+        self._starts = starts = [
+            start for first, stop in zip(bounds, bounds[1:]) for start in range(first, stop, chunk)
+        ] + [len(coeffs)]
         self.workers = _workers(len(starts) - 1, chunk * 4**num_qubits)
 
     def _diagonalize(self, i: int) -> tuple[int, np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -225,12 +225,15 @@ def sample_counts(
     ``np.random.default_rng(seeds[r])`` makes; column i counts outcome i,
     whose bits read the listed qubits with the first one leftmost.  The
     marginals are summed, clipped and normalized for the whole stack at
-    once, and the rows' PCG64 states are computed in bulk
-    (``_pcg64_states``): one generator is set to each row's state in turn
-    and only the draws run per row.  The first row's state is checked
+    once.  A two-outcome row draws ``binomial(shots, p0)`` and counts
+    [b, shots - b]: numpy's multinomial draws exactly that binomial from
+    the same stream, so the counts are the same.  A one-row call draws
+    from ``np.random.PCG64(seeds[0])`` as built.  A stack of several rows
+    has its seeds hashed in bulk and each row's generator built from its
+    hashed words (``_seeded_generators``); its first state is checked
     against numpy's own seeding, so a numpy that seeds differently raises
-    ``NumericalConsistencyError`` instead of drawing other counts.  A stack
-    of no rows, with no seeds, gives a (0, 2^k) array.
+    ``NumericalConsistencyError`` instead of drawing other counts.  A
+    stack of no rows, with no seeds, gives a (0, 2^k) array.
     """
     qs = _check_qubits(num_qubits, qubits, "measured qubit")
     if not isinstance(shots, int) or shots < 1:
@@ -247,27 +250,67 @@ def sample_counts(
     marginal = np.transpose(marginal, [0] + [1 + order.index(q) for q in qs])
     marginal = np.clip(marginal.reshape(rows, -1), 0.0, None)
     marginal = marginal / marginal.sum(axis=-1, keepdims=True)
-    counts = np.empty(marginal.shape, dtype=np.int64)
-    states = _pcg64_states(seeds)
-    bit_generator = np.random.PCG64(seeds[0])
-    if bit_generator.state["state"] != {"state": states[0][0], "inc": states[0][1]}:
+    generators = _seeded_generators(seeds)
+    if marginal.shape[1] == 2:
+        first = np.array(
+            [g.binomial(shots, p) for g, p in zip(generators, marginal[:, 0].tolist())],
+            dtype=np.int64,
+        )
+        return np.stack([first, shots - first], axis=1)
+    return np.array(
+        [g.multinomial(shots, p) for g, p in zip(generators, marginal)], dtype=np.int64
+    )
+
+
+def _seeded_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """One generator per seed, in the state ``np.random.default_rng(seed)`` starts in.
+
+    A single seed is handed to ``np.random.PCG64`` as it is.  Several
+    seeds have their ``SeedSequence`` words computed in bulk
+    (``_seed_words``), and each row's PCG64 is built from its words
+    (``_SeedWords``), so numpy's own set-seed turns them into the state.
+    The first row's state is compared with the one numpy's seeding gives.
+    """
+    if len(seeds) == 1:
+        yield np.random.Generator(np.random.PCG64(seeds[0]))
+        return
+    # numpy reads each row's four words through a pointer: contiguous uint64
+    words = np.ascontiguousarray(_seed_words(seeds), dtype=np.uint64)
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    first = np.random.PCG64(_SeedWords(words[0]))
+    if first.state != np.random.PCG64(seeds[0]).state:
         raise NumericalConsistencyError(
             f"PCG64 state computed for seed {seeds[0]!r} differs from numpy's seeding"
         )
-    generator = np.random.Generator(bit_generator)
-    for row, ((state, inc), p) in enumerate(zip(states, marginal)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        counts[row] = generator.multinomial(shots, p)
-    return counts
+    yield np.random.Generator(first)
+    for row in words[1:]:
+        yield np.random.Generator(np.random.PCG64(_SeedWords(row)))
 
 
-# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, 4-word pool)
-# and the 128-bit multiplier PCG64 steps its state with.
+class _SeedWords:
+    """A seed sequence that hands out four precomputed uint64 words.
+
+    numpy's bit generators take any ``ISeedSequence``; PCG64 asks it for
+    ``generate_state(4, np.uint64)``, the words ``_seed_words`` computes.
+    Any other request is refused, so no read can go past the four words.
+    The class is registered as an ``ISeedSequence`` where it is used,
+    since importing the package does not import ``numpy.random``.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != _POOL_WORDS or dtype is not np.uint64:
+            raise NumericalConsistencyError(
+                f"PCG64 asked for {n_words} words of {dtype!r}, expected 4 of uint64"
+            )
+        return self.words
+
+
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, 4-word pool).
 _POOL_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -275,29 +318,26 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
-    """The (state, inc) pair ``np.random.PCG64(seed)`` starts from, per seed.
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed, as (seeds, 4) uint64.
 
     numpy's seeding, done for all seeds at once: ``SeedSequence(seed)``
     hashes the seed's 32-bit words, low word first, into a 4-word pool,
-    and ``generate_state(4, np.uint64)`` hashes the pool into four words,
-    here as uint32 array arithmetic over the seeds.  PCG64's set-seed then
-    takes words 0-1 as the initial state and words 2-3 as the stream, high
-    word first.  Seeds of up to four words share one pass, since a zero
-    word hashes as numpy's padding does; a longer seed's extra words are
-    mixed in after the pool, so those seeds are hashed per word count.
-    A seed that is not an integer raises ``TypeError`` and a negative one
-    ``ValueError``, as numpy's seeding does.
+    and ``generate_state`` hashes the pool into the output words, here as
+    uint32 array arithmetic over the seeds.  Seeds of up to four words
+    share one pass, since a zero word hashes as numpy's padding does; a
+    longer seed's extra words are mixed in after the pool, so those seeds
+    are hashed per word count.  A seed that is not an integer raises
+    ``TypeError`` and a negative one ``ValueError``, as numpy's seeding
+    does.
     """
     values = [operator.index(seed) for seed in seeds]
     if values and min(values) < 0:
         raise ValueError(f"expected non-negative integer seeds, got {min(values)}")
     widths = [max(_POOL_WORDS, -(-value.bit_length() // 32)) for value in values]
-    states: list[tuple[int, int]] = [(0, 0)] * len(values)
+    out = np.empty((len(values), _POOL_WORDS), dtype=np.uint64)
     for width in sorted(set(widths)):
         rows = [r for r, w in enumerate(widths) if w == width]
         words = np.empty((2 * -(-width // 2), len(rows)), dtype=np.uint32)
@@ -305,11 +345,8 @@ def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
             half = np.array([values[r] >> 64 * pair & _MASK64 for r in rows], dtype=np.uint64)
             words[2 * pair] = half & _MASK32
             words[2 * pair + 1] = half >> 32
-        high_state, low_state, high_seq, low_seq = _generate_state(_seed_pool(words[:width]))
-        for r, hs, ls, hq, lq in zip(rows, high_state, low_state, high_seq, low_seq):
-            inc = ((hq << 64 | lq) << 1 | 1) & _MASK128
-            states[r] = (((inc + (hs << 64 | ls)) * _PCG_MULT + inc) & _MASK128, inc)
-    return states
+        out[rows] = _generate_state(_seed_pool(words[:width]))
+    return out
 
 
 def _seed_pool(words: np.ndarray) -> list[np.ndarray]:
@@ -338,8 +375,8 @@ def _seed_pool(words: np.ndarray) -> list[np.ndarray]:
     return pool
 
 
-def _generate_state(pool: list[np.ndarray]) -> list[list[int]]:
-    """``generate_state(4, np.uint64)`` of each pool column, as four lists of ints."""
+def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of each pool column, as (columns, 4) uint64."""
     hash_const = _INIT_B
     out = []
     for i in range(2 * _POOL_WORDS):
@@ -347,7 +384,7 @@ def _generate_state(pool: list[np.ndarray]) -> list[list[int]]:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * np.uint32(hash_const)
         out.append((value ^ (value >> np.uint32(_XSHIFT))).astype(np.uint64))
-    return [(out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(_POOL_WORDS)]
+    return np.stack([out[2 * k] | out[2 * k + 1] << np.uint64(32) for k in range(_POOL_WORDS)], axis=1)
 
 
 def measure_sample(

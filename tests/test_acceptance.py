@@ -177,7 +177,7 @@ def test_criterion_4_filtered_hold(outdir, benchmark_filter):
         selected, h1, schedule, EvolutionMode.EXACT_STEP,
         observables={"expval_Z": z}, include_initial=True, start_time=36.0,
     )
-    values = np.array([r.observables["expval_Z"] for r in hold.records])
+    values = np.array(hold.observables["expval_Z"])
     spread = float(values.max() - values.min())
     worst = float(np.max(np.abs(values - INV_SQRT2)))
 

@@ -119,9 +119,9 @@ def test_benchmark_ramp_reaches_ground():
     final, traj = run_adiabatic(h0, h1, BENCHMARK, EvolutionMode.EXACT_STEP)
     ground = exact_diagonalize(h1).ground_state
     assert fidelity(final, ground) > 0.999
-    assert len(traj.records) == BENCHMARK.num_ramp_steps + 1
-    assert traj.records[0].t == 0.0
-    assert traj.records[-1].t == pytest.approx(36.0)
+    assert len(traj.times) == BENCHMARK.num_ramp_steps + 1
+    assert traj.times[0] == 0.0
+    assert traj.times[-1] == pytest.approx(36.0)
     assert traj.warnings == []
 
 
@@ -139,7 +139,7 @@ def test_trivial_ramp_is_perfect():
     h0 = initial_hamiltonian(J, 1)
     sched = Schedule(total_time=2.0, dt=0.25)
     final, traj = run_adiabatic(h0, h0, sched, EvolutionMode.EXACT_STEP)
-    assert traj.records[-1].fidelity == pytest.approx(1.0, abs=1e-12)
+    assert traj.fidelity[-1] == pytest.approx(1.0, abs=1e-12)
     assert abs(final.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -149,7 +149,7 @@ def test_slower_ramp_prepares_better():
     fast = Schedule(total_time=9.0, dt=1.0 / 24.0)
     _, traj_fast = run_adiabatic(h0, h1, fast, EvolutionMode.EXACT_STEP)
     _, traj_slow = run_adiabatic(h0, h1, BENCHMARK, EvolutionMode.EXACT_STEP)
-    assert traj_slow.records[-1].fidelity > traj_fast.records[-1].fidelity
+    assert traj_slow.fidelity[-1] > traj_fast.fidelity[-1]
 
 
 def test_trotter_deviation_scales_linearly_in_dt():
@@ -173,9 +173,9 @@ def test_energy_recorded_against_instantaneous_operator():
     h1 = hadamard_hamiltonian(J)
     _, traj = run_adiabatic(h0, h1, BENCHMARK, EvolutionMode.EXACT_STEP)
     # at t=0 the state is the exact ground of h0 with energy -J
-    assert traj.records[0].observables["energy"] == pytest.approx(-J, abs=1e-12)
+    assert traj.observables["energy"][0] == pytest.approx(-J, abs=1e-12)
     # near the end the energy approaches the target ground energy
-    assert traj.records[-1].observables["energy"] == pytest.approx(-J, abs=5e-3)
+    assert traj.observables["energy"][-1] == pytest.approx(-J, abs=5e-3)
 
 
 def test_hold_leaves_eigenstate_invariant():
@@ -183,9 +183,9 @@ def test_hold_leaves_eigenstate_invariant():
     ground = exact_diagonalize(h1).ground_state
     sched = Schedule(total_time=1.0, dt=1.0 / 24.0, hold_time=12.0)
     final, traj = run_hold(ground, h1, sched, EvolutionMode.EXACT_STEP)
-    assert len(traj.records) == sched.num_hold_steps
-    for record in traj.records:
-        assert record.fidelity == pytest.approx(1.0, abs=1e-10)
+    assert len(traj.times) == len(traj.fidelity) == sched.num_hold_steps
+    for value in traj.fidelity:
+        assert value == pytest.approx(1.0, abs=1e-10)
     assert fidelity(final, ground) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -216,16 +216,15 @@ def test_hold_oscillation_closed_form():
         start_time=0.0,
         include_initial=True,
     )
-    for record in traj.records:
-        t = record.t
+    for t, value in zip(traj.times, traj.observables["expval_Z"], strict=True):
         expected = (
             a * a * z00
             + b * b * z11
             + 2 * a * b * np.real(z01 * np.exp(-1j * gap * t))
         )
-        assert record.observables["expval_Z"] == pytest.approx(expected, abs=1e-8)
+        assert value == pytest.approx(expected, abs=1e-8)
     # the oscillation period 2*pi/gap = 4 shows up as a repeat after 4 units
-    values = {round(r.t, 9): r.observables["expval_Z"] for r in traj.records}
+    values = {round(t, 9): v for t, v in zip(traj.times, traj.observables["expval_Z"])}
     assert values[4.0] == pytest.approx(values[0.0], abs=1e-10)
     assert values[8.0] == pytest.approx(values[0.0], abs=1e-10)
 
@@ -251,8 +250,10 @@ def test_ramp_without_records_evolves_the_same():
         recorded, full = run_adiabatic(h0, h1, sched, mode, {"z": h1})
         final, bare = run_adiabatic(h0, h1, sched, mode, {"z": h1}, records=False)
         assert final.amplitudes.tobytes() == recorded.amplitudes.tobytes()
-        assert len(full.records) == 4
-        assert bare.records == []
+        assert len(full.times) == 4
+        assert list(full.observables) == ["z", "energy"]
+        assert all(len(column) == 4 for column in full.observables.values())
+        assert bare.times == bare.fidelity == [] and bare.observables == {}
         # warnings still come from every step's spectrum
         assert bare.diagonalization_workers == full.diagonalization_workers
         assert bare.warnings == full.warnings == [
@@ -289,7 +290,7 @@ def test_hold_time_offset_and_target():
         include_initial=True,
         fidelity_target=ground,
     )
-    times = [r.t for r in traj.records]
+    times = traj.times
     assert times == pytest.approx([36.0, 36.25, 36.5, 36.75, 37.0])
 
 
@@ -341,21 +342,31 @@ def test_energy_key_reserved():
 
 
 def test_trajectory_time_ordering_enforced():
-    from vacuum_refine import Trajectory, TrajectoryRecord
+    from vacuum_refine import Trajectory
 
     traj = Trajectory()
-    traj.extend([TrajectoryRecord(t=0.0, observables={}, fidelity=1.0)])
-    with pytest.raises(DomainError):
-        traj.extend([TrajectoryRecord(t=0.0, observables={}, fidelity=1.0)])
+    traj.extend([0.0], {"energy": [-1.0]}, [1.0])
+
+    def refused(times, match="times must increase"):
+        before = (list(traj.times), list(traj.fidelity), {k: list(v) for k, v in traj.observables.items()})
+        with pytest.raises(DomainError, match=match):
+            traj.extend(times, {"energy": [0.5] * len(times)}, [1.0] * len(times))
+        # nothing is appended on a refusal
+        assert (traj.times, traj.fidelity, traj.observables) == before
+
+    refused([0.0])  # equal to the last time held
+    refused([-1.0])  # earlier
+    refused([float("nan")])
+    refused([1.0, float("nan")])
     # a block is checked as a whole: one bad time refuses every record of it
-    block = [TrajectoryRecord(t, {}, 1.0) for t in (1.0, 2.0, 2.0, 3.0)]
-    with pytest.raises(DomainError, match="got 2.0 after 2.0"):
-        traj.extend(block)
-    with pytest.raises(DomainError):
-        traj.extend([TrajectoryRecord(float("nan"), {}, 1.0)])
-    assert len(traj.records) == 1
-    traj.extend(block[:2])
-    assert [r.t for r in traj.records] == [0.0, 1.0, 2.0]
+    refused([1.0, 2.0, 2.0, 3.0], match="got 2.0 after 2.0")
+    with pytest.raises(DomainError, match="one value per time"):
+        traj.extend([1.0, 2.0], {"energy": [0.5]}, [1.0, 1.0])
+    assert traj.times == [0.0]
+    traj.extend([1.0, 2.0], {"energy": [0.5, 0.25]}, [0.9, 0.8])
+    assert traj.times == [0.0, 1.0, 2.0]
+    assert traj.fidelity == [1.0, 0.9, 0.8]
+    assert traj.observables == {"energy": [-1.0, 0.5, 0.25]}
 
 
 # --- records read out in blocks ------------------------------------------
@@ -382,16 +393,17 @@ def test_block_readout_matches_per_state_readout():
     matrices: dict = {}
     state = basis_state(6, 0)
     s_values = [0.0] + [(k + 0.5) * sched.dt / sched.total_time for k in range(40)]
-    for k, (record, psi, s) in enumerate(zip(ramp.records, ramp.states, s_values)):
+    columns = zip(ramp.observables["energy"], ramp.observables["o"], ramp.fidelity)
+    for k, (psi, s, (energy, o, f)) in enumerate(zip(ramp.states, s_values, columns, strict=True)):
         h_k = interpolate(h0, CHAIN6, s)
         spectrum = exact_diagonalize(h_k)
         if k:
             state = evolve_step(state, h_k, sched.dt, EvolutionMode.EXACT_STEP, spectrum)
         assert psi.tobytes() == state.amplitudes.tobytes()
-        assert record.observables["energy"] == expectation_per_state(psi, h_k.terms, matrices)
-        assert record.observables["o"] == expectation_per_state(psi, observable.terms, matrices)
+        assert energy == expectation_per_state(psi, h_k.terms, matrices)
+        assert o == expectation_per_state(psi, observable.terms, matrices)
         ground = spectrum.ground_state.amplitudes
-        assert record.fidelity == min(fidelity_per_state(psi, ground), 1.0)
+        assert f == min(fidelity_per_state(psi, ground), 1.0)
 
     held, hold = run_hold(
         final,
@@ -405,9 +417,9 @@ def test_block_readout_matches_per_state_readout():
     assert hold.states.shape == (21, 64)
     assert hold.states[-1].tobytes() == held.amplitudes.tobytes()
     ground = exact_diagonalize(CHAIN6).ground_state.amplitudes
-    for record, psi in zip(hold.records, hold.states):
-        assert record.observables["energy"] == expectation_per_state(psi, CHAIN6.terms, matrices)
-        assert record.fidelity == min(fidelity_per_state(psi, ground), 1.0)
+    for psi, energy, f in zip(hold.states, hold.observables["energy"], hold.fidelity, strict=True):
+        assert energy == expectation_per_state(psi, CHAIN6.terms, matrices)
+        assert f == min(fidelity_per_state(psi, ground), 1.0)
 
 
 def test_states_are_kept_only_when_asked():
@@ -418,7 +430,9 @@ def test_states_are_kept_only_when_asked():
     _, bare = run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP, record_states=True, records=False)
     assert bare.states is None
     _, empty = run_hold(basis_state(1, 0), h1, Schedule(1.0, 0.25), EvolutionMode.EXACT_STEP, record_states=True)
-    assert empty.records == [] and empty.states.shape == (0, 2)
+    # a hold of no steps records nothing but still has its columns
+    assert empty.times == empty.fidelity == [] and empty.states.shape == (0, 2)
+    assert empty.observables == {"energy": []}
 
 
 def test_hold_refuses_a_state_that_leaves_the_unit_sphere():
@@ -499,12 +513,14 @@ def _hold_oracle(state, h, schedule, observables, start_time, include_initial):
 
 
 def _assert_matches(trajectory, rows):
-    assert len(trajectory.records) == len(rows) == len(trajectory.states)
-    for record, psi, (t, amplitudes, values, ground) in zip(trajectory.records, trajectory.states, rows):
-        assert record.t == t
+    assert len(trajectory.times) == len(rows) == len(trajectory.states)
+    assert trajectory.times == [t for t, _, _, _ in rows]
+    assert trajectory.fidelity == [ground for _, _, _, ground in rows]
+    names = list(rows[0][2]) if rows else list(trajectory.observables)
+    assert list(trajectory.observables) == names
+    assert trajectory.observables == {name: [values[name] for _, _, values, _ in rows] for name in names}
+    for psi, (_, amplitudes, _, _) in zip(trajectory.states, rows):
         assert psi.tobytes() == amplitudes.tobytes()
-        assert record.observables == values
-        assert record.fidelity == ground
 
 
 def _mean_z(n):

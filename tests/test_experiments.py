@@ -216,12 +216,21 @@ def test_integers_and_strings_are_written_as_they_are(tmp_path):
     assert path.read_text() == f"a,b,c,d\n7,-12,{2**60},ok\n"
 
 
+def _csv_writer_bytes(header, rows) -> bytes:
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([experiments._fmt(v) for v in row])
+    return expected.getvalue().encode("utf-8")
+
+
 def test_float_rows_are_written_as_csv_writer_writes_them(tmp_path):
     rng = np.random.default_rng(9)
     floats = [float(v) for v in rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40)]
     floats += [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 0.1]
-    rows = [tuple(floats[i : i + 4]) for i in range(0, len(floats), 4)]
-    rows += [
+    table = [tuple(floats[i : i + 4]) for i in range(0, len(floats), 4)]
+    rows = table + [
         (1.5, 2, 0.25, -3.0),
         (np.int64(4), 0.5, np.float64(0.1), 1.0),
         (True, False, 0.5, 1.0),
@@ -231,12 +240,14 @@ def test_float_rows_are_written_as_csv_writer_writes_them(tmp_path):
     header = ["a", "b", "c", "d"]
     path = tmp_path / "rows.csv"
     experiments._write_csv(str(path), header, rows)
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([experiments._fmt(v) for v in row])
-    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert path.read_bytes() == _csv_writer_bytes(header, rows)
+    # a table of floats whose last row alone holds another value, or is
+    # of another width: every value decides how the table is written
+    for last in [(0.5, 2**60, 1.0, 2.0), (0.5, True, 1.0, 2.0), (0.5, "a,b", 1.0, 2.0), (0.5,)]:
+        experiments._write_csv(str(path), header, table + [last])
+        assert path.read_bytes() == _csv_writer_bytes(header, table + [last]), last
+    experiments._write_csv(str(path), header, [])
+    assert path.read_bytes() == b"a,b,c,d\n"
 
 
 def test_sweep_shot_mode_without_hold_records(tmp_path):

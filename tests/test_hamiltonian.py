@@ -33,6 +33,7 @@ from vacuum_refine.hamiltonian import (
     _propagate,
     _SpectrumStacks,
 )
+from vacuum_refine.pauli import compile_word
 from vacuum_refine.statevector import _STACK_ENTRIES
 
 from oracles import haar_unitary, pauli_sum_matrix
@@ -475,6 +476,37 @@ def test_pauli_text_error_names_line():
 
 # a 7-qubit ramp of 12 steps: 13 operators in stacks of at most 4, so 4 stacks
 POOL_RAMP = ramp_coefficients(initial_hamiltonian(J, 7), _tfim_chain(7), _midpoints(12))
+
+
+def _stack_starts_per_row(real, chunk):
+    """Stack bounds walked row by row: a stack ends at a dtype change or after ``chunk`` rows."""
+    starts = [0]
+    while starts[-1] < len(real):
+        start = stop = starts[-1]
+        while stop < min(start + chunk, len(real)) and real[stop] == real[start]:
+            stop += 1
+        starts.append(stop)
+    return starts
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_stack_bounds_split_dtype_runs_every_chunk_rows(n):
+    # rows with a nonzero Y coefficient are complex; chunk is 2^16 // 4^n
+    # rows, 16384 at one qubit and 4 at seven
+    words = [compile_word("X" * n), compile_word("Y" + "I" * (n - 1))]
+    rng = np.random.default_rng(70)
+    chunk = max(1, _STACK_ENTRIES // 4**n)
+    for rows in [0, 1, 2, 5, 40, 2 * chunk + 3]:
+        patterns = [
+            np.zeros(rows, dtype=bool),
+            np.ones(rows, dtype=bool),
+            rng.random(rows) < 0.5,
+            np.arange(rows) // 9 % 2 == 1,  # runs of nine
+        ]
+        for complex_rows in patterns:
+            coeffs = np.stack([np.ones(rows), np.where(complex_rows, 0.5, 0.0)], axis=1)
+            stacks = _SpectrumStacks(n, words, coeffs)
+            assert stacks._starts == _stack_starts_per_row((~complex_rows).tolist(), chunk)
 
 
 def _stacks(monkeypatch, cores=None, blas=True):

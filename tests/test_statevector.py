@@ -23,7 +23,7 @@ from vacuum_refine import statevector
 from vacuum_refine.pauli import compile_word
 from vacuum_refine.statevector import (
     _apply_matrix,
-    _pcg64_states,
+    _seed_words,
     check_normalized,
     expectations,
     fidelities,
@@ -406,11 +406,26 @@ SEED_EDGES = (
 
 
 def test_bulk_pcg64_states_match_numpy_seeding():
-    states = _pcg64_states(SEED_EDGES)
-    for seed, (state, inc) in zip(SEED_EDGES, states):
-        assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}, seed
-    assert _pcg64_states([]) == []
-    assert _pcg64_states([np.int64(7), np.uint64(2**64 - 1)]) == _pcg64_states([7, 2**64 - 1])
+    words = _seed_words(SEED_EDGES)
+    assert words.dtype == np.uint64 and words.shape == (len(SEED_EDGES), 4)
+    for seed, row in zip(SEED_EDGES, words):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert row.tolist() == expected.tolist(), seed
+    # each generator built from the words starts where numpy's seeding does
+    generators = statevector._seeded_generators(SEED_EDGES)
+    for seed, generator in zip(SEED_EDGES, generators, strict=True):
+        assert generator.bit_generator.state == np.random.PCG64(seed).state, seed
+    assert _seed_words([]).shape == (0, 4)
+    assert _seed_words([np.int64(7), np.uint64(2**64 - 1)]).tolist() == _seed_words([7, 2**64 - 1]).tolist()
+
+
+def test_seed_words_refuse_any_other_request():
+    # PCG64 asks for four uint64 words; a request for more would read past them
+    seed_words = statevector._SeedWords(_seed_words([5])[0])
+    assert seed_words.generate_state(4, np.uint64) is seed_words.words
+    for n_words, dtype in [(8, np.uint64), (2, np.uint64), (4, np.uint32)]:
+        with pytest.raises(NumericalConsistencyError, match="asked for"):
+            seed_words.generate_state(n_words, dtype)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -424,6 +439,49 @@ def test_sampling_matches_a_fresh_default_rng_per_row(n):
     expected = multinomial_per_row(marginals, 1000, seeds)
     counts = sample_counts(states, n, list(range(n)), 1000, seeds)
     assert counts.tolist() == expected.tolist()
+
+
+# Two-outcome rows: p0 = 0 and 1, next to them, a fair coin and random
+# values; at 1000 and 10^6 shots p0 = 0.5 takes binomial's BTPE branch,
+# the small p0 its inversion branch, and p0 > 0.5 the flipped draw.
+TWO_OUTCOME_P0 = [0.0, 1.0, 1e-7, 1.0 - 1e-7, 0.5] + np.random.default_rng(68).random(5).tolist()
+
+
+@pytest.mark.parametrize("shots", [1, 7, 1000, 10**6])
+@pytest.mark.parametrize("first_seed", [2**32 - 5, 2**128 - 5])
+def test_two_outcome_draws_match_numpy_multinomial(shots, first_seed):
+    p0 = np.array(TWO_OUTCOME_P0)
+    states = np.stack([np.sqrt(p0), np.sqrt(1.0 - p0)], axis=1).astype(np.complex128)
+    seeds = range(first_seed, first_seed + len(states))
+    marginals = np.clip(np.abs(states) ** 2, 0.0, None)
+    marginals = marginals / marginals.sum(axis=-1, keepdims=True)
+    counts = sample_counts(states, 1, [0], shots, seeds)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == multinomial_per_row(marginals, shots, seeds).tolist()
+    for row, seed in enumerate(seeds):
+        one = sample_counts(states[row : row + 1], 1, [0], shots, [seed])
+        assert one.tolist() == counts[row : row + 1].tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 1])
+def test_a_one_row_draw_is_seeded_by_numpy_alone(monkeypatch, seed):
+    calls = []
+
+    def counted(seeds):
+        calls.append(list(seeds))
+        return _seed_words(seeds)
+
+    monkeypatch.setattr(statevector, "_seed_words", counted)
+    rng = np.random.default_rng(69)
+    for n, qubits in [(1, [0]), (2, [1]), (2, [1, 0])]:
+        # the oracle draws with np.random.default_rng(seed).multinomial
+        psi = random_state(n, rng)
+        counts = sample_counts(psi[np.newaxis], n, qubits, 5000, [seed])
+        assert counts.tolist() == [sample_per_state(psi, n, qubits, 5000, seed).tolist()]
+    assert calls == []
+    # a stack of several rows computes its seed words in bulk
+    sample_counts(_random_stack(1, 2, rng), 1, [0], 10, [seed, seed + 1])
+    assert calls == [[seed, seed + 1]]
 
 
 @pytest.mark.parametrize(
@@ -454,9 +512,9 @@ def test_sampling_needs_one_seed_per_row():
 
 def test_sampling_refuses_a_state_numpy_would_not_seed(monkeypatch):
     def shifted(seeds):
-        return [(state ^ 1, inc) for state, inc in _pcg64_states(seeds)]
+        return _seed_words(seeds) ^ np.uint64(1)
 
-    monkeypatch.setattr(statevector, "_pcg64_states", shifted)
+    monkeypatch.setattr(statevector, "_seed_words", shifted)
     states = _random_stack(1, 2, np.random.default_rng(66))
     with pytest.raises(NumericalConsistencyError, match="PCG64 state"):
         sample_counts(states, 1, [0], 10, [3, 4])
