@@ -2,19 +2,20 @@
 
 Shot estimates rotate each X or Y letter to Z with the plain basis-change
 arrays ``HADAMARD`` and ``S_DAG``, applied to a whole stack of states by
-``statevector._apply_matrix``, then sample Z-basis parities.
+``statevector._apply_matrix``.  <P> is the mean parity of the measured
+bits, so each state's shots are one binomial draw of even parities.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CorrectionError, DomainError, NumericalConsistencyError
 from .hamiltonian import PauliSum, Spectrum, to_matrix
-from .statevector import HADAMARD, S_DAG, StateVector, _apply_matrix, sample_counts
+from .statevector import HADAMARD, S_DAG, StateVector, _apply_matrix
 
 _MIN_CORRECTION_DENOM = 1e-6
 # Basis changes that turn the eigenbasis of a letter into the Z basis, in order.
@@ -80,15 +81,16 @@ def corrected_expectation(raw: float, p0: float) -> float:
 
 
 def shot_estimates(
-    amplitudes: np.ndarray, pauli_string: str, shots: int, seeds: Sequence[int]
+    amplitudes: np.ndarray, pauli_string: str, shots: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled <P> and its standard error for each row of a (rows, d) state stack.
 
-    X and Y letters are rotated to Z for the whole stack by the
-    elementwise ``_apply_matrix``, so no row's bits depend on the stack;
-    then row r draws ``shots`` Z-basis samples of the word's qubits with
-    seed ``seeds[r]`` (``sample_counts``) and averages their parities.
-    A stack of no rows gives two empty arrays.
+    Row r draws its number of even-parity shots as one
+    ``rng.binomial(shots, p_even[r])`` (``_even_parity``), the rows in
+    order in one call, so a stack draws what its rows would draw one
+    after another on the same generator, however the rows are split into
+    stacks.  A word of I letters alone draws nothing and reads exactly 1;
+    a stack of no rows gives two empty arrays.
     """
     num_qubits = len(pauli_string)
     if amplitudes.shape[-1] != 2**num_qubits:
@@ -101,29 +103,44 @@ def shot_estimates(
     if not isinstance(shots, int) or shots < 1:
         raise DomainError(f"shots must be a positive integer, got {shots!r}")
     rows = amplitudes.shape[0]
-    measured = [q for q, ch in enumerate(pauli_string) if ch != "I"]
-    if not measured:
+    if not pauli_string.strip("I"):
         return np.ones(rows), np.zeros(rows)
-    psi = amplitudes.reshape((rows,) + (2,) * num_qubits)
+    mean = (2 * rng.binomial(shots, _even_parity(amplitudes, pauli_string)) - shots) / shots
+    return mean, np.sqrt(np.maximum(0.0, 1.0 - mean * mean) / shots)
+
+
+def _even_parity(amplitudes: np.ndarray, pauli_string: str) -> np.ndarray:
+    """Probability of an even parity of the word's non-I letters, per row of a stack.
+
+    X and Y letters are rotated to Z for the whole stack by the
+    elementwise ``_apply_matrix``; each row then sums the Born
+    probabilities of the outcomes whose measured bits have even parity,
+    clipped to [0, 1].  So 2 * p_even - 1 is <P>.
+    """
+    num_qubits = len(pauli_string)
+    psi = amplitudes.reshape((amplitudes.shape[0],) + (2,) * num_qubits)
     for q, ch in enumerate(pauli_string):
         for gate in _TO_Z_BASIS.get(ch, ()):
             psi = _apply_matrix(psi, gate, [1 + q])
-    counts = sample_counts(psi.reshape(amplitudes.shape), num_qubits, measured, shots, seeds)
-    signs = np.where(np.bitwise_count(np.arange(counts.shape[1])) & 1, -1, 1)
-    mean = (counts @ signs) / shots
-    return mean, np.sqrt(np.maximum(0.0, 1.0 - mean * mean) / shots)
+    mask = sum(1 << (num_qubits - 1 - q) for q, ch in enumerate(pauli_string) if ch != "I")
+    even = np.bitwise_count(np.arange(2**num_qubits) & mask) & 1 == 0
+    probs = np.abs(psi.reshape(amplitudes.shape)) ** 2
+    return np.clip(probs[:, even].sum(axis=-1), 0.0, 1.0)
 
 
 def shot_expectation(state: StateVector, pauli_string: str, shots: int, seed: int) -> EstimateResult:
     """Estimate <P> for one Pauli word by sampling rotated Z measurements.
 
-    This is the one-row case of ``shot_estimates``.
+    This is the one-row case of ``shot_estimates``, drawn from
+    ``np.random.default_rng(seed)``; as in ``measure_sample``, a seed that
+    is not an integer raises ``TypeError``.
     """
     if len(pauli_string) != state.num_qubits:
         raise DomainError(
             f"Pauli string {pauli_string!r} does not match register size {state.num_qubits}"
         )
-    values, errors = shot_estimates(state.amplitudes[np.newaxis], pauli_string, shots, [seed])
+    rng = np.random.default_rng(operator.index(seed))
+    values, errors = shot_estimates(state.amplitudes[np.newaxis], pauli_string, shots, rng)
     return EstimateResult(value=float(values[0]), std_error=float(errors[0]), shots=shots, seed=seed)
 
 

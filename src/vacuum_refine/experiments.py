@@ -6,18 +6,20 @@ and returns the summary values it printed.  File contents depend only on
 the config and seed; wall-clock duration lives in the manifest alone, so
 repeated runs produce byte-identical CSV and report files.
 
-Shot-mode estimation draws one seed per estimate, advancing a counter
-from the configured base seed in a fixed order (record by record, and
-term by term within a record), which makes every sampled column
-reproducible.  A trajectory's estimates are drawn from the stack of its
-recorded states (``Trajectory.states``), one stacked estimate per
-observable term; the counter then continues with the next estimate.
-Each estimate draws what ``np.random.default_rng(seed)`` would draw: a
-stack's seeds are hashed in bulk and each estimate's PCG64 is built from
-its hashed words (``statevector.sample_counts``), so the seeds and
-streams are those of one fresh generator per estimate.  Every word
-estimated here has one letter other than I, so each draw has two
-outcomes and is one binomial.
+Shot-mode estimation draws from streams: each estimated term opens the
+next stream of the command, numbered from 0 in evaluation order (the
+summary estimates of ``filter-run`` first, then each trajectory
+observable term, ramp before hold).  Stream k draws from
+``SeedSequence(seed, spawn_key=(k,))``, the k-th child that
+``SeedSequence(seed).spawn`` makes, which keeps the seed's words apart
+from k (``default_rng([seed, k])`` would make stream 0 of seed
+s + k * 2^32 stream k of seed s).  A trajectory's estimates of one term
+are drawn from the stack of its recorded states
+(``Trajectory.states``), one ``binomial`` call per block of records on
+that term's stream (``estimation.shot_estimates``).  So a command's
+outputs are reproducible from its seed, and adjacent seeds draw
+unrelated noise.  The manifest's ``counters`` give the streams opened,
+the values sampled and the shots drawn.
 
 A trajectory's CSV rows are its columns (``Trajectory.times``, the
 observable and energy columns, ``Trajectory.fidelity``) zipped with the
@@ -32,7 +34,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -105,49 +107,64 @@ def _ensure_output_dir(prefix: str) -> None:
         os.makedirs(directory, exist_ok=True)
 
 
-class _Estimator:
-    """Evaluates observables exactly or by sampling with derived seeds."""
+@dataclass
+class _Counters:
+    """What one command's estimation did, written to its manifest as ``counters``.
 
-    def __init__(self, settings: EstimationConfig):
+    ``streams`` counts the shot streams opened, so it is also the number
+    of the next one; ``estimates`` counts the sampled values (rows times
+    terms) and ``shots_drawn`` their shots.  Exact estimation leaves all
+    three at zero.
+    """
+
+    streams: int = 0
+    estimates: int = 0
+    shots_drawn: int = 0
+
+
+class _Estimator:
+    """Evaluates observables exactly or by sampling, one stream per estimated term."""
+
+    def __init__(self, settings: EstimationConfig, counters: _Counters):
         self.settings = settings
         self.exact = settings.method == "exact"
-        self._counter = 0
+        self.counters = counters
 
     def evaluate_rows(
         self, amplitudes: np.ndarray, observable: PauliSum
     ) -> tuple[list[float], list[float]]:
         """(values, standard errors) of one observable on each row of a state stack.
 
-        Row r, term t takes seed base + counter + r * terms + t, as if
-        the rows were estimated one after another; each term is one
-        stacked estimate over the rows, in blocks of at most
-        ``_STACK_ENTRIES`` amplitudes.
+        Term t draws from the next stream of the command, its rows in
+        order; each term is one stacked estimate per block of at most
+        ``_STACK_ENTRIES`` amplitudes, which draws what one estimate of
+        all the rows would.
         """
         rows = amplitudes.shape[0]
         if self.exact:
             values = expectations(amplitudes, _coefficient_row(observable), observable.words)
             return values.tolist(), [0.0] * rows
-        terms = len(observable.terms)
-        first = self.settings.seed + self._counter
-        self._counter += rows * terms
-        seeds = [range(first + t, first + rows * terms, terms) for t in range(terms)]
+        shots = self.settings.shots
+        streams = []
+        for _ in observable.terms:
+            key = np.random.SeedSequence(self.settings.seed, spawn_key=(self.counters.streams,))
+            streams.append(np.random.default_rng(key))
+            self.counters.streams += 1
+        self.counters.estimates += rows * len(streams)
+        self.counters.shots_drawn += rows * len(streams) * shots
         block = max(1, _STACK_ENTRIES // amplitudes.shape[-1])
         values: list[float] = []
         errors: list[float] = []
         for start in range(0, rows, block):
             part = amplitudes[start : start + block]
             total = np.zeros(len(part))
-            variance = [0.0] * len(part)
-            for t, (coeff, string) in enumerate(observable.terms):
-                value, error = shot_estimates(
-                    part, string, self.settings.shots, seeds[t][start : start + block]
-                )
+            variance = np.zeros(len(part))
+            for rng, (coeff, string) in zip(streams, observable.terms):
+                value, error = shot_estimates(part, string, shots, rng)
                 total += coeff * value
-                # Python's float ** 2 rounds as libm pow does, which differs
-                # from x * x in about one value in a thousand.
-                variance = [v + (coeff * e) ** 2 for v, e in zip(variance, error.tolist())]
+                variance += (coeff * error) ** 2
             values += total.tolist()
-            errors += [math.sqrt(v) for v in variance]
+            errors += np.sqrt(variance).tolist()
         return values, errors
 
     def evaluate(self, state: StateVector, observable: PauliSum) -> tuple[float, float]:
@@ -185,6 +202,7 @@ def _write_manifest(
     started: float,
     warnings: list[str],
     workers: int,
+    counters: _Counters,
 ) -> str:
     """Write the run manifest; ``workers`` is the number of threads the stacks used."""
     path = f"{config.output_prefix}_manifest.json"
@@ -199,6 +217,7 @@ def _write_manifest(
         "warnings": warnings,
         "blas_threads": blas.threads() if blas is not None else "unknown",
         "diagonalization_workers": workers,
+        "counters": asdict(counters),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -209,11 +228,11 @@ def _write_manifest(
 def _prepare(config: ExperimentConfig, h1: PauliSum):
     """Shared ramp stage to the built model ``h1``.
 
-    Returns the estimator, the observables, the ramp's final state and
-    its trajectory.
+    Returns the command's estimator, with fresh counters, the
+    observables, the ramp's final state and its trajectory.
     """
     h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
-    estimator = _Estimator(config.estimation)
+    estimator = _Estimator(config.estimation, _Counters())
     observables = {_OBS_KEY: _mean_z(h1.num_qubits)}
     final, ramp = run_adiabatic(
         h0,
@@ -265,7 +284,8 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
     outputs = [trajectory_path, summary_path]
     warnings = ramp.warnings + hold.warnings
     manifest = _write_manifest(
-        "sweep", config, outputs, started, warnings, ramp.diagonalization_workers
+        "sweep", config, outputs, started, warnings, ramp.diagonalization_workers,
+        estimator.counters,
     )
     lines = [
         f"trajectory written to {trajectory_path} ({len(rows)} records)",
@@ -369,7 +389,8 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
     outputs = [trajectory_path, summary_path]
     warnings = ramp.warnings + hold.warnings
     manifest = _write_manifest(
-        "filter-run", config, outputs, started, warnings, ramp.diagonalization_workers
+        "filter-run", config, outputs, started, warnings, ramp.diagonalization_workers,
+        estimator.counters,
     )
     lines = [
         f"trajectory written to {trajectory_path} ({len(rows)} records)",
@@ -470,7 +491,7 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
     outputs = [refinement_path]
     warnings = ramp.warnings + _excited_level_warnings(report, spectrum)
     manifest = _write_manifest(
-        "refine", config, outputs, started, warnings, ramp.diagonalization_workers
+        "refine", config, outputs, started, warnings, ramp.diagonalization_workers, _Counters()
     )
     lines = [
         f"refinement written to {refinement_path} ({len(rows)} pass(es))",
@@ -544,6 +565,6 @@ def cmd_diag(config: ExperimentConfig) -> CommandResult:
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
     outputs = [report_path]
-    manifest = _write_manifest("diag", config, outputs, started, [], 1)
+    manifest = _write_manifest("diag", config, outputs, started, [], 1, _Counters())
     lines.append(f"manifest written to {manifest}")
     return CommandResult(outputs=outputs + [manifest], lines=lines, summary=summary)

@@ -16,14 +16,15 @@ Conventions used throughout the package:
 * Readouts (norm check, expectation values, overlaps, sampling) work on a
   (rows, d) stack of amplitude vectors, one state per row, and the
   single-state functions are their one-row case.  Each row's result is
-  the same bit for bit however many rows share the stack.
+  the same bit for bit however many rows share the stack; sampling draws
+  the rows in order from one generator, as one row after another would.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -216,175 +217,29 @@ def sample_counts(
     num_qubits: int,
     qubits: Sequence[int],
     shots: int,
-    seeds: Sequence[int],
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Z-basis outcome counts of the listed qubits for each row of a stack.
 
     Row r of the (rows, 2^k) result holds ``shots`` Born-rule draws from
-    the marginal of state r, the ``multinomial`` draw that
-    ``np.random.default_rng(seeds[r])`` makes; column i counts outcome i,
-    whose bits read the listed qubits with the first one leftmost.  The
-    marginals are summed, clipped and normalized for the whole stack at
-    once.  A two-outcome row draws ``binomial(shots, p0)`` and counts
-    [b, shots - b]: numpy's multinomial draws exactly that binomial from
-    the same stream, so the counts are the same.  A one-row call draws
-    from ``np.random.PCG64(seeds[0])`` as built.  A stack of several rows
-    has its seeds hashed in bulk and each row's generator built from its
-    hashed words (``_seeded_generators``); its first state is checked
-    against numpy's own seeding, so a numpy that seeds differently raises
-    ``NumericalConsistencyError`` instead of drawing other counts.  A
-    stack of no rows, with no seeds, gives a (0, 2^k) array.
+    the marginal of state r; column i counts outcome i, whose bits read
+    the listed qubits with the first one leftmost.  The marginals are
+    summed and normalized for the whole stack at once, and the rows draw
+    ``multinomial`` from ``rng`` in order, so a stack draws what its rows
+    would draw one after another on the same generator.  A stack of no
+    rows gives a (0, 2^k) array and draws nothing.
     """
     qs = _check_qubits(num_qubits, qubits, "measured qubit")
     if not isinstance(shots, int) or shots < 1:
         raise DomainError(f"shots must be a positive integer, got {shots!r}")
     rows = amplitudes.shape[0]
-    if len(seeds) != rows:
-        raise DomainError(f"{len(seeds)} seed(s) for {rows} state(s)")
-    if not rows:
-        return np.empty((0, 2 ** len(qs)), dtype=np.int64)
     probs = np.abs(amplitudes.reshape((rows,) + (2,) * num_qubits)) ** 2
     other = tuple(1 + q for q in range(num_qubits) if q not in qs)
     marginal = probs.sum(axis=other) if other else probs
     order = sorted(qs)
-    marginal = np.transpose(marginal, [0] + [1 + order.index(q) for q in qs])
-    marginal = np.clip(marginal.reshape(rows, -1), 0.0, None)
-    marginal = marginal / marginal.sum(axis=-1, keepdims=True)
-    generators = _seeded_generators(seeds)
-    if marginal.shape[1] == 2:
-        first = np.array(
-            [g.binomial(shots, p) for g, p in zip(generators, marginal[:, 0].tolist())],
-            dtype=np.int64,
-        )
-        return np.stack([first, shots - first], axis=1)
-    return np.array(
-        [g.multinomial(shots, p) for g, p in zip(generators, marginal)], dtype=np.int64
-    )
-
-
-def _seeded_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
-    """One generator per seed, in the state ``np.random.default_rng(seed)`` starts in.
-
-    A single seed is handed to ``np.random.PCG64`` as it is.  Several
-    seeds have their ``SeedSequence`` words computed in bulk
-    (``_seed_words``), and each row's PCG64 is built from its words
-    (``_SeedWords``), so numpy's own set-seed turns them into the state.
-    The first row's state is compared with the one numpy's seeding gives.
-    """
-    if len(seeds) == 1:
-        yield np.random.Generator(np.random.PCG64(seeds[0]))
-        return
-    # numpy reads each row's four words through a pointer: contiguous uint64
-    words = np.ascontiguousarray(_seed_words(seeds), dtype=np.uint64)
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
-    first = np.random.PCG64(_SeedWords(words[0]))
-    if first.state != np.random.PCG64(seeds[0]).state:
-        raise NumericalConsistencyError(
-            f"PCG64 state computed for seed {seeds[0]!r} differs from numpy's seeding"
-        )
-    yield np.random.Generator(first)
-    for row in words[1:]:
-        yield np.random.Generator(np.random.PCG64(_SeedWords(row)))
-
-
-class _SeedWords:
-    """A seed sequence that hands out four precomputed uint64 words.
-
-    numpy's bit generators take any ``ISeedSequence``; PCG64 asks it for
-    ``generate_state(4, np.uint64)``, the words ``_seed_words`` computes.
-    Any other request is refused, so no read can go past the four words.
-    The class is registered as an ``ISeedSequence`` where it is used,
-    since importing the package does not import ``numpy.random``.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != _POOL_WORDS or dtype is not np.uint64:
-            raise NumericalConsistencyError(
-                f"PCG64 asked for {n_words} words of {dtype!r}, expected 4 of uint64"
-            )
-        return self.words
-
-
-# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, 4-word pool).
-_POOL_WORDS = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-
-
-def _seed_words(seeds: Sequence[int]) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed, as (seeds, 4) uint64.
-
-    numpy's seeding, done for all seeds at once: ``SeedSequence(seed)``
-    hashes the seed's 32-bit words, low word first, into a 4-word pool,
-    and ``generate_state`` hashes the pool into the output words, here as
-    uint32 array arithmetic over the seeds.  Seeds of up to four words
-    share one pass, since a zero word hashes as numpy's padding does; a
-    longer seed's extra words are mixed in after the pool, so those seeds
-    are hashed per word count.  A seed that is not an integer raises
-    ``TypeError`` and a negative one ``ValueError``, as numpy's seeding
-    does.
-    """
-    values = [operator.index(seed) for seed in seeds]
-    if values and min(values) < 0:
-        raise ValueError(f"expected non-negative integer seeds, got {min(values)}")
-    widths = [max(_POOL_WORDS, -(-value.bit_length() // 32)) for value in values]
-    out = np.empty((len(values), _POOL_WORDS), dtype=np.uint64)
-    for width in sorted(set(widths)):
-        rows = [r for r, w in enumerate(widths) if w == width]
-        words = np.empty((2 * -(-width // 2), len(rows)), dtype=np.uint32)
-        for pair in range(len(words) // 2):
-            half = np.array([values[r] >> 64 * pair & _MASK64 for r in rows], dtype=np.uint64)
-            words[2 * pair] = half & _MASK32
-            words[2 * pair + 1] = half >> 32
-        out[rows] = _generate_state(_seed_pool(words[:width]))
-    return out
-
-
-def _seed_pool(words: np.ndarray) -> list[np.ndarray]:
-    """SeedSequence's entropy pool for each column of (width >= 4, seeds) uint32 words."""
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(_XSHIFT))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(_XSHIFT))
-
-    pool = [hashmix(words[i]) for i in range(_POOL_WORDS)]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for extra in words[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(extra))
-    return pool
-
-
-def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of each pool column, as (columns, 4) uint64."""
-    hash_const = _INIT_B
-    out = []
-    for i in range(2 * _POOL_WORDS):
-        value = pool[i % _POOL_WORDS] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        out.append((value ^ (value >> np.uint32(_XSHIFT))).astype(np.uint64))
-    return np.stack([out[2 * k] | out[2 * k + 1] << np.uint64(32) for k in range(_POOL_WORDS)], axis=1)
+    axes = [0] + [1 + order.index(q) for q in qs]
+    marginal = np.transpose(marginal, axes).reshape(rows, 2 ** len(qs))
+    return rng.multinomial(shots, marginal / marginal.sum(axis=-1, keepdims=True))
 
 
 def measure_sample(
@@ -395,9 +250,13 @@ def measure_sample(
     Returns a histogram mapping bitstrings (first listed qubit leftmost)
     to counts.  Counts follow the joint distribution of ``shots``
     independent Born-rule draws and are reproducible for a fixed seed.
-    This is the one-row case of ``sample_counts``.
+    This is the one-row case of ``sample_counts``, drawn from
+    ``np.random.default_rng(rng_seed)``; a seed that is not an integer,
+    None included, raises ``TypeError``, since numpy would seed None from
+    fresh entropy.
     """
-    counts = sample_counts(state.amplitudes[np.newaxis], state.num_qubits, qubits, shots, [rng_seed])
+    rng = np.random.default_rng(operator.index(rng_seed))
+    counts = sample_counts(state.amplitudes[np.newaxis], state.num_qubits, qubits, shots, rng)
     k = len(qubits)
     return {format(i, f"0{k}b"): int(c) for i, c in enumerate(counts[0]) if c > 0}
 

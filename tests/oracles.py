@@ -116,12 +116,12 @@ def fidelity_per_state(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def sample_per_state(
-    amplitudes: np.ndarray, n: int, qubits: list[int], shots: int, seed: int
+    amplitudes: np.ndarray, n: int, qubits: list[int], shots: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Z-basis counts of the listed qubits of one state, outcome i in column i.
 
     The marginal is summed, reordered, clipped and normalized for this
-    state alone, then drawn with ``np.random.default_rng(seed)``.
+    state alone, then drawn with ``rng.multinomial``.
     """
     probs = np.abs(amplitudes.reshape((2,) * n)) ** 2
     other = tuple(q for q in range(n) if q not in qubits)
@@ -129,8 +129,7 @@ def sample_per_state(
     order = sorted(qubits)
     marginal = np.transpose(marginal, [order.index(q) for q in qubits]).reshape(-1)
     marginal = np.clip(marginal, 0.0, None)
-    marginal = marginal / marginal.sum()
-    return multinomial_per_row(marginal[np.newaxis], shots, [seed])[0]
+    return rng.multinomial(shots, marginal / marginal.sum())
 
 
 def multinomial_per_row(marginals: np.ndarray, shots: int, seeds) -> np.ndarray:

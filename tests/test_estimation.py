@@ -19,10 +19,11 @@ from vacuum_refine import (
     shot_expectation,
     transverse_ising_pair,
 )
-from vacuum_refine.estimation import shot_estimates
-from vacuum_refine.statevector import sample_counts
+from vacuum_refine.estimation import _even_parity, shot_estimates
+from vacuum_refine.pauli import compile_word
+from vacuum_refine.statevector import expectations, sample_counts
 
-from oracles import PAULI_2X2, random_state, sample_per_state
+from oracles import PAULI_2X2, random_state
 
 J = np.pi / 4
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -195,50 +196,123 @@ def _random_stack(n, rows, rng):
 
 @pytest.mark.parametrize("string", ["X", "Y", "XYZ", "YIX", "IYY", "ZIZ", "IZI"])
 def test_shot_estimates_match_one_state_at_a_time(string):
-    # X and Y letters take the basis-rotation path before sampling
+    # X and Y letters take the basis-rotation path before sampling; a stack
+    # draws what its rows draw one after another on the same generator, and
+    # shot_expectation draws one state from a fresh generator
     n = len(string)
     rng = np.random.default_rng(70 + n)
     states = _random_stack(n, 7, rng)
-    seeds = [900 + 5 * row for row in range(7)]
-    values, errors = shot_estimates(states, string, 3000, seeds)
+    values, errors = shot_estimates(states, string, 3000, np.random.default_rng([9, 4]))
+    stream = np.random.default_rng([9, 4])
     for row, psi in enumerate(states):
-        one = shot_expectation(StateVector(n, psi), string, 3000, seeds[row])
-        assert (one.value, one.std_error) == (values[row], errors[row])
+        one_value, one_error = shot_estimates(psi[np.newaxis], string, 3000, stream)
+        assert (one_value[0], one_error[0]) == (values[row], errors[row])
+    first, first_error = shot_estimates(states[:1], string, 3000, np.random.default_rng(900))
+    one = shot_expectation(StateVector(n, states[0]), string, 3000, 900)
+    assert (one.value, one.std_error) == (first[0], first_error[0])
 
 
 @pytest.mark.parametrize("string", ["ZIZ", "IZI", "ZZZ"])
 def test_shot_estimates_match_per_state_sampling(string):
-    # a Z word samples the marginal of its qubits; 2 of 3 for ZIZ
+    # each row draws binomial(shots, p_even) in turn, p_even being the
+    # weight of the even-parity outcomes of the word's qubits (2 of 3 for
+    # ZIZ) in the per-state marginal
     rng = np.random.default_rng(72)
     states = _random_stack(3, 6, rng)
-    seeds = [40 + row for row in range(6)]
     measured = [q for q, ch in enumerate(string) if ch == "Z"]
-    values, errors = shot_estimates(states, string, 5000, seeds)
+    values, errors = shot_estimates(states, string, 5000, np.random.default_rng(40))
+    oracle = np.random.default_rng(40)
     for row, psi in enumerate(states):
-        counts = sample_per_state(psi, 3, measured, 5000, seeds[row])
-        parity = sum((-1) ** bin(i).count("1") * int(c) for i, c in enumerate(counts))
-        mean = parity / 5000
+        weights = np.abs(psi.reshape((2,) * 3)) ** 2
+        marginal = weights.sum(axis=tuple(q for q in range(3) if q not in measured)).reshape(-1)
+        even = np.array([bin(i).count("1") % 2 == 0 for i in range(len(marginal))])
+        p_even = min(1.0, float(marginal[even].sum()))
+        mean = (2 * oracle.binomial(5000, p_even) - 5000) / 5000
         assert values[row] == mean
         assert errors[row] == np.sqrt(max(0.0, 1.0 - mean * mean) / 5000)
 
 
+def test_a_one_letter_draw_is_the_two_outcome_multinomial():
+    # the parity draw of a one-letter word counts what measure_sample's
+    # multinomial counts on the same stream
+    states = _random_stack(2, 9, np.random.default_rng(76))
+    values, _ = shot_estimates(states, "IZ", 4000, np.random.default_rng(44))
+    counts = sample_counts(states, 2, [1], 4000, np.random.default_rng(44))
+    assert values.tolist() == ((counts[:, 0] - counts[:, 1]) / 4000).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_even_parity_probability_is_the_expectation(seed):
+    # 2 p_even - 1 = <P> for words with X, Y and Z letters
+    states = _random_stack(3, 8, np.random.default_rng(seed))
+    for string in ("XYZ", "ZZI", "YIY"):
+        exact = expectations(states, np.ones((1, 1)), [compile_word(string)])
+        assert np.max(np.abs(2 * _even_parity(states, string) - 1 - exact)) < 1e-12
+
+
+def test_shot_estimates_lie_within_five_standard_errors():
+    states = _random_stack(3, 20, np.random.default_rng(74))
+    for string in ("XYZ", "ZZI", "YIY"):
+        exact = expectations(states, np.ones((1, 1)), [compile_word(string)])
+        values, errors = shot_estimates(states, string, 100_000, np.random.default_rng([3, 0]))
+        assert np.all(errors > 0)
+        assert np.all(np.abs(values - exact) < 5 * errors)
+
+
+def test_a_bell_state_reads_its_parities_exactly():
+    bell = np.array([[1.0, 0.0, 0.0, 1.0]], dtype=np.complex128) * INV_SQRT2
+    for string in ("ZZ", "XX"):
+        values, errors = shot_estimates(bell, string, 10**6, np.random.default_rng(8))
+        assert values.tolist() == [1.0] and errors.tolist() == [0.0]
+
+
+# On one generator, binomial draws of an array of probabilities come out
+# the same in one call, block by block and one at a time.  p = 0 and 1,
+# next to them, a fair coin and random values; at 1000 and 10^6 shots
+# p = 0.5 takes binomial's BTPE branch, the small p its inversion branch.
+STREAM_P = [0.0, 1.0, 1e-7, 1.0 - 1e-7, 0.5] + np.random.default_rng(75).random(15).tolist()
+
+
+@pytest.mark.parametrize("shots", [1, 7, 1000, 10**6])
+def test_binomial_draws_do_not_depend_on_the_block_size(shots):
+    p = np.array(STREAM_P)
+    whole = np.random.default_rng([11, 2]).binomial(shots, p)
+    rng = np.random.default_rng([11, 2])
+    blocks = np.concatenate([rng.binomial(shots, p[i : i + 3]) for i in range(0, len(p), 3)])
+    rng = np.random.default_rng([11, 2])
+    scalars = [rng.binomial(shots, x) for x in p.tolist()]
+    assert whole.tolist() == blocks.tolist() == scalars
+    # the shot estimator makes one such call per block of states, on the
+    # weights of |0>, which sqrt rounds: 0.5 comes back as 0.5000000000000001
+    states = np.stack([np.sqrt(p), np.sqrt(1.0 - p)], axis=1).astype(np.complex128)
+    even = np.random.default_rng([11, 2]).binomial(shots, np.abs(states[:, 0]) ** 2)
+    values, _ = shot_estimates(states, "Z", shots, np.random.default_rng([11, 2]))
+    assert values.tolist() == ((2 * even - shots) / shots).tolist()
+    rng = np.random.default_rng([11, 2])
+    parts = [shot_estimates(states[i : i + 3], "Z", shots, rng)[0] for i in range(0, len(p), 3)]
+    assert np.concatenate(parts).tolist() == values.tolist()
+
+
 def test_shot_estimates_validation():
     states = _random_stack(2, 3, np.random.default_rng(73))
+    rng = np.random.default_rng(1)
     with pytest.raises(DomainError, match="register dimension"):
-        shot_estimates(states, "Z", 10, [1, 2, 3])
+        shot_estimates(states, "Z", 10, rng)
     with pytest.raises(DomainError):
-        shot_estimates(states, "ZQ", 10, [1, 2, 3])
+        shot_estimates(states, "ZQ", 10, rng)
     with pytest.raises(DomainError):
-        shot_estimates(states, "ZZ", 0, [1, 2, 3])
-    values, errors = shot_estimates(states, "II", 10, [1, 2, 3])
+        shot_estimates(states, "ZZ", 0, rng)
+    values, errors = shot_estimates(states, "II", 10, rng)
     assert values.tolist() == [1.0] * 3 and errors.tolist() == [0.0] * 3
+    # a word of I letters alone draws nothing
+    assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
 
 def test_no_states_draw_no_samples():
     empty = np.empty((0, 8), dtype=np.complex128)
-    assert sample_counts(empty, 3, [2, 0], 10, []).shape == (0, 4)
-    with pytest.raises(DomainError, match="1 seed"):
-        sample_counts(empty, 3, [0], 10, [1])
+    rng = np.random.default_rng(2)
+    assert sample_counts(empty, 3, [2, 0], 10, rng).shape == (0, 4)
     for string in ("ZZZ", "XYI", "III"):
-        values, errors = shot_estimates(empty, string, 10, [])
+        values, errors = shot_estimates(empty, string, 10, rng)
         assert values.shape == errors.shape == (0,)
+    assert rng.bit_generator.state == np.random.default_rng(2).bit_generator.state

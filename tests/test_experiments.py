@@ -9,11 +9,14 @@ import pytest
 
 from vacuum_refine import (
     ConfigError,
+    EstimationConfig,
+    PauliSum,
     cmd_diag,
     cmd_filter_run,
     cmd_refine,
     cmd_sweep,
     parse_config,
+    with_overrides,
 )
 from vacuum_refine import experiments, hamiltonian
 from vacuum_refine.cli import main
@@ -553,3 +556,81 @@ def test_manifest_counts_the_threads_a_multi_stack_ramp_used(tmp_path, monkeypat
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     pooled = cores if hamiltonian._blas() is not None else 1
     assert manifest["diagonalization_workers"] == pooled
+
+
+SHOTS_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark_shots.cfg"
+
+
+def _shipped_shots(tmp_path, seed=None, extra=""):
+    """The shipped 10^6-shot config writing under ``tmp_path``; ``extra`` keys replace its own."""
+    given = {line.split("=")[0].strip() for line in extra.splitlines()}
+    text = SHOTS_CONFIG.read_text(encoding="utf-8")
+    kept = [line for line in text.splitlines() if line.split("=")[0].strip() not in given]
+    config = parse_config("\n".join(kept) + "\n" + extra)
+    return with_overrides(config, seed=seed, out=f"{tmp_path}/run")
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        # raw, z_ancilla and post_z, then 1154 trajectory records of one term
+        ("", {"streams": 5, "estimates": 1157, "shots_drawn": 1157 * 10**6}),
+        ("filter.discard = false\n", {"streams": 4, "estimates": 1156, "shots_drawn": 1156 * 10**6}),
+        ("estimation.method = exact\n", {"streams": 0, "estimates": 0, "shots_drawn": 0}),
+    ],
+)
+def test_manifest_counts_the_shot_streams_and_draws(tmp_path, extra, expected):
+    cmd_filter_run(_shipped_shots(tmp_path, extra=extra))
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["counters"] == expected
+
+
+def test_manifest_counts_a_sweep_stream_per_term(tmp_path):
+    # the mean Z of two qubits has two terms: two streams on the ramp, two
+    # on the hold, and 9 + 4 records each
+    extra = "model.hamiltonian = tfim2\nestimation.method = shots\nestimation.shots = 100\n"
+    cmd_sweep(_config(tmp_path, extra))
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["counters"] == {"streams": 4, "estimates": 26, "shots_drawn": 2600}
+
+
+@pytest.mark.parametrize("command", [cmd_refine, cmd_diag])
+def test_manifest_counts_nothing_for_exact_commands(tmp_path, command):
+    command(_config(tmp_path, "model.hamiltonian = tfim2\n"))
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["counters"] == {"streams": 0, "estimates": 0, "shots_drawn": 0}
+
+
+def _ramp_expval(tmp_path, seed=None, extra=""):
+    """expval_Z of the ramp records of the shipped shots run, as an array."""
+    cmd_filter_run(_shipped_shots(tmp_path, seed=seed, extra=extra))
+    rows = _read_csv(tmp_path / "run_trajectory.csv")[1:]
+    # the hold starts with a second record at t = T, where the ramp ended
+    ramp = next(i for i in range(1, len(rows)) if rows[i][0] == rows[i - 1][0])
+    return np.array([float(row[1]) for row in rows[:ramp]])
+
+
+def test_adjacent_seeds_draw_independent_noise(tmp_path):
+    # With a seed per estimate, base + counter, seed s + 1 drew for row r
+    # what seed s drew for row r + 1, and their residuals correlated at
+    # 0.996; a stream per term, spawned from the seed, draws unrelated noise.
+    exact = _ramp_expval(tmp_path / "exact", extra="estimation.method = exact\n")
+    first = _ramp_expval(tmp_path / "first", seed=11) - exact
+    second = _ramp_expval(tmp_path / "second", seed=12) - exact
+    assert np.std(first) > 0 and np.std(second) > 0
+    assert abs(np.corrcoef(first[1:], second[:-1])[0, 1]) < 0.2
+    assert abs(np.corrcoef(first, second)[0, 1]) < 0.2
+
+
+def test_seeds_a_multiple_of_2_32_apart_share_no_stream():
+    # default_rng([s + 2**32, 0]) draws what default_rng([s, 1]) draws;
+    # spawned streams keep the seed's words apart from the stream number
+    fair = np.full((40, 2), np.sqrt(0.5), dtype=np.complex128)
+    z = PauliSum(1, ((1.0, "Z"),))
+    values = {}
+    for seed, streams in [(11, 2), (11 + 2**32, 1)]:
+        settings = EstimationConfig(method="shots", shots=1000, seed=seed)
+        estimator = experiments._Estimator(settings, experiments._Counters())
+        for _ in range(streams):
+            values[seed] = estimator.evaluate_rows(fair, z)[0]
+    assert values[11] != values[11 + 2**32]

@@ -17,8 +17,14 @@ prod_j (I + U^p_j) / 2 instead of through the joint ancilla circuit;
 again only ``excited_weight`` moved, by 2e-16 to 7e-16 in 1 - F:
 ``refine_pair`` pass 3 from 2.79122654e-08 to 2.79122652e-08, and
 ``refine_pair_fixed_theta`` pass 4 from 3.14068476e-08 to 3.14068469e-08
-and pass 5 from 2.8493401e-09 to 2.84933988e-09.  Manifests are not
-compared because they carry a wall-clock duration.
+and pass 5 from 2.8493401e-09 to 2.84933988e-09.  The shot-mode
+snapshots (``filter_shots``, ``filter_keep_shots`` and
+``sweep_chain3y_shots``) were rewritten when shot seeds became streams:
+each estimated term k draws from ``SeedSequence(seed, spawn_key=(k,))``
+instead of each value from its own seed ``seed + counter``, and a word's
+shots are one binomial over its even-parity weight, so every sampled
+value and standard error moved while the exact columns did not.
+Manifests are not compared because they carry a wall-clock duration.
 
 To rewrite the snapshots of the named cases after a deliberate,
 documented output change (every other snapshot is left alone):
@@ -36,6 +42,8 @@ from pathlib import Path
 import pytest
 
 from vacuum_refine import cmd_diag, cmd_filter_run, cmd_refine, cmd_sweep, hamiltonian, parse_config
+from vacuum_refine import experiments, statevector
+from vacuum_refine.estimation import shot_estimates
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -101,6 +109,28 @@ def test_outputs_match_snapshot(name, tmp_path):
     # <case>_<kind>.<ext>, so refine_pair does not claim refine_pair_fixed_theta's file
     expected = sorted(p.name for p in GOLDEN.iterdir() if p.name.rsplit("_", 1)[0] == name)
     assert sorted(files) == expected
+    for filename, content in files.items():
+        assert content == (GOLDEN / filename).read_bytes(), filename
+
+
+SHOT_CASES = ["filter_shots", "filter_keep_shots", "sweep_chain3y_shots"]
+
+
+@pytest.mark.parametrize("name", SHOT_CASES)
+def test_shot_snapshots_do_not_depend_on_the_block_size(name, tmp_path, monkeypatch):
+    # each term's stream draws its records block by block; blocks of at
+    # most 16 amplitudes (2 to 8 records) must draw the snapshot's bytes
+    monkeypatch.setattr(statevector, "_STACK_ENTRIES", 16)
+    monkeypatch.setattr(experiments, "_STACK_ENTRIES", 16)
+    drawn = []
+
+    def recorded(amplitudes, *args):
+        drawn.append(amplitudes.shape[0])
+        return shot_estimates(amplitudes, *args)
+
+    monkeypatch.setattr(experiments, "shot_estimates", recorded)
+    files = _run(name, tmp_path)
+    assert max(drawn) <= 8 and len(drawn) > 50
     for filename, content in files.items():
         assert content == (GOLDEN / filename).read_bytes(), filename
 

@@ -23,7 +23,6 @@ from vacuum_refine import statevector
 from vacuum_refine.pauli import compile_word
 from vacuum_refine.statevector import (
     _apply_matrix,
-    _seed_words,
     check_normalized,
     expectations,
     fidelities,
@@ -383,62 +382,54 @@ def test_stacked_expectations_refuse_a_nan_row():
 
 @pytest.mark.parametrize("qubits", [[0], [1], [0, 2], [2, 0], [1, 2], [2, 1, 0]])
 def test_stacked_sampling_matches_per_state(qubits):
+    # a stack draws its rows in order, as per-state draws on one generator do
     rng = np.random.default_rng(62)
     states = _random_stack(3, 5, rng)
-    seeds = [700 + 3 * row for row in range(5)]
-    counts = sample_counts(states, 3, qubits, 4000, seeds)
-    k = len(qubits)
+    counts = sample_counts(states, 3, qubits, 4000, np.random.default_rng(700))
+    assert counts.dtype == np.int64
+    oracle = np.random.default_rng(700)
     for row, psi in enumerate(states):
-        expected = sample_per_state(psi, 3, qubits, 4000, seeds[row])
+        expected = sample_per_state(psi, 3, qubits, 4000, oracle)
         assert counts[row].tolist() == expected.tolist()
-        histogram = measure_sample(StateVector(3, psi), qubits, 4000, seeds[row])
-        assert histogram == {format(i, f"0{k}b"): int(c) for i, c in enumerate(expected) if c}
-
-
-# Seeds at the word-count boundaries of numpy's SeedSequence (one to four
-# 32-bit words share a pass; five and more words are mixed in one by one),
-# and runs of consecutive seeds across 2^32 and 2^128.
-SEED_EDGES = (
-    [0, 1, 5, 2**32 - 1, 2**32, 2**64, 2**100 + 3, 2**128, 2**160 + 3, 2**200 + 11, 2**300]
-    + list(range(2**32 - 4, 2**32 + 4))
-    + list(range(2**128 - 4, 2**128 + 4))
-)
-
-
-def test_bulk_pcg64_states_match_numpy_seeding():
-    words = _seed_words(SEED_EDGES)
-    assert words.dtype == np.uint64 and words.shape == (len(SEED_EDGES), 4)
-    for seed, row in zip(SEED_EDGES, words):
-        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-        assert row.tolist() == expected.tolist(), seed
-    # each generator built from the words starts where numpy's seeding does
-    generators = statevector._seeded_generators(SEED_EDGES)
-    for seed, generator in zip(SEED_EDGES, generators, strict=True):
-        assert generator.bit_generator.state == np.random.PCG64(seed).state, seed
-    assert _seed_words([]).shape == (0, 4)
-    assert _seed_words([np.int64(7), np.uint64(2**64 - 1)]).tolist() == _seed_words([7, 2**64 - 1]).tolist()
-
-
-def test_seed_words_refuse_any_other_request():
-    # PCG64 asks for four uint64 words; a request for more would read past them
-    seed_words = statevector._SeedWords(_seed_words([5])[0])
-    assert seed_words.generate_state(4, np.uint64) is seed_words.words
-    for n_words, dtype in [(8, np.uint64), (2, np.uint64), (4, np.uint32)]:
-        with pytest.raises(NumericalConsistencyError, match="asked for"):
-            seed_words.generate_state(n_words, dtype)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sampling_matches_a_fresh_default_rng_per_row(n):
-    # 2, 4 and 8 outcomes, on a run of seeds that crosses 2^32
+    # measure_sample draws each state from a fresh np.random.default_rng(seed),
+    # on a run of seeds that crosses 2^32
     rng = np.random.default_rng(63)
     states = _random_stack(n, 12, rng)
     seeds = range(2**32 - 6, 2**32 + 6)
     marginals = np.clip(np.abs(states) ** 2, 0.0, None)
     marginals = marginals / marginals.sum(axis=-1, keepdims=True)
     expected = multinomial_per_row(marginals, 1000, seeds)
-    counts = sample_counts(states, n, list(range(n)), 1000, seeds)
-    assert counts.tolist() == expected.tolist()
+    for row, seed in enumerate(seeds):
+        histogram = measure_sample(StateVector(n, states[row]), list(range(n)), 1000, seed)
+        assert histogram == {format(i, f"0{n}b"): int(c) for i, c in enumerate(expected[row]) if c}
+
+
+def test_measure_sample_histograms_are_pinned():
+    # the counts measure_sample has drawn for these seeds since seeds were
+    # hashed per draw; drawing from default_rng(rng_seed) keeps them
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state = StateVector(3, amps / np.linalg.norm(amps))
+    assert measure_sample(state, [2, 0], 1000, rng_seed=2**40 + 3) == {
+        "00": 94, "01": 150, "10": 387, "11": 369,
+    }
+    assert measure_sample(state, [1], 1000, rng_seed=17) == {"0": 633, "1": 367}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sampling_draws_the_rows_in_order_on_one_generator(n):
+    # one call, blocks of rows and single rows on one generator draw alike
+    states = _random_stack(n, 11, np.random.default_rng(67))
+    whole = sample_counts(states, n, list(range(n)), 1000, np.random.default_rng([5, 1]))
+    rng = np.random.default_rng([5, 1])
+    blocks = [sample_counts(states[i : i + 4], n, list(range(n)), 1000, rng) for i in range(0, 11, 4)]
+    rng = np.random.default_rng([5, 1])
+    rows = [sample_counts(states[i : i + 1], n, list(range(n)), 1000, rng) for i in range(11)]
+    assert whole.tolist() == np.concatenate(blocks).tolist() == np.concatenate(rows).tolist()
 
 
 # Two-outcome rows: p0 = 0 and 1, next to them, a fair coin and random
@@ -450,71 +441,31 @@ TWO_OUTCOME_P0 = [0.0, 1.0, 1e-7, 1.0 - 1e-7, 0.5] + np.random.default_rng(68).r
 @pytest.mark.parametrize("shots", [1, 7, 1000, 10**6])
 @pytest.mark.parametrize("first_seed", [2**32 - 5, 2**128 - 5])
 def test_two_outcome_draws_match_numpy_multinomial(shots, first_seed):
+    # a two-outcome multinomial row is binomial(shots, p0) on the same
+    # stream, so measure_sample's counts and the shot estimator's parity
+    # draw of a one-letter word agree
     p0 = np.array(TWO_OUTCOME_P0)
     states = np.stack([np.sqrt(p0), np.sqrt(1.0 - p0)], axis=1).astype(np.complex128)
-    seeds = range(first_seed, first_seed + len(states))
-    marginals = np.clip(np.abs(states) ** 2, 0.0, None)
-    marginals = marginals / marginals.sum(axis=-1, keepdims=True)
-    counts = sample_counts(states, 1, [0], shots, seeds)
-    assert counts.dtype == np.int64
-    assert counts.tolist() == multinomial_per_row(marginals, shots, seeds).tolist()
-    for row, seed in enumerate(seeds):
-        one = sample_counts(states[row : row + 1], 1, [0], shots, [seed])
-        assert one.tolist() == counts[row : row + 1].tolist()
-
-
-@pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 1])
-def test_a_one_row_draw_is_seeded_by_numpy_alone(monkeypatch, seed):
-    calls = []
-
-    def counted(seeds):
-        calls.append(list(seeds))
-        return _seed_words(seeds)
-
-    monkeypatch.setattr(statevector, "_seed_words", counted)
-    rng = np.random.default_rng(69)
-    for n, qubits in [(1, [0]), (2, [1]), (2, [1, 0])]:
-        # the oracle draws with np.random.default_rng(seed).multinomial
-        psi = random_state(n, rng)
-        counts = sample_counts(psi[np.newaxis], n, qubits, 5000, [seed])
-        assert counts.tolist() == [sample_per_state(psi, n, qubits, 5000, seed).tolist()]
-    assert calls == []
-    # a stack of several rows computes its seed words in bulk
-    sample_counts(_random_stack(1, 2, rng), 1, [0], 10, [seed, seed + 1])
-    assert calls == [[seed, seed + 1]]
+    counts = sample_counts(states, 1, [0], shots, np.random.default_rng(first_seed))
+    oracle = np.random.default_rng(first_seed)
+    assert counts.tolist() == [oracle.multinomial(shots, [p, 1.0 - p]).tolist() for p in p0]
+    first = np.random.default_rng(first_seed).binomial(shots, p0)
+    assert counts.tolist() == np.stack([first, shots - first], axis=1).tolist()
 
 
 @pytest.mark.parametrize(
     "bad, error", [(-1, ValueError), (-(2**64) + 3, ValueError), (1.5, TypeError)]
 )
 def test_sampling_refuses_seeds_numpy_refuses(bad, error):
-    # the exception type numpy's own seeding raises, in any row; a negative
-    # seed does not wrap around to a large one
+    # the exception type numpy's own seeding raises; a negative seed does
+    # not wrap around to a large one
     with pytest.raises(error):
         np.random.default_rng(bad)
-    states = _random_stack(1, 2, np.random.default_rng(64))
-    for seeds in ([bad, 5], [5, bad]):
-        with pytest.raises(error):
-            sample_counts(states, 1, [0], 10, seeds)
+    with pytest.raises(error):
+        measure_sample(basis_state(1, 0), [0], 10, bad)
 
 
 def test_sampling_refuses_an_unseeded_row():
-    states = _random_stack(1, 2, np.random.default_rng(64))
+    # numpy would seed None from fresh entropy, so the draw could not be repeated
     with pytest.raises(TypeError):
-        sample_counts(states, 1, [0], 10, [5, None])
-
-
-def test_sampling_needs_one_seed_per_row():
-    states = _random_stack(1, 3, np.random.default_rng(65))
-    with pytest.raises(DomainError, match="2 seed"):
-        sample_counts(states, 1, [0], 10, [1, 2])
-
-
-def test_sampling_refuses_a_state_numpy_would_not_seed(monkeypatch):
-    def shifted(seeds):
-        return _seed_words(seeds) ^ np.uint64(1)
-
-    monkeypatch.setattr(statevector, "_seed_words", shifted)
-    states = _random_stack(1, 2, np.random.default_rng(66))
-    with pytest.raises(NumericalConsistencyError, match="PCG64 state"):
-        sample_counts(states, 1, [0], 10, [3, 4])
+        measure_sample(basis_state(1, 0), [0], 10, None)
