@@ -22,17 +22,23 @@ coefficient row, so no operator is built per step.
 
 The ramp and the hold work a block of states at a time.  For each stack
 of the ramp, one ``np.exp`` gives every step's phases and one comparison
-every step's degeneracy flag; the step loop only applies the propagator
-kernel (``_propagate``) and writes each new state into the block's
-(rows, d) array.  The hold computes its phases once, casts a real
-operator's eigenvectors to complex once (``_complex_pair``) and fills
-blocks of the same size.  Each block is read out with stacked calls
-(``_Recorder``): the norm check, one ``apply_word`` per word for the
-energies and observables, the overlaps with the fidelity targets and the
-time-order check of its records.  The values go straight into the
-trajectory's columns (``Trajectory``: times, fidelities and one list of
-floats per observable), with no object built per record.  Each value is
-bit-identical to stepping and reading out the state alone.  With
+every step's degeneracy flag; the step loop walks the stack's
+eigenvectors, phases and state rows together and only applies the
+propagator kernel (``_propagate``: one product, one in-place phase
+multiplication, one product), which writes each new state straight into
+its row of the block's (rows, d) array.  An exact hold is not stepped:
+under one operator exp(-i h t) psi = V (exp(-i E t) * V^H psi) for any
+t, so with c = V^H psi taken once, each block of records is one phase
+array over the records' elapsed times and one batched product with V^T
+(``_complex_pair`` casts a real V once), and a record's bits do not
+depend on the block size.  A ``trotter1`` hold steps.  Each block is
+read out with stacked calls (``_Recorder``): the norm check, one
+``apply_word`` per word for the energies and observables, the overlaps
+with the fidelity targets and the time-order check of its records.  The
+values go straight into the trajectory's columns (``Trajectory``: times,
+fidelities and one list of floats per observable), with no object built
+per record.  Each value is bit-identical to reading out the state
+alone, and each ramp state to stepping it alone.  With
 ``record_states`` the trajectory keeps the recorded amplitudes as one
 (records, d) stack, from which shot-mode estimates are drawn.
 """
@@ -45,6 +51,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import statevector
+from .counters import _Counters
 from .errors import DomainError
 from .hamiltonian import (
     DEGENERACY_TOL,
@@ -60,7 +68,6 @@ from .hamiltonian import (
 )
 from .pauli import PauliWord, apply_word
 from .statevector import (
-    _STACK_ENTRIES,
     StateVector,
     _coefficient_row,
     basis_state,
@@ -313,6 +320,7 @@ def run_adiabatic(
     observables: Mapping[str, PauliSum] | None = None,
     record_states: bool = False,
     records: bool = True,
+    counters: _Counters | None = None,
 ) -> tuple[StateVector, Trajectory]:
     """Ramp from the preparation operator to the target operator.
 
@@ -329,7 +337,8 @@ def run_adiabatic(
     stack by stack from it.  Each stack's phases and degeneracy flags are
     taken at once, the step loop only advances amplitudes into the
     stack's block of states, and the block is read out at once
-    (``_Recorder``).
+    (``_Recorder``).  ``counters``, when given, count the eigendecompositions
+    and the steps.
     """
     if h0.num_qubits != h1.num_qubits:
         raise DomainError(
@@ -350,19 +359,24 @@ def run_adiabatic(
     if records:
         recorder = _Recorder(trajectory, 2**n, words, observables, record_states)
     amplitudes = basis_state(n, 0).amplitudes
-    stacks = _SpectrumStacks(n, words, coeffs)
+    stacks = _SpectrumStacks(n, words, coeffs, counters)
     for start, values, vectors in stacks:
         stop = start + len(values)
+        states = np.empty((len(values), 2**n), dtype=np.complex128)
+        # row 0 of the first stack is the initial state; every other row
+        # is one step from the row before it
+        first = 1 if start == 0 else 0
+        if first:
+            states[0] = amplitudes
         if exact:
             phases = np.exp(-1j * values * dt)
-        states = np.empty((len(values), 2**n), dtype=np.complex128)
-        for r, k in enumerate(range(start, stop)):
-            if k:
-                if exact:
-                    amplitudes = _propagate(vectors[r], phases[r], amplitudes)
-                else:
-                    amplitudes = _trotter_step(amplitudes, dt, words, coeffs[k], order)
-            states[r] = amplitudes
+            steps = zip(vectors[first:], phases[first:], states[first:])
+            for step_vectors, step_phases, row in steps:
+                amplitudes = _propagate(step_vectors, step_phases, amplitudes, out=row)
+        else:
+            for row, k in zip(states[first:], range(start + first, stop)):
+                amplitudes = _trotter_step(amplitudes, dt, words, coeffs[k], order)
+                row[:] = amplitudes
         degenerate = values[:, 1] - values[:, 0] < DEGENERACY_TOL
         for k in (start + np.flatnonzero(degenerate)).tolist():
             trajectory.warnings.append(
@@ -376,9 +390,12 @@ def run_adiabatic(
             recorder.read(times, states, coeffs[start:stop], targets)
         del values, vectors  # free before the next stack is diagonalized
     trajectory.diagonalization_workers = stacks.workers
+    if counters is not None:
+        counters.steps += schedule.num_ramp_steps
     if recorder is not None:
         recorder.finish()
-    return StateVector(n, amplitudes), trajectory
+    # the last step wrote into a row of a block, which the trajectory may keep
+    return StateVector(n, amplitudes.copy()), trajectory
 
 
 def run_hold(
@@ -392,6 +409,7 @@ def run_hold(
     include_initial: bool = False,
     fidelity_target: StateVector | None = None,
     spectrum: Spectrum | None = None,
+    counters: _Counters | None = None,
 ) -> tuple[StateVector, Trajectory]:
     """Evolve under a fixed operator for ``schedule.hold_time``.
 
@@ -400,12 +418,19 @@ def run_hold(
     given, otherwise against the ground state of ``h``.  ``spectrum``
     must be ``exact_diagonalize(h)``, since only its size is checked.
     Without it ``h`` is diagonalized here, once, and only when exact
-    steps or the fidelity target need it: an operator that exists only
-    for the hold, such as an ancilla-embedded one, has no spectrum
-    elsewhere.  Every exact hold step is applied from that one spectrum,
-    with phases and complex eigenvectors computed once; as on the ramp,
-    the step loop only advances amplitudes into a block of states, and
-    each block is read out at once.
+    evolution or the fidelity target needs it: an operator that exists
+    only for the hold, such as an ancilla-embedded one, has no spectrum
+    elsewhere.
+
+    An exact hold is not stepped.  With c = V^H psi computed once from
+    that spectrum, the record j steps in is exp(-i h j dt) psi =
+    V (exp(-i E j dt) * c), exact for any j.  Each block of records is one
+    phase array and one product with V^T per row, as a batched product,
+    so each row has the same bits whatever the block size.  The initial
+    record, with ``include_initial``, is ``state`` itself.  A ``trotter1``
+    hold steps as the ramp does.  Each block is read out at once, and
+    ``counters``, when given, count the steps and a diagonalization made
+    here.
     """
     observables = dict(observables or {})
     _check_observables(observables, state.num_qubits)
@@ -419,33 +444,43 @@ def run_hold(
     exact = mode is EvolutionMode.EXACT_STEP and schedule.num_hold_steps > 0
     if exact or fidelity_target is None:
         if spectrum is None:
-            spectrum = exact_diagonalize(h)
+            spectrum = exact_diagonalize(h, counters)
         _check_spectrum_dim(spectrum, dim)
     if fidelity_target is None:
         if spectrum.degenerate:
             trajectory.warnings.append("ground level of the held operator is degenerate")
         fidelity_target = spectrum.ground_state
     if exact:
-        phases = np.exp(-1j * spectrum.eigenvalues * dt)
         vectors, transposed = _complex_pair(spectrum.eigenvectors)
+        overlaps = np.conjugate(state.amplitudes.conj() @ vectors)
+        exponents = -1j * spectrum.eigenvalues
     coeffs = _coefficient_row(h)
     order = _trotter_order(h.words)
     recorder = _Recorder(trajectory, dim, h.words, observables, record_states)
     target = fidelity_target.amplitudes[np.newaxis]
-    times = [start_time] * include_initial + [
-        start_time + (j + 1) * dt for j in range(schedule.num_hold_steps)
-    ]
-    block = max(1, _STACK_ENTRIES // dim**2)
+    # record r holds the state after steps[r] steps of dt
+    steps = list(range(1 - include_initial, schedule.num_hold_steps + 1))
+    times = [start_time + j * dt for j in steps]
+    block = max(1, statevector._STACK_ENTRIES // dim**2)
     amplitudes = state.amplitudes
-    for start in range(0, len(times), block):
-        states = np.empty((min(block, len(times) - start), dim), dtype=np.complex128)
-        for r in range(len(states)):
-            if start + r >= include_initial:
-                if exact:
-                    amplitudes = _propagate(vectors, phases, amplitudes, transposed)
-                else:
+    for start in range(0, len(steps), block):
+        part = steps[start : start + block]
+        if exact:
+            phases = np.exp(np.multiply.outer(np.multiply(part, dt), exponents))
+            phases *= overlaps
+            states = np.matmul(phases[:, np.newaxis], transposed).reshape(len(part), dim)
+            if part[0] == 0:
+                states[0] = state.amplitudes  # the initial record is the state itself
+        else:
+            states = np.empty((len(part), dim), dtype=np.complex128)
+            for r, j in enumerate(part):
+                if j:
                     amplitudes = _trotter_step(amplitudes, dt, h.words, coeffs[0], order)
-            states[r] = amplitudes
-        recorder.read(times[start : start + len(states)], states, coeffs, target)
+                states[r] = amplitudes
+        recorder.read(times[start : start + len(part)], states, coeffs, target)
+    if exact:
+        amplitudes = states[-1].copy()
     recorder.finish()
+    if counters is not None:
+        counters.steps += schedule.num_hold_steps
     return StateVector(state.num_qubits, amplitudes), trajectory

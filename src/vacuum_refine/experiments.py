@@ -18,8 +18,10 @@ are drawn from the stack of its recorded states
 (``Trajectory.states``), one ``binomial`` call per block of records on
 that term's stream (``estimation.shot_estimates``).  So a command's
 outputs are reproducible from its seed, and adjacent seeds draw
-unrelated noise.  The manifest's ``counters`` give the streams opened,
-the values sampled and the shots drawn.
+unrelated noise.  The manifest's ``counters`` (``counters._Counters``)
+give the matrices diagonalized and their summed d^3, the steps evolved,
+the streams opened, the values sampled and the shots drawn; the command
+passes them down to the ramp, the hold and every diagonalization.
 
 A trajectory's CSV rows are its columns (``Trajectory.times``, the
 observable and energy columns, ``Trajectory.fidelity``) zipped with the
@@ -38,9 +40,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import statevector
 from ._version import __version__
 from .adiabatic import Trajectory, run_adiabatic, run_hold
 from .config import EstimationConfig, ExperimentConfig, build_model, config_to_text
+from .counters import _Counters
 from .errors import ConfigError, DomainError
 from .estimation import corrected_expectation, cross_term, shot_estimates
 from .filtering import FilterConfig, RefinementReport, refine_iteratively, tag_circuit_one_qubit
@@ -53,7 +57,6 @@ from .hamiltonian import (
     initial_hamiltonian,
 )
 from .statevector import (
-    _STACK_ENTRIES,
     StateVector,
     _coefficient_row,
     expectation_observable,
@@ -107,21 +110,6 @@ def _ensure_output_dir(prefix: str) -> None:
         os.makedirs(directory, exist_ok=True)
 
 
-@dataclass
-class _Counters:
-    """What one command's estimation did, written to its manifest as ``counters``.
-
-    ``streams`` counts the shot streams opened, so it is also the number
-    of the next one; ``estimates`` counts the sampled values (rows times
-    terms) and ``shots_drawn`` their shots.  Exact estimation leaves all
-    three at zero.
-    """
-
-    streams: int = 0
-    estimates: int = 0
-    shots_drawn: int = 0
-
-
 class _Estimator:
     """Evaluates observables exactly or by sampling, one stream per estimated term."""
 
@@ -152,7 +140,7 @@ class _Estimator:
             self.counters.streams += 1
         self.counters.estimates += rows * len(streams)
         self.counters.shots_drawn += rows * len(streams) * shots
-        block = max(1, _STACK_ENTRIES // amplitudes.shape[-1])
+        block = max(1, statevector._STACK_ENTRIES // amplitudes.shape[-1])
         values: list[float] = []
         errors: list[float] = []
         for start in range(0, rows, block):
@@ -228,8 +216,9 @@ def _write_manifest(
 def _prepare(config: ExperimentConfig, h1: PauliSum):
     """Shared ramp stage to the built model ``h1``.
 
-    Returns the command's estimator, with fresh counters, the
-    observables, the ramp's final state and its trajectory.
+    Returns the command's estimator, with fresh counters that the ramp
+    has counted into, the observables, the ramp's final state and its
+    trajectory.
     """
     h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
     estimator = _Estimator(config.estimation, _Counters())
@@ -241,6 +230,7 @@ def _prepare(config: ExperimentConfig, h1: PauliSum):
         config.mode,
         observables,
         record_states=not estimator.exact,
+        counters=estimator.counters,
     )
     return estimator, observables, final, ramp
 
@@ -251,7 +241,7 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
     _ensure_output_dir(config.output_prefix)
     h1 = build_model(config)
     estimator, observables, final, ramp = _prepare(config, h1)
-    spectrum = exact_diagonalize(h1)
+    spectrum = exact_diagonalize(h1, estimator.counters)
     held, hold = run_hold(
         final,
         h1,
@@ -261,6 +251,7 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
         record_states=not estimator.exact,
         start_time=config.schedule.total_time,
         spectrum=spectrum,
+        counters=estimator.counters,
     )
     rows = _trajectory_rows(ramp, estimator, observables[_OBS_KEY])
     rows += _trajectory_rows(hold, estimator, observables[_OBS_KEY])
@@ -314,7 +305,7 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
     if h1.num_qubits != 1:
         raise ConfigError("model.hamiltonian: filter-run requires a one-qubit model")
     estimator, observables, final, ramp = _prepare(config, h1)
-    spectrum = exact_diagonalize(h1)
+    spectrum = exact_diagonalize(h1, estimator.counters)
 
     pre_tag_z = expectation_observable(final, observables[_OBS_KEY])
     interference = cross_term(final, spectrum, observables[_OBS_KEY])
@@ -366,6 +357,7 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
         include_initial=True,
         fidelity_target=hold_target,
         spectrum=hold_spectrum,
+        counters=estimator.counters,
     )
     rows = _trajectory_rows(ramp, estimator, observables[_OBS_KEY])
     rows += _trajectory_rows(hold, estimator, hold_obs[_OBS_KEY])
@@ -446,8 +438,11 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
     except DomainError as exc:
         raise ConfigError(f"filter: {exc}") from exc
     h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
-    final, ramp = run_adiabatic(h0, h1, config.schedule, config.mode, records=False)
-    spectrum = exact_diagonalize(h1)
+    counters = _Counters()
+    final, ramp = run_adiabatic(
+        h0, h1, config.schedule, config.mode, records=False, counters=counters
+    )
+    spectrum = exact_diagonalize(h1, counters)
     start_fidelity = fidelity(final, spectrum.ground_state)
 
     fixed_theta = config.filter.theta if config.filter.theta_mode == "fixed" else None
@@ -491,7 +486,7 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
     outputs = [refinement_path]
     warnings = ramp.warnings + _excited_level_warnings(report, spectrum)
     manifest = _write_manifest(
-        "refine", config, outputs, started, warnings, ramp.diagonalization_workers, _Counters()
+        "refine", config, outputs, started, warnings, ramp.diagonalization_workers, counters
     )
     lines = [
         f"refinement written to {refinement_path} ({len(rows)} pass(es))",
@@ -535,7 +530,8 @@ def cmd_diag(config: ExperimentConfig) -> CommandResult:
     started = time.perf_counter()
     _ensure_output_dir(config.output_prefix)
     h = build_model(config)
-    spectrum = exact_diagonalize(h)
+    counters = _Counters()
+    spectrum = exact_diagonalize(h, counters)
     ground = spectrum.ground_state
     lines = [
         f"model: {config.model.hamiltonian} (J = {_fmt(config.model.J)})",
@@ -565,6 +561,6 @@ def cmd_diag(config: ExperimentConfig) -> CommandResult:
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
     outputs = [report_path]
-    manifest = _write_manifest("diag", config, outputs, started, [], 1, _Counters())
+    manifest = _write_manifest("diag", config, outputs, started, [], 1, counters)
     lines.append(f"manifest written to {manifest}")
     return CommandResult(outputs=outputs + [manifest], lines=lines, summary=summary)

@@ -14,6 +14,8 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import statevector
+from .counters import _Counters
 from .errors import (
     ConfigError,
     DomainError,
@@ -21,20 +23,20 @@ from .errors import (
     ResourceLimitError,
 )
 from .pauli import PauliWord, column_phases, compile_word, word_masks
-from .statevector import _STACK_ENTRIES, _UNITARY_ATOL, StateVector, _coefficient_row
+from .statevector import _UNITARY_ATOL, StateVector, _coefficient_row
 
 DEFAULT_DENSE_CAP = 10
 DEGENERACY_TOL = 1e-10
 _CHECK_ATOL = 1e-10
-# At most about _STACK_ENTRIES matrix entries are built and diagonalized in
-# one stack: every one-qubit ramp step fits in one, while at 8 qubits and
-# more a stack is a single matrix, so peak memory does not grow with the
-# steps.  Stacks diagonalized by several threads at once hold at most
-# _FLIGHT_ENTRIES matrix entries between them: two full stacks, about 3 MB
-# more than one at 8 qubits, whatever the core count; from 9 qubits one
-# matrix is more than half of it, so the stacks are diagonalized one at a
-# time.
-_FLIGHT_ENTRIES = 2 * _STACK_ENTRIES
+# At most about statevector._STACK_ENTRIES matrix entries are built and
+# diagonalized in one stack: every one-qubit ramp step fits in one, while
+# at 8 qubits and more a stack is a single matrix, so peak memory does not
+# grow with the steps.  Stacks diagonalized by several threads at once hold
+# at most _FLIGHT_STACKS full stacks' entries between them: about 3 MB more
+# than one stack at 8 qubits, whatever the core count; from 9 qubits one
+# matrix is more than half of that, so the stacks are diagonalized one at
+# a time.  Both bounds read _STACK_ENTRIES when they are used.
+_FLIGHT_STACKS = 2
 
 # The thread-count getter and setter of the OpenBLAS that numpy (>= 2.0)
 # wheels bundle in numpy.libs.
@@ -196,7 +198,7 @@ def _dense_stack(
     # temporaries within the larger of the stack's size and _STACK_ENTRIES
     # for any number of terms; np.add.at sums in term order within and
     # across blocks.
-    step = max(dim, _STACK_ENTRIES // (rows * dim))
+    step = max(dim, statevector._STACK_ENTRIES // (rows * dim))
     for start in range(0, len(masks), step):
         block = masks[start : start + step]
         phases = column_phases(block[:, 1:2], block[:, 2:], columns)
@@ -371,11 +373,12 @@ def _workers(stacks: int, stack_entries: int) -> int:
     """Threads that diagonalize ``stacks`` stacks of up to ``stack_entries`` entries.
 
     One per core, at most one per stack, and no more than keep
-    ``_FLIGHT_ENTRIES`` entries in flight.  Several threads run only when
-    each eigendecomposition can be held to one BLAS thread; otherwise it
-    is one.
+    ``_FLIGHT_STACKS`` * ``_STACK_ENTRIES`` entries in flight.  Several
+    threads run only when each eigendecomposition can be held to one BLAS
+    thread; otherwise it is one.
     """
-    workers = min(stacks, _cores(), max(1, _FLIGHT_ENTRIES // stack_entries))
+    flight = _FLIGHT_STACKS * statevector._STACK_ENTRIES
+    workers = min(stacks, _cores(), max(1, flight // stack_entries))
     if workers < 2 or _blas() is None:
         return 1
     return workers
@@ -452,23 +455,31 @@ class _SpectrumStacks:
 
     Iterating yields the stacks in order, computed by ``workers`` threads
     (``_workers``, ``_in_order``): one per core of the process's affinity,
-    at most one stack in flight per thread and ``_FLIGHT_ENTRIES`` entries
-    in flight in all.  With one worker the calling thread computes each
-    stack as it is consumed.  With more, OpenBLAS is held to one thread
-    for the whole process from the first stack until the iteration ends or
-    is abandoned, consumer's work between stacks included; the previous
-    count is then restored.  One BLAS thread per eigendecomposition is what
-    makes the threads pay: OpenBLAS's own threads do not speed up ``eigh``
-    at these sizes.
+    at most one stack in flight per thread and ``_FLIGHT_STACKS`` full
+    stacks' entries in flight in all.  With one worker the calling thread
+    computes each stack as it is consumed.  With more, OpenBLAS is held to
+    one thread for the whole process from the first stack until the
+    iteration ends or is abandoned, consumer's work between stacks
+    included; the previous count is then restored.  One BLAS thread per
+    eigendecomposition is what makes the threads pay: OpenBLAS's own
+    threads do not speed up ``eigh`` at these sizes.  Each stack is added
+    to ``counters``, when given, as it is yielded.
     """
 
-    def __init__(self, num_qubits: int, words: Sequence[PauliWord], coeffs: np.ndarray):
+    def __init__(
+        self,
+        num_qubits: int,
+        words: Sequence[PauliWord],
+        coeffs: np.ndarray,
+        counters: _Counters | None = None,
+    ):
         self._num_qubits = num_qubits
         self._words = words
         self._coeffs = coeffs
+        self._counters = counters
         real = _real_rows(words, coeffs)
         self._real = real.tolist()
-        chunk = max(1, _STACK_ENTRIES // 4**num_qubits)
+        chunk = max(1, statevector._STACK_ENTRIES // 4**num_qubits)
         # runs of rows of one dtype, each split every ``chunk`` rows
         bounds = [0, *(np.flatnonzero(real[1:] != real[:-1]) + 1).tolist(), len(coeffs)]
         self._starts = starts = [
@@ -485,18 +496,24 @@ class _SpectrumStacks:
         return start, values, vectors
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        counters = self._counters
         with _blas().one_thread() if self.workers > 1 else contextlib.nullcontext():
-            yield from _in_order(len(self._starts) - 1, self._diagonalize, self.workers)
+            for stack in _in_order(len(self._starts) - 1, self._diagonalize, self.workers):
+                if counters is not None:
+                    counters.matrices_diagonalized += len(stack[1])
+                    counters.diagonalized_d3 += len(stack[1]) * 8**self._num_qubits
+                yield stack
 
 
-def exact_diagonalize(h: PauliSum) -> Spectrum:
+def exact_diagonalize(h: PauliSum, counters: _Counters | None = None) -> Spectrum:
     """Full eigendecomposition of the operator with deterministic phases.
 
     A real operator's float64 matrix goes through real ``eigh`` and real
     checks; the dtype of the matrix selects the arithmetic throughout.
-    This is the one-operator case of the stacked path, ``_SpectrumStacks``.
+    This is the one-operator case of the stacked path, ``_SpectrumStacks``,
+    and is added to ``counters`` when they are given.
     """
-    stacks = _SpectrumStacks(h.num_qubits, h.words, _coefficient_row(h))
+    stacks = _SpectrumStacks(h.num_qubits, h.words, _coefficient_row(h), counters)
     _, values, vectors = next(iter(stacks))
     return Spectrum(h.num_qubits, values[0], vectors[0])
 
@@ -513,31 +530,36 @@ def _propagate(
     vectors: np.ndarray,
     phases: np.ndarray,
     amplitudes: np.ndarray,
-    transposed: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """V (phases * (V^H x)) for each row x of ``amplitudes``, with V = ``vectors``.
 
     The kernel of every propagator the package applies: with ``phases`` =
-    exp(-i * eigenvalues * t) it applies exp(-i h t).  ``transposed`` is
-    V.T, the view ``vectors.T`` when not given; a caller that applies one
-    V many times passes the pair from ``_complex_pair``.  Nothing is
-    checked here; the callers check the sizes once.
+    exp(-i * eigenvalues * t) it applies exp(-i h t).  The amplitudes are
+    complex128, one vector or a (rows, d) stack, and the result is written
+    to ``out`` when given.  A real V takes V^H x as x @ V, which has the
+    bits of (x* @ V)*; either way the kernel is one product, one in-place
+    phase multiplication and one product into ``out``.  Nothing is checked
+    here; the callers check the sizes once.
     """
-    if transposed is None:
-        transposed = vectors.T
-    return ((amplitudes.conj() @ vectors).conj() * phases) @ transposed
+    if vectors.dtype == np.float64:
+        rotated = amplitudes @ vectors
+    else:
+        rotated = amplitudes.conj() @ vectors
+        np.conjugate(rotated, out=rotated)
+    rotated *= phases
+    return np.matmul(rotated, vectors.T, out=out)
 
 
 def _complex_pair(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V, V.T) as the complex operands of repeated ``_propagate`` calls.
+    """(V, V.T) as the complex operands of the products of a closed-form hold.
 
-    A real V is cast to complex128 once and its transpose copied C-ordered.
+    A real V is cast to complex128 once and its transpose copied C-ordered,
+    so a hold read out in several blocks casts V once, not once per block.
     numpy casts a real operand of each product to a C-ordered complex copy,
-    so the kernel gives the same bits from this pair, where BLAS on the
-    F-ordered view of the cast V.T would not.  Complex eigenvectors come
-    back as they are, with their ``.T`` view.  Casting pays only when V
-    drives many steps: a ramp stack's V drives one step from 8 qubits on,
-    and there the explicit cast is slower than numpy's.
+    so products with this pair give the same bits as with the real V, where
+    BLAS on the F-ordered view of the cast V.T would not.  Complex
+    eigenvectors come back as they are, with their ``.T`` view.
     """
     if np.iscomplexobj(vectors):
         return vectors, vectors.T
@@ -552,13 +574,15 @@ def apply_evolution(
 
     The last axis of ``amplitudes`` is the system axis, so this takes a
     single vector or a stack of rows, one per branch of other registers.
-    Each row x becomes V (phases * (V^H x)) (``_propagate``): two O(d^2)
-    products, with no d x d matrix built.  The spectrum must come from
+    Each row x becomes V (phases * (V^H x)) (``_propagate``):
+    two O(d^2) products, with no d x d matrix built.  The spectrum must come from
     ``exact_diagonalize``, whose orthonormality guard is the only
     unitarity check the result gets; only its size is checked here.
     """
     _check_spectrum_dim(spectrum, amplitudes.shape[-1])
     phases = phase * np.exp(-1j * spectrum.eigenvalues * duration)
+    # the kernel multiplies V^H x by the phases in place, so x is complex
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
     return _propagate(spectrum.eigenvectors, phases, amplitudes)
 
 

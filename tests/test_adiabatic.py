@@ -26,9 +26,10 @@ from vacuum_refine import (
     to_matrix,
     transverse_ising_pair,
 )
+from vacuum_refine import adiabatic, statevector
 from vacuum_refine.hamiltonian import _SpectrumStacks
 
-from oracles import expectation_per_state, fidelity_per_state
+from oracles import expectation_per_state, fidelity_per_state, pauli_sum_matrix, random_state
 
 J = np.pi / 4
 CHAIN3Y = parse_pauli_text((Path(__file__).parent / "golden" / "chain3y.txt").read_text())
@@ -494,21 +495,30 @@ def _ramp_oracle(h0, h1, schedule, observables):
     return rows, warnings
 
 
-def _hold_oracle(state, h, schedule, observables, start_time, include_initial):
-    spectrum = exact_diagonalize(h)
-    rows = []
+def _hold_oracle(state, h, schedule, start_time, include_initial):
+    """(t, amplitudes) per record of the exact hold, each from the held state.
 
-    def record(t):
+    Record j, j steps of dt in, is ``apply_evolution(spectrum, j * dt,
+    state)``; the initial record, with ``include_initial``, is the state
+    itself.  No record is stepped from the one before it.
+    """
+    spectrum = exact_diagonalize(h)
+    rows = [(start_time, state.amplitudes)] if include_initial else []
+    for j in range(1, schedule.num_hold_steps + 1):
+        amplitudes = apply_evolution(spectrum, j * schedule.dt, state.amplitudes)
+        rows.append((start_time + j * schedule.dt, amplitudes))
+    return rows
+
+
+def _readout(states, h, observables):
+    """(values with energy, fidelity) of each state read out alone."""
+    ground = exact_diagonalize(h).ground_state
+    rows = []
+    for amplitudes in states:
+        state = StateVector(h.num_qubits, amplitudes)
         values = {name: expectation_observable(state, obs) for name, obs in observables.items()}
         values["energy"] = expectation_observable(state, h)
-        ground = min(fidelity(state, spectrum.ground_state), 1.0)
-        rows.append((t, state.amplitudes, values, ground))
-
-    if include_initial:
-        record(start_time)
-    for j in range(schedule.num_hold_steps):
-        state = StateVector(state.num_qubits, apply_evolution(spectrum, schedule.dt, state.amplitudes))
-        record(start_time + (j + 1) * schedule.dt)
+        rows.append((values, min(fidelity(state, ground), 1.0)))
     return rows
 
 
@@ -552,6 +562,7 @@ def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
     _assert_matches(ramp, rows)
     assert ramp.warnings == warnings
     assert final.amplitudes.tobytes() == rows[-1][1].tobytes()
+    assert not np.shares_memory(final.amplitudes, ramp.states)
 
     for hold_schedule in (schedule, Schedule(schedule.total_time, schedule.dt)):
         for include_initial in (False, True):
@@ -566,12 +577,23 @@ def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
                 include_initial=include_initial,
             )
             expected = _hold_oracle(
-                final, h1, hold_schedule, observables, schedule.total_time, include_initial
+                final, h1, hold_schedule, schedule.total_time, include_initial
             )
             assert len(expected) == hold_schedule.num_hold_steps + include_initial
-            _assert_matches(hold, expected)
-            last = expected[-1][1] if expected else final.amplitudes
+            for psi, (_, amplitudes) in zip(hold.states, expected):
+                assert np.max(np.abs(psi - amplitudes)) <= 1e-14
+            # each record is read out as its state alone would be
+            readout = _readout(hold.states, h1, observables)
+            _assert_matches(
+                hold,
+                [
+                    (t, psi, values, ground)
+                    for (t, _), psi, (values, ground) in zip(expected, hold.states, readout)
+                ],
+            )
+            last = hold.states[-1] if expected else final.amplitudes
             assert held.amplitudes.tobytes() == last.tobytes()
+            assert not np.shares_memory(held.amplitudes, hold.states)
 
 
 def test_exact_loops_apply_no_evolution_per_step(count_calls):
@@ -584,3 +606,70 @@ def test_exact_loops_apply_no_evolution_per_step(count_calls):
     final, _ = run_adiabatic(h0, h1, BENCHMARK, EvolutionMode.EXACT_STEP, observables)
     run_hold(final, h1, BENCHMARK, EvolutionMode.EXACT_STEP, observables, include_initial=True)
     assert applied == []
+
+
+CHAIN4 = PauliSum(
+    4,
+    tuple((-0.9 - 0.1 * q, "I" * q + "ZZ" + "I" * (2 - q)) for q in range(3))
+    + tuple((-0.7 + 0.05 * q, "I" * q + "X" + "I" * (3 - q)) for q in range(4))
+    + ((0.3, "YYII"),),
+)
+
+
+@pytest.mark.parametrize("h", [hadamard_hamiltonian(J), CHAIN4], ids=["one_qubit", "chain4"])
+def test_closed_form_hold_matches_expm(h):
+    # the shipped hold, 288 steps of 1/24, against scipy's exp(-i H t) at
+    # its last record, H built with index loops
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    n = h.num_qubits
+    state = StateVector(n, random_state(n, np.random.default_rng(n)))
+    held, hold = run_hold(state, h, BENCHMARK, EvolutionMode.EXACT_STEP, record_states=True)
+    assert len(hold.times) == 288
+    u = scipy_linalg.expm(-1j * BENCHMARK.hold_time * pauli_sum_matrix(h.terms, n))
+    assert np.max(np.abs(hold.states[-1] - u @ state.amplitudes)) <= 1e-14
+    assert held.amplitudes.tobytes() == hold.states[-1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "h",
+    [hadamard_hamiltonian(J), transverse_ising_pair(J), CHAIN4, CHAIN6],
+    ids=["1", "2", "4", "6"],
+)
+def test_hold_states_do_not_depend_on_the_block_size(h, monkeypatch):
+    # blocks of one and three records against the default, which holds the
+    # 21 records in one block up to 4 qubits and in blocks of 16 at 6
+    n = h.num_qubits
+    state = StateVector(n, random_state(n, np.random.default_rng(40 + n)))
+    observables = {"expval_Z": _mean_z(n)}
+    sched = Schedule(total_time=1.0, dt=0.05, hold_time=1.0)
+    read = adiabatic._Recorder.read
+    blocks = []
+
+    def recorded(self, times, states, *args):
+        blocks.append(len(states))
+        return read(self, times, states, *args)
+
+    monkeypatch.setattr(adiabatic._Recorder, "read", recorded)
+
+    def hold():
+        blocks.clear()
+        _, trajectory = run_hold(
+            state,
+            h,
+            sched,
+            EvolutionMode.EXACT_STEP,
+            observables,
+            record_states=True,
+            include_initial=True,
+        )
+        return trajectory, list(blocks)
+
+    default, default_blocks = hold()
+    assert default_blocks == ([16, 5] if n == 6 else [21])
+    for rows in (1, 3):
+        monkeypatch.setattr(statevector, "_STACK_ENTRIES", rows * 4**n)
+        blocked, blocked_blocks = hold()
+        assert blocked_blocks == [rows] * (21 // rows)
+        assert blocked.states.tobytes() == default.states.tobytes()
+        assert blocked.observables == default.observables
+        assert blocked.fidelity == default.fidelity

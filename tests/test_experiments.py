@@ -570,35 +570,98 @@ def _shipped_shots(tmp_path, seed=None, extra=""):
     return with_overrides(config, seed=seed, out=f"{tmp_path}/run")
 
 
+def _counters(manifest_path):
+    return json.loads(manifest_path.read_text())["counters"]
+
+
+def _counts(matrices, dim, steps, streams=0, estimates=0, shots=0):
+    """The manifest's counters for ``matrices`` dim x dim diagonalizations."""
+    return {
+        "matrices_diagonalized": matrices,
+        "diagonalized_d3": matrices * dim**3,
+        "steps": steps,
+        "streams": streams,
+        "estimates": estimates,
+        "shots_drawn": estimates * shots,
+    }
+
+
+# 865 ramp operators and the target; 864 ramp steps and 288 hold steps,
+# the hold taken in closed form
+_QUBIT_SHOTS = _counts(866, 2, 1152)
+
+
 @pytest.mark.parametrize(
     "extra, expected",
     [
         # raw, z_ancilla and post_z, then 1154 trajectory records of one term
-        ("", {"streams": 5, "estimates": 1157, "shots_drawn": 1157 * 10**6}),
-        ("filter.discard = false\n", {"streams": 4, "estimates": 1156, "shots_drawn": 1156 * 10**6}),
-        ("estimation.method = exact\n", {"streams": 0, "estimates": 0, "shots_drawn": 0}),
+        ("", {**_QUBIT_SHOTS, "streams": 5, "estimates": 1157, "shots_drawn": 1157 * 10**6}),
+        # the ancilla-embedded hold diagonalizes its own 4x4 operator
+        (
+            "filter.discard = false\n",
+            {
+                **_QUBIT_SHOTS,
+                "matrices_diagonalized": 867,
+                "diagonalized_d3": 866 * 8 + 64,
+                "streams": 4,
+                "estimates": 1156,
+                "shots_drawn": 1156 * 10**6,
+            },
+        ),
+        ("estimation.method = exact\n", _QUBIT_SHOTS),
     ],
 )
 def test_manifest_counts_the_shot_streams_and_draws(tmp_path, extra, expected):
     cmd_filter_run(_shipped_shots(tmp_path, extra=extra))
-    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["counters"] == expected
+    assert _counters(tmp_path / "run_manifest.json") == expected
 
 
 def test_manifest_counts_a_sweep_stream_per_term(tmp_path):
     # the mean Z of two qubits has two terms: two streams on the ramp, two
-    # on the hold, and 9 + 4 records each
+    # on the hold, and 9 + 4 records each; 9 ramp operators and the
+    # target, 8 ramp and 4 hold steps
     extra = "model.hamiltonian = tfim2\nestimation.method = shots\nestimation.shots = 100\n"
     cmd_sweep(_config(tmp_path, extra))
-    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["counters"] == {"streams": 4, "estimates": 26, "shots_drawn": 2600}
+    expected = _counts(10, 4, 12, streams=4, estimates=26, shots=100)
+    assert _counters(tmp_path / "run_manifest.json") == expected
 
 
 @pytest.mark.parametrize("command", [cmd_refine, cmd_diag])
 def test_manifest_counts_nothing_for_exact_commands(tmp_path, command):
+    # no estimate is sampled; refine counts its 9 ramp operators, 8 steps
+    # and the target, diag the target alone
     command(_config(tmp_path, "model.hamiltonian = tfim2\n"))
-    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["counters"] == {"streams": 0, "estimates": 0, "shots_drawn": 0}
+    expected = _counts(10, 4, 8) if command is cmd_refine else _counts(1, 4, 0)
+    assert _counters(tmp_path / "run_manifest.json") == expected
+
+
+def _seeded_chain_text(n, seed):
+    """A TFIM chain with couplings drawn from ``seed``, as the chain workloads draw theirs."""
+    rng = np.random.default_rng(seed)
+    words = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+    words += ["I" * i + "X" + "I" * (n - i - 1) for i in range(n)]
+    return "".join(f"{-rng.uniform(0.5, 1.5)!r} {word}\n" for word in words)
+
+
+@pytest.mark.parametrize(
+    "command, n, hold_time, expected",
+    [
+        # 33 ramp operators and the target; 32 ramp steps and 8 hold steps
+        (cmd_sweep, 8, 1, _counts(34, 256, 40)),
+        (cmd_refine, 4, 0, _counts(34, 16, 32)),
+    ],
+    ids=["chain-sweep", "chain-refine"],
+)
+def test_manifest_counts_the_chain_workloads(tmp_path, command, n, hold_time, expected):
+    model = tmp_path / "chain.txt"
+    model.write_text(_seeded_chain_text(n, seed=7))
+    config = parse_config(
+        f"model.hamiltonian = {model}\nschedule.T = 4\nschedule.dt = 0.125\n"
+        f"schedule.hold_time = {hold_time}\nfilter.ancillas = 3\nrefine.max_iters = 5\n"
+        f"output.prefix = {tmp_path}/run\n"
+    )
+    command(config)
+    assert _counters(tmp_path / "run_manifest.json") == expected
 
 
 def _ramp_expval(tmp_path, seed=None, extra=""):

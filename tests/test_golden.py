@@ -42,7 +42,7 @@ from pathlib import Path
 import pytest
 
 from vacuum_refine import cmd_diag, cmd_filter_run, cmd_refine, cmd_sweep, hamiltonian, parse_config
-from vacuum_refine import experiments, statevector
+from vacuum_refine import adiabatic, experiments, statevector
 from vacuum_refine.estimation import shot_estimates
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,7 +121,6 @@ def test_shot_snapshots_do_not_depend_on_the_block_size(name, tmp_path, monkeypa
     # each term's stream draws its records block by block; blocks of at
     # most 16 amplitudes (2 to 8 records) must draw the snapshot's bytes
     monkeypatch.setattr(statevector, "_STACK_ENTRIES", 16)
-    monkeypatch.setattr(experiments, "_STACK_ENTRIES", 16)
     drawn = []
 
     def recorded(amplitudes, *args):
@@ -131,6 +130,32 @@ def test_shot_snapshots_do_not_depend_on_the_block_size(name, tmp_path, monkeypa
     monkeypatch.setattr(experiments, "shot_estimates", recorded)
     files = _run(name, tmp_path)
     assert max(drawn) <= 8 and len(drawn) > 50
+    for filename, content in files.items():
+        assert content == (GOLDEN / filename).read_bytes(), filename
+
+
+@pytest.mark.parametrize("name", ["sweep_benchmark", "filter_benchmark", "filter_keep_benchmark"])
+def test_exact_snapshots_do_not_depend_on_the_block_size(name, tmp_path, monkeypatch):
+    # one name sizes every block: at 16 entries the ramp's stacks hold four
+    # 2x2 matrices and the hold's blocks four one-qubit records, or one
+    # two-qubit record with the ancilla, where by default each is one block
+    monkeypatch.setattr(statevector, "_STACK_ENTRIES", 16)
+    read = adiabatic._Recorder.read
+    blocks = []
+
+    def recorded(self, times, states, *args):
+        blocks.append(states.shape)
+        return read(self, times, states, *args)
+
+    monkeypatch.setattr(adiabatic._Recorder, "read", recorded)
+    files = _run(name, tmp_path)
+    ramp, hold = blocks[:217], blocks[217:]
+    assert ramp == [(4, 2)] * 216 + [(1, 2)]
+    # 288 hold steps, after the tagged state's record in filter-run
+    dim = 4 if name == "filter_keep_benchmark" else 2
+    records = 288 if name == "sweep_benchmark" else 289
+    assert sum(rows for rows, _ in hold) == records
+    assert all(rows * d * d <= 16 and d == dim for rows, d in hold)
     for filename, content in files.items():
         assert content == (GOLDEN / filename).read_bytes(), filename
 

@@ -23,9 +23,8 @@ from vacuum_refine import (
     transverse_ising_pair,
 )
 
-from vacuum_refine import hamiltonian
+from vacuum_refine import hamiltonian, statevector
 from vacuum_refine.hamiltonian import (
-    _FLIGHT_ENTRIES,
     DEGENERACY_TOL,
     _complex_pair,
     _fix_phases,
@@ -311,6 +310,8 @@ def test_apply_evolution_matches_expm(h):
     u = scipy_linalg.expm(-1j * t * pauli_sum_matrix(h.terms, h.num_qubits))
     x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     assert np.max(np.abs(apply_evolution(spec, t, x) - u @ x)) < 1e-12
+    # real amplitudes are evolved as their complex cast
+    assert np.max(np.abs(apply_evolution(spec, t, x.real) - u @ x.real)) < 1e-12
     # a stack of rows, each evolved on its own, with a unit phase on top
     rows = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
     got = apply_evolution(spec, t, rows, phase=1j)
@@ -416,18 +417,48 @@ def test_stacked_guard_refuses_one_bad_matrix(monkeypatch, corrupt):
     assert stacks == [9]
 
 
+def _conj_form(vectors, phases, amplitudes):
+    """The kernel as it was written before real V took x @ V: ((x* @ V)* phases) @ V.T."""
+    return ((amplitudes.conj() @ vectors).conj() * phases) @ vectors.T
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16, 64, 256])
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_kernel_matches_the_conj_form_bit_for_bit(dim, rows, real):
+    rng = np.random.default_rng(dim + (rows or 0))
+    if real:
+        vectors, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    else:
+        vectors = haar_unitary(dim, rng)
+    phases = np.exp(-1j * rng.normal(size=dim))
+    shape = (dim,) if rows is None else (rows, dim)
+    drawn = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # the ramp starts from the real basis state |0...0>
+    basis = np.zeros(shape, dtype=np.complex128)
+    basis[..., 0] = 1.0
+    for amplitudes in (drawn, basis):
+        expected = _conj_form(vectors, phases, amplitudes).tobytes()
+        assert _propagate(vectors, phases, amplitudes).tobytes() == expected
+        out = np.empty(shape, dtype=np.complex128)
+        assert _propagate(vectors, phases, amplitudes, out=out) is out
+        assert out.tobytes() == expected
+
+
 @pytest.mark.parametrize("dim", [2, 16, 256])
 @pytest.mark.parametrize("rows", [None, 1, 3])
 def test_cast_once_kernel_matches_the_implicit_cast_bit_for_bit(dim, rows):
+    # the closed-form hold takes V^H x and its products with V^T from the
+    # cast pair; they have the bits of the same products with the real V
     rng = np.random.default_rng(dim + (rows or 0))
     vectors, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    phases = np.exp(-1j * rng.normal(size=dim))
     shape = (dim,) if rows is None else (rows, dim)
     amplitudes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     cast, transposed = _complex_pair(vectors)
     assert cast.dtype == np.complex128 and transposed.flags.c_contiguous
-    expected = _propagate(vectors, phases, amplitudes)
-    assert np.array_equal(_propagate(cast, phases, amplitudes, transposed), expected)
+    overlaps = (amplitudes.conj() @ cast).conj()
+    assert overlaps.tobytes() == (amplitudes @ vectors).tobytes()
+    assert (amplitudes @ transposed).tobytes() == (amplitudes @ vectors.T).tobytes()
 
 
 def test_complex_eigenvectors_are_paired_as_they_are():
@@ -545,7 +576,7 @@ def test_pooled_stacks_match_the_serial_loop_bit_for_bit(monkeypatch, cores):
         serial_patch.setattr(hamiltonian, "_workers", lambda stacks, entries: 1)
         serial, serial_seen = _stacks(serial_patch)
     # a budget of one full stack per core, so that three threads can run
-    monkeypatch.setattr(hamiltonian, "_FLIGHT_ENTRIES", cores * _STACK_ENTRIES)
+    monkeypatch.setattr(hamiltonian, "_FLIGHT_STACKS", cores)
     pooled, pooled_seen = _stacks(monkeypatch, cores)
     assert [start for start, _, _ in pooled] == [0, 4, 8, 12]
     for (s0, v0, w0), (s1, v1, w1) in zip(serial, pooled):
@@ -622,7 +653,6 @@ def test_abandoned_stacks_stop_the_helpers_and_restore_blas(monkeypatch):
 def test_workers_follow_the_stacks_the_cores_and_the_entry_budget(monkeypatch):
     _blas_or_skip()
     monkeypatch.setattr(hamiltonian, "_cores", lambda: 64)
-    assert _FLIGHT_ENTRIES == 2 * _STACK_ENTRIES
     # two full stacks fill the budget, whatever the cores
     assert _SpectrumStacks(7, *POOL_RAMP).workers == 2
     assert hamiltonian._workers(40, 4**8) == 2
@@ -633,6 +663,9 @@ def test_workers_follow_the_stacks_the_cores_and_the_entry_budget(monkeypatch):
     # small stacks are limited by the stacks and the cores
     assert hamiltonian._workers(3, 16) == 3
     assert hamiltonian._workers(100, 16) == 64
+    # the budget is read from the block size when it is used
+    monkeypatch.setattr(statevector, "_STACK_ENTRIES", 8 * _STACK_ENTRIES)
+    assert hamiltonian._workers(40, 4**8) == 16
     monkeypatch.setattr(hamiltonian, "_cores", lambda: 1)
     assert hamiltonian._workers(100, 16) == 1
     assert hamiltonian._workers(1, 16) == 1
