@@ -24,18 +24,22 @@ The ramp and the hold work a block of states at a time.  For each stack
 of the ramp, one ``np.exp`` gives every step's phases and one comparison
 every step's degeneracy flag; the step loop walks the stack's
 eigenvectors, phases and state rows together and only applies the
-propagator kernel (``_propagate``: one product, one in-place phase
-multiplication, one product), which writes each new state straight into
-its row of the block's (rows, d) array.  An exact hold is not stepped:
-under one operator exp(-i h t) psi = V (exp(-i E t) * V^H psi) for any
-t, so with c = V^H psi taken once, each block of records is one phase
-array over the records' elapsed times and one batched product with V^T
-(``_complex_pair`` casts a real V once), and a record's bits do not
-depend on the block size.  A ``trotter1`` hold steps.  Each block is
-read out with stacked calls (``_Recorder``): the norm check, one
-``apply_word`` per word for the energies and observables, the overlaps
-with the fidelity targets and the time-order check of its records.  The
-values go straight into the trajectory's columns (``Trajectory``: times,
+propagator kernel (``_propagate``: one ``dot`` with V^*, one in-place
+phase multiplication, one ``dot`` with V^T), which writes each new
+state straight into its row of the block's (rows, d) array.  The
+kernel's complex operands are cast once per slice of the stack
+(``_operands``), within the stack's entry budget; a matrix whose operand
+pair exceeds it (8 qubits and up) is cast by the kernel one operand at a
+time.  The stack is released before the next one is diagonalized.  An
+exact hold is not stepped: under one operator exp(-i h t) psi =
+V (exp(-i E t) * V^H psi) for any t, so with c = V^H psi taken once,
+each block of records is one phase array over the records' elapsed
+times and one batched product with V^T, cast once for the hold, and a
+record's bits do not depend on the block size.  A ``trotter1`` hold
+steps.  Each block is read out with stacked calls (``_Recorder``): the
+norm check, one ``apply_word`` per word for the energies and
+observables, the overlaps with the fidelity targets and the time-order
+check of its records.  The values go straight into the trajectory's columns (``Trajectory``: times,
 fidelities and one list of floats per observable), with no object built
 per record.  Each value is bit-identical to reading out the state
 alone, and each ramp state to stepping it alone.  With
@@ -60,8 +64,10 @@ from .hamiltonian import (
     Spectrum,
     _SpectrumStacks,
     _check_spectrum_dim,
-    _complex_pair,
+    _conjugated,
+    _operands,
     _propagate,
+    _transposed,
     apply_evolution,
     exact_diagonalize,
     ramp_coefficients,
@@ -312,6 +318,21 @@ def _check_observables(observables: Mapping[str, PauliSum], num_qubits: int) -> 
             )
 
 
+def _step_stack(
+    vectors: np.ndarray, phases: np.ndarray, states: np.ndarray, amplitudes: np.ndarray
+) -> np.ndarray:
+    """Step ``amplitudes`` through a stack's eigenvectors and phases, into the rows of ``states``.
+
+    Step k applies V_k (phases_k * (V_k^H x)) to the row before it and
+    writes row k.  The operands are cast once per slice of the stack
+    (``_operands``).  Returns the last row; no reference to the stack
+    outlives the call.
+    """
+    for operands, step_phases, row in zip(_operands(vectors), phases, states):
+        amplitudes = _propagate(operands, step_phases, amplitudes, out=row)
+    return amplitudes
+
+
 def run_adiabatic(
     h0: PauliSum,
     h1: PauliSum,
@@ -338,7 +359,8 @@ def run_adiabatic(
     taken at once, the step loop only advances amplitudes into the
     stack's block of states, and the block is read out at once
     (``_Recorder``).  ``counters``, when given, count the eigendecompositions
-    and the steps.
+    and the steps, and note the smallest gap between the two lowest
+    levels of any ramp operator, with its s.
     """
     if h0.num_qubits != h1.num_qubits:
         raise DomainError(
@@ -369,21 +391,23 @@ def run_adiabatic(
         if first:
             states[0] = amplitudes
         if exact:
-            phases = np.exp(-1j * values * dt)
-            steps = zip(vectors[first:], phases[first:], states[first:])
-            for step_vectors, step_phases, row in steps:
-                amplitudes = _propagate(step_vectors, step_phases, amplitudes, out=row)
+            phases = np.exp(-1j * values[first:] * dt)
+            amplitudes = _step_stack(vectors[first:], phases, states[first:], amplitudes)
         else:
             for row, k in zip(states[first:], range(start + first, stop)):
                 amplitudes = _trotter_step(amplitudes, dt, words, coeffs[k], order)
                 row[:] = amplitudes
-        degenerate = values[:, 1] - values[:, 0] < DEGENERACY_TOL
+        gaps = values[:, 1] - values[:, 0]
+        degenerate = gaps < DEGENERACY_TOL
         for k in (start + np.flatnonzero(degenerate)).tolist():
             trajectory.warnings.append(
                 f"degenerate instantaneous ground level at step {k - 1} (s={s_values[k]!r})"
                 if k
                 else "degenerate ground level at s=0"
             )
+        if counters is not None:
+            k = int(np.argmin(gaps))
+            counters.note_gap(float(gaps[k]), s_values[start + k])
         if recorder is not None:
             times = [k * dt for k in range(start, stop)]
             targets = np.ascontiguousarray(vectors[:, :, 0])
@@ -451,8 +475,9 @@ def run_hold(
             trajectory.warnings.append("ground level of the held operator is degenerate")
         fidelity_target = spectrum.ground_state
     if exact:
-        vectors, transposed = _complex_pair(spectrum.eigenvectors)
-        overlaps = np.conjugate(state.amplitudes.conj() @ vectors)
+        # c = V^H psi is the kernel's first product; V^T, cast once, serves every block
+        overlaps = state.amplitudes.dot(_conjugated(spectrum.eigenvectors))
+        transposed = _transposed(spectrum.eigenvectors)
         exponents = -1j * spectrum.eigenvalues
     coeffs = _coefficient_row(h)
     order = _trotter_order(h.words)

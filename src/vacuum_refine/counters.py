@@ -1,13 +1,16 @@
-"""What one command computed, counted as it runs.
+"""What one command computed, counted and noted as it runs.
 
 A command makes one ``_Counters`` and passes it down to every layer that
-does countable work; the command writes it to its manifest as
-``counters``.  No layer keeps counts of its own.
+does countable work; the command writes its counts to its manifest as
+``counters`` and what it noted as ``diagnostics``.  No layer keeps counts
+of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+_DIAGNOSTICS = ("min_ramp_gap", "min_ramp_gap_s")
 
 
 @dataclass
@@ -20,7 +23,11 @@ class _Counters:
     form.  ``streams`` counts the shot streams opened, so it is also the
     number of the next one; ``estimates`` counts the sampled values (rows
     times terms) and ``shots_drawn`` their shots.  Exact estimation leaves
-    the last three at zero.
+    those three at zero.
+
+    ``min_ramp_gap`` and ``min_ramp_gap_s`` are diagnostics, not counts:
+    the smallest gap between the two lowest levels of any ramp operator,
+    and the s of the first operator that has it; None without a ramp.
     """
 
     matrices_diagonalized: int = 0
@@ -29,3 +36,16 @@ class _Counters:
     streams: int = 0
     estimates: int = 0
     shots_drawn: int = 0
+    min_ramp_gap: float | None = None
+    min_ramp_gap_s: float | None = None
+
+    def note_gap(self, gap: float, s: float) -> None:
+        """Keep ``gap`` at ``s`` when it is below every gap noted before."""
+        if self.min_ramp_gap is None or gap < self.min_ramp_gap:
+            self.min_ramp_gap, self.min_ramp_gap_s = gap, s
+
+    def sections(self) -> dict[str, dict]:
+        """The manifest's ``counters`` and ``diagnostics``."""
+        counts = asdict(self)
+        diagnostics = {name: counts.pop(name) for name in _DIAGNOSTICS}
+        return {"counters": counts, "diagnostics": diagnostics}

@@ -21,7 +21,9 @@ outputs are reproducible from its seed, and adjacent seeds draw
 unrelated noise.  The manifest's ``counters`` (``counters._Counters``)
 give the matrices diagonalized and their summed d^3, the steps evolved,
 the streams opened, the values sampled and the shots drawn; the command
-passes them down to the ramp, the hold and every diagonalization.
+passes them down to the ramp, the hold and every diagonalization.  The
+same object carries the manifest's ``diagnostics``: the ramp's smallest
+instantaneous gap and its s.
 
 A trajectory's CSV rows are its columns (``Trajectory.times``, the
 observable and energy columns, ``Trajectory.fidelity``) zipped with the
@@ -36,7 +38,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,7 +207,7 @@ def _write_manifest(
         "warnings": warnings,
         "blas_threads": blas.threads() if blas is not None else "unknown",
         "diagonalization_workers": workers,
-        "counters": asdict(counters),
+        **counters.sections(),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)

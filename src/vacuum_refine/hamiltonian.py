@@ -6,6 +6,7 @@ import contextlib
 import ctypes
 import fnmatch
 import functools
+import itertools
 import math
 import os
 import threading
@@ -392,9 +393,11 @@ def _in_order(count: int, compute: Callable[[int], Any], workers: int) -> Iterat
     while it is fewer than ``workers`` places ahead of the first item the
     consumer has not finished with, so at most ``workers`` items are in
     flight; with one worker no helper starts and each item is computed as
-    it is consumed.  An exception raised computing an item is raised when
-    that item is due.  However the consumer stops, the helpers are stopped and
-    joined before this generator returns.
+    it is consumed.  The generator drops its reference to an item before
+    it computes or waits for the next, so an item the consumer has let go
+    of is freed by then.  An exception raised computing an item is raised
+    when that item is due.  However the consumer stops, the helpers are
+    stopped and joined before this generator returns.
     """
     results: dict[int, tuple] = {}
     ready = threading.Condition()
@@ -503,6 +506,9 @@ class _SpectrumStacks:
                     counters.matrices_diagonalized += len(stack[1])
                     counters.diagonalized_d3 += len(stack[1]) * 8**self._num_qubits
                 yield stack
+                # the consumer's references are then the last ones, so the
+                # stack is freed before the next one is diagonalized
+                del stack
 
 
 def exact_diagonalize(h: PauliSum, counters: _Counters | None = None) -> Spectrum:
@@ -526,45 +532,85 @@ def _check_spectrum_dim(spectrum: Spectrum, dim: int) -> None:
         )
 
 
+def _conjugated(vectors: np.ndarray) -> np.ndarray:
+    """V^* of one matrix or a stack of them, as a complex128 operand.
+
+    A real V is cast, which is V^* and the copy numpy's implicit cast
+    makes; a complex V is conjugated.
+    """
+    return vectors.conj() if np.iscomplexobj(vectors) else vectors.astype(np.complex128)
+
+
+def _transposed(vectors: np.ndarray) -> np.ndarray:
+    """V^T of one matrix or of each matrix of a stack, as a complex128 operand.
+
+    A real V's is cast to a C-ordered copy, the copy numpy's implicit
+    cast makes, so products with it have the bits of products with the
+    real V.T, where BLAS on an F-ordered cast would not.  A complex V's is
+    the transposed view, as the products have always taken it.
+    """
+    flipped = vectors.swapaxes(-1, -2)
+    if np.iscomplexobj(vectors):
+        return flipped
+    return flipped.astype(np.complex128, order="C")
+
+
+def _complex_pair(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V^*, V^T): the kernel's operands for one matrix or a stack, cast at once.
+
+    Steps that share eigenvectors share the cast: the ramp casts each
+    slice of a stack once (``_operands``), not each step.  The pair of a
+    real V holds four times the bytes of V, so it is made only where
+    it holds at most ``statevector._STACK_ENTRIES`` entries.
+    """
+    return _conjugated(vectors), _transposed(vectors)
+
+
+def _operands(vectors: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray] | np.ndarray]:
+    """An iterator over the kernel's operands for each matrix of a (k, d, d) stack.
+
+    Consecutive matrices are cast in slices whose pairs hold at most
+    ``statevector._STACK_ENTRIES`` entries between them, and each matrix's
+    pair comes from its slice.  A matrix whose pair alone is larger
+    (d = 256, 8 qubits, and up) comes as it is, for ``_propagate`` to
+    cast one operand at a time: no more is then held than numpy's
+    implicit cast held, and the ramp's peak memory does not grow.
+    """
+    dim = vectors.shape[-1]
+    rows = statevector._STACK_ENTRIES // (2 * dim * dim)
+    if rows == 0:
+        return iter(vectors)
+    # chain drops each slice's pairs before it casts the next slice
+    return itertools.chain.from_iterable(
+        zip(*_complex_pair(vectors[start : start + rows])) for start in range(0, len(vectors), rows)
+    )
+
+
 def _propagate(
-    vectors: np.ndarray,
+    operands: tuple[np.ndarray, np.ndarray] | np.ndarray,
     phases: np.ndarray,
     amplitudes: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """V (phases * (V^H x)) for each row x of ``amplitudes``, with V = ``vectors``.
+    """V (phases * (V^H x)) for each row x of ``amplitudes``: the one propagator kernel.
 
-    The kernel of every propagator the package applies: with ``phases`` =
-    exp(-i * eigenvalues * t) it applies exp(-i h t).  The amplitudes are
-    complex128, one vector or a (rows, d) stack, and the result is written
-    to ``out`` when given.  A real V takes V^H x as x @ V, which has the
-    bits of (x* @ V)*; either way the kernel is one product, one in-place
-    phase multiplication and one product into ``out``.  Nothing is checked
-    here; the callers check the sizes once.
+    With ``phases`` = exp(-i * eigenvalues * t) it applies exp(-i h t).
+    In row form that is ((x @ V^*) * phases) @ V^T: one ``ndarray.dot``,
+    one in-place phase multiplication and one ``ndarray.dot`` into
+    ``out``, when given.  ``operands`` is the pair (V^*, V^T) of
+    ``_complex_pair``, or the eigenvectors V themselves, whose operands
+    are then made here one at a time, each freed before the next is made.
+    The amplitudes are one vector or a (rows, d) stack; ``out`` must be
+    complex128, C-ordered and of their shape.  Either form gives the bits
+    of ((x^* @ V)^* * phases) @ V.T with numpy's implicit casts, for real
+    and complex V.  Nothing is checked here; the callers check the sizes
+    once.
     """
-    if vectors.dtype == np.float64:
-        rotated = amplitudes @ vectors
-    else:
-        rotated = amplitudes.conj() @ vectors
-        np.conjugate(rotated, out=rotated)
+    pair = isinstance(operands, tuple)
+    # the method form skips np.dot's dispatch, which costs more than a 2x2 product
+    rotated = amplitudes.dot(operands[0] if pair else _conjugated(operands))
     rotated *= phases
-    return np.matmul(rotated, vectors.T, out=out)
-
-
-def _complex_pair(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V, V.T) as the complex operands of the products of a closed-form hold.
-
-    A real V is cast to complex128 once and its transpose copied C-ordered,
-    so a hold read out in several blocks casts V once, not once per block.
-    numpy casts a real operand of each product to a C-ordered complex copy,
-    so products with this pair give the same bits as with the real V, where
-    BLAS on the F-ordered view of the cast V.T would not.  Complex
-    eigenvectors come back as they are, with their ``.T`` view.
-    """
-    if np.iscomplexobj(vectors):
-        return vectors, vectors.T
-    cast = vectors.astype(np.complex128)
-    return cast, np.ascontiguousarray(cast.T)
+    return rotated.dot(operands[1] if pair else _transposed(operands), out=out)
 
 
 def apply_evolution(
@@ -574,16 +620,19 @@ def apply_evolution(
 
     The last axis of ``amplitudes`` is the system axis, so this takes a
     single vector or a stack of rows, one per branch of other registers.
-    Each row x becomes V (phases * (V^H x)) (``_propagate``):
-    two O(d^2) products, with no d x d matrix built.  The spectrum must come from
+    Each row x becomes V (phases * (V^H x)) (``_propagate``): two O(d^2)
+    products, with no propagator built.  One application uses each
+    operand once, so the kernel casts them one at a time; only steps that
+    share eigenvectors share a cast pair.  The spectrum must come from
     ``exact_diagonalize``, whose orthonormality guard is the only
     unitarity check the result gets; only its size is checked here.
     """
     _check_spectrum_dim(spectrum, amplitudes.shape[-1])
     phases = phase * np.exp(-1j * spectrum.eigenvalues * duration)
-    # the kernel multiplies V^H x by the phases in place, so x is complex
-    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-    return _propagate(spectrum.eigenvectors, phases, amplitudes)
+    shape = amplitudes.shape
+    # dot multiplies by BLAS a vector or a matrix of rows, not a deeper stack
+    rows = amplitudes.reshape(-1, shape[-1]) if amplitudes.ndim > 2 else amplitudes
+    return _propagate(spectrum.eigenvectors, phases, rows).reshape(shape)
 
 
 def evolution_unitary(spectrum: Spectrum, duration: float) -> np.ndarray:

@@ -186,3 +186,15 @@ def tag_circuit(joint: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
     out = embed_gate(eigenvectors.conj().T, [1], 2) @ joint
     out = embed_controlled(PAULI_2X2["X"], [1], [0], 2) @ out
     return embed_gate(eigenvectors, [1], 2) @ out
+
+
+def seeded_chain_text(n: int, seed: int) -> str:
+    """An open TFIM chain in the operator file format, couplings drawn from ``seed``.
+
+    -J_i Z_i Z_i+1 for each bond, then -g_i X_i for each qubit, each drawn
+    uniformly from [0.5, 1.5), as the chain workloads draw theirs.
+    """
+    rng = np.random.default_rng(seed)
+    words = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+    words += ["I" * i + "X" + "I" * (n - i - 1) for i in range(n)]
+    return "".join(f"{-rng.uniform(0.5, 1.5)!r} {word}\n" for word in words)

@@ -15,11 +15,15 @@ from vacuum_refine import (
     cmd_filter_run,
     cmd_refine,
     cmd_sweep,
+    initial_hamiltonian,
     parse_config,
     with_overrides,
 )
-from vacuum_refine import experiments, hamiltonian
+from vacuum_refine import experiments, hamiltonian, statevector
+from vacuum_refine.config import build_model
 from vacuum_refine.cli import main
+
+from oracles import pauli_sum_matrix, seeded_chain_text
 
 SMALL = """
 schedule.T = 2
@@ -635,14 +639,6 @@ def test_manifest_counts_nothing_for_exact_commands(tmp_path, command):
     assert _counters(tmp_path / "run_manifest.json") == expected
 
 
-def _seeded_chain_text(n, seed):
-    """A TFIM chain with couplings drawn from ``seed``, as the chain workloads draw theirs."""
-    rng = np.random.default_rng(seed)
-    words = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
-    words += ["I" * i + "X" + "I" * (n - i - 1) for i in range(n)]
-    return "".join(f"{-rng.uniform(0.5, 1.5)!r} {word}\n" for word in words)
-
-
 @pytest.mark.parametrize(
     "command, n, hold_time, expected",
     [
@@ -654,7 +650,7 @@ def _seeded_chain_text(n, seed):
 )
 def test_manifest_counts_the_chain_workloads(tmp_path, command, n, hold_time, expected):
     model = tmp_path / "chain.txt"
-    model.write_text(_seeded_chain_text(n, seed=7))
+    model.write_text(seeded_chain_text(n, seed=7))
     config = parse_config(
         f"model.hamiltonian = {model}\nschedule.T = 4\nschedule.dt = 0.125\n"
         f"schedule.hold_time = {hold_time}\nfilter.ancillas = 3\nrefine.max_iters = 5\n"
@@ -662,6 +658,51 @@ def test_manifest_counts_the_chain_workloads(tmp_path, command, n, hold_time, ex
     )
     command(config)
     assert _counters(tmp_path / "run_manifest.json") == expected
+
+
+def _oracle_min_gap(config):
+    """The smallest E1 - E0 over the ramp's s grid by dense eigvalsh, and its s."""
+    h1 = build_model(config)
+    n = h1.num_qubits
+    m0 = pauli_sum_matrix(initial_hamiltonian(config.model.J, n).terms, n)
+    m1 = pauli_sum_matrix(h1.terms, n)
+    schedule = config.schedule
+    grid = [0.0] + [
+        (k + 0.5) * schedule.dt / schedule.total_time for k in range(schedule.num_ramp_steps)
+    ]
+    gaps = [np.diff(np.linalg.eigvalsh((1 - s) * m0 + s * m1)[:2])[0] for s in grid]
+    k = int(np.argmin(gaps))
+    return gaps[k], grid[k]
+
+
+@pytest.mark.parametrize(
+    "command, make_config",
+    [
+        (cmd_sweep, lambda tmp_path: _config(tmp_path, "model.hamiltonian = tfim2\n")),
+        (cmd_refine, lambda tmp_path: _config(tmp_path, "model.hamiltonian = tfim2\n")),
+        (cmd_filter_run, _shipped_shots),
+    ],
+    ids=["sweep", "refine", "filter-run"],
+)
+def test_manifest_notes_the_smallest_ramp_gap(tmp_path, command, make_config, monkeypatch):
+    config = make_config(tmp_path)
+    command(config)
+    diagnostics = json.loads((tmp_path / "run_manifest.json").read_text())["diagnostics"]
+    gap, s = _oracle_min_gap(config)
+    assert diagnostics["min_ramp_gap"] == pytest.approx(gap, abs=1e-12)
+    assert diagnostics["min_ramp_gap_s"] == s
+    assert 0.0 < s < 1.0
+    # the same with one operator per stack
+    monkeypatch.setattr(statevector, "_STACK_ENTRIES", 1)
+    command(config)
+    stacked = json.loads((tmp_path / "run_manifest.json").read_text())["diagnostics"]
+    assert stacked == diagnostics
+
+
+def test_manifest_notes_no_ramp_gap_without_a_ramp(tmp_path):
+    cmd_diag(_config(tmp_path, "model.hamiltonian = tfim2\n"))
+    diagnostics = json.loads((tmp_path / "run_manifest.json").read_text())["diagnostics"]
+    assert diagnostics == {"min_ramp_gap": None, "min_ramp_gap_s": None}
 
 
 def _ramp_expval(tmp_path, seed=None, extra=""):

@@ -418,53 +418,83 @@ def test_stacked_guard_refuses_one_bad_matrix(monkeypatch, corrupt):
 
 
 def _conj_form(vectors, phases, amplitudes):
-    """The kernel as it was written before real V took x @ V: ((x* @ V)* phases) @ V.T."""
+    """The kernel as it was written before it took its operand pair: ((x* @ V)* phases) @ V.T."""
     return ((amplitudes.conj() @ vectors).conj() * phases) @ vectors.T
 
 
+def _case(dim, rows, real):
+    """Eigenvectors, phases and drawn amplitudes: one vector, ``rows`` rows, or d rows for "d"."""
+    rng = np.random.default_rng(dim + (1 if rows == "d" else rows or 0))
+    vectors = np.linalg.qr(rng.normal(size=(dim, dim)))[0] if real else haar_unitary(dim, rng)
+    phases = np.exp(-1j * rng.normal(size=dim))
+    shape = (dim,) if rows is None else (dim if rows == "d" else rows, dim)
+    return vectors, phases, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 @pytest.mark.parametrize("dim", [2, 4, 16, 64, 256])
-@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("rows", [None, 3, "d"])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_kernel_matches_the_conj_form_bit_for_bit(dim, rows, real):
-    rng = np.random.default_rng(dim + (rows or 0))
-    if real:
-        vectors, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    else:
-        vectors = haar_unitary(dim, rng)
-    phases = np.exp(-1j * rng.normal(size=dim))
-    shape = (dim,) if rows is None else (rows, dim)
-    drawn = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # both forms of the operands: the pair cast once, and V itself, cast
+    # by the kernel one operand at a time
+    vectors, phases, drawn = _case(dim, rows, real)
     # the ramp starts from the real basis state |0...0>
-    basis = np.zeros(shape, dtype=np.complex128)
+    basis = np.zeros(drawn.shape, dtype=np.complex128)
     basis[..., 0] = 1.0
     for amplitudes in (drawn, basis):
         expected = _conj_form(vectors, phases, amplitudes).tobytes()
-        assert _propagate(vectors, phases, amplitudes).tobytes() == expected
-        out = np.empty(shape, dtype=np.complex128)
-        assert _propagate(vectors, phases, amplitudes, out=out) is out
-        assert out.tobytes() == expected
+        for operands in (_complex_pair(vectors), vectors):
+            assert _propagate(operands, phases, amplitudes).tobytes() == expected
+            out = np.empty(drawn.shape, dtype=np.complex128)
+            assert _propagate(operands, phases, amplitudes, out=out) is out
+            assert out.tobytes() == expected
 
 
-@pytest.mark.parametrize("dim", [2, 16, 256])
-@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("dim", [2, 4, 16, 64, 256])
+@pytest.mark.parametrize("rows", [None, 1, 3, "d"])
 def test_cast_once_kernel_matches_the_implicit_cast_bit_for_bit(dim, rows):
-    # the closed-form hold takes V^H x and its products with V^T from the
-    # cast pair; they have the bits of the same products with the real V
-    rng = np.random.default_rng(dim + (rows or 0))
-    vectors, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    shape = (dim,) if rows is None else (rows, dim)
-    amplitudes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    cast, transposed = _complex_pair(vectors)
-    assert cast.dtype == np.complex128 and transposed.flags.c_contiguous
-    overlaps = (amplitudes.conj() @ cast).conj()
-    assert overlaps.tobytes() == (amplitudes @ vectors).tobytes()
-    assert (amplitudes @ transposed).tobytes() == (amplitudes @ vectors.T).tobytes()
+    # V^H x and the products with V^T from the cast operands have the bits
+    # of the same products with V as it is, numpy casting a real V inside
+    # each product; a stack's pair is its matrices' pairs
+    for real in (True, False):
+        vectors, _, amplitudes = _case(dim, rows, real)
+        conjugated, transposed = _complex_pair(vectors)
+        assert conjugated.dtype == transposed.dtype == np.complex128
+        assert transposed.flags.c_contiguous == real
+        overlaps = (amplitudes.conj() @ vectors).conj()
+        assert amplitudes.dot(conjugated).tobytes() == overlaps.tobytes()
+        assert amplitudes.dot(transposed).tobytes() == (amplitudes @ vectors.T).tobytes()
+        stacked = _complex_pair(np.stack([vectors, vectors[::-1]]))
+        assert stacked[0][0].tobytes() == conjugated.tobytes()
+        assert stacked[1][0].tobytes() == transposed.tobytes()
+        assert stacked[1][1].tobytes() == _complex_pair(vectors[::-1])[1].tobytes()
 
 
 def test_complex_eigenvectors_are_paired_as_they_are():
+    # a complex V is conjugated, and its transpose is the view
     vectors = haar_unitary(4, np.random.default_rng(5))
-    cast, transposed = _complex_pair(vectors)
-    assert cast is vectors and transposed.base is vectors
+    conjugated, transposed = _complex_pair(vectors)
+    assert conjugated.tobytes() == vectors.conj().tobytes()
+    assert transposed.base is vectors
+
+
+@pytest.mark.parametrize("dim, rows", [(2, 8192), (16, 128), (128, 2), (256, 0)])
+def test_operands_are_cast_in_slices_within_the_stack_budget(dim, rows, monkeypatch):
+    # a slice's pair holds at most _STACK_ENTRIES complex entries; a matrix
+    # whose pair alone is larger is handed over as it is
+    cast = []
+    monkeypatch.setattr(
+        hamiltonian, "_complex_pair", lambda v: cast.append(len(v)) or _complex_pair(v)
+    )
+    stack = np.stack([np.eye(dim)] * 3)
+    operands = list(hamiltonian._operands(stack))
+    assert len(operands) == 3
+    if rows:
+        assert 2 * rows * dim * dim <= _STACK_ENTRIES < 2 * (rows + 1) * dim * dim
+        assert cast == [min(rows, 3 - start) for start in range(0, 3, rows)]
+        assert all(isinstance(pair, tuple) for pair in operands)
+    else:
+        assert cast == [] and all(matrix.base is stack for matrix in operands)
 
 
 def test_evolution_unitary_group_property():
