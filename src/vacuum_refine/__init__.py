@@ -74,7 +74,6 @@ from .hamiltonian import (
     to_matrix,
     transverse_ising_pair,
 )
-from .pauli import PauliWord, apply_word, column_phases, compile_word
 from .statevector import (
     HADAMARD,
     S_DAG,

@@ -6,7 +6,8 @@ s_k = (k + 1/2) * dt / T, which keeps the discretization error of the
 schedule at second order in dt.  Steps themselves are taken either
 exactly, by applying exp(-i * h * dt) straight from the step operator's
 eigendecomposition, or with a first-order splitting that applies Z-type
-factors before X-type factors, lexicographically within each class.
+factors before X-type factors, lexicographically within each class
+(``pauli.split_order``).
 
 Every ramp operator is known before the first step, so ``run_adiabatic``
 writes them all as one (steps x words) coefficient array
@@ -16,9 +17,10 @@ Hermiticity, orthonormality and residual guards vectorized over it.  The
 stacks are diagonalized on up to one thread per core of the process's
 affinity at once, as many as a fixed budget of matrix entries in flight
 allows, each eigendecomposition on one BLAS thread, and arrive in order
-(``_SpectrumStacks``); the trajectory records how many threads they used
-(``Trajectory.diagonalization_workers``).  Both step modes read each step's
-coefficient row, so no operator is built per step.
+(``_SpectrumStacks``), which counts the threads they used
+(``_Counters.diagonalization_workers``).  Both step modes read each step's
+coefficient row against the one word table, so no operator is built per
+step.
 
 The ramp and the hold work a block of states at a time.  For each stack
 of the ramp, one ``np.exp`` gives every step's phases and one comparison
@@ -37,9 +39,10 @@ each block of records is one phase array over the records' elapsed
 times and one batched product with V^T, cast once for the hold, and a
 record's bits do not depend on the block size.  A ``trotter1`` hold
 steps.  Each block is read out with stacked calls (``_Recorder``): the
-norm check, one ``apply_word`` per word for the energies and
-observables, the overlaps with the fidelity targets and the time-order
-check of its records.  The values go straight into the trajectory's columns (``Trajectory``: times,
+norm check, ``expectations`` for the energies and observables (one
+``apply_words`` per chunk of words), the overlaps with the fidelity
+targets and the time-order check of its records.  The values go
+straight into the trajectory's columns (``Trajectory``: times,
 fidelities and one list of floats per observable), with no object built
 per record.  Each value is bit-identical to reading out the state
 alone, and each ramp state to stepping it alone.  With
@@ -72,10 +75,9 @@ from .hamiltonian import (
     exact_diagonalize,
     ramp_coefficients,
 )
-from .pauli import PauliWord, apply_word
+from .pauli import apply_words, split_order
 from .statevector import (
     StateVector,
-    _coefficient_row,
     basis_state,
     check_normalized,
     expectations,
@@ -137,17 +139,15 @@ class Trajectory:
     Record r is ``times[r]``, ``fidelity[r]`` and ``observables[name][r]``
     for each observable name, ``"energy"`` included; every value is a
     Python float.  ``warnings`` lists the degenerate ground levels met on
-    the way, and ``diagonalization_workers`` the threads the ramp's
-    eigendecompositions ran on (0 for a hold).  ``states`` holds the
-    amplitudes of the recorded states, one row per record, when the run
-    was asked to keep them, and is None otherwise.
+    the way.  ``states`` holds the amplitudes of the recorded states, one
+    row per record, when the run was asked to keep them, and is None
+    otherwise.
     """
 
     times: list[float] = field(default_factory=list)
     fidelity: list[float] = field(default_factory=list)
     observables: dict[str, list[float]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-    diagonalization_workers: int = 0
     states: np.ndarray | None = None
 
     def extend(
@@ -177,38 +177,24 @@ class Trajectory:
             self.observables.setdefault(name, []).extend(values)
 
 
-def _split_rank(word: PauliWord) -> int:
-    """Z-type words (I and Z letters) first, then X-type, then the rest."""
-    if word.x_mask == 0:
-        return 0
-    if word.z_mask == 0:
-        return 1
-    return 2
-
-
-def _trotter_order(words: Sequence[PauliWord]) -> list[int]:
-    """Term indices in splitting order; words given sorted by string stay so within a class."""
-    return sorted(range(len(words)), key=lambda t: _split_rank(words[t]))
-
-
 def _trotter_step(
     amplitudes: np.ndarray,
     dt: float,
-    words: Sequence[PauliWord],
+    words: np.ndarray,
     coeffs: np.ndarray,
     order: Sequence[int],
 ) -> np.ndarray:
     """One ``trotter1`` step of duration ``dt`` under sum_t coeffs[t] * words[t].
 
     Applies exp(-i c_t P_t dt) = cos(c_t dt) - i sin(c_t dt) P_t for each
-    word in ``order``, skipping exact-zero coefficients.
+    word of the table in ``order`` (``pauli.split_order``), skipping
+    exact-zero coefficients.
     """
     for t in order:
         if coeffs[t] != 0.0:
             angle = coeffs[t] * dt
-            amplitudes = np.cos(angle) * amplitudes - 1j * np.sin(angle) * apply_word(
-                words[t], amplitudes
-            )
+            applied = apply_words(words[t : t + 1], amplitudes)[0]
+            amplitudes = np.cos(angle) * amplitudes - 1j * np.sin(angle) * applied
     return amplitudes
 
 
@@ -236,8 +222,8 @@ def evolve_step(
             raise DomainError("an exact step needs the spectrum of its operator")
         amplitudes = apply_evolution(spectrum, dt, state.amplitudes)
     elif mode is EvolutionMode.TROTTER1:
-        coeffs = _coefficient_row(h)[0]
-        amplitudes = _trotter_step(state.amplitudes, dt, h.words, coeffs, _trotter_order(h.words))
+        order = split_order(h.words)
+        amplitudes = _trotter_step(state.amplitudes, dt, h.words, h.coeffs[0], order)
     else:
         raise DomainError(f"unsupported evolution mode {mode!r}")
     return StateVector(state.num_qubits, amplitudes)
@@ -269,16 +255,14 @@ class _Recorder:
         self,
         trajectory: Trajectory,
         dim: int,
-        energy_words: Sequence[PauliWord],
+        energy_words: np.ndarray,
         observables: Mapping[str, PauliSum],
         keep_states: bool,
     ):
         self.trajectory = trajectory
         self.dim = dim
         self.energy_words = energy_words
-        self.observables = {
-            name: (_coefficient_row(obs), obs.words) for name, obs in observables.items()
-        }
+        self.observables = observables
         self.kept: list[np.ndarray] | None = [] if keep_states else None
         trajectory.observables = {name: [] for name in [*observables, _ENERGY_KEY]}
 
@@ -291,8 +275,8 @@ class _Recorder:
     ) -> None:
         check_normalized(states)
         columns = {
-            name: expectations(states, coeffs, words).tolist()
-            for name, (coeffs, words) in self.observables.items()
+            name: expectations(states, obs.coeffs, obs.words).tolist()
+            for name, obs in self.observables.items()
         }
         columns[_ENERGY_KEY] = expectations(states, energy_coeffs, self.energy_words).tolist()
         clamped = [min(f, 1.0) for f in fidelities(states, targets)]
@@ -376,13 +360,12 @@ def run_adiabatic(
     ]
     words, coeffs = ramp_coefficients(h0, h1, s_values)
     exact = mode is EvolutionMode.EXACT_STEP
-    order = _trotter_order(words)
+    order = split_order(words)
     recorder = None
     if records:
         recorder = _Recorder(trajectory, 2**n, words, observables, record_states)
     amplitudes = basis_state(n, 0).amplitudes
-    stacks = _SpectrumStacks(n, words, coeffs, counters)
-    for start, values, vectors in stacks:
+    for start, values, vectors in _SpectrumStacks(n, words, coeffs, counters):
         stop = start + len(values)
         states = np.empty((len(values), 2**n), dtype=np.complex128)
         # row 0 of the first stack is the initial state; every other row
@@ -413,7 +396,6 @@ def run_adiabatic(
             targets = np.ascontiguousarray(vectors[:, :, 0])
             recorder.read(times, states, coeffs[start:stop], targets)
         del values, vectors  # free before the next stack is diagonalized
-    trajectory.diagonalization_workers = stacks.workers
     if counters is not None:
         counters.steps += schedule.num_ramp_steps
     if recorder is not None:
@@ -479,8 +461,7 @@ def run_hold(
         overlaps = state.amplitudes.dot(_conjugated(spectrum.eigenvectors))
         transposed = _transposed(spectrum.eigenvectors)
         exponents = -1j * spectrum.eigenvalues
-    coeffs = _coefficient_row(h)
-    order = _trotter_order(h.words)
+    order = split_order(h.words)
     recorder = _Recorder(trajectory, dim, h.words, observables, record_states)
     target = fidelity_target.amplitudes[np.newaxis]
     # record r holds the state after steps[r] steps of dt
@@ -500,9 +481,9 @@ def run_hold(
             states = np.empty((len(part), dim), dtype=np.complex128)
             for r, j in enumerate(part):
                 if j:
-                    amplitudes = _trotter_step(amplitudes, dt, h.words, coeffs[0], order)
+                    amplitudes = _trotter_step(amplitudes, dt, h.words, h.coeffs[0], order)
                 states[r] = amplitudes
-        recorder.read(times[start : start + len(part)], states, coeffs, target)
+        recorder.read(times[start : start + len(part)], states, h.coeffs, target)
     if exact:
         amplitudes = states[-1].copy()
     recorder.finish()

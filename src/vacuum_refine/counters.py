@@ -28,8 +28,11 @@ class _Counters:
     ``min_ramp_gap`` and ``min_ramp_gap_s`` are diagnostics, not counts:
     the smallest gap between the two lowest levels of any ramp operator,
     and the s of the first operator that has it; None without a ramp.
+    ``diagonalization_workers`` is the most threads that diagonalized
+    stacks of the command at once, written at the manifest's top level.
     """
 
+    diagonalization_workers: int = 0
     matrices_diagonalized: int = 0
     diagonalized_d3: int = 0
     steps: int = 0
@@ -44,8 +47,9 @@ class _Counters:
         if self.min_ramp_gap is None or gap < self.min_ramp_gap:
             self.min_ramp_gap, self.min_ramp_gap_s = gap, s
 
-    def sections(self) -> dict[str, dict]:
-        """The manifest's ``counters`` and ``diagnostics``."""
+    def sections(self) -> dict:
+        """The manifest's ``diagonalization_workers``, ``counters`` and ``diagnostics``."""
         counts = asdict(self)
+        workers = counts.pop("diagonalization_workers")
         diagnostics = {name: counts.pop(name) for name in _DIAGNOSTICS}
-        return {"counters": counts, "diagnostics": diagnostics}
+        return {"diagonalization_workers": workers, "counters": counts, "diagnostics": diagnostics}

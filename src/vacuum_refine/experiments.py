@@ -60,7 +60,6 @@ from .hamiltonian import (
 )
 from .statevector import (
     StateVector,
-    _coefficient_row,
     expectation_observable,
     expectations,
     fidelity,
@@ -132,7 +131,7 @@ class _Estimator:
         """
         rows = amplitudes.shape[0]
         if self.exact:
-            values = expectations(amplitudes, _coefficient_row(observable), observable.words)
+            values = expectations(amplitudes, observable.coeffs, observable.words)
             return values.tolist(), [0.0] * rows
         shots = self.settings.shots
         streams = []
@@ -191,10 +190,9 @@ def _write_manifest(
     outputs: list[str],
     started: float,
     warnings: list[str],
-    workers: int,
     counters: _Counters,
 ) -> str:
-    """Write the run manifest; ``workers`` is the number of threads the stacks used."""
+    """Write the run manifest, with the sections of the command's ``counters``."""
     path = f"{config.output_prefix}_manifest.json"
     blas = _blas()
     payload = {
@@ -206,7 +204,6 @@ def _write_manifest(
         "config": config_to_text(config),
         "warnings": warnings,
         "blas_threads": blas.threads() if blas is not None else "unknown",
-        "diagonalization_workers": workers,
         **counters.sections(),
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -276,10 +273,7 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
 
     outputs = [trajectory_path, summary_path]
     warnings = ramp.warnings + hold.warnings
-    manifest = _write_manifest(
-        "sweep", config, outputs, started, warnings, ramp.diagonalization_workers,
-        estimator.counters,
-    )
+    manifest = _write_manifest("sweep", config, outputs, started, warnings, estimator.counters)
     lines = [
         f"trajectory written to {trajectory_path} ({len(rows)} records)",
         f"prep quality 2|alpha|^2-1 = {prep_quality:.9f} "
@@ -382,10 +376,7 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
 
     outputs = [trajectory_path, summary_path]
     warnings = ramp.warnings + hold.warnings
-    manifest = _write_manifest(
-        "filter-run", config, outputs, started, warnings, ramp.diagonalization_workers,
-        estimator.counters,
-    )
+    manifest = _write_manifest("filter-run", config, outputs, started, warnings, estimator.counters)
     lines = [
         f"trajectory written to {trajectory_path} ({len(rows)} records)",
         f"raw = {raw:.9f}  2p0-1 = {denom:.9f}  corrected = raw/(2p0-1) = {corrected:.9f}",
@@ -487,9 +478,7 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
     }
     outputs = [refinement_path]
     warnings = ramp.warnings + _excited_level_warnings(report, spectrum)
-    manifest = _write_manifest(
-        "refine", config, outputs, started, warnings, ramp.diagonalization_workers, counters
-    )
+    manifest = _write_manifest("refine", config, outputs, started, warnings, counters)
     lines = [
         f"refinement written to {refinement_path} ({len(rows)} pass(es))",
         f"start fidelity {start_fidelity:.9f} -> final fidelity {summary['final_fidelity']:.9f} "
@@ -563,6 +552,6 @@ def cmd_diag(config: ExperimentConfig) -> CommandResult:
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
     outputs = [report_path]
-    manifest = _write_manifest("diag", config, outputs, started, [], 1, counters)
+    manifest = _write_manifest("diag", config, outputs, started, [], counters)
     lines.append(f"manifest written to {manifest}")
     return CommandResult(outputs=outputs + [manifest], lines=lines, summary=summary)

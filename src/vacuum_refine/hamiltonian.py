@@ -23,8 +23,8 @@ from .errors import (
     NumericalConsistencyError,
     ResourceLimitError,
 )
-from .pauli import PauliWord, column_phases, compile_word, word_masks
-from .statevector import _UNITARY_ATOL, StateVector, _coefficient_row
+from .pauli import compile_words, matrix_entries, odd_words
+from .statevector import _UNITARY_ATOL, StateVector
 
 DEFAULT_DENSE_CAP = 10
 DEGENERACY_TOL = 1e-10
@@ -51,14 +51,17 @@ class PauliSum:
 
     Terms are validated, merged by string, stripped of exact-zero
     coefficients and stored sorted, so two operators built from the same
-    content compare equal.  ``words`` holds each term's compiled X/Z
-    bitmask form, in the order of ``terms``; every dense build and every
-    application of the operator reads it.
+    content compare equal.  The operator's compiled form is built once,
+    here, in the order of ``terms``: ``words`` is its read-only (words, 3)
+    word table (``pauli.compile_words``) and ``coeffs`` the read-only
+    (1, words) float64 row of its coefficients.  Every dense build, every
+    application and every readout of the operator reads these two.
     """
 
     num_qubits: int
     terms: tuple[tuple[float, str], ...]
-    words: tuple[PauliWord, ...] = field(init=False, repr=False, compare=False)
+    words: np.ndarray = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.num_qubits, int) or self.num_qubits < 1:
@@ -80,8 +83,11 @@ class PauliSum:
         cleaned = tuple(
             (coeff, string) for string, coeff in sorted(merged.items()) if coeff != 0.0
         )
+        coeffs = np.array([coeff for coeff, _ in cleaned], dtype=np.float64).reshape(1, -1)
+        coeffs.setflags(write=False)
         object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "words", tuple(compile_word(s) for _, s in cleaned))
+        object.__setattr__(self, "words", compile_words(string for _, string in cleaned))
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def hadamard_hamiltonian(J: float) -> PauliSum:
@@ -135,36 +141,36 @@ def interpolate(h0: PauliSum, h1: PauliSum, s: float) -> PauliSum:
 
 def ramp_coefficients(
     h0: PauliSum, h1: PauliSum, s_values: Sequence[float]
-) -> tuple[tuple[PauliWord, ...], np.ndarray]:
-    """The words and coefficients of (1 - s) * h0 + s * h1 for every s at once.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The word table and coefficients of (1 - s) * h0 + s * h1 for every s at once.
 
     The words are the union of both operators' strings, sorted by string,
-    as ``interpolate`` sorts them.  Row k of the (steps x words) array is
-    (1 - s_k) * c0 + s_k * c1, with 0 for a string an operator lacks: the
-    coefficients of ``interpolate(h0, h1, s_k)``, except that a
-    coefficient which vanishes stays in place as an exact zero.
+    as ``interpolate`` sorts them, and their read-only table takes its
+    rows from the tables of h0 and h1.  Row k of the (steps x words)
+    array is (1 - s_k) * c0 + s_k * c1, with 0 for a string an operator
+    lacks: the coefficients of ``interpolate(h0, h1, s_k)``, except that
+    a coefficient which vanishes stays in place as an exact zero.
     """
     _check_ramp(h0, h1, s_values)
-    words = {p: w for h in (h0, h1) for (_, p), w in zip(h.terms, h.words)}
-    strings = sorted(words)
-    position = {p: i for i, p in enumerate(strings)}
-    c0 = np.zeros(len(strings))
-    c1 = np.zeros(len(strings))
-    for coeff, string in h0.terms:
-        c0[position[string]] = coeff
-    for coeff, string in h1.terms:
-        c1[position[string]] = coeff
+    strings = sorted({string for h in (h0, h1) for _, string in h.terms})
+    position = {string: i for i, string in enumerate(strings)}
+    words = np.empty((len(strings), 3), dtype=np.int64)
+    c0, c1 = np.zeros(len(strings)), np.zeros(len(strings))
+    for h, c in ((h0, c0), (h1, c1)):
+        rows = [position[string] for _, string in h.terms]
+        words[rows] = h.words
+        c[rows] = h.coeffs[0]
+    words.setflags(write=False)
     s = np.asarray(s_values, dtype=np.float64)
-    return tuple(words[p] for p in strings), np.outer(1.0 - s, c0) + np.outer(s, c1)
+    return words, np.outer(1.0 - s, c0) + np.outer(s, c1)
 
 
-def _real_rows(words: Sequence[PauliWord], coeffs: np.ndarray) -> np.ndarray:
+def _real_rows(words: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Whether each row's operator is real: no nonzero coefficient on an odd-Y word.
 
     Such an operator has only phases +1 and -1, so its matrix is float64.
     """
-    odd = np.array([w.i_power % 2 == 1 for w in words], dtype=bool)
-    return ~np.any((coeffs != 0.0) & odd, axis=1)
+    return ~np.any((coeffs != 0.0) & odd_words(words), axis=1)
 
 
 def _max_entry(buffer: np.ndarray) -> np.ndarray:
@@ -175,7 +181,7 @@ def _max_entry(buffer: np.ndarray) -> np.ndarray:
 
 def _dense_stack(
     num_qubits: int,
-    words: Sequence[PauliWord],
+    words: np.ndarray,
     coeffs: np.ndarray,
     real: bool,
 ) -> np.ndarray:
@@ -192,7 +198,6 @@ def _dense_stack(
     dim = 2**num_qubits
     rows = coeffs.shape[0]
     columns = np.arange(dim)
-    masks = word_masks(words)
     out = np.zeros((rows, dim, dim), dtype=np.float64 if real else np.complex128)
     stack = np.arange(rows).reshape(-1, 1, 1)
     # Blocks of terms keep the (matrix, term, column) grid and its
@@ -200,16 +205,11 @@ def _dense_stack(
     # for any number of terms; np.add.at sums in term order within and
     # across blocks.
     step = max(dim, statevector._STACK_ENTRIES // (rows * dim))
-    for start in range(0, len(masks), step):
-        block = masks[start : start + step]
-        phases = column_phases(block[:, 1:2], block[:, 2:], columns)
+    for start in range(0, len(words), step):
+        flipped, phases = matrix_entries(words[start : start + step], columns)
         if real:
             phases = phases.real
-        np.add.at(
-            out,
-            (stack, columns ^ block[:, :1], columns),
-            coeffs[:, start : start + step, None] * phases,
-        )
+        np.add.at(out, (stack, flipped, columns), coeffs[:, start : start + step, None] * phases)
     difference = np.conjugate(out.swapaxes(-1, -2))
     np.subtract(out, difference, out=difference)
     _refuse_above(_max_entry(difference), 1e-12, "dense matrix is not Hermitian")
@@ -232,8 +232,8 @@ def to_matrix(h: PauliSum) -> np.ndarray:
     its phase, and the words are summed in the order of ``h.terms``.  This
     is the one-operator case of the stacked build, ``_dense_stack``.
     """
-    coeffs = _coefficient_row(h)
-    return _dense_stack(h.num_qubits, h.words, coeffs, _real_rows(h.words, coeffs)[0])[0]
+    real = _real_rows(h.words, h.coeffs)[0]
+    return _dense_stack(h.num_qubits, h.words, h.coeffs, real)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,13 +466,15 @@ class _SpectrumStacks:
     included; the previous count is then restored.  One BLAS thread per
     eigendecomposition is what makes the threads pay: OpenBLAS's own
     threads do not speed up ``eigh`` at these sizes.  Each stack is added
-    to ``counters``, when given, as it is yielded.
+    to ``counters``, when given, as it is yielded, and their
+    ``diagonalization_workers`` keep the most threads any stacks of the
+    command ran on.
     """
 
     def __init__(
         self,
         num_qubits: int,
-        words: Sequence[PauliWord],
+        words: np.ndarray,
         coeffs: np.ndarray,
         counters: _Counters | None = None,
     ):
@@ -489,6 +491,8 @@ class _SpectrumStacks:
             start for first, stop in zip(bounds, bounds[1:]) for start in range(first, stop, chunk)
         ] + [len(coeffs)]
         self.workers = _workers(len(starts) - 1, chunk * 4**num_qubits)
+        if counters is not None:
+            counters.diagonalization_workers = max(counters.diagonalization_workers, self.workers)
 
     def _diagonalize(self, i: int) -> tuple[int, np.ndarray, np.ndarray]:
         start, stop = self._starts[i], self._starts[i + 1]
@@ -519,7 +523,7 @@ def exact_diagonalize(h: PauliSum, counters: _Counters | None = None) -> Spectru
     This is the one-operator case of the stacked path, ``_SpectrumStacks``,
     and is added to ``counters`` when they are given.
     """
-    stacks = _SpectrumStacks(h.num_qubits, h.words, _coefficient_row(h), counters)
+    stacks = _SpectrumStacks(h.num_qubits, h.words, h.coeffs, counters)
     _, values, vectors = next(iter(stacks))
     return Spectrum(h.num_qubits, values[0], vectors[0])
 
@@ -682,4 +686,7 @@ def parse_pauli_text(text: str) -> PauliSum:
         entries.append((coeff, string))
     if not entries or width is None:
         raise ConfigError("operator text contains no terms")
-    return PauliSum(width, tuple(entries))
+    try:
+        return PauliSum(width, tuple(entries))
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc

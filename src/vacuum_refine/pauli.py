@@ -5,6 +5,11 @@ Aaronson & Gottesman, Phys. Rev. A 70, 052328, 2004).  Bit n-1-q of each
 mask belongs to qubit q, so qubit 0 is the most significant bit, as
 everywhere in the package; y counts the Y letters, since Y = i X Z.
 
+An operator's words are one read-only (words, 3) int64 table whose row t
+is (x, z, y mod 4) of word t (``compile_words``).  This module is the
+only one that reads the table's columns: the other modules pass tables
+and rows of them to the functions here.
+
 P sends the basis state |c> to i^y (-1)^popcount(c & z) |c ^ x>, so both
 a dense matrix and the action on an amplitude vector are one gather with
 one phase per basis index.  The phases are exactly 1, i, -1 or -i, so
@@ -13,57 +18,78 @@ every product with them is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError
 
 _I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
+# the most letters whose masks fit a row of the int64 table
+_MAX_LETTERS = 63
 _X_BIT = {"I": 0, "X": 1, "Y": 1, "Z": 0}
 _Z_BIT = {"I": 0, "X": 0, "Y": 1, "Z": 1}
 
 
-@dataclass(frozen=True)
-class PauliWord:
-    """One compiled word: P = i^i_power X^x_mask Z^z_mask."""
+def compile_words(strings: Iterable[str]) -> np.ndarray:
+    """The read-only word table of I/X/Y/Z strings, qubit 0 leftmost, one row per string.
 
-    x_mask: int
-    z_mask: int
-    i_power: int
+    A string of more than 63 letters is refused: its masks do not fit.
+    """
+    rows = []
+    for string in strings:
+        if len(string) > _MAX_LETTERS:
+            raise DomainError(f"a Pauli word has at most {_MAX_LETTERS} letters, got {len(string)}")
+        x_mask = z_mask = 0
+        for ch in string:
+            if ch not in _X_BIT:
+                raise DomainError(f"unknown Pauli letter {ch!r} in {string!r}")
+            x_mask = (x_mask << 1) | _X_BIT[ch]
+            z_mask = (z_mask << 1) | _Z_BIT[ch]
+        rows.append((x_mask, z_mask, string.count("Y") % 4))
+    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    table.setflags(write=False)
+    return table
 
 
-def compile_word(string: str) -> PauliWord:
-    """Compile an I/X/Y/Z word, qubit 0 leftmost, into its masks."""
-    x_mask = z_mask = 0
-    for ch in string:
-        if ch not in _X_BIT:
-            raise DomainError(f"unknown Pauli letter {ch!r} in {string!r}")
-        x_mask = (x_mask << 1) | _X_BIT[ch]
-        z_mask = (z_mask << 1) | _Z_BIT[ch]
-    return PauliWord(x_mask, z_mask, string.count("Y") % 4)
-
-
-def column_phases(z_mask, i_power, columns: np.ndarray) -> np.ndarray:
+def _column_phases(z_mask, i_power, columns: np.ndarray) -> np.ndarray:
     """The nonzero entries P[c ^ x, c] for each basis index c in ``columns``.
 
-    ``z_mask`` and ``i_power`` are those of a word, or integer arrays of
-    several words that broadcast against ``columns``: the phase of |c> is
+    ``z_mask`` and ``i_power`` are (words, 1) columns of a table, which
+    broadcast against ``columns``: the phase of |c> is
     i^(i_power + 2 popcount(c & z_mask)).
     """
     return _I_POWERS[(i_power + 2 * np.bitwise_count(columns & z_mask)) & 3]
 
 
-def word_masks(words: Sequence[PauliWord]) -> np.ndarray:
-    """The (words, 3) int64 table of each word's X mask, Z mask and power of i."""
-    return np.array(
-        [(w.x_mask, w.z_mask, w.i_power) for w in words], dtype=np.int64
-    ).reshape(-1, 3)
+def matrix_entries(words: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each word's matrix is nonzero in ``columns``, and its value there.
+
+    Returns two (words, columns) arrays: the row c ^ x of the one nonzero
+    entry of column c, and the entry P[c ^ x, c] itself.
+    """
+    return columns ^ words[:, :1], _column_phases(words[:, 1:2], words[:, 2:], columns)
 
 
-def apply_words(words: Sequence[PauliWord], amplitudes: np.ndarray) -> np.ndarray:
-    """Every word applied along the last axis: (..., d) amplitudes give (..., words, d).
+def odd_words(words: np.ndarray) -> np.ndarray:
+    """Whether each word has an odd power of i, so complex phases."""
+    return words[:, 2] % 2 == 1
+
+
+def split_order(words: np.ndarray) -> list[int]:
+    """Word indices in ``trotter1`` splitting order.
+
+    Z-type words (I and Z letters) come first, then X-type (I and X
+    letters), then the rest; the words keep their table order within a
+    class.
+    """
+    x_type, z_type = words[:, 0] != 0, words[:, 1] != 0
+    rank = np.where(x_type, np.where(z_type, 2, 1), 0)
+    return np.argsort(rank, kind="stable").tolist()
+
+
+def apply_words(words: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """Every word of a table applied along the last axis: (..., d) amplitudes give (..., words, d).
 
     The last axis is the register, so this takes one amplitude vector or
     a (rows, d) stack of them; one gather and one product serve all the
@@ -71,15 +97,6 @@ def apply_words(words: Sequence[PauliWord], amplitudes: np.ndarray) -> np.ndarra
     axis comes out column-major, and BLAS sums a strided row in another
     order than a contiguous one.
     """
-    masks = word_masks(words)
-    source = np.arange(amplitudes.shape[-1]) ^ masks[:, :1]
-    phases = column_phases(masks[:, 1:2], masks[:, 2:], source)
+    source = np.arange(amplitudes.shape[-1]) ^ words[:, :1]
+    phases = _column_phases(words[:, 1:2], words[:, 2:], source)
     return np.multiply(phases, amplitudes[..., source], order="C")
-
-
-def apply_word(word: PauliWord, amplitudes: np.ndarray) -> np.ndarray:
-    """P applied along the last axis of ``amplitudes``, as a new array.
-
-    The one-word case of ``apply_words``.
-    """
-    return apply_words((word,), amplitudes)[..., 0, :]

@@ -34,7 +34,7 @@ from .errors import (
     NumericalConsistencyError,
     UnitarityError,
 )
-from .pauli import PauliWord, apply_word, apply_words, compile_word
+from .pauli import apply_words, compile_words
 
 if TYPE_CHECKING:
     from .hamiltonian import PauliSum
@@ -267,7 +267,7 @@ def apply_pauli_string(state: StateVector, string: str) -> StateVector:
         raise DomainError(
             f"Pauli string {string!r} does not match register size {state.num_qubits}"
         )
-    return StateVector(state.num_qubits, apply_word(compile_word(string), state.amplitudes))
+    return StateVector(state.num_qubits, apply_words(compile_words([string]), state.amplitudes)[0])
 
 
 def expectation_observable(state: StateVector, observable: "PauliSum") -> float:
@@ -280,13 +280,8 @@ def expectation_observable(state: StateVector, observable: "PauliSum") -> float:
         raise DomainError(
             f"observable acts on {observable.num_qubits} qubit(s), state has {state.num_qubits}"
         )
-    row = _coefficient_row(observable)
-    return float(expectations(state.amplitudes[np.newaxis], row, observable.words)[0])
-
-
-def _coefficient_row(h: "PauliSum") -> np.ndarray:
-    """The operator's coefficients as one (1, terms) float64 row."""
-    return np.array([coeff for coeff, _ in h.terms], dtype=np.float64).reshape(1, -1)
+    amplitudes = state.amplitudes[np.newaxis]
+    return float(expectations(amplitudes, observable.coeffs, observable.words)[0])
 
 
 def row_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -300,15 +295,14 @@ def row_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
 
 
-def expectations(
-    amplitudes: np.ndarray, coeffs: np.ndarray, words: Sequence[PauliWord]
-) -> np.ndarray:
+def expectations(amplitudes: np.ndarray, coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
     """<psi_r| sum_t coeffs[r, t] * words[t] |psi_r> for each row r, as floats.
 
-    ``coeffs`` is (rows, terms), or one (1, terms) row shared by every
-    state.  Each row sums its words in order, starting from 0 + 0j, and
-    skips a word whose coefficient is exactly zero, as if it had been
-    merged away.
+    ``words`` is a word table (``pauli.compile_words``) and ``coeffs``
+    (rows, terms), or one (1, terms) row shared by every state.  Each row
+    sums its words in order, starting from 0 + 0j, and skips a word whose
+    coefficient is exactly zero, as if it had been merged away.  A stack
+    of no rows gives an empty array.
     """
     rows, dim = amplitudes.shape
     kept = coeffs != 0.0
@@ -318,10 +312,10 @@ def expectations(
     total = np.zeros(rows, dtype=np.complex128)
     # The words' overlaps come from one gather and one batched matmul per
     # chunk of words, each chunk holding at most _STACK_ENTRIES amplitudes.
-    chunk = max(1, _STACK_ENTRIES // (rows * dim))
+    chunk = max(1, _STACK_ENTRIES // max(1, rows * dim))
     for start in range(0, len(used), chunk):
         part = used[start : start + chunk]
-        applied = apply_words([words[t] for t in part], amplitudes)
+        applied = apply_words(words[part], amplitudes)
         terms = coeffs[:, part] * (bras @ applied[..., np.newaxis])[..., 0, 0]
         for column, t in enumerate(part):
             term = terms[:, column]

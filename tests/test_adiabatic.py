@@ -29,6 +29,7 @@ from vacuum_refine import (
     transverse_ising_pair,
 )
 from vacuum_refine import adiabatic, hamiltonian, statevector
+from vacuum_refine.counters import _Counters
 from vacuum_refine.hamiltonian import _SpectrumStacks
 
 from oracles import (
@@ -256,15 +257,18 @@ def test_ramp_without_records_evolves_the_same():
     h0, h1 = initial_hamiltonian(1.0, 1), PauliSum(1, ((1.0, "Z"),))
     sched = Schedule(total_time=3.0, dt=1.0)
     for mode in EvolutionMode:
-        recorded, full = run_adiabatic(h0, h1, sched, mode, {"z": h1})
-        final, bare = run_adiabatic(h0, h1, sched, mode, {"z": h1}, records=False)
+        full_counts, bare_counts = _Counters(), _Counters()
+        recorded, full = run_adiabatic(h0, h1, sched, mode, {"z": h1}, counters=full_counts)
+        final, bare = run_adiabatic(
+            h0, h1, sched, mode, {"z": h1}, records=False, counters=bare_counts
+        )
         assert final.amplitudes.tobytes() == recorded.amplitudes.tobytes()
         assert len(full.times) == 4
         assert list(full.observables) == ["z", "energy"]
         assert all(len(column) == 4 for column in full.observables.values())
         assert bare.times == bare.fidelity == [] and bare.observables == {}
         # warnings still come from every step's spectrum
-        assert bare.diagonalization_workers == full.diagonalization_workers
+        assert bare_counts == full_counts
         assert bare.warnings == full.warnings == [
             "degenerate instantaneous ground level at step 1 (s=0.5)"
         ]

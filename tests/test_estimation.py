@@ -20,7 +20,7 @@ from vacuum_refine import (
     transverse_ising_pair,
 )
 from vacuum_refine.estimation import _even_parity, shot_estimates
-from vacuum_refine.pauli import compile_word
+from vacuum_refine.pauli import compile_words
 from vacuum_refine.statevector import expectations, sample_counts
 
 from oracles import PAULI_2X2, random_state
@@ -246,14 +246,14 @@ def test_even_parity_probability_is_the_expectation(seed):
     # 2 p_even - 1 = <P> for words with X, Y and Z letters
     states = _random_stack(3, 8, np.random.default_rng(seed))
     for string in ("XYZ", "ZZI", "YIY"):
-        exact = expectations(states, np.ones((1, 1)), [compile_word(string)])
+        exact = expectations(states, np.ones((1, 1)), compile_words([string]))
         assert np.max(np.abs(2 * _even_parity(states, string) - 1 - exact)) < 1e-12
 
 
 def test_shot_estimates_lie_within_five_standard_errors():
     states = _random_stack(3, 20, np.random.default_rng(74))
     for string in ("XYZ", "ZZI", "YIY"):
-        exact = expectations(states, np.ones((1, 1)), [compile_word(string)])
+        exact = expectations(states, np.ones((1, 1)), compile_words([string]))
         values, errors = shot_estimates(states, string, 100_000, np.random.default_rng([3, 0]))
         assert np.all(errors > 0)
         assert np.all(np.abs(values - exact) < 5 * errors)

@@ -32,7 +32,7 @@ from vacuum_refine.hamiltonian import (
     _propagate,
     _SpectrumStacks,
 )
-from vacuum_refine.pauli import compile_word
+from vacuum_refine.pauli import compile_words
 from vacuum_refine.statevector import _STACK_ENTRIES
 
 from oracles import haar_unitary, pauli_sum_matrix
@@ -275,8 +275,10 @@ def test_single_y_operator_stays_complex():
 
 def test_hermiticity_guard_catches_nan():
     h = PauliSum(1, ((1.0, "X"),))
-    # bypass the constructor's finiteness check to reach the guard itself
+    # bypass the constructor's finiteness check to reach the guard itself;
+    # the matrix is built from the operator's cached coefficient row
     object.__setattr__(h, "terms", ((float("nan"), "X"),))
+    object.__setattr__(h, "coeffs", np.array([[np.nan]]))
     with pytest.raises(NumericalConsistencyError, match="Hermitian"):
         to_matrix(h)
 
@@ -523,7 +525,8 @@ def test_pauli_text_parsing_details():
 
 @pytest.mark.parametrize(
     "bad",
-    ["0.5", "abc ZZ", "0.5 Z\n0.25 ZZ", "0.5 QQ", "", "nan ZZ", "inf Z", "-inf Z"],
+    ["0.5", "abc ZZ", "0.5 Z\n0.25 ZZ", "0.5 QQ", "", "nan ZZ", "inf Z", "-inf Z"]
+    + ["1 " + "Z" * 64],  # longer than a word's masks hold
 )
 def test_pauli_text_errors(bad):
     with pytest.raises(ConfigError):
@@ -554,7 +557,7 @@ def _stack_starts_per_row(real, chunk):
 def test_stack_bounds_split_dtype_runs_every_chunk_rows(n):
     # rows with a nonzero Y coefficient are complex; chunk is 2^16 // 4^n
     # rows, 16384 at one qubit and 4 at seven
-    words = [compile_word("X" * n), compile_word("Y" + "I" * (n - 1))]
+    words = compile_words(["X" * n, "Y" + "I" * (n - 1)])
     rng = np.random.default_rng(70)
     chunk = max(1, _STACK_ENTRIES // 4**n)
     for rows in [0, 1, 2, 5, 40, 2 * chunk + 3]:

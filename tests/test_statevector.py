@@ -20,7 +20,7 @@ from vacuum_refine import (
     postselect,
 )
 from vacuum_refine import statevector
-from vacuum_refine.pauli import compile_word
+from vacuum_refine.pauli import compile_words
 from vacuum_refine.statevector import (
     _apply_matrix,
     check_normalized,
@@ -330,7 +330,7 @@ def test_stacked_expectations_match_per_state(n, rows):
     rng = np.random.default_rng(40 + n)
     states = _random_stack(n, rows, rng)
     strings = ["Y" + "I" * (n - 1), "Z" * n, "".join(rng.choice(list("IXYZ"), n)), "X" * n]
-    words = [compile_word(s) for s in strings]
+    words = compile_words(strings)
     coeffs = rng.normal(size=(rows, len(strings)))
     coeffs[2, 1] = 0.0  # this row skips the word
     coeffs[4] = 0.0  # this row skips every word
@@ -344,6 +344,10 @@ def test_stacked_expectations_match_per_state(n, rows):
         assert expectations(psi[np.newaxis], coeffs[row : row + 1], words)[0] == expected
         assert shared[row] == expectation_per_state(psi, list(zip(coeffs[0].tolist(), strings)), matrices)
     assert got[4] == 0.0
+    # a stack of no rows reads out nothing
+    for row_coeffs in (coeffs[:0], coeffs[:1]):
+        empty = expectations(states[:0], row_coeffs, words)
+        assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])
@@ -375,7 +379,7 @@ def test_stacked_expectations_refuse_a_nan_row():
     rng = np.random.default_rng(61)
     states = _random_stack(2, 5, rng)
     states[2] = np.nan
-    words = [compile_word("ZX")]
+    words = compile_words(["ZX"])
     with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
         expectations(states, np.ones((1, 1)), words)
 
