@@ -75,8 +75,6 @@ from .hamiltonian import (
     transverse_ising_pair,
 )
 from .statevector import (
-    HADAMARD,
-    S_DAG,
     StateVector,
     apply_controlled,
     apply_gate,

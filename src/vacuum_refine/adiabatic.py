@@ -364,8 +364,10 @@ def run_adiabatic(
     recorder = None
     if records:
         recorder = _Recorder(trajectory, 2**n, words, observables, record_states)
+    # the stacks refuse a register above the dense cap before |0...0> exists
+    stacks = _SpectrumStacks(n, words, coeffs, counters)
     amplitudes = basis_state(n, 0).amplitudes
-    for start, values, vectors in _SpectrumStacks(n, words, coeffs, counters):
+    for start, values, vectors in stacks:
         stop = start + len(values)
         states = np.empty((len(values), 2**n), dtype=np.complex128)
         # row 0 of the first stack is the initial state; every other row

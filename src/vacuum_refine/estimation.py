@@ -1,25 +1,26 @@
 """Expectation-value estimation: eigenbasis overlaps, shot noise, correction.
 
-Shot estimates rotate each X or Y letter to Z with the plain basis-change
-arrays ``HADAMARD`` and ``S_DAG``, applied to a whole stack of states by
-``statevector._apply_matrix``.  <P> is the mean parity of the measured
-bits, so each state's shots are one binomial draw of even parities.
+A shot of a Pauli word P measures its parity, +1 or -1, and <P> is the
+mean parity, so the even parities of a state's shots are one binomial
+draw with p = (1 + <P>) / 2.  Shot estimates and the cross term both
+read the per-word overlaps of a word table (``statevector.word_overlaps``,
+``statevector.expectations``); no operator is rotated or built densely.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CorrectionError, DomainError, NumericalConsistencyError
-from .hamiltonian import PauliSum, Spectrum, to_matrix
-from .statevector import HADAMARD, S_DAG, StateVector, _apply_matrix
+from .hamiltonian import PauliSum, Spectrum
+from .pauli import compile_words, identity_words
+from .statevector import StateVector, expectations, word_overlaps
 
 _MIN_CORRECTION_DENOM = 1e-6
-# Basis changes that turn the eigenbasis of a letter into the Z basis, in order.
-_TO_Z_BASIS = {"X": (HADAMARD,), "Y": (S_DAG, HADAMARD)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,57 +82,31 @@ def corrected_expectation(raw: float, p0: float) -> float:
 
 
 def shot_estimates(
-    amplitudes: np.ndarray, pauli_string: str, shots: int, rng: np.random.Generator
+    amplitudes: np.ndarray, words: np.ndarray, shots: int, rngs: Sequence[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled <P> and its standard error for each row of a (rows, d) state stack.
+    """Sampled <P_t> and its standard error for each row of a (rows, d) state stack and word t.
 
-    Row r draws its number of even-parity shots as one
-    ``rng.binomial(shots, p_even[r])`` (``_even_parity``), the rows in
-    order in one call, so a stack draws what its rows would draw one
-    after another on the same generator, however the rows are split into
-    stacks.  A word of I letters alone draws nothing and reads exactly 1;
-    a stack of no rows gives two empty arrays.
+    ``words`` is a word table (``pauli.compile_words``) and ``rngs`` holds
+    one generator per word.  Word t's rows draw their even-parity counts
+    as one ``rngs[t].binomial(shots, p)`` call, in order, with p =
+    clip((1 + Re <P_t>) / 2, 0, 1) from ``word_overlaps``: so a stack draws
+    what its rows would draw one after another on the same generators.
+    An identity word draws nothing and reads exactly 1.  Returns two
+    (rows, words) arrays.
     """
-    num_qubits = len(pauli_string)
-    if amplitudes.shape[-1] != 2**num_qubits:
-        raise DomainError(
-            f"Pauli string {pauli_string!r} does not match register dimension "
-            f"{amplitudes.shape[-1]}"
-        )
-    if any(ch not in "IXYZ" for ch in pauli_string):
-        raise DomainError(f"bad Pauli string {pauli_string!r}")
     if not isinstance(shots, int) or shots < 1:
         raise DomainError(f"shots must be a positive integer, got {shots!r}")
-    rows = amplitudes.shape[0]
-    if not pauli_string.strip("I"):
-        return np.ones(rows), np.zeros(rows)
-    mean = (2 * rng.binomial(shots, _even_parity(amplitudes, pauli_string)) - shots) / shots
+    even = np.clip((1.0 + word_overlaps(amplitudes, words).real) / 2.0, 0.0, 1.0)
+    mean = np.ones(even.shape)
+    for t in np.flatnonzero(~identity_words(words)).tolist():
+        mean[:, t] = (2 * rngs[t].binomial(shots, even[:, t]) - shots) / shots
     return mean, np.sqrt(np.maximum(0.0, 1.0 - mean * mean) / shots)
 
 
-def _even_parity(amplitudes: np.ndarray, pauli_string: str) -> np.ndarray:
-    """Probability of an even parity of the word's non-I letters, per row of a stack.
-
-    X and Y letters are rotated to Z for the whole stack by the
-    elementwise ``_apply_matrix``; each row then sums the Born
-    probabilities of the outcomes whose measured bits have even parity,
-    clipped to [0, 1].  So 2 * p_even - 1 is <P>.
-    """
-    num_qubits = len(pauli_string)
-    psi = amplitudes.reshape((amplitudes.shape[0],) + (2,) * num_qubits)
-    for q, ch in enumerate(pauli_string):
-        for gate in _TO_Z_BASIS.get(ch, ()):
-            psi = _apply_matrix(psi, gate, [1 + q])
-    mask = sum(1 << (num_qubits - 1 - q) for q, ch in enumerate(pauli_string) if ch != "I")
-    even = np.bitwise_count(np.arange(2**num_qubits) & mask) & 1 == 0
-    probs = np.abs(psi.reshape(amplitudes.shape)) ** 2
-    return np.clip(probs[:, even].sum(axis=-1), 0.0, 1.0)
-
-
 def shot_expectation(state: StateVector, pauli_string: str, shots: int, seed: int) -> EstimateResult:
-    """Estimate <P> for one Pauli word by sampling rotated Z measurements.
+    """Estimate <P> for one Pauli word by sampling its parity.
 
-    This is the one-row case of ``shot_estimates``, drawn from
+    This is the one-row, one-word case of ``shot_estimates``, drawn from
     ``np.random.default_rng(seed)``; as in ``measure_sample``, a seed that
     is not an integer raises ``TypeError``.
     """
@@ -139,24 +114,27 @@ def shot_expectation(state: StateVector, pauli_string: str, shots: int, seed: in
         raise DomainError(
             f"Pauli string {pauli_string!r} does not match register size {state.num_qubits}"
         )
+    words = compile_words([pauli_string])
     rng = np.random.default_rng(operator.index(seed))
-    values, errors = shot_estimates(state.amplitudes[np.newaxis], pauli_string, shots, rng)
-    return EstimateResult(value=float(values[0]), std_error=float(errors[0]), shots=shots, seed=seed)
+    values, errors = shot_estimates(state.amplitudes[np.newaxis], words, shots, [rng])
+    return EstimateResult(
+        value=float(values[0, 0]), std_error=float(errors[0, 0]), shots=shots, seed=seed
+    )
 
 
 def cross_term(state: StateVector, spectrum: Spectrum, observable: PauliSum) -> float:
     """Interference contribution of off-diagonal eigenbasis pairs to <O>.
 
-    Equals sum_{j<k} 2 Re(conj(c_j) c_k <E_j|O|E_k>); adding it to the
-    weighted diagonal matrix elements reproduces the full expectation.
+    Equals sum_{j<k} 2 Re(conj(c_j) c_k <E_j|O|E_k>), which is <psi|O|psi>
+    less the weighted diagonal sum_j |c_j|^2 <E_j|O|E_j>; both are read
+    word by word (``expectations``), the eigenvectors as rows of a stack.
     """
     if observable.num_qubits != state.num_qubits:
         raise DomainError(
             f"observable acts on {observable.num_qubits} qubit(s), state has {state.num_qubits}"
         )
-    overlaps = eigen_overlaps(state, spectrum)
-    c = overlaps.coefficients
-    m_eig = spectrum.eigenvectors.conj().T @ to_matrix(observable) @ spectrum.eigenvectors
-    full = float(np.real(c.conj() @ m_eig @ c))
-    diagonal = float(np.sum(overlaps.weights * np.real(np.diag(m_eig))))
-    return full - diagonal
+    weights = eigen_overlaps(state, spectrum).weights
+    eigenstates = np.ascontiguousarray(spectrum.eigenvectors.T, dtype=np.complex128)
+    full = expectations(state.amplitudes[np.newaxis], observable.coeffs, observable.words)[0]
+    diagonal = expectations(eigenstates, observable.coeffs, observable.words)
+    return float(full - np.sum(weights * diagonal))

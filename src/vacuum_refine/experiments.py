@@ -15,8 +15,9 @@ observable term, ramp before hold).  Stream k draws from
 from k (``default_rng([seed, k])`` would make stream 0 of seed
 s + k * 2^32 stream k of seed s).  A trajectory's estimates of one term
 are drawn from the stack of its recorded states
-(``Trajectory.states``), one ``binomial`` call per block of records on
-that term's stream (``estimation.shot_estimates``).  So a command's
+(``Trajectory.states``), one ``binomial`` call on that term's stream over
+the parity probabilities of all the records
+(``estimation.shot_estimates``).  So a command's
 outputs are reproducible from its seed, and adjacent seeds draw
 unrelated noise.  The manifest's ``counters`` (``counters._Counters``)
 give the matrices diagonalized and their summed d^3, the steps evolved,
@@ -42,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import statevector
 from ._version import __version__
 from .adiabatic import Trajectory, run_adiabatic, run_hold
 from .config import EstimationConfig, ExperimentConfig, build_model, config_to_text
@@ -125,9 +125,8 @@ class _Estimator:
         """(values, standard errors) of one observable on each row of a state stack.
 
         Term t draws from the next stream of the command, its rows in
-        order; each term is one stacked estimate per block of at most
-        ``_STACK_ENTRIES`` amplitudes, which draws what one estimate of
-        all the rows would.
+        order, in one stacked estimate of every term; each row sums its
+        terms in order.
         """
         rows = amplitudes.shape[0]
         if self.exact:
@@ -141,20 +140,13 @@ class _Estimator:
             self.counters.streams += 1
         self.counters.estimates += rows * len(streams)
         self.counters.shots_drawn += rows * len(streams) * shots
-        block = max(1, statevector._STACK_ENTRIES // amplitudes.shape[-1])
-        values: list[float] = []
-        errors: list[float] = []
-        for start in range(0, rows, block):
-            part = amplitudes[start : start + block]
-            total = np.zeros(len(part))
-            variance = np.zeros(len(part))
-            for rng, (coeff, string) in zip(streams, observable.terms):
-                value, error = shot_estimates(part, string, shots, rng)
-                total += coeff * value
-                variance += (coeff * error) ** 2
-            values += total.tolist()
-            errors += np.sqrt(variance).tolist()
-        return values, errors
+        values, errors = shot_estimates(amplitudes, observable.words, shots, streams)
+        total = np.zeros(rows)
+        variance = np.zeros(rows)
+        for coeff, value, error in zip(observable.coeffs[0].tolist(), values.T, errors.T):
+            total += coeff * value
+            variance += (coeff * error) ** 2
+        return total.tolist(), np.sqrt(variance).tolist()
 
     def evaluate(self, state: StateVector, observable: PauliSum) -> tuple[float, float]:
         """Return (value, standard error) for one observable on one state."""

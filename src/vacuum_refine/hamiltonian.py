@@ -191,10 +191,7 @@ def _dense_stack(
     its phase, and each entry sums the words in order, starting from zero.
     Registers above ``DEFAULT_DENSE_CAP`` qubits are refused.
     """
-    if num_qubits > DEFAULT_DENSE_CAP:
-        raise ResourceLimitError(
-            f"dense matrix for {num_qubits} qubit(s) exceeds the cap of {DEFAULT_DENSE_CAP}"
-        )
+    _refuse_dense(num_qubits)
     dim = 2**num_qubits
     rows = coeffs.shape[0]
     columns = np.arange(dim)
@@ -214,6 +211,14 @@ def _dense_stack(
     np.subtract(out, difference, out=difference)
     _refuse_above(_max_entry(difference), 1e-12, "dense matrix is not Hermitian")
     return out
+
+
+def _refuse_dense(num_qubits: int) -> None:
+    """Refuse a register above ``DEFAULT_DENSE_CAP`` qubits, before any dense array exists."""
+    if num_qubits > DEFAULT_DENSE_CAP:
+        raise ResourceLimitError(
+            f"dense matrix for {num_qubits} qubit(s) exceeds the cap of {DEFAULT_DENSE_CAP}"
+        )
 
 
 def _refuse_above(values: np.ndarray, tol: float, message: str) -> None:
@@ -454,7 +459,8 @@ class _SpectrumStacks:
     ``first`` to ``first + k`` are built (``_dense_stack``) and
     diagonalized (``_diagonalize_stack``) as one (k, d, d) stack, giving
     (k, d) eigenvalues and (k, d, d) eigenvectors.  Every diagonalization
-    in the package runs here.
+    in the package runs here.  A register above ``DEFAULT_DENSE_CAP``
+    qubits is refused when the stacks are made, before any is built.
 
     Iterating yields the stacks in order, computed by ``workers`` threads
     (``_workers``, ``_in_order``): one per core of the process's affinity,
@@ -478,6 +484,7 @@ class _SpectrumStacks:
         coeffs: np.ndarray,
         counters: _Counters | None = None,
     ):
+        _refuse_dense(num_qubits)
         self._num_qubits = num_qubits
         self._words = words
         self._coeffs = coeffs

@@ -76,6 +76,11 @@ def odd_words(words: np.ndarray) -> np.ndarray:
     return words[:, 2] % 2 == 1
 
 
+def identity_words(words: np.ndarray) -> np.ndarray:
+    """Whether each word is the identity, I letters alone."""
+    return (words[:, 0] == 0) & (words[:, 1] == 0)
+
+
 def split_order(words: np.ndarray) -> list[int]:
     """Word indices in ``trotter1`` splitting order.
 

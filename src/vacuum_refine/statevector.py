@@ -10,7 +10,7 @@ Conventions used throughout the package:
   when it is applied.  Multi-qubit gates read their target list the same
   way as kets: the first listed target is the most significant bit of the
   gate's own matrix index.  One elementwise kernel (``_apply_matrix``)
-  applies every dense gate, the shot estimator's basis changes included.
+  applies every dense gate.
 * Operations never mutate their inputs; they return new ``StateVector``
   instances.  Amplitude arrays are treated as read-only.
 * Readouts (norm check, expectation values, overlaps, sampling) work on a
@@ -18,6 +18,9 @@ Conventions used throughout the package:
   single-state functions are their one-row case.  Each row's result is
   the same bit for bit however many rows share the stack; sampling draws
   the rows in order from one generator, as one row after another would.
+* Every reading of an operator, exact or sampled, starts from one kernel,
+  ``word_overlaps``: <psi_r|P_t|psi_r> for each row r of a stack and each
+  word t of a word table (``pauli.compile_words``).
 """
 
 from __future__ import annotations
@@ -46,11 +49,6 @@ _IMAG_RESIDUE_LIMIT = 1e-8
 # At most about this many entries go into one stack built at once: state
 # amplitudes or applied words here, matrix entries in ``hamiltonian``.
 _STACK_ENTRIES = 2**16
-
-
-# The basis changes that shot estimation rotates X and Y letters to Z with.
-HADAMARD = np.asarray(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0), dtype=np.complex128)
-S_DAG = np.asarray([[1, 0], [0, -1j]], dtype=np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,31 +293,41 @@ def row_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
 
 
+def word_overlaps(amplitudes: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """<psi_r|P_t|psi_r>, as (rows, words), for each row r of a stack and word t of a table.
+
+    Each block of rows and words is one gather (``apply_words``) of at
+    most ``_STACK_ENTRIES`` amplitudes, or of one word on one row, and one
+    batched matmul, which computes each overlap as ``np.vdot`` does, bit
+    for bit; so no value depends on the blocks.  The stack must be
+    C-ordered, as in ``row_overlaps``.
+    """
+    rows, dim = amplitudes.shape
+    out = np.empty((rows, len(words)), dtype=np.complex128)
+    row_step = max(1, min(rows, _STACK_ENTRIES // dim))
+    word_step = max(1, _STACK_ENTRIES // (row_step * dim))
+    for r in range(0, rows, row_step):
+        states = amplitudes[r : r + row_step]
+        bras = states.conj()[:, np.newaxis, np.newaxis, :]
+        for t in range(0, len(words), word_step):
+            applied = apply_words(words[t : t + word_step], states)
+            out[r : r + row_step, t : t + word_step] = (bras @ applied[..., np.newaxis])[..., 0, 0]
+    return out
+
+
 def expectations(amplitudes: np.ndarray, coeffs: np.ndarray, words: np.ndarray) -> np.ndarray:
     """<psi_r| sum_t coeffs[r, t] * words[t] |psi_r> for each row r, as floats.
 
     ``words`` is a word table (``pauli.compile_words``) and ``coeffs``
     (rows, terms), or one (1, terms) row shared by every state.  Each row
-    sums its words in order, starting from 0 + 0j, and skips a word whose
-    coefficient is exactly zero, as if it had been merged away.  A stack
-    of no rows gives an empty array.
+    sums coefficient times overlap (``word_overlaps``) word by word in
+    order, starting from 0 + 0j; a coefficient of exactly zero adds an
+    exact zero, which moves no bit of a finite sum.  A stack of no rows
+    gives an empty array.
     """
-    rows, dim = amplitudes.shape
-    kept = coeffs != 0.0
-    used = np.flatnonzero(kept.any(axis=0)).tolist()
-    in_all = kept.all(axis=0).tolist()
-    bras = amplitudes.conj()[:, np.newaxis, np.newaxis, :]
-    total = np.zeros(rows, dtype=np.complex128)
-    # The words' overlaps come from one gather and one batched matmul per
-    # chunk of words, each chunk holding at most _STACK_ENTRIES amplitudes.
-    chunk = max(1, _STACK_ENTRIES // max(1, rows * dim))
-    for start in range(0, len(used), chunk):
-        part = used[start : start + chunk]
-        applied = apply_words(words[part], amplitudes)
-        terms = coeffs[:, part] * (bras @ applied[..., np.newaxis])[..., 0, 0]
-        for column, t in enumerate(part):
-            term = terms[:, column]
-            total = total + term if in_all[t] else np.where(kept[:, t], total + term, total)
+    total = np.zeros(amplitudes.shape[0], dtype=np.complex128)
+    for term in (coeffs * word_overlaps(amplitudes, words)).T:
+        total = total + term
     worst = np.abs(total.imag).max(initial=0.0)  # NaN when any row is NaN
     if not worst <= _IMAG_RESIDUE_LIMIT:
         raise NumericalConsistencyError(f"expectation value has imaginary residue {worst:.3e}")

@@ -15,6 +15,9 @@ PAULI_2X2 = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
+# Gates the tests build states with, and the filter circuit's Hadamard wall.
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+S_DAG = np.array([[1, 0], [0, -1j]], dtype=np.complex128)
 
 
 def bit_of(index: int, qubit: int, n: int) -> int:
@@ -141,7 +144,6 @@ def multinomial_per_row(marginals: np.ndarray, shots: int, seeds) -> np.ndarray:
     return counts
 
 
-HADAMARD_2X2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 
 
 def filter_circuit(
@@ -165,12 +167,12 @@ def filter_circuit(
     joint = np.zeros(2**total, dtype=np.complex128)
     joint[: 2**n_sys] = amplitudes
     for a in range(m):
-        joint = embed_gate(HADAMARD_2X2, [a], total) @ joint
+        joint = embed_gate(HADAMARD, [a], total) @ joint
     for a, p in enumerate(powers):
         power = (1j**p) * (vecs * np.exp(-1j * vals * p * theta / 2.0)) @ vecs.conj().T
         joint = embed_controlled(power, [a], system, total) @ joint
     for a in range(m):
-        joint = embed_gate(HADAMARD_2X2, [a], total) @ joint
+        joint = embed_gate(HADAMARD, [a], total) @ joint
     # the all-zeros ancilla outcome is the leading block of the MSB-first index
     branch = joint[: 2**n_sys]
     probability = float(np.sum(np.abs(branch) ** 2))

@@ -4,7 +4,6 @@ import pytest
 from vacuum_refine import (
     CorrectionError,
     DomainError,
-    HADAMARD,
     NumericalConsistencyError,
     PauliSum,
     StateVector,
@@ -19,11 +18,11 @@ from vacuum_refine import (
     shot_expectation,
     transverse_ising_pair,
 )
-from vacuum_refine.estimation import _even_parity, shot_estimates
+from vacuum_refine.estimation import shot_estimates
 from vacuum_refine.pauli import compile_words
 from vacuum_refine.statevector import expectations, sample_counts
 
-from oracles import PAULI_2X2, random_state
+from oracles import HADAMARD, PAULI_2X2, random_state
 
 J = np.pi / 4
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -194,22 +193,52 @@ def _random_stack(n, rows, rng):
     return np.array([random_state(n, rng) for _ in range(rows)])
 
 
+def _one_word(string, shots, rng_seed, states):
+    """(values, errors) of one word on each row, drawn from ``default_rng(rng_seed)``."""
+    rngs = [np.random.default_rng(rng_seed)]
+    values, errors = shot_estimates(states, compile_words([string]), shots, rngs)
+    return values[:, 0], errors[:, 0]
+
+
 @pytest.mark.parametrize("string", ["X", "Y", "XYZ", "YIX", "IYY", "ZIZ", "IZI"])
 def test_shot_estimates_match_one_state_at_a_time(string):
-    # X and Y letters take the basis-rotation path before sampling; a stack
-    # draws what its rows draw one after another on the same generator, and
-    # shot_expectation draws one state from a fresh generator
+    # a stack draws what its rows draw one after another on the same
+    # generator, and shot_expectation draws one state from a fresh generator
     n = len(string)
     rng = np.random.default_rng(70 + n)
     states = _random_stack(n, 7, rng)
-    values, errors = shot_estimates(states, string, 3000, np.random.default_rng([9, 4]))
-    stream = np.random.default_rng([9, 4])
+    words = compile_words([string])
+    values, errors = _one_word(string, 3000, [9, 4], states)
+    stream = [np.random.default_rng([9, 4])]
     for row, psi in enumerate(states):
-        one_value, one_error = shot_estimates(psi[np.newaxis], string, 3000, stream)
-        assert (one_value[0], one_error[0]) == (values[row], errors[row])
-    first, first_error = shot_estimates(states[:1], string, 3000, np.random.default_rng(900))
+        one_value, one_error = shot_estimates(psi[np.newaxis], words, 3000, stream)
+        assert (one_value[0, 0], one_error[0, 0]) == (values[row], errors[row])
+    first, first_error = _one_word(string, 3000, 900, states[:1])
     one = shot_expectation(StateVector(n, states[0]), string, 3000, 900)
     assert (one.value, one.std_error) == (first[0], first_error[0])
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+@pytest.mark.parametrize("shots", [7, 1000, 10**6])
+def test_each_word_draws_its_parity_binomial_on_its_own_stream(seed, shots):
+    # word t's rows draw binomial(shots, clip((1 + <P_t>) / 2, 0, 1)) in
+    # order on rngs[t], <P_t> read one row at a time
+    states = _random_stack(3, 8, np.random.default_rng(seed))
+    words = compile_words(["XYZ", "III", "ZZI", "YIY", "IXI"])
+    rngs = [np.random.default_rng([seed, t]) for t in range(len(words))]
+    values, errors = shot_estimates(states, words, shots, rngs)
+    assert values.shape == errors.shape == (8, 5)
+    # the identity word reads exactly 1 and draws nothing from its stream
+    assert values[:, 1].tolist() == [1.0] * 8 and errors[:, 1].tolist() == [0.0] * 8
+    assert rngs[1].bit_generator.state == np.random.default_rng([seed, 1]).bit_generator.state
+    for t in (0, 2, 3, 4):
+        oracle = np.random.default_rng([seed, t])
+        for row, psi in enumerate(states):
+            exact = expectations(psi[np.newaxis], np.ones((1, 1)), words[t : t + 1])[0]
+            even = oracle.binomial(shots, np.clip((1.0 + exact) / 2.0, 0.0, 1.0))
+            mean = (2 * even - shots) / shots
+            assert values[row, t] == mean
+            assert errors[row, t] == np.sqrt(max(0.0, 1.0 - mean * mean) / shots)
 
 
 @pytest.mark.parametrize("string", ["ZIZ", "IZI", "ZZZ"])
@@ -220,7 +249,7 @@ def test_shot_estimates_match_per_state_sampling(string):
     rng = np.random.default_rng(72)
     states = _random_stack(3, 6, rng)
     measured = [q for q, ch in enumerate(string) if ch == "Z"]
-    values, errors = shot_estimates(states, string, 5000, np.random.default_rng(40))
+    values, errors = _one_word(string, 5000, 40, states)
     oracle = np.random.default_rng(40)
     for row, psi in enumerate(states):
         weights = np.abs(psi.reshape((2,) * 3)) ** 2
@@ -236,25 +265,16 @@ def test_a_one_letter_draw_is_the_two_outcome_multinomial():
     # the parity draw of a one-letter word counts what measure_sample's
     # multinomial counts on the same stream
     states = _random_stack(2, 9, np.random.default_rng(76))
-    values, _ = shot_estimates(states, "IZ", 4000, np.random.default_rng(44))
+    values, _ = _one_word("IZ", 4000, 44, states)
     counts = sample_counts(states, 2, [1], 4000, np.random.default_rng(44))
     assert values.tolist() == ((counts[:, 0] - counts[:, 1]) / 4000).tolist()
-
-
-@pytest.mark.parametrize("seed", [0, 13])
-def test_even_parity_probability_is_the_expectation(seed):
-    # 2 p_even - 1 = <P> for words with X, Y and Z letters
-    states = _random_stack(3, 8, np.random.default_rng(seed))
-    for string in ("XYZ", "ZZI", "YIY"):
-        exact = expectations(states, np.ones((1, 1)), compile_words([string]))
-        assert np.max(np.abs(2 * _even_parity(states, string) - 1 - exact)) < 1e-12
 
 
 def test_shot_estimates_lie_within_five_standard_errors():
     states = _random_stack(3, 20, np.random.default_rng(74))
     for string in ("XYZ", "ZZI", "YIY"):
         exact = expectations(states, np.ones((1, 1)), compile_words([string]))
-        values, errors = shot_estimates(states, string, 100_000, np.random.default_rng([3, 0]))
+        values, errors = _one_word(string, 100_000, [3, 0], states)
         assert np.all(errors > 0)
         assert np.all(np.abs(values - exact) < 5 * errors)
 
@@ -262,7 +282,7 @@ def test_shot_estimates_lie_within_five_standard_errors():
 def test_a_bell_state_reads_its_parities_exactly():
     bell = np.array([[1.0, 0.0, 0.0, 1.0]], dtype=np.complex128) * INV_SQRT2
     for string in ("ZZ", "XX"):
-        values, errors = shot_estimates(bell, string, 10**6, np.random.default_rng(8))
+        values, errors = _one_word(string, 10**6, 8, bell)
         assert values.tolist() == [1.0] and errors.tolist() == [0.0]
 
 
@@ -282,28 +302,31 @@ def test_binomial_draws_do_not_depend_on_the_block_size(shots):
     rng = np.random.default_rng([11, 2])
     scalars = [rng.binomial(shots, x) for x in p.tolist()]
     assert whole.tolist() == blocks.tolist() == scalars
-    # the shot estimator makes one such call per block of states, on the
-    # weights of |0>, which sqrt rounds: 0.5 comes back as 0.5000000000000001
+    # the shot estimator makes one such call per word, on (1 + <Z>) / 2 of
+    # states whose |0> weight sqrt rounds: 0.5 comes back as
+    # 0.5000000000000001 in both weights, and <Z> as exactly 0
     states = np.stack([np.sqrt(p), np.sqrt(1.0 - p)], axis=1).astype(np.complex128)
-    even = np.random.default_rng([11, 2]).binomial(shots, np.abs(states[:, 0]) ** 2)
-    values, _ = shot_estimates(states, "Z", shots, np.random.default_rng([11, 2]))
+    z = expectations(states, np.ones((1, 1)), compile_words(["Z"]))
+    even = np.random.default_rng([11, 2]).binomial(shots, np.clip((1.0 + z) / 2.0, 0.0, 1.0))
+    values, _ = _one_word("Z", shots, [11, 2], states)
     assert values.tolist() == ((2 * even - shots) / shots).tolist()
-    rng = np.random.default_rng([11, 2])
-    parts = [shot_estimates(states[i : i + 3], "Z", shots, rng)[0] for i in range(0, len(p), 3)]
-    assert np.concatenate(parts).tolist() == values.tolist()
+    rngs = [np.random.default_rng([11, 2])]
+    words = compile_words(["Z"])
+    parts = [shot_estimates(states[i : i + 3], words, shots, rngs)[0] for i in range(0, len(p), 3)]
+    assert np.concatenate(parts)[:, 0].tolist() == values.tolist()
 
 
 def test_shot_estimates_validation():
     states = _random_stack(2, 3, np.random.default_rng(73))
     rng = np.random.default_rng(1)
-    with pytest.raises(DomainError, match="register dimension"):
-        shot_estimates(states, "Z", 10, rng)
-    with pytest.raises(DomainError):
-        shot_estimates(states, "ZQ", 10, rng)
-    with pytest.raises(DomainError):
-        shot_estimates(states, "ZZ", 0, rng)
-    values, errors = shot_estimates(states, "II", 10, rng)
-    assert values.tolist() == [1.0] * 3 and errors.tolist() == [0.0] * 3
+    with pytest.raises(DomainError, match="register size"):
+        shot_expectation(StateVector(2, states[0]), "Z", 10, 1)
+    with pytest.raises(DomainError, match="unknown Pauli letter"):
+        shot_expectation(StateVector(2, states[0]), "ZQ", 10, 1)
+    with pytest.raises(DomainError, match="shots"):
+        shot_estimates(states, compile_words(["ZZ"]), 0, [rng])
+    values, errors = shot_estimates(states, compile_words(["II"]), 10, [rng])
+    assert values.tolist() == [[1.0]] * 3 and errors.tolist() == [[0.0]] * 3
     # a word of I letters alone draws nothing
     assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
@@ -312,7 +335,7 @@ def test_no_states_draw_no_samples():
     empty = np.empty((0, 8), dtype=np.complex128)
     rng = np.random.default_rng(2)
     assert sample_counts(empty, 3, [2, 0], 10, rng).shape == (0, 4)
-    for string in ("ZZZ", "XYI", "III"):
-        values, errors = shot_estimates(empty, string, 10, rng)
-        assert values.shape == errors.shape == (0,)
+    words = compile_words(["ZZZ", "XYI", "III"])
+    values, errors = shot_estimates(empty, words, 10, [rng] * 3)
+    assert values.shape == errors.shape == (0, 3)
     assert rng.bit_generator.state == np.random.default_rng(2).bit_generator.state

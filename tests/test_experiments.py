@@ -19,7 +19,7 @@ from vacuum_refine import (
     parse_config,
     with_overrides,
 )
-from vacuum_refine import experiments, hamiltonian, statevector
+from vacuum_refine import adiabatic, experiments, hamiltonian, statevector
 from vacuum_refine.config import build_model
 from vacuum_refine.cli import main
 
@@ -151,6 +151,20 @@ def test_refine_refuses_a_model_above_the_dense_cap(tmp_path, capsys, count_call
     assert main(["refine", "--config", str(cfg)]) == 2
     assert "refinement supports 1 to 10 system qubits, got 11" in capsys.readouterr().err
     assert ramps == []
+
+
+def test_sweep_refuses_a_model_above_the_dense_cap_before_any_state(tmp_path, capsys, monkeypatch):
+    # at 20 qubits |0...0> alone is 16 MiB; the refusal comes before it exists
+    def no_state(*args):
+        raise AssertionError("a 2^n state was built before the cap was checked")
+
+    monkeypatch.setattr(adiabatic, "basis_state", no_state)
+    model = tmp_path / "one_term20.txt"
+    model.write_text("1.0 Z" + "I" * 19 + "\n")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SMALL + f"model.hamiltonian = {model}\noutput.prefix = {tmp_path}/cli\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "dense matrix for 20 qubit(s) exceeds the cap of 10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -23,8 +23,11 @@ snapshots (``filter_shots``, ``filter_keep_shots`` and
 each estimated term k draws from ``SeedSequence(seed, spawn_key=(k,))``
 instead of each value from its own seed ``seed + counter``, and a word's
 shots are one binomial over its even-parity weight, so every sampled
-value and standard error moved while the exact columns did not.
-Manifests are not compared because they carry a wall-clock duration.
+value and standard error moved while the exact columns did not.  No
+byte moved when a word's parity probability came to be read as
+(1 + <P>) / 2 from the per-word overlaps of the word table instead of
+the Born weights of the rotated state.  Manifests are not compared
+because they carry a wall-clock duration.
 
 To rewrite the snapshots of the named cases after a deliberate,
 documented output change (every other snapshot is left alone):
@@ -43,7 +46,7 @@ import pytest
 
 from vacuum_refine import cmd_diag, cmd_filter_run, cmd_refine, cmd_sweep, hamiltonian, parse_config
 from vacuum_refine import adiabatic, experiments, statevector
-from vacuum_refine.estimation import shot_estimates
+from vacuum_refine.pauli import apply_words
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -118,18 +121,18 @@ SHOT_CASES = ["filter_shots", "filter_keep_shots", "sweep_chain3y_shots"]
 
 @pytest.mark.parametrize("name", SHOT_CASES)
 def test_shot_snapshots_do_not_depend_on_the_block_size(name, tmp_path, monkeypatch):
-    # each term's stream draws its records block by block; blocks of at
-    # most 16 amplitudes (2 to 8 records) must draw the snapshot's bytes
+    # the readout kernel gathers blocks of rows; blocks of at most 16
+    # amplitudes (2 to 8 records) must draw the snapshot's bytes
     monkeypatch.setattr(statevector, "_STACK_ENTRIES", 16)
-    drawn = []
+    gathered = []
 
-    def recorded(amplitudes, *args):
-        drawn.append(amplitudes.shape[0])
-        return shot_estimates(amplitudes, *args)
+    def recorded(words, amplitudes):
+        gathered.append(amplitudes.shape[0])
+        return apply_words(words, amplitudes)
 
-    monkeypatch.setattr(experiments, "shot_estimates", recorded)
+    monkeypatch.setattr(statevector, "apply_words", recorded)
     files = _run(name, tmp_path)
-    assert max(drawn) <= 8 and len(drawn) > 50
+    assert max(gathered) <= 8 and len(gathered) > 50
     for filename, content in files.items():
         assert content == (GOLDEN / filename).read_bytes(), filename
 

@@ -1,14 +1,18 @@
 """The word table of ``pauli`` against dense matrices built letter by letter."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vacuum_refine
 from vacuum_refine import DomainError, PauliSum, ramp_coefficients
 from vacuum_refine.pauli import (
     apply_words,
     compile_words,
+    identity_words,
     matrix_entries,
     odd_words,
     split_order,
@@ -68,6 +72,37 @@ def test_split_order_puts_z_type_then_x_type_then_the_rest():
 def test_odd_words_are_those_with_an_odd_count_of_y():
     strings = ["YI", "YY", "XZ", "YYY", "II"]
     assert odd_words(compile_words(strings)).tolist() == [True, False, False, True, False]
+
+
+def test_identity_words_are_those_of_i_letters_alone():
+    strings = ["II", "IZ", "XI", "YY", "I", "Z"]
+    expected = [True, False, False, False, True, False]
+    assert identity_words(compile_words(strings)).tolist() == expected
+    assert identity_words(compile_words([])).tolist() == []
+
+
+def _column_reads(source: str) -> list[int]:
+    """Lines of two-axis subscripts of a name or attribute ``words`` or ``*_words``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+            target = node.value
+            name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", "")
+            if name == "words" or name.endswith("_words"):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_pauli_reads_the_columns_of_a_word_table():
+    # the table's column layout is pauli's alone; every other module
+    # passes tables and rows of them to pauli's functions
+    package = Path(vacuum_refine.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert _column_reads((package / "pauli.py").read_text(encoding="utf-8"))
+    for module in modules:
+        if module.name != "pauli.py":
+            assert _column_reads(module.read_text(encoding="utf-8")) == [], module.name
+    assert _column_reads("x = self._words[:, 2]\ny = words[1:, 0]\nz = words[1:]\n") == [1, 2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from vacuum_refine import (
-    HADAMARD,
     DomainError,
     ImpossibleOutcomeError,
     NumericalConsistencyError,
-    S_DAG,
     PauliSum,
     StateVector,
     UnitarityError,
@@ -20,7 +18,7 @@ from vacuum_refine import (
     postselect,
 )
 from vacuum_refine import statevector
-from vacuum_refine.pauli import compile_words
+from vacuum_refine.pauli import apply_words, compile_words
 from vacuum_refine.statevector import (
     _apply_matrix,
     check_normalized,
@@ -28,10 +26,13 @@ from vacuum_refine.statevector import (
     fidelities,
     row_overlaps,
     sample_counts,
+    word_overlaps,
 )
 
 from oracles import (
+    HADAMARD,
     PAULI_2X2,
+    S_DAG,
     embed_controlled,
     embed_gate,
     expectation_per_state,
@@ -332,8 +333,9 @@ def test_stacked_expectations_match_per_state(n, rows):
     strings = ["Y" + "I" * (n - 1), "Z" * n, "".join(rng.choice(list("IXYZ"), n)), "X" * n]
     words = compile_words(strings)
     coeffs = rng.normal(size=(rows, len(strings)))
-    coeffs[2, 1] = 0.0  # this row skips the word
-    coeffs[4] = 0.0  # this row skips every word
+    # zero coefficients add exact zeros, which the oracle skips
+    coeffs[2, 1] = 0.0
+    coeffs[4] = 0.0
     matrices: dict = {}
     got = expectations(states, coeffs, words)
     shared = expectations(states, coeffs[:1], words)
@@ -348,6 +350,33 @@ def test_stacked_expectations_match_per_state(n, rows):
     for row_coeffs in (coeffs[:0], coeffs[:1]):
         empty = expectations(states[:0], row_coeffs, words)
         assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("entries", [statevector._STACK_ENTRIES, 16])
+@pytest.mark.parametrize("n, rows", [(1, 9), (3, 7), (5, 3)])
+def test_word_overlaps_are_each_rows_vdot(n, rows, entries, monkeypatch):
+    # at 16 entries the rows and words go in blocks, at 5 qubits one word
+    # on one row of 32 amplitudes at a time; no bit depends on the blocks
+    monkeypatch.setattr(statevector, "_STACK_ENTRIES", entries)
+    rng = np.random.default_rng(80 + n)
+    states = _random_stack(n, rows, rng)
+    strings = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(12)] + ["I" * n, "Y" * n]
+    words = compile_words(strings)
+    gathers = []
+
+    def recorded(table, amplitudes):
+        gathers.append(len(table) * amplitudes.size)
+        return apply_words(table, amplitudes)
+
+    monkeypatch.setattr(statevector, "apply_words", recorded)
+    got = word_overlaps(states, words)
+    expected = [
+        [np.vdot(psi, apply_words(words[t : t + 1], psi)[0]) for t in range(len(words))]
+        for psi in states
+    ]
+    assert got.dtype == np.complex128 and np.array_equal(got, np.array(expected))
+    assert max(gathers) <= max(entries, 2**n)
+    assert word_overlaps(states[:0], words).shape == (0, len(words))
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])
