@@ -23,7 +23,9 @@ class _Counters:
     form.  ``streams`` counts the shot streams opened, so it is also the
     number of the next one; ``estimates`` counts the sampled values (rows
     times terms) and ``shots_drawn`` their shots.  Exact estimation leaves
-    those three at zero.
+    those three at zero.  ``dense_bytes`` counts the bytes of the dense
+    matrix stacks built for diagonalization, and ``filter_passes`` the
+    passes of ``refine``.
 
     ``min_ramp_gap`` and ``min_ramp_gap_s`` are diagnostics, not counts:
     the smallest gap between the two lowest levels of any ramp operator,
@@ -39,6 +41,8 @@ class _Counters:
     streams: int = 0
     estimates: int = 0
     shots_drawn: int = 0
+    dense_bytes: int = 0
+    filter_passes: int = 0
     min_ramp_gap: float | None = None
     min_ramp_gap_s: float | None = None
 

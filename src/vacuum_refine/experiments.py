@@ -441,6 +441,7 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
         powers=config.filter.powers,
         fixed_theta=fixed_theta,
     )
+    counters.filter_passes += len(report.steps)
     rows = []
     for index, step in enumerate(report.steps, start=1):
         is_aborted_row = report.status.startswith("aborted") and index == len(report.steps)

@@ -23,7 +23,7 @@ from .errors import (
     NumericalConsistencyError,
     ResourceLimitError,
 )
-from .pauli import compile_words, matrix_entries, odd_words
+from .pauli import compile_words, odd_words, x_groups
 from .statevector import _UNITARY_ATOL, StateVector
 
 DEFAULT_DENSE_CAP = 10
@@ -187,26 +187,18 @@ def _dense_stack(
 ) -> np.ndarray:
     """Dense matrices of sum_t coeffs[k, t] * words[t], one per row k, as one stack.
 
-    Entry ``[k, c ^ x, c]`` of each word is its coefficient in row k times
-    its phase, and each entry sums the words in order, starting from zero.
-    Registers above ``DEFAULT_DENSE_CAP`` qubits are refused.
+    The words that share an X mask x fill entries ``[k, c ^ x, c]`` and
+    no others, so each group is one assignment of its summed entries
+    (``pauli.x_groups``): each entry sums its words in table order,
+    starting from zero.  Registers above ``DEFAULT_DENSE_CAP`` qubits are
+    refused.
     """
     _refuse_dense(num_qubits)
     dim = 2**num_qubits
-    rows = coeffs.shape[0]
+    out = np.zeros((coeffs.shape[0], dim, dim), dtype=np.float64 if real else np.complex128)
     columns = np.arange(dim)
-    out = np.zeros((rows, dim, dim), dtype=np.float64 if real else np.complex128)
-    stack = np.arange(rows).reshape(-1, 1, 1)
-    # Blocks of terms keep the (matrix, term, column) grid and its
-    # temporaries within the larger of the stack's size and _STACK_ENTRIES
-    # for any number of terms; np.add.at sums in term order within and
-    # across blocks.
-    step = max(dim, statevector._STACK_ENTRIES // (rows * dim))
-    for start in range(0, len(words), step):
-        flipped, phases = matrix_entries(words[start : start + step], columns)
-        if real:
-            phases = phases.real
-        np.add.at(out, (stack, flipped, columns), coeffs[:, start : start + step, None] * phases)
+    for flipped, entries in x_groups(words, coeffs, dim, real):
+        out[:, flipped, columns] = entries
     difference = np.conjugate(out.swapaxes(-1, -2))
     np.subtract(out, difference, out=difference)
     _refuse_above(_max_entry(difference), 1e-12, "dense matrix is not Hermitian")
@@ -471,10 +463,10 @@ class _SpectrumStacks:
     iteration ends or is abandoned, consumer's work between stacks
     included; the previous count is then restored.  One BLAS thread per
     eigendecomposition is what makes the threads pay: OpenBLAS's own
-    threads do not speed up ``eigh`` at these sizes.  Each stack is added
-    to ``counters``, when given, as it is yielded, and their
-    ``diagonalization_workers`` keep the most threads any stacks of the
-    command ran on.
+    threads do not speed up ``eigh`` at these sizes.  Each stack (its
+    matrices, their summed d^3 and their bytes) is added to ``counters``,
+    when given, as it is yielded, and their ``diagonalization_workers``
+    keep the most threads any stacks of the command ran on.
     """
 
     def __init__(
@@ -516,6 +508,8 @@ class _SpectrumStacks:
                 if counters is not None:
                     counters.matrices_diagonalized += len(stack[1])
                     counters.diagonalized_d3 += len(stack[1]) * 8**self._num_qubits
+                    itemsize = 8 if self._real[stack[0]] else 16
+                    counters.dense_bytes += len(stack[1]) * 4**self._num_qubits * itemsize
                 yield stack
                 # the consumer's references are then the last ones, so the
                 # stack is freed before the next one is diagonalized
@@ -664,7 +658,8 @@ def parse_pauli_text(text: str) -> PauliSum:
     """Parse the one-term-per-line ``<coeff> <string>`` operator format.
 
     Blank lines and ``#`` comments are allowed.  Raises ``ConfigError``
-    with the offending line number otherwise.
+    with the offending line number otherwise, and for terms that merge to
+    the zero operator.
     """
     entries: list[tuple[float, str]] = []
     width: int | None = None
@@ -694,6 +689,9 @@ def parse_pauli_text(text: str) -> PauliSum:
     if not entries or width is None:
         raise ConfigError("operator text contains no terms")
     try:
-        return PauliSum(width, tuple(entries))
+        h = PauliSum(width, tuple(entries))
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    if not h.terms:
+        raise ConfigError("operator text's terms cancel: it is the zero operator")
+    return h

@@ -10,15 +10,17 @@ is (x, z, y mod 4) of word t (``compile_words``).  This module is the
 only one that reads the table's columns: the other modules pass tables
 and rows of them to the functions here.
 
-P sends the basis state |c> to i^y (-1)^popcount(c & z) |c ^ x>, so both
-a dense matrix and the action on an amplitude vector are one gather with
-one phase per basis index.  The phases are exactly 1, i, -1 or -i, so
+P sends the basis state |c> to i^y (-1)^popcount(c & z) |c ^ x>, so its
+action on an amplitude vector is one gather with one phase per basis
+index, and the words that share an X mask x fill the same matrix entries
+[c ^ x, c], which no other word touches: a dense matrix is one assignment
+per distinct x (``x_groups``).  The phases are exactly 1, i, -1 or -i, so
 every product with them is exact.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -62,13 +64,27 @@ def _column_phases(z_mask, i_power, columns: np.ndarray) -> np.ndarray:
     return _I_POWERS[(i_power + 2 * np.bitwise_count(columns & z_mask)) & 3]
 
 
-def matrix_entries(words: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each word's matrix is nonzero in ``columns``, and its value there.
+def x_groups(
+    words: np.ndarray, coeffs: np.ndarray, dim: int, real: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each distinct X mask x of a table: the rows ``c ^ x`` and the entries there.
 
-    Returns two (words, columns) arrays: the row c ^ x of the one nonzero
-    entry of column c, and the entry P[c ^ x, c] itself.
+    The (rows, d) entries are D_x[k, c] = sum_t coeffs[k, t] * P_t[c ^ x, c]
+    over the words t with mask x, summed in table order from zero (the
+    phases' real parts when ``real``); no other word is nonzero there.
+    Distinct words with one x differ in z, so at most d share it.
     """
-    return columns ^ words[:, :1], _column_phases(words[:, 1:2], words[:, 2:], columns)
+    columns = np.arange(dim)
+    # a set, not np.unique, whose first call adds about 1.5 MB of resident memory
+    for x in sorted(set(words[:, 0].tolist())):
+        members = np.flatnonzero(words[:, 0] == x)
+        phases = _column_phases(words[members, 1:2], words[members, 2:], columns)
+        if real:
+            phases = phases.real
+        entries = np.zeros((coeffs.shape[0], dim), dtype=phases.dtype)
+        for t, phase in zip(members, phases):
+            entries += coeffs[:, t : t + 1] * phase
+        yield columns ^ x, entries
 
 
 def odd_words(words: np.ndarray) -> np.ndarray:

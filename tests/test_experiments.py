@@ -411,6 +411,20 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("command", ["sweep", "filter-run", "refine", "diag"])
+@pytest.mark.parametrize("text", ["1 X\n-1 X\n", "0 Z\n"], ids=["opposite", "zero"])
+def test_cli_refuses_an_operator_whose_terms_cancel(tmp_path, capsys, command, text):
+    # the zero operator has no ground state to prepare; sweep used to
+    # report a quality of 1 and filter-run and refine to fail at run time
+    model = tmp_path / "zero.txt"
+    model.write_text(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL + f"model.hamiltonian = {model}\noutput.prefix = {tmp_path}/run\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "terms cancel" in capsys.readouterr().err
+    assert not list(tmp_path.glob("run_*"))
+
+
 @pytest.mark.parametrize(
     "command, setting, message",
     [
@@ -592,8 +606,8 @@ def _counters(manifest_path):
     return json.loads(manifest_path.read_text())["counters"]
 
 
-def _counts(matrices, dim, steps, streams=0, estimates=0, shots=0):
-    """The manifest's counters for ``matrices`` dim x dim diagonalizations."""
+def _counts(matrices, dim, steps, streams=0, estimates=0, shots=0, passes=0):
+    """The manifest's counters for ``matrices`` real dim x dim diagonalizations."""
     return {
         "matrices_diagonalized": matrices,
         "diagonalized_d3": matrices * dim**3,
@@ -601,6 +615,8 @@ def _counts(matrices, dim, steps, streams=0, estimates=0, shots=0):
         "streams": streams,
         "estimates": estimates,
         "shots_drawn": estimates * shots,
+        "dense_bytes": matrices * dim**2 * 8,
+        "filter_passes": passes,
     }
 
 
@@ -621,6 +637,7 @@ _QUBIT_SHOTS = _counts(866, 2, 1152)
                 **_QUBIT_SHOTS,
                 "matrices_diagonalized": 867,
                 "diagonalized_d3": 866 * 8 + 64,
+                "dense_bytes": 866 * 4 * 8 + 16 * 8,
                 "streams": 4,
                 "estimates": 1156,
                 "shots_drawn": 1156 * 10**6,
@@ -646,19 +663,27 @@ def test_manifest_counts_a_sweep_stream_per_term(tmp_path):
 
 @pytest.mark.parametrize("command", [cmd_refine, cmd_diag])
 def test_manifest_counts_nothing_for_exact_commands(tmp_path, command):
-    # no estimate is sampled; refine counts its 9 ramp operators, 8 steps
-    # and the target, diag the target alone
+    # no estimate is sampled; refine counts its 9 ramp operators, 8 steps,
+    # the target and its 5 passes, diag the target alone
     command(_config(tmp_path, "model.hamiltonian = tfim2\n"))
-    expected = _counts(10, 4, 8) if command is cmd_refine else _counts(1, 4, 0)
+    expected = _counts(10, 4, 8, passes=5) if command is cmd_refine else _counts(1, 4, 0)
     assert _counters(tmp_path / "run_manifest.json") == expected
+
+
+def test_manifest_counts_complex_dense_bytes(tmp_path):
+    # XYZ has one Y letter, so the 8 x 8 matrix is complex: 16 bytes an entry
+    model = Path(__file__).resolve().parent / "golden" / "chain3y.txt"
+    cmd_diag(_config(tmp_path, f"model.hamiltonian = {model}\n"))
+    assert _counters(tmp_path / "run_manifest.json")["dense_bytes"] == 64 * 16
 
 
 @pytest.mark.parametrize(
     "command, n, hold_time, expected",
     [
-        # 33 ramp operators and the target; 32 ramp steps and 8 hold steps
+        # 33 ramp operators and the target; 32 ramp steps and 8 hold steps;
+        # 17,825,792 and 69,632 dense bytes; refine's 5 passes
         (cmd_sweep, 8, 1, _counts(34, 256, 40)),
-        (cmd_refine, 4, 0, _counts(34, 16, 32)),
+        (cmd_refine, 4, 0, _counts(34, 16, 32, passes=5)),
     ],
     ids=["chain-sweep", "chain-refine"],
 )

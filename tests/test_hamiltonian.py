@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,8 +117,9 @@ def test_to_matrix_matches_dense_oracle():
         with_y += any("Y" in s for _, s in h.terms)
         assert np.array_equal(to_matrix(h), pauli_sum_matrix(h.terms, n))
     assert with_y >= 15
-    # far more terms than columns: every 4-qubit word (256, complex) and
-    # every one without Y (81, real), each built in several blocks of terms
+    # far more terms than columns: every 4-qubit word (256, complex; 16 X
+    # masks of 16 words each) and every one without Y (81, real; 16 X
+    # masks of 1 to 16 words), so every group sums many words
     for letters, dtype in (("IXYZ", np.complex128), ("IXZ", np.float64)):
         strings = ["".join(w) for w in itertools.product(letters, repeat=4)]
         h = PauliSum(4, tuple((float(rng.normal()), s) for s in strings))
@@ -125,6 +127,29 @@ def test_to_matrix_matches_dense_oracle():
         got = to_matrix(h)
         assert got.dtype == dtype
         assert np.array_equal(got, pauli_sum_matrix(h.terms, 4))
+
+
+@pytest.mark.parametrize(
+    "n, letters",
+    # 32 X masks of 32 words each (complex); one X mask of 64 words (real)
+    [(5, "IXYZ"), (6, "IZ")],
+    ids=["every-word", "diagonal"],
+)
+def test_dense_build_holds_a_few_matrices_beyond_its_result(n, letters):
+    # a group's phases hold at most one matrix's entries and the
+    # Hermiticity guard one more, whatever the number of words
+    rng = np.random.default_rng(60 + n)
+    strings = ["".join(w) for w in itertools.product(letters, repeat=n)]
+    h = PauliSum(n, tuple((float(rng.normal()), s) for s in strings))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        matrix = to_matrix(h)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(matrix, pauli_sum_matrix(h.terms, n))
+    assert peak - matrix.nbytes <= 4 * matrix.nbytes
 
 
 def test_to_matrix_cap():
@@ -526,7 +551,8 @@ def test_pauli_text_parsing_details():
 @pytest.mark.parametrize(
     "bad",
     ["0.5", "abc ZZ", "0.5 Z\n0.25 ZZ", "0.5 QQ", "", "nan ZZ", "inf Z", "-inf Z"]
-    + ["1 " + "Z" * 64],  # longer than a word's masks hold
+    + ["1 " + "Z" * 64]  # longer than a word's masks hold
+    + ["1 X\n-1 X", "0 Z"],  # terms that merge to the zero operator
 )
 def test_pauli_text_errors(bad):
     with pytest.raises(ConfigError):

@@ -13,9 +13,9 @@ from vacuum_refine.pauli import (
     apply_words,
     compile_words,
     identity_words,
-    matrix_entries,
     odd_words,
     split_order,
+    x_groups,
 )
 
 from oracles import pauli_word_matrix, random_state
@@ -106,14 +106,36 @@ def test_only_pauli_reads_the_columns_of_a_word_table():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_matrix_entries_rebuild_every_word(n):
+def test_x_groups_rebuild_every_word(n):
     strings = _all_strings(n)
+    table = compile_words(strings)
     columns = np.arange(2**n)
-    flipped, phases = matrix_entries(compile_words(strings), columns)
     for t, string in enumerate(strings):
-        dense = np.zeros((2**n, 2**n), dtype=np.complex128)
-        dense[flipped[t], columns] = phases[t]
-        assert np.array_equal(dense, pauli_word_matrix(string)), string
+        one_hot = np.zeros((1, len(strings)))
+        one_hot[0, t] = 1.0
+        expected = pauli_word_matrix(string)
+        for real in (False, True):
+            dense = np.zeros((2**n, 2**n), dtype=np.float64 if real else np.complex128)
+            groups = list(x_groups(table, one_hot, 2**n, real))
+            # one group per X mask, 2^n of them, each of 2^n words
+            assert len(groups) == 2**n
+            for flipped, entries in groups:
+                assert entries.shape == (1, 2**n)
+                dense[flipped, columns] = entries[0]
+            assert np.array_equal(dense, expected.real if real else expected), string
+
+
+def test_x_groups_sum_each_entry_in_table_order_from_zero():
+    # IZ and ZI share x = 0; on the zero row a coefficient times phase -1
+    # is -0.0, which becomes +0.0 when it is added to zero
+    table = compile_words(["IZ", "ZI", "XX"])
+    coeffs = np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.3]])
+    (diagonal_rows, diagonal), (flipped_rows, flipped) = x_groups(table, coeffs, 4, True)
+    assert diagonal_rows.tolist() == [0, 1, 2, 3] and flipped_rows.tolist() == [3, 2, 1, 0]
+    assert not np.signbit(diagonal[0]).any() and not np.signbit(flipped[0]).any()
+    signs = np.array([[1, -1, 1, -1], [1, 1, -1, -1]])
+    assert diagonal[1].tolist() == [(0.0 + 0.1 * a) + 0.2 * b for a, b in signs.T]
+    assert flipped[1].tolist() == [0.3] * 4
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
