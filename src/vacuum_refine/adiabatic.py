@@ -4,36 +4,45 @@ The total ramp time T is split into N = T / dt equal steps.  Step k
 evolves under the interpolated operator frozen at the midpoint parameter
 s_k = (k + 1/2) * dt / T, which keeps the discretization error of the
 schedule at second order in dt.  Steps themselves are taken either
-exactly, by applying exp(-i * h * dt) straight from the step operator's
-eigendecomposition, or with a first-order splitting that applies Z-type
-factors before X-type factors, lexicographically within each class
-(``pauli.split_order``).
+exactly, by applying exp(-i * h * dt) to the state, or with a
+first-order splitting that applies Z-type factors before X-type factors,
+lexicographically within each class (``pauli.split_order``).
 
 Every ramp operator is known before the first step, so ``run_adiabatic``
 writes them all as one (steps x words) coefficient array
-(``ramp_coefficients``) and takes their eigendecompositions stack by
-stack: dense matrices built as a stack, one ``eigh`` per stack and the
-Hermiticity, orthonormality and residual guards vectorized over it.  The
-stacks are diagonalized on up to one thread per core of the process's
-affinity at once, as many as a fixed budget of matrix entries in flight
-allows, each eigendecomposition on one BLAS thread, and arrive in order
-(``_SpectrumStacks``), which counts the threads they used
-(``_Counters.diagonalization_workers``).  Both step modes read each step's
-coefficient row against the one word table, so no operator is built per
-step.
+(``ramp_coefficients``) and takes their spectra stack by stack
+(``_SpectrumStacks``): dense matrices built as a stack, with the
+Hermiticity guard vectorized over it.  Up to 6 qubits each stack is
+diagonalized, one ``eigh`` per stack with the orthonormality and
+residual guards vectorized over it.  From ``_CHEBYSHEV_QUBITS`` (7)
+qubits on, a ramp record needs only the eigenvalues (gap, degeneracy
+warning, spectral bounds) and the ground vector (fidelity target), and
+an exact step only exp(-i h dt) psi, so each stack gets ``eigvalsh``,
+one ground vector per matrix by shifted inverse iteration, and keeps its
+matrices for the step.  The stacks are computed on up to one thread per
+core of the process's affinity at once, as many as a fixed budget of
+matrix entries in flight allows, each on one BLAS thread, and arrive in
+order, counting the threads they used
+(``_Counters.diagonalization_workers``).  Both step modes read each
+step's coefficient row against the one word table, so no operator is
+built per step.
 
 The ramp and the hold work a block of states at a time.  For each stack
-of the ramp, one ``np.exp`` gives every step's phases and one comparison
-every step's degeneracy flag; the step loop walks the stack's
-eigenvectors, phases and state rows together and only applies the
-propagator kernel (``_propagate``: one ``dot`` with V^*, one in-place
-phase multiplication, one ``dot`` with V^T), which writes each new
-state straight into its row of the block's (rows, d) array.  The
+of the ramp one comparison gives every step's degeneracy flag.  Up to 6
+qubits one ``np.exp`` gives every step's phases, and the step loop walks
+the stack's eigenvectors, phases and state rows together and only
+applies the propagator kernel (``_propagate``: one ``dot`` with V^*, one
+in-place phase multiplication, one ``dot`` with V^T), which writes each
+new state straight into its row of the block's (rows, d) array.  The
 kernel's complex operands are cast once per slice of the stack
-(``_operands``), within the stack's entry budget; a matrix whose operand
-pair exceeds it (8 qubits and up) is cast by the kernel one operand at a
-time.  The stack is released before the next one is diagonalized.  An
-exact hold is not stepped: under one operator exp(-i h t) psi =
+(``_operands``), within the stack's entry budget or one matrix at a
+time.  From 7 qubits the step loop walks the stack's matrices instead,
+and each step is a Chebyshev expansion of exp(-i h dt) between the
+operator's extreme eigenvalues (``chebyshev._chebyshev_step``: one
+product with the matrix per term, about 15 terms a step on the 8-qubit
+chains at dt = 1/8), which keeps the norm to the unitarity tolerance.
+The stack is released before the next one is computed.  An exact hold
+is not stepped: under one operator exp(-i h t) psi =
 V (exp(-i E t) * V^H psi) for any t, so with c = V^H psi taken once,
 each block of records is one phase array over the records' elapsed
 times and one batched product with V^T, cast once for the hold, and a
@@ -85,6 +94,12 @@ from .statevector import (
 )
 
 _GRID_ATOL = 1e-9
+# From this many qubits on, a ramp operator's eigenvectors are not taken:
+# its eigenvalues, its ground vector and its matrix serve its records and
+# its Chebyshev step.  Measured on seeded chains (T = 4, dt = 1/8), the
+# Chebyshev ramp loses to the eigenvector ramp at 4-5 qubits, ties at 6
+# and wins from 7 on.
+_CHEBYSHEV_QUBITS = 7
 _ENERGY_KEY = "energy"
 
 
@@ -242,13 +257,13 @@ class _Recorder:
     clamped to 1, and the time-order check of its times; their values
     are appended to the columns, and no per-record object is built.
 
-    The caller sizes the blocks.  A ramp block is one stack of
-    eigendecompositions and a hold block has as many rows as such a
-    stack (``_STACK_ENTRIES`` // d^2, at least one), so a block holds at
-    most ``_STACK_ENTRIES`` amplitudes.  At one qubit the whole shipped
-    ramp is one block; from 8 qubits on a block is one state, read out
-    before the next eigendecomposition, so recording adds nothing to the
-    ramp's peak memory.
+    The caller sizes the blocks.  A ramp block is one stack of ramp
+    operators (``_SpectrumStacks``) and a hold block has as many rows as
+    such a stack (``_STACK_ENTRIES`` // d^2, at least one), so a block
+    holds at most ``_STACK_ENTRIES`` amplitudes.  At one qubit the whole
+    shipped ramp is one block; from 8 qubits on a block is one state,
+    read out before the next stack is computed, so recording adds nothing
+    to the ramp's peak memory.
     """
 
     def __init__(
@@ -317,6 +332,32 @@ def _step_stack(
     return amplitudes
 
 
+def _chebyshev_stack(
+    matrices: np.ndarray,
+    values: np.ndarray,
+    dt: float,
+    states: np.ndarray,
+    amplitudes: np.ndarray,
+    counters: _Counters | None,
+) -> np.ndarray:
+    """Step ``amplitudes`` through a stack's matrices, into the rows of ``states``.
+
+    Step k applies exp(-i H_k dt) by the Chebyshev kernel
+    (``chebyshev._chebyshev_step``), bounded by the extreme eigenvalues of
+    row k of ``values``, to the row before it and writes row k;
+    ``counters``, when given, count the terms.  Returns the last row.
+    """
+    # imported here: only the ramps of 7 qubits and more need it
+    from .chebyshev import _chebyshev_step
+
+    for matrix, bounds, row in zip(matrices, values, states):
+        terms = _chebyshev_step(matrix, bounds[0], bounds[-1], dt, amplitudes, out=row)
+        amplitudes = row
+        if counters is not None:
+            counters.chebyshev_terms += terms
+    return amplitudes
+
+
 def run_adiabatic(
     h0: PauliSum,
     h1: PauliSum,
@@ -338,13 +379,21 @@ def run_adiabatic(
 
     Every operator of the ramp, h0 (s = 0) and each step's, is known
     before the first step, so both step modes and the energies read one
-    (steps x words) coefficient array, and the eigendecompositions come
-    stack by stack from it.  Each stack's phases and degeneracy flags are
-    taken at once, the step loop only advances amplitudes into the
-    stack's block of states, and the block is read out at once
-    (``_Recorder``).  ``counters``, when given, count the eigendecompositions
-    and the steps, and note the smallest gap between the two lowest
-    levels of any ramp operator, with its s.
+    (steps x words) coefficient array, and the spectra come stack by
+    stack from it (``_SpectrumStacks``).  Up to 6 qubits they are full
+    eigendecompositions and an exact step applies its operator's
+    eigenvectors; from ``_CHEBYSHEV_QUBITS`` qubits on they are the
+    eigenvalues, the ground vector and the dense matrix of each operator,
+    and an exact step is a Chebyshev expansion
+    (``chebyshev._chebyshev_step``).  Either way the gaps, degeneracy
+    warnings and fidelity targets come from the eigenvalues and ground
+    vectors, in both step modes.  Each stack's degeneracy
+    flags are taken at once, the step loop only advances amplitudes into
+    the stack's block of states, and the block is read out at once
+    (``_Recorder``).  ``counters``, when given, count the matrices whose
+    spectra were taken, the steps and the Chebyshev terms, and note the
+    smallest gap between the two lowest levels of any ramp operator, with
+    its s.
     """
     if h0.num_qubits != h1.num_qubits:
         raise DomainError(
@@ -365,9 +414,9 @@ def run_adiabatic(
     if records:
         recorder = _Recorder(trajectory, 2**n, words, observables, record_states)
     # the stacks refuse a register above the dense cap before |0...0> exists
-    stacks = _SpectrumStacks(n, words, coeffs, counters)
+    stacks = _SpectrumStacks(n, words, coeffs, counters, ground_only=n >= _CHEBYSHEV_QUBITS)
     amplitudes = basis_state(n, 0).amplitudes
-    for start, values, vectors in stacks:
+    for start, values, vectors, matrices in stacks:
         stop = start + len(values)
         states = np.empty((len(values), 2**n), dtype=np.complex128)
         # row 0 of the first stack is the initial state; every other row
@@ -375,7 +424,11 @@ def run_adiabatic(
         first = 1 if start == 0 else 0
         if first:
             states[0] = amplitudes
-        if exact:
+        if exact and matrices is not None:
+            amplitudes = _chebyshev_stack(
+                matrices[first:], values[first:], dt, states[first:], amplitudes, counters
+            )
+        elif exact:
             phases = np.exp(-1j * values[first:] * dt)
             amplitudes = _step_stack(vectors[first:], phases, states[first:], amplitudes)
         else:
@@ -397,7 +450,7 @@ def run_adiabatic(
             times = [k * dt for k in range(start, stop)]
             targets = np.ascontiguousarray(vectors[:, :, 0])
             recorder.read(times, states, coeffs[start:stop], targets)
-        del values, vectors  # free before the next stack is diagonalized
+        del values, vectors, matrices  # free before the next stack is diagonalized
     if counters is not None:
         counters.steps += schedule.num_ramp_steps
     if recorder is not None:

@@ -2,15 +2,19 @@
 
 A command makes one ``_Counters`` and passes it down to every layer that
 does countable work; the command writes its counts to its manifest as
-``counters`` and what it noted as ``diagnostics``.  No layer keeps counts
-of its own.
+``counters``, what it noted as ``diagnostics`` and the wall time of its
+stages as ``stages``.  No layer keeps counts of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import contextlib
+import time
+from dataclasses import asdict, dataclass, field
+from typing import Iterator
 
 _DIAGNOSTICS = ("min_ramp_gap", "min_ramp_gap_s")
+_STAGES = ("ramp", "hold", "filter", "estimation", "writing")
 
 
 @dataclass
@@ -24,14 +28,22 @@ class _Counters:
     number of the next one; ``estimates`` counts the sampled values (rows
     times terms) and ``shots_drawn`` their shots.  Exact estimation leaves
     those three at zero.  ``dense_bytes`` counts the bytes of the dense
-    matrix stacks built for diagonalization, and ``filter_passes`` the
-    passes of ``refine``.
+    matrix stacks built for them, and ``filter_passes`` the passes of
+    ``refine``.  The three counts of matrices take in every dense matrix
+    whose spectrum is computed: all of them are fully diagonalized, except
+    the ramp operators of 7 qubits and more, which have their eigenvalues
+    and ground vector taken.  ``chebyshev_terms`` counts the terms of the
+    Chebyshev steps those ramps take, one product with a matrix each.
 
     ``min_ramp_gap`` and ``min_ramp_gap_s`` are diagnostics, not counts:
     the smallest gap between the two lowest levels of any ramp operator,
     and the s of the first operator that has it; None without a ramp.
     ``diagonalization_workers`` is the most threads that diagonalized
     stacks of the command at once, written at the manifest's top level.
+    ``stages`` holds the seconds spent in each stage of the command
+    (``stage``): the ramp, the hold, the filter, estimation from the
+    recorded states and writing the data files; a stage the command does
+    not run stays at zero.
     """
 
     diagonalization_workers: int = 0
@@ -43,17 +55,37 @@ class _Counters:
     shots_drawn: int = 0
     dense_bytes: int = 0
     filter_passes: int = 0
+    chebyshev_terms: int = 0
     min_ramp_gap: float | None = None
     min_ramp_gap_s: float | None = None
+    stages: dict[str, float] = field(default_factory=lambda: dict.fromkeys(_STAGES, 0.0))
 
     def note_gap(self, gap: float, s: float) -> None:
         """Keep ``gap`` at ``s`` when it is below every gap noted before."""
         if self.min_ramp_gap is None or gap < self.min_ramp_gap:
             self.min_ramp_gap, self.min_ramp_gap_s = gap, s
 
+    @contextlib.contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Add the wall time of the block to stage ``name``, however the block ends."""
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[name] += time.perf_counter() - started
+
     def sections(self) -> dict:
-        """The manifest's ``diagonalization_workers``, ``counters`` and ``diagnostics``."""
+        """The manifest's ``diagonalization_workers`` and its three sections.
+
+        The sections are ``counters``, ``diagnostics`` and ``stages``.
+        """
         counts = asdict(self)
         workers = counts.pop("diagonalization_workers")
+        stages = counts.pop("stages")
         diagnostics = {name: counts.pop(name) for name in _DIAGNOSTICS}
-        return {"diagonalization_workers": workers, "counters": counts, "diagnostics": diagnostics}
+        return {
+            "diagonalization_workers": workers,
+            "counters": counts,
+            "diagnostics": diagnostics,
+            "stages": stages,
+        }

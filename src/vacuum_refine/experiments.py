@@ -23,8 +23,9 @@ unrelated noise.  The manifest's ``counters`` (``counters._Counters``)
 give the matrices diagonalized and their summed d^3, the steps evolved,
 the streams opened, the values sampled and the shots drawn; the command
 passes them down to the ramp, the hold and every diagonalization.  The
-same object carries the manifest's ``diagnostics``: the ramp's smallest
-instantaneous gap and its s.
+same object carries the manifest's ``diagnostics``, the ramp's smallest
+instantaneous gap and its s, and its ``stages``, the wall time of the
+ramp, the hold, the filter, estimation and writing the data files.
 
 A trajectory's CSV rows are its columns (``Trajectory.times``, the
 observable and energy columns, ``Trajectory.fidelity``) zipped with the
@@ -128,25 +129,26 @@ class _Estimator:
         order, in one stacked estimate of every term; each row sums its
         terms in order.
         """
-        rows = amplitudes.shape[0]
-        if self.exact:
-            values = expectations(amplitudes, observable.coeffs, observable.words)
-            return values.tolist(), [0.0] * rows
-        shots = self.settings.shots
-        streams = []
-        for _ in observable.terms:
-            key = np.random.SeedSequence(self.settings.seed, spawn_key=(self.counters.streams,))
-            streams.append(np.random.default_rng(key))
-            self.counters.streams += 1
-        self.counters.estimates += rows * len(streams)
-        self.counters.shots_drawn += rows * len(streams) * shots
-        values, errors = shot_estimates(amplitudes, observable.words, shots, streams)
-        total = np.zeros(rows)
-        variance = np.zeros(rows)
-        for coeff, value, error in zip(observable.coeffs[0].tolist(), values.T, errors.T):
-            total += coeff * value
-            variance += (coeff * error) ** 2
-        return total.tolist(), np.sqrt(variance).tolist()
+        with self.counters.stage("estimation"):
+            rows = amplitudes.shape[0]
+            if self.exact:
+                values = expectations(amplitudes, observable.coeffs, observable.words)
+                return values.tolist(), [0.0] * rows
+            shots = self.settings.shots
+            streams = []
+            for _ in observable.terms:
+                key = np.random.SeedSequence(self.settings.seed, spawn_key=(self.counters.streams,))
+                streams.append(np.random.default_rng(key))
+                self.counters.streams += 1
+            self.counters.estimates += rows * len(streams)
+            self.counters.shots_drawn += rows * len(streams) * shots
+            values, errors = shot_estimates(amplitudes, observable.words, shots, streams)
+            total = np.zeros(rows)
+            variance = np.zeros(rows)
+            for coeff, value, error in zip(observable.coeffs[0].tolist(), values.T, errors.T):
+                total += coeff * value
+                variance += (coeff * error) ** 2
+            return total.tolist(), np.sqrt(variance).tolist()
 
     def evaluate(self, state: StateVector, observable: PauliSum) -> tuple[float, float]:
         """Return (value, standard error) for one observable on one state."""
@@ -214,15 +216,16 @@ def _prepare(config: ExperimentConfig, h1: PauliSum):
     h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
     estimator = _Estimator(config.estimation, _Counters())
     observables = {_OBS_KEY: _mean_z(h1.num_qubits)}
-    final, ramp = run_adiabatic(
-        h0,
-        h1,
-        config.schedule,
-        config.mode,
-        observables,
-        record_states=not estimator.exact,
-        counters=estimator.counters,
-    )
+    with estimator.counters.stage("ramp"):
+        final, ramp = run_adiabatic(
+            h0,
+            h1,
+            config.schedule,
+            config.mode,
+            observables,
+            record_states=not estimator.exact,
+            counters=estimator.counters,
+        )
     return estimator, observables, final, ramp
 
 
@@ -232,22 +235,25 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
     _ensure_output_dir(config.output_prefix)
     h1 = build_model(config)
     estimator, observables, final, ramp = _prepare(config, h1)
-    spectrum = exact_diagonalize(h1, estimator.counters)
-    held, hold = run_hold(
-        final,
-        h1,
-        config.schedule,
-        config.mode,
-        observables,
-        record_states=not estimator.exact,
-        start_time=config.schedule.total_time,
-        spectrum=spectrum,
-        counters=estimator.counters,
-    )
+    counters = estimator.counters
+    spectrum = exact_diagonalize(h1, counters)
+    with counters.stage("hold"):
+        held, hold = run_hold(
+            final,
+            h1,
+            config.schedule,
+            config.mode,
+            observables,
+            record_states=not estimator.exact,
+            start_time=config.schedule.total_time,
+            spectrum=spectrum,
+            counters=counters,
+        )
     rows = _trajectory_rows(ramp, estimator, observables[_OBS_KEY])
     rows += _trajectory_rows(hold, estimator, observables[_OBS_KEY])
     trajectory_path = f"{config.output_prefix}_trajectory.csv"
-    _write_csv(trajectory_path, ["t", "expval_Z", "std_error", "fidelity", "energy"], rows)
+    with counters.stage("writing"):
+        _write_csv(trajectory_path, ["t", "expval_Z", "std_error", "fidelity", "energy"], rows)
 
     final_fidelity = fidelity(final, spectrum.ground_state)
     prep_quality = 2.0 * final_fidelity - 1.0
@@ -261,11 +267,12 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
         "held_final_energy": expectation_observable(held, h1),
     }
     summary_path = f"{config.output_prefix}_summary.csv"
-    _write_csv(summary_path, list(summary), [tuple(summary.values())])
+    with counters.stage("writing"):
+        _write_csv(summary_path, list(summary), [tuple(summary.values())])
 
     outputs = [trajectory_path, summary_path]
     warnings = ramp.warnings + hold.warnings
-    manifest = _write_manifest("sweep", config, outputs, started, warnings, estimator.counters)
+    manifest = _write_manifest("sweep", config, outputs, started, warnings, counters)
     lines = [
         f"trajectory written to {trajectory_path} ({len(rows)} records)",
         f"prep quality 2|alpha|^2-1 = {prep_quality:.9f} "
@@ -293,13 +300,15 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
     if h1.num_qubits != 1:
         raise ConfigError("model.hamiltonian: filter-run requires a one-qubit model")
     estimator, observables, final, ramp = _prepare(config, h1)
-    spectrum = exact_diagonalize(h1, estimator.counters)
+    counters = estimator.counters
+    spectrum = exact_diagonalize(h1, counters)
 
     pre_tag_z = expectation_observable(final, observables[_OBS_KEY])
     interference = cross_term(final, spectrum, observables[_OBS_KEY])
 
     joint = StateVector(2, np.kron(np.array([1.0, 0.0]), final.amplitudes))
-    tagged = tag_circuit_one_qubit(joint, spectrum)
+    with counters.stage("filter"):
+        tagged = tag_circuit_one_qubit(joint, spectrum)
 
     z_system = PauliSum(2, ((1.0, "IZ"),))
     mixed_z_exact = expectation_observable(tagged, z_system)
@@ -318,7 +327,8 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
     )
 
     if config.filter.discard:
-        _, collapsed = postselect(tagged, [0], "0")
+        with counters.stage("filter"):
+            _, collapsed = postselect(tagged, [0], "0")
         post_state: StateVector = collapsed
         hold_h = h1
         hold_obs = observables
@@ -334,23 +344,25 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
         )
         hold_spectrum = None
         post_z = mixed_z_exact
-    _, hold = run_hold(
-        post_state,
-        hold_h,
-        config.schedule,
-        config.mode,
-        hold_obs,
-        record_states=not estimator.exact,
-        start_time=config.schedule.total_time,
-        include_initial=True,
-        fidelity_target=hold_target,
-        spectrum=hold_spectrum,
-        counters=estimator.counters,
-    )
+    with counters.stage("hold"):
+        _, hold = run_hold(
+            post_state,
+            hold_h,
+            config.schedule,
+            config.mode,
+            hold_obs,
+            record_states=not estimator.exact,
+            start_time=config.schedule.total_time,
+            include_initial=True,
+            fidelity_target=hold_target,
+            spectrum=hold_spectrum,
+            counters=counters,
+        )
     rows = _trajectory_rows(ramp, estimator, observables[_OBS_KEY])
     rows += _trajectory_rows(hold, estimator, hold_obs[_OBS_KEY])
     trajectory_path = f"{config.output_prefix}_trajectory.csv"
-    _write_csv(trajectory_path, ["t", "expval_Z", "std_error", "fidelity", "energy"], rows)
+    with counters.stage("writing"):
+        _write_csv(trajectory_path, ["t", "expval_Z", "std_error", "fidelity", "energy"], rows)
 
     summary = {
         "raw": raw,
@@ -364,11 +376,12 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
         "postselected_expval": post_z if config.filter.discard else float("nan"),
     }
     summary_path = f"{config.output_prefix}_summary.csv"
-    _write_csv(summary_path, list(summary), [tuple(summary.values())])
+    with counters.stage("writing"):
+        _write_csv(summary_path, list(summary), [tuple(summary.values())])
 
     outputs = [trajectory_path, summary_path]
     warnings = ramp.warnings + hold.warnings
-    manifest = _write_manifest("filter-run", config, outputs, started, warnings, estimator.counters)
+    manifest = _write_manifest("filter-run", config, outputs, started, warnings, counters)
     lines = [
         f"trajectory written to {trajectory_path} ({len(rows)} records)",
         f"raw = {raw:.9f}  2p0-1 = {denom:.9f}  corrected = raw/(2p0-1) = {corrected:.9f}",
@@ -424,23 +437,25 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
         raise ConfigError(f"filter: {exc}") from exc
     h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
     counters = _Counters()
-    final, ramp = run_adiabatic(
-        h0, h1, config.schedule, config.mode, records=False, counters=counters
-    )
+    with counters.stage("ramp"):
+        final, ramp = run_adiabatic(
+            h0, h1, config.schedule, config.mode, records=False, counters=counters
+        )
     spectrum = exact_diagonalize(h1, counters)
     start_fidelity = fidelity(final, spectrum.ground_state)
 
     fixed_theta = config.filter.theta if config.filter.theta_mode == "fixed" else None
-    report = refine_iteratively(
-        final,
-        h1,
-        spectrum,
-        m=config.filter.ancillas,
-        max_iters=config.refine.max_iters,
-        target_infidelity=config.refine.target_infidelity,
-        powers=config.filter.powers,
-        fixed_theta=fixed_theta,
-    )
+    with counters.stage("filter"):
+        report = refine_iteratively(
+            final,
+            h1,
+            spectrum,
+            m=config.filter.ancillas,
+            max_iters=config.refine.max_iters,
+            target_infidelity=config.refine.target_infidelity,
+            powers=config.filter.powers,
+            fixed_theta=fixed_theta,
+        )
     counters.filter_passes += len(report.steps)
     rows = []
     for index, step in enumerate(report.steps, start=1):
@@ -457,11 +472,12 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
             )
         )
     refinement_path = f"{config.output_prefix}_refinement.csv"
-    _write_csv(
-        refinement_path,
-        ["iteration", "E0_prime", "theta", "success_probability", "fidelity", "excited_weight", "status"],
-        rows,
-    )
+    with counters.stage("writing"):
+        _write_csv(
+            refinement_path,
+            ["iteration", "E0_prime", "theta", "success_probability", "fidelity", "excited_weight", "status"],
+            rows,
+        )
     summary = {
         "start_fidelity": start_fidelity,
         "passes": len(report.steps),
@@ -542,8 +558,9 @@ def cmd_diag(config: ExperimentConfig) -> CommandResult:
         lines.append(f"state file: {config.state_file}")
         lines.append(f"cross term (mean Z): {_fmt(interference)}")
     report_path = f"{config.output_prefix}_diag.txt"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    with counters.stage("writing"):
+        with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write("\n".join(lines) + "\n")
     outputs = [report_path]
     manifest = _write_manifest("diag", config, outputs, started, [], counters)
     lines.append(f"manifest written to {manifest}")

@@ -190,18 +190,25 @@ def _dense_stack(
     The words that share an X mask x fill entries ``[k, c ^ x, c]`` and
     no others, so each group is one assignment of its summed entries
     (``pauli.x_groups``): each entry sums its words in table order,
-    starting from zero.  Registers above ``DEFAULT_DENSE_CAP`` qubits are
-    refused.
+    starting from zero.  The mirror entry ``[k, c, c ^ x]`` of each is in
+    the same group, at column c ^ x, so the Hermiticity guard reads
+    |H - H^dagger| group by group, d entries per row a group, with the
+    values of the dense difference.  Registers above ``DEFAULT_DENSE_CAP``
+    qubits are refused.
     """
     _refuse_dense(num_qubits)
     dim = 2**num_qubits
     out = np.zeros((coeffs.shape[0], dim, dim), dtype=np.float64 if real else np.complex128)
     columns = np.arange(dim)
+    asymmetry = np.zeros(coeffs.shape[0])
     for flipped, entries in x_groups(words, coeffs, dim, real):
         out[:, flipped, columns] = entries
-    difference = np.conjugate(out.swapaxes(-1, -2))
-    np.subtract(out, difference, out=difference)
-    _refuse_above(_max_entry(difference), 1e-12, "dense matrix is not Hermitian")
+        mirror = entries[:, flipped]
+        if not real:
+            np.conjugate(mirror, out=mirror)
+        np.subtract(entries, mirror, out=mirror)
+        np.maximum(asymmetry, _max_entry(mirror[:, np.newaxis]), out=asymmetry)
+    _refuse_above(asymmetry, 1e-12, "dense matrix is not Hermitian")
     return out
 
 
@@ -444,15 +451,21 @@ def _in_order(count: int, compute: Callable[[int], Any], workers: int) -> Iterat
 
 
 class _SpectrumStacks:
-    """(first row, eigenvalues, eigenvectors) of each stack of rows of ``coeffs``.
+    """(first row, eigenvalues, eigenvectors, matrices) of each stack of rows of ``coeffs``.
 
     A stack holds consecutive rows of one dtype (``_real_rows``), at most
     ``_STACK_ENTRIES`` matrix entries or a single matrix.  Its rows
-    ``first`` to ``first + k`` are built (``_dense_stack``) and
-    diagonalized (``_diagonalize_stack``) as one (k, d, d) stack, giving
-    (k, d) eigenvalues and (k, d, d) eigenvectors.  Every diagonalization
-    in the package runs here.  A register above ``DEFAULT_DENSE_CAP``
-    qubits is refused when the stacks are made, before any is built.
+    ``first`` to ``first + k`` are built as one (k, d, d) stack
+    (``_dense_stack``) and analysed here; every spectrum in the package
+    is computed here.  By default the stack is diagonalized
+    (``_diagonalize_stack``), giving (k, d) eigenvalues and (k, d, d)
+    eigenvectors, and its matrices are dropped (None).  With
+    ``ground_only`` it yields its (k, d) eigenvalues (``eigvalsh``), the
+    (k, d, 1) ground vector of each matrix (``chebyshev._ground_vectors``)
+    and the (k, d, d) matrices themselves, for a caller that steps with them; so
+    column 0 of the eigenvectors is the ground vector either way.  A
+    register above ``DEFAULT_DENSE_CAP`` qubits is refused when the stacks
+    are made, before any is built.
 
     Iterating yields the stacks in order, computed by ``workers`` threads
     (``_workers``, ``_in_order``): one per core of the process's affinity,
@@ -465,8 +478,10 @@ class _SpectrumStacks:
     eigendecomposition is what makes the threads pay: OpenBLAS's own
     threads do not speed up ``eigh`` at these sizes.  Each stack (its
     matrices, their summed d^3 and their bytes) is added to ``counters``,
-    when given, as it is yielded, and their ``diagonalization_workers``
-    keep the most threads any stacks of the command ran on.
+    when given, as it is yielded, whether its matrices were diagonalized
+    or had their eigenvalues and ground vectors taken, and their
+    ``diagonalization_workers`` keep the most threads any stacks of the
+    command ran on.
     """
 
     def __init__(
@@ -475,12 +490,14 @@ class _SpectrumStacks:
         words: np.ndarray,
         coeffs: np.ndarray,
         counters: _Counters | None = None,
+        ground_only: bool = False,
     ):
         _refuse_dense(num_qubits)
         self._num_qubits = num_qubits
         self._words = words
         self._coeffs = coeffs
         self._counters = counters
+        self._ground_only = ground_only
         real = _real_rows(words, coeffs)
         self._real = real.tolist()
         chunk = max(1, statevector._STACK_ENTRIES // 4**num_qubits)
@@ -493,18 +510,24 @@ class _SpectrumStacks:
         if counters is not None:
             counters.diagonalization_workers = max(counters.diagonalization_workers, self.workers)
 
-    def _diagonalize(self, i: int) -> tuple[int, np.ndarray, np.ndarray]:
+    def _analyse(self, i: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
         start, stop = self._starts[i], self._starts[i + 1]
         matrices = _dense_stack(
             self._num_qubits, self._words, self._coeffs[start:stop], self._real[start]
         )
-        values, vectors = _diagonalize_stack(matrices)
-        return start, values, vectors
+        if self._ground_only:
+            # imported here: only the ramps of 7 qubits and more need it
+            from .chebyshev import _eigenvalues, _ground_vectors
 
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+            values = _eigenvalues(matrices)
+            return start, values, _ground_vectors(matrices, values), matrices
+        values, vectors = _diagonalize_stack(matrices)
+        return start, values, vectors, None
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray | None]]:
         counters = self._counters
         with _blas().one_thread() if self.workers > 1 else contextlib.nullcontext():
-            for stack in _in_order(len(self._starts) - 1, self._diagonalize, self.workers):
+            for stack in _in_order(len(self._starts) - 1, self._analyse, self.workers):
                 if counters is not None:
                     counters.matrices_diagonalized += len(stack[1])
                     counters.diagonalized_d3 += len(stack[1]) * 8**self._num_qubits
@@ -525,7 +548,7 @@ def exact_diagonalize(h: PauliSum, counters: _Counters | None = None) -> Spectru
     and is added to ``counters`` when they are given.
     """
     stacks = _SpectrumStacks(h.num_qubits, h.words, h.coeffs, counters)
-    _, values, vectors = next(iter(stacks))
+    _, values, vectors, _ = next(iter(stacks))
     return Spectrum(h.num_qubits, values[0], vectors[0])
 
 
@@ -565,26 +588,20 @@ def _complex_pair(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Steps that share eigenvectors share the cast: the ramp casts each
     slice of a stack once (``_operands``), not each step.  The pair of a
-    real V holds four times the bytes of V, so it is made only where
-    it holds at most ``statevector._STACK_ENTRIES`` entries.
+    real V holds four times the bytes of V.
     """
     return _conjugated(vectors), _transposed(vectors)
 
 
-def _operands(vectors: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray] | np.ndarray]:
-    """An iterator over the kernel's operands for each matrix of a (k, d, d) stack.
+def _operands(vectors: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """An iterator over the kernel's operand pairs for each matrix of a (k, d, d) stack.
 
     Consecutive matrices are cast in slices whose pairs hold at most
-    ``statevector._STACK_ENTRIES`` entries between them, and each matrix's
-    pair comes from its slice.  A matrix whose pair alone is larger
-    (d = 256, 8 qubits, and up) comes as it is, for ``_propagate`` to
-    cast one operand at a time: no more is then held than numpy's
-    implicit cast held, and the ramp's peak memory does not grow.
+    ``statevector._STACK_ENTRIES`` entries between them, or one matrix,
+    and each matrix's pair comes from its slice.
     """
     dim = vectors.shape[-1]
-    rows = statevector._STACK_ENTRIES // (2 * dim * dim)
-    if rows == 0:
-        return iter(vectors)
+    rows = max(1, statevector._STACK_ENTRIES // (2 * dim * dim))
     # chain drops each slice's pairs before it casts the next slice
     return itertools.chain.from_iterable(
         zip(*_complex_pair(vectors[start : start + rows])) for start in range(0, len(vectors), rows)

@@ -566,7 +566,7 @@ def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
         (k + 0.5) * schedule.dt / schedule.total_time for k in range(schedule.num_ramp_steps)
     ]
     words, coeffs = ramp_coefficients(h0, h1, s_values)
-    assert [start for start, _, _ in _SpectrumStacks(n, words, coeffs)] == stacks
+    assert [start for start, *_ in _SpectrumStacks(n, words, coeffs)] == stacks
     final, ramp = run_adiabatic(
         h0, h1, schedule, EvolutionMode.EXACT_STEP, observables, record_states=True
     )
@@ -742,13 +742,14 @@ def test_each_stack_is_freed_before_the_next_is_diagonalized(h1, mode, matrices,
 
 
 def test_eight_qubit_ramp_adds_little_to_a_diagonalization_peak(monkeypatch):
-    # At 8 qubits a ramp stack is one 256 x 256 matrix.  Its operand pair
-    # would hold 2 MB, four times the real eigenvectors, so the kernel
-    # casts one operand at a time and the steps stay below the peak of
-    # the diagonalization itself.  On one thread the traced peak does not
-    # depend on timing: 2.09 MB against 2.07 MB for one diagonalization;
-    # casting the pair raised it to 2.54 MB, and keeping the previous
-    # stack alive to 2.60 MB.
+    # At 8 qubits a ramp stack is one 256 x 256 matrix.  The ramp takes its
+    # eigenvalues, its ground vector and its Chebyshev steps from the
+    # matrix alone, with no eigenvectors, so the steps stay below the peak
+    # of the diagonalization itself.  On one thread the traced peak does
+    # not depend on timing: 0.88 MB against 2.17 MB for one
+    # diagonalization.  Stepping from eigenvectors read 2.09 MB, 2.54 MB
+    # with their 2 MB operand pair cast per matrix, and keeping the
+    # previous stack alive raised it to 2.60 MB.
     monkeypatch.setattr(hamiltonian, "_cores", lambda: 1)
     h1 = parse_pauli_text(seeded_chain_text(8, 7))
     h0 = initial_hamiltonian(1.0, 8)
@@ -767,3 +768,96 @@ def test_eight_qubit_ramp_adds_little_to_a_diagonalization_peak(monkeypatch):
         tracemalloc.stop()
     # a quarter of a real 256 x 256 matrix, 128 KiB
     assert ramp <= diagonalization + 256 * 256 * 2
+
+
+def _ramp_both_ways(h1, schedule, monkeypatch, mode=EvolutionMode.EXACT_STEP):
+    """The ramp of ``h1`` on the Chebyshev path and on the eigenvector path, with counters."""
+    n = h1.num_qubits
+    h0 = initial_hamiltonian(J, n)
+    observables = {"expval_Z": _mean_z(n)}
+    runs = []
+    for qubits in (adiabatic._CHEBYSHEV_QUBITS, 99):
+        monkeypatch.setattr(adiabatic, "_CHEBYSHEV_QUBITS", qubits)
+        counters = _Counters()
+        final, trajectory = run_adiabatic(
+            h0, h1, schedule, mode, observables, record_states=True, counters=counters
+        )
+        runs.append((final, trajectory, counters))
+    return runs
+
+
+def _chain_with_y(n, seed):
+    chain = parse_pauli_text(seeded_chain_text(n, seed))
+    return PauliSum(n, chain.terms + ((0.4, "YY" + "I" * (n - 2)), (-0.3, "I" * (n - 1) + "Y")))
+
+
+@pytest.mark.parametrize(
+    "h1",
+    [
+        parse_pauli_text(seeded_chain_text(7, 7)),
+        _chain_with_y(7, 4),
+        parse_pauli_text(seeded_chain_text(8, 3)),
+        _chain_with_y(8, 9),
+    ],
+    ids=["7-real", "7-complex", "8-real", "8-complex"],
+)
+def test_chebyshev_ramp_matches_the_eigenvector_ramp(h1, monkeypatch):
+    schedule = Schedule(total_time=4.0, dt=0.125)
+    (final, ramp, counters), (eig_final, eig_ramp, eig_counters) = _ramp_both_ways(
+        h1, schedule, monkeypatch
+    )
+    assert np.max(np.abs(ramp.states - eig_ramp.states)) <= 1e-12
+    assert np.max(np.abs(final.amplitudes - eig_final.amplitudes)) <= 1e-12
+    assert ramp.times == eig_ramp.times
+    assert np.max(np.abs(np.subtract(ramp.fidelity, eig_ramp.fidelity))) <= 1e-12
+    for name, values in ramp.observables.items():
+        assert np.max(np.abs(np.subtract(values, eig_ramp.observables[name]))) <= 1e-12
+    assert ramp.warnings == eig_ramp.warnings == []
+    assert abs(counters.min_ramp_gap - eig_counters.min_ramp_gap) <= 1e-12
+    assert counters.min_ramp_gap_s == eig_counters.min_ramp_gap_s
+    # the same matrices counted, and only the Chebyshev ramp counts terms
+    assert counters.matrices_diagonalized == eig_counters.matrices_diagonalized == 33
+    assert counters.dense_bytes == eig_counters.dense_bytes
+    assert counters.chebyshev_terms >= 32 and eig_counters.chebyshev_terms == 0
+
+
+def test_chebyshev_ramp_matches_expm():
+    # seven qubits with a Y term, every step against scipy's exp(-i H dt)
+    # of the interpolated operator built with index loops
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    h1 = _chain_with_y(7, 4)
+    h0 = initial_hamiltonian(J, 7)
+    schedule = Schedule(total_time=2.0, dt=0.25)
+    _, ramp = run_adiabatic(h0, h1, schedule, EvolutionMode.EXACT_STEP, record_states=True)
+    m0, m1 = pauli_sum_matrix(h0.terms, 7), pauli_sum_matrix(h1.terms, 7)
+    psi = ramp.states[0]
+    for k, state in enumerate(ramp.states[1:]):
+        s = (k + 0.5) * schedule.dt / schedule.total_time
+        psi = scipy_linalg.expm(-1j * schedule.dt * ((1 - s) * m0 + s * m1)) @ psi
+        assert np.max(np.abs(state - psi)) <= 1e-12
+
+
+def test_degenerate_ground_level_at_seven_qubits_is_warned(monkeypatch):
+    # ramping -J sum Z to +J sum Z passes through the zero operator at s = 1/2
+    h1 = PauliSum(7, tuple((J, "I" * q + "Z" + "I" * (6 - q)) for q in range(7)))
+    schedule = Schedule(total_time=1.0, dt=1.0 / 3.0)
+    (final, ramp, counters), (eig_final, eig_ramp, _) = _ramp_both_ways(h1, schedule, monkeypatch)
+    assert ramp.warnings == eig_ramp.warnings
+    assert ramp.warnings == ["degenerate instantaneous ground level at step 1 (s=0.5)"]
+    assert np.max(np.abs(final.amplitudes - eig_final.amplitudes)) <= 1e-12
+    assert counters.min_ramp_gap == 0.0
+
+
+def test_trotter_ramp_at_seven_qubits_reads_the_ground_vectors(monkeypatch):
+    # the states do not depend on the path; the fidelity targets are the
+    # inverse-iteration ground vectors in place of eigh's first columns
+    h1 = _chain_with_y(7, 4)
+    schedule = Schedule(total_time=1.0, dt=0.125)
+    (final, ramp, counters), (eig_final, eig_ramp, eig_counters) = _ramp_both_ways(
+        h1, schedule, monkeypatch, EvolutionMode.TROTTER1
+    )
+    assert ramp.states.tobytes() == eig_ramp.states.tobytes()
+    assert final.amplitudes.tobytes() == eig_final.amplitudes.tobytes()
+    assert ramp.observables == eig_ramp.observables
+    assert np.max(np.abs(np.subtract(ramp.fidelity, eig_ramp.fidelity))) <= 1e-12
+    assert counters.chebyshev_terms == eig_counters.chebyshev_terms == 0

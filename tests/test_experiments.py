@@ -16,6 +16,7 @@ from vacuum_refine import (
     cmd_refine,
     cmd_sweep,
     initial_hamiltonian,
+    load_config,
     parse_config,
     with_overrides,
 )
@@ -606,8 +607,8 @@ def _counters(manifest_path):
     return json.loads(manifest_path.read_text())["counters"]
 
 
-def _counts(matrices, dim, steps, streams=0, estimates=0, shots=0, passes=0):
-    """The manifest's counters for ``matrices`` real dim x dim diagonalizations."""
+def _counts(matrices, dim, steps, streams=0, estimates=0, shots=0, passes=0, terms=0):
+    """The manifest's counters for ``matrices`` real dim x dim spectra."""
     return {
         "matrices_diagonalized": matrices,
         "diagonalized_d3": matrices * dim**3,
@@ -617,6 +618,7 @@ def _counts(matrices, dim, steps, streams=0, estimates=0, shots=0, passes=0):
         "shots_drawn": estimates * shots,
         "dense_bytes": matrices * dim**2 * 8,
         "filter_passes": passes,
+        "chebyshev_terms": terms,
     }
 
 
@@ -681,8 +683,10 @@ def test_manifest_counts_complex_dense_bytes(tmp_path):
     "command, n, hold_time, expected",
     [
         # 33 ramp operators and the target; 32 ramp steps and 8 hold steps;
-        # 17,825,792 and 69,632 dense bytes; refine's 5 passes
-        (cmd_sweep, 8, 1, _counts(34, 256, 40)),
+        # 17,825,792 and 69,632 dense bytes; refine's 5 passes.  The 8-qubit
+        # ramp steps by Chebyshev expansion, 489 terms in its 32 steps; the
+        # 4-qubit ramp steps from eigenvectors.
+        (cmd_sweep, 8, 1, _counts(34, 256, 40, terms=489)),
         (cmd_refine, 4, 0, _counts(34, 16, 32, passes=5)),
     ],
     ids=["chain-sweep", "chain-refine"],
@@ -777,3 +781,60 @@ def test_seeds_a_multiple_of_2_32_apart_share_no_stream():
         for _ in range(streams):
             values[seed] = estimator.evaluate_rows(fair, z)[0]
     assert values[11] != values[11 + 2**32]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the stages each command runs; the others stay at zero
+_RUN_STAGES = {
+    "sweep": {"ramp", "hold", "writing"},
+    "filter-run": {"ramp", "filter", "estimation", "hold", "writing"},
+    "refine": {"ramp", "filter", "writing"},
+    "diag": {"writing"},
+}
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("benchmark", "sweep"),
+        ("benchmark", "filter-run"),
+        ("benchmark", "diag"),
+        ("benchmark_shots", "sweep"),
+        ("benchmark_shots", "filter-run"),
+        ("pair_refine", "refine"),
+        ("pair_refine", "sweep"),
+    ],
+)
+def test_shipped_manifests_record_the_stage_times(tmp_path, name, command):
+    config = with_overrides(load_config(str(CONFIGS / f"{name}.cfg")), out=f"{tmp_path}/run")
+    commands = {"sweep": cmd_sweep, "filter-run": cmd_filter_run, "refine": cmd_refine}
+    commands.get(command, cmd_diag)(config)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    stages = manifest["stages"]
+    assert list(stages) == ["ramp", "hold", "filter", "estimation", "writing"]
+    ran = _RUN_STAGES[command] | ({"estimation"} if name == "benchmark_shots" else set())
+    assert {stage for stage, seconds in stages.items() if seconds > 0} == ran
+    assert all(isinstance(seconds, float) and seconds >= 0 for seconds in stages.values())
+    assert sum(stages.values()) <= manifest["duration_seconds"]
+    assert "stages" not in manifest["counters"]
+
+
+def test_chain_sweep_csvs_do_not_depend_on_the_diagonalization_workers(tmp_path, monkeypatch):
+    # the seed-7 8-qubit chain sweep, whose ramp steps by Chebyshev
+    # expansion, on the pooled stacks and on the calling thread alone
+    model = tmp_path / "chain.txt"
+    model.write_text(seeded_chain_text(8, seed=7))
+    outputs = {}
+    for workers in ("default", "one"):
+        if workers == "one":
+            monkeypatch.setattr(hamiltonian, "_workers", lambda stacks, entries: 1)
+        config = parse_config(
+            f"model.hamiltonian = {model}\nschedule.T = 4\nschedule.dt = 0.125\n"
+            f"schedule.hold_time = 1\noutput.prefix = {tmp_path}/{workers}\n"
+        )
+        cmd_sweep(config)
+        outputs[workers] = [
+            (tmp_path / f"{workers}_{suffix}.csv").read_bytes()
+            for suffix in ("trajectory", "summary")
+        ]
+    assert outputs["default"] == outputs["one"]

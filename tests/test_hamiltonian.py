@@ -24,7 +24,7 @@ from vacuum_refine import (
     transverse_ising_pair,
 )
 
-from vacuum_refine import hamiltonian, statevector
+from vacuum_refine import chebyshev, hamiltonian, statevector
 from vacuum_refine.hamiltonian import (
     DEGENERACY_TOL,
     _complex_pair,
@@ -386,7 +386,7 @@ def _ramp_spectra(h0, h1, s_values):
     words, coeffs = ramp_coefficients(h0, h1, s_values)
     return [
         (values[k], vectors[k], values[k, 1] - values[k, 0] < DEGENERACY_TOL)
-        for _, values, vectors in _SpectrumStacks(h0.num_qubits, words, coeffs)
+        for _, values, vectors, _ in _SpectrumStacks(h0.num_qubits, words, coeffs)
         for k in range(len(values))
     ]
 
@@ -505,10 +505,10 @@ def test_complex_eigenvectors_are_paired_as_they_are():
     assert transposed.base is vectors
 
 
-@pytest.mark.parametrize("dim, rows", [(2, 8192), (16, 128), (128, 2), (256, 0)])
+@pytest.mark.parametrize("dim, rows", [(2, 8192), (16, 128), (128, 2), (256, 1)])
 def test_operands_are_cast_in_slices_within_the_stack_budget(dim, rows, monkeypatch):
-    # a slice's pair holds at most _STACK_ENTRIES complex entries; a matrix
-    # whose pair alone is larger is handed over as it is
+    # a slice's pair holds at most _STACK_ENTRIES complex entries, or the
+    # pair of one matrix where that alone is larger (d = 256)
     cast = []
     monkeypatch.setattr(
         hamiltonian, "_complex_pair", lambda v: cast.append(len(v)) or _complex_pair(v)
@@ -516,12 +516,10 @@ def test_operands_are_cast_in_slices_within_the_stack_budget(dim, rows, monkeypa
     stack = np.stack([np.eye(dim)] * 3)
     operands = list(hamiltonian._operands(stack))
     assert len(operands) == 3
-    if rows:
-        assert 2 * rows * dim * dim <= _STACK_ENTRIES < 2 * (rows + 1) * dim * dim
-        assert cast == [min(rows, 3 - start) for start in range(0, 3, rows)]
-        assert all(isinstance(pair, tuple) for pair in operands)
-    else:
-        assert cast == [] and all(matrix.base is stack for matrix in operands)
+    budget = max(_STACK_ENTRIES, 2 * dim * dim)
+    assert 2 * rows * dim * dim <= budget < 2 * (rows + 1) * dim * dim
+    assert cast == [min(rows, 3 - start) for start in range(0, 3, rows)]
+    assert all(isinstance(pair, tuple) for pair in operands)
 
 
 def test_evolution_unitary_group_property():
@@ -637,8 +635,8 @@ def test_pooled_stacks_match_the_serial_loop_bit_for_bit(monkeypatch, cores):
     # a budget of one full stack per core, so that three threads can run
     monkeypatch.setattr(hamiltonian, "_FLIGHT_STACKS", cores)
     pooled, pooled_seen = _stacks(monkeypatch, cores)
-    assert [start for start, _, _ in pooled] == [0, 4, 8, 12]
-    for (s0, v0, w0), (s1, v1, w1) in zip(serial, pooled):
+    assert [start for start, *_ in pooled] == [0, 4, 8, 12]
+    for (s0, v0, w0, _), (s1, v1, w1, _) in zip(serial, pooled):
         assert s0 == s1
         assert v0.tobytes() == v1.tobytes()
         assert w0.tobytes() == w1.tobytes()
@@ -659,7 +657,7 @@ def test_serial_loop_without_a_handle_on_blas(monkeypatch):
     serial, seen = _stacks(monkeypatch, cores=2, blas=False)
     assert hamiltonian._workers(4, _STACK_ENTRIES) == 1
     assert {thread for thread, _ in seen} == {threading.main_thread()}
-    for (s0, v0, w0), (s1, v1, w1) in zip(pooled, serial):
+    for (s0, v0, w0, _), (s1, v1, w1, _) in zip(pooled, serial):
         assert s0 == s1
         assert v0.tobytes() == v1.tobytes()
         assert w0.tobytes() == w1.tobytes()
@@ -681,7 +679,7 @@ def test_guard_failure_in_a_helper_surfaces_when_its_stack_is_due(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", corrupted)
     stacks = iter(_SpectrumStacks(7, *POOL_RAMP))
-    start, _, _ = next(stacks)
+    start, *_ = next(stacks)
     assert start == 0
     # the second stack was the helper's: its error is raised when it is due
     with pytest.raises(NumericalConsistencyError, match="orthonormal"):
@@ -787,3 +785,156 @@ def test_nested_pins_restore_the_outer_count():
             assert blas.threads() == 1
         assert blas.threads() == 1
     assert blas.threads() == before
+
+
+# --- the Chebyshev path: eigenvalues, a ground vector and a polynomial step ---
+
+
+def _chain_with_y(n, seed=5):
+    """A TFIM chain with a Y coupling on its first bond: a complex Hermitian matrix."""
+    chain = _tfim_chain(n, seed)
+    extra = ((0.4, "YY" + "Z" + "I" * (n - 3)), (-0.3, "Y" + "I" * (n - 1)))
+    return PauliSum(n, chain.terms + extra)
+
+
+def random_unit(dim, rng):
+    vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return vector / np.linalg.norm(vector)
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-120, 1e-6, 0.3, 1.5, 7.0, 40.0, 150.0])
+def test_bessel_j_matches_scipy(z):
+    special = pytest.importorskip("scipy.special")
+    for count in (1, 3, int(z) + 2, chebyshev._negligible_order(z) + 10):
+        values = chebyshev._bessel_j(z, count)
+        assert values.shape == (count,)
+        assert np.max(np.abs(values - special.jv(np.arange(count), z))) <= 1e-14
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-9, 0.2, 1.5, 12.0, 90.0])
+def test_chebyshev_terms_stop_at_the_first_negligible_order_above_z(z):
+    special = pytest.importorskip("scipy.special")
+    weights = chebyshev._chebyshev_terms(z)
+    count = len(weights)
+    assert count > z
+    assert 2.0 * abs(special.jv(count, z)) <= 1.1 * chebyshev._CHEBYSHEV_TOL
+    # the order before it is either at most z or not yet negligible
+    assert count - 1 <= z or 2.0 * abs(weights[-1]) > chebyshev._CHEBYSHEV_TOL
+
+
+@pytest.mark.parametrize("n", [4, 7])
+@pytest.mark.parametrize("complex_matrix", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("dt", [0.125, 1.0, 6.0])
+def test_chebyshev_step_matches_expm(n, complex_matrix, dt):
+    h = _chain_with_y(n) if complex_matrix else _tfim_chain(n)
+    matrix = to_matrix(h)
+    assert (matrix.dtype == np.complex128) == complex_matrix
+    values = np.linalg.eigvalsh(matrix)
+    amplitudes = random_unit(2**n, np.random.default_rng(n))
+    out = np.empty_like(amplitudes)
+    terms = chebyshev._chebyshev_step(matrix, values[0], values[-1], dt, amplitudes, out)
+    expected = scipy_linalg.expm(-1j * dt * pauli_sum_matrix(h.terms, n)) @ amplitudes
+    assert np.max(np.abs(out - expected)) <= 1e-12
+    assert terms == len(chebyshev._chebyshev_terms(0.5 * (values[-1] - values[0]) * dt))
+
+
+def test_chebyshev_step_of_a_multiple_of_the_identity_is_a_phase():
+    matrix = 0.7 * np.eye(8)
+    amplitudes = random_unit(8, np.random.default_rng(1))
+    out = np.empty_like(amplitudes)
+    assert chebyshev._chebyshev_step(matrix, 0.7, 0.7, 0.5, amplitudes, out) == 1
+    assert np.max(np.abs(out - np.exp(-0.35j) * amplitudes)) <= 1e-15
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["narrow", "nan"])
+def test_chebyshev_step_refuses_a_step_that_changes_the_norm(nan):
+    # bounds inside the spectrum let T_k grow without limit outside [-1, 1];
+    # a NaN entry, which the dense build would refuse, fails the guard too
+    matrix = to_matrix(_tfim_chain(4))
+    if nan:
+        matrix[3, 5] = np.nan
+    values = np.linalg.eigvalsh(to_matrix(_tfim_chain(4)))
+    bounds = (values[0], values[-1]) if nan else (-1.0, 1.0)
+    amplitudes = random_unit(16, np.random.default_rng(2))
+    with pytest.raises(NumericalConsistencyError, match="norm"):
+        chebyshev._chebyshev_step(matrix, *bounds, 1.0, amplitudes, np.empty(16, complex))
+
+
+@pytest.mark.parametrize("h", [_tfim_chain(7), _chain_with_y(7)], ids=["real", "complex"])
+def test_ground_vectors_match_the_eigenvectors_and_leave_the_matrices(h):
+    words, coeffs = ramp_coefficients(initial_hamiltonian(J, 7), h, [0.3, 0.7, 1.0])
+    real = hamiltonian._real_rows(words, coeffs)
+    assert len(set(real.tolist())) == 1
+    matrices = hamiltonian._dense_stack(7, words, coeffs, real[0])
+    before = matrices.tobytes()
+    values = chebyshev._eigenvalues(matrices)
+    grounds = chebyshev._ground_vectors(matrices, values)
+    assert grounds.shape == (3, 128, 1) and grounds.dtype == matrices.dtype
+    # the diagonal shifted for the solves is put back bit for bit
+    assert matrices.tobytes() == before
+    expected = np.linalg.eigh(matrices)[1][:, :, 0]
+    for ground, vector in zip(grounds[:, :, 0], expected):
+        assert abs(np.linalg.norm(ground) - 1.0) <= 1e-14
+        assert abs(abs(np.vdot(vector, ground)) - 1.0) <= 1e-12
+
+
+def test_a_ground_vector_orthogonal_to_the_uniform_vector_is_found():
+    # +sum X has the ground state |-...->, orthogonal to the uniform vector
+    n = 7
+    h = PauliSum(n, tuple((0.9, "I" * q + "X" + "I" * (n - q - 1)) for q in range(n)))
+    matrices = to_matrix(h)[np.newaxis]
+    ground = chebyshev._ground_vectors(matrices, chebyshev._eigenvalues(matrices))[0, :, 0]
+    minus = np.array([1.0, -1.0]) * INV_SQRT2
+    expected = minus
+    for _ in range(n - 1):
+        expected = np.kron(expected, minus)
+    assert np.max(np.abs(ground - np.sign(expected @ ground) * expected)) <= 1e-13
+    assert abs(ground.sum()) <= 1e-12
+
+
+def test_a_degenerate_ground_level_gives_a_vector_of_its_eigenspace():
+    # -Z0 Z1 on 7 qubits: every level is 64-fold degenerate
+    h = PauliSum(7, ((-1.0, "ZZIIIII"),))
+    matrices = to_matrix(h)[np.newaxis]
+    values = chebyshev._eigenvalues(matrices)
+    ground = chebyshev._ground_vectors(matrices, values)[0, :, 0]
+    assert np.max(np.abs(matrices[0] @ ground + ground)) <= 1e-12
+
+
+def test_ground_vectors_refuse_a_residual_that_does_not_pass(monkeypatch):
+    matrices = to_matrix(_tfim_chain(7))[np.newaxis]
+    values = chebyshev._eigenvalues(matrices)
+    solves = []
+
+    def stalled(matrix, x):
+        solves.append(1)
+        return np.ones(len(x))
+
+    monkeypatch.setattr(np.linalg, "solve", stalled)
+    with pytest.raises(NumericalConsistencyError, match="ground vector residual"):
+        chebyshev._ground_vectors(matrices, values)
+    assert len(solves) == chebyshev._INVERSE_SOLVES
+
+    def singular(matrix, x):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    before = matrices.tobytes()
+    with pytest.raises(NumericalConsistencyError, match="inverse iteration failed"):
+        chebyshev._ground_vectors(matrices, values)
+    assert matrices.tobytes() == before
+
+
+def test_ground_only_stacks_yield_eigenvalues_ground_vectors_and_matrices():
+    # the same stacks as the full eigendecompositions, bounds and all
+    words, coeffs = POOL_RAMP
+    full = list(_SpectrumStacks(7, words, coeffs))
+    ground = list(_SpectrumStacks(7, words, coeffs, ground_only=True))
+    assert [start for start, *_ in ground] == [start for start, *_ in full] == [0, 4, 8, 12]
+    for (_, values, vectors, none), (_, ground_values, grounds, matrices) in zip(full, ground):
+        assert none is None
+        assert np.max(np.abs(values - ground_values)) <= 1e-12
+        assert grounds.shape == (len(values), 128, 1)
+        for vector, found in zip(vectors[:, :, 0], grounds[:, :, 0]):
+            assert abs(abs(np.vdot(vector, found)) - 1.0) <= 1e-12
+        assert matrices.shape == (len(values), 128, 128)
