@@ -14,16 +14,18 @@ writes them all as one (steps x words) coefficient array
 (``_SpectrumStacks``): dense matrices built as a stack, with the
 Hermiticity guard vectorized over it.  Up to 6 qubits each stack is
 diagonalized, one ``eigh`` per stack with the orthonormality and
-residual guards vectorized over it.  From ``_CHEBYSHEV_QUBITS`` (7)
-qubits on, a ramp record needs only the eigenvalues (gap, degeneracy
-warning, spectral bounds) and the ground vector (fidelity target), and
-an exact step only exp(-i h dt) psi, so each stack gets ``eigvalsh``,
-one ground vector per matrix by shifted inverse iteration, and keeps its
-matrices for the step.  The stacks are computed on up to one thread per
-core of the process's affinity at once, as many as a fixed budget of
-matrix entries in flight allows, each on one BLAS thread, and arrive in
-order, counting the threads they used
-(``_Counters.diagonalization_workers``).  Both step modes read each
+residual guards vectorized over it; the stacks are diagonalized on up
+to one thread per core of the process's affinity at once, as many as a
+fixed budget of matrix entries in flight allows, each on one BLAS
+thread, and arrive in order, counting the threads they used
+(``_Counters.diagonalization_workers``).  From ``_CHEBYSHEV_QUBITS`` (7)
+qubits on, a ramp record needs only the two lowest levels (gap,
+degeneracy warning) and the ground vector (fidelity target), and an
+exact step only exp(-i h dt) psi, so each matrix gets E0, E1 and its
+ground vector by block Lanczos, warm-started from the operator before
+(``chebyshev._lowest_levels``), and an upper bound on its spectrum, and
+the stack keeps its matrices for the step; those stacks come one after
+another on the calling thread.  Both step modes read each
 step's coefficient row against the one word table, so no operator is
 built per step.
 
@@ -38,7 +40,7 @@ kernel's complex operands are cast once per slice of the stack
 (``_operands``), within the stack's entry budget or one matrix at a
 time.  From 7 qubits the step loop walks the stack's matrices instead,
 and each step is a Chebyshev expansion of exp(-i h dt) between the
-operator's extreme eigenvalues (``chebyshev._chebyshev_step``: one
+operator's E0 and its upper bound (``chebyshev._chebyshev_step``: one
 product with the matrix per term, about 15 terms a step on the 8-qubit
 chains at dt = 1/8), which keeps the norm to the unitarity tolerance.
 The stack is released before the next one is computed.  An exact hold
@@ -94,11 +96,13 @@ from .statevector import (
 )
 
 _GRID_ATOL = 1e-9
-# From this many qubits on, a ramp operator's eigenvectors are not taken:
-# its eigenvalues, its ground vector and its matrix serve its records and
-# its Chebyshev step.  Measured on seeded chains (T = 4, dt = 1/8), the
-# Chebyshev ramp loses to the eigenvector ramp at 4-5 qubits, ties at 6
-# and wins from 7 on.
+# From this many qubits on, a ramp operator is not diagonalized: its two
+# lowest levels and ground vector (block Lanczos), an upper bound on its
+# spectrum and its matrix serve its records and its Chebyshev step.
+# Measured on seeded chains (T = 4, dt = 1/8), the Chebyshev ramp loses
+# to the eigenvector ramp at 4-6 qubits, by 0-35% at 7 (53-94 against
+# 49-71 ms, where it won with eigvalsh and inverse iteration) and wins by
+# half from 8 on (80-155 against 208-281 ms).
 _CHEBYSHEV_QUBITS = 7
 _ENERGY_KEY = "energy"
 
@@ -343,8 +347,8 @@ def _chebyshev_stack(
     """Step ``amplitudes`` through a stack's matrices, into the rows of ``states``.
 
     Step k applies exp(-i H_k dt) by the Chebyshev kernel
-    (``chebyshev._chebyshev_step``), bounded by the extreme eigenvalues of
-    row k of ``values``, to the row before it and writes row k;
+    (``chebyshev._chebyshev_step``), between the bounds E0 and upper of
+    row k of ``values`` ([E0, E1, upper]), to the row before it and writes row k;
     ``counters``, when given, count the terms.  Returns the last row.
     """
     # imported here: only the ramps of 7 qubits and more need it
@@ -382,16 +386,18 @@ def run_adiabatic(
     (steps x words) coefficient array, and the spectra come stack by
     stack from it (``_SpectrumStacks``).  Up to 6 qubits they are full
     eigendecompositions and an exact step applies its operator's
-    eigenvectors; from ``_CHEBYSHEV_QUBITS`` qubits on they are the
-    eigenvalues, the ground vector and the dense matrix of each operator,
-    and an exact step is a Chebyshev expansion
+    eigenvectors; from ``_CHEBYSHEV_QUBITS`` qubits on they are the rows
+    [E0, E1, upper] (block Lanczos and a Gershgorin bound), the ground
+    vector and the dense matrix of each operator, and an exact step is a
+    Chebyshev expansion between E0 and upper
     (``chebyshev._chebyshev_step``).  Either way the gaps, degeneracy
-    warnings and fidelity targets come from the eigenvalues and ground
-    vectors, in both step modes.  Each stack's degeneracy
+    warnings and fidelity targets come from the first two values and the
+    ground vectors, in both step modes.  Each stack's degeneracy
     flags are taken at once, the step loop only advances amplitudes into
     the stack's block of states, and the block is read out at once
-    (``_Recorder``).  ``counters``, when given, count the matrices whose
-    spectra were taken, the steps and the Chebyshev terms, and note the
+    (``_Recorder``).  ``counters``, when given, count the matrices built
+    and diagonalized, the block products, the steps and the Chebyshev
+    terms, and note the
     smallest gap between the two lowest levels of any ramp operator, with
     its s.
     """

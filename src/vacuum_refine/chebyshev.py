@@ -1,16 +1,18 @@
-"""Ramp steps without eigenvectors: eigenvalues, one ground vector and a Chebyshev propagator.
+"""Ramp steps without eigenvectors: the two lowest levels, the ground vector and a Chebyshev propagator.
 
 From ``adiabatic._CHEBYSHEV_QUBITS`` qubits on, a ramp operator's record
-needs only its eigenvalues (gap, degeneracy warning, spectral bounds) and
-its ground vector (fidelity target), and its exact step needs only
-exp(-i H dt) psi.  ``_eigenvalues`` takes the first from ``eigvalsh``,
-``_ground_vectors`` the second by shifted inverse iteration, and
-``_chebyshev_step`` the step from products with the dense matrix
-(Tal-Ezer & Kosloff 1984, J. Chem. Phys. 81:3967), its Bessel weights from
-Miller's backward recurrence (``_bessel_j``), so the runtime stays
-numpy-only.  ``hamiltonian._SpectrumStacks`` and ``adiabatic`` import this
-module only when a ramp of that size runs, so smaller registers never
-load it.
+needs only its two lowest levels (gap, degeneracy warning) and its ground
+vector (fidelity target), and its exact step needs only exp(-i H dt) psi
+between bounds on its spectrum.  ``_lowest_levels`` takes the first two
+from products with the dense matrix by block Lanczos with two vectors and
+full reorthogonalization (Golub & Underwood 1977; Saad 2011, ch. 6), each
+operator warm-started from the ground vector of the one before, and bounds
+the spectrum from above by Gershgorin's theorem.  ``_chebyshev_step``
+takes the step from products with the same matrix (Tal-Ezer & Kosloff
+1984, J. Chem. Phys. 81:3967), its Bessel weights from Miller's backward
+recurrence (``_bessel_j``), so the runtime stays numpy-only.
+``hamiltonian._SpectrumStacks`` and ``adiabatic`` import this module only
+when a ramp of that size runs, so smaller registers never load it.
 """
 
 from __future__ import annotations
@@ -20,16 +22,25 @@ import math
 import numpy as np
 
 from .errors import NumericalConsistencyError
-from .hamiltonian import _CHECK_ATOL, DEGENERACY_TOL, _refuse_above
+from .hamiltonian import _CHECK_ATOL, _refuse_above
 from .statevector import _UNITARY_ATOL
 
-# Shifted inverse iteration (``_ground_vectors``) shifts below E0 by this
-# fraction of the spectral radius, above the rounding of E0, iterates until
-# the excited part left is at most _INVERSE_TOL of the start's, and stops
-# after _INVERSE_SOLVES solves.
-_INVERSE_SHIFT = 1e-14
-_INVERSE_TOL = 1e-12
-_INVERSE_SOLVES = 8
+# Block Lanczos (``_lowest_pair``) stops once the ground pair's residual is
+# at most _RESIDUAL_TOL of the scale (the largest absolute row sum, at
+# least 1) and the second pair's residual bounds |theta_1 - E1| by
+# _LEVEL_TOL.  Each check diagonalizes the projected matrix, which costs
+# as much as about ten blocks of products at 8 qubits, so checks are
+# sparse: a warm-started operator is first checked one block before the
+# block at which the operator before it settled, a cold one after
+# _FIRST_CHECK blocks (and never earlier), then every _CHECK_EVERY
+# blocks.  A new basis vector whose norm is at most _VANISHED_TOL of the
+# scale has vanished: the Krylov space holds an invariant subspace, and
+# the vector is refilled.
+_RESIDUAL_TOL = 1e-12
+_LEVEL_TOL = 1e-13
+_VANISHED_TOL = 1e-13
+_FIRST_CHECK = 12
+_CHECK_EVERY = 3
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # The Chebyshev step (``_chebyshev_step``) drops the orders beyond the
 # first one above z whose weight 2 |J_k(z)| is at most this.
@@ -37,69 +48,206 @@ _CHEBYSHEV_TOL = 1e-17
 _POWERS_OF_MINUS_I = (1.0, -1j, -1.0, 1j)
 
 
-def _eigenvalues(matrices: np.ndarray) -> np.ndarray:
-    """The (k, d) ascending eigenvalues of a (k, d, d) stack of Hermitian matrices."""
+def _lowest_levels(
+    matrices: np.ndarray, warm: tuple[np.ndarray, int] | None
+) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, int]]:
+    """The two lowest levels, a spectral bound and the ground vector of each matrix of a stack.
+
+    Returns the (k, 3) rows [E0, E1, upper], the (k, d, 1) unit ground
+    vectors, the block products taken and the warm start for the next
+    stack.  ``upper`` is the Gershgorin bound
+    max_i (H_ii + sum_(j != i) |H_ij|), never below the largest
+    eigenvalue.  The levels and the vector come from ``_lowest_pair``: the
+    first matrix is warm-started from ``warm``, the ground vector and the
+    blocks of the operator before the stack (None for the first of a
+    ramp), and each further matrix from the one before it.
+    """
+    k, dim, _ = matrices.shape
+    values = np.empty((k, 3))
+    grounds = np.empty((k, dim, 1), dtype=matrices.dtype)
+    products = 0
+    for matrix, row, ground in zip(matrices, values, grounds):
+        sums = np.abs(matrix).sum(axis=0)  # the row sums, since H is Hermitian
+        diagonal = matrix.diagonal().real
+        row[2] = np.max(diagonal - np.abs(diagonal) + sums)
+        row[0], row[1], ground[:, 0], blocks = _lowest_pair(matrix, warm, max(1.0, np.max(sums)))
+        warm = (ground[:, 0].copy(), blocks)
+        products += blocks
+    return values, grounds, products, warm
+
+
+def _lowest_pair(
+    matrix: np.ndarray, warm: tuple[np.ndarray, int] | None, scale: float
+) -> tuple[float, float, np.ndarray, int]:
+    """(E0, E1, unit ground vector, blocks) of one Hermitian matrix by block Lanczos.
+
+    ``warm`` is the ground vector of the operator before and the blocks it
+    took, or None.  The start block is that vector and the fixed
+    golden-ratio vector orthogonalized against it (for a cold start, or a
+    complex vector with a real matrix, the golden vector and a refill).
+    The golden vector has a part in every symmetry sector of the operator,
+    so a level that the warm vector's sector lacks is still found.  The
+    basis vectors are the rows of ``basis`` and their images under H the
+    rows of ``images``.  Block j is one product H Q_j, a real (2, d)
+    product for a real matrix; it is orthogonalized against the whole
+    basis twice, and its overlap with Q_j is the diagonal block A_j of the
+    projected block-tridiagonal matrix T.  At each check (one block before
+    the blocks ``warm`` took, at least ``_FIRST_CHECK``; every
+    ``_CHECK_EVERY`` blocks after; and at the last block) T is
+    diagonalized.  The residual of Ritz pair i is R_j s_i, with R_j the
+    orthogonalized product and s_i the last block of its eigenvector of
+    T.  The iteration stops when the ground pair's residual is at most
+    ``_RESIDUAL_TOL`` * ``scale`` and the second pair's bounds
+    |theta_1 - E1| by ``_LEVEL_TOL``: min(r, r^2 / delta), with delta the
+    distance from theta_1 to the Ritz values beside it.  Otherwise R_j is
+    made orthonormal, vector by vector, into the next block, and its
+    factor is the block of T below A_j.  A vector that has vanished (an
+    invariant subspace, such as the whole space of the zero operator) is
+    never divided by: it is refilled with the basis state least
+    represented in the basis, orthogonalized against it, with a zero in
+    T.  After d / 2 blocks the basis is complete; an operator not settled
+    by then is refused.  The ground vector is the Ritz vector, and the
+    images kept for the basis give H x with no further product, so it is
+    refused unless max |H x - E0 x| <= ``_CHECK_ATOL``.
+    """
+    dim = matrix.shape[0]
+    cap = (dim + 1) // 2
+    golden = _golden_vector(dim)
+    first = _FIRST_CHECK
+    start = np.array([golden, golden], dtype=matrix.dtype)
+    if warm is not None:
+        first = max(first, warm[1] - 1)
+        if np.iscomplexobj(matrix) or not np.iscomplexobj(warm[0]):
+            start[0] = warm[0]
+    tol = _VANISHED_TOL * scale
+    # room for the complete basis; only the rows written are touched
+    basis = np.empty((2 * cap, dim), dtype=matrix.dtype)
+    images = np.empty_like(basis)
+    diagonal = np.empty((cap, 2, 2), dtype=matrix.dtype)
+    below = np.empty((cap, 2, 2), dtype=matrix.dtype)
+    _orthonormalize(basis, 0, start, tol)
+    for j in range(cap):
+        size = 2 * j + 2
+        residual = _images(matrix, basis[size - 2 : size], out=images[size - 2 : size]).copy()
+        diagonal[j] = _project_out(basis[:size], residual)[:, -2:].T
+        blocks = j + 1
+        if blocks == cap or (blocks >= first and (blocks - first) % _CHECK_EVERY == 0):
+            settled = _settled(diagonal[:blocks], below[: blocks - 1], residual, scale)
+            if settled is not None:
+                e0, e1, ritz = settled
+                ground = ritz.dot(basis[:size])
+                image = ritz.dot(images[:size])
+                norm = np.linalg.norm(ground)
+                ground /= norm
+                image /= norm
+                excess = np.max(np.abs(image - e0 * ground))
+                _refuse_above(np.array([excess]), _CHECK_ATOL, "ground vector residual {:.3e} too large")
+                return e0, e1, ground, blocks
+        if blocks == cap:
+            break
+        below[j] = _orthonormalize(basis, size, residual, tol)
+    raise NumericalConsistencyError(f"block Lanczos did not settle the two lowest levels in {cap} blocks")
+
+
+def _golden_vector(dim: int) -> np.ndarray:
+    """The fixed unit start vector: entries in [1, 2) at the golden-ratio sequence.
+
+    Neither uniform nor zero on any basis state, and the same on every
+    thread and every run.
+    """
+    vector = np.modf(np.arange(1, dim + 1) * _GOLDEN)[0] + 1.0
+    return vector / np.linalg.norm(vector)
+
+
+def _images(matrix: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """H x for each row x of ``rows``, as rows written to ``out``: one product.
+
+    x^T H is (H x)^T for a real symmetric H; for a complex Hermitian H it
+    is conj(x^H H) that is (H x)^T.
+    """
+    if np.iscomplexobj(matrix):
+        np.dot(rows.conj(), matrix, out=out)
+        return np.conjugate(out, out=out)
+    return np.dot(rows, matrix, out=out)
+
+
+def _project_out(known: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Remove the span of the orthonormal rows ``known`` from the rows of ``block``, twice.
+
+    Works in place.  Returns the overlaps [c, i] = <known_i, block_c> as
+    they were, the two passes' summed.
+    """
+    overlaps = _overlaps(known, block)
+    block -= overlaps.dot(known)
+    again = _overlaps(known, block)
+    block -= again.dot(known)
+    overlaps += again
+    return overlaps
+
+
+def _overlaps(known: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """[c, i] = <known_i, block_c>, without a conjugated copy of ``known``."""
+    if np.iscomplexobj(known):
+        return block.conj().dot(known.T).conj()
+    return block.dot(known.T)
+
+
+def _orthonormalize(basis: np.ndarray, size: int, block: np.ndarray, tol: float) -> np.ndarray:
+    """Write the two rows of ``block``, orthonormalized, to rows ``size`` and ``size + 1`` of ``basis``.
+
+    ``block`` must already be orthogonal to the first ``size`` rows.
+    Returns the upper-triangular R with block^T = Q^T R.  A row whose norm
+    left is at most ``tol`` has vanished; its row of Q is a refill (the
+    basis state with the least weight in the rows so far, orthogonalized
+    against them twice) and its diagonal entry of R is zero.
+    """
+    factor = np.zeros((2, 2), dtype=block.dtype)
+    for c in range(2):
+        row = block[c]
+        if c:
+            first = basis[size]
+            for _ in range(2):
+                overlap = np.vdot(first, row)
+                row -= overlap * first
+                factor[0, 1] += overlap
+        norm = math.sqrt(np.vdot(row, row).real)
+        if norm > tol:
+            np.multiply(row, 1.0 / norm, out=basis[size + c])
+            factor[c, c] = norm
+            continue
+        known = basis[: size + c]
+        refill = np.zeros((1, len(row)), dtype=block.dtype)
+        refill[0, np.argmin(np.sum(np.abs(known) ** 2, axis=0))] = 1.0
+        _project_out(known, refill)
+        basis[size + c] = refill[0] / np.linalg.norm(refill)
+    return factor
+
+
+def _settled(
+    diagonal: np.ndarray, below: np.ndarray, residual: np.ndarray, scale: float
+) -> tuple[float, float, np.ndarray] | None:
+    """(theta_0, theta_1, ground eigenvector of T) once both pairs pass, else None.
+
+    ``diagonal`` holds the blocks A_0 ... A_j of T and ``below`` the blocks
+    under them; only T's lower triangle is filled, which is all ``eigh``
+    reads.
+    """
+    blocks = len(diagonal)
+    size = 2 * blocks
+    projected = np.zeros((blocks, 2, blocks, 2), dtype=diagonal.dtype)
+    index = np.arange(blocks)
+    projected[index, :, index, :] = diagonal
+    projected[index[1:], :, index[:-1], :] = below
     try:
-        return np.linalg.eigvalsh(matrices)
+        thetas, vectors = np.linalg.eigh(projected.reshape(size, size))
     except np.linalg.LinAlgError as exc:
         raise NumericalConsistencyError(f"eigensolver failed to converge: {exc}") from exc
-
-
-def _ground_vectors(matrices: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The unit ground vector of each matrix of a (k, d, d) stack, as (k, d, 1) columns.
-
-    ``values`` are the stack's (k, d) eigenvalues.  Each vector comes from
-    shifted inverse iteration on its matrix alone, from the same fixed
-    start vector: x <- (H - sigma)^-1 x, normalized, with sigma below E0
-    by ``_INVERSE_SHIFT`` of the spectral radius.  Each solve shrinks
-    every excited component against the ground one by at least
-    f = (E0 - sigma) / (E1 - sigma), and the first solve's norm gives the
-    start's ground component c0, about (E0 - sigma) |x|.  The iteration
-    stops once the excited part left, at most f^m / c0, is at most
-    ``_INVERSE_TOL`` and the eigenpair residual max |H x - E0 x| is at most
-    ``_CHECK_ATOL``: one solve on most operators of the chain ramps, and
-    more on smaller gaps or a start far from the ground state.  For a
-    ground level degenerate within ``DEGENERACY_TOL``, E1 is the next
-    level up, since any unit vector of the ground level will do.  After
-    ``_INVERSE_SOLVES`` solves a vector whose residual passes is kept, and
-    any other refused.
-    """
-    k, dim = values.shape
-    grounds = np.empty((k, dim, 1), dtype=matrices.dtype)
-    # entries in [1, 2) at the golden-ratio sequence: neither uniform nor
-    # zero on any basis state, and the same on every thread
-    start = np.modf(np.arange(1, dim + 1) * _GOLDEN)[0] + 1.0
-    start /= np.linalg.norm(start)
-    for matrix, row, ground in zip(matrices, values, grounds):
-        shift = _INVERSE_SHIFT * max(abs(row[0]), abs(row[-1]), 1.0)
-        # E1: the first level above the ground level and its degenerate partners
-        above = np.flatnonzero(row > row[0] + DEGENERACY_TOL)
-        factor = shift / (row[above[0]] - row[0] + shift) if above.size else 0.0
-        # the matrix is shifted in place and its diagonal put back after:
-        # a shifted copy would cost as much as a third of a solve
-        diagonal = matrix.diagonal().copy()
-        matrix.reshape(-1)[:: dim + 1] -= row[0] - shift
-        try:
-            x = start
-            for solves in range(1, _INVERSE_SOLVES + 1):
-                x = np.linalg.solve(matrix, x)
-                norm = np.linalg.norm(x)
-                if solves == 1:
-                    # the first solve scales the start's ground part c0 by
-                    # 1 / (E0 - sigma) and the rest by at most 1 / gap
-                    overlap = min(1.0, shift * norm)
-                x /= norm
-                # H x - E0 x, as (H - sigma) x - (E0 - sigma) x
-                residual = np.max(np.abs(matrix.dot(x) - shift * x))
-                if residual <= _CHECK_ATOL and factor**solves <= _INVERSE_TOL * overlap:
-                    break
-        except np.linalg.LinAlgError as exc:
-            raise NumericalConsistencyError(f"inverse iteration failed: {exc}") from exc
-        finally:
-            matrix.reshape(-1)[:: dim + 1] = diagonal
-        _refuse_above(np.array([residual]), _CHECK_ATOL, "ground vector residual {:.3e} too large")
-        ground[:, 0] = x
-    return grounds
+    ground_residual, level_residual = np.linalg.norm(vectors[-2:, :2].T.dot(residual), axis=1)
+    delta = float(np.min(np.diff(thetas[:3])))
+    bound = level_residual if delta <= level_residual else level_residual**2 / delta
+    if ground_residual <= _RESIDUAL_TOL * scale and bound <= _LEVEL_TOL:
+        return float(thetas[0]), float(thetas[1]), vectors[:, 0]
+    return None
 
 
 def _bessel_j(z: float, count: int) -> np.ndarray:
@@ -159,7 +307,8 @@ def _chebyshev_step(
     """Write exp(-i H dt) x into ``out`` by a Chebyshev expansion; return its terms.
 
     ``matrix`` is the dense H of one operator, ``lowest`` and ``highest``
-    its extreme eigenvalues and ``amplitudes`` one vector x.  With
+    bounds on its spectrum (its ground level and an upper bound on its
+    top level) and ``amplitudes`` one vector x.  With
     mid = (highest + lowest) / 2 and half = (highest - lowest) / 2, the
     spectrum of G = (H - mid) / half lies in [-1, 1] and
     exp(-i H dt) = exp(-i mid dt) (J_0(z) + sum_k 2 (-i)^k J_k(z) T_k(G))

@@ -21,19 +21,19 @@ _STAGES = ("ramp", "hold", "filter", "estimation", "writing")
 class _Counters:
     """One command's work, written to its manifest as ``counters``.
 
-    ``matrices_diagonalized`` counts the dense eigendecompositions and
-    ``diagonalized_d3`` their summed d^3; ``steps`` counts the time steps
+    ``matrices_diagonalized`` counts the matrices that go through ``eigh``
+    and ``diagonalized_d3`` their summed d^3; ``steps`` counts the time steps
     evolved, ramp and hold, whether a hold is stepped or taken in closed
     form.  ``streams`` counts the shot streams opened, so it is also the
     number of the next one; ``estimates`` counts the sampled values (rows
     times terms) and ``shots_drawn`` their shots.  Exact estimation leaves
     those three at zero.  ``dense_bytes`` counts the bytes of the dense
-    matrix stacks built for them, and ``filter_passes`` the passes of
-    ``refine``.  The three counts of matrices take in every dense matrix
-    whose spectrum is computed: all of them are fully diagonalized, except
-    the ramp operators of 7 qubits and more, which have their eigenvalues
-    and ground vector taken.  ``chebyshev_terms`` counts the terms of the
-    Chebyshev steps those ramps take, one product with a matrix each.
+    matrix stacks built, and ``filter_passes`` the passes of ``refine``.
+    The ramp operators of 7 qubits and more are built but not diagonalized:
+    ``krylov_products`` counts the block products, with a d x 2 block each,
+    that took their two lowest levels and ground vectors, and
+    ``chebyshev_terms`` the terms of their Chebyshev steps, one product
+    with a vector each.
 
     ``min_ramp_gap`` and ``min_ramp_gap_s`` are diagnostics, not counts:
     the smallest gap between the two lowest levels of any ramp operator,
@@ -56,6 +56,7 @@ class _Counters:
     dense_bytes: int = 0
     filter_passes: int = 0
     chebyshev_terms: int = 0
+    krylov_products: int = 0
     min_ramp_gap: float | None = None
     min_ramp_gap_s: float | None = None
     stages: dict[str, float] = field(default_factory=lambda: dict.fromkeys(_STAGES, 0.0))

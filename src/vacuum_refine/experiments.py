@@ -206,15 +206,15 @@ def _write_manifest(
     return path
 
 
-def _prepare(config: ExperimentConfig, h1: PauliSum):
+def _prepare(config: ExperimentConfig, h1: PauliSum, counters: _Counters):
     """Shared ramp stage to the built model ``h1``.
 
-    Returns the command's estimator, with fresh counters that the ramp
-    has counted into, the observables, the ramp's final state and its
-    trajectory.
+    Returns the command's estimator, with the command's ``counters``, which
+    the ramp has counted into, the observables, the ramp's final state and
+    its trajectory.
     """
     h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
-    estimator = _Estimator(config.estimation, _Counters())
+    estimator = _Estimator(config.estimation, counters)
     observables = {_OBS_KEY: _mean_z(h1.num_qubits)}
     with estimator.counters.stage("ramp"):
         final, ramp = run_adiabatic(
@@ -234,7 +234,7 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
     started = time.perf_counter()
     _ensure_output_dir(config.output_prefix)
     h1 = build_model(config)
-    estimator, observables, final, ramp = _prepare(config, h1)
+    estimator, observables, final, ramp = _prepare(config, h1, _Counters())
     counters = estimator.counters
     spectrum = exact_diagonalize(h1, counters)
     with counters.stage("hold"):
@@ -299,9 +299,12 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
     h1 = build_model(config)
     if h1.num_qubits != 1:
         raise ConfigError("model.hamiltonian: filter-run requires a one-qubit model")
-    estimator, observables, final, ramp = _prepare(config, h1)
-    counters = estimator.counters
+    # a degenerate target is refused before the ramp, not after it
+    counters = _Counters()
     spectrum = exact_diagonalize(h1, counters)
+    if spectrum.degenerate:
+        raise DomainError("cannot tag against a degenerate spectrum")
+    estimator, observables, final, ramp = _prepare(config, h1, counters)
 
     pre_tag_z = expectation_observable(final, observables[_OBS_KEY])
     interference = cross_term(final, spectrum, observables[_OBS_KEY])
@@ -435,13 +438,16 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
         FilterConfig(config.filter.ancillas, 0.0, config.filter.powers)
     except DomainError as exc:
         raise ConfigError(f"filter: {exc}") from exc
-    h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
+    # a degenerate target is refused before the ramp, not after it
     counters = _Counters()
+    spectrum = exact_diagonalize(h1, counters)
+    if spectrum.degenerate:
+        raise DomainError("iterative refinement needs a non-degenerate ground level")
+    h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
     with counters.stage("ramp"):
         final, ramp = run_adiabatic(
             h0, h1, config.schedule, config.mode, records=False, counters=counters
         )
-    spectrum = exact_diagonalize(h1, counters)
     start_fidelity = fidelity(final, spectrum.ground_state)
 
     fixed_theta = config.filter.theta if config.filter.theta_mode == "fixed" else None

@@ -451,7 +451,7 @@ def _in_order(count: int, compute: Callable[[int], Any], workers: int) -> Iterat
 
 
 class _SpectrumStacks:
-    """(first row, eigenvalues, eigenvectors, matrices) of each stack of rows of ``coeffs``.
+    """(first row, values, vectors, matrices) of each stack of rows of ``coeffs``.
 
     A stack holds consecutive rows of one dtype (``_real_rows``), at most
     ``_STACK_ENTRIES`` matrix entries or a single matrix.  Its rows
@@ -460,26 +460,34 @@ class _SpectrumStacks:
     is computed here.  By default the stack is diagonalized
     (``_diagonalize_stack``), giving (k, d) eigenvalues and (k, d, d)
     eigenvectors, and its matrices are dropped (None).  With
-    ``ground_only`` it yields its (k, d) eigenvalues (``eigvalsh``), the
-    (k, d, 1) ground vector of each matrix (``chebyshev._ground_vectors``)
-    and the (k, d, d) matrices themselves, for a caller that steps with them; so
-    column 0 of the eigenvectors is the ground vector either way.  A
+    ``ground_only`` it is not diagonalized: it yields (k, 3) rows
+    [E0, E1, upper] in place of the eigenvalues, the (k, d, 1) ground
+    vector of each matrix (``chebyshev._lowest_levels``: block Lanczos,
+    and a Gershgorin bound on the top level) and the (k, d, d) matrices
+    themselves, for a caller that steps with them.  So columns 0 and 1 of
+    the values are the two lowest levels and column 0 of the vectors is
+    the ground vector either way; ``run_adiabatic`` reads nothing else of
+    them, bar the last column as the Chebyshev step's upper bound.  A
     register above ``DEFAULT_DENSE_CAP`` qubits is refused when the stacks
     are made, before any is built.
 
-    Iterating yields the stacks in order, computed by ``workers`` threads
-    (``_workers``, ``_in_order``): one per core of the process's affinity,
-    at most one stack in flight per thread and ``_FLIGHT_STACKS`` full
-    stacks' entries in flight in all.  With one worker the calling thread
+    Iterating yields the stacks in order.  ``ground_only`` stacks are
+    computed on the calling thread as they are consumed, each matrix
+    warm-started from the ground vector of the one before; that state
+    lives in the iteration, so iterating again gives the same bits.
+    Other stacks are computed by ``workers`` threads (``_workers``,
+    ``_in_order``): one per core of the process's affinity, at most one
+    stack in flight per thread and ``_FLIGHT_STACKS`` full stacks'
+    entries in flight in all.  With one worker the calling thread
     computes each stack as it is consumed.  With more, OpenBLAS is held to
     one thread for the whole process from the first stack until the
     iteration ends or is abandoned, consumer's work between stacks
     included; the previous count is then restored.  One BLAS thread per
     eigendecomposition is what makes the threads pay: OpenBLAS's own
-    threads do not speed up ``eigh`` at these sizes.  Each stack (its
-    matrices, their summed d^3 and their bytes) is added to ``counters``,
-    when given, as it is yielded, whether its matrices were diagonalized
-    or had their eigenvalues and ground vectors taken, and their
+    threads do not speed up ``eigh`` at these sizes.  Each stack is added
+    to ``counters``, when given, as it is yielded: the bytes of its
+    matrices, and either their number and summed d^3 (diagonalized) or
+    the block products that gave their levels (``ground_only``); their
     ``diagonalization_workers`` keep the most threads any stacks of the
     command ran on.
     """
@@ -506,33 +514,49 @@ class _SpectrumStacks:
         self._starts = starts = [
             start for first, stop in zip(bounds, bounds[1:]) for start in range(first, stop, chunk)
         ] + [len(coeffs)]
-        self.workers = _workers(len(starts) - 1, chunk * 4**num_qubits)
+        # a ground_only stack is warm-started from the one before, so in order
+        self.workers = 1 if ground_only else _workers(len(starts) - 1, chunk * 4**num_qubits)
         if counters is not None:
             counters.diagonalization_workers = max(counters.diagonalization_workers, self.workers)
 
-    def _analyse(self, i: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
+    def _build(self, i: int) -> tuple[int, np.ndarray]:
         start, stop = self._starts[i], self._starts[i + 1]
-        matrices = _dense_stack(
+        return start, _dense_stack(
             self._num_qubits, self._words, self._coeffs[start:stop], self._real[start]
         )
-        if self._ground_only:
-            # imported here: only the ramps of 7 qubits and more need it
-            from .chebyshev import _eigenvalues, _ground_vectors
 
-            values = _eigenvalues(matrices)
-            return start, values, _ground_vectors(matrices, values), matrices
-        values, vectors = _diagonalize_stack(matrices)
-        return start, values, vectors, None
+    def _diagonalize(self, i: int) -> tuple[int, np.ndarray, np.ndarray, None]:
+        start, matrices = self._build(i)
+        return (start, *_diagonalize_stack(matrices), None)
+
+    def _ground_stacks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        # imported here: only the ramps of 7 qubits and more need it
+        from .chebyshev import _lowest_levels
+
+        warm = None  # from the operator before, within this iteration
+        for i in range(len(self._starts) - 1):
+            start, matrices = self._build(i)
+            values, grounds, products, warm = _lowest_levels(matrices, warm)
+            if self._counters is not None:
+                self._counters.krylov_products += products
+            yield start, values, grounds, matrices
+            del matrices, values, grounds  # freed before the next stack is built
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray | None]]:
         counters = self._counters
+        if self._ground_only:
+            stacks = self._ground_stacks()
+        else:
+            stacks = _in_order(len(self._starts) - 1, self._diagonalize, self.workers)
         with _blas().one_thread() if self.workers > 1 else contextlib.nullcontext():
-            for stack in _in_order(len(self._starts) - 1, self._analyse, self.workers):
+            for stack in stacks:
                 if counters is not None:
-                    counters.matrices_diagonalized += len(stack[1])
-                    counters.diagonalized_d3 += len(stack[1]) * 8**self._num_qubits
+                    matrices = len(stack[1])
+                    if not self._ground_only:
+                        counters.matrices_diagonalized += matrices
+                        counters.diagonalized_d3 += matrices * 8**self._num_qubits
                     itemsize = 8 if self._real[stack[0]] else 16
-                    counters.dense_bytes += len(stack[1]) * 4**self._num_qubits * itemsize
+                    counters.dense_bytes += matrices * 4**self._num_qubits * itemsize
                 yield stack
                 # the consumer's references are then the last ones, so the
                 # stack is freed before the next one is diagonalized

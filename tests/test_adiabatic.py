@@ -815,9 +815,11 @@ def test_chebyshev_ramp_matches_the_eigenvector_ramp(h1, monkeypatch):
     assert ramp.warnings == eig_ramp.warnings == []
     assert abs(counters.min_ramp_gap - eig_counters.min_ramp_gap) <= 1e-12
     assert counters.min_ramp_gap_s == eig_counters.min_ramp_gap_s
-    # the same matrices counted, and only the Chebyshev ramp counts terms
-    assert counters.matrices_diagonalized == eig_counters.matrices_diagonalized == 33
+    # the same matrices built; only the eigenvector ramp diagonalizes them,
+    # and only the Chebyshev ramp takes block products and terms
+    assert counters.matrices_diagonalized == 0 and eig_counters.matrices_diagonalized == 33
     assert counters.dense_bytes == eig_counters.dense_bytes
+    assert counters.krylov_products >= 33 and eig_counters.krylov_products == 0
     assert counters.chebyshev_terms >= 32 and eig_counters.chebyshev_terms == 0
 
 
@@ -850,7 +852,7 @@ def test_degenerate_ground_level_at_seven_qubits_is_warned(monkeypatch):
 
 def test_trotter_ramp_at_seven_qubits_reads_the_ground_vectors(monkeypatch):
     # the states do not depend on the path; the fidelity targets are the
-    # inverse-iteration ground vectors in place of eigh's first columns
+    # block Lanczos ground vectors in place of eigh's first columns
     h1 = _chain_with_y(7, 4)
     schedule = Schedule(total_time=1.0, dt=0.125)
     (final, ramp, counters), (eig_final, eig_ramp, eig_counters) = _ramp_both_ways(

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from vacuum_refine import (
     ConfigError,
+    DomainError,
     EstimationConfig,
     PauliSum,
     cmd_diag,
@@ -337,6 +340,33 @@ def test_refine_cli_runtime_error_is_exit_1(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (cmd_refine, "1.0 ZZ\n", "iterative refinement needs a non-degenerate ground level"),
+        (cmd_filter_run, "1.0 I\n", "cannot tag against a degenerate spectrum"),
+    ],
+    ids=["refine", "filter-run"],
+)
+def test_a_degenerate_target_is_refused_before_the_ramp(
+    tmp_path, count_calls, command, text, message
+):
+    # the commands diagonalize the target first, so the ramp never runs
+    model = tmp_path / "degenerate.txt"
+    model.write_text(text)
+    ramps = count_calls("adiabatic.run_adiabatic")
+    with pytest.raises(DomainError, match=message):
+        command(_config(tmp_path, f"model.hamiltonian = {model}\n"))
+    assert ramps == []
+    assert not (tmp_path / "run_manifest.json").exists()
+    # through the CLI it stays a runtime failure, with the same message
+    cfg_path = tmp_path / "degenerate.cfg"
+    cfg_path.write_text(f"model.hamiltonian = {model}\noutput.prefix = {tmp_path}/run\n" + SMALL)
+    name = "refine" if command is cmd_refine else "filter-run"
+    assert main([name, "--config", str(cfg_path)]) == 1
+    assert ramps == []
+
+
 def test_diag_builtin_pair(tmp_path):
     config = _config(tmp_path, "model.hamiltonian = tfim2\n")
     result = cmd_diag(config)
@@ -578,11 +608,11 @@ def _chain_text(n):
 @pytest.mark.parametrize("cores", [1, 2])
 def test_manifest_counts_the_threads_a_multi_stack_ramp_used(tmp_path, monkeypatch, cores):
     monkeypatch.setattr(hamiltonian, "_cores", lambda: cores)
-    model = tmp_path / "chain7.txt"
-    model.write_text(_chain_text(7))
-    # five 7-qubit operators, at most four to a stack: two stacks
+    model = tmp_path / "chain6.txt"
+    model.write_text(_chain_text(6))
+    # 33 6-qubit operators, at most 16 to a stack: three stacks, two in flight
     config = parse_config(
-        f"model.hamiltonian = {model}\nschedule.T = 1\nschedule.dt = 0.25\n"
+        f"model.hamiltonian = {model}\nschedule.T = 4\nschedule.dt = 0.125\n"
         f"schedule.hold_time = 0\noutput.prefix = {tmp_path}/run\n"
     )
     cmd_sweep(config)
@@ -607,8 +637,13 @@ def _counters(manifest_path):
     return json.loads(manifest_path.read_text())["counters"]
 
 
-def _counts(matrices, dim, steps, streams=0, estimates=0, shots=0, passes=0, terms=0):
-    """The manifest's counters for ``matrices`` real dim x dim spectra."""
+def _counts(
+    matrices, dim, steps, streams=0, estimates=0, shots=0, passes=0, terms=0, products=0, built=None
+):
+    """The manifest's counters for ``matrices`` real dim x dim eigendecompositions.
+
+    ``built`` real matrices are built in all, ``matrices`` unless given.
+    """
     return {
         "matrices_diagonalized": matrices,
         "diagonalized_d3": matrices * dim**3,
@@ -616,9 +651,10 @@ def _counts(matrices, dim, steps, streams=0, estimates=0, shots=0, passes=0, ter
         "streams": streams,
         "estimates": estimates,
         "shots_drawn": estimates * shots,
-        "dense_bytes": matrices * dim**2 * 8,
+        "dense_bytes": (matrices if built is None else built) * dim**2 * 8,
         "filter_passes": passes,
         "chebyshev_terms": terms,
+        "krylov_products": products,
     }
 
 
@@ -684,9 +720,11 @@ def test_manifest_counts_complex_dense_bytes(tmp_path):
     [
         # 33 ramp operators and the target; 32 ramp steps and 8 hold steps;
         # 17,825,792 and 69,632 dense bytes; refine's 5 passes.  The 8-qubit
-        # ramp steps by Chebyshev expansion, 489 terms in its 32 steps; the
-        # 4-qubit ramp steps from eigenvectors.
-        (cmd_sweep, 8, 1, _counts(34, 256, 40, terms=489)),
+        # ramp diagonalizes nothing: 965 block products give its levels and
+        # ground vectors, and it steps by Chebyshev expansion, 514 terms in
+        # its 32 steps; only the target goes through eigh.  The 4-qubit ramp
+        # steps from eigenvectors.
+        (cmd_sweep, 8, 1, _counts(1, 256, 40, terms=514, products=965, built=34)),
         (cmd_refine, 4, 0, _counts(34, 16, 32, passes=5)),
     ],
     ids=["chain-sweep", "chain-refine"],
@@ -819,22 +857,30 @@ def test_shipped_manifests_record_the_stage_times(tmp_path, name, command):
     assert "stages" not in manifest["counters"]
 
 
-def test_chain_sweep_csvs_do_not_depend_on_the_diagonalization_workers(tmp_path, monkeypatch):
-    # the seed-7 8-qubit chain sweep, whose ramp steps by Chebyshev
-    # expansion, on the pooled stacks and on the calling thread alone
+def test_chain_sweep_csvs_do_not_depend_on_the_blas_threads(tmp_path):
+    # the seed-7 8-qubit chain sweep, whose ramp takes its levels by block
+    # Lanczos and steps by Chebyshev expansion, in fresh processes on one
+    # and on two OpenBLAS threads: the bits of a product may depend on the
+    # threads, and with them the block at which Lanczos stops
     model = tmp_path / "chain.txt"
     model.write_text(seeded_chain_text(8, seed=7))
+    config = tmp_path / "chain.cfg"
+    config.write_text(
+        f"model.hamiltonian = {model}\nschedule.T = 4\nschedule.dt = 0.125\n"
+        "schedule.hold_time = 1\n"
+    )
+    source = str(Path(__file__).resolve().parent.parent / "src")
     outputs = {}
-    for workers in ("default", "one"):
-        if workers == "one":
-            monkeypatch.setattr(hamiltonian, "_workers", lambda stacks, entries: 1)
-        config = parse_config(
-            f"model.hamiltonian = {model}\nschedule.T = 4\nschedule.dt = 0.125\n"
-            f"schedule.hold_time = 1\noutput.prefix = {tmp_path}/{workers}\n"
-        )
-        cmd_sweep(config)
-        outputs[workers] = [
-            (tmp_path / f"{workers}_{suffix}.csv").read_bytes()
-            for suffix in ("trajectory", "summary")
+    for threads in ("1", "2"):
+        path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        prefix = f"{tmp_path}/threads{threads}"
+        command = ["sweep", "--config", str(config), "--out", prefix]
+        code = "import sys; from vacuum_refine.cli import main; sys.exit(main(sys.argv[1:]))"
+        subprocess.run([sys.executable, "-c", code, *command], env=env, check=True)
+        manifest = json.loads(Path(f"{prefix}_manifest.json").read_text())
+        assert manifest["blas_threads"] in (int(threads), "unknown")
+        outputs[threads] = [
+            Path(f"{prefix}_{suffix}.csv").read_bytes() for suffix in ("trajectory", "summary")
         ]
-    assert outputs["default"] == outputs["one"]
+    assert outputs["1"] == outputs["2"]

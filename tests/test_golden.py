@@ -26,8 +26,12 @@ shots are one binomial over its even-parity weight, so every sampled
 value and standard error moved while the exact columns did not.  No
 byte moved when a word's parity probability came to be read as
 (1 + <P>) / 2 from the per-word overlaps of the word table instead of
-the Born weights of the rotated state.  Manifests are not compared
-because they carry a wall-clock duration.
+the Born weights of the rotated state.  The ``chain6`` and ``chain7y``
+snapshots (a multi-stack eigenvector ramp, and ramps of 7 qubits that
+take no eigenvectors, in both step modes and in ``refine``) were written
+while those ramps took ``eigvalsh`` and inverse iteration; no byte moved
+when block Lanczos replaced both.  Manifests are not compared because
+they carry a wall-clock duration.
 
 To rewrite the snapshots of the named cases after a deliberate,
 documented output change (every other snapshot is left alone):
@@ -51,6 +55,8 @@ from vacuum_refine.pauli import apply_words
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CHAIN3Y = GOLDEN / "chain3y.txt"
+CHAIN6 = GOLDEN / "chain6.txt"
+CHAIN7Y = GOLDEN / "chain7y.txt"
 
 # name -> (command, config file, extra settings)
 CASES = {
@@ -87,6 +93,31 @@ CASES = {
         cmd_refine,
         None,
         f"model.hamiltonian = {CHAIN3Y}\nschedule.T = 4\nschedule.dt = 0.125\n"
+        "schedule.hold_time = 0\nfilter.ancillas = 3\nrefine.max_iters = 3\n",
+    ),
+    # Six qubits: the ramp's 33 operators are three stacks of eigendecompositions.
+    "sweep_chain6": (
+        cmd_sweep,
+        None,
+        f"model.hamiltonian = {CHAIN6}\nschedule.T = 4\nschedule.dt = 0.125\nschedule.hold_time = 1\n",
+    ),
+    # Seven qubits with Y letters: the ramp takes no eigenvectors, in both
+    # step modes and in refine.
+    "sweep_chain7y": (
+        cmd_sweep,
+        None,
+        f"model.hamiltonian = {CHAIN7Y}\nschedule.T = 2\nschedule.dt = 0.125\nschedule.hold_time = 1\n",
+    ),
+    "sweep_chain7y_trotter": (
+        cmd_sweep,
+        None,
+        f"model.hamiltonian = {CHAIN7Y}\nschedule.T = 2\nschedule.dt = 0.125\n"
+        "schedule.hold_time = 1\nmode = trotter1\n",
+    ),
+    "refine_chain7y": (
+        cmd_refine,
+        None,
+        f"model.hamiltonian = {CHAIN7Y}\nschedule.T = 2\nschedule.dt = 0.125\n"
         "schedule.hold_time = 0\nfilter.ancillas = 3\nrefine.max_iters = 3\n",
     ),
 }

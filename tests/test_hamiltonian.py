@@ -860,20 +860,30 @@ def test_chebyshev_step_refuses_a_step_that_changes_the_norm(nan):
         chebyshev._chebyshev_step(matrix, *bounds, 1.0, amplitudes, np.empty(16, complex))
 
 
-@pytest.mark.parametrize("h", [_tfim_chain(7), _chain_with_y(7)], ids=["real", "complex"])
-def test_ground_vectors_match_the_eigenvectors_and_leave_the_matrices(h):
-    words, coeffs = ramp_coefficients(initial_hamiltonian(J, 7), h, [0.3, 0.7, 1.0])
+def _stack_of(h, s_values):
+    """The dense matrices of the ramp operators of ``h`` at ``s_values``, all of one dtype."""
+    words, coeffs = ramp_coefficients(initial_hamiltonian(J, h.num_qubits), h, s_values)
     real = hamiltonian._real_rows(words, coeffs)
     assert len(set(real.tolist())) == 1
-    matrices = hamiltonian._dense_stack(7, words, coeffs, real[0])
+    return hamiltonian._dense_stack(h.num_qubits, words, coeffs, real[0])
+
+
+@pytest.mark.parametrize("h", [_tfim_chain(7), _chain_with_y(7)], ids=["real", "complex"])
+def test_ground_vectors_match_the_eigenvectors_and_leave_the_matrices(h):
+    matrices = _stack_of(h, [0.3, 0.7, 1.0])
     before = matrices.tobytes()
-    values = chebyshev._eigenvalues(matrices)
-    grounds = chebyshev._ground_vectors(matrices, values)
+    levels, grounds, products, warm = chebyshev._lowest_levels(matrices, None)
+    assert levels.shape == (3, 3)
     assert grounds.shape == (3, 128, 1) and grounds.dtype == matrices.dtype
-    # the diagonal shifted for the solves is put back bit for bit
+    # the kernel only multiplies by the matrices
     assert matrices.tobytes() == before
-    expected = np.linalg.eigh(matrices)[1][:, :, 0]
-    for ground, vector in zip(grounds[:, :, 0], expected):
+    values, vectors = np.linalg.eigh(matrices)
+    assert np.max(np.abs(levels[:, :2] - values[:, :2])) <= 1e-12
+    assert np.all(levels[:, 2] >= values[:, -1])
+    assert 3 * chebyshev._FIRST_CHECK <= products <= 3 * 64
+    # the next stack starts from the last ground vector and its blocks
+    assert warm[0].tobytes() == grounds[-1, :, 0].tobytes() and 0 < warm[1] <= 64
+    for ground, vector in zip(grounds[:, :, 0], vectors[:, :, 0]):
         assert abs(np.linalg.norm(ground) - 1.0) <= 1e-14
         assert abs(abs(np.vdot(vector, ground)) - 1.0) <= 1e-12
 
@@ -883,58 +893,155 @@ def test_a_ground_vector_orthogonal_to_the_uniform_vector_is_found():
     n = 7
     h = PauliSum(n, tuple((0.9, "I" * q + "X" + "I" * (n - q - 1)) for q in range(n)))
     matrices = to_matrix(h)[np.newaxis]
-    ground = chebyshev._ground_vectors(matrices, chebyshev._eigenvalues(matrices))[0, :, 0]
+    levels, grounds, *_ = chebyshev._lowest_levels(matrices, None)
+    ground = grounds[0, :, 0]
     minus = np.array([1.0, -1.0]) * INV_SQRT2
     expected = minus
     for _ in range(n - 1):
         expected = np.kron(expected, minus)
     assert np.max(np.abs(ground - np.sign(expected @ ground) * expected)) <= 1e-13
     assert abs(ground.sum()) <= 1e-12
+    # E0 = -6.3 is single, E1 = -4.5 sevenfold; the bound is the top level
+    assert levels[0] == pytest.approx([-6.3, -4.5, 6.3], abs=1e-12)
 
 
 def test_a_degenerate_ground_level_gives_a_vector_of_its_eigenspace():
-    # -Z0 Z1 on 7 qubits: every level is 64-fold degenerate
+    # -Z0 Z1 on 7 qubits: every level is 64-fold degenerate, and the Krylov
+    # space of any start vector is invariant after two blocks
     h = PauliSum(7, ((-1.0, "ZZIIIII"),))
     matrices = to_matrix(h)[np.newaxis]
-    values = chebyshev._eigenvalues(matrices)
-    ground = chebyshev._ground_vectors(matrices, values)[0, :, 0]
+    levels, grounds, *_ = chebyshev._lowest_levels(matrices, None)
+    ground = grounds[0, :, 0]
     assert np.max(np.abs(matrices[0] @ ground + ground)) <= 1e-12
+    assert levels[0, 1] - levels[0, 0] < DEGENERACY_TOL
+    assert levels[0] == pytest.approx([-1.0, -1.0, 1.0], abs=1e-12)
+
+
+def test_the_zero_operator_settles_without_dividing_by_a_vanished_block():
+    # every product vanishes: each block is refilled from basis states
+    matrices = np.zeros((1, 128, 128))
+    with np.errstate(all="raise"):
+        levels, grounds, products, _ = chebyshev._lowest_levels(matrices, None)
+    assert levels[0].tolist() == [0.0, 0.0, 0.0]
+    assert abs(np.linalg.norm(grounds[0, :, 0]) - 1.0) <= 1e-14
+    assert products == chebyshev._FIRST_CHECK
 
 
 def test_ground_vectors_refuse_a_residual_that_does_not_pass(monkeypatch):
     matrices = to_matrix(_tfim_chain(7))[np.newaxis]
-    values = chebyshev._eigenvalues(matrices)
-    solves = []
+    settled = chebyshev._settled
 
-    def stalled(matrix, x):
-        solves.append(1)
-        return np.ones(len(x))
+    def rotated(*args):
+        found = settled(*args)
+        if found is None:
+            return None
+        e0, e1, vector = found
+        return e0, e1, np.roll(vector, 1)
 
-    monkeypatch.setattr(np.linalg, "solve", stalled)
+    monkeypatch.setattr(chebyshev, "_settled", rotated)
     with pytest.raises(NumericalConsistencyError, match="ground vector residual"):
-        chebyshev._ground_vectors(matrices, values)
-    assert len(solves) == chebyshev._INVERSE_SOLVES
+        chebyshev._lowest_levels(matrices, None)
+    # a ground pair that never passes is refused once the basis is complete
+    checks = []
 
-    def singular(matrix, x):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def never(diagonal, *args):
+        checks.append(len(diagonal))
+        settled(diagonal, *args)
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    before = matrices.tobytes()
-    with pytest.raises(NumericalConsistencyError, match="inverse iteration failed"):
-        chebyshev._ground_vectors(matrices, values)
-    assert matrices.tobytes() == before
+    monkeypatch.setattr(chebyshev, "_settled", never)
+    with pytest.raises(NumericalConsistencyError, match="in 64 blocks"):
+        chebyshev._lowest_levels(matrices, None)
+    assert checks == list(range(12, 64, 3)) + [64]
+
+    # an eigensolver failure on the projected matrix is typed
+    def diverged(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(chebyshev, "_settled", settled)
+    monkeypatch.setattr(np.linalg, "eigh", diverged)
+    with pytest.raises(NumericalConsistencyError, match="eigensolver failed to converge"):
+        chebyshev._lowest_levels(matrices, None)
 
 
 def test_ground_only_stacks_yield_eigenvalues_ground_vectors_and_matrices():
-    # the same stacks as the full eigendecompositions, bounds and all
+    # the same stacks as the full eigendecompositions: rows [E0, E1, upper]
     words, coeffs = POOL_RAMP
     full = list(_SpectrumStacks(7, words, coeffs))
-    ground = list(_SpectrumStacks(7, words, coeffs, ground_only=True))
+    stacks = _SpectrumStacks(7, words, coeffs, ground_only=True)
+    # each stack is warm-started from the one before, so they come in order
+    assert stacks.workers == 1
+    ground = list(stacks)
     assert [start for start, *_ in ground] == [start for start, *_ in full] == [0, 4, 8, 12]
-    for (_, values, vectors, none), (_, ground_values, grounds, matrices) in zip(full, ground):
+    for (_, values, vectors, none), (_, levels, grounds, matrices) in zip(full, ground):
         assert none is None
-        assert np.max(np.abs(values - ground_values)) <= 1e-12
+        assert levels.shape == (len(values), 3)
+        assert np.max(np.abs(values[:, :2] - levels[:, :2])) <= 1e-12
+        assert np.all(levels[:, 2] >= values[:, -1])
         assert grounds.shape == (len(values), 128, 1)
         for vector, found in zip(vectors[:, :, 0], grounds[:, :, 0]):
             assert abs(abs(np.vdot(vector, found)) - 1.0) <= 1e-12
         assert matrices.shape == (len(values), 128, 128)
+    # the warm start lives in the iteration: iterating again gives the same bits
+    again = list(stacks)
+    for (_, levels, grounds, _), (_, levels2, grounds2, _) in zip(ground, again):
+        assert levels.tobytes() == levels2.tobytes()
+        assert grounds.tobytes() == grounds2.tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+@pytest.mark.parametrize("with_y", [False, True], ids=["real", "complex"])
+def test_block_lanczos_levels_match_eigvalsh_on_the_chain_ramps(n, with_y):
+    h = _chain_with_y(n) if with_y else _tfim_chain(n)
+    s_values = [0.0, 0.3, 0.6, 0.9]
+    words, coeffs = ramp_coefficients(initial_hamiltonian(J, n), h, s_values)
+    for start, levels, grounds, matrices in _SpectrumStacks(n, words, coeffs, ground_only=True):
+        values = np.linalg.eigvalsh(matrices)
+        assert np.max(np.abs(levels[:, :2] - values[:, :2])) <= 1e-12
+        assert np.all(levels[:, 2] >= values[:, -1])
+        for matrix, row, ground in zip(matrices, levels, grounds[:, :, 0]):
+            assert np.max(np.abs(matrix @ ground - row[0] * ground)) <= hamiltonian._CHECK_ATOL
+
+
+def _sector_ramp(n):
+    """H0 = -J sum Z and H1 = sum Z - 0.3 sum X_i X_i+1, which both commute with prod Z."""
+    z = [(1.0, "I" * q + "Z" + "I" * (n - q - 1)) for q in range(n)]
+    xx = [(-0.3, "I" * q + "XX" + "I" * (n - q - 2)) for q in range(n - 1)]
+    return initial_hamiltonian(J, n), PauliSum(n, tuple(z + xx))
+
+
+def test_a_warm_start_from_another_symmetry_sector_still_finds_the_ground_level():
+    # the warm vector is the ground state of the even sector of prod Z at
+    # s = 0.9, which products with H never leave; H1's ground state on 7
+    # qubits is odd, so only the golden-ratio vector of the start block
+    # reaches it
+    n = 7
+    _, h1 = _sector_ramp(n)
+    before, matrix = _stack_of(h1, [0.9, 1.0])
+    even = np.array([bin(c).count("1") % 2 == 0 for c in range(2**n)])
+    warm = np.zeros(2**n)
+    warm[even] = np.linalg.eigh(before[np.ix_(even, even)])[1][:, 0]
+    values, vectors = np.linalg.eigh(matrix)
+    assert np.max(np.abs(vectors[even, 0])) <= 1e-12
+    e0, e1, ground, _ = chebyshev._lowest_pair(matrix, (warm, 30), 1.0)
+    assert abs(e0 - values[0]) <= 1e-12 and abs(e1 - values[1]) <= 1e-12
+    assert abs(abs(np.vdot(vectors[:, 0], ground)) - 1.0) <= 1e-12
+
+
+def test_block_lanczos_follows_the_ground_level_into_another_symmetry_sector():
+    # H0 = -J sum Z and H1 = sum Z - 0.3 sum X_i X_i+1 both commute with
+    # prod Z.  The ground state starts even (|0...0>) and ends odd
+    # (about |1...1> on 7 qubits), so the ground level crosses between
+    # sectors; a Krylov space grown from the even ground vectors alone
+    # would never reach the odd one.
+    n = 7
+    h0, h1 = _sector_ramp(n)
+    words, coeffs = ramp_coefficients(h0, h1, _midpoints(32))
+    parity = np.array([(-1) ** bin(c).count("1") for c in range(2**n)])
+    sectors = []
+    for _, levels, grounds, matrices in _SpectrumStacks(n, words, coeffs, ground_only=True):
+        values, vectors = np.linalg.eigh(matrices)
+        assert np.max(np.abs(levels[:, :2] - values[:, :2])) <= 1e-12
+        sectors += np.sign(np.einsum("kd,d,kd->k", vectors[:, :, 0], parity, vectors[:, :, 0])).tolist()
+        found = np.einsum("kd,d,kd->k", grounds[:, :, 0], parity, grounds[:, :, 0])
+        assert np.allclose(np.sign(found), np.sign(sectors[-len(found) :]))
+    assert sectors[0] == 1 and sectors[-1] == -1
