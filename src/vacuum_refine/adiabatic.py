@@ -21,10 +21,12 @@ thread, and arrive in order, counting the threads they used
 (``_Counters.diagonalization_workers``).  From ``_CHEBYSHEV_QUBITS`` (7)
 qubits on, a ramp record needs only the two lowest levels (gap,
 degeneracy warning) and the ground vector (fidelity target), and an
-exact step only exp(-i h dt) psi, so each matrix gets E0, E1 and its
-ground vector by block Lanczos, warm-started from the operator before
-(``chebyshev._lowest_levels``), and an upper bound on its spectrum, and
-the stack keeps its matrices for the step; those stacks come one after
+exact step only exp(-i h dt) psi, so a stack holds as many operators as
+fit their X-group entries in the budget (``chebyshev._GroupedStack``;
+28 on the 8-qubit chains), bounds all their spectra from above at once
+and builds each matrix in turn in one buffer, where it gets E0, E1 and
+its ground vector by block Lanczos, warm-started from the operator
+before (``chebyshev._lowest_levels``); those stacks come one after
 another on the calling thread.  Both step modes read each
 step's coefficient row against the one word table, so no operator is
 built per step.
@@ -38,11 +40,12 @@ in-place phase multiplication, one ``dot`` with V^T), which writes each
 new state straight into its row of the block's (rows, d) array.  The
 kernel's complex operands are cast once per slice of the stack
 (``_operands``), within the stack's entry budget or one matrix at a
-time.  From 7 qubits the step loop walks the stack's matrices instead,
-and each step is a Chebyshev expansion of exp(-i h dt) between the
-operator's E0 and its upper bound (``chebyshev._chebyshev_step``: one
-product with the matrix per term, about 15 terms a step on the 8-qubit
-chains at dt = 1/8), which keeps the norm to the unitarity tolerance.
+time.  From 7 qubits the step loop walks the stack's operators instead,
+their matrices rebuilt in the stack's buffer, and each step is a
+Chebyshev expansion of exp(-i h dt) between the operator's E0 and its
+upper bound (``chebyshev._chebyshev_stack``: one product with the
+matrix per term, about 15 terms a step on the 8-qubit chains at
+dt = 1/8), which keeps the norm to the unitarity tolerance.
 The stack is released before the next one is computed.  An exact hold
 is not stepped: under one operator exp(-i h t) psi =
 V (exp(-i E t) * V^H psi) for any t, so with c = V^H psi taken once,
@@ -99,10 +102,11 @@ _GRID_ATOL = 1e-9
 # From this many qubits on, a ramp operator is not diagonalized: its two
 # lowest levels and ground vector (block Lanczos), an upper bound on its
 # spectrum and its matrix serve its records and its Chebyshev step.
-# Measured on seeded chains (T = 4, dt = 1/8), the Chebyshev ramp loses
-# to the eigenvector ramp at 4-6 qubits, by 0-35% at 7 (53-94 against
-# 49-71 ms, where it won with eigvalsh and inverse iteration) and wins by
-# half from 8 on (80-155 against 208-281 ms).
+# Measured on the seed-7 chains (T = 4, dt = 1/8, minima of 15 in-process
+# ramps), the Chebyshev ramp loses to the eigenvector ramp at 4-6 qubits
+# (27 against 14-20 ms at 6), wins at 7 (41 against 49 ms on one BLAS
+# thread, 74 ms by default; 54-56 ms while each operator was built, bound
+# and read out alone) and wins by half from 8 on.
 _CHEBYSHEV_QUBITS = 7
 _ENERGY_KEY = "energy"
 
@@ -262,12 +266,13 @@ class _Recorder:
     are appended to the columns, and no per-record object is built.
 
     The caller sizes the blocks.  A ramp block is one stack of ramp
-    operators (``_SpectrumStacks``) and a hold block has as many rows as
-    such a stack (``_STACK_ENTRIES`` // d^2, at least one), so a block
-    holds at most ``_STACK_ENTRIES`` amplitudes.  At one qubit the whole
-    shipped ramp is one block; from 8 qubits on a block is one state,
-    read out before the next stack is computed, so recording adds nothing
-    to the ramp's peak memory.
+    operators (``_SpectrumStacks``), read out before the next stack is
+    computed, and a hold block holds at most ``_STACK_ENTRIES``
+    amplitudes (at least one state).  At one qubit the whole shipped ramp
+    is one block; the 8-qubit benchmark ramp is two, of 28 and 5 states,
+    and its hold one.  The readout gathers a few words and rows at a time
+    (``statevector.word_overlaps``), so recording adds less to the peak
+    memory than the stack does.
     """
 
     def __init__(
@@ -336,32 +341,6 @@ def _step_stack(
     return amplitudes
 
 
-def _chebyshev_stack(
-    matrices: np.ndarray,
-    values: np.ndarray,
-    dt: float,
-    states: np.ndarray,
-    amplitudes: np.ndarray,
-    counters: _Counters | None,
-) -> np.ndarray:
-    """Step ``amplitudes`` through a stack's matrices, into the rows of ``states``.
-
-    Step k applies exp(-i H_k dt) by the Chebyshev kernel
-    (``chebyshev._chebyshev_step``), between the bounds E0 and upper of
-    row k of ``values`` ([E0, E1, upper]), to the row before it and writes row k;
-    ``counters``, when given, count the terms.  Returns the last row.
-    """
-    # imported here: only the ramps of 7 qubits and more need it
-    from .chebyshev import _chebyshev_step
-
-    for matrix, bounds, row in zip(matrices, values, states):
-        terms = _chebyshev_step(matrix, bounds[0], bounds[-1], dt, amplitudes, out=row)
-        amplitudes = row
-        if counters is not None:
-            counters.chebyshev_terms += terms
-    return amplitudes
-
-
 def run_adiabatic(
     h0: PauliSum,
     h1: PauliSum,
@@ -387,17 +366,17 @@ def run_adiabatic(
     stack from it (``_SpectrumStacks``).  Up to 6 qubits they are full
     eigendecompositions and an exact step applies its operator's
     eigenvectors; from ``_CHEBYSHEV_QUBITS`` qubits on they are the rows
-    [E0, E1, upper] (block Lanczos and a Gershgorin bound), the ground
-    vector and the dense matrix of each operator, and an exact step is a
-    Chebyshev expansion between E0 and upper
-    (``chebyshev._chebyshev_step``).  Either way the gaps, degeneracy
+    [E0, E1, upper] (block Lanczos and a Gershgorin bound) and the ground
+    vector of each operator, with the stack's grouped operators, and an
+    exact step is a Chebyshev expansion between E0 and upper
+    (``chebyshev._chebyshev_stack``).  Either way the gaps, degeneracy
     warnings and fidelity targets come from the first two values and the
     ground vectors, in both step modes.  Each stack's degeneracy
     flags are taken at once, the step loop only advances amplitudes into
     the stack's block of states, and the block is read out at once
     (``_Recorder``).  ``counters``, when given, count the matrices built
-    and diagonalized, the block products, the steps and the Chebyshev
-    terms, and note the
+    and diagonalized, the block products and checks, the steps and the
+    Chebyshev terms, and note the
     smallest gap between the two lowest levels of any ramp operator, with
     its s.
     """
@@ -420,7 +399,11 @@ def run_adiabatic(
     if records:
         recorder = _Recorder(trajectory, 2**n, words, observables, record_states)
     # the stacks refuse a register above the dense cap before |0...0> exists
-    stacks = _SpectrumStacks(n, words, coeffs, counters, ground_only=n >= _CHEBYSHEV_QUBITS)
+    ground_only = n >= _CHEBYSHEV_QUBITS
+    if ground_only:
+        # imported here: only the ramps of 7 qubits and more need it
+        from .chebyshev import _chebyshev_stack
+    stacks = _SpectrumStacks(n, words, coeffs, counters, ground_only)
     amplitudes = basis_state(n, 0).amplitudes
     for start, values, vectors, matrices in stacks:
         stop = start + len(values)
@@ -430,10 +413,8 @@ def run_adiabatic(
         first = 1 if start == 0 else 0
         if first:
             states[0] = amplitudes
-        if exact and matrices is not None:
-            amplitudes = _chebyshev_stack(
-                matrices[first:], values[first:], dt, states[first:], amplitudes, counters
-            )
+        if exact and ground_only:
+            amplitudes = _chebyshev_stack(matrices, values, dt, states, amplitudes, first, counters)
         elif exact:
             phases = np.exp(-1j * values[first:] * dt)
             amplitudes = _step_stack(vectors[first:], phases, states[first:], amplitudes)
@@ -528,7 +509,7 @@ def run_hold(
     # record r holds the state after steps[r] steps of dt
     steps = list(range(1 - include_initial, schedule.num_hold_steps + 1))
     times = [start_time + j * dt for j in steps]
-    block = max(1, statevector._STACK_ENTRIES // dim**2)
+    block = max(1, statevector._STACK_ENTRIES // dim)
     amplitudes = state.amplitudes
     for start in range(0, len(steps), block):
         part = steps[start : start + block]

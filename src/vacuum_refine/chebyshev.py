@@ -3,16 +3,20 @@
 From ``adiabatic._CHEBYSHEV_QUBITS`` qubits on, a ramp operator's record
 needs only its two lowest levels (gap, degeneracy warning) and its ground
 vector (fidelity target), and its exact step needs only exp(-i H dt) psi
-between bounds on its spectrum.  ``_lowest_levels`` takes the first two
-from products with the dense matrix by block Lanczos with two vectors and
-full reorthogonalization (Golub & Underwood 1977; Saad 2011, ch. 6), each
-operator warm-started from the ground vector of the one before, and bounds
-the spectrum from above by Gershgorin's theorem.  ``_chebyshev_step``
-takes the step from products with the same matrix (Tal-Ezer & Kosloff
-1984, J. Chem. Phys. 81:3967), its Bessel weights from Miller's backward
-recurrence (``_bessel_j``), so the runtime stays numpy-only.
-``hamiltonian._SpectrumStacks`` and ``adiabatic`` import this module only
-when a ramp of that size runs, so smaller registers never load it.
+between bounds on its spectrum.  A stack of ramp operators is held as
+their X-group entries (``_GroupedStack``), from which one pass bounds the
+spectrum of every operator from above by Gershgorin's theorem
+(``_gershgorin``), and each operator's dense matrix is written on demand
+into one buffer.  ``_lowest_levels`` takes the two lowest levels and the
+ground vector from products with that matrix by block Lanczos with two
+vectors and full reorthogonalization (Golub & Underwood 1977; Saad 2011,
+ch. 6), each operator warm-started from the ground vector of the one
+before.  ``_chebyshev_step`` takes the step from products with the same
+matrix (Tal-Ezer & Kosloff 1984, J. Chem. Phys. 81:3967), its Bessel
+weights from Miller's backward recurrence (``_bessel_j``), so the runtime
+stays numpy-only.  ``hamiltonian._SpectrumStacks`` and ``adiabatic``
+import this module only when a ramp of that size runs, so smaller
+registers never load it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ import math
 
 import numpy as np
 
+from .counters import _Counters
 from .errors import NumericalConsistencyError
-from .hamiltonian import _CHECK_ATOL, _refuse_above
+from .hamiltonian import _CHECK_ATOL, _checked_groups, _refuse_above
 from .statevector import _UNITARY_ATOL
 
 # Block Lanczos (``_lowest_pair``) stops once the ground pair's residual is
@@ -48,38 +53,93 @@ _CHEBYSHEV_TOL = 1e-17
 _POWERS_OF_MINUS_I = (1.0, -1j, -1.0, 1j)
 
 
+class _GroupedStack:
+    """The operators sum_t coeffs[k, t] * words[t] of a stack, held as their X-group entries.
+
+    ``entries[k]`` holds the (G, d) entries D_x of operator k's G groups
+    and ``rows`` the (G, d) rows c ^ x at which they stand in column c
+    (``hamiltonian._checked_groups``, which refuses a non-Hermitian
+    operator), groups in ascending x.  ``matrix(k)`` writes the dense
+    matrix of operator k into one (d, d) buffer and returns the buffer,
+    which the next call for another operator overwrites.  Every operator
+    of one word table fills the same entries, so the buffer is zeroed
+    once, and each matrix has the bits of ``hamiltonian._dense_stack``'s.
+    """
+
+    def __init__(self, num_qubits: int, words: np.ndarray, coeffs: np.ndarray, real: bool):
+        dim = 2**num_qubits
+        groups = list(_checked_groups(words, coeffs, dim, real))
+        self.entries = np.stack([entries for _, entries in groups], axis=1)
+        self.rows = np.stack([flipped for flipped, _ in groups])
+        self._positions = self.rows * dim + np.arange(dim)
+        self._matrix = np.zeros((dim, dim), dtype=self.entries.dtype)
+        self._written: int | None = None
+
+    def matrix(self, k: int) -> np.ndarray:
+        """The dense matrix of operator k, in the stack's one buffer."""
+        if self._written != k:
+            self._matrix.reshape(-1)[self._positions] = self.entries[k]
+            self._written = k
+        return self._matrix
+
+
+def _gershgorin(stack: _GroupedStack) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, scale) of each operator of a grouped stack, as (k,) arrays.
+
+    ``upper`` is the Gershgorin bound max_i (H_ii + sum_(j != i) |H_ij|),
+    never below the largest eigenvalue, and ``scale`` the largest
+    absolute row sum, at least 1.  Since H is Hermitian its absolute row
+    sums are its column sums.  Column c holds the entries D_x[c] at the
+    rows c ^ x, and they are added in the order of those rows, as the
+    column sum of the dense |H| adds them, so both have that sum's bits.
+    The diagonal is the group of x = 0, the first, when there is one.
+    """
+    # the rows of a column are distinct, so every sort orders them alike;
+    # the stable one is the one the package already runs, where a first
+    # call of another adds about 0.2 MB of resident memory
+    order = np.argsort(stack.rows, axis=0, kind="stable")[np.newaxis]
+    gathered = np.take_along_axis(stack.entries, order, axis=1)
+    real = gathered.dtype == np.float64
+    sums = (np.abs(gathered, out=gathered) if real else np.abs(gathered)).sum(axis=1)
+    diagonal = stack.entries[:, 0].real if stack.rows[0, 0] == 0 else np.zeros_like(sums)
+    upper = np.max(diagonal - np.abs(diagonal) + sums, axis=1)
+    return upper, np.maximum(1.0, np.max(sums, axis=1))
+
+
 def _lowest_levels(
-    matrices: np.ndarray, warm: tuple[np.ndarray, int] | None
-) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, int]]:
-    """The two lowest levels, a spectral bound and the ground vector of each matrix of a stack.
+    stack: _GroupedStack,
+    warm: tuple[np.ndarray, int] | None,
+    counters: _Counters | None = None,
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, int]]:
+    """The two lowest levels, a spectral bound and the ground vector of each operator of a stack.
 
     Returns the (k, 3) rows [E0, E1, upper], the (k, d, 1) unit ground
-    vectors, the block products taken and the warm start for the next
-    stack.  ``upper`` is the Gershgorin bound
-    max_i (H_ii + sum_(j != i) |H_ij|), never below the largest
-    eigenvalue.  The levels and the vector come from ``_lowest_pair``: the
-    first matrix is warm-started from ``warm``, the ground vector and the
+    vectors and the warm start for the next stack; ``upper`` and the
+    scale of the tolerances come from ``_gershgorin``.  The levels and the
+    vector come from ``_lowest_pair`` on ``stack.matrix(k)``: the first
+    operator is warm-started from ``warm``, the ground vector and the
     blocks of the operator before the stack (None for the first of a
-    ramp), and each further matrix from the one before it.
+    ramp), and each further operator from the one before it.
+    ``counters``, when given, count the block products and the checks.
     """
-    k, dim, _ = matrices.shape
-    values = np.empty((k, 3))
-    grounds = np.empty((k, dim, 1), dtype=matrices.dtype)
-    products = 0
-    for matrix, row, ground in zip(matrices, values, grounds):
-        sums = np.abs(matrix).sum(axis=0)  # the row sums, since H is Hermitian
-        diagonal = matrix.diagonal().real
-        row[2] = np.max(diagonal - np.abs(diagonal) + sums)
-        row[0], row[1], ground[:, 0], blocks = _lowest_pair(matrix, warm, max(1.0, np.max(sums)))
+    upper, scales = _gershgorin(stack)
+    count, _, dim = stack.entries.shape
+    values = np.empty((count, 3))
+    values[:, 2] = upper
+    grounds = np.empty((count, dim, 1), dtype=stack.entries.dtype)
+    for k, (row, ground, scale) in enumerate(zip(values, grounds, scales)):
+        row[0], row[1], ground[:, 0], blocks, checks = _lowest_pair(stack.matrix(k), warm, scale)
         warm = (ground[:, 0].copy(), blocks)
-        products += blocks
-    return values, grounds, products, warm
+        if counters is not None:
+            counters.krylov_products += blocks
+            counters.krylov_checks += checks
+    return values, grounds, warm
 
 
 def _lowest_pair(
     matrix: np.ndarray, warm: tuple[np.ndarray, int] | None, scale: float
-) -> tuple[float, float, np.ndarray, int]:
-    """(E0, E1, unit ground vector, blocks) of one Hermitian matrix by block Lanczos.
+) -> tuple[float, float, np.ndarray, int, int]:
+    """(E0, E1, unit ground vector, blocks, checks) of one Hermitian matrix by block Lanczos.
 
     ``warm`` is the ground vector of the operator before and the blocks it
     took, or None.  The start block is that vector and the fixed
@@ -87,9 +147,9 @@ def _lowest_pair(
     complex vector with a real matrix, the golden vector and a refill).
     The golden vector has a part in every symmetry sector of the operator,
     so a level that the warm vector's sector lacks is still found.  The
-    basis vectors are the rows of ``basis`` and their images under H the
-    rows of ``images``.  Block j is one product H Q_j, a real (2, d)
-    product for a real matrix; it is orthogonalized against the whole
+    basis vectors are the rows of ``basis``.  Block j is one product
+    H Q_j, a real (2, d) product for a real matrix, written over the
+    block before it; it is orthogonalized against the whole
     basis twice, and its overlap with Q_j is the diagonal block A_j of the
     projected block-tridiagonal matrix T.  At each check (one block before
     the blocks ``warm`` took, at least ``_FIRST_CHECK``; every
@@ -100,15 +160,15 @@ def _lowest_pair(
     ``_RESIDUAL_TOL`` * ``scale`` and the second pair's bounds
     |theta_1 - E1| by ``_LEVEL_TOL``: min(r, r^2 / delta), with delta the
     distance from theta_1 to the Ritz values beside it.  Otherwise R_j is
-    made orthonormal, vector by vector, into the next block, and its
+    made orthonormal into the next block (``_orthonormalize``), and its
     factor is the block of T below A_j.  A vector that has vanished (an
     invariant subspace, such as the whole space of the zero operator) is
     never divided by: it is refilled with the basis state least
     represented in the basis, orthogonalized against it, with a zero in
     T.  After d / 2 blocks the basis is complete; an operator not settled
-    by then is refused.  The ground vector is the Ritz vector, and the
-    images kept for the basis give H x with no further product, so it is
-    refused unless max |H x - E0 x| <= ``_CHECK_ATOL``.
+    by then is refused.  The ground vector x is the Ritz vector, refused
+    unless max |H x - E0 x| <= ``_CHECK_ATOL``: one product more, where
+    keeping the images of the basis would double its memory.
     """
     dim = matrix.shape[0]
     cap = (dim + 1) // 2
@@ -122,27 +182,27 @@ def _lowest_pair(
     tol = _VANISHED_TOL * scale
     # room for the complete basis; only the rows written are touched
     basis = np.empty((2 * cap, dim), dtype=matrix.dtype)
-    images = np.empty_like(basis)
+    residual = np.empty((2, dim), dtype=matrix.dtype)
     diagonal = np.empty((cap, 2, 2), dtype=matrix.dtype)
     below = np.empty((cap, 2, 2), dtype=matrix.dtype)
     _orthonormalize(basis, 0, start, tol)
+    checks = 0
     for j in range(cap):
         size = 2 * j + 2
-        residual = _images(matrix, basis[size - 2 : size], out=images[size - 2 : size]).copy()
+        _images(matrix, basis[size - 2 : size], out=residual)
         diagonal[j] = _project_out(basis[:size], residual)[:, -2:].T
         blocks = j + 1
         if blocks == cap or (blocks >= first and (blocks - first) % _CHECK_EVERY == 0):
             settled = _settled(diagonal[:blocks], below[: blocks - 1], residual, scale)
+            checks += 1
             if settled is not None:
                 e0, e1, ritz = settled
                 ground = ritz.dot(basis[:size])
-                image = ritz.dot(images[:size])
-                norm = np.linalg.norm(ground)
-                ground /= norm
-                image /= norm
+                ground /= np.linalg.norm(ground)
+                image = _images(matrix, ground[np.newaxis], out=residual[:1])[0]
                 excess = np.max(np.abs(image - e0 * ground))
                 _refuse_above(np.array([excess]), _CHECK_ATOL, "ground vector residual {:.3e} too large")
-                return e0, e1, ground, blocks
+                return e0, e1, ground, blocks, checks
         if blocks == cap:
             break
         below[j] = _orthonormalize(basis, size, residual, tol)
@@ -165,7 +225,7 @@ def _images(matrix: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray
     x^T H is (H x)^T for a real symmetric H; for a complex Hermitian H it
     is conj(x^H H) that is (H x)^T.
     """
-    if np.iscomplexobj(matrix):
+    if matrix.dtype != np.float64:
         np.dot(rows.conj(), matrix, out=out)
         return np.conjugate(out, out=out)
     return np.dot(rows, matrix, out=out)
@@ -187,7 +247,7 @@ def _project_out(known: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 def _overlaps(known: np.ndarray, block: np.ndarray) -> np.ndarray:
     """[c, i] = <known_i, block_c>, without a conjugated copy of ``known``."""
-    if np.iscomplexobj(known):
+    if known.dtype != np.float64:
         return block.conj().dot(known.T).conj()
     return block.dot(known.T)
 
@@ -196,19 +256,38 @@ def _orthonormalize(basis: np.ndarray, size: int, block: np.ndarray, tol: float)
     """Write the two rows of ``block``, orthonormalized, to rows ``size`` and ``size + 1`` of ``basis``.
 
     ``block`` must already be orthogonal to the first ``size`` rows.
-    Returns the upper-triangular R with block^T = Q^T R.  A row whose norm
-    left is at most ``tol`` has vanished; its row of Q is a refill (the
-    basis state with the least weight in the rows so far, orthogonalized
-    against them twice) and its diagonal entry of R is zero.
+    Returns the upper-triangular R with block^T = Q^T R.  R is the
+    closed-form Cholesky factor of the rows' 2 x 2 Gram matrix
+    (Cholesky-QR; Yamamoto et al. 2015, ETNA 44:306) when the first row's
+    norm exceeds ``tol`` and the second keeps at least half its squared
+    norm outside the first's span, which keeps the two rows of Q
+    orthogonal to a few roundings.  Otherwise the rows are taken one by
+    one, the second orthogonalized against the first twice, and a row
+    whose norm left is at most ``tol`` has vanished: its row of Q is a
+    refill (the basis state with the least weight in the rows so far,
+    orthogonalized against them twice) and its diagonal entry of R is
+    zero.
     """
+    # [c, i] = <block_i, block_c>, as Python numbers
+    (first, _), (coupling, second) = _overlaps(block, block).tolist()
+    first, second = first.real, second.real
+    if first > tol * tol:
+        norm = math.sqrt(first)
+        coupling /= norm
+        left = second - abs(coupling) ** 2
+        if left > tol * tol and 2.0 * left >= second:
+            left = math.sqrt(left)
+            np.multiply(block[0], 1.0 / norm, out=basis[size])
+            row = block[1] - coupling * basis[size]
+            np.multiply(row, 1.0 / left, out=basis[size + 1])
+            return np.array([[norm, coupling], [0.0, left]], dtype=block.dtype)
     factor = np.zeros((2, 2), dtype=block.dtype)
     for c in range(2):
         row = block[c]
         if c:
-            first = basis[size]
             for _ in range(2):
-                overlap = np.vdot(first, row)
-                row -= overlap * first
+                overlap = np.vdot(basis[size], row)
+                row -= overlap * basis[size]
                 factor[0, 1] += overlap
         norm = math.sqrt(np.vdot(row, row).real)
         if norm > tol:
@@ -349,3 +428,28 @@ def _chebyshev_step(
     if not drift <= _UNITARY_ATOL:  # NaN fails too
         raise NumericalConsistencyError(f"Chebyshev step changed the norm by {drift:.3e}")
     return len(weights)
+
+
+def _chebyshev_stack(
+    stack: _GroupedStack,
+    values: np.ndarray,
+    dt: float,
+    states: np.ndarray,
+    amplitudes: np.ndarray,
+    first: int,
+    counters: _Counters | None,
+) -> np.ndarray:
+    """Step ``amplitudes`` through a stack's operators from ``first`` on, into rows of ``states``.
+
+    Step k applies exp(-i H_k dt) by ``_chebyshev_step`` on
+    ``stack.matrix(k)``, between the bounds E0 and upper of row k of
+    ``values`` ([E0, E1, upper]), to the row before it and writes row k;
+    ``counters``, when given, count the terms.  Returns the last row.
+    """
+    for k in range(first, len(values)):
+        bounds = values[k]
+        terms = _chebyshev_step(stack.matrix(k), bounds[0], bounds[2], dt, amplitudes, states[k])
+        amplitudes = states[k]
+        if counters is not None:
+            counters.chebyshev_terms += terms
+    return amplitudes

@@ -29,9 +29,12 @@ class _Counters:
     times terms) and ``shots_drawn`` their shots.  Exact estimation leaves
     those three at zero.  ``dense_bytes`` counts the bytes of the dense
     matrix stacks built, and ``filter_passes`` the passes of ``refine``.
-    The ramp operators of 7 qubits and more are built but not diagonalized:
-    ``krylov_products`` counts the block products, with a d x 2 block each,
-    that took their two lowest levels and ground vectors, and
+    The ramp operators of 7 qubits and more are not diagonalized, and each
+    of their stacks builds its matrices one at a time in one buffer, which
+    ``dense_bytes`` counts once: ``krylov_products`` counts the block
+    products, with a d x 2 block each, that took their two lowest levels
+    and ground vectors, ``krylov_checks`` the eigensolves of the projected
+    matrix that tested those levels for convergence, and
     ``chebyshev_terms`` the terms of their Chebyshev steps, one product
     with a vector each.
 
@@ -57,6 +60,7 @@ class _Counters:
     filter_passes: int = 0
     chebyshev_terms: int = 0
     krylov_products: int = 0
+    krylov_checks: int = 0
     min_ramp_gap: float | None = None
     min_ramp_gap_s: float | None = None
     stages: dict[str, float] = field(default_factory=lambda: dict.fromkeys(_STAGES, 0.0))

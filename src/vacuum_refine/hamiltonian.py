@@ -23,7 +23,7 @@ from .errors import (
     NumericalConsistencyError,
     ResourceLimitError,
 )
-from .pauli import compile_words, odd_words, x_groups
+from .pauli import compile_words, odd_words, x_groups, x_masks
 from .statevector import _UNITARY_ATOL, StateVector
 
 DEFAULT_DENSE_CAP = 10
@@ -179,6 +179,27 @@ def _max_entry(buffer: np.ndarray) -> np.ndarray:
     return np.max(magnitudes, axis=(-2, -1))
 
 
+def _checked_groups(
+    words: np.ndarray, coeffs: np.ndarray, dim: int, real: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``pauli.x_groups``, and after the last group the Hermiticity guard of every row.
+
+    The mirror entry ``[k, c, c ^ x]`` of each entry ``[k, c ^ x, c]`` is
+    in the same group, at column c ^ x, so the guard reads |H - H^dagger|
+    group by group, d entries per row a group, with the values of the
+    dense difference.  Every dense build reads its groups here.
+    """
+    asymmetry = np.zeros(coeffs.shape[0])
+    for flipped, entries in x_groups(words, coeffs, dim, real):
+        mirror = entries[:, flipped]
+        if not real:
+            np.conjugate(mirror, out=mirror)
+        np.subtract(entries, mirror, out=mirror)
+        np.maximum(asymmetry, _max_entry(mirror[:, np.newaxis]), out=asymmetry)
+        yield flipped, entries
+    _refuse_above(asymmetry, 1e-12, "dense matrix is not Hermitian")
+
+
 def _dense_stack(
     num_qubits: int,
     words: np.ndarray,
@@ -189,26 +210,16 @@ def _dense_stack(
 
     The words that share an X mask x fill entries ``[k, c ^ x, c]`` and
     no others, so each group is one assignment of its summed entries
-    (``pauli.x_groups``): each entry sums its words in table order,
-    starting from zero.  The mirror entry ``[k, c, c ^ x]`` of each is in
-    the same group, at column c ^ x, so the Hermiticity guard reads
-    |H - H^dagger| group by group, d entries per row a group, with the
-    values of the dense difference.  Registers above ``DEFAULT_DENSE_CAP``
-    qubits are refused.
+    (``_checked_groups``): each entry sums its words in table order,
+    starting from zero.  Registers above ``DEFAULT_DENSE_CAP`` qubits are
+    refused.
     """
     _refuse_dense(num_qubits)
     dim = 2**num_qubits
     out = np.zeros((coeffs.shape[0], dim, dim), dtype=np.float64 if real else np.complex128)
     columns = np.arange(dim)
-    asymmetry = np.zeros(coeffs.shape[0])
-    for flipped, entries in x_groups(words, coeffs, dim, real):
+    for flipped, entries in _checked_groups(words, coeffs, dim, real):
         out[:, flipped, columns] = entries
-        mirror = entries[:, flipped]
-        if not real:
-            np.conjugate(mirror, out=mirror)
-        np.subtract(entries, mirror, out=mirror)
-        np.maximum(asymmetry, _max_entry(mirror[:, np.newaxis]), out=asymmetry)
-    _refuse_above(asymmetry, 1e-12, "dense matrix is not Hermitian")
     return out
 
 
@@ -453,43 +464,37 @@ def _in_order(count: int, compute: Callable[[int], Any], workers: int) -> Iterat
 class _SpectrumStacks:
     """(first row, values, vectors, matrices) of each stack of rows of ``coeffs``.
 
-    A stack holds consecutive rows of one dtype (``_real_rows``), at most
-    ``_STACK_ENTRIES`` matrix entries or a single matrix.  Its rows
-    ``first`` to ``first + k`` are built as one (k, d, d) stack
-    (``_dense_stack``) and analysed here; every spectrum in the package
-    is computed here.  By default the stack is diagonalized
-    (``_diagonalize_stack``), giving (k, d) eigenvalues and (k, d, d)
-    eigenvectors, and its matrices are dropped (None).  With
-    ``ground_only`` it is not diagonalized: it yields (k, 3) rows
-    [E0, E1, upper] in place of the eigenvalues, the (k, d, 1) ground
-    vector of each matrix (``chebyshev._lowest_levels``: block Lanczos,
-    and a Gershgorin bound on the top level) and the (k, d, d) matrices
-    themselves, for a caller that steps with them.  So columns 0 and 1 of
-    the values are the two lowest levels and column 0 of the vectors is
-    the ground vector either way; ``run_adiabatic`` reads nothing else of
-    them, bar the last column as the Chebyshev step's upper bound.  A
-    register above ``DEFAULT_DENSE_CAP`` qubits is refused when the stacks
-    are made, before any is built.
+    A stack holds consecutive rows of one dtype (``_real_rows``); every
+    spectrum in the package is computed here.  By default a stack is at
+    most ``_STACK_ENTRIES`` matrix entries or one matrix, built as one
+    (k, d, d) stack (``_dense_stack``) and diagonalized
+    (``_diagonalize_stack``): it yields (k, d) eigenvalues, (k, d, d)
+    eigenvectors and None.  A ``ground_only`` stack is as many rows as
+    fit their X-group entries (k G d for G X masks) in
+    ``_STACK_ENTRIES``, or one, held as a ``chebyshev._GroupedStack``,
+    which builds each matrix on demand in one buffer.  It yields (k, 3)
+    rows [E0, E1, upper], the (k, d, 1) ground vectors
+    (``chebyshev._lowest_levels``) and the grouped stack, for a caller
+    that steps with its matrices.  Either way columns 0 and 1 of the
+    values are the two lowest levels and column 0 of the vectors the
+    ground vector; ``run_adiabatic`` reads nothing else, bar the last
+    column as the Chebyshev step's upper bound.  A register above
+    ``DEFAULT_DENSE_CAP`` qubits is refused before any stack is built.
 
     Iterating yields the stacks in order.  ``ground_only`` stacks are
-    computed on the calling thread as they are consumed, each matrix
-    warm-started from the ground vector of the one before; that state
-    lives in the iteration, so iterating again gives the same bits.
-    Other stacks are computed by ``workers`` threads (``_workers``,
-    ``_in_order``): one per core of the process's affinity, at most one
-    stack in flight per thread and ``_FLIGHT_STACKS`` full stacks'
-    entries in flight in all.  With one worker the calling thread
-    computes each stack as it is consumed.  With more, OpenBLAS is held to
-    one thread for the whole process from the first stack until the
-    iteration ends or is abandoned, consumer's work between stacks
-    included; the previous count is then restored.  One BLAS thread per
-    eigendecomposition is what makes the threads pay: OpenBLAS's own
-    threads do not speed up ``eigh`` at these sizes.  Each stack is added
-    to ``counters``, when given, as it is yielded: the bytes of its
-    matrices, and either their number and summed d^3 (diagonalized) or
-    the block products that gave their levels (``ground_only``); their
-    ``diagonalization_workers`` keep the most threads any stacks of the
-    command ran on.
+    computed on the calling thread as they are consumed, each operator
+    warm-started from the one before; that state lives in the
+    iteration, so iterating again gives the same bits.  Other stacks are
+    computed by ``workers`` threads (``_workers``, ``_in_order``): one
+    per core of the process's affinity, at most one stack in flight per
+    thread and ``_FLIGHT_STACKS`` full stacks' entries in flight in all.
+    With more than one, OpenBLAS is held to one thread from the first
+    stack until the iteration ends or is abandoned; one BLAS thread per
+    eigendecomposition is what makes the threads pay.  Each stack is
+    added to ``counters``, when given, as it is yielded: the bytes of its
+    matrices (of its buffer, ``ground_only``), and the number and summed
+    d^3 of those diagonalized.  ``diagonalization_workers`` keeps the most
+    threads any stacks of the command ran on.
     """
 
     def __init__(
@@ -508,7 +513,9 @@ class _SpectrumStacks:
         self._ground_only = ground_only
         real = _real_rows(words, coeffs)
         self._real = real.tolist()
-        chunk = max(1, statevector._STACK_ENTRIES // 4**num_qubits)
+        # the entries a row takes: its X groups' (``ground_only``) or its matrix's
+        row = len(x_masks(words)) * 2**num_qubits if ground_only else 4**num_qubits
+        chunk = max(1, statevector._STACK_ENTRIES // row)
         # runs of rows of one dtype, each split every ``chunk`` rows
         bounds = [0, *(np.flatnonzero(real[1:] != real[:-1]) + 1).tolist(), len(coeffs)]
         self._starts = starts = [
@@ -519,30 +526,26 @@ class _SpectrumStacks:
         if counters is not None:
             counters.diagonalization_workers = max(counters.diagonalization_workers, self.workers)
 
-    def _build(self, i: int) -> tuple[int, np.ndarray]:
-        start, stop = self._starts[i], self._starts[i + 1]
-        return start, _dense_stack(
-            self._num_qubits, self._words, self._coeffs[start:stop], self._real[start]
-        )
-
     def _diagonalize(self, i: int) -> tuple[int, np.ndarray, np.ndarray, None]:
-        start, matrices = self._build(i)
+        start, stop = self._starts[i], self._starts[i + 1]
+        rows = self._coeffs[start:stop]
+        matrices = _dense_stack(self._num_qubits, self._words, rows, self._real[start])
         return (start, *_diagonalize_stack(matrices), None)
 
-    def _ground_stacks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    def _ground_stacks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, Any]]:
         # imported here: only the ramps of 7 qubits and more need it
-        from .chebyshev import _lowest_levels
+        from .chebyshev import _GroupedStack, _lowest_levels
 
         warm = None  # from the operator before, within this iteration
-        for i in range(len(self._starts) - 1):
-            start, matrices = self._build(i)
-            values, grounds, products, warm = _lowest_levels(matrices, warm)
-            if self._counters is not None:
-                self._counters.krylov_products += products
-            yield start, values, grounds, matrices
-            del matrices, values, grounds  # freed before the next stack is built
+        for start, stop in zip(self._starts, self._starts[1:]):
+            grouped = _GroupedStack(
+                self._num_qubits, self._words, self._coeffs[start:stop], self._real[start]
+            )
+            values, grounds, warm = _lowest_levels(grouped, warm, self._counters)
+            yield start, values, grounds, grouped
+            del grouped, values, grounds  # freed before the next stack is built
 
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray | None]]:
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, Any]]:
         counters = self._counters
         if self._ground_only:
             stacks = self._ground_stacks()
@@ -555,8 +558,9 @@ class _SpectrumStacks:
                     if not self._ground_only:
                         counters.matrices_diagonalized += matrices
                         counters.diagonalized_d3 += matrices * 8**self._num_qubits
+                    built = 1 if self._ground_only else matrices
                     itemsize = 8 if self._real[stack[0]] else 16
-                    counters.dense_bytes += matrices * 4**self._num_qubits * itemsize
+                    counters.dense_bytes += built * 4**self._num_qubits * itemsize
                 yield stack
                 # the consumer's references are then the last ones, so the
                 # stack is freed before the next one is diagonalized

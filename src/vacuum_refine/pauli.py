@@ -75,8 +75,7 @@ def x_groups(
     Distinct words with one x differ in z, so at most d share it.
     """
     columns = np.arange(dim)
-    # a set, not np.unique, whose first call adds about 1.5 MB of resident memory
-    for x in sorted(set(words[:, 0].tolist())):
+    for x in x_masks(words):
         members = np.flatnonzero(words[:, 0] == x)
         phases = _column_phases(words[members, 1:2], words[members, 2:], columns)
         if real:
@@ -85,6 +84,12 @@ def x_groups(
         for t, phase in zip(members, phases):
             entries += coeffs[:, t : t + 1] * phase
         yield columns ^ x, entries
+
+
+def x_masks(words: np.ndarray) -> list[int]:
+    """The distinct X masks of a table, ascending: one group of ``x_groups`` each."""
+    # a set, not np.unique, whose first call adds about 1.5 MB of resident memory
+    return sorted(set(words[:, 0].tolist()))
 
 
 def odd_words(words: np.ndarray) -> np.ndarray:

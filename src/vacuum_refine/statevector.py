@@ -297,15 +297,21 @@ def word_overlaps(amplitudes: np.ndarray, words: np.ndarray) -> np.ndarray:
     """<psi_r|P_t|psi_r>, as (rows, words), for each row r of a stack and word t of a table.
 
     Each block of rows and words is one gather (``apply_words``) of at
-    most ``_STACK_ENTRIES`` amplitudes, or of one word on one row, and one
-    batched matmul, which computes each overlap as ``np.vdot`` does, bit
-    for bit; so no value depends on the blocks.  The stack must be
-    C-ordered, as in ``row_overlaps``.
+    most ``_STACK_ENTRIES`` // 16 amplitudes, or of one word on one row,
+    and one batched matmul, which computes each overlap as ``np.vdot``
+    does, bit for bit; so no value depends on the blocks.  A gather and
+    its temporaries take several times its 16 bytes an amplitude: on the
+    8-qubit benchmark sweep, gathers of the whole budget raised the
+    command's resident peak by about 2 MB and gathers of an eighth its
+    traced peak by 0.2 MB, where a sixteenth left both as reading one
+    state at a time had them.  The stack must be C-ordered, as in
+    ``row_overlaps``.
     """
     rows, dim = amplitudes.shape
     out = np.empty((rows, len(words)), dtype=np.complex128)
-    row_step = max(1, min(rows, _STACK_ENTRIES // dim))
-    word_step = max(1, _STACK_ENTRIES // (row_step * dim))
+    gather = _STACK_ENTRIES // 16
+    row_step = max(1, min(rows, gather // dim))
+    word_step = max(1, gather // (row_step * dim))
     for r in range(0, rows, row_step):
         states = amplitudes[r : r + row_step]
         bras = states.conj()[:, np.newaxis, np.newaxis, :]

@@ -649,7 +649,7 @@ def test_closed_form_hold_matches_expm(h):
 )
 def test_hold_states_do_not_depend_on_the_block_size(h, monkeypatch):
     # blocks of one and three records against the default, which holds the
-    # 21 records in one block up to 4 qubits and in blocks of 16 at 6
+    # 21 records in one block: a block holds 2^16 // d records
     n = h.num_qubits
     state = StateVector(n, random_state(n, np.random.default_rng(40 + n)))
     observables = {"expval_Z": _mean_z(n)}
@@ -677,9 +677,9 @@ def test_hold_states_do_not_depend_on_the_block_size(h, monkeypatch):
         return trajectory, list(blocks)
 
     default, default_blocks = hold()
-    assert default_blocks == ([16, 5] if n == 6 else [21])
+    assert default_blocks == [21]
     for rows in (1, 3):
-        monkeypatch.setattr(statevector, "_STACK_ENTRIES", rows * 4**n)
+        monkeypatch.setattr(statevector, "_STACK_ENTRIES", rows * 2**n)
         blocked, blocked_blocks = hold()
         assert blocked_blocks == [rows] * (21 // rows)
         assert blocked.states.tobytes() == default.states.tobytes()
@@ -742,32 +742,36 @@ def test_each_stack_is_freed_before_the_next_is_diagonalized(h1, mode, matrices,
 
 
 def test_eight_qubit_ramp_adds_little_to_a_diagonalization_peak(monkeypatch):
-    # At 8 qubits a ramp stack is one 256 x 256 matrix.  The ramp takes its
-    # eigenvalues, its ground vector and its Chebyshev steps from the
-    # matrix alone, with no eigenvectors, so the steps stay below the peak
-    # of the diagonalization itself.  On one thread the traced peak does
-    # not depend on timing: 0.88 MB against 2.17 MB for one
-    # diagonalization.  Stepping from eigenvectors read 2.09 MB, 2.54 MB
-    # with their 2 MB operand pair cast per matrix, and keeping the
-    # previous stack alive raised it to 2.60 MB.
+    # At 8 qubits the ramp's 9 or 33 operators are one or two stacks held as
+    # their X-group entries (up to 28 operators, 516 KiB), each matrix built
+    # in turn in one 256 x 256 buffer.  The ramp takes its levels, its ground
+    # vectors and its Chebyshev steps from that buffer, with no
+    # eigenvectors, so it stays below the peak of the diagonalization
+    # itself.  On one thread the traced peak does not depend on timing: 1.40
+    # and 1.77 MiB at T = 1 and 4 against 2.07 MiB for one diagonalization.
+    # Keeping each Krylov basis's images read 1.90 and 2.21 MiB; a matrix per
+    # operator with those images read 1.67 and 1.63 MiB.  Stepping from
+    # eigenvectors read 2.09 MB, 2.54 MB with their 2 MB operand pair cast
+    # per matrix, and keeping the previous stack alive raised it to 2.60 MB.
     monkeypatch.setattr(hamiltonian, "_cores", lambda: 1)
     h1 = parse_pauli_text(seeded_chain_text(8, 7))
     h0 = initial_hamiltonian(1.0, 8)
-    sched = Schedule(total_time=1.0, dt=0.125)
     exact_diagonalize(h1)  # numpy's one-time allocations
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        exact_diagonalize(h1)
-        diagonalization = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP, {"expval_Z": _mean_z(8)})
-        ramp = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # a quarter of a real 256 x 256 matrix, 128 KiB
-    assert ramp <= diagonalization + 256 * 256 * 2
+    for total_time in (1.0, 4.0):
+        sched = Schedule(total_time=total_time, dt=0.125)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            exact_diagonalize(h1)
+            diagonalization = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP, {"expval_Z": _mean_z(8)})
+            ramp = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # a quarter of a real 256 x 256 matrix, 128 KiB
+        assert ramp <= diagonalization + 256 * 256 * 2, total_time
 
 
 def _ramp_both_ways(h1, schedule, monkeypatch, mode=EvolutionMode.EXACT_STEP):
@@ -792,16 +796,18 @@ def _chain_with_y(n, seed):
 
 
 @pytest.mark.parametrize(
-    "h1",
+    "h1, buffers",
     [
-        parse_pauli_text(seeded_chain_text(7, 7)),
-        _chain_with_y(7, 4),
-        parse_pauli_text(seeded_chain_text(8, 3)),
-        _chain_with_y(8, 9),
+        # the real chains have n + 1 X masks, 64 operators a stack at 7
+        # qubits and 28 at 8; a Y word adds a mask, and s = 0 is real
+        (parse_pauli_text(seeded_chain_text(7, 7)), [8]),
+        (_chain_with_y(7, 4), [8, 16]),
+        (parse_pauli_text(seeded_chain_text(8, 3)), [8, 8]),
+        (_chain_with_y(8, 9), [8, 16, 16]),
     ],
     ids=["7-real", "7-complex", "8-real", "8-complex"],
 )
-def test_chebyshev_ramp_matches_the_eigenvector_ramp(h1, monkeypatch):
+def test_chebyshev_ramp_matches_the_eigenvector_ramp(h1, buffers, monkeypatch):
     schedule = Schedule(total_time=4.0, dt=0.125)
     (final, ramp, counters), (eig_final, eig_ramp, eig_counters) = _ramp_both_ways(
         h1, schedule, monkeypatch
@@ -815,11 +821,16 @@ def test_chebyshev_ramp_matches_the_eigenvector_ramp(h1, monkeypatch):
     assert ramp.warnings == eig_ramp.warnings == []
     assert abs(counters.min_ramp_gap - eig_counters.min_ramp_gap) <= 1e-12
     assert counters.min_ramp_gap_s == eig_counters.min_ramp_gap_s
-    # the same matrices built; only the eigenvector ramp diagonalizes them,
-    # and only the Chebyshev ramp takes block products and terms
+    # the eigenvector ramp builds and diagonalizes 33 matrices, 32 of them
+    # complex with a Y word; the Chebyshev ramp builds its matrices in one
+    # buffer a stack and takes block products, checks and terms
+    n = h1.num_qubits
+    itemsize = buffers[-1]
     assert counters.matrices_diagonalized == 0 and eig_counters.matrices_diagonalized == 33
-    assert counters.dense_bytes == eig_counters.dense_bytes
+    assert eig_counters.dense_bytes == 4**n * (8 + 32 * itemsize)
+    assert counters.dense_bytes == 4**n * sum(buffers)
     assert counters.krylov_products >= 33 and eig_counters.krylov_products == 0
+    assert counters.krylov_checks >= 33 and eig_counters.krylov_checks == 0
     assert counters.chebyshev_terms >= 32 and eig_counters.chebyshev_terms == 0
 
 
@@ -863,3 +874,56 @@ def test_trotter_ramp_at_seven_qubits_reads_the_ground_vectors(monkeypatch):
     assert ramp.observables == eig_ramp.observables
     assert np.max(np.abs(np.subtract(ramp.fidelity, eig_ramp.fidelity))) <= 1e-12
     assert counters.chebyshev_terms == eig_counters.chebyshev_terms == 0
+
+
+@pytest.mark.parametrize("mode", list(EvolutionMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize(
+    "h1, stacks",
+    [
+        # 8 X masks of 128 entries: 64 operators a stack
+        (parse_pauli_text(seeded_chain_text(7, 7)), [64, 1]),
+        # 9 X masks: 56 operators a stack, after the real s = 0
+        (_chain_with_y(7, 4), [1, 56, 8]),
+    ],
+    ids=["real", "complex"],
+)
+def test_ground_only_ramp_does_not_depend_on_the_stack_size(h1, stacks, mode, monkeypatch):
+    # the 65 operators of a 7-qubit ramp in stacks of one operator, of the
+    # default size and of the whole ramp (one stack of each dtype): each
+    # operator is warm-started from the one before across stacks, so every
+    # bit is the same
+    n = h1.num_qubits
+    h0 = initial_hamiltonian(J, n)
+    observables = {"expval_Z": _mean_z(n)}
+    schedule = Schedule(total_time=8.0, dt=0.125)
+    read = adiabatic._Recorder.read
+    blocks = []
+
+    def recorded(self, times, states, *args):
+        blocks.append(len(states))
+        return read(self, times, states, *args)
+
+    monkeypatch.setattr(adiabatic._Recorder, "read", recorded)
+
+    def ramp(entries):
+        monkeypatch.setattr(statevector, "_STACK_ENTRIES", entries)
+        blocks.clear()
+        counters = _Counters()
+        final, trajectory = run_adiabatic(
+            h0, h1, schedule, mode, observables, record_states=True, counters=counters
+        )
+        return final, trajectory, counters, list(blocks)
+
+    final, default, counters, default_blocks = ramp(statevector._STACK_ENTRIES)
+    assert default_blocks == stacks
+    whole = [1, 64] if len(stacks) == 3 else [65]
+    for entries, expected in ((1, [1] * 65), (2**17, whole)):
+        stacked, trajectory, stacked_counters, stacked_blocks = ramp(entries)
+        assert stacked_blocks == expected
+        assert stacked.amplitudes.tobytes() == final.amplitudes.tobytes()
+        assert trajectory.states.tobytes() == default.states.tobytes()
+        assert trajectory.observables == default.observables
+        assert trajectory.fidelity == default.fidelity
+        assert trajectory.warnings == default.warnings
+        for name in ("krylov_products", "krylov_checks", "chebyshev_terms", "min_ramp_gap"):
+            assert getattr(stacked_counters, name) == getattr(counters, name)

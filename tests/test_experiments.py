@@ -638,11 +638,22 @@ def _counters(manifest_path):
 
 
 def _counts(
-    matrices, dim, steps, streams=0, estimates=0, shots=0, passes=0, terms=0, products=0, built=None
+    matrices,
+    dim,
+    steps,
+    streams=0,
+    estimates=0,
+    shots=0,
+    passes=0,
+    terms=0,
+    products=0,
+    checks=0,
+    built=None,
 ):
     """The manifest's counters for ``matrices`` real dim x dim eigendecompositions.
 
-    ``built`` real matrices are built in all, ``matrices`` unless given.
+    ``built`` real dim x dim matrices or buffers are built in all,
+    ``matrices`` unless given.
     """
     return {
         "matrices_diagonalized": matrices,
@@ -655,6 +666,7 @@ def _counts(
         "filter_passes": passes,
         "chebyshev_terms": terms,
         "krylov_products": products,
+        "krylov_checks": checks,
     }
 
 
@@ -719,12 +731,14 @@ def test_manifest_counts_complex_dense_bytes(tmp_path):
     "command, n, hold_time, expected",
     [
         # 33 ramp operators and the target; 32 ramp steps and 8 hold steps;
-        # 17,825,792 and 69,632 dense bytes; refine's 5 passes.  The 8-qubit
-        # ramp diagonalizes nothing: 965 block products give its levels and
-        # ground vectors, and it steps by Chebyshev expansion, 514 terms in
-        # its 32 steps; only the target goes through eigh.  The 4-qubit ramp
-        # steps from eigenvectors.
-        (cmd_sweep, 8, 1, _counts(1, 256, 40, terms=514, products=965, built=34)),
+        # 1,572,864 and 69,632 dense bytes; refine's 5 passes.  The 8-qubit
+        # ramp diagonalizes nothing: 965 block products and 51 checks give
+        # its levels and ground vectors, and it steps by Chebyshev
+        # expansion, 514 terms in its 32 steps; only the target goes
+        # through eigh.  Its 9 X masks size its stacks at 28 operators, so
+        # it builds its matrices in 2 buffers.  The 4-qubit ramp steps from
+        # eigenvectors.
+        (cmd_sweep, 8, 1, _counts(1, 256, 40, terms=514, products=965, checks=51, built=3)),
         (cmd_refine, 4, 0, _counts(34, 16, 32, passes=5)),
     ],
     ids=["chain-sweep", "chain-refine"],

@@ -171,8 +171,8 @@ def test_shot_snapshots_do_not_depend_on_the_block_size(name, tmp_path, monkeypa
 @pytest.mark.parametrize("name", ["sweep_benchmark", "filter_benchmark", "filter_keep_benchmark"])
 def test_exact_snapshots_do_not_depend_on_the_block_size(name, tmp_path, monkeypatch):
     # one name sizes every block: at 16 entries the ramp's stacks hold four
-    # 2x2 matrices and the hold's blocks four one-qubit records, or one
-    # two-qubit record with the ancilla, where by default each is one block
+    # 2x2 matrices and the hold's blocks eight one-qubit records, or four
+    # two-qubit records with the ancilla, where by default each is one block
     monkeypatch.setattr(statevector, "_STACK_ENTRIES", 16)
     read = adiabatic._Recorder.read
     blocks = []
@@ -189,7 +189,7 @@ def test_exact_snapshots_do_not_depend_on_the_block_size(name, tmp_path, monkeyp
     dim = 4 if name == "filter_keep_benchmark" else 2
     records = 288 if name == "sweep_benchmark" else 289
     assert sum(rows for rows, _ in hold) == records
-    assert all(rows * d * d <= 16 and d == dim for rows, d in hold)
+    assert all(rows * d <= 16 and d == dim for rows, d in hold)
     for filename, content in files.items():
         assert content == (GOLDEN / filename).read_bytes(), filename
 

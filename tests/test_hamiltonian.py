@@ -25,6 +25,7 @@ from vacuum_refine import (
 )
 
 from vacuum_refine import chebyshev, hamiltonian, statevector
+from vacuum_refine.counters import _Counters
 from vacuum_refine.hamiltonian import (
     DEGENERACY_TOL,
     _complex_pair,
@@ -580,21 +581,26 @@ def _stack_starts_per_row(real, chunk):
 @pytest.mark.parametrize("n", [1, 7])
 def test_stack_bounds_split_dtype_runs_every_chunk_rows(n):
     # rows with a nonzero Y coefficient are complex; chunk is 2^16 // 4^n
-    # rows, 16384 at one qubit and 4 at seven
+    # rows, 16384 at one qubit and 4 at seven, or with ``ground_only``
+    # 2^16 // (G * 2^n) for the G X masks of the table: one at one qubit
+    # (X and Y), two at seven; 32768 and 256 rows
     words = compile_words(["X" * n, "Y" + "I" * (n - 1)])
     rng = np.random.default_rng(70)
-    chunk = max(1, _STACK_ENTRIES // 4**n)
-    for rows in [0, 1, 2, 5, 40, 2 * chunk + 3]:
-        patterns = [
-            np.zeros(rows, dtype=bool),
-            np.ones(rows, dtype=bool),
-            rng.random(rows) < 0.5,
-            np.arange(rows) // 9 % 2 == 1,  # runs of nine
-        ]
-        for complex_rows in patterns:
-            coeffs = np.stack([np.ones(rows), np.where(complex_rows, 0.5, 0.0)], axis=1)
-            stacks = _SpectrumStacks(n, words, coeffs)
-            assert stacks._starts == _stack_starts_per_row((~complex_rows).tolist(), chunk)
+    groups = 1 if n == 1 else 2
+    for ground_only, row in ((False, 4**n), (True, groups * 2**n)):
+        chunk = max(1, _STACK_ENTRIES // row)
+        for rows in [0, 1, 2, 5, 40, 2 * chunk + 3]:
+            patterns = [
+                np.zeros(rows, dtype=bool),
+                np.ones(rows, dtype=bool),
+                rng.random(rows) < 0.5,
+                np.arange(rows) // 9 % 2 == 1,  # runs of nine
+            ]
+            for complex_rows in patterns:
+                coeffs = np.stack([np.ones(rows), np.where(complex_rows, 0.5, 0.0)], axis=1)
+                stacks = _SpectrumStacks(n, words, coeffs, ground_only=ground_only)
+                expected = _stack_starts_per_row((~complex_rows).tolist(), chunk)
+                assert stacks._starts == expected
 
 
 def _stacks(monkeypatch, cores=None, blas=True):
@@ -860,27 +866,70 @@ def test_chebyshev_step_refuses_a_step_that_changes_the_norm(nan):
         chebyshev._chebyshev_step(matrix, *bounds, 1.0, amplitudes, np.empty(16, complex))
 
 
-def _stack_of(h, s_values):
-    """The dense matrices of the ramp operators of ``h`` at ``s_values``, all of one dtype."""
+def _stack_of(h, s_values, grouped=False):
+    """The dense matrices of the ramp operators of ``h`` at ``s_values``, all of one dtype.
+
+    With ``grouped`` the grouped stack of the same operators instead.
+    """
     words, coeffs = ramp_coefficients(initial_hamiltonian(J, h.num_qubits), h, s_values)
     real = hamiltonian._real_rows(words, coeffs)
     assert len(set(real.tolist())) == 1
-    return hamiltonian._dense_stack(h.num_qubits, words, coeffs, real[0])
+    build = chebyshev._GroupedStack if grouped else hamiltonian._dense_stack
+    return build(h.num_qubits, words, coeffs, real[0])
+
+
+def _grouped(h):
+    """The grouped stack of the one operator ``h``."""
+    real = hamiltonian._real_rows(h.words, h.coeffs)[0]
+    return chebyshev._GroupedStack(h.num_qubits, h.words, h.coeffs, real)
+
+
+def _dense(grouped):
+    """Every matrix of a grouped stack, as a (k, d, d) stack of copies."""
+    return np.array([grouped.matrix(k).copy() for k in range(len(grouped.entries))])
+
+
+@pytest.mark.parametrize("h", [_tfim_chain(7), _chain_with_y(7)], ids=["real", "complex"])
+def test_grouped_matrices_and_bounds_have_the_bits_of_the_dense_build(h):
+    s_values = [0.3, 0.7, 1.0]
+    grouped, dense = _stack_of(h, s_values, grouped=True), _stack_of(h, s_values)
+    # each matrix overwrites the one before in the one buffer, in any order
+    for k in (2, 0, 1, 1, 2):
+        assert grouped.matrix(k).tobytes() == dense[k].tobytes()
+    assert grouped.matrix(0) is grouped.matrix(2)
+    # the Gershgorin bound and the scale, summed as the dense column sums are
+    upper, scale = chebyshev._gershgorin(grouped)
+    sums = np.abs(dense).sum(axis=1)
+    diagonal = np.diagonal(dense, axis1=1, axis2=2).real
+    assert upper.tobytes() == np.max(diagonal - np.abs(diagonal) + sums, axis=1).tobytes()
+    assert scale.tobytes() == np.maximum(1.0, sums.max(axis=1)).tobytes()
+
+
+def test_a_grouped_stack_refuses_what_the_dense_build_refuses():
+    # a NaN coefficient in the second row reaches the one group-wise guard
+    words = compile_words(["XY" + "I" * 5, "Z" * 7])
+    coeffs = np.array([[1.0, 1.0], [np.nan, 1.0]])
+    for build in (chebyshev._GroupedStack, hamiltonian._dense_stack):
+        with pytest.raises(NumericalConsistencyError, match="not Hermitian"):
+            build(7, words, coeffs, False)
 
 
 @pytest.mark.parametrize("h", [_tfim_chain(7), _chain_with_y(7)], ids=["real", "complex"])
 def test_ground_vectors_match_the_eigenvectors_and_leave_the_matrices(h):
-    matrices = _stack_of(h, [0.3, 0.7, 1.0])
-    before = matrices.tobytes()
-    levels, grounds, products, warm = chebyshev._lowest_levels(matrices, None)
+    grouped = _stack_of(h, [0.3, 0.7, 1.0], grouped=True)
+    before = grouped.entries.tobytes()
+    counters = _Counters()
+    levels, grounds, warm = chebyshev._lowest_levels(grouped, None, counters)
     assert levels.shape == (3, 3)
-    assert grounds.shape == (3, 128, 1) and grounds.dtype == matrices.dtype
+    assert grounds.shape == (3, 128, 1) and grounds.dtype == grouped.entries.dtype
     # the kernel only multiplies by the matrices
-    assert matrices.tobytes() == before
+    assert grouped.entries.tobytes() == before
+    matrices = _dense(grouped)
     values, vectors = np.linalg.eigh(matrices)
     assert np.max(np.abs(levels[:, :2] - values[:, :2])) <= 1e-12
     assert np.all(levels[:, 2] >= values[:, -1])
-    assert 3 * chebyshev._FIRST_CHECK <= products <= 3 * 64
+    assert 3 * chebyshev._FIRST_CHECK <= counters.krylov_products <= 3 * 64
+    assert 3 <= counters.krylov_checks <= counters.krylov_products // chebyshev._CHECK_EVERY
     # the next stack starts from the last ground vector and its blocks
     assert warm[0].tobytes() == grounds[-1, :, 0].tobytes() and 0 < warm[1] <= 64
     for ground, vector in zip(grounds[:, :, 0], vectors[:, :, 0]):
@@ -892,8 +941,7 @@ def test_a_ground_vector_orthogonal_to_the_uniform_vector_is_found():
     # +sum X has the ground state |-...->, orthogonal to the uniform vector
     n = 7
     h = PauliSum(n, tuple((0.9, "I" * q + "X" + "I" * (n - q - 1)) for q in range(n)))
-    matrices = to_matrix(h)[np.newaxis]
-    levels, grounds, *_ = chebyshev._lowest_levels(matrices, None)
+    levels, grounds, _ = chebyshev._lowest_levels(_grouped(h), None)
     ground = grounds[0, :, 0]
     minus = np.array([1.0, -1.0]) * INV_SQRT2
     expected = minus
@@ -909,26 +957,68 @@ def test_a_degenerate_ground_level_gives_a_vector_of_its_eigenspace():
     # -Z0 Z1 on 7 qubits: every level is 64-fold degenerate, and the Krylov
     # space of any start vector is invariant after two blocks
     h = PauliSum(7, ((-1.0, "ZZIIIII"),))
-    matrices = to_matrix(h)[np.newaxis]
-    levels, grounds, *_ = chebyshev._lowest_levels(matrices, None)
+    levels, grounds, _ = chebyshev._lowest_levels(_grouped(h), None)
     ground = grounds[0, :, 0]
-    assert np.max(np.abs(matrices[0] @ ground + ground)) <= 1e-12
+    assert np.max(np.abs(to_matrix(h) @ ground + ground)) <= 1e-12
     assert levels[0, 1] - levels[0, 0] < DEGENERACY_TOL
     assert levels[0] == pytest.approx([-1.0, -1.0, 1.0], abs=1e-12)
 
 
 def test_the_zero_operator_settles_without_dividing_by_a_vanished_block():
     # every product vanishes: each block is refilled from basis states
-    matrices = np.zeros((1, 128, 128))
+    grouped = chebyshev._GroupedStack(7, compile_words(["Z" * 7]), np.zeros((1, 1)), True)
+    counters = _Counters()
     with np.errstate(all="raise"):
-        levels, grounds, products, _ = chebyshev._lowest_levels(matrices, None)
+        levels, grounds, _ = chebyshev._lowest_levels(grouped, None, counters)
     assert levels[0].tolist() == [0.0, 0.0, 0.0]
     assert abs(np.linalg.norm(grounds[0, :, 0]) - 1.0) <= 1e-14
-    assert products == chebyshev._FIRST_CHECK
+    assert counters.krylov_products == chebyshev._FIRST_CHECK
+    assert counters.krylov_checks == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_orthonormalize_factors_the_block_in_closed_form_or_row_by_row(dtype, monkeypatch):
+    # rows well apart take the closed-form Cholesky factor, nearly parallel
+    # or vanished rows the row-by-row branch, the only one that calls
+    # np.vdot; either way Q is orthonormal and block^T = Q^T R.  The closed
+    # form keeps Q orthogonal to the basis so far to a few roundings; the
+    # second row of a nearly parallel pair loses the digits its norm lost
+    # (1e-3 here)
+    rng = np.random.default_rng(11)
+    dim, size = 64, 6
+
+    def draw(rows):
+        drawn = rng.normal(size=(rows, dim))
+        return drawn + 1j * rng.normal(size=(rows, dim)) if dtype is np.complex128 else drawn
+
+    known = np.linalg.qr(draw(size).T)[0].T
+    fresh = draw(2)
+    parallel = np.array([fresh[0], fresh[0] + 1e-3 * fresh[1]])
+    vanished = np.array([fresh[0], 1e-15 * fresh[1]])
+    vdot = np.vdot
+    calls = []
+    monkeypatch.setattr(np, "vdot", lambda *args: (calls.append(1), vdot(*args))[1])
+    for rows, closed in ((fresh, True), (parallel, False), (vanished, False)):
+        block = rows.copy()
+        chebyshev._project_out(known, block)
+        original = block.copy()
+        basis = np.zeros((size + 2, dim), dtype=dtype)
+        basis[:size] = known
+        calls.clear()
+        factor = chebyshev._orthonormalize(basis, size, block, 1e-13)
+        assert (calls == []) == closed
+        q = basis[size:]
+        assert np.max(np.abs(q.conj() @ q.T - np.eye(2))) <= 1e-14
+        assert np.max(np.abs(known.conj() @ q.T)) <= (1e-14 if closed else 1e-12)
+        assert factor[1, 0] == 0.0
+        if rows is vanished:
+            assert factor[1, 1] == 0.0
+        else:
+            assert np.max(np.abs(q.T @ factor - original.T)) <= 1e-14 * np.abs(original).max()
 
 
 def test_ground_vectors_refuse_a_residual_that_does_not_pass(monkeypatch):
-    matrices = to_matrix(_tfim_chain(7))[np.newaxis]
+    grouped = _grouped(_tfim_chain(7))
     settled = chebyshev._settled
 
     def rotated(*args):
@@ -940,7 +1030,7 @@ def test_ground_vectors_refuse_a_residual_that_does_not_pass(monkeypatch):
 
     monkeypatch.setattr(chebyshev, "_settled", rotated)
     with pytest.raises(NumericalConsistencyError, match="ground vector residual"):
-        chebyshev._lowest_levels(matrices, None)
+        chebyshev._lowest_levels(grouped, None)
     # a ground pair that never passes is refused once the basis is complete
     checks = []
 
@@ -950,7 +1040,7 @@ def test_ground_vectors_refuse_a_residual_that_does_not_pass(monkeypatch):
 
     monkeypatch.setattr(chebyshev, "_settled", never)
     with pytest.raises(NumericalConsistencyError, match="in 64 blocks"):
-        chebyshev._lowest_levels(matrices, None)
+        chebyshev._lowest_levels(grouped, None)
     assert checks == list(range(12, 64, 3)) + [64]
 
     # an eigensolver failure on the projected matrix is typed
@@ -960,27 +1050,39 @@ def test_ground_vectors_refuse_a_residual_that_does_not_pass(monkeypatch):
     monkeypatch.setattr(chebyshev, "_settled", settled)
     monkeypatch.setattr(np.linalg, "eigh", diverged)
     with pytest.raises(NumericalConsistencyError, match="eigensolver failed to converge"):
-        chebyshev._lowest_levels(matrices, None)
+        chebyshev._lowest_levels(grouped, None)
 
 
-def test_ground_only_stacks_yield_eigenvalues_ground_vectors_and_matrices():
-    # the same stacks as the full eigendecompositions: rows [E0, E1, upper]
+def test_ground_only_stacks_yield_eigenvalues_ground_vectors_and_matrices(monkeypatch):
+    # the rows of the full eigendecompositions, in stacks sized by their X
+    # groups: rows [E0, E1, upper]
     words, coeffs = POOL_RAMP
     full = list(_SpectrumStacks(7, words, coeffs))
-    stacks = _SpectrumStacks(7, words, coeffs, ground_only=True)
+    # 8 X masks of 128 entries a row: 5 rows fit in 5 * 1024 entries
+    monkeypatch.setattr(statevector, "_STACK_ENTRIES", 5 * 1024)
+    counters = _Counters()
+    stacks = _SpectrumStacks(7, words, coeffs, counters, ground_only=True)
     # each stack is warm-started from the one before, so they come in order
     assert stacks.workers == 1
     ground = list(stacks)
-    assert [start for start, *_ in ground] == [start for start, *_ in full] == [0, 4, 8, 12]
-    for (_, values, vectors, none), (_, levels, grounds, matrices) in zip(full, ground):
-        assert none is None
-        assert levels.shape == (len(values), 3)
-        assert np.max(np.abs(values[:, :2] - levels[:, :2])) <= 1e-12
-        assert np.all(levels[:, 2] >= values[:, -1])
-        assert grounds.shape == (len(values), 128, 1)
-        for vector, found in zip(vectors[:, :, 0], grounds[:, :, 0]):
-            assert abs(abs(np.vdot(vector, found)) - 1.0) <= 1e-12
-        assert matrices.shape == (len(values), 128, 128)
+    assert [start for start, *_ in full] == [0, 4, 8, 12]
+    assert [start for start, *_ in ground] == [0, 5, 10]
+    values = np.concatenate([values for _, values, _, _ in full])
+    vectors = np.concatenate([vectors for _, _, vectors, _ in full])
+    assert all(none is None for *_, none in full)
+    levels = np.concatenate([levels for _, levels, _, _ in ground])
+    grounds = np.concatenate([grounds for _, _, grounds, _ in ground])
+    assert levels.shape == (13, 3) and grounds.shape == (13, 128, 1)
+    assert np.max(np.abs(values[:, :2] - levels[:, :2])) <= 1e-12
+    assert np.all(levels[:, 2] >= values[:, -1])
+    for vector, found in zip(vectors[:, :, 0], grounds[:, :, 0]):
+        assert abs(abs(np.vdot(vector, found)) - 1.0) <= 1e-12
+    # each grouped stack builds its rows' matrices; one buffer a stack is counted
+    for start, levels_k, _, grouped in ground:
+        dense = hamiltonian._dense_stack(7, words, coeffs[start : start + len(levels_k)], True)
+        assert _dense(grouped).tobytes() == dense.tobytes()
+    assert counters.dense_bytes == 3 * 128 * 128 * 8
+    assert counters.matrices_diagonalized == 0 and counters.krylov_checks > 0
     # the warm start lives in the iteration: iterating again gives the same bits
     again = list(stacks)
     for (_, levels, grounds, _), (_, levels2, grounds2, _) in zip(ground, again):
@@ -994,7 +1096,8 @@ def test_block_lanczos_levels_match_eigvalsh_on_the_chain_ramps(n, with_y):
     h = _chain_with_y(n) if with_y else _tfim_chain(n)
     s_values = [0.0, 0.3, 0.6, 0.9]
     words, coeffs = ramp_coefficients(initial_hamiltonian(J, n), h, s_values)
-    for start, levels, grounds, matrices in _SpectrumStacks(n, words, coeffs, ground_only=True):
+    for start, levels, grounds, grouped in _SpectrumStacks(n, words, coeffs, ground_only=True):
+        matrices = _dense(grouped)
         values = np.linalg.eigvalsh(matrices)
         assert np.max(np.abs(levels[:, :2] - values[:, :2])) <= 1e-12
         assert np.all(levels[:, 2] >= values[:, -1])
@@ -1022,7 +1125,7 @@ def test_a_warm_start_from_another_symmetry_sector_still_finds_the_ground_level(
     warm[even] = np.linalg.eigh(before[np.ix_(even, even)])[1][:, 0]
     values, vectors = np.linalg.eigh(matrix)
     assert np.max(np.abs(vectors[even, 0])) <= 1e-12
-    e0, e1, ground, _ = chebyshev._lowest_pair(matrix, (warm, 30), 1.0)
+    e0, e1, ground, *_ = chebyshev._lowest_pair(matrix, (warm, 30), 1.0)
     assert abs(e0 - values[0]) <= 1e-12 and abs(e1 - values[1]) <= 1e-12
     assert abs(abs(np.vdot(vectors[:, 0], ground)) - 1.0) <= 1e-12
 
@@ -1038,8 +1141,8 @@ def test_block_lanczos_follows_the_ground_level_into_another_symmetry_sector():
     words, coeffs = ramp_coefficients(h0, h1, _midpoints(32))
     parity = np.array([(-1) ** bin(c).count("1") for c in range(2**n)])
     sectors = []
-    for _, levels, grounds, matrices in _SpectrumStacks(n, words, coeffs, ground_only=True):
-        values, vectors = np.linalg.eigh(matrices)
+    for _, levels, grounds, grouped in _SpectrumStacks(n, words, coeffs, ground_only=True):
+        values, vectors = np.linalg.eigh(_dense(grouped))
         assert np.max(np.abs(levels[:, :2] - values[:, :2])) <= 1e-12
         sectors += np.sign(np.einsum("kd,d,kd->k", vectors[:, :, 0], parity, vectors[:, :, 0])).tolist()
         found = np.einsum("kd,d,kd->k", grounds[:, :, 0], parity, grounds[:, :, 0])
