@@ -12,24 +12,21 @@ Every ramp operator is known before the first step, so ``run_adiabatic``
 writes them all as one (steps x words) coefficient array
 (``ramp_coefficients``) and takes their spectra stack by stack
 (``_SpectrumStacks``): dense matrices built as a stack, with the
-Hermiticity guard vectorized over it.  Up to 6 qubits each stack is
+Hermiticity guard vectorized over it.  The stacks are built one after
+another as the ramp consumes them, so one is held at a time.  Up to 6
+qubits each stack is at most ``_STACK_ENTRIES`` matrix entries and is
 diagonalized, one ``eigh`` per stack with the orthonormality and
-residual guards vectorized over it; the stacks are diagonalized on up
-to one thread per core of the process's affinity at once, as many as a
-fixed budget of matrix entries in flight allows, each on one BLAS
-thread, and arrive in order, counting the threads they used
-(``_Counters.diagonalization_workers``).  From ``_CHEBYSHEV_QUBITS`` (7)
+residual guards vectorized over it.  From ``_CHEBYSHEV_QUBITS`` (7)
 qubits on, a ramp record needs only the two lowest levels (gap,
 degeneracy warning) and the ground vector (fidelity target), and an
 exact step only exp(-i h dt) psi, so a stack holds as many operators as
-fit their X-group entries in the budget (``chebyshev._GroupedStack``;
-28 on the 8-qubit chains), bounds all their spectra from above at once
-and builds each matrix in turn in one buffer, where it gets E0, E1 and
-its ground vector by block Lanczos, warm-started from the operator
-before (``chebyshev._lowest_levels``); those stacks come one after
-another on the calling thread.  Both step modes read each
-step's coefficient row against the one word table, so no operator is
-built per step.
+fit their X-group entries in ``_STACK_ENTRIES``
+(``chebyshev._GroupedStack``; 28 on the 8-qubit chains), bounds all
+their spectra from above at once and builds each matrix in turn in one
+buffer, where it gets E0, E1 and its ground vector by block Lanczos,
+warm-started from the operator before (``chebyshev._lowest_levels``).
+Both step modes read each step's coefficient row against the one word
+table, so no operator is built per step.
 
 The ramp and the hold work a block of states at a time.  For each stack
 of the ramp one comparison gives every step's degeneracy flag.  Up to 6

@@ -41,15 +41,12 @@ class _Counters:
     ``min_ramp_gap`` and ``min_ramp_gap_s`` are diagnostics, not counts:
     the smallest gap between the two lowest levels of any ramp operator,
     and the s of the first operator that has it; None without a ramp.
-    ``diagonalization_workers`` is the most threads that diagonalized
-    stacks of the command at once, written at the manifest's top level.
     ``stages`` holds the seconds spent in each stage of the command
     (``stage``): the ramp, the hold, the filter, estimation from the
     recorded states and writing the data files; a stage the command does
     not run stays at zero.
     """
 
-    diagonalization_workers: int = 0
     matrices_diagonalized: int = 0
     diagonalized_d3: int = 0
     steps: int = 0
@@ -80,16 +77,11 @@ class _Counters:
             self.stages[name] += time.perf_counter() - started
 
     def sections(self) -> dict:
-        """The manifest's ``diagonalization_workers`` and its three sections.
-
-        The sections are ``counters``, ``diagnostics`` and ``stages``.
-        """
+        """The manifest's three sections: ``counters``, ``diagnostics`` and ``stages``."""
         counts = asdict(self)
-        workers = counts.pop("diagonalization_workers")
         stages = counts.pop("stages")
         diagnostics = {name: counts.pop(name) for name in _DIAGNOSTICS}
         return {
-            "diagonalization_workers": workers,
             "counters": counts,
             "diagnostics": diagnostics,
             "stages": stages,

@@ -35,6 +35,9 @@ estimates, and a table of floats alone is written by one string format.
 from __future__ import annotations
 
 import csv
+import ctypes
+import fnmatch
+import functools
 import itertools
 import json
 import math
@@ -55,7 +58,6 @@ from .hamiltonian import (
     DEFAULT_DENSE_CAP,
     PauliSum,
     Spectrum,
-    _blas,
     exact_diagonalize,
     initial_hamiltonian,
 )
@@ -70,6 +72,9 @@ from .statevector import (
 REFERENCE_PREP_QUALITY = 0.999242  # benchmark 2|alpha|^2 - 1 for the default J=pi/4 run
 
 _OBS_KEY = "expval_Z"
+# The thread-count getter of the OpenBLAS that numpy (>= 2.0) wheels
+# bundle in numpy.libs.
+_BLAS_GET = "scipy_openblas_get_num_threads64_"
 
 
 @dataclass
@@ -178,6 +183,29 @@ def _trajectory_rows(
     )
 
 
+@functools.cache
+def _blas_getter():
+    """The thread-count getter of numpy's bundled OpenBLAS, or None when none is found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(fnmatch.filter(os.listdir(libs), "*openblas*"))
+    except OSError:
+        return None
+    for name in names:
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        if hasattr(lib, _BLAS_GET):
+            get = getattr(lib, _BLAS_GET)
+            get.restype, get.argtypes = ctypes.c_int, []
+            return get
+    return None
+
+
+def _blas_threads() -> int | str:
+    """The thread count of numpy's bundled OpenBLAS, read and never set, or "unknown"."""
+    get = _blas_getter()
+    return get() if get is not None else "unknown"
+
+
 def _write_manifest(
     command: str,
     config: ExperimentConfig,
@@ -188,7 +216,6 @@ def _write_manifest(
 ) -> str:
     """Write the run manifest, with the sections of the command's ``counters``."""
     path = f"{config.output_prefix}_manifest.json"
-    blas = _blas()
     payload = {
         "command": command,
         "version": __version__,
@@ -197,7 +224,7 @@ def _write_manifest(
         "outputs": outputs,
         "config": config_to_text(config),
         "warnings": warnings,
-        "blas_threads": blas.threads() if blas is not None else "unknown",
+        "blas_threads": _blas_threads(),
         **counters.sections(),
     }
     with open(path, "w", encoding="utf-8") as handle:

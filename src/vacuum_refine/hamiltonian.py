@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import fnmatch
-import functools
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -29,20 +23,6 @@ from .statevector import _UNITARY_ATOL, StateVector
 DEFAULT_DENSE_CAP = 10
 DEGENERACY_TOL = 1e-10
 _CHECK_ATOL = 1e-10
-# At most about statevector._STACK_ENTRIES matrix entries are built and
-# diagonalized in one stack: every one-qubit ramp step fits in one, while
-# at 8 qubits and more a stack is a single matrix, so peak memory does not
-# grow with the steps.  Stacks diagonalized by several threads at once hold
-# at most _FLIGHT_STACKS full stacks' entries between them: about 3 MB more
-# than one stack at 8 qubits, whatever the core count; from 9 qubits one
-# matrix is more than half of that, so the stacks are diagonalized one at
-# a time.  Both bounds read _STACK_ENTRIES when they are used.
-_FLIGHT_STACKS = 2
-
-# The thread-count getter and setter of the OpenBLAS that numpy (>= 2.0)
-# wheels bundle in numpy.libs.
-_BLAS_GET = "scipy_openblas_get_num_threads64_"
-_BLAS_SET = "scipy_openblas_set_num_threads64_"
 
 
 @dataclass(frozen=True)
@@ -328,139 +308,6 @@ def _diagonalize_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-class _Blas:
-    """The loaded OpenBLAS's thread count, read and pinned through its C API."""
-
-    def __init__(self, get: Callable[[], int], set_: Callable[[int], None]):
-        self._get = get
-        self._set = set_
-        self._lock = threading.Lock()
-        self._pins = 0
-        self._saved = 0
-
-    def threads(self) -> int:
-        return int(self._get())
-
-    @contextlib.contextmanager
-    def one_thread(self) -> Iterator[None]:
-        """Run OpenBLAS on one thread inside the block.
-
-        The count is process-wide, so nested or overlapping blocks share
-        one pin: the first saves the count and the last restores it.
-        """
-        with self._lock:
-            if self._pins == 0:
-                self._saved = self.threads()
-                self._set(1)
-            self._pins += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._pins -= 1
-                if self._pins == 0:
-                    self._set(self._saved)
-
-
-@functools.cache
-def _blas() -> _Blas | None:
-    """A handle on numpy's bundled OpenBLAS, or None when none is found."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    try:
-        names = sorted(fnmatch.filter(os.listdir(libs), "*openblas*"))
-    except OSError:
-        return None
-    for name in names:
-        lib = ctypes.CDLL(os.path.join(libs, name))
-        if hasattr(lib, _BLAS_GET) and hasattr(lib, _BLAS_SET):
-            get, set_ = getattr(lib, _BLAS_GET), getattr(lib, _BLAS_SET)
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            return _Blas(get, set_)
-    return None
-
-
-def _cores() -> int:
-    """Cores this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _workers(stacks: int, stack_entries: int) -> int:
-    """Threads that diagonalize ``stacks`` stacks of up to ``stack_entries`` entries.
-
-    One per core, at most one per stack, and no more than keep
-    ``_FLIGHT_STACKS`` * ``_STACK_ENTRIES`` entries in flight.  Several
-    threads run only when each eigendecomposition can be held to one BLAS
-    thread; otherwise it is one.
-    """
-    flight = _FLIGHT_STACKS * statevector._STACK_ENTRIES
-    workers = min(stacks, _cores(), max(1, flight // stack_entries))
-    if workers < 2 or _blas() is None:
-        return 1
-    return workers
-
-
-def _in_order(count: int, compute: Callable[[int], Any], workers: int) -> Iterator[Any]:
-    """Yield compute(0), ..., compute(count - 1), computed by ``workers`` threads.
-
-    The calling thread computes items 0, workers, 2 * workers, ... and
-    helper thread w the items w, w + workers, ...  An item starts only
-    while it is fewer than ``workers`` places ahead of the first item the
-    consumer has not finished with, so at most ``workers`` items are in
-    flight; with one worker no helper starts and each item is computed as
-    it is consumed.  The generator drops its reference to an item before
-    it computes or waits for the next, so an item the consumer has let go
-    of is freed by then.  An exception raised computing an item is raised
-    when that item is due.  However the consumer stops, the helpers are
-    stopped and joined before this generator returns.
-    """
-    results: dict[int, tuple] = {}
-    ready = threading.Condition()
-    finished = 0
-    stopping = False
-
-    def helper(first: int) -> None:
-        for i in range(first, count, workers):
-            with ready:
-                ready.wait_for(lambda: stopping or i < finished + workers)
-                if stopping:
-                    return
-            try:
-                result = (compute(i), None)
-            except BaseException as exc:  # raised in the consumer's thread instead
-                result = (None, exc)
-            with ready:
-                results[i] = result
-                ready.notify_all()
-
-    helpers: list[threading.Thread] = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=helper, args=(w,), daemon=True)
-            thread.start()
-            helpers.append(thread)
-        for i in range(count):
-            if i % workers == 0:
-                item = compute(i)
-            else:
-                with ready:
-                    ready.wait_for(lambda: i in results)
-                    item, error = results.pop(i)
-                if error is not None:
-                    raise error
-            yield item
-            item = None  # the consumer's reference is then the last one
-            with ready:
-                finished = i + 1
-                ready.notify_all()
-    finally:
-        with ready:
-            stopping = True
-            ready.notify_all()
-        for thread in helpers:
-            thread.join()
-
-
 class _SpectrumStacks:
     """(first row, values, vectors, matrices) of each stack of rows of ``coeffs``.
 
@@ -481,20 +328,13 @@ class _SpectrumStacks:
     column as the Chebyshev step's upper bound.  A register above
     ``DEFAULT_DENSE_CAP`` qubits is refused before any stack is built.
 
-    Iterating yields the stacks in order.  ``ground_only`` stacks are
-    computed on the calling thread as they are consumed, each operator
-    warm-started from the one before; that state lives in the
-    iteration, so iterating again gives the same bits.  Other stacks are
-    computed by ``workers`` threads (``_workers``, ``_in_order``): one
-    per core of the process's affinity, at most one stack in flight per
-    thread and ``_FLIGHT_STACKS`` full stacks' entries in flight in all.
-    With more than one, OpenBLAS is held to one thread from the first
-    stack until the iteration ends or is abandoned; one BLAS thread per
-    eigendecomposition is what makes the threads pay.  Each stack is
-    added to ``counters``, when given, as it is yielded: the bytes of its
-    matrices (of its buffer, ``ground_only``), and the number and summed
-    d^3 of those diagonalized.  ``diagonalization_workers`` keeps the most
-    threads any stacks of the command ran on.
+    Iterating yields the stacks in order, each built and diagonalized
+    as it is consumed, so at most one stack is held at a time.  A
+    ``ground_only`` operator is warm-started from the one before; that
+    state lives in the iteration, so iterating again gives the same
+    bits.  Each stack is added to ``counters``, when given, as it is
+    yielded: the bytes of its matrices (of its buffer, ``ground_only``),
+    and the number and summed d^3 of those diagonalized.
     """
 
     def __init__(
@@ -518,16 +358,11 @@ class _SpectrumStacks:
         chunk = max(1, statevector._STACK_ENTRIES // row)
         # runs of rows of one dtype, each split every ``chunk`` rows
         bounds = [0, *(np.flatnonzero(real[1:] != real[:-1]) + 1).tolist(), len(coeffs)]
-        self._starts = starts = [
+        self._starts = [
             start for first, stop in zip(bounds, bounds[1:]) for start in range(first, stop, chunk)
         ] + [len(coeffs)]
-        # a ground_only stack is warm-started from the one before, so in order
-        self.workers = 1 if ground_only else _workers(len(starts) - 1, chunk * 4**num_qubits)
-        if counters is not None:
-            counters.diagonalization_workers = max(counters.diagonalization_workers, self.workers)
 
-    def _diagonalize(self, i: int) -> tuple[int, np.ndarray, np.ndarray, None]:
-        start, stop = self._starts[i], self._starts[i + 1]
+    def _diagonalize(self, start: int, stop: int) -> tuple[int, np.ndarray, np.ndarray, None]:
         rows = self._coeffs[start:stop]
         matrices = _dense_stack(self._num_qubits, self._words, rows, self._real[start])
         return (start, *_diagonalize_stack(matrices), None)
@@ -550,21 +385,20 @@ class _SpectrumStacks:
         if self._ground_only:
             stacks = self._ground_stacks()
         else:
-            stacks = _in_order(len(self._starts) - 1, self._diagonalize, self.workers)
-        with _blas().one_thread() if self.workers > 1 else contextlib.nullcontext():
-            for stack in stacks:
-                if counters is not None:
-                    matrices = len(stack[1])
-                    if not self._ground_only:
-                        counters.matrices_diagonalized += matrices
-                        counters.diagonalized_d3 += matrices * 8**self._num_qubits
-                    built = 1 if self._ground_only else matrices
-                    itemsize = 8 if self._real[stack[0]] else 16
-                    counters.dense_bytes += built * 4**self._num_qubits * itemsize
-                yield stack
-                # the consumer's references are then the last ones, so the
-                # stack is freed before the next one is diagonalized
-                del stack
+            stacks = map(self._diagonalize, self._starts, self._starts[1:])
+        for stack in stacks:
+            if counters is not None:
+                matrices = len(stack[1])
+                if not self._ground_only:
+                    counters.matrices_diagonalized += matrices
+                    counters.diagonalized_d3 += matrices * 8**self._num_qubits
+                built = 1 if self._ground_only else matrices
+                itemsize = 8 if self._real[stack[0]] else 16
+                counters.dense_bytes += built * 4**self._num_qubits * itemsize
+            yield stack
+            # the consumer's references are then the last ones, so the
+            # stack is freed before the next one is diagonalized
+            del stack
 
 
 def exact_diagonalize(h: PauliSum, counters: _Counters | None = None) -> Spectrum:

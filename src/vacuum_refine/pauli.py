@@ -118,11 +118,16 @@ def apply_words(words: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """Every word of a table applied along the last axis: (..., d) amplitudes give (..., words, d).
 
     The last axis is the register, so this takes one amplitude vector or
-    a (rows, d) stack of them; one gather and one product serve all the
-    words and rows.  The result is C-ordered: a gather along the last
-    axis comes out column-major, and BLAS sums a strided row in another
-    order than a contiguous one.
+    a (rows, d) stack of them; one gather and one in-place product serve
+    all the words and rows.  ``np.take`` gathers into a new C-ordered
+    array, where a fancy-indexed gather along the last axis comes out
+    column-major and BLAS sums a strided row in another order than a
+    contiguous one.  The phases then multiply it in place, so beyond the
+    result only numpy's ufunc buffer (at most 8192 entries) is allocated;
+    a real stack is cast once.
     """
     source = np.arange(amplitudes.shape[-1]) ^ words[:, :1]
     phases = _column_phases(words[:, 1:2], words[:, 2:], source)
-    return np.multiply(phases, amplitudes[..., source], order="C")
+    applied = np.take(amplitudes, source, axis=-1).astype(np.complex128, copy=False)
+    applied *= phases
+    return applied

@@ -299,13 +299,13 @@ def word_overlaps(amplitudes: np.ndarray, words: np.ndarray) -> np.ndarray:
     Each block of rows and words is one gather (``apply_words``) of at
     most ``_STACK_ENTRIES`` // 16 amplitudes, or of one word on one row,
     and one batched matmul, which computes each overlap as ``np.vdot``
-    does, bit for bit; so no value depends on the blocks.  A gather and
-    its temporaries take several times its 16 bytes an amplitude: on the
-    8-qubit benchmark sweep, gathers of the whole budget raised the
-    command's resident peak by about 2 MB and gathers of an eighth its
-    traced peak by 0.2 MB, where a sixteenth left both as reading one
-    state at a time had them.  The stack must be C-ordered, as in
-    ``row_overlaps``.
+    does, bit for bit; so no value depends on the blocks.  A gather takes
+    its 16 bytes an amplitude and at most numpy's 128 KiB ufunc buffer
+    more.  While it peaked at four times its bytes, on the 8-qubit
+    benchmark sweep, gathers of the whole budget raised the command's
+    resident peak by about 2 MB and gathers of an eighth its traced peak
+    by 0.2 MB, where a sixteenth left both as reading one state at a time
+    had them.  The stack must be C-ordered, as in ``row_overlaps``.
     """
     rows, dim = amplitudes.shape
     out = np.empty((rows, len(words)), dtype=np.complex128)

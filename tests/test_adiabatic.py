@@ -719,12 +719,11 @@ def test_ramp_does_not_depend_on_the_cast_budget(h1, monkeypatch):
 @pytest.mark.parametrize("mode", list(EvolutionMode), ids=lambda mode: mode.value)
 @pytest.mark.parametrize("matrices", [1, 4])
 def test_each_stack_is_freed_before_the_next_is_diagonalized(h1, mode, matrices, monkeypatch):
-    # one thread and stacks of one or four matrices, the latter cast in
-    # slices of two: whenever a stack is diagonalized, no eigenvectors of
-    # an earlier stack are still referenced
+    # stacks of one or four matrices, the latter cast in slices of two:
+    # whenever a stack is diagonalized, no eigenvectors of an earlier
+    # stack are still referenced
     n = h1.num_qubits
     monkeypatch.setattr(statevector, "_STACK_ENTRIES", matrices * 4**n)
-    monkeypatch.setattr(hamiltonian, "_cores", lambda: 1)
     diagonalize = hamiltonian._diagonalize_stack
     made, alive = [], []
 
@@ -741,19 +740,18 @@ def test_each_stack_is_freed_before_the_next_is_diagonalized(h1, mode, matrices,
     assert alive == [0] * len(alive)
 
 
-def test_eight_qubit_ramp_adds_little_to_a_diagonalization_peak(monkeypatch):
+def test_eight_qubit_ramp_adds_little_to_a_diagonalization_peak():
     # At 8 qubits the ramp's 9 or 33 operators are one or two stacks held as
     # their X-group entries (up to 28 operators, 516 KiB), each matrix built
     # in turn in one 256 x 256 buffer.  The ramp takes its levels, its ground
     # vectors and its Chebyshev steps from that buffer, with no
     # eigenvectors, so it stays below the peak of the diagonalization
-    # itself.  On one thread the traced peak does not depend on timing: 1.40
-    # and 1.77 MiB at T = 1 and 4 against 2.07 MiB for one diagonalization.
-    # Keeping each Krylov basis's images read 1.90 and 2.21 MiB; a matrix per
-    # operator with those images read 1.67 and 1.63 MiB.  Stepping from
-    # eigenvectors read 2.09 MB, 2.54 MB with their 2 MB operand pair cast
-    # per matrix, and keeping the previous stack alive raised it to 2.60 MB.
-    monkeypatch.setattr(hamiltonian, "_cores", lambda: 1)
+    # itself.  The traced peak read 1.40 and 1.77 MiB at T = 1 and 4 against
+    # 2.07 MiB for one diagonalization.  Keeping each Krylov basis's images
+    # read 1.90 and 2.21 MiB; a matrix per operator with those images read
+    # 1.67 and 1.63 MiB.  Stepping from eigenvectors read 2.09 MB, 2.54 MB
+    # with their 2 MB operand pair cast per matrix, and keeping the previous
+    # stack alive raised it to 2.60 MB.
     h1 = parse_pauli_text(seeded_chain_text(8, 7))
     h0 = initial_hamiltonian(1.0, 8)
     exact_diagonalize(h1)  # numpy's one-time allocations

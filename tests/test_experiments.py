@@ -23,7 +23,7 @@ from vacuum_refine import (
     parse_config,
     with_overrides,
 )
-from vacuum_refine import adiabatic, experiments, hamiltonian, statevector
+from vacuum_refine import adiabatic, experiments, statevector
 from vacuum_refine.config import build_model
 from vacuum_refine.cli import main
 
@@ -590,35 +590,19 @@ def test_refine_on_the_ground_level_warns_nothing(tmp_path):
 @pytest.mark.parametrize(
     "command", [cmd_sweep, cmd_filter_run, cmd_refine, cmd_diag], ids=lambda c: c.__name__
 )
-def test_manifest_records_blas_threads_and_diagonalization_workers(tmp_path, command):
+def test_manifest_records_the_blas_threads(tmp_path, command):
     command(_config(tmp_path))
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    blas = hamiltonian._blas()
-    assert manifest["blas_threads"] == (blas.threads() if blas is not None else "unknown")
-    # the one-qubit ramp is a single stack, diagonalized on the calling thread
-    assert manifest["diagonalization_workers"] == 1
+    threads = manifest["blas_threads"]
+    assert threads == experiments._blas_threads()
+    assert threads == "unknown" or (isinstance(threads, int) and threads >= 1)
+    assert "diagonalization_workers" not in manifest
 
 
 def _chain_text(n):
     words = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
     words += ["I" * i + "X" + "I" * (n - i - 1) for i in range(n)]
     return "".join(f"-0.8 {word}\n" for word in words)
-
-
-@pytest.mark.parametrize("cores", [1, 2])
-def test_manifest_counts_the_threads_a_multi_stack_ramp_used(tmp_path, monkeypatch, cores):
-    monkeypatch.setattr(hamiltonian, "_cores", lambda: cores)
-    model = tmp_path / "chain6.txt"
-    model.write_text(_chain_text(6))
-    # 33 6-qubit operators, at most 16 to a stack: three stacks, two in flight
-    config = parse_config(
-        f"model.hamiltonian = {model}\nschedule.T = 4\nschedule.dt = 0.125\n"
-        f"schedule.hold_time = 0\noutput.prefix = {tmp_path}/run\n"
-    )
-    cmd_sweep(config)
-    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    pooled = cores if hamiltonian._blas() is not None else 1
-    assert manifest["diagonalization_workers"] == pooled
 
 
 SHOTS_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark_shots.cfg"

@@ -30,8 +30,10 @@ the Born weights of the rotated state.  The ``chain6`` and ``chain7y``
 snapshots (a multi-stack eigenvector ramp, and ramps of 7 qubits that
 take no eigenvectors, in both step modes and in ``refine``) were written
 while those ramps took ``eigvalsh`` and inverse iteration; no byte moved
-when block Lanczos replaced both.  Manifests are not compared because
-they carry a wall-clock duration.
+when block Lanczos replaced both.  The three stacks of the ``chain6``
+ramp were diagonalized in a thread pool when its snapshot was written; no
+byte moved when they came one after another on the calling thread.
+Manifests are not compared because they carry a wall-clock duration.
 
 To rewrite the snapshots of the named cases after a deliberate,
 documented output change (every other snapshot is left alone):

@@ -1,5 +1,4 @@
 import itertools
-import sys
 import threading
 import tracemalloc
 
@@ -24,13 +23,12 @@ from vacuum_refine import (
     transverse_ising_pair,
 )
 
-from vacuum_refine import chebyshev, hamiltonian, statevector
+from vacuum_refine import chebyshev, experiments, hamiltonian, statevector
 from vacuum_refine.counters import _Counters
 from vacuum_refine.hamiltonian import (
     DEGENERACY_TOL,
     _complex_pair,
     _fix_phases,
-    _in_order,
     _propagate,
     _SpectrumStacks,
 )
@@ -603,194 +601,34 @@ def test_stack_bounds_split_dtype_runs_every_chunk_rows(n):
                 assert stacks._starts == expected
 
 
-def _stacks(monkeypatch, cores=None, blas=True):
-    """Every stack of POOL_RAMP, and the thread that built each with the BLAS
-    thread count it saw; ``cores`` replaces the core count, and without
-    ``blas`` the handle on OpenBLAS is missing."""
-    if cores is not None:
-        monkeypatch.setattr(hamiltonian, "_cores", lambda: cores)
-    if not blas:
-        monkeypatch.setattr(hamiltonian, "_blas", lambda: None)
-    seen = []
+def test_stacks_are_built_one_at_a_time_on_the_calling_thread(monkeypatch):
+    # four stacks on the eigenvector path, the third of which fails its
+    # guard: no thread starts, the BLAS thread count is never set, and the
+    # error is raised once the two stacks before it have been consumed
+    threads = threading.active_count()
+    blas = experiments._blas_threads()
     diagonalize = hamiltonian._diagonalize_stack
-    handle = hamiltonian._blas()
+    seen = []
 
-    def recorded(matrices):
-        seen.append((threading.current_thread(), handle.threads() if handle else None))
+    def failing_third(matrices):
+        seen.append(
+            (threading.current_thread(), threading.active_count(), experiments._blas_threads())
+        )
+        if len(seen) == 3:
+            raise NumericalConsistencyError("the third stack")
         return diagonalize(matrices)
 
-    monkeypatch.setattr(hamiltonian, "_diagonalize_stack", recorded)
-    stacks = list(_SpectrumStacks(7, *POOL_RAMP))
-    return stacks, seen
-
-
-def _blas_or_skip():
-    blas = hamiltonian._blas()
-    if blas is None:
-        pytest.skip("no handle on the thread count of numpy's OpenBLAS")
-    return blas
-
-
-@pytest.mark.parametrize("cores", [2, 3])
-def test_pooled_stacks_match_the_serial_loop_bit_for_bit(monkeypatch, cores):
-    blas = _blas_or_skip()
-    before = blas.threads()
-    with monkeypatch.context() as serial_patch:
-        serial_patch.setattr(hamiltonian, "_workers", lambda stacks, entries: 1)
-        serial, serial_seen = _stacks(serial_patch)
-    # a budget of one full stack per core, so that three threads can run
-    monkeypatch.setattr(hamiltonian, "_FLIGHT_STACKS", cores)
-    pooled, pooled_seen = _stacks(monkeypatch, cores)
-    assert [start for start, *_ in pooled] == [0, 4, 8, 12]
-    for (s0, v0, w0, _), (s1, v1, w1, _) in zip(serial, pooled):
-        assert s0 == s1
-        assert v0.tobytes() == v1.tobytes()
-        assert w0.tobytes() == w1.tobytes()
-    assert {thread for thread, _ in serial_seen} == {threading.main_thread()}
-    helpers = {thread for thread, _ in pooled_seen} - {threading.main_thread()}
-    assert len(helpers) == cores - 1
-    assert not any(thread.is_alive() for thread in helpers)
-    # each pooled eigendecomposition ran on one BLAS thread; the count is
-    # restored once the stacks are consumed
-    assert {count for _, count in pooled_seen} == {1}
-    assert blas.threads() == before
-
-
-def test_serial_loop_without_a_handle_on_blas(monkeypatch):
-    _blas_or_skip()
-    with monkeypatch.context() as pooled_patch:
-        pooled, _ = _stacks(pooled_patch, cores=2)
-    serial, seen = _stacks(monkeypatch, cores=2, blas=False)
-    assert hamiltonian._workers(4, _STACK_ENTRIES) == 1
-    assert {thread for thread, _ in seen} == {threading.main_thread()}
-    for (s0, v0, w0, _), (s1, v1, w1, _) in zip(pooled, serial):
-        assert s0 == s1
-        assert v0.tobytes() == v1.tobytes()
-        assert w0.tobytes() == w1.tobytes()
-
-
-def test_guard_failure_in_a_helper_surfaces_when_its_stack_is_due(monkeypatch):
-    blas = _blas_or_skip()
-    before = blas.threads()
-    monkeypatch.setattr(hamiltonian, "_cores", lambda: 2)
-    eigh = np.linalg.eigh
-    helpers = []
-
-    def corrupted(m):
-        values, vectors = eigh(m)
-        if threading.current_thread() is not threading.main_thread():
-            helpers.append(threading.current_thread())
-            vectors[0, :, 1] = vectors[0, :, 0]
-        return values, vectors
-
-    monkeypatch.setattr(np.linalg, "eigh", corrupted)
-    stacks = iter(_SpectrumStacks(7, *POOL_RAMP))
-    start, *_ = next(stacks)
-    assert start == 0
-    # the second stack was the helper's: its error is raised when it is due
-    with pytest.raises(NumericalConsistencyError, match="orthonormal"):
-        next(stacks)
-    assert helpers
-    assert not any(thread.is_alive() for thread in helpers)
-    assert blas.threads() == before
-
-
-def test_abandoned_stacks_stop_the_helpers_and_restore_blas(monkeypatch):
-    blas = _blas_or_skip()
-    before = blas.threads()
-    monkeypatch.setattr(hamiltonian, "_cores", lambda: 2)
-    started = set(threading.enumerate())
-    stacks = iter(_SpectrumStacks(7, *POOL_RAMP))
-    next(stacks)
-    # the helper has the second and fourth stacks; it waits to start the
-    # fourth until the consumer is done with the second
-    helpers = set(threading.enumerate()) - started
-    assert len(helpers) == 1
-    assert blas.threads() == 1
-    # dropped after its first stack, as exact_diagonalize drops it
-    del stacks
-    assert not any(thread.is_alive() for thread in helpers)
-    assert blas.threads() == before
-
-
-def test_workers_follow_the_stacks_the_cores_and_the_entry_budget(monkeypatch):
-    _blas_or_skip()
-    monkeypatch.setattr(hamiltonian, "_cores", lambda: 64)
-    # two full stacks fill the budget, whatever the cores
-    assert _SpectrumStacks(7, *POOL_RAMP).workers == 2
-    assert hamiltonian._workers(40, 4**8) == 2
-    # from 9 qubits one matrix is more than half of the budget
-    nine = ramp_coefficients(initial_hamiltonian(J, 9), _tfim_chain(9), _midpoints(3))
-    assert _SpectrumStacks(9, *nine).workers == 1
-    assert hamiltonian._workers(4, 4**9) == 1
-    # small stacks are limited by the stacks and the cores
-    assert hamiltonian._workers(3, 16) == 3
-    assert hamiltonian._workers(100, 16) == 64
-    # the budget is read from the block size when it is used
-    monkeypatch.setattr(statevector, "_STACK_ENTRIES", 8 * _STACK_ENTRIES)
-    assert hamiltonian._workers(40, 4**8) == 16
-    monkeypatch.setattr(hamiltonian, "_cores", lambda: 1)
-    assert hamiltonian._workers(100, 16) == 1
-    assert hamiltonian._workers(1, 16) == 1
-
-
-def test_in_order_yields_in_order_and_raises_when_due():
-    squares = _in_order(7, lambda i: i * i, 3)
-    assert list(squares) == [i * i for i in range(7)]
-
-    def fails_at_four(i):
-        if i == 4:
-            raise DomainError("item 4")
-        return i
-
-    items = _in_order(7, fails_at_four, 3)
-    assert [next(items) for _ in range(4)] == [0, 1, 2, 3]
-    with pytest.raises(DomainError, match="item 4"):
-        next(items)
-
-
-def test_in_order_under_stress_keeps_order_and_its_window():
-    # more workers than cores, and threads switched as often as possible:
-    # a lost update to the window would let more than `workers` items run
-    workers, count = 6, 60
-    lock = threading.Lock()
-    counts = {"started": 0, "consumed": 0, "most": 0}
-
-    def compute(i):
-        with lock:
-            counts["started"] += 1
-            counts["most"] = max(counts["most"], counts["started"] - counts["consumed"])
-        return i
-
-    got = []
-
-    def consume():
-        for item in _in_order(count, compute, workers):
-            got.append(item)
-            with lock:
-                counts["consumed"] += 1
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        consumer = threading.Thread(target=consume)
-        consumer.start()
-        consumer.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not consumer.is_alive()
-    assert got == list(range(count))
-    assert counts["most"] <= workers
-
-
-def test_nested_pins_restore_the_outer_count():
-    blas = _blas_or_skip()
-    before = blas.threads()
-    with blas.one_thread():
-        with blas.one_thread():
-            assert blas.threads() == 1
-        assert blas.threads() == 1
-    assert blas.threads() == before
+    monkeypatch.setattr(hamiltonian, "_diagonalize_stack", failing_third)
+    yielded = []
+    with pytest.raises(NumericalConsistencyError, match="the third stack"):
+        for start, *_ in _SpectrumStacks(7, *POOL_RAMP):
+            assert threading.active_count() <= threads
+            yielded.append(start)
+    assert yielded == [0, 4]
+    assert [thread for thread, _, _ in seen] == [threading.main_thread()] * 3
+    assert max(count for _, count, _ in seen) <= threads
+    assert {count for _, _, count in seen} == {blas}
+    assert experiments._blas_threads() == blas
 
 
 # --- the Chebyshev path: eigenvalues, a ground vector and a polynomial step ---
@@ -1062,8 +900,6 @@ def test_ground_only_stacks_yield_eigenvalues_ground_vectors_and_matrices(monkey
     monkeypatch.setattr(statevector, "_STACK_ENTRIES", 5 * 1024)
     counters = _Counters()
     stacks = _SpectrumStacks(7, words, coeffs, counters, ground_only=True)
-    # each stack is warm-started from the one before, so they come in order
-    assert stacks.workers == 1
     ground = list(stacks)
     assert [start for start, *_ in full] == [0, 4, 8, 12]
     assert [start for start, *_ in ground] == [0, 5, 10]
