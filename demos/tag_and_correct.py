@@ -1,7 +1,8 @@
 """Ancilla tagging and the closed-form correction of the mixed value.
 
 After the ramp the register holds alpha|E0> + beta|E1>.  A fresh ancilla
-is entangled with the eigencomponents (V, CNOT, V-dagger), which kills the
+is entangled with the eigencomponents by the one-ancilla filter (Hadamard,
+a propagator controlled on the ancilla, Hadamard), which kills the
 interference term in <Z> and leaves the incoherent mixture
 
     raw = |alpha|^2 <E0|Z|E0> + |beta|^2 <E1|Z|E1>.
@@ -17,7 +18,6 @@ from vacuum_refine import (
     EvolutionMode,
     PauliSum,
     Schedule,
-    StateVector,
     corrected_expectation,
     cross_term,
     eigen_overlaps,
@@ -45,9 +45,8 @@ interference = cross_term(final, spectrum, z)
 print(f"pre-tag <Z>      = {pre_tag:.9f}")
 print(f"interference part = {interference:+.9e}")
 
-# tag: |0>|psi> -> alpha|0>|E0> + beta|1>|E1>
-joint = StateVector(2, np.kron([1.0, 0.0], final.amplitudes))
-tagged = tag_circuit_one_qubit(joint, spectrum)
+# tag: psi -> alpha|0>|E0> + beta|1>|E1>, the ancilla supplied by the tag
+tagged = tag_circuit_one_qubit(final, spectrum)
 
 z_system = PauliSum(2, ((1.0, "IZ"),))
 raw = expectation_observable(tagged, z_system)

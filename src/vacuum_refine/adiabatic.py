@@ -461,11 +461,10 @@ def run_hold(
     Record times are offset by ``start_time`` so a hold can continue a
     ramp trajectory.  Fidelity is taken against ``fidelity_target`` when
     given, otherwise against the ground state of ``h``.  ``spectrum``
-    must be ``exact_diagonalize(h)``, since only its size is checked.
-    Without it ``h`` is diagonalized here, once, and only when exact
-    evolution or the fidelity target needs it: an operator that exists
-    only for the hold, such as an ancilla-embedded one, has no spectrum
-    elsewhere.
+    must be ``exact_diagonalize(h)``, or be built exactly from that
+    output, as the spectrum of an ancilla-embedded I (x) h is from h's;
+    only its size is checked.  Without it ``h`` is diagonalized here,
+    once, and only when exact evolution or the fidelity target needs it.
 
     An exact hold is not stepped.  With c = V^H psi computed once from
     that spectrum, the record j steps in is exp(-i h j dt) psi =

@@ -56,6 +56,7 @@ from .estimation import corrected_expectation, cross_term, shot_estimates
 from .filtering import FilterConfig, RefinementReport, refine_iteratively, tag_circuit_one_qubit
 from .hamiltonian import (
     DEFAULT_DENSE_CAP,
+    DEGENERACY_TOL,
     PauliSum,
     Spectrum,
     exact_diagonalize,
@@ -336,9 +337,8 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
     pre_tag_z = expectation_observable(final, observables[_OBS_KEY])
     interference = cross_term(final, spectrum, observables[_OBS_KEY])
 
-    joint = StateVector(2, np.kron(np.array([1.0, 0.0]), final.amplitudes))
     with counters.stage("filter"):
-        tagged = tag_circuit_one_qubit(joint, spectrum)
+        tagged = tag_circuit_one_qubit(final, spectrum)
 
     z_system = PauliSum(2, ((1.0, "IZ"),))
     mixed_z_exact = expectation_observable(tagged, z_system)
@@ -358,21 +358,20 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
 
     if config.filter.discard:
         with counters.stage("filter"):
-            _, collapsed = postselect(tagged, [0], "0")
-        post_state: StateVector = collapsed
+            _, post_state = postselect(tagged, [0], "0")
         hold_h = h1
         hold_obs = observables
-        hold_target = None
         hold_spectrum = spectrum
-        post_z, _ = estimator.evaluate(collapsed, observables[_OBS_KEY])
+        post_z, _ = estimator.evaluate(post_state, observables[_OBS_KEY])
     else:
         post_state = tagged
         hold_h = _embed_with_ancilla(h1)
         hold_obs = {_OBS_KEY: z_system}
-        hold_target = StateVector(
-            2, np.kron(np.array([1.0, 0.0]), spectrum.ground_state.amplitudes)
-        )
-        hold_spectrum = None
+        # I (x) h1 has each level E_k of h1 twice, ascending, with the columns
+        # |0>v_k and |1>v_k: its spectrum is h1's, copied, not diagonalized
+        vectors = np.zeros((2, 2, 2, 2), dtype=spectrum.eigenvectors.dtype)
+        vectors[0, :, :, 0] = vectors[1, :, :, 1] = spectrum.eigenvectors
+        hold_spectrum = Spectrum(2, np.repeat(spectrum.eigenvalues, 2), vectors.reshape(4, 4))
         post_z = mixed_z_exact
     with counters.stage("hold"):
         _, hold = run_hold(
@@ -384,7 +383,8 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
             record_states=not estimator.exact,
             start_time=config.schedule.total_time,
             include_initial=True,
-            fidelity_target=hold_target,
+            # |0>|E0> in keep mode, named so the hold does not warn of its degenerate level
+            fidelity_target=hold_spectrum.ground_state,
             spectrum=hold_spectrum,
             counters=counters,
         )
@@ -434,8 +434,10 @@ def _excited_level_warnings(report: RefinementReport, spectrum: Spectrum) -> lis
     levels = spectrum.eigenvalues
     warnings = []
     for index, step in enumerate(report.steps, start=1):
-        # ties go to the lower level, so an E0' midway is not reported
+        # ties go to the lower level, so an E0' midway is not reported, and
+        # a degenerate level is named by its first index, not by rounding
         nearest = int(np.argmin(np.abs(levels - step.e0_prime)))
+        nearest = int(np.argmax(levels >= levels[nearest] - DEGENERACY_TOL))
         if nearest > 0:
             warnings.append(
                 f"pass {index}: E0' = {_fmt(step.e0_prime)} lies nearer excited level "

@@ -1,36 +1,35 @@
 """Ancilla-driven eigenstate filtering with post-selection.
 
-Two circuits are modelled here, each by its action on the system
-register.  The first, ``tag_circuit_one_qubit``, entangles a single
-ancilla with the two energy eigenstates of a one-qubit system:
-basis-changing the system so the eigenbasis aligns with the
-computational basis, copying that bit onto the ancilla, and changing
-basis back.  An approximate ground state alpha|E0> + beta|E1> becomes
-alpha|0>|E0> + beta|1>|E1>, so reading the ancilla either discards the
-excited component (post-selection) or decoheres the superposition into a
-mixture whose measured values can be corrected in closed form.  The
-package writes that result directly: with c = V^H psi, ancilla row a of
-the joint state is V[:, a] * c[a].
-
-The second, ``apply_filter``, needs no eigenbasis change, only the
-propagator, which the simulation applies from the operator's spectrum.
-In the circuit, each of m ancillas is put on the Hadamard axis and kicks
-back the phase of a controlled propagator power
+One filter is modelled here, by its action on the system register; it
+needs no eigenbasis change, only the propagator, which the simulation
+applies from the operator's spectrum.  In the circuit, each of m
+ancillas is put on the Hadamard axis and kicks back the phase of a
+controlled propagator power
 
     U(theta)^p = (i * exp(-i * theta * H / 2))^p.
 
 After the closing Hadamard wall, the all-zeros ancilla branch carries the
 system state multiplied by the product of (I + U^p_j) / 2 over the
-ancillas, an operator on the system register alone, which is what the
-package applies: one propagator per ancilla, no joint register.  An
-eigencomponent of energy E is multiplied by
+ancillas, an operator on the system register alone, which is what
+``apply_filter`` applies: one propagator per ancilla, no joint register.
+An eigencomponent of energy E is multiplied by
 
     A(E) = prod_j (1 + z^p_j) / 2,     z = i * exp(-i * E * theta / 2),
 
-the closed form exposed as ``filter_amplitude``.  The joint-register
-circuits themselves (Hadamard walls, controlled powers, post-selection;
-basis change, CNOT, basis change back) are the test oracles that the
-filter and the tag are held to, beside ``filter_amplitude``.
+the closed form exposed as ``filter_amplitude``.
+
+The tag, ``tag_circuit_one_qubit``, is the one-ancilla case on a one-qubit
+system, with both ancilla branches kept: (I + U) / 2 and (I - U) / 2.
+Its reference phase exp(i * E0 * theta / 2) in place of i and its
+theta = 2 pi / (E1 - E0) make z = 1 on the ground level and z = -1 on the
+excited one, so an approximate ground state alpha|E0> + beta|E1> becomes
+alpha|0>|E0> + beta|1>|E1>.  Reading the ancilla then either discards the
+excited component (post-selection) or decoheres the superposition into a
+mixture whose measured values can be corrected in closed form.  The
+joint-register circuits themselves (Hadamard walls, controlled powers,
+post-selection; basis change, CNOT, basis change back) are the test
+oracles that the filter and the tag are held to, beside
+``filter_amplitude``.
 
 Choosing theta = pi / E0' with E0' a (possibly rough) ground-energy
 estimate makes z = 1 at resonance, passing the ground component through
@@ -57,7 +56,6 @@ from .estimation import eigen_overlaps
 from .hamiltonian import PauliSum, Spectrum, apply_evolution
 from .statevector import _MIN_POSTSELECT_PROB, StateVector, expectation_observable
 
-_ANCILLA_RESIDUE_LIMIT = 1e-10
 _MIN_E0_PRIME = 1e-9
 # the largest integer a float64 holds exactly: a larger power would not
 # even enter p * theta / 2 as itself
@@ -126,28 +124,25 @@ class RefinementReport:
     final_state: StateVector
 
 
-def tag_circuit_one_qubit(joint: StateVector, spectrum: Spectrum) -> StateVector:
-    """Entangle a fresh ancilla (qubit 0) with the system eigencomponents.
+def tag_circuit_one_qubit(state: StateVector, spectrum: Spectrum) -> StateVector:
+    """Tag the eigencomponents of a one-qubit state with a fresh ancilla (qubit 0).
 
-    Expects a two-qubit register |0>|psi> and the diagonalized one-qubit
-    system operator; returns the tagged state with the ancilla marking the
-    excited component.  With c = V^H psi the tagged state's ancilla row a
-    is V[:, a] * c[a], the circuit's action written out.
+    ``spectrum`` is ``exact_diagonalize(h)`` of the one-qubit system
+    operator.  Ancilla row a of the returned 2-qubit state is
+    (psi + (-1)^a * U psi) / 2 with U = exp(i * E0 * theta / 2) *
+    exp(-i * theta * h / 2) at theta = 2 pi / (E1 - E0), one propagator
+    applied as ``apply_filter`` applies each of its factors: row 0 is the
+    E0 component and row 1 the E1 component, identity term or not.
     """
-    if joint.num_qubits != 2:
-        raise DomainError(f"tagging needs an ancilla+system pair, got {joint.num_qubits} qubit(s)")
     if spectrum.dim != 2:
         raise DomainError(f"spectrum dimension {spectrum.dim} is not a one-qubit spectrum")
     if spectrum.degenerate:
         raise DomainError("cannot tag against a degenerate spectrum")
-    ancilla_one = float(np.sum(np.abs(joint.amplitudes.reshape(2, 2)[1]) ** 2))
-    if ancilla_one > _ANCILLA_RESIDUE_LIMIT:
-        raise DomainError(
-            f"ancilla must start in |0> (found population {ancilla_one:.3e} on |1>)"
-        )
-    vectors = spectrum.eigenvectors
-    coefficients = vectors.conj().T @ joint.amplitudes[:2]
-    return StateVector(2, (vectors * coefficients).T)
+    low, high = spectrum.eigenvalues
+    theta = 2.0 * math.pi / (high - low)
+    psi = state.amplitudes
+    turned = apply_evolution(spectrum, theta / 2.0, psi, phase=np.exp(0.5j * low * theta))
+    return StateVector(2, np.concatenate([psi + turned, psi - turned]) / 2.0)
 
 
 def choose_theta(e0_prime: float) -> float:

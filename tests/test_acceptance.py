@@ -169,8 +169,7 @@ def test_criterion_4_filtered_hold(outdir, benchmark_filter):
         initial_hamiltonian(J, 1), h1, schedule, EvolutionMode.EXACT_STEP
     )
     spectrum = exact_diagonalize(h1)
-    joint = StateVector(2, np.kron([1.0, 0.0], final.amplitudes))
-    tagged = tag_circuit_one_qubit(joint, spectrum)
+    tagged = tag_circuit_one_qubit(final, spectrum)
     _, selected = postselect(tagged, [0], "0")
     z = PauliSum(1, ((1.0, "Z"),))
     _, hold = run_hold(

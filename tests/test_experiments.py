@@ -13,6 +13,7 @@ from vacuum_refine import (
     ConfigError,
     DomainError,
     EstimationConfig,
+    ImpossibleOutcomeError,
     PauliSum,
     cmd_diag,
     cmd_filter_run,
@@ -87,18 +88,53 @@ def test_csv_files_use_lf_endings(tmp_path):
 
 
 def test_filter_run_correction_is_consistent(tmp_path):
-    result = cmd_filter_run(_config(tmp_path))
-    s = result.summary
-    assert s["corrected"] == pytest.approx(s["raw"] / s["two_p0_minus_1"], abs=1e-12)
-    # tagging converts the interference term into a jump of the mixed value
-    assert s["discontinuity"] == pytest.approx(s["cross_term"], abs=1e-12)
-    assert not np.isnan(s["postselected_expval"])
-    trajectory = _read_csv(tmp_path / "run_trajectory.csv")
-    # ramp start + 8 steps, then 5 hold records (t=T appears twice: the
-    # tagged value right after post-selection restarts the trajectory)
-    assert len(trajectory) == 1 + 9 + 5
-    times = [float(row[0]) for row in trajectory[1:]]
-    assert times.count(2.0) == 2
+    identity_model = tmp_path / "identity_term.txt"
+    identity_model.write_text("0.3 I\n-0.8 X\n-0.5 Z\n")
+    cases = [
+        # the default target, whose ground <Z> is 1/sqrt(2)
+        ("default", SMALL, 1 / np.sqrt(2)),
+        # an identity term shifts both levels, so theta = pi / E0 would not
+        # separate them; the tag's reference phase exp(i E0 theta / 2) does
+        (
+            "identity_term",
+            f"model.hamiltonian = {identity_model}\n"
+            "schedule.T = 6\nschedule.dt = 0.125\nschedule.hold_time = 1\n",
+            0.5 / np.sqrt(0.89),
+        ),
+    ]
+    for name, settings, ground_z in cases:
+        config = parse_config(settings + f"output.prefix = {tmp_path}/{name}\n")
+        s = cmd_filter_run(config).summary
+        assert s["corrected"] == pytest.approx(s["raw"] / s["two_p0_minus_1"], abs=1e-12)
+        # on one qubit <E1|Z|E1> = -<E0|Z|E0>, so the correction is the exact ground value
+        assert s["corrected"] == pytest.approx(ground_z, abs=1e-9)
+        # tagging converts the interference term into a jump of the mixed value
+        assert s["discontinuity"] == pytest.approx(s["cross_term"], abs=1e-12)
+        assert not np.isnan(s["postselected_expval"])
+        trajectory = _read_csv(tmp_path / f"{name}_trajectory.csv")
+        # ramp start + its steps, then the hold's records from t=T (t=T appears
+        # twice: the tagged value right after post-selection restarts the trajectory)
+        schedule = config.schedule
+        assert len(trajectory) == 1 + schedule.num_ramp_steps + schedule.num_hold_steps + 2
+        times = [float(row[0]) for row in trajectory[1:]]
+        assert times.count(schedule.total_time) == 2
+
+
+def test_filter_run_refuses_an_impossible_postselection(tmp_path, capsys):
+    # ramping -Z to +Z keeps the register in |0>, the excited level of +Z,
+    # so the tag leaves the ancilla's |0> branch a rounding residue
+    model = tmp_path / "model.txt"
+    model.write_text("1.0 Z\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL + f"model.hamiltonian = {model}\noutput.prefix = {tmp_path}/run\n")
+    with pytest.raises(ImpossibleOutcomeError):
+        cmd_filter_run(load_config(str(cfg_path)))
+    assert main(["filter-run", "--config", str(cfg_path)]) == 1
+    assert "runtime error" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+    # keep mode post-selects nothing, and its correction is the ground <Z> of +Z
+    keep = cmd_filter_run(_config(tmp_path, f"model.hamiltonian = {model}\nfilter.discard = false\n"))
+    assert keep.summary["corrected"] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_filter_run_keep_mode(tmp_path):
@@ -495,10 +531,9 @@ def test_each_operator_diagonalized_once(tmp_path, count_diagonalized, command, 
     command(config)
     operators = [(m.shape, m.tobytes()) for m in count_diagonalized]
     assert len(set(operators)) == len(operators)
-    # h0, one operator per ramp step, the target; keep mode also holds
-    # under the target embedded beside the ancilla
-    embedded = 1 if extra else 0
-    assert len(operators) == config.schedule.num_ramp_steps + 2 + embedded
+    # h0, one operator per ramp step, the target; keep mode holds under the
+    # target's spectrum beside the ancilla, which is built, not diagonalized
+    assert len(operators) == config.schedule.num_ramp_steps + 2
 
 
 def test_output_prefix_directory_created(tmp_path):
@@ -576,6 +611,27 @@ def test_refine_locked_on_excited_level_is_reported(tmp_path, capsys):
     assert rows == [[str(i), "1", "3.14159265", "1", "0", "1", "ok"] for i in range(1, 6)]
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["warnings"][1:] == LOCKED_ON_EXCITED
+
+
+def test_refine_names_the_first_index_of_a_degenerate_excited_level(tmp_path):
+    # the ramp keeps the open Heisenberg chain in |0000>, one of the five
+    # states of its E = 3 level, levels 11 to 15; argmin alone named 14 or 11
+    # as rounding broke the tie
+    model = tmp_path / "heisenberg.txt"
+    bonds = ["XX", "YY", "ZZ"]
+    model.write_text(
+        "".join(f"1.0 {'I' * i}{b}{'I' * (2 - i)}\n" for i in range(3) for b in bonds)
+    )
+    cmd_refine(
+        parse_config(
+            f"model.hamiltonian = {model}\nschedule.T = 4\nschedule.dt = 0.125\n"
+            f"schedule.hold_time = 0\nfilter.ancillas = 3\noutput.prefix = {tmp_path}/run\n"
+        )
+    )
+    warnings = json.loads((tmp_path / "run_manifest.json").read_text())["warnings"]
+    excited = [w for w in warnings if w.startswith("pass ")]
+    assert len(excited) == 5
+    assert all("nearer excited level 11 (E = 3)" in w for w in excited)
 
 
 def test_refine_on_the_ground_level_warns_nothing(tmp_path):
@@ -664,14 +720,11 @@ _QUBIT_SHOTS = _counts(866, 2, 1152)
     [
         # raw, z_ancilla and post_z, then 1154 trajectory records of one term
         ("", {**_QUBIT_SHOTS, "streams": 5, "estimates": 1157, "shots_drawn": 1157 * 10**6}),
-        # the ancilla-embedded hold diagonalizes its own 4x4 operator
+        # the ancilla-embedded hold diagonalizes nothing: its spectrum is the target's
         (
             "filter.discard = false\n",
             {
                 **_QUBIT_SHOTS,
-                "matrices_diagonalized": 867,
-                "diagonalized_d3": 866 * 8 + 64,
-                "dense_bytes": 866 * 4 * 8 + 16 * 8,
                 "streams": 4,
                 "estimates": 1156,
                 "shots_drawn": 1156 * 10**6,

@@ -41,14 +41,10 @@ def _eigpair():
     return spec, spec.eigenvectors[:, 0], spec.eigenvectors[:, 1]
 
 
-def _joint_with_ancilla(system_amps):
-    return StateVector(2, np.kron([1.0, 0.0], system_amps))
-
-
-def _tag(joint, spec):
-    """The package's tag, checked against the gate-by-gate circuit."""
-    tagged = tag_circuit_one_qubit(joint, spec)
-    circuit = tag_circuit(joint.amplitudes, spec.eigenvectors)
+def _tag(system_amps, spec):
+    """The package's tag, checked against the gate-by-gate circuit on |0>|psi>."""
+    tagged = tag_circuit_one_qubit(StateVector(1, system_amps), spec)
+    circuit = tag_circuit(np.kron([1.0, 0.0], system_amps), spec.eigenvectors)
     assert np.max(np.abs(tagged.amplitudes - circuit)) < 1e-12
     return tagged
 
@@ -81,14 +77,14 @@ def test_filter_config_refuses_non_integer_powers():
 
 def test_tag_leaves_ground_unmarked():
     spec, v0, _ = _eigpair()
-    tagged = _tag(_joint_with_ancilla(v0), spec)
+    tagged = _tag(v0, spec)
     prob_ancilla_one = np.sum(np.abs(tagged.amplitudes.reshape(2, 2)[1]) ** 2)
     assert prob_ancilla_one < 1e-12
 
 
 def test_tag_marks_excited_component():
     spec, _, v1 = _eigpair()
-    tagged = _tag(_joint_with_ancilla(v1), spec)
+    tagged = _tag(v1, spec)
     prob_ancilla_one = np.sum(np.abs(tagged.amplitudes.reshape(2, 2)[1]) ** 2)
     assert prob_ancilla_one == pytest.approx(1.0, abs=1e-12)
 
@@ -97,7 +93,7 @@ def test_tag_splits_superposition_and_kills_coherence():
     spec, v0, v1 = _eigpair()
     alpha, beta = np.sqrt(0.7), np.sqrt(0.3)
     psi = alpha * v0 + beta * v1
-    tagged = _tag(_joint_with_ancilla(psi), spec)
+    tagged = _tag(psi, spec)
     blocks = tagged.amplitudes.reshape(2, 2)
     assert np.sum(np.abs(blocks[0]) ** 2) == pytest.approx(0.7, abs=1e-12)
     assert np.sum(np.abs(blocks[1]) ** 2) == pytest.approx(0.3, abs=1e-12)
@@ -113,23 +109,24 @@ def test_tag_matches_circuit_on_random_operators():
     for _ in range(20):
         c, a, b = rng.uniform(-1.0, 1.0, size=3)
         spec = exact_diagonalize(PauliSum(1, ((c, "I"), (a, "Z"), (b, "X"))))
-        joint = _joint_with_ancilla(random_state(1, rng))
-        before = joint.amplitudes.copy()
-        _tag(joint, spec)
-        assert np.array_equal(joint.amplitudes, before)
+        psi = random_state(1, rng)
+        before = psi.copy()
+        _tag(psi, spec)
+        assert np.array_equal(psi, before)
 
 
 def test_tag_preconditions():
     spec, v0, _ = _eigpair()
-    with pytest.raises(DomainError):
-        tag_circuit_one_qubit(StateVector(1, v0), spec)
-    # ancilla already carrying population is rejected
-    dirty = StateVector(2, np.kron([0.0, 1.0], v0))
-    with pytest.raises(DomainError):
-        tag_circuit_one_qubit(dirty, spec)
+    # the tag supplies its own ancilla: a state of two qubits is not a system state
+    with pytest.raises(DomainError, match="does not match state dimension 4"):
+        tag_circuit_one_qubit(StateVector(2, np.kron([1.0, 0.0], v0)), spec)
+    pair = exact_diagonalize(transverse_ising_pair(J))
+    with pytest.raises(DomainError, match="not a one-qubit spectrum"):
+        tag_circuit_one_qubit(StateVector(2, pair.eigenvectors[:, 0]), pair)
+    # theta divides by the gap
     degenerate = exact_diagonalize(PauliSum(1, ((0.0, "I"),)))
-    with pytest.raises(DomainError):
-        tag_circuit_one_qubit(_joint_with_ancilla(v0), degenerate)
+    with pytest.raises(DomainError, match="degenerate"):
+        tag_circuit_one_qubit(StateVector(1, v0), degenerate)
 
 
 def test_estimate_e0_exact():

@@ -33,6 +33,9 @@ while those ramps took ``eigvalsh`` and inverse iteration; no byte moved
 when block Lanczos replaced both.  The three stacks of the ``chain6``
 ramp were diagonalized in a thread pool when its snapshot was written; no
 byte moved when they came one after another on the calling thread.
+Nor did one move when the tag became the one-ancilla filter on the
+system state and keep mode's hold came to take the ancilla-embedded
+operator's spectrum from the target's instead of diagonalizing it.
 Manifests are not compared because they carry a wall-clock duration.
 
 To rewrite the snapshots of the named cases after a deliberate,
