@@ -458,27 +458,29 @@ def run_hold(
 ) -> tuple[StateVector, Trajectory]:
     """Evolve under a fixed operator for ``schedule.hold_time``.
 
-    Record times are offset by ``start_time`` so a hold can continue a
-    ramp trajectory.  Fidelity is taken against ``fidelity_target`` when
-    given, otherwise against the ground state of ``h``.  ``spectrum``
-    must be ``exact_diagonalize(h)``, or be built exactly from that
-    output, as the spectrum of an ancilla-embedded I (x) h is from h's;
-    only its size is checked.  Without it ``h`` is diagonalized here,
-    once, and only when exact evolution or the fidelity target needs it.
+    A state wider than ``h`` holds under I (x) h: its leading qubits are
+    ancillas that the hold leaves alone, as an n-qubit word table acts on
+    the trailing n qubits (``pauli.apply_words``); a narrower state is
+    refused.  Record times are offset by ``start_time`` so a hold can
+    continue a ramp trajectory.  Fidelity is taken against
+    ``fidelity_target`` when given, otherwise against |0...0> (x) |E0>,
+    the ground state of ``h`` when there are no ancillas.  ``spectrum``
+    must be ``exact_diagonalize(h)``; only its size is checked.  Without
+    it ``h`` is diagonalized here, once, when exact evolution or the
+    fidelity target needs it.
 
-    An exact hold is not stepped.  With c = V^H psi computed once from
-    that spectrum, the record j steps in is exp(-i h j dt) psi =
-    V (exp(-i E j dt) * c), exact for any j.  Each block of records is one
-    phase array and one product with V^T per row, as a batched product,
-    so each row has the same bits whatever the block size.  The initial
-    record, with ``include_initial``, is ``state`` itself.  A ``trotter1``
-    hold steps as the ramp does.  Each block is read out at once, and
-    ``counters``, when given, count the steps and a diagonalization made
-    here.
+    An exact hold is not stepped.  With c = V^H psi taken once from that
+    spectrum for each ancilla row, the record j steps in is
+    exp(-i h j dt) psi = V (exp(-i E j dt) * c), exact for any j.  Each
+    block of records is one phase array and one batched (records, rows,
+    d) product with V^T, so a row's bits do not depend on the block size.
+    The initial record, with ``include_initial``, is ``state`` itself.
+    A ``trotter1`` hold steps as the ramp does.  Each block is read out
+    at once; ``counters`` count the steps and a diagonalization made here.
     """
     observables = dict(observables or {})
     _check_observables(observables, state.num_qubits)
-    if h.num_qubits != state.num_qubits:
+    if h.num_qubits > state.num_qubits:
         raise DomainError(
             f"operator acts on {h.num_qubits} qubit(s), state has {state.num_qubits}"
         )
@@ -489,14 +491,16 @@ def run_hold(
     if exact or fidelity_target is None:
         if spectrum is None:
             spectrum = exact_diagonalize(h, counters)
-        _check_spectrum_dim(spectrum, dim)
+        _check_spectrum_dim(spectrum, 2**h.num_qubits)
     if fidelity_target is None:
         if spectrum.degenerate:
             trajectory.warnings.append("ground level of the held operator is degenerate")
-        fidelity_target = spectrum.ground_state
+        ground = np.pad(spectrum.ground_state.amplitudes, (0, dim - spectrum.dim))
+        fidelity_target = StateVector(state.num_qubits, ground)  # |0...0> (x) |E0>
     if exact:
-        # c = V^H psi is the kernel's first product; V^T, cast once, serves every block
-        overlaps = state.amplitudes.dot(_conjugated(spectrum.eigenvectors))
+        # c = V^H psi of each ancilla row; V^T, cast once, serves every block
+        rows = state.amplitudes.reshape(-1, spectrum.dim)
+        overlaps = rows.dot(_conjugated(spectrum.eigenvectors))
         transposed = _transposed(spectrum.eigenvectors)
         exponents = -1j * spectrum.eigenvalues
     order = split_order(h.words)
@@ -511,8 +515,8 @@ def run_hold(
         part = steps[start : start + block]
         if exact:
             phases = np.exp(np.multiply.outer(np.multiply(part, dt), exponents))
-            phases *= overlaps
-            states = np.matmul(phases[:, np.newaxis], transposed).reshape(len(part), dim)
+            phases = phases[:, np.newaxis] * overlaps
+            states = np.matmul(phases, transposed).reshape(len(part), dim)
             if part[0] == 0:
                 states[0] = state.amplitudes  # the initial record is the state itself
         else:

@@ -26,6 +26,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 from .adiabatic import EvolutionMode, Schedule
 from .errors import ConfigError, DomainError
+from .estimation import MAX_SHOTS
 from .hamiltonian import (
     PauliSum,
     hadamard_hamiltonian,
@@ -145,22 +146,22 @@ def _choice(values: Iterable[Any]) -> _Kind:
     return _Kind(parse, lambda v: getattr(v, "value", v))
 
 
-_COMPARE = {">": operator.gt, ">=": operator.ge}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 class _Key(NamedTuple):
     """A key's field path in ``ExperimentConfig`` (``"schedule.dt"``, ``"mode"``),
-    the kind of its value and its bound, an operator and a limit (``"> 0"``)."""
+    the kind of its value and its bound: operator-limit pairs (``"> 0"``) joined by " and "."""
 
     path: str
     kind: _Kind
     bound: str | None = None
 
     def check(self, key: str, value: Any) -> Any:
-        """Return ``value``, refusing it by key name when it breaks the bound."""
-        if self.bound is not None:
-            op, limit = self.bound.split()
-            if not _COMPARE[op](value, float(limit)):
+        """Return ``value``, refusing it by key name when it breaks a limit, read as its type."""
+        for part in self.bound.split(" and ") if self.bound is not None else []:
+            op, limit = part.split()
+            if not _COMPARE[op](value, type(value)(limit)):
                 raise ConfigError(f"{key}: must be {self.bound}, got {value!r}")
         return value
 
@@ -186,7 +187,7 @@ _KEYS = {
     "filter.powers": _Key("filter.powers", _POWERS),
     "filter.discard": _Key("filter.discard", _BOOL),
     "estimation.method": _Key("estimation.method", _choice(("exact", "shots"))),
-    "estimation.shots": _Key("estimation.shots", _INT, ">= 1"),
+    "estimation.shots": _Key("estimation.shots", _INT, f">= 1 and <= {MAX_SHOTS}"),
     # shot estimates seed np.random.default_rng, which refuses negative seeds
     "estimation.seed": _Key("estimation.seed", _INT, ">= 0"),
     "refine.max_iters": _Key("refine.max_iters", _INT, ">= 1"),

@@ -21,6 +21,8 @@ from .pauli import compile_words, identity_words
 from .statevector import StateVector, expectations, word_overlaps
 
 _MIN_CORRECTION_DENOM = 1e-6
+# the most shots numpy's binomial draws: its count is a C long (int64)
+MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +94,10 @@ def shot_estimates(
     clip((1 + Re <P_t>) / 2, 0, 1) from ``word_overlaps``: so a stack draws
     what its rows would draw one after another on the same generators.
     An identity word draws nothing and reads exactly 1.  Returns two
-    (rows, words) arrays.
+    (rows, words) arrays.  Up to ``MAX_SHOTS`` the int64 wrap of 2k - shots cancels.
     """
-    if not isinstance(shots, int) or shots < 1:
-        raise DomainError(f"shots must be a positive integer, got {shots!r}")
+    if not isinstance(shots, int) or not 1 <= shots <= MAX_SHOTS:
+        raise DomainError(f"shots must be an integer from 1 to 2^63 - 1, got {shots!r}")
     even = np.clip((1.0 + word_overlaps(amplitudes, words).real) / 2.0, 0.0, 1.0)
     mean = np.ones(even.shape)
     for t in np.flatnonzero(~identity_words(words)).tolist():

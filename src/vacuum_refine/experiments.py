@@ -53,7 +53,13 @@ from .config import EstimationConfig, ExperimentConfig, build_model, config_to_t
 from .counters import _Counters
 from .errors import ConfigError, DomainError
 from .estimation import corrected_expectation, cross_term, shot_estimates
-from .filtering import FilterConfig, RefinementReport, refine_iteratively, tag_circuit_one_qubit
+from .filtering import (
+    FilterConfig,
+    RefinementReport,
+    _check_outcome,
+    refine_iteratively,
+    tag_circuit_one_qubit,
+)
 from .hamiltonian import (
     DEFAULT_DENSE_CAP,
     DEGENERACY_TOL,
@@ -62,13 +68,7 @@ from .hamiltonian import (
     exact_diagonalize,
     initial_hamiltonian,
 )
-from .statevector import (
-    StateVector,
-    expectation_observable,
-    expectations,
-    fidelity,
-    postselect,
-)
+from .statevector import StateVector, expectation_observable, expectations, fidelity
 
 REFERENCE_PREP_QUALITY = 0.999242  # benchmark 2|alpha|^2 - 1 for the default J=pi/4 run
 
@@ -311,16 +311,13 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
     return CommandResult(outputs=outputs + [manifest], lines=lines, summary=summary)
 
 
-def _embed_with_ancilla(h: PauliSum) -> PauliSum:
-    return PauliSum(h.num_qubits + 1, tuple((c, "I" + s) for c, s in h.terms))
-
-
 def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
     """Ramp, tag the excited component with one ancilla, then hold.
 
     In discard mode the ancilla is post-selected on |0> at the tagging
-    time; otherwise the joint register keeps evolving and the summary
-    reports the mixed value together with its closed-form correction.
+    time, and branch 0 over sqrt(p0) is held; otherwise the joint register
+    is held under h1, which leaves the leading ancilla alone, and the
+    summary reports the mixed value with its closed-form correction.
     """
     started = time.perf_counter()
     _ensure_output_dir(config.output_prefix)
@@ -342,7 +339,8 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
 
     z_system = PauliSum(2, ((1.0, "IZ"),))
     mixed_z_exact = expectation_observable(tagged, z_system)
-    p0_exact = float(np.sum(np.abs(tagged.amplitudes.reshape(2, 2)[0]) ** 2))
+    branch = tagged.amplitudes[:2]  # ancilla 0: the E0 component
+    p0_exact = float(np.sum(np.abs(branch) ** 2))
 
     raw, raw_err = estimator.evaluate(tagged, z_system)
     if estimator.exact:
@@ -356,36 +354,24 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
         (raw_err / denom) ** 2 + (raw * 2.0 * p0_err / denom**2) ** 2
     )
 
+    post_state, hold_obs, post_z = tagged, {_OBS_KEY: z_system}, mixed_z_exact
     if config.filter.discard:
         with counters.stage("filter"):
-            _, post_state = postselect(tagged, [0], "0")
-        hold_h = h1
+            _check_outcome(p0_exact, 1)
+            post_state = StateVector(1, branch / np.sqrt(p0_exact))
         hold_obs = observables
-        hold_spectrum = spectrum
         post_z, _ = estimator.evaluate(post_state, observables[_OBS_KEY])
-    else:
-        post_state = tagged
-        hold_h = _embed_with_ancilla(h1)
-        hold_obs = {_OBS_KEY: z_system}
-        # I (x) h1 has each level E_k of h1 twice, ascending, with the columns
-        # |0>v_k and |1>v_k: its spectrum is h1's, copied, not diagonalized
-        vectors = np.zeros((2, 2, 2, 2), dtype=spectrum.eigenvectors.dtype)
-        vectors[0, :, :, 0] = vectors[1, :, :, 1] = spectrum.eigenvectors
-        hold_spectrum = Spectrum(2, np.repeat(spectrum.eigenvalues, 2), vectors.reshape(4, 4))
-        post_z = mixed_z_exact
     with counters.stage("hold"):
         _, hold = run_hold(
             post_state,
-            hold_h,
+            h1,
             config.schedule,
             config.mode,
             hold_obs,
             record_states=not estimator.exact,
             start_time=config.schedule.total_time,
             include_initial=True,
-            # |0>|E0> in keep mode, named so the hold does not warn of its degenerate level
-            fidelity_target=hold_spectrum.ground_state,
-            spectrum=hold_spectrum,
+            spectrum=spectrum,
             counters=counters,
         )
     rows = _trajectory_rows(ramp, estimator, observables[_OBS_KEY])

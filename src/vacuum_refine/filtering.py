@@ -24,11 +24,12 @@ Its reference phase exp(i * E0 * theta / 2) in place of i and its
 theta = 2 pi / (E1 - E0) make z = 1 on the ground level and z = -1 on the
 excited one, so an approximate ground state alpha|E0> + beta|E1> becomes
 alpha|0>|E0> + beta|1>|E1>.  Reading the ancilla then either discards the
-excited component (post-selection) or decoheres the superposition into a
-mixture whose measured values can be corrected in closed form.  The
-joint-register circuits themselves (Hadamard walls, controlled powers,
-post-selection; basis change, CNOT, basis change back) are the test
-oracles that the filter and the tag are held to, beside
+excited component, taking branch 0 over sqrt(p0), refused below 1e-12 as
+``apply_filter``'s outcome is (``_check_outcome``), or decoheres the
+superposition into a mixture whose measured values can be corrected in
+closed form.  The joint-register circuits themselves (Hadamard walls,
+controlled powers, post-selection; basis change, CNOT, basis change back)
+are the test oracles that the filter and the tag are held to, beside
 ``filter_amplitude``.
 
 Choosing theta = pi / E0' with E0' a (possibly rough) ground-energy
@@ -201,6 +202,14 @@ def filter_amplitude(energy: float, theta: float, config: FilterConfig) -> compl
     return complex(result)
 
 
+def _check_outcome(probability: float, m: int) -> None:
+    """Refuse post-selecting ancillas 0 to m-1 on all zeros at a probability below 1e-12."""
+    if probability < _MIN_POSTSELECT_PROB:
+        raise ImpossibleOutcomeError(
+            f"outcome {'0' * m} on qubits {list(range(m))} has probability {probability:.3e}"
+        )
+
+
 def apply_filter(
     system_state: StateVector, spectrum: Spectrum, config: FilterConfig
 ) -> FilterOutcome:
@@ -223,11 +232,7 @@ def apply_filter(
         phase = 1j ** (p % 4)
         psi = (psi + apply_evolution(spectrum, p * config.theta / 2.0, psi, phase=phase)) / 2.0
     probability = float(np.sum(np.abs(psi) ** 2))
-    if probability < _MIN_POSTSELECT_PROB:
-        m = config.num_ancillas
-        raise ImpossibleOutcomeError(
-            f"outcome {'0' * m} on qubits {list(range(m))} has probability {probability:.3e}"
-        )
+    _check_outcome(probability, config.num_ancillas)
     refined = StateVector(n_sys, psi / np.sqrt(probability))
     return FilterOutcome(success_probability=probability, refined_state=refined)
 

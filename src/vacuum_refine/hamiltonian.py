@@ -508,10 +508,8 @@ def apply_evolution(
     products, with no propagator built.  One application uses each
     operand once, so the kernel casts them one at a time; only steps that
     share eigenvectors share a cast pair.  The spectrum must come from
-    ``exact_diagonalize``, or be built from its output with the vectors
-    copied exactly (as an ancilla-embedded hold's is), so that its
-    orthonormality guard, the only unitarity check the result gets,
-    still holds; only its size is checked here.
+    ``exact_diagonalize``, whose orthonormality guard is the only
+    unitarity check the result gets; only its size is checked here.
     """
     _check_spectrum_dim(spectrum, amplitudes.shape[-1])
     phases = phase * np.exp(-1j * spectrum.eigenvalues * duration)

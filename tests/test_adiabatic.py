@@ -642,6 +642,87 @@ def test_closed_form_hold_matches_expm(h):
     assert held.amplitudes.tobytes() == hold.states[-1].tobytes()
 
 
+ONE_QUBIT_YZX = PauliSum(1, ((0.4, "Y"), (-0.9, "Z"), (0.2, "X")))
+
+
+def _embedded(h: PauliSum, width: int) -> PauliSum:
+    """I (x) h on ``width`` qubits, the identity on the leading ones."""
+    pad = "I" * (width - h.num_qubits)
+    return PauliSum(width, tuple((c, pad + s) for c, s in h.terms))
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_exact_hold_leaves_leading_ancillas_alone(width):
+    # a state wider than h holds under I (x) h: every record against scipy's
+    # exp(-i kron(I, H) t), H built with index loops, and the default
+    # fidelity target is |0...0> beside H's ground vector
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    h = ONE_QUBIT_YZX
+    joint = _embedded(h, width).terms
+    state = StateVector(width, random_state(width, np.random.default_rng(50 + width)))
+    mean_z = _mean_z(width)
+    sched = Schedule(total_time=1.0, dt=0.25, hold_time=1.5)
+    held, hold = run_hold(
+        state,
+        h,
+        sched,
+        EvolutionMode.EXACT_STEP,
+        {"expval_Z": mean_z},
+        record_states=True,
+        include_initial=True,
+    )
+    matrix = pauli_sum_matrix(joint, width)
+    zeros = np.zeros(2 ** (width - 1))
+    zeros[0] = 1.0
+    target = np.kron(zeros, np.linalg.eigh(pauli_sum_matrix(h.terms, 1))[1][:, 0])
+    assert len(hold.times) == 7 and hold.warnings == []
+    for r, t in enumerate(hold.times):
+        expected = scipy_linalg.expm(-1j * (t * matrix)) @ state.amplitudes
+        assert np.max(np.abs(hold.states[r] - expected)) <= 1e-12
+        assert abs(hold.observables["energy"][r] - expectation_per_state(expected, joint)) <= 1e-12
+        z = expectation_per_state(expected, mean_z.terms)
+        assert abs(hold.observables["expval_Z"][r] - z) <= 1e-12
+        assert abs(hold.fidelity[r] - fidelity_per_state(target, expected)) <= 1e-12
+    assert held.amplitudes.tobytes() == hold.states[-1].tobytes()
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_trotter_hold_under_h_is_the_hold_under_the_embedded_operator(width):
+    # both read the same word table, so every bit agrees; the embedded
+    # operator's ground level is degenerate, so its target is named
+    h = ONE_QUBIT_YZX
+    state = StateVector(width, random_state(width, np.random.default_rng(60 + width)))
+    observables = {"expval_Z": _mean_z(width)}
+    sched = Schedule(total_time=1.0, dt=0.25, hold_time=1.5)
+    ground = np.zeros(2**width, dtype=np.complex128)
+    ground[:2] = exact_diagonalize(h).ground_state.amplitudes
+    runs = [
+        run_hold(state, h, sched, EvolutionMode.TROTTER1, observables, record_states=True),
+        run_hold(
+            state,
+            _embedded(h, width),
+            sched,
+            EvolutionMode.TROTTER1,
+            observables,
+            record_states=True,
+            fidelity_target=StateVector(width, ground),
+        ),
+    ]
+    (held, hold), (joint_held, joint_hold) = runs
+    assert held.amplitudes.tobytes() == joint_held.amplitudes.tobytes()
+    assert hold.states.tobytes() == joint_hold.states.tobytes()
+    assert hold.observables == joint_hold.observables
+    assert hold.fidelity == joint_hold.fidelity
+    assert hold.warnings == joint_hold.warnings == []
+
+
+def test_hold_refuses_a_state_narrower_than_its_operator():
+    sched = Schedule(total_time=1.0, dt=0.25, hold_time=1.0)
+    for mode in EvolutionMode:
+        with pytest.raises(DomainError, match="operator acts on 2 qubit"):
+            run_hold(basis_state(1, 0), transverse_ising_pair(J), sched, mode)
+
+
 @pytest.mark.parametrize(
     "h",
     [hadamard_hamiltonian(J), transverse_ising_pair(J), CHAIN4, CHAIN6],

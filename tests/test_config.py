@@ -6,6 +6,7 @@ import pytest
 
 from vacuum_refine import (
     ConfigError,
+    DomainError,
     EvolutionMode,
     ExperimentConfig,
     build_model,
@@ -16,6 +17,8 @@ from vacuum_refine import (
 )
 from vacuum_refine import config as config_module
 from vacuum_refine.cli import main
+from vacuum_refine.estimation import MAX_SHOTS, shot_estimates
+from vacuum_refine.pauli import compile_words
 
 KEYS = config_module._KEYS
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -181,6 +184,39 @@ def test_negative_seed_is_a_config_error_before_the_ramp(tmp_path, capsys, count
     assert "estimation.seed" in capsys.readouterr().err
     assert ramps == []
     assert not any(tmp_path.glob("run_*"))
+
+
+def test_shots_are_bounded_by_the_binomial_count_as_integers():
+    # numpy's binomial takes an int64 count; float(2**63 - 1) is 2^63, so
+    # the bound must be compared as an integer
+    assert MAX_SHOTS == 2**63 - 1
+    config = parse_config(f"estimation.shots = {MAX_SHOTS}")
+    assert config.estimation.shots == MAX_SHOTS
+    with pytest.raises(ConfigError, match=f"estimation.shots: must be >= 1 and <= {MAX_SHOTS}"):
+        parse_config(f"estimation.shots = {MAX_SHOTS + 1}")
+    with pytest.raises(ConfigError, match="estimation.shots"):
+        parse_config("estimation.shots = 0")
+    words = compile_words(["Z"])
+    with pytest.raises(DomainError, match="shots"):
+        shot_estimates(np.array([[1.0, 0.0]]), words, MAX_SHOTS + 1, [np.random.default_rng(0)])
+    # at the bound the int64 wrap-around of 2k - shots cancels
+    values, _ = shot_estimates(np.eye(2), words, MAX_SHOTS, [np.random.default_rng(0)])
+    assert values[:, 0].tolist() == [1.0, -1.0]
+
+
+def test_shots_above_the_bound_are_a_config_error_before_the_ramp(tmp_path, capsys, count_calls):
+    ramps = count_calls("adiabatic.run_adiabatic")
+    cfg = tmp_path / "shots.cfg"
+    cfg.write_text(
+        "schedule.T = 1\nschedule.dt = 0.5\nestimation.method = shots\n"
+        f"estimation.shots = {2**63}\noutput.prefix = {tmp_path}/run\n"
+    )
+    for command in ("filter-run", "sweep"):
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: estimation.shots: must be >= 1 and <= {2**63 - 1}, got {2**63}\n"
+    assert ramps == []
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_build_model_builtins():

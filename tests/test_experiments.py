@@ -720,7 +720,7 @@ _QUBIT_SHOTS = _counts(866, 2, 1152)
     [
         # raw, z_ancilla and post_z, then 1154 trajectory records of one term
         ("", {**_QUBIT_SHOTS, "streams": 5, "estimates": 1157, "shots_drawn": 1157 * 10**6}),
-        # the ancilla-embedded hold diagonalizes nothing: its spectrum is the target's
+        # keep mode's hold diagonalizes nothing: it holds under the target, with its spectrum
         (
             "filter.discard = false\n",
             {

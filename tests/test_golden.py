@@ -36,6 +36,11 @@ byte moved when they came one after another on the calling thread.
 Nor did one move when the tag became the one-ancilla filter on the
 system state and keep mode's hold came to take the ancilla-embedded
 operator's spectrum from the target's instead of diagonalizing it.
+No byte moved either, ``filter_keep_trotter`` (written before that
+change) included, when both modes' holds came to run under the one-qubit
+target and its own spectrum, the kept ancilla leading the register, and
+discard mode came to hold branch 0 over sqrt(p0) in place of
+``postselect``.
 Manifests are not compared because they carry a wall-clock duration.
 
 To rewrite the snapshots of the named cases after a deliberate,
@@ -77,8 +82,14 @@ CASES = {
         "filter.theta_mode = fixed\nfilter.theta = -1.3\nfilter.powers = 1,3,5\n",
     ),
     "diag_pair": (cmd_diag, "configs/pair_refine.cfg", ""),
-    # The ancilla-embedded hold in shot mode.
+    # Keep mode's two-qubit hold in shot mode.
     "filter_keep_shots": (cmd_filter_run, "configs/benchmark_shots.cfg", "filter.discard = false\n"),
+    # Keep mode's hold stepped by trotter1 on the two-qubit register.
+    "filter_keep_trotter": (
+        cmd_filter_run,
+        "configs/benchmark.cfg",
+        "filter.discard = false\nmode = trotter1\n",
+    ),
     # A three-qubit operator with Y letters, through both step modes.
     "sweep_chain3y_trotter": (
         cmd_sweep,
@@ -132,7 +143,9 @@ def _run(name: str, directory: Path) -> dict[str, bytes]:
     """Run one case with its outputs under ``directory``; returns data files by name."""
     command, config_file, extra = CASES[name]
     text = (ROOT / config_file).read_text(encoding="utf-8") if config_file else ""
-    kept = [line for line in text.splitlines() if not line.strip().startswith("output.prefix")]
+    # the extra settings and the prefix replace the config file's own lines for their keys
+    replaced = {line.split("=")[0].strip() for line in extra.splitlines()} | {"output.prefix"}
+    kept = [line for line in text.splitlines() if line.split("=")[0].strip() not in replaced]
     config = parse_config("\n".join(kept) + "\n" + extra + f"output.prefix = {directory / name}\n")
     result = command(config)
     return {

@@ -1,6 +1,9 @@
+import ast
+import inspect
 import itertools
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +355,23 @@ def test_orthonormality_guard_is_tight(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([[-1.0, 1.0]]), vectors[None]))
     with pytest.raises(NumericalConsistencyError, match="orthonormal"):
         exact_diagonalize(PauliSum(1, ((1.0, "Z"),)))
+
+
+def test_every_spectrum_comes_from_exact_diagonalize():
+    # the orthonormality guard is the only unitarity check a propagator
+    # applied from a spectrum gets, so no module builds a Spectrum of its own
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted(Path(hamiltonian.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "Spectrum" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    lines, first = inspect.getsourcelines(exact_diagonalize)
+    assert [
+        (name, line) for name, line in calls if not first <= line < first + len(lines)
+    ] == []
+    assert [name for name, _ in calls] == ["hamiltonian.py"]
 
 
 def _midpoints(steps):
