@@ -463,7 +463,8 @@ def run_hold(
     the trailing n qubits (``pauli.apply_words``); a narrower state is
     refused.  Record times are offset by ``start_time`` so a hold can
     continue a ramp trajectory.  Fidelity is taken against
-    ``fidelity_target`` when given, otherwise against |0...0> (x) |E0>,
+    ``fidelity_target`` when given, which must have the state's register
+    (else ``DomainError``), otherwise against |0...0> (x) |E0>,
     the ground state of ``h`` when there are no ancillas.  ``spectrum``
     must be ``exact_diagonalize(h)``; only its size is checked.  Without
     it ``h`` is diagonalized here, once, when exact evolution or the
@@ -483,6 +484,10 @@ def run_hold(
     if h.num_qubits > state.num_qubits:
         raise DomainError(
             f"operator acts on {h.num_qubits} qubit(s), state has {state.num_qubits}"
+        )
+    if fidelity_target is not None and fidelity_target.num_qubits != state.num_qubits:
+        raise DomainError(
+            f"fidelity target has {fidelity_target.num_qubits} qubit(s), state has {state.num_qubits}"
         )
     trajectory = Trajectory()
     dt = schedule.dt

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CorrectionError, DomainError, NumericalConsistencyError
-from .hamiltonian import PauliSum, Spectrum
+from .hamiltonian import PauliSum, Spectrum, _check_spectrum_dim
 from .pauli import compile_words, identity_words
 from .statevector import StateVector, expectations, word_overlaps
 
@@ -62,11 +62,7 @@ class EstimateResult:
 
 def eigen_overlaps(state: StateVector, spectrum: Spectrum) -> EigenOverlaps:
     """Decompose a state in the eigenbasis of a diagonalized operator."""
-    if spectrum.dim != state.amplitudes.shape[0]:
-        raise DomainError(
-            f"spectrum dimension {spectrum.dim} does not match state dimension "
-            f"{state.amplitudes.shape[0]}"
-        )
+    _check_spectrum_dim(spectrum, state.amplitudes.shape[0])
     return EigenOverlaps(spectrum.eigenvectors.conj().T @ state.amplitudes)
 
 

@@ -19,17 +19,23 @@ are drawn from the stack of its recorded states
 the parity probabilities of all the records
 (``estimation.shot_estimates``).  So a command's
 outputs are reproducible from its seed, and adjacent seeds draw
-unrelated noise.  The manifest's ``counters`` (``counters._Counters``)
+unrelated noise.
+
+Each command runs on one ``_Run``, which writes its data files and its
+manifest.  The manifest's ``counters`` (``counters._Counters``)
 give the matrices diagonalized and their summed d^3, the steps evolved,
-the streams opened, the values sampled and the shots drawn; the command
+the streams opened, the values sampled and the shots drawn; the run
 passes them down to the ramp, the hold and every diagonalization.  The
 same object carries the manifest's ``diagnostics``, the ramp's smallest
 instantaneous gap and its s, and its ``stages``, the wall time of the
 ramp, the hold, the filter, estimation and writing the data files.
+After its config refusals a command diagonalizes its target once, before
+any ramp (``_Run.diagonalize``), where a degenerate target is refused.
 
-A trajectory's CSV rows are its columns (``Trajectory.times``, the
-observable and energy columns, ``Trajectory.fidelity``) zipped with the
-estimates, and a table of floats alone is written by one string format.
+A trajectory's CSV rows (``_Run.hold``) are the ramp's and the hold's
+columns (``Trajectory.times``, the observable and energy columns,
+``Trajectory.fidelity``) zipped with the estimates, and a table of
+floats alone is written by one string format.
 """
 
 from __future__ import annotations
@@ -112,10 +118,9 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
             writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def _ensure_output_dir(prefix: str) -> None:
-    directory = os.path.dirname(prefix)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
 
 
 class _Estimator:
@@ -170,20 +175,6 @@ def _mean_z(num_qubits: int) -> PauliSum:
     return PauliSum(num_qubits, terms)
 
 
-def _trajectory_rows(
-    trajectory: Trajectory, estimator: _Estimator, observable: PauliSum
-) -> list[tuple]:
-    """(t, value, std_error, fidelity, energy) per record, zipped from the columns."""
-    if estimator.exact:
-        values = trajectory.observables[_OBS_KEY]
-        errors = [0.0] * len(values)
-    else:
-        values, errors = estimator.evaluate_rows(trajectory.states, observable)
-    return list(
-        zip(trajectory.times, values, errors, trajectory.fidelity, trajectory.observables["energy"])
-    )
-
-
 @functools.cache
 def _blas_getter():
     """The thread-count getter of numpy's bundled OpenBLAS, or None when none is found."""
@@ -207,81 +198,120 @@ def _blas_threads() -> int | str:
     return get() if get is not None else "unknown"
 
 
-def _write_manifest(
-    command: str,
-    config: ExperimentConfig,
-    outputs: list[str],
-    started: float,
-    warnings: list[str],
-    counters: _Counters,
-) -> str:
-    """Write the run manifest, with the sections of the command's ``counters``."""
-    path = f"{config.output_prefix}_manifest.json"
-    payload = {
-        "command": command,
-        "version": __version__,
-        "seed": config.estimation.seed,
-        "duration_seconds": time.perf_counter() - started,
-        "outputs": outputs,
-        "config": config_to_text(config),
-        "warnings": warnings,
-        "blas_threads": _blas_threads(),
-        **counters.sections(),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return path
+class _Run:
+    """One command's run: its start time, counters, warnings, data files and manifest.
 
-
-def _prepare(config: ExperimentConfig, h1: PauliSum, counters: _Counters):
-    """Shared ramp stage to the built model ``h1``.
-
-    Returns the command's estimator, with the command's ``counters``, which
-    the ramp has counted into, the observables, the ramp's final state and
-    its trajectory.
+    Opening the run makes the output directory; ``finish`` writes the
+    manifest and names it on the last printed line.
     """
-    h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
-    estimator = _Estimator(config.estimation, counters)
-    observables = {_OBS_KEY: _mean_z(h1.num_qubits)}
-    with estimator.counters.stage("ramp"):
-        final, ramp = run_adiabatic(
-            h0,
-            h1,
-            config.schedule,
-            config.mode,
-            observables,
-            record_states=not estimator.exact,
-            counters=estimator.counters,
-        )
-    return estimator, observables, final, ramp
+
+    def __init__(self, command: str, config: ExperimentConfig):
+        self.started = time.perf_counter()
+        self.command = command
+        self.config = config
+        self.counters = _Counters()
+        self.warnings: list[str] = []
+        self.outputs: list[str] = []
+        directory = os.path.dirname(config.output_prefix)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+
+    def diagonalize(self, h1: PauliSum, refusal: str | None = None) -> Spectrum:
+        """The target's spectrum, before any ramp; a degenerate one is refused with ``refusal``."""
+        spectrum = exact_diagonalize(h1, self.counters)
+        if refusal is not None and spectrum.degenerate:
+            raise DomainError(refusal)
+        return spectrum
+
+    def ramp(self, h1: PauliSum, observable: PauliSum | None = None) -> tuple[StateVector, Trajectory]:
+        """The ramp to ``h1``: its final state and a trajectory of ``observable``, if given."""
+        config = self.config
+        h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
+        with self.counters.stage("ramp"):
+            final, ramp = run_adiabatic(
+                h0,
+                h1,
+                config.schedule,
+                config.mode,
+                None if observable is None else {_OBS_KEY: observable},
+                record_states=config.estimation.method != "exact",
+                records=observable is not None,
+                counters=self.counters,
+            )
+        self.warnings += ramp.warnings
+        return final, ramp
+
+    def hold(self, state, h1, spectrum, estimator, ramp, observables, include_initial=False):
+        """Hold ``state`` under ``h1``, whose spectrum is ``spectrum``, and write the trajectory.
+
+        Its rows are the ``ramp`` trajectory's records, then the hold's, of
+        ``observables`` (the ramp's and the hold's) read by ``estimator``.
+        Returns the held state and the line that names the file.
+        """
+        with self.counters.stage("hold"):
+            held, hold = run_hold(
+                state,
+                h1,
+                self.config.schedule,
+                self.config.mode,
+                {_OBS_KEY: observables[1]},
+                record_states=not estimator.exact,
+                start_time=self.config.schedule.total_time,
+                include_initial=include_initial,
+                spectrum=spectrum,
+                counters=self.counters,
+            )
+        self.warnings += hold.warnings
+        rows = []
+        for trajectory, observable in zip((ramp, hold), observables):
+            if estimator.exact:
+                values = trajectory.observables[_OBS_KEY]
+                errors = [0.0] * len(values)
+            else:
+                values, errors = estimator.evaluate_rows(trajectory.states, observable)
+            columns = (trajectory.fidelity, trajectory.observables["energy"])
+            rows += zip(trajectory.times, values, errors, *columns)
+        header = ["t", "expval_Z", "std_error", "fidelity", "energy"]
+        path = self.write("trajectory.csv", _write_csv, header, rows)
+        return held, f"trajectory written to {path} ({len(rows)} records)"
+
+    def write(self, suffix: str, writer, *args) -> str:
+        """Write the data file ``<prefix>_<suffix>`` by ``writer(path, *args)``; return its path."""
+        path = f"{self.config.output_prefix}_{suffix}"
+        with self.counters.stage("writing"):
+            writer(path, *args)
+        self.outputs.append(path)
+        return path
+
+    def finish(self, lines: list[str], summary: dict) -> CommandResult:
+        """Write the manifest, name it on the last of ``lines`` and return the result."""
+        config = self.config
+        path = f"{config.output_prefix}_manifest.json"
+        payload = {
+            "command": self.command,
+            "version": __version__,
+            "seed": config.estimation.seed,
+            "duration_seconds": time.perf_counter() - self.started,
+            "outputs": self.outputs,
+            "config": config_to_text(config),
+            "warnings": self.warnings,
+            "blas_threads": _blas_threads(),
+            **self.counters.sections(),
+        }
+        _write_text(path, json.dumps(payload, indent=2) + "\n")
+        lines.append(f"manifest written to {path}")
+        return CommandResult(outputs=self.outputs + [path], lines=lines, summary=summary)
 
 
 def cmd_sweep(config: ExperimentConfig) -> CommandResult:
     """Ramp plus hold with no filtering; the discretized benchmark sweep."""
-    started = time.perf_counter()
-    _ensure_output_dir(config.output_prefix)
+    run = _Run("sweep", config)
     h1 = build_model(config)
-    estimator, observables, final, ramp = _prepare(config, h1, _Counters())
-    counters = estimator.counters
-    spectrum = exact_diagonalize(h1, counters)
-    with counters.stage("hold"):
-        held, hold = run_hold(
-            final,
-            h1,
-            config.schedule,
-            config.mode,
-            observables,
-            record_states=not estimator.exact,
-            start_time=config.schedule.total_time,
-            spectrum=spectrum,
-            counters=counters,
-        )
-    rows = _trajectory_rows(ramp, estimator, observables[_OBS_KEY])
-    rows += _trajectory_rows(hold, estimator, observables[_OBS_KEY])
-    trajectory_path = f"{config.output_prefix}_trajectory.csv"
-    with counters.stage("writing"):
-        _write_csv(trajectory_path, ["t", "expval_Z", "std_error", "fidelity", "energy"], rows)
+    spectrum = run.diagonalize(h1)
+    mean_z = _mean_z(h1.num_qubits)
+    final, ramp = run.ramp(h1, mean_z)
+    estimator = _Estimator(config.estimation, run.counters)
+    held, written = run.hold(final, h1, spectrum, estimator, ramp, (mean_z, mean_z))
 
     final_fidelity = fidelity(final, spectrum.ground_state)
     prep_quality = 2.0 * final_fidelity - 1.0
@@ -294,21 +324,14 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
         "ground_energy": float(spectrum.eigenvalues[0]),
         "held_final_energy": expectation_observable(held, h1),
     }
-    summary_path = f"{config.output_prefix}_summary.csv"
-    with counters.stage("writing"):
-        _write_csv(summary_path, list(summary), [tuple(summary.values())])
-
-    outputs = [trajectory_path, summary_path]
-    warnings = ramp.warnings + hold.warnings
-    manifest = _write_manifest("sweep", config, outputs, started, warnings, counters)
+    run.write("summary.csv", _write_csv, list(summary), [tuple(summary.values())])
     lines = [
-        f"trajectory written to {trajectory_path} ({len(rows)} records)",
+        written,
         f"prep quality 2|alpha|^2-1 = {prep_quality:.9f} "
         f"(reference {REFERENCE_PREP_QUALITY}, difference {summary['prep_quality_difference']:+.3e})",
         f"final energy {summary['final_energy']:.9f} vs ground {summary['ground_energy']:.9f}",
-        f"manifest written to {manifest}",
     ]
-    return CommandResult(outputs=outputs + [manifest], lines=lines, summary=summary)
+    return run.finish(lines, summary)
 
 
 def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
@@ -319,22 +342,19 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
     is held under h1, which leaves the leading ancilla alone, and the
     summary reports the mixed value with its closed-form correction.
     """
-    started = time.perf_counter()
-    _ensure_output_dir(config.output_prefix)
+    run = _Run("filter-run", config)
     h1 = build_model(config)
     if h1.num_qubits != 1:
         raise ConfigError("model.hamiltonian: filter-run requires a one-qubit model")
-    # a degenerate target is refused before the ramp, not after it
-    counters = _Counters()
-    spectrum = exact_diagonalize(h1, counters)
-    if spectrum.degenerate:
-        raise DomainError("cannot tag against a degenerate spectrum")
-    estimator, observables, final, ramp = _prepare(config, h1, counters)
+    spectrum = run.diagonalize(h1, "cannot tag against a degenerate spectrum")
+    mean_z = _mean_z(1)
+    final, ramp = run.ramp(h1, mean_z)
+    estimator = _Estimator(config.estimation, run.counters)
 
-    pre_tag_z = expectation_observable(final, observables[_OBS_KEY])
-    interference = cross_term(final, spectrum, observables[_OBS_KEY])
+    pre_tag_z = expectation_observable(final, mean_z)
+    interference = cross_term(final, spectrum, mean_z)
 
-    with counters.stage("filter"):
+    with run.counters.stage("filter"):
         tagged = tag_circuit_one_qubit(final, spectrum)
 
     z_system = PauliSum(2, ((1.0, "IZ"),))
@@ -354,31 +374,16 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
         (raw_err / denom) ** 2 + (raw * 2.0 * p0_err / denom**2) ** 2
     )
 
-    post_state, hold_obs, post_z = tagged, {_OBS_KEY: z_system}, mixed_z_exact
+    post_state, hold_z, post_z = tagged, z_system, mixed_z_exact
     if config.filter.discard:
-        with counters.stage("filter"):
+        with run.counters.stage("filter"):
             _check_outcome(p0_exact, 1)
             post_state = StateVector(1, branch / np.sqrt(p0_exact))
-        hold_obs = observables
-        post_z, _ = estimator.evaluate(post_state, observables[_OBS_KEY])
-    with counters.stage("hold"):
-        _, hold = run_hold(
-            post_state,
-            h1,
-            config.schedule,
-            config.mode,
-            hold_obs,
-            record_states=not estimator.exact,
-            start_time=config.schedule.total_time,
-            include_initial=True,
-            spectrum=spectrum,
-            counters=counters,
-        )
-    rows = _trajectory_rows(ramp, estimator, observables[_OBS_KEY])
-    rows += _trajectory_rows(hold, estimator, hold_obs[_OBS_KEY])
-    trajectory_path = f"{config.output_prefix}_trajectory.csv"
-    with counters.stage("writing"):
-        _write_csv(trajectory_path, ["t", "expval_Z", "std_error", "fidelity", "energy"], rows)
+        hold_z = mean_z
+        post_z, _ = estimator.evaluate(post_state, mean_z)
+    _, written = run.hold(
+        post_state, h1, spectrum, estimator, ramp, (mean_z, hold_z), include_initial=True
+    )
 
     summary = {
         "raw": raw,
@@ -391,23 +396,16 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
         "discontinuity": pre_tag_z - mixed_z_exact,
         "postselected_expval": post_z if config.filter.discard else float("nan"),
     }
-    summary_path = f"{config.output_prefix}_summary.csv"
-    with counters.stage("writing"):
-        _write_csv(summary_path, list(summary), [tuple(summary.values())])
-
-    outputs = [trajectory_path, summary_path]
-    warnings = ramp.warnings + hold.warnings
-    manifest = _write_manifest("filter-run", config, outputs, started, warnings, counters)
+    run.write("summary.csv", _write_csv, list(summary), [tuple(summary.values())])
     lines = [
-        f"trajectory written to {trajectory_path} ({len(rows)} records)",
+        written,
         f"raw = {raw:.9f}  2p0-1 = {denom:.9f}  corrected = raw/(2p0-1) = {corrected:.9f}",
         f"cross term at tagging time = {interference:.9e} "
         f"(pre/post jump {summary['discontinuity']:.9e})",
-        f"manifest written to {manifest}",
     ]
     if config.filter.discard:
         lines.insert(2, f"post-selected expval_Z = {post_z:.9f}")
-    return CommandResult(outputs=outputs + [manifest], lines=lines, summary=summary)
+    return run.finish(lines, summary)
 
 
 def _excited_level_warnings(report: RefinementReport, spectrum: Spectrum) -> list[str]:
@@ -435,15 +433,14 @@ def _excited_level_warnings(report: RefinementReport, spectrum: Spectrum) -> lis
 
 def cmd_refine(config: ExperimentConfig) -> CommandResult:
     """Ramp, then iterative estimate/filter/post-select passes."""
-    started = time.perf_counter()
-    _ensure_output_dir(config.output_prefix)
+    run = _Run("refine", config)
     if config.estimation.method != "exact":
         raise ConfigError(
             f"estimation.method: refine supports only exact estimation, "
             f"got {config.estimation.method!r}"
         )
     h1 = build_model(config)
-    if not 1 <= h1.num_qubits <= DEFAULT_DENSE_CAP:
+    if h1.num_qubits > DEFAULT_DENSE_CAP:
         raise ConfigError(
             f"model.hamiltonian: refinement supports 1 to {DEFAULT_DENSE_CAP} system qubits, "
             f"got {h1.num_qubits}"
@@ -453,20 +450,12 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
         FilterConfig(config.filter.ancillas, 0.0, config.filter.powers)
     except DomainError as exc:
         raise ConfigError(f"filter: {exc}") from exc
-    # a degenerate target is refused before the ramp, not after it
-    counters = _Counters()
-    spectrum = exact_diagonalize(h1, counters)
-    if spectrum.degenerate:
-        raise DomainError("iterative refinement needs a non-degenerate ground level")
-    h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
-    with counters.stage("ramp"):
-        final, ramp = run_adiabatic(
-            h0, h1, config.schedule, config.mode, records=False, counters=counters
-        )
+    spectrum = run.diagonalize(h1, "iterative refinement needs a non-degenerate ground level")
+    final, _ = run.ramp(h1)
     start_fidelity = fidelity(final, spectrum.ground_state)
 
     fixed_theta = config.filter.theta if config.filter.theta_mode == "fixed" else None
-    with counters.stage("filter"):
+    with run.counters.stage("filter"):
         report = refine_iteratively(
             final,
             h1,
@@ -477,7 +466,7 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
             powers=config.filter.powers,
             fixed_theta=fixed_theta,
         )
-    counters.filter_passes += len(report.steps)
+    run.counters.filter_passes += len(report.steps)
     rows = []
     for index, step in enumerate(report.steps, start=1):
         is_aborted_row = report.status.startswith("aborted") and index == len(report.steps)
@@ -492,13 +481,12 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
                 report.status if is_aborted_row else "ok",
             )
         )
-    refinement_path = f"{config.output_prefix}_refinement.csv"
-    with counters.stage("writing"):
-        _write_csv(
-            refinement_path,
-            ["iteration", "E0_prime", "theta", "success_probability", "fidelity", "excited_weight", "status"],
-            rows,
-        )
+    path = run.write(
+        "refinement.csv",
+        _write_csv,
+        ["iteration", "E0_prime", "theta", "success_probability", "fidelity", "excited_weight", "status"],
+        rows,
+    )
     summary = {
         "start_fidelity": start_fidelity,
         "passes": len(report.steps),
@@ -506,16 +494,13 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
         "final_fidelity": report.steps[-1].fidelity_to_ground if report.steps else start_fidelity,
         "final_excited_weight": report.steps[-1].excited_weight if report.steps else 1.0 - start_fidelity,
     }
-    outputs = [refinement_path]
-    warnings = ramp.warnings + _excited_level_warnings(report, spectrum)
-    manifest = _write_manifest("refine", config, outputs, started, warnings, counters)
+    run.warnings += _excited_level_warnings(report, spectrum)
     lines = [
-        f"refinement written to {refinement_path} ({len(rows)} pass(es))",
+        f"refinement written to {path} ({len(rows)} pass(es))",
         f"start fidelity {start_fidelity:.9f} -> final fidelity {summary['final_fidelity']:.9f} "
         f"({report.status})",
-        f"manifest written to {manifest}",
     ]
-    return CommandResult(outputs=outputs + [manifest], lines=lines, summary=summary)
+    return run.finish(lines, summary)
 
 
 def _load_state_file(path: str, expected_qubits: int) -> StateVector:
@@ -548,11 +533,9 @@ def _load_state_file(path: str, expected_qubits: int) -> StateVector:
 
 def cmd_diag(config: ExperimentConfig) -> CommandResult:
     """Report the model spectrum and, for a supplied state, its interference."""
-    started = time.perf_counter()
-    _ensure_output_dir(config.output_prefix)
+    run = _Run("diag", config)
     h = build_model(config)
-    counters = _Counters()
-    spectrum = exact_diagonalize(h, counters)
+    spectrum = run.diagonalize(h)
     ground = spectrum.ground_state
     lines = [
         f"model: {config.model.hamiltonian} (J = {_fmt(config.model.J)})",
@@ -578,11 +561,5 @@ def cmd_diag(config: ExperimentConfig) -> CommandResult:
         summary["cross_term"] = interference
         lines.append(f"state file: {config.state_file}")
         lines.append(f"cross term (mean Z): {_fmt(interference)}")
-    report_path = f"{config.output_prefix}_diag.txt"
-    with counters.stage("writing"):
-        with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
-    outputs = [report_path]
-    manifest = _write_manifest("diag", config, outputs, started, [], counters)
-    lines.append(f"manifest written to {manifest}")
-    return CommandResult(outputs=outputs + [manifest], lines=lines, summary=summary)
+    run.write("diag.txt", _write_text, "\n".join(lines) + "\n")
+    return run.finish(lines, summary)

@@ -723,6 +723,22 @@ def test_hold_refuses_a_state_narrower_than_its_operator():
             run_hold(basis_state(1, 0), transverse_ising_pair(J), sched, mode)
 
 
+@pytest.mark.parametrize("mode", list(EvolutionMode))
+def test_hold_refuses_a_fidelity_target_of_another_register_before_any_step(mode):
+    # a one-qubit target for a two-qubit state, its leading qubit an ancilla
+    counters = _Counters()
+    with pytest.raises(DomainError, match=r"fidelity target has 1 qubit\(s\), state has 2"):
+        run_hold(
+            basis_state(2, 0),
+            hadamard_hamiltonian(0.7),
+            Schedule(1.0, 0.25, 1.0),
+            mode,
+            fidelity_target=basis_state(1, 0),
+            counters=counters,
+        )
+    assert counters.steps == 0 and counters.matrices_diagonalized == 0
+
+
 @pytest.mark.parametrize(
     "h",
     [hadamard_hamiltonian(J), transverse_ising_pair(J), CHAIN4, CHAIN6],

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import os
@@ -24,7 +25,7 @@ from vacuum_refine import (
     parse_config,
     with_overrides,
 )
-from vacuum_refine import adiabatic, experiments, statevector
+from vacuum_refine import adiabatic, cli, experiments, statevector
 from vacuum_refine.config import build_model
 from vacuum_refine.cli import main
 
@@ -534,6 +535,45 @@ def test_each_operator_diagonalized_once(tmp_path, count_diagonalized, command, 
     # h0, one operator per ramp step, the target; keep mode holds under the
     # target's spectrum beside the ancilla, which is built, not diagonalized
     assert len(operators) == config.schedule.num_ramp_steps + 2
+
+
+@pytest.mark.parametrize(
+    "command, extra, files",
+    [
+        ("sweep", "", ["trajectory.csv", "summary.csv"]),
+        ("filter-run", "", ["trajectory.csv", "summary.csv"]),
+        ("filter-run", "filter.discard = false\n", ["trajectory.csv", "summary.csv"]),
+        ("refine", "model.hamiltonian = tfim2\n", ["refinement.csv"]),
+        ("diag", "model.hamiltonian = tfim2\n", ["diag.txt"]),
+    ],
+    ids=["sweep", "filter-run-discard", "filter-run-keep", "refine", "diag"],
+)
+def test_the_manifest_lists_the_data_files_written(
+    tmp_path, capsys, monkeypatch, command, extra, files
+):
+    # through the CLI, keeping the command's result: the manifest lists the
+    # data files in the order written, the result adds the manifest, and
+    # the last printed line names it
+    results = []
+    run = cli._COMMANDS[command]
+
+    @functools.wraps(run)
+    def recorded(config):
+        results.append(run(config))
+        return results[-1]
+
+    monkeypatch.setitem(cli._COMMANDS, command, recorded)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL + extra + f"output.prefix = {tmp_path}/out/run\n")
+    assert main([command, "--config", str(cfg)]) == 0
+    written = [str(tmp_path / "out" / f"run_{name}") for name in files]
+    manifest_path = str(tmp_path / "out" / "run_manifest.json")
+    manifest = json.loads(Path(manifest_path).read_text())
+    assert manifest["outputs"] == written
+    assert sorted(map(str, (tmp_path / "out").iterdir())) == sorted(written + [manifest_path])
+    assert results[0].outputs == written + [manifest_path]
+    assert capsys.readouterr().out.splitlines()[-1] == f"manifest written to {manifest_path}"
+    assert manifest["stages"]["writing"] > 0
 
 
 def test_output_prefix_directory_created(tmp_path):
