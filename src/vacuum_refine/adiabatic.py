@@ -11,20 +11,22 @@ lexicographically within each class (``pauli.split_order``).
 Every ramp operator is known before the first step, so ``run_adiabatic``
 writes them all as one (steps x words) coefficient array
 (``ramp_coefficients``) and takes their spectra stack by stack
-(``_SpectrumStacks``): dense matrices built as a stack, with the
-Hermiticity guard vectorized over it.  The stacks are built one after
-another as the ramp consumes them, so one is held at a time.  Up to 6
-qubits each stack is at most ``_STACK_ENTRIES`` matrix entries and is
-diagonalized, one ``eigh`` per stack with the orthonormality and
-residual guards vectorized over it.  From ``_CHEBYSHEV_QUBITS`` (7)
+(``_ramp_stacks``, the one walk of the ramp's stacks).  Each stack is
+held as its operators' X-group entries (``hamiltonian._GroupedStack``,
+the one dense build), with the Hermiticity guard vectorized over it.
+The stacks are built one after another as the ramp consumes them, so
+one is held at a time.  Up to 6 qubits each stack is at most
+``_STACK_ENTRIES`` matrix entries; its matrices are written as one
+stack and diagonalized, one ``eigh`` per stack with the orthonormality
+and residual guards vectorized over it.  From ``_CHEBYSHEV_QUBITS`` (7)
 qubits on, a ramp record needs only the two lowest levels (gap,
 degeneracy warning) and the ground vector (fidelity target), and an
 exact step only exp(-i h dt) psi, so a stack holds as many operators as
-fit their X-group entries in ``_STACK_ENTRIES``
-(``chebyshev._GroupedStack``; 28 on the 8-qubit chains), bounds all
-their spectra from above at once and builds each matrix in turn in one
-buffer, where it gets E0, E1 and its ground vector by block Lanczos,
-warm-started from the operator before (``chebyshev._lowest_levels``).
+fit their X-group entries in ``_STACK_ENTRIES`` (28 on the 8-qubit
+chains), bounds all their spectra from above at once and builds each
+matrix in turn in one buffer, where it gets E0, E1 and its ground
+vector by block Lanczos, warm-started from the operator before
+(``chebyshev._lowest_levels``).
 Both step modes read each step's coefficient row against the one word
 table, so no operator is built per step.
 
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -76,17 +78,20 @@ from .hamiltonian import (
     DEGENERACY_TOL,
     PauliSum,
     Spectrum,
-    _SpectrumStacks,
+    _GroupedStack,
     _check_spectrum_dim,
     _conjugated,
+    _diagonalize_stack,
     _operands,
     _propagate,
+    _real_rows,
+    _refuse_dense,
     _transposed,
     apply_evolution,
     exact_diagonalize,
     ramp_coefficients,
 )
-from .pauli import apply_words, split_order
+from .pauli import apply_words, split_order, x_masks
 from .statevector import (
     StateVector,
     basis_state,
@@ -263,7 +268,7 @@ class _Recorder:
     are appended to the columns, and no per-record object is built.
 
     The caller sizes the blocks.  A ramp block is one stack of ramp
-    operators (``_SpectrumStacks``), read out before the next stack is
+    operators (``_ramp_stacks``), read out before the next stack is
     computed, and a hold block holds at most ``_STACK_ENTRIES``
     amplitudes (at least one state).  At one qubit the whole shipped ramp
     is one block; the 8-qubit benchmark ramp is two, of 28 and 5 states,
@@ -338,6 +343,61 @@ def _step_stack(
     return amplitudes
 
 
+def _ramp_stacks(
+    num_qubits: int, words: np.ndarray, coeffs: np.ndarray, counters: _Counters | None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, _GroupedStack]]:
+    """(first row, values, vectors, grouped stack) of each stack of rows of ``coeffs``.
+
+    A stack holds consecutive rows of one dtype (``_real_rows``), held as
+    their X-group entries (``_GroupedStack``).  Below
+    ``_CHEBYSHEV_QUBITS`` qubits a stack is at most ``_STACK_ENTRIES``
+    matrix entries or one matrix; its matrices are built as one (k, d, d)
+    stack and diagonalized (``_diagonalize_stack``), which yields (k, d)
+    eigenvalues and (k, d, d) eigenvectors.  From ``_CHEBYSHEV_QUBITS``
+    qubits on a stack is as many rows as fit their X-group entries
+    (k G d for G X masks) in ``_STACK_ENTRIES``, or one, and yields
+    (k, 3) rows [E0, E1, upper] and the (k, d, 1) ground vectors
+    (``chebyshev._lowest_levels``), each operator warm-started from the
+    one before; the caller steps with the stack's matrices.  Either way
+    columns 0 and 1 of the values are the two lowest levels and column 0
+    of the vectors the ground vector.
+
+    The stacks are built as they are consumed, so at most one is held at
+    a time.  Each is added to ``counters``, when given, as it is yielded:
+    the bytes of its matrices (of its one buffer, from
+    ``_CHEBYSHEV_QUBITS`` qubits on), and the number and summed d^3 of
+    those diagonalized.
+    """
+    chebyshev = num_qubits >= _CHEBYSHEV_QUBITS
+    if chebyshev:
+        # imported here: only the ramps of 7 qubits and more need it
+        from .chebyshev import _lowest_levels
+    real = _real_rows(words, coeffs).tolist()
+    # the entries a row takes: its X groups' or its matrix's
+    row = len(x_masks(words)) * 2**num_qubits if chebyshev else 4**num_qubits
+    chunk = max(1, statevector._STACK_ENTRIES // row)
+    # runs of rows of one dtype, each split every ``chunk`` rows
+    bounds = [0, *(np.flatnonzero(np.diff(real)) + 1).tolist(), len(coeffs)]
+    starts = [start for run in zip(bounds, bounds[1:]) for start in range(*run, chunk)]
+    warm = None  # from the operator before
+    for start, stop in zip(starts, starts[1:] + [len(coeffs)]):
+        stack = _GroupedStack(num_qubits, words, coeffs[start:stop], real[start])
+        if chebyshev:
+            values, vectors, warm = _lowest_levels(stack, warm, counters)
+        else:
+            values, vectors = _diagonalize_stack(stack.matrices())
+        if counters is not None:
+            built = 1 if chebyshev else stop - start  # one buffer, or every matrix
+            counters.dense_bytes += built * 4**num_qubits * stack.entries.itemsize
+            if not chebyshev:
+                counters.matrices_diagonalized += built
+                counters.diagonalized_d3 += built * 8**num_qubits
+        yield start, values, vectors, stack
+        # the consumer's references are then the last ones, so the
+        # stack is freed before the next one is built
+        del stack, values, vectors
+
+
 def run_adiabatic(
     h0: PauliSum,
     h1: PauliSum,
@@ -360,7 +420,7 @@ def run_adiabatic(
     Every operator of the ramp, h0 (s = 0) and each step's, is known
     before the first step, so both step modes and the energies read one
     (steps x words) coefficient array, and the spectra come stack by
-    stack from it (``_SpectrumStacks``).  Up to 6 qubits they are full
+    stack from it (``_ramp_stacks``).  Up to 6 qubits they are full
     eigendecompositions and an exact step applies its operator's
     eigenvectors; from ``_CHEBYSHEV_QUBITS`` qubits on they are the rows
     [E0, E1, upper] (block Lanczos and a Gershgorin bound) and the ground
@@ -395,14 +455,14 @@ def run_adiabatic(
     recorder = None
     if records:
         recorder = _Recorder(trajectory, 2**n, words, observables, record_states)
-    # the stacks refuse a register above the dense cap before |0...0> exists
-    ground_only = n >= _CHEBYSHEV_QUBITS
-    if ground_only:
+    # a register above the dense cap is refused before |0...0> exists
+    _refuse_dense(n)
+    chebyshev = n >= _CHEBYSHEV_QUBITS
+    if chebyshev:
         # imported here: only the ramps of 7 qubits and more need it
         from .chebyshev import _chebyshev_stack
-    stacks = _SpectrumStacks(n, words, coeffs, counters, ground_only)
     amplitudes = basis_state(n, 0).amplitudes
-    for start, values, vectors, matrices in stacks:
+    for start, values, vectors, stack in _ramp_stacks(n, words, coeffs, counters):
         stop = start + len(values)
         states = np.empty((len(values), 2**n), dtype=np.complex128)
         # row 0 of the first stack is the initial state; every other row
@@ -410,8 +470,8 @@ def run_adiabatic(
         first = 1 if start == 0 else 0
         if first:
             states[0] = amplitudes
-        if exact and ground_only:
-            amplitudes = _chebyshev_stack(matrices, values, dt, states, amplitudes, first, counters)
+        if exact and chebyshev:
+            amplitudes = _chebyshev_stack(stack, values, dt, states, amplitudes, first, counters)
         elif exact:
             phases = np.exp(-1j * values[first:] * dt)
             amplitudes = _step_stack(vectors[first:], phases, states[first:], amplitudes)
@@ -434,7 +494,7 @@ def run_adiabatic(
             times = [k * dt for k in range(start, stop)]
             targets = np.ascontiguousarray(vectors[:, :, 0])
             recorder.read(times, states, coeffs[start:stop], targets)
-        del values, vectors, matrices  # free before the next stack is diagonalized
+        del values, vectors, stack  # free before the next stack is built
     if counters is not None:
         counters.steps += schedule.num_ramp_steps
     if recorder is not None:

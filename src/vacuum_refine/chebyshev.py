@@ -4,19 +4,19 @@ From ``adiabatic._CHEBYSHEV_QUBITS`` qubits on, a ramp operator's record
 needs only its two lowest levels (gap, degeneracy warning) and its ground
 vector (fidelity target), and its exact step needs only exp(-i H dt) psi
 between bounds on its spectrum.  A stack of ramp operators is held as
-their X-group entries (``_GroupedStack``), from which one pass bounds the
-spectrum of every operator from above by Gershgorin's theorem
-(``_gershgorin``), and each operator's dense matrix is written on demand
-into one buffer.  ``_lowest_levels`` takes the two lowest levels and the
-ground vector from products with that matrix by block Lanczos with two
-vectors and full reorthogonalization (Golub & Underwood 1977; Saad 2011,
-ch. 6), each operator warm-started from the ground vector of the one
-before.  ``_chebyshev_step`` takes the step from products with the same
-matrix (Tal-Ezer & Kosloff 1984, J. Chem. Phys. 81:3967), its Bessel
-weights from Miller's backward recurrence (``_bessel_j``), so the runtime
-stays numpy-only.  ``hamiltonian._SpectrumStacks`` and ``adiabatic``
-import this module only when a ramp of that size runs, so smaller
-registers never load it.
+their X-group entries (``hamiltonian._GroupedStack``, the one dense
+build), from which one pass bounds the spectrum of every operator from
+above by Gershgorin's theorem (``_gershgorin``), and each operator's
+dense matrix is written on demand into the stack's one buffer.
+``_lowest_levels`` takes the two lowest levels and the ground vector
+from products with that matrix by block Lanczos with two vectors and
+full reorthogonalization (Golub & Underwood 1977; Saad 2011, ch. 6),
+each operator warm-started from the ground vector of the one before.
+``_chebyshev_step`` takes the step from products with the same matrix
+(Tal-Ezer & Kosloff 1984, J. Chem. Phys. 81:3967), its Bessel weights
+from Miller's backward recurrence (``_bessel_j``), so the runtime stays
+numpy-only.  ``adiabatic`` imports this module only when a ramp of that
+size runs, so smaller registers never load it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .counters import _Counters
 from .errors import NumericalConsistencyError
-from .hamiltonian import _CHECK_ATOL, _checked_groups, _refuse_above
+from .hamiltonian import _CHECK_ATOL, _GroupedStack, _refuse_above
 from .statevector import _UNITARY_ATOL
 
 # Block Lanczos (``_lowest_pair``) stops once the ground pair's residual is
@@ -51,36 +51,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # first one above z whose weight 2 |J_k(z)| is at most this.
 _CHEBYSHEV_TOL = 1e-17
 _POWERS_OF_MINUS_I = (1.0, -1j, -1.0, 1j)
-
-
-class _GroupedStack:
-    """The operators sum_t coeffs[k, t] * words[t] of a stack, held as their X-group entries.
-
-    ``entries[k]`` holds the (G, d) entries D_x of operator k's G groups
-    and ``rows`` the (G, d) rows c ^ x at which they stand in column c
-    (``hamiltonian._checked_groups``, which refuses a non-Hermitian
-    operator), groups in ascending x.  ``matrix(k)`` writes the dense
-    matrix of operator k into one (d, d) buffer and returns the buffer,
-    which the next call for another operator overwrites.  Every operator
-    of one word table fills the same entries, so the buffer is zeroed
-    once, and each matrix has the bits of ``hamiltonian._dense_stack``'s.
-    """
-
-    def __init__(self, num_qubits: int, words: np.ndarray, coeffs: np.ndarray, real: bool):
-        dim = 2**num_qubits
-        groups = list(_checked_groups(words, coeffs, dim, real))
-        self.entries = np.stack([entries for _, entries in groups], axis=1)
-        self.rows = np.stack([flipped for flipped, _ in groups])
-        self._positions = self.rows * dim + np.arange(dim)
-        self._matrix = np.zeros((dim, dim), dtype=self.entries.dtype)
-        self._written: int | None = None
-
-    def matrix(self, k: int) -> np.ndarray:
-        """The dense matrix of operator k, in the stack's one buffer."""
-        if self._written != k:
-            self._matrix.reshape(-1)[self._positions] = self.entries[k]
-            self._written = k
-        return self._matrix
 
 
 def _gershgorin(stack: _GroupedStack) -> tuple[np.ndarray, np.ndarray]:

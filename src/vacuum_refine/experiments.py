@@ -535,6 +535,10 @@ def cmd_diag(config: ExperimentConfig) -> CommandResult:
     """Report the model spectrum and, for a supplied state, its interference."""
     run = _Run("diag", config)
     h = build_model(config)
+    # an unusable state file is refused before the diagonalization
+    state = None
+    if config.state_file is not None:
+        state = _load_state_file(config.state_file, h.num_qubits)
     spectrum = run.diagonalize(h)
     ground = spectrum.ground_state
     lines = [
@@ -555,8 +559,7 @@ def cmd_diag(config: ExperimentConfig) -> CommandResult:
         "degenerate": spectrum.degenerate,
         "ground_z": per_qubit,
     }
-    if config.state_file is not None:
-        state = _load_state_file(config.state_file, h.num_qubits)
+    if state is not None:
         interference = cross_term(state, spectrum, _mean_z(h.num_qubits))
         summary["cross_term"] = interference
         lines.append(f"state file: {config.state_file}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -154,53 +154,67 @@ def _real_rows(words: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _max_entry(buffer: np.ndarray) -> np.ndarray:
-    """Largest entry modulus of each matrix of a (k, d, d) stack; a real stack is overwritten."""
+    """Largest entry modulus of each matrix of a stack, 0 if empty; a real stack is overwritten."""
     magnitudes = np.abs(buffer, out=buffer) if buffer.dtype == np.float64 else np.abs(buffer)
-    return np.max(magnitudes, axis=(-2, -1))
+    return np.max(magnitudes, axis=(-2, -1), initial=0.0)
 
 
-def _checked_groups(
-    words: np.ndarray, coeffs: np.ndarray, dim: int, real: bool
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``pauli.x_groups``, and after the last group the Hermiticity guard of every row.
+class _GroupedStack:
+    """The operators sum_t coeffs[k, t] * words[t] of a stack, held as their X-group entries.
 
-    The mirror entry ``[k, c, c ^ x]`` of each entry ``[k, c ^ x, c]`` is
-    in the same group, at column c ^ x, so the guard reads |H - H^dagger|
-    group by group, d entries per row a group, with the values of the
-    dense difference.  Every dense build reads its groups here.
-    """
-    asymmetry = np.zeros(coeffs.shape[0])
-    for flipped, entries in x_groups(words, coeffs, dim, real):
-        mirror = entries[:, flipped]
-        if not real:
-            np.conjugate(mirror, out=mirror)
-        np.subtract(entries, mirror, out=mirror)
-        np.maximum(asymmetry, _max_entry(mirror[:, np.newaxis]), out=asymmetry)
-        yield flipped, entries
-    _refuse_above(asymmetry, 1e-12, "dense matrix is not Hermitian")
-
-
-def _dense_stack(
-    num_qubits: int,
-    words: np.ndarray,
-    coeffs: np.ndarray,
-    real: bool,
-) -> np.ndarray:
-    """Dense matrices of sum_t coeffs[k, t] * words[t], one per row k, as one stack.
-
-    The words that share an X mask x fill entries ``[k, c ^ x, c]`` and
-    no others, so each group is one assignment of its summed entries
-    (``_checked_groups``): each entry sums its words in table order,
-    starting from zero.  Registers above ``DEFAULT_DENSE_CAP`` qubits are
+    This is the one dense build of the package.  The words that share an
+    X mask x fill entries ``[k, c ^ x, c]`` and no others, so
+    ``entries[k]`` holds the (G, d) summed entries D_x of operator k's G
+    groups (``pauli.x_groups``: each entry sums its words in table order,
+    starting from zero) and ``rows`` the (G, d) rows c ^ x at which they
+    stand in column c, groups in ascending x.  The mirror entry
+    ``[k, c, c ^ x]`` of each entry is in the same group, at column c ^ x,
+    so the Hermiticity guard reads |H - H^dagger| of every operator once,
+    from the entries, with the values of the dense difference.
+    ``matrices()`` writes every operator's dense matrix into a new
+    (k, d, d) stack; ``matrix(k)`` writes operator k's into one (d, d)
+    buffer, made at the first call, and returns the buffer, which the next
+    call for another operator overwrites.  Every operator of one word
+    table fills the same entries, so the buffer is zeroed once, and both
+    give the same bits.  Registers above ``DEFAULT_DENSE_CAP`` qubits are
     refused.
     """
-    _refuse_dense(num_qubits)
-    dim = 2**num_qubits
-    out = np.zeros((coeffs.shape[0], dim, dim), dtype=np.float64 if real else np.complex128)
-    columns = np.arange(dim)
-    for flipped, entries in _checked_groups(words, coeffs, dim, real):
-        out[:, flipped, columns] = entries
-    return out
+
+    def __init__(self, num_qubits: int, words: np.ndarray, coeffs: np.ndarray, real: bool):
+        _refuse_dense(num_qubits)
+        dim = 2**num_qubits
+        groups = len(x_masks(words))
+        dtype = np.float64 if real else np.complex128
+        self.entries = np.empty((coeffs.shape[0], groups, dim), dtype=dtype)
+        self.rows = np.empty((groups, dim), dtype=np.int64)
+        for g, (flipped, entries) in enumerate(x_groups(words, coeffs, dim, real)):
+            self.rows[g] = flipped
+            self.entries[:, g] = entries
+        mirror = np.take_along_axis(self.entries, self.rows[np.newaxis], axis=2)
+        if not real:
+            np.conjugate(mirror, out=mirror)
+        np.subtract(self.entries, mirror, out=mirror)
+        _refuse_above(_max_entry(mirror), 1e-12, "dense matrix is not Hermitian")
+        self._positions = self.rows * dim + np.arange(dim)
+        self._matrix: np.ndarray | None = None
+        self._written: int | None = None
+
+    def matrices(self) -> np.ndarray:
+        """The dense matrix of every operator, as a new (k, d, d) stack."""
+        count, _, dim = self.entries.shape
+        out = np.zeros((count, dim, dim), dtype=self.entries.dtype)
+        out.reshape(count, dim * dim)[:, self._positions] = self.entries
+        return out
+
+    def matrix(self, k: int) -> np.ndarray:
+        """The dense matrix of operator k, in the stack's one buffer."""
+        if self._matrix is None:
+            dim = self.rows.shape[1]
+            self._matrix = np.zeros((dim, dim), dtype=self.entries.dtype)
+        if self._written != k:
+            self._matrix.reshape(-1)[self._positions] = self.entries[k]
+            self._written = k
+        return self._matrix
 
 
 def _refuse_dense(num_qubits: int) -> None:
@@ -225,10 +239,10 @@ def to_matrix(h: PauliSum) -> np.ndarray:
     (an even power of i, so every phase is +1 or -1) and complex128
     otherwise.  Entry ``[c ^ x, c]`` of each word is its coefficient times
     its phase, and the words are summed in the order of ``h.terms``.  This
-    is the one-operator case of the stacked build, ``_dense_stack``.
+    is the one-operator case of the one dense build, ``_GroupedStack``.
     """
     real = _real_rows(h.words, h.coeffs)[0]
-    return _dense_stack(h.num_qubits, h.words, h.coeffs, real)[0]
+    return _GroupedStack(h.num_qubits, h.words, h.coeffs, real).matrices()[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,109 +322,22 @@ def _diagonalize_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-class _SpectrumStacks:
-    """(first row, values, vectors, matrices) of each stack of rows of ``coeffs``.
-
-    A stack holds consecutive rows of one dtype (``_real_rows``); every
-    spectrum in the package is computed here.  By default a stack is at
-    most ``_STACK_ENTRIES`` matrix entries or one matrix, built as one
-    (k, d, d) stack (``_dense_stack``) and diagonalized
-    (``_diagonalize_stack``): it yields (k, d) eigenvalues, (k, d, d)
-    eigenvectors and None.  A ``ground_only`` stack is as many rows as
-    fit their X-group entries (k G d for G X masks) in
-    ``_STACK_ENTRIES``, or one, held as a ``chebyshev._GroupedStack``,
-    which builds each matrix on demand in one buffer.  It yields (k, 3)
-    rows [E0, E1, upper], the (k, d, 1) ground vectors
-    (``chebyshev._lowest_levels``) and the grouped stack, for a caller
-    that steps with its matrices.  Either way columns 0 and 1 of the
-    values are the two lowest levels and column 0 of the vectors the
-    ground vector; ``run_adiabatic`` reads nothing else, bar the last
-    column as the Chebyshev step's upper bound.  A register above
-    ``DEFAULT_DENSE_CAP`` qubits is refused before any stack is built.
-
-    Iterating yields the stacks in order, each built and diagonalized
-    as it is consumed, so at most one stack is held at a time.  A
-    ``ground_only`` operator is warm-started from the one before; that
-    state lives in the iteration, so iterating again gives the same
-    bits.  Each stack is added to ``counters``, when given, as it is
-    yielded: the bytes of its matrices (of its buffer, ``ground_only``),
-    and the number and summed d^3 of those diagonalized.
-    """
-
-    def __init__(
-        self,
-        num_qubits: int,
-        words: np.ndarray,
-        coeffs: np.ndarray,
-        counters: _Counters | None = None,
-        ground_only: bool = False,
-    ):
-        _refuse_dense(num_qubits)
-        self._num_qubits = num_qubits
-        self._words = words
-        self._coeffs = coeffs
-        self._counters = counters
-        self._ground_only = ground_only
-        real = _real_rows(words, coeffs)
-        self._real = real.tolist()
-        # the entries a row takes: its X groups' (``ground_only``) or its matrix's
-        row = len(x_masks(words)) * 2**num_qubits if ground_only else 4**num_qubits
-        chunk = max(1, statevector._STACK_ENTRIES // row)
-        # runs of rows of one dtype, each split every ``chunk`` rows
-        bounds = [0, *(np.flatnonzero(real[1:] != real[:-1]) + 1).tolist(), len(coeffs)]
-        self._starts = [
-            start for first, stop in zip(bounds, bounds[1:]) for start in range(first, stop, chunk)
-        ] + [len(coeffs)]
-
-    def _diagonalize(self, start: int, stop: int) -> tuple[int, np.ndarray, np.ndarray, None]:
-        rows = self._coeffs[start:stop]
-        matrices = _dense_stack(self._num_qubits, self._words, rows, self._real[start])
-        return (start, *_diagonalize_stack(matrices), None)
-
-    def _ground_stacks(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, Any]]:
-        # imported here: only the ramps of 7 qubits and more need it
-        from .chebyshev import _GroupedStack, _lowest_levels
-
-        warm = None  # from the operator before, within this iteration
-        for start, stop in zip(self._starts, self._starts[1:]):
-            grouped = _GroupedStack(
-                self._num_qubits, self._words, self._coeffs[start:stop], self._real[start]
-            )
-            values, grounds, warm = _lowest_levels(grouped, warm, self._counters)
-            yield start, values, grounds, grouped
-            del grouped, values, grounds  # freed before the next stack is built
-
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, Any]]:
-        counters = self._counters
-        if self._ground_only:
-            stacks = self._ground_stacks()
-        else:
-            stacks = map(self._diagonalize, self._starts, self._starts[1:])
-        for stack in stacks:
-            if counters is not None:
-                matrices = len(stack[1])
-                if not self._ground_only:
-                    counters.matrices_diagonalized += matrices
-                    counters.diagonalized_d3 += matrices * 8**self._num_qubits
-                built = 1 if self._ground_only else matrices
-                itemsize = 8 if self._real[stack[0]] else 16
-                counters.dense_bytes += built * 4**self._num_qubits * itemsize
-            yield stack
-            # the consumer's references are then the last ones, so the
-            # stack is freed before the next one is diagonalized
-            del stack
-
-
 def exact_diagonalize(h: PauliSum, counters: _Counters | None = None) -> Spectrum:
     """Full eigendecomposition of the operator with deterministic phases.
 
     A real operator's float64 matrix goes through real ``eigh`` and real
     checks; the dtype of the matrix selects the arithmetic throughout.
-    This is the one-operator case of the stacked path, ``_SpectrumStacks``,
-    and is added to ``counters`` when they are given.
+    The matrix comes from the one dense build (``_GroupedStack``) and is
+    diagonalized with every guard of a ramp stack (``_diagonalize_stack``).
+    ``counters``, when given, count the matrix built and diagonalized.
     """
-    stacks = _SpectrumStacks(h.num_qubits, h.words, h.coeffs, counters)
-    _, values, vectors, _ = next(iter(stacks))
+    real = _real_rows(h.words, h.coeffs)[0]
+    matrices = _GroupedStack(h.num_qubits, h.words, h.coeffs, real).matrices()
+    values, vectors = _diagonalize_stack(matrices)
+    if counters is not None:
+        counters.matrices_diagonalized += 1
+        counters.diagonalized_d3 += 8**h.num_qubits
+        counters.dense_bytes += matrices.nbytes
     return Spectrum(h.num_qubits, values[0], vectors[0])
 
 

@@ -28,9 +28,8 @@ from vacuum_refine import (
     to_matrix,
     transverse_ising_pair,
 )
-from vacuum_refine import adiabatic, hamiltonian, statevector
+from vacuum_refine import adiabatic, statevector
 from vacuum_refine.counters import _Counters
-from vacuum_refine.hamiltonian import _SpectrumStacks
 
 from oracles import (
     expectation_per_state,
@@ -566,7 +565,7 @@ def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
         (k + 0.5) * schedule.dt / schedule.total_time for k in range(schedule.num_ramp_steps)
     ]
     words, coeffs = ramp_coefficients(h0, h1, s_values)
-    assert [start for start, *_ in _SpectrumStacks(n, words, coeffs)] == stacks
+    assert [start for start, *_ in adiabatic._ramp_stacks(n, words, coeffs, None)] == stacks
     final, ramp = run_adiabatic(
         h0, h1, schedule, EvolutionMode.EXACT_STEP, observables, record_states=True
     )
@@ -821,7 +820,7 @@ def test_each_stack_is_freed_before_the_next_is_diagonalized(h1, mode, matrices,
     # stack are still referenced
     n = h1.num_qubits
     monkeypatch.setattr(statevector, "_STACK_ENTRIES", matrices * 4**n)
-    diagonalize = hamiltonian._diagonalize_stack
+    diagonalize = adiabatic._diagonalize_stack
     made, alive = [], []
 
     def tracked(stack):
@@ -830,7 +829,7 @@ def test_each_stack_is_freed_before_the_next_is_diagonalized(h1, mode, matrices,
         made.append(weakref.ref(vectors))
         return values, vectors
 
-    monkeypatch.setattr(hamiltonian, "_diagonalize_stack", tracked)
+    monkeypatch.setattr(adiabatic, "_diagonalize_stack", tracked)
     sched = Schedule(total_time=1.0, dt=0.125)
     run_adiabatic(initial_hamiltonian(J, n), h1, sched, mode, record_states=True)
     assert len(alive) >= 3

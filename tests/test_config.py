@@ -102,6 +102,8 @@ def test_duplicate_key_rejected():
 def test_malformed_line_reports_line_number():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("model.J = 1.0\nnot an assignment\n")
+    with pytest.raises(ConfigError, match="line 1: empty key or value"):
+        parse_config("= 3\n")
 
 
 def test_type_errors_name_the_key():
@@ -122,6 +124,8 @@ def test_bad_schedule_becomes_config_error():
         parse_config("schedule.T = 1\nschedule.dt = 0.3")
     with pytest.raises(ConfigError):
         parse_config("schedule.T = -1")
+    with pytest.raises(ConfigError, match="schedule: hold_time must be >= 0"):
+        parse_config("schedule.hold_time = -1")
 
 
 def test_fixed_theta_mode_requires_theta():
@@ -149,6 +153,8 @@ def test_powers_must_match_ancilla_count():
     assert config.filter.powers == (1, 2, 4)
     with pytest.raises(ConfigError, match="filter.powers"):
         parse_config("filter.ancillas = 1\nfilter.powers = zero")
+    with pytest.raises(ConfigError, match="powers must be positive integers"):
+        parse_config("filter.ancillas = 2\nfilter.powers = 0,2")
 
 
 def test_with_overrides():

@@ -447,6 +447,35 @@ def test_diag_state_file_errors(tmp_path):
         cmd_diag(_config(tmp_path, f"diag.state_file = {unnormalized}\n"))
 
 
+@pytest.mark.parametrize(
+    "content, qubits, message",
+    [
+        (None, 1, "state file not found"),
+        ("1.0\n0.0 0.0\n", 1, "line 1: expected '<re> <im>'"),
+        # above the dense cap the state file is refused first, with exit 2
+        (None, 11, "state file not found"),
+    ],
+    ids=["missing", "malformed", "missing-above-the-cap"],
+)
+def test_diag_refuses_an_unusable_state_file_before_diagonalizing(
+    tmp_path, capsys, count_calls, content, qubits, message
+):
+    diagonalized = count_calls("hamiltonian.exact_diagonalize")
+    state = tmp_path / "state.txt"
+    if content is not None:
+        state.write_text(content)
+    model = tmp_path / "model.txt"
+    model.write_text(f"-1 {'Z' * qubits}\n-1 {'X' * qubits}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        SMALL + f"model.hamiltonian = {model}\noutput.prefix = {tmp_path}/run\n"
+        f"diag.state_file = {state}\n"
+    )
+    assert main(["diag", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert diagonalized == []
+
+
 def test_cli_success_and_overrides(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(SMALL + f"output.prefix = {tmp_path}/base\n")

@@ -298,6 +298,10 @@ def test_apply_filter_matches_closed_form_two_qubit():
     assert outcome.success_probability == pytest.approx(prob, abs=1e-12)
     overlap = abs(np.vdot(unnorm / np.sqrt(prob), outcome.refined_state.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-12)
+    # the spectrum's register must be the state's
+    one_qubit = exact_diagonalize(hadamard_hamiltonian(J))
+    with pytest.raises(DomainError, match=r"operator acts on 1 qubit\(s\), state has 2"):
+        apply_filter(psi, one_qubit, config)
 
 
 def test_apply_filter_uses_supplied_spectrum(count_calls):
@@ -486,3 +490,7 @@ def test_refine_respects_max_iters():
     report = refine_iteratively(start, h, spec, m=1, max_iters=1, target_infidelity=0.0)
     assert report.status == "max_iterations"
     assert len(report.steps) == 1
+    with pytest.raises(DomainError, match="max_iters must be >= 1"):
+        refine_iteratively(start, h, spec, m=1, max_iters=0)
+    with pytest.raises(DomainError, match="target_infidelity must be >= 0"):
+        refine_iteratively(start, h, spec, m=1, target_infidelity=-1.0)

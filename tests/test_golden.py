@@ -40,7 +40,9 @@ No byte moved either, ``filter_keep_trotter`` (written before that
 change) included, when both modes' holds came to run under the one-qubit
 target and its own spectrum, the kept ancilla leading the register, and
 discard mode came to hold branch 0 over sqrt(p0) in place of
-``postselect``.
+``postselect``.  Nor did one move when every dense matrix, one
+operator's and each ramp stack's on both ramp paths, came to be written
+by one build from the operators' X-group entries.
 Manifests are not compared because they carry a wall-clock duration.
 
 To rewrite the snapshots of the named cases after a deliberate,
@@ -218,15 +220,15 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 @pytest.mark.parametrize("name", ["diag_pair", "refine_pair"])
 def test_real_arithmetic_moves_only_rounding_noise(name, tmp_path, monkeypatch):
     real = _run(name, tmp_path)
-    build = hamiltonian._dense_stack
+    build = hamiltonian._GroupedStack.__init__
     forced = []
 
-    def complex_stack(num_qubits, words, coeffs, real):
+    def complex_stack(self, num_qubits, words, coeffs, real):
         forced.append(real)
-        return build(num_qubits, words, coeffs, False)
+        build(self, num_qubits, words, coeffs, False)
 
     # every dense matrix, one operator's or a ramp stack's, is built here
-    monkeypatch.setattr(hamiltonian, "_dense_stack", complex_stack)
+    monkeypatch.setattr(hamiltonian._GroupedStack, "__init__", complex_stack)
     complex_path = _run(name, tmp_path / "complex")
     assert any(forced)
     assert sorted(real) == sorted(complex_path)

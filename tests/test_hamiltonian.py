@@ -26,14 +26,15 @@ from vacuum_refine import (
     transverse_ising_pair,
 )
 
-from vacuum_refine import chebyshev, experiments, hamiltonian, statevector
+from vacuum_refine import adiabatic, chebyshev, experiments, hamiltonian, statevector
 from vacuum_refine.counters import _Counters
 from vacuum_refine.hamiltonian import (
     DEGENERACY_TOL,
     _complex_pair,
     _fix_phases,
+    _GroupedStack,
+    _diagonalize_stack,
     _propagate,
-    _SpectrumStacks,
 )
 from vacuum_refine.pauli import compile_words
 from vacuum_refine.statevector import _STACK_ENTRIES
@@ -374,6 +375,52 @@ def test_every_spectrum_comes_from_exact_diagonalize():
     assert [name for name, _ in calls] == ["hamiltonian.py"]
 
 
+def _calls(name):
+    """Whether an AST node is a call of ``name``, as written in the source."""
+    return lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == name
+
+
+def _imports_from(*modules):
+    """Whether an AST node imports from one of the package's ``modules``."""
+    return lambda node: isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in modules
+
+
+def _homes(pattern, matches):
+    """(module, enclosing class and function names) of each node that ``matches``."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if matches(child):
+                found.append((module, ".".join(scope)))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, module, scope + [child.name] if named else scope)
+
+    for path in sorted(Path(hamiltonian.__file__).parent.glob(pattern)):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+    return found
+
+
+@pytest.mark.parametrize(
+    "pattern, matches, homes",
+    [
+        # the one dense build reads the X groups
+        ("*.py", _calls("x_groups"), [("hamiltonian", "_GroupedStack.__init__")]),
+        # every spectrum, and the projected matrix of block Lanczos
+        (
+            "*.py",
+            _calls("np.linalg.eigh"),
+            [("chebyshev", "_settled"), ("hamiltonian", "_diagonalize_stack")],
+        ),
+        # the ramp's stacks are walked in adiabatic, which imports chebyshev
+        ("hamiltonian.py", _imports_from("adiabatic", "chebyshev"), []),
+    ],
+    ids=["x_groups", "eigh", "hamiltonian-imports"],
+)
+def test_each_kernel_call_has_one_home(pattern, matches, homes):
+    assert _homes(pattern, matches) == homes
+
+
 def _midpoints(steps):
     return [0.0] + [(k + 0.5) / steps for k in range(steps)]
 
@@ -401,11 +448,11 @@ RAMPS = {
 
 
 def _ramp_spectra(h0, h1, s_values):
-    """(eigenvalues, eigenvectors, degenerate) per s from the stacked path."""
+    """(eigenvalues, eigenvectors, degenerate) per s from the ramp's stacks."""
     words, coeffs = ramp_coefficients(h0, h1, s_values)
     return [
         (values[k], vectors[k], values[k, 1] - values[k, 0] < DEGENERACY_TOL)
-        for _, values, vectors, _ in _SpectrumStacks(h0.num_qubits, words, coeffs)
+        for _, values, vectors, _ in adiabatic._ramp_stacks(h0.num_qubits, words, coeffs, None)
         for k in range(len(values))
     ]
 
@@ -581,7 +628,7 @@ def test_pauli_text_error_names_line():
         parse_pauli_text("# ok\n0.5 ZZ\nnonsense\n")
 
 
-# a 7-qubit ramp of 12 steps: 13 operators in stacks of at most 4, so 4 stacks
+# a 7-qubit ramp of 12 steps: 13 real operators
 POOL_RAMP = ramp_coefficients(initial_hamiltonian(J, 7), _tfim_chain(7), _midpoints(12))
 
 
@@ -597,37 +644,60 @@ def _stack_starts_per_row(real, chunk):
 
 
 @pytest.mark.parametrize("n", [1, 7])
-def test_stack_bounds_split_dtype_runs_every_chunk_rows(n):
-    # rows with a nonzero Y coefficient are complex; chunk is 2^16 // 4^n
-    # rows, 16384 at one qubit and 4 at seven, or with ``ground_only``
-    # 2^16 // (G * 2^n) for the G X masks of the table: one at one qubit
-    # (X and Y), two at seven; 32768 and 256 rows
+def test_stack_bounds_split_dtype_runs_every_chunk_rows(n, monkeypatch):
+    # rows with a nonzero Y coefficient are complex; a stack is 2^16 // 4^n
+    # diagonalized matrices below seven qubits, 16384 at one, and from
+    # seven on 2^16 // (G * 2^n) rows for the G = 2 X masks of the table,
+    # 256 rows.  The builds and spectra are stubbed: only the bounds count
     words = compile_words(["X" * n, "Y" + "I" * (n - 1)])
     rng = np.random.default_rng(70)
-    groups = 1 if n == 1 else 2
-    for ground_only, row in ((False, 4**n), (True, groups * 2**n)):
-        chunk = max(1, _STACK_ENTRIES // row)
-        for rows in [0, 1, 2, 5, 40, 2 * chunk + 3]:
-            patterns = [
-                np.zeros(rows, dtype=bool),
-                np.ones(rows, dtype=bool),
-                rng.random(rows) < 0.5,
-                np.arange(rows) // 9 % 2 == 1,  # runs of nine
-            ]
-            for complex_rows in patterns:
-                coeffs = np.stack([np.ones(rows), np.where(complex_rows, 0.5, 0.0)], axis=1)
-                stacks = _SpectrumStacks(n, words, coeffs, ground_only=ground_only)
-                expected = _stack_starts_per_row((~complex_rows).tolist(), chunk)
-                assert stacks._starts == expected
+    row = 2 * 2**n if n >= adiabatic._CHEBYSHEV_QUBITS else 4**n
+    chunk = max(1, _STACK_ENTRIES // row)
+    built = []
+
+    class Rows:
+        def __init__(self, num_qubits, words, coeffs, real):
+            built.append((len(coeffs), real))
+            self.entries = coeffs
+
+        def matrices(self):
+            return self.entries
+
+    def diagonalized(matrices):
+        return np.zeros((len(matrices), 2)), None
+
+    def lowest(stack, warm, counters):
+        return np.zeros((len(stack.entries), 3)), None, None
+
+    monkeypatch.setattr(adiabatic, "_GroupedStack", Rows)
+    monkeypatch.setattr(adiabatic, "_diagonalize_stack", diagonalized)
+    monkeypatch.setattr(chebyshev, "_lowest_levels", lowest)
+    for rows in [0, 1, 2, 5, 40, 2 * chunk + 3]:
+        patterns = [
+            np.zeros(rows, dtype=bool),
+            np.ones(rows, dtype=bool),
+            rng.random(rows) < 0.5,
+            np.arange(rows) // 9 % 2 == 1,  # runs of nine
+        ]
+        for complex_rows in patterns:
+            coeffs = np.stack([np.ones(rows), np.where(complex_rows, 0.5, 0.0)], axis=1)
+            built.clear()
+            starts = [start for start, *_ in adiabatic._ramp_stacks(n, words, coeffs, None)]
+            expected = _stack_starts_per_row((~complex_rows).tolist(), chunk)
+            assert starts + [rows] == expected
+            # each stack is one dtype's rows
+            bounds = zip(expected, expected[1:])
+            assert built == [(stop - start, not complex_rows[start]) for start, stop in bounds]
 
 
 def test_stacks_are_built_one_at_a_time_on_the_calling_thread(monkeypatch):
-    # four stacks on the eigenvector path, the third of which fails its
-    # guard: no thread starts, the BLAS thread count is never set, and the
-    # error is raised once the two stacks before it have been consumed
+    # a 6-qubit ramp of 41 operators is three stacks of at most 16 on the
+    # eigenvector path, the third of which fails its guard: no thread
+    # starts, the BLAS thread count is never set, and the error is raised
+    # once the two stacks before it have been consumed
     threads = threading.active_count()
     blas = experiments._blas_threads()
-    diagonalize = hamiltonian._diagonalize_stack
+    diagonalize = adiabatic._diagonalize_stack
     seen = []
 
     def failing_third(matrices):
@@ -638,13 +708,14 @@ def test_stacks_are_built_one_at_a_time_on_the_calling_thread(monkeypatch):
             raise NumericalConsistencyError("the third stack")
         return diagonalize(matrices)
 
-    monkeypatch.setattr(hamiltonian, "_diagonalize_stack", failing_third)
+    monkeypatch.setattr(adiabatic, "_diagonalize_stack", failing_third)
+    words, coeffs = ramp_coefficients(initial_hamiltonian(J, 6), _tfim_chain(6), _midpoints(40))
     yielded = []
     with pytest.raises(NumericalConsistencyError, match="the third stack"):
-        for start, *_ in _SpectrumStacks(7, *POOL_RAMP):
+        for start, *_ in adiabatic._ramp_stacks(6, words, coeffs, None):
             assert threading.active_count() <= threads
             yielded.append(start)
-    assert yielded == [0, 4]
+    assert yielded == [0, 16]
     assert [thread for thread, _, _ in seen] == [threading.main_thread()] * 3
     assert max(count for _, count, _ in seen) <= threads
     assert {count for _, _, count in seen} == {blas}
@@ -732,14 +803,14 @@ def _stack_of(h, s_values, grouped=False):
     words, coeffs = ramp_coefficients(initial_hamiltonian(J, h.num_qubits), h, s_values)
     real = hamiltonian._real_rows(words, coeffs)
     assert len(set(real.tolist())) == 1
-    build = chebyshev._GroupedStack if grouped else hamiltonian._dense_stack
-    return build(h.num_qubits, words, coeffs, real[0])
+    stack = _GroupedStack(h.num_qubits, words, coeffs, real[0])
+    return stack if grouped else stack.matrices()
 
 
 def _grouped(h):
     """The grouped stack of the one operator ``h``."""
     real = hamiltonian._real_rows(h.words, h.coeffs)[0]
-    return chebyshev._GroupedStack(h.num_qubits, h.words, h.coeffs, real)
+    return _GroupedStack(h.num_qubits, h.words, h.coeffs, real)
 
 
 def _dense(grouped):
@@ -764,12 +835,13 @@ def test_grouped_matrices_and_bounds_have_the_bits_of_the_dense_build(h):
 
 
 def test_a_grouped_stack_refuses_what_the_dense_build_refuses():
-    # a NaN coefficient in the second row reaches the one group-wise guard
+    # a NaN coefficient in the second row, or a non-Hermitian coefficient
+    # (XY is Hermitian only with a real one), reaches the one guard, run on
+    # the entries before any matrix of the stack is written
     words = compile_words(["XY" + "I" * 5, "Z" * 7])
-    coeffs = np.array([[1.0, 1.0], [np.nan, 1.0]])
-    for build in (chebyshev._GroupedStack, hamiltonian._dense_stack):
+    for coeffs in (np.array([[1.0, 1.0], [np.nan, 1.0]]), np.array([[1.0, 1.0], [1j, 1.0]])):
         with pytest.raises(NumericalConsistencyError, match="not Hermitian"):
-            build(7, words, coeffs, False)
+            _GroupedStack(7, words, coeffs, False)
 
 
 @pytest.mark.parametrize("h", [_tfim_chain(7), _chain_with_y(7)], ids=["real", "complex"])
@@ -824,7 +896,7 @@ def test_a_degenerate_ground_level_gives_a_vector_of_its_eigenspace():
 
 def test_the_zero_operator_settles_without_dividing_by_a_vanished_block():
     # every product vanishes: each block is refilled from basis states
-    grouped = chebyshev._GroupedStack(7, compile_words(["Z" * 7]), np.zeros((1, 1)), True)
+    grouped = _GroupedStack(7, compile_words(["Z" * 7]), np.zeros((1, 1)), True)
     counters = _Counters()
     with np.errstate(all="raise"):
         levels, grounds, _ = chebyshev._lowest_levels(grouped, None, counters)
@@ -915,17 +987,13 @@ def test_ground_only_stacks_yield_eigenvalues_ground_vectors_and_matrices(monkey
     # the rows of the full eigendecompositions, in stacks sized by their X
     # groups: rows [E0, E1, upper]
     words, coeffs = POOL_RAMP
-    full = list(_SpectrumStacks(7, words, coeffs))
+    matrices = _GroupedStack(7, words, coeffs, True).matrices()
+    values, vectors = _diagonalize_stack(matrices)
     # 8 X masks of 128 entries a row: 5 rows fit in 5 * 1024 entries
     monkeypatch.setattr(statevector, "_STACK_ENTRIES", 5 * 1024)
     counters = _Counters()
-    stacks = _SpectrumStacks(7, words, coeffs, counters, ground_only=True)
-    ground = list(stacks)
-    assert [start for start, *_ in full] == [0, 4, 8, 12]
+    ground = list(adiabatic._ramp_stacks(7, words, coeffs, counters))
     assert [start for start, *_ in ground] == [0, 5, 10]
-    values = np.concatenate([values for _, values, _, _ in full])
-    vectors = np.concatenate([vectors for _, _, vectors, _ in full])
-    assert all(none is None for *_, none in full)
     levels = np.concatenate([levels for _, levels, _, _ in ground])
     grounds = np.concatenate([grounds for _, _, grounds, _ in ground])
     assert levels.shape == (13, 3) and grounds.shape == (13, 128, 1)
@@ -935,12 +1003,11 @@ def test_ground_only_stacks_yield_eigenvalues_ground_vectors_and_matrices(monkey
         assert abs(abs(np.vdot(vector, found)) - 1.0) <= 1e-12
     # each grouped stack builds its rows' matrices; one buffer a stack is counted
     for start, levels_k, _, grouped in ground:
-        dense = hamiltonian._dense_stack(7, words, coeffs[start : start + len(levels_k)], True)
-        assert _dense(grouped).tobytes() == dense.tobytes()
+        assert _dense(grouped).tobytes() == matrices[start : start + len(levels_k)].tobytes()
     assert counters.dense_bytes == 3 * 128 * 128 * 8
     assert counters.matrices_diagonalized == 0 and counters.krylov_checks > 0
     # the warm start lives in the iteration: iterating again gives the same bits
-    again = list(stacks)
+    again = adiabatic._ramp_stacks(7, words, coeffs, None)
     for (_, levels, grounds, _), (_, levels2, grounds2, _) in zip(ground, again):
         assert levels.tobytes() == levels2.tobytes()
         assert grounds.tobytes() == grounds2.tobytes()
@@ -952,7 +1019,7 @@ def test_block_lanczos_levels_match_eigvalsh_on_the_chain_ramps(n, with_y):
     h = _chain_with_y(n) if with_y else _tfim_chain(n)
     s_values = [0.0, 0.3, 0.6, 0.9]
     words, coeffs = ramp_coefficients(initial_hamiltonian(J, n), h, s_values)
-    for start, levels, grounds, grouped in _SpectrumStacks(n, words, coeffs, ground_only=True):
+    for start, levels, grounds, grouped in adiabatic._ramp_stacks(n, words, coeffs, None):
         matrices = _dense(grouped)
         values = np.linalg.eigvalsh(matrices)
         assert np.max(np.abs(levels[:, :2] - values[:, :2])) <= 1e-12
@@ -997,7 +1064,7 @@ def test_block_lanczos_follows_the_ground_level_into_another_symmetry_sector():
     words, coeffs = ramp_coefficients(h0, h1, _midpoints(32))
     parity = np.array([(-1) ** bin(c).count("1") for c in range(2**n)])
     sectors = []
-    for _, levels, grounds, grouped in _SpectrumStacks(n, words, coeffs, ground_only=True):
+    for _, levels, grounds, grouped in adiabatic._ramp_stacks(n, words, coeffs, None):
         values, vectors = np.linalg.eigh(_dense(grouped))
         assert np.max(np.abs(levels[:, :2] - values[:, :2])) <= 1e-12
         sectors += np.sign(np.einsum("kd,d,kd->k", vectors[:, :, 0], parity, vectors[:, :, 0])).tolist()
