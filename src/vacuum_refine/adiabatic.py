@@ -52,22 +52,21 @@ each block of records is one phase array over the records' elapsed
 times and one batched product with V^T, cast once for the hold, and a
 record's bits do not depend on the block size.  A ``trotter1`` hold
 steps.  Each block is read out with stacked calls (``_Recorder``): the
-norm check, ``expectations`` for the energies and observables (one
-``apply_words`` per chunk of words), the overlaps with the fidelity
-targets and the time-order check of its records.  The values go
-straight into the trajectory's columns (``Trajectory``: times,
-fidelities and one list of floats per observable), with no object built
-per record.  Each value is bit-identical to reading out the state
-alone, and each ramp state to stepping it alone.  With
-``record_states`` the trajectory keeps the recorded amplitudes as one
-(records, d) stack, from which shot-mode estimates are drawn.
+norm check, ``expectations`` for the energies (one ``apply_words`` per
+chunk of words), the overlaps with the fidelity targets and the
+time-order check of its records.  The values go straight into the
+trajectory's columns (``Trajectory``: times, energies and fidelities),
+with no object built per record, and the recorded amplitudes are kept as
+one (records, d) stack, ``Trajectory.states``, from which every other
+observable is read.  Each value is bit-identical to reading out the
+state alone, and each ramp state to stepping it alone.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -88,7 +87,6 @@ from .hamiltonian import (
     _refuse_dense,
     _transposed,
     apply_evolution,
-    exact_diagonalize,
     ramp_coefficients,
 )
 from .pauli import apply_words, split_order, x_masks
@@ -110,7 +108,6 @@ _GRID_ATOL = 1e-9
 # thread, 74 ms by default; 54-56 ms while each operator was built, bound
 # and read out alone) and wins by half from 8 on.
 _CHEBYSHEV_QUBITS = 7
-_ENERGY_KEY = "energy"
 
 
 class EvolutionMode(enum.Enum):
@@ -161,25 +158,22 @@ class Schedule:
 class Trajectory:
     """Time-ordered records, as columns, plus what the run noticed.
 
-    Record r is ``times[r]``, ``fidelity[r]`` and ``observables[name][r]``
-    for each observable name, ``"energy"`` included; every value is a
-    Python float.  ``warnings`` lists the degenerate ground levels met on
-    the way.  ``states`` holds the amplitudes of the recorded states, one
-    row per record, when the run was asked to keep them, and is None
-    otherwise.
+    Record r is ``times[r]``, ``energy[r]``, the energy under the
+    operator it evolved by, and ``fidelity[r]``; every value is a Python
+    float.  ``states`` holds the amplitudes of the recorded states, one
+    row per record, from which any observable is read, and is None when
+    the run recorded nothing.  ``warnings`` lists the degenerate ground
+    levels met on the way.
     """
 
     times: list[float] = field(default_factory=list)
+    energy: list[float] = field(default_factory=list)
     fidelity: list[float] = field(default_factory=list)
-    observables: dict[str, list[float]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     states: np.ndarray | None = None
 
     def extend(
-        self,
-        times: Sequence[float],
-        observables: Mapping[str, Sequence[float]],
-        fidelity: Sequence[float],
+        self, times: Sequence[float], energy: Sequence[float], fidelity: Sequence[float]
     ) -> None:
         """Append records, refusing them unless every time exceeds the one before.
 
@@ -187,7 +181,7 @@ class Trajectory:
         included; a NaN time is refused.  Every column must hold one value
         per time, and a refused block appends nothing.
         """
-        if any(len(column) != len(times) for column in [fidelity, *observables.values()]):
+        if len(energy) != len(times) or len(fidelity) != len(times):
             raise DomainError(f"each column needs one value per time, {len(times)} in all")
         stamps = np.array(self.times[-1:] + list(times))
         later = stamps[1:] > stamps[:-1]
@@ -197,9 +191,8 @@ class Trajectory:
                 f"record times must increase, got {stamps[bad + 1]} after {stamps[bad]}"
             )
         self.times.extend(times)
+        self.energy.extend(energy)
         self.fidelity.extend(fidelity)
-        for name, values in observables.items():
-            self.observables.setdefault(name, []).extend(values)
 
 
 def _trotter_step(
@@ -257,15 +250,14 @@ def evolve_step(
 class _Recorder:
     """Turns blocks of recorded states into the trajectory's columns.
 
-    The trajectory holds one empty column per observable and one for the
-    energy from the start, so a run that records nothing still has them.
     ``read`` takes a (rows, d) block of states with their record times,
     their energy coefficient rows and their fidelity targets; a block
     whose states share one operator passes one (1, words) row and one
     (1, d) target.  The block is read out with stacked calls: the norm
-    check of every row, each observable, the energies, the fidelities,
-    clamped to 1, and the time-order check of its times; their values
-    are appended to the columns, and no per-record object is built.
+    check of every row, the energies, the fidelities, clamped to 1, and
+    the time-order check of its times; their values are appended to the
+    columns, no per-record object is built, and the block is kept.
+    ``finish`` hands the kept blocks to the trajectory as one stack.
 
     The caller sizes the blocks.  A ramp block is one stack of ramp
     operators (``_ramp_stacks``), read out before the next stack is
@@ -277,20 +269,11 @@ class _Recorder:
     memory than the stack does.
     """
 
-    def __init__(
-        self,
-        trajectory: Trajectory,
-        dim: int,
-        energy_words: np.ndarray,
-        observables: Mapping[str, PauliSum],
-        keep_states: bool,
-    ):
+    def __init__(self, trajectory: Trajectory, dim: int, energy_words: np.ndarray):
         self.trajectory = trajectory
         self.dim = dim
         self.energy_words = energy_words
-        self.observables = observables
-        self.kept: list[np.ndarray] | None = [] if keep_states else None
-        trajectory.observables = {name: [] for name in [*observables, _ENERGY_KEY]}
+        self.kept: list[np.ndarray] = []
 
     def read(
         self,
@@ -300,32 +283,16 @@ class _Recorder:
         targets: np.ndarray,
     ) -> None:
         check_normalized(states)
-        columns = {
-            name: expectations(states, obs.coeffs, obs.words).tolist()
-            for name, obs in self.observables.items()
-        }
-        columns[_ENERGY_KEY] = expectations(states, energy_coeffs, self.energy_words).tolist()
+        energy = expectations(states, energy_coeffs, self.energy_words).tolist()
         clamped = [min(f, 1.0) for f in fidelities(states, targets)]
-        self.trajectory.extend(times, columns, clamped)
-        if self.kept is not None:
-            self.kept.append(states)
+        self.trajectory.extend(times, energy, clamped)
+        self.kept.append(states)
 
     def finish(self) -> None:
-        """Hand the recorded states to the trajectory, if they are kept."""
-        if self.kept is not None:
-            self.trajectory.states = np.concatenate(
-                self.kept or [np.empty((0, self.dim), dtype=np.complex128)]
-            )
-
-
-def _check_observables(observables: Mapping[str, PauliSum], num_qubits: int) -> None:
-    for name, obs in observables.items():
-        if name == _ENERGY_KEY:
-            raise DomainError(f"observable name {_ENERGY_KEY!r} is reserved")
-        if obs.num_qubits != num_qubits:
-            raise DomainError(
-                f"observable {name!r} acts on {obs.num_qubits} qubit(s), expected {num_qubits}"
-            )
+        """Hand the recorded states to the trajectory as one (records, d) stack."""
+        self.trajectory.states = np.concatenate(
+            self.kept or [np.empty((0, self.dim), dtype=np.complex128)]
+        )
 
 
 def _step_stack(
@@ -403,18 +370,15 @@ def run_adiabatic(
     h1: PauliSum,
     schedule: Schedule,
     mode: EvolutionMode,
-    observables: Mapping[str, PauliSum] | None = None,
-    record_states: bool = False,
     records: bool = True,
     counters: _Counters | None = None,
 ) -> tuple[StateVector, Trajectory]:
     """Ramp from the preparation operator to the target operator.
 
     Starts from |0...0>, takes ``schedule.num_ramp_steps`` midpoint steps
-    and records observables, instantaneous energy and fidelity to the
-    instantaneous ground state at the start and after each step; with
-    ``records`` false nothing is recorded, and with ``record_states`` the
-    trajectory keeps the recorded amplitudes.  A degenerate instantaneous
+    and records the state, its instantaneous energy and its fidelity to
+    the instantaneous ground state at the start and after each step; with
+    ``records`` false nothing is recorded.  A degenerate instantaneous
     ground level is recorded as a trajectory warning, not an error.
 
     Every operator of the ramp, h0 (s = 0) and each step's, is known
@@ -441,8 +405,6 @@ def run_adiabatic(
         raise DomainError(
             f"operators act on different registers: {h0.num_qubits} vs {h1.num_qubits}"
         )
-    observables = dict(observables or {})
-    _check_observables(observables, h0.num_qubits)
     n = h0.num_qubits
     trajectory = Trajectory()
     dt = schedule.dt
@@ -452,9 +414,7 @@ def run_adiabatic(
     words, coeffs = ramp_coefficients(h0, h1, s_values)
     exact = mode is EvolutionMode.EXACT_STEP
     order = split_order(words)
-    recorder = None
-    if records:
-        recorder = _Recorder(trajectory, 2**n, words, observables, record_states)
+    recorder = _Recorder(trajectory, 2**n, words) if records else None
     # a register above the dense cap is refused before |0...0> exists
     _refuse_dense(n)
     chebyshev = n >= _CHEBYSHEV_QUBITS
@@ -499,7 +459,7 @@ def run_adiabatic(
         counters.steps += schedule.num_ramp_steps
     if recorder is not None:
         recorder.finish()
-    # the last step wrote into a row of a block, which the trajectory may keep
+    # the last step wrote into a row of a block, which the recorder keeps
     return StateVector(n, amplitudes.copy()), trajectory
 
 
@@ -508,27 +468,19 @@ def run_hold(
     h: PauliSum,
     schedule: Schedule,
     mode: EvolutionMode,
-    observables: Mapping[str, PauliSum] | None = None,
-    record_states: bool = False,
-    start_time: float = 0.0,
+    spectrum: Spectrum,
     include_initial: bool = False,
-    fidelity_target: StateVector | None = None,
-    spectrum: Spectrum | None = None,
     counters: _Counters | None = None,
 ) -> tuple[StateVector, Trajectory]:
-    """Evolve under a fixed operator for ``schedule.hold_time``.
+    """Evolve under a fixed operator for ``schedule.hold_time``, after the ramp.
 
     A state wider than ``h`` holds under I (x) h: its leading qubits are
     ancillas that the hold leaves alone, as an n-qubit word table acts on
     the trailing n qubits (``pauli.apply_words``); a narrower state is
-    refused.  Record times are offset by ``start_time`` so a hold can
-    continue a ramp trajectory.  Fidelity is taken against
-    ``fidelity_target`` when given, which must have the state's register
-    (else ``DomainError``), otherwise against |0...0> (x) |E0>,
+    refused.  Record times continue the ramp's, from
+    ``schedule.total_time``.  Fidelity is taken against |0...0> (x) |E0>,
     the ground state of ``h`` when there are no ancillas.  ``spectrum``
-    must be ``exact_diagonalize(h)``; only its size is checked.  Without
-    it ``h`` is diagonalized here, once, when exact evolution or the
-    fidelity target needs it.
+    must be ``exact_diagonalize(h)``; only its size is checked.
 
     An exact hold is not stepped.  With c = V^H psi taken once from that
     spectrum for each ancilla row, the record j steps in is
@@ -537,31 +489,21 @@ def run_hold(
     d) product with V^T, so a row's bits do not depend on the block size.
     The initial record, with ``include_initial``, is ``state`` itself.
     A ``trotter1`` hold steps as the ramp does.  Each block is read out
-    at once; ``counters`` count the steps and a diagonalization made here.
+    at once; ``counters`` count the steps.
     """
-    observables = dict(observables or {})
-    _check_observables(observables, state.num_qubits)
     if h.num_qubits > state.num_qubits:
         raise DomainError(
             f"operator acts on {h.num_qubits} qubit(s), state has {state.num_qubits}"
         )
-    if fidelity_target is not None and fidelity_target.num_qubits != state.num_qubits:
-        raise DomainError(
-            f"fidelity target has {fidelity_target.num_qubits} qubit(s), state has {state.num_qubits}"
-        )
+    _check_spectrum_dim(spectrum, 2**h.num_qubits)
     trajectory = Trajectory()
     dt = schedule.dt
     dim = 2**state.num_qubits
+    if spectrum.degenerate:
+        trajectory.warnings.append("ground level of the held operator is degenerate")
+    # |0...0> (x) |E0>
+    target = np.pad(spectrum.ground_state.amplitudes, (0, dim - spectrum.dim))[np.newaxis]
     exact = mode is EvolutionMode.EXACT_STEP and schedule.num_hold_steps > 0
-    if exact or fidelity_target is None:
-        if spectrum is None:
-            spectrum = exact_diagonalize(h, counters)
-        _check_spectrum_dim(spectrum, 2**h.num_qubits)
-    if fidelity_target is None:
-        if spectrum.degenerate:
-            trajectory.warnings.append("ground level of the held operator is degenerate")
-        ground = np.pad(spectrum.ground_state.amplitudes, (0, dim - spectrum.dim))
-        fidelity_target = StateVector(state.num_qubits, ground)  # |0...0> (x) |E0>
     if exact:
         # c = V^H psi of each ancilla row; V^T, cast once, serves every block
         rows = state.amplitudes.reshape(-1, spectrum.dim)
@@ -569,11 +511,10 @@ def run_hold(
         transposed = _transposed(spectrum.eigenvectors)
         exponents = -1j * spectrum.eigenvalues
     order = split_order(h.words)
-    recorder = _Recorder(trajectory, dim, h.words, observables, record_states)
-    target = fidelity_target.amplitudes[np.newaxis]
+    recorder = _Recorder(trajectory, dim, h.words)
     # record r holds the state after steps[r] steps of dt
     steps = list(range(1 - include_initial, schedule.num_hold_steps + 1))
-    times = [start_time + j * dt for j in steps]
+    times = [schedule.total_time + j * dt for j in steps]
     block = max(1, statevector._STACK_ENTRIES // dim)
     amplitudes = state.amplitudes
     for start in range(0, len(steps), block):

@@ -42,9 +42,10 @@ class _Counters:
     the smallest gap between the two lowest levels of any ramp operator,
     and the s of the first operator that has it; None without a ramp.
     ``stages`` holds the seconds spent in each stage of the command
-    (``stage``): the ramp, the hold, the filter, estimation from the
-    recorded states and writing the data files; a stage the command does
-    not run stays at zero.
+    (``stage``): the ramp, the hold, the filter, estimation (every
+    observable value the command reads, exact or sampled, the trajectory
+    columns from the recorded states included) and writing the data
+    files; a stage the command does not run stays at zero.
     """
 
     matrices_diagonalized: int = 0

@@ -6,20 +6,22 @@ and returns the summary values it printed.  File contents depend only on
 the config and seed; wall-clock duration lives in the manifest alone, so
 repeated runs produce byte-identical CSV and report files.
 
-Shot-mode estimation draws from streams: each estimated term opens the
-next stream of the command, numbered from 0 in evaluation order (the
-summary estimates of ``filter-run`` first, then each trajectory
-observable term, ramp before hold).  Stream k draws from
+Every observable value of a command, exact or sampled, is read by its
+``_Estimator``; the ramp and the hold record only the states, their
+energies and their fidelities, and a trajectory's observable column is
+read from the stack of its recorded states (``Trajectory.states``) in
+one call.  Shot-mode estimation draws from streams: each estimated term
+opens the next stream of the command, numbered from 0 in evaluation
+order (the summary estimates of ``filter-run`` first, then each
+trajectory observable term, ramp before hold).  Stream k draws from
 ``SeedSequence(seed, spawn_key=(k,))``, the k-th child that
 ``SeedSequence(seed).spawn`` makes, which keeps the seed's words apart
 from k (``default_rng([seed, k])`` would make stream 0 of seed
 s + k * 2^32 stream k of seed s).  A trajectory's estimates of one term
-are drawn from the stack of its recorded states
-(``Trajectory.states``), one ``binomial`` call on that term's stream over
-the parity probabilities of all the records
-(``estimation.shot_estimates``).  So a command's
-outputs are reproducible from its seed, and adjacent seeds draw
-unrelated noise.
+are one ``binomial`` call on that term's stream over the parity
+probabilities of all the records (``estimation.shot_estimates``).  So a
+command's outputs are reproducible from its seed, and adjacent seeds
+draw unrelated noise.
 
 Each command runs on one ``_Run``, which writes its data files and its
 manifest.  The manifest's ``counters`` (``counters._Counters``)
@@ -33,9 +35,9 @@ After its config refusals a command diagonalizes its target once, before
 any ramp (``_Run.diagonalize``), where a degenerate target is refused.
 
 A trajectory's CSV rows (``_Run.hold``) are the ramp's and the hold's
-columns (``Trajectory.times``, the observable and energy columns,
-``Trajectory.fidelity``) zipped with the estimates, and a table of
-floats alone is written by one string format.
+columns (``Trajectory.times``, ``Trajectory.fidelity`` and
+``Trajectory.energy``) zipped with the estimator's values and errors,
+and a table of floats alone is written by one string format.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .statevector import StateVector, expectation_observable, expectations, fide
 
 REFERENCE_PREP_QUALITY = 0.999242  # benchmark 2|alpha|^2 - 1 for the default J=pi/4 run
 
-_OBS_KEY = "expval_Z"
 # The thread-count getter of the OpenBLAS that numpy (>= 2.0) wheels
 # bundle in numpy.libs.
 _BLAS_GET = "scipy_openblas_get_num_threads64_"
@@ -223,20 +224,13 @@ class _Run:
             raise DomainError(refusal)
         return spectrum
 
-    def ramp(self, h1: PauliSum, observable: PauliSum | None = None) -> tuple[StateVector, Trajectory]:
-        """The ramp to ``h1``: its final state and a trajectory of ``observable``, if given."""
+    def ramp(self, h1: PauliSum, records: bool = True) -> tuple[StateVector, Trajectory]:
+        """The ramp to ``h1``: its final state and its trajectory, recorded with ``records``."""
         config = self.config
         h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
         with self.counters.stage("ramp"):
             final, ramp = run_adiabatic(
-                h0,
-                h1,
-                config.schedule,
-                config.mode,
-                None if observable is None else {_OBS_KEY: observable},
-                record_states=config.estimation.method != "exact",
-                records=observable is not None,
-                counters=self.counters,
+                h0, h1, config.schedule, config.mode, records=records, counters=self.counters
             )
         self.warnings += ramp.warnings
         return final, ramp
@@ -245,32 +239,26 @@ class _Run:
         """Hold ``state`` under ``h1``, whose spectrum is ``spectrum``, and write the trajectory.
 
         Its rows are the ``ramp`` trajectory's records, then the hold's, of
-        ``observables`` (the ramp's and the hold's) read by ``estimator``.
-        Returns the held state and the line that names the file.
+        ``observables`` (the ramp's and the hold's) read by ``estimator``
+        from each trajectory's states.  Returns the held state and the line
+        that names the file.
         """
+        config = self.config
         with self.counters.stage("hold"):
             held, hold = run_hold(
                 state,
                 h1,
-                self.config.schedule,
-                self.config.mode,
-                {_OBS_KEY: observables[1]},
-                record_states=not estimator.exact,
-                start_time=self.config.schedule.total_time,
+                config.schedule,
+                config.mode,
+                spectrum,
                 include_initial=include_initial,
-                spectrum=spectrum,
                 counters=self.counters,
             )
         self.warnings += hold.warnings
         rows = []
         for trajectory, observable in zip((ramp, hold), observables):
-            if estimator.exact:
-                values = trajectory.observables[_OBS_KEY]
-                errors = [0.0] * len(values)
-            else:
-                values, errors = estimator.evaluate_rows(trajectory.states, observable)
-            columns = (trajectory.fidelity, trajectory.observables["energy"])
-            rows += zip(trajectory.times, values, errors, *columns)
+            values, errors = estimator.evaluate_rows(trajectory.states, observable)
+            rows += zip(trajectory.times, values, errors, trajectory.fidelity, trajectory.energy)
         header = ["t", "expval_Z", "std_error", "fidelity", "energy"]
         path = self.write("trajectory.csv", _write_csv, header, rows)
         return held, f"trajectory written to {path} ({len(rows)} records)"
@@ -309,7 +297,7 @@ def cmd_sweep(config: ExperimentConfig) -> CommandResult:
     h1 = build_model(config)
     spectrum = run.diagonalize(h1)
     mean_z = _mean_z(h1.num_qubits)
-    final, ramp = run.ramp(h1, mean_z)
+    final, ramp = run.ramp(h1)
     estimator = _Estimator(config.estimation, run.counters)
     held, written = run.hold(final, h1, spectrum, estimator, ramp, (mean_z, mean_z))
 
@@ -348,7 +336,7 @@ def cmd_filter_run(config: ExperimentConfig) -> CommandResult:
         raise ConfigError("model.hamiltonian: filter-run requires a one-qubit model")
     spectrum = run.diagonalize(h1, "cannot tag against a degenerate spectrum")
     mean_z = _mean_z(1)
-    final, ramp = run.ramp(h1, mean_z)
+    final, ramp = run.ramp(h1)
     estimator = _Estimator(config.estimation, run.counters)
 
     pre_tag_z = expectation_observable(final, mean_z)
@@ -451,7 +439,7 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
     except DomainError as exc:
         raise ConfigError(f"filter: {exc}") from exc
     spectrum = run.diagonalize(h1, "iterative refinement needs a non-degenerate ground level")
-    final, _ = run.ramp(h1)
+    final, _ = run.ramp(h1, records=False)
     start_fidelity = fidelity(final, spectrum.ground_state)
 
     fixed_theta = config.filter.theta if config.filter.theta_mode == "fixed" else None

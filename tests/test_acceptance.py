@@ -40,6 +40,7 @@ from vacuum_refine import (
     tag_circuit_one_qubit,
     transverse_ising_pair,
 )
+from vacuum_refine.statevector import expectations
 
 from oracles import embed_gate, filter_circuit, haar_unitary, pauli_sum_matrix, random_state
 
@@ -173,10 +174,9 @@ def test_criterion_4_filtered_hold(outdir, benchmark_filter):
     _, selected = postselect(tagged, [0], "0")
     z = PauliSum(1, ((1.0, "Z"),))
     _, hold = run_hold(
-        selected, h1, schedule, EvolutionMode.EXACT_STEP,
-        observables={"expval_Z": z}, include_initial=True, start_time=36.0,
+        selected, h1, schedule, EvolutionMode.EXACT_STEP, spectrum, include_initial=True
     )
-    values = np.array(hold.observables["expval_Z"])
+    values = expectations(hold.states, z.coeffs, z.words)
     spread = float(values.max() - values.min())
     worst = float(np.max(np.abs(values - INV_SQRT2)))
 

@@ -14,6 +14,9 @@ from vacuum_refine import (
     StateVector,
     apply_evolution,
     basis_state,
+    build_model,
+    cmd_filter_run,
+    cmd_sweep,
     evolve_step,
     exact_diagonalize,
     expectation_observable,
@@ -21,15 +24,18 @@ from vacuum_refine import (
     hadamard_hamiltonian,
     initial_hamiltonian,
     interpolate,
+    load_config,
     parse_pauli_text,
     ramp_coefficients,
     run_adiabatic,
     run_hold,
     to_matrix,
     transverse_ising_pair,
+    with_overrides,
 )
 from vacuum_refine import adiabatic, statevector
 from vacuum_refine.counters import _Counters
+from vacuum_refine.statevector import expectations
 
 from oracles import (
     expectation_per_state,
@@ -41,6 +47,7 @@ from oracles import (
 
 J = np.pi / 4
 CHAIN3Y = parse_pauli_text((Path(__file__).parent / "golden" / "chain3y.txt").read_text())
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BENCHMARK = Schedule(total_time=36.0, dt=1.0 / 24.0, hold_time=12.0)
 
@@ -182,16 +189,17 @@ def test_energy_recorded_against_instantaneous_operator():
     h1 = hadamard_hamiltonian(J)
     _, traj = run_adiabatic(h0, h1, BENCHMARK, EvolutionMode.EXACT_STEP)
     # at t=0 the state is the exact ground of h0 with energy -J
-    assert traj.observables["energy"][0] == pytest.approx(-J, abs=1e-12)
+    assert traj.energy[0] == pytest.approx(-J, abs=1e-12)
     # near the end the energy approaches the target ground energy
-    assert traj.observables["energy"][-1] == pytest.approx(-J, abs=5e-3)
+    assert traj.energy[-1] == pytest.approx(-J, abs=5e-3)
 
 
 def test_hold_leaves_eigenstate_invariant():
     h1 = hadamard_hamiltonian(J)
-    ground = exact_diagonalize(h1).ground_state
+    spectrum = exact_diagonalize(h1)
+    ground = spectrum.ground_state
     sched = Schedule(total_time=1.0, dt=1.0 / 24.0, hold_time=12.0)
-    final, traj = run_hold(ground, h1, sched, EvolutionMode.EXACT_STEP)
+    final, traj = run_hold(ground, h1, sched, EvolutionMode.EXACT_STEP, spectrum)
     assert len(traj.times) == len(traj.fidelity) == sched.num_hold_steps
     for value in traj.fidelity:
         assert value == pytest.approx(1.0, abs=1e-10)
@@ -200,7 +208,8 @@ def test_hold_leaves_eigenstate_invariant():
 
 def test_hold_oscillation_closed_form():
     # superpose the two levels of the single-qubit operator and hold; the
-    # observable oscillates as w0 z0 + w1 z1 + cross * cos(gap * t)
+    # observable oscillates as w0 z0 + w1 z1 + cross * cos(gap * (t - T)),
+    # the hold starting at the ramp's end T
     h1 = hadamard_hamiltonian(J)
     spec = exact_diagonalize(h1)
     v0 = spec.eigenvectors[:, 0]
@@ -216,24 +225,18 @@ def test_hold_oscillation_closed_form():
     gap = spec.gap
 
     sched = Schedule(total_time=1.0, dt=1.0 / 24.0, hold_time=12.0)
-    _, traj = run_hold(
-        state,
-        h1,
-        sched,
-        EvolutionMode.EXACT_STEP,
-        observables={"expval_Z": z},
-        start_time=0.0,
-        include_initial=True,
-    )
-    for t, value in zip(traj.times, traj.observables["expval_Z"], strict=True):
+    _, traj = run_hold(state, h1, sched, EvolutionMode.EXACT_STEP, spec, include_initial=True)
+    assert traj.times[0] == sched.total_time
+    held_z = expectations(traj.states, z.coeffs, z.words).tolist()
+    for t, value in zip(traj.times, held_z, strict=True):
         expected = (
             a * a * z00
             + b * b * z11
-            + 2 * a * b * np.real(z01 * np.exp(-1j * gap * t))
+            + 2 * a * b * np.real(z01 * np.exp(-1j * gap * (t - sched.total_time)))
         )
         assert value == pytest.approx(expected, abs=1e-8)
     # the oscillation period 2*pi/gap = 4 shows up as a repeat after 4 units
-    values = {round(t, 9): v for t, v in zip(traj.times, traj.observables["expval_Z"])}
+    values = {round(t - sched.total_time, 9): v for t, v in zip(traj.times, held_z)}
     assert values[4.0] == pytest.approx(values[0.0], abs=1e-10)
     assert values[8.0] == pytest.approx(values[0.0], abs=1e-10)
 
@@ -257,15 +260,12 @@ def test_ramp_without_records_evolves_the_same():
     sched = Schedule(total_time=3.0, dt=1.0)
     for mode in EvolutionMode:
         full_counts, bare_counts = _Counters(), _Counters()
-        recorded, full = run_adiabatic(h0, h1, sched, mode, {"z": h1}, counters=full_counts)
-        final, bare = run_adiabatic(
-            h0, h1, sched, mode, {"z": h1}, records=False, counters=bare_counts
-        )
+        recorded, full = run_adiabatic(h0, h1, sched, mode, counters=full_counts)
+        final, bare = run_adiabatic(h0, h1, sched, mode, records=False, counters=bare_counts)
         assert final.amplitudes.tobytes() == recorded.amplitudes.tobytes()
-        assert len(full.times) == 4
-        assert list(full.observables) == ["z", "energy"]
-        assert all(len(column) == 4 for column in full.observables.values())
-        assert bare.times == bare.fidelity == [] and bare.observables == {}
+        assert len(full.times) == len(full.energy) == len(full.fidelity) == 4
+        assert full.states.shape == (4, 2)
+        assert bare.times == bare.energy == bare.fidelity == [] and bare.states is None
         # warnings still come from every step's spectrum
         assert bare_counts == full_counts
         assert bare.warnings == full.warnings == [
@@ -273,37 +273,38 @@ def test_ramp_without_records_evolves_the_same():
         ]
 
 
-def test_hold_builds_no_dense_propagator(count_calls):
+def test_hold_builds_no_dense_propagator(count_calls, count_diagonalized):
+    # the hold applies the spectrum it is given: no diagonalization, no
+    # dense propagator
     h1 = transverse_ising_pair(J)
     spectrum = exact_diagonalize(h1)
     sched = Schedule(total_time=1.0, dt=0.25, hold_time=2.0)
+    count_diagonalized.clear()
     propagators = count_calls("hamiltonian.evolution_unitary")
     diagonalized = count_calls("hamiltonian.exact_diagonalize")
-    start = basis_state(2, 0)
-    final, _ = run_hold(start, h1, sched, EvolutionMode.EXACT_STEP)
-    assert len(diagonalized) == 1
-    # a spectrum handed down replaces the diagonalization, same result
-    given, _ = run_hold(start, h1, sched, EvolutionMode.EXACT_STEP, spectrum=spectrum)
-    assert len(diagonalized) == 1
-    assert given.amplitudes.tobytes() == final.amplitudes.tobytes()
+    held, _ = run_hold(basis_state(2, 0), h1, sched, EvolutionMode.EXACT_STEP, spectrum)
+    assert diagonalized == [] and count_diagonalized == []
     assert propagators == []
+    expected = apply_evolution(spectrum, sched.hold_time, basis_state(2, 0).amplitudes)
+    assert np.max(np.abs(held.amplitudes - expected)) <= 1e-14
 
 
 def test_hold_time_offset_and_target():
+    # the hold's records continue the ramp's times, and its fidelity is
+    # taken against the held operator's ground state
     h1 = hadamard_hamiltonian(J)
-    ground = exact_diagonalize(h1).ground_state
-    sched = Schedule(total_time=1.0, dt=0.25, hold_time=1.0)
-    _, traj = run_hold(
-        ground,
-        h1,
-        sched,
-        EvolutionMode.EXACT_STEP,
-        start_time=36.0,
-        include_initial=True,
-        fidelity_target=ground,
-    )
-    times = traj.times
-    assert times == pytest.approx([36.0, 36.25, 36.5, 36.75, 37.0])
+    spectrum = exact_diagonalize(h1)
+    sched = Schedule(total_time=36.0, dt=0.25, hold_time=1.0)
+    for mode in EvolutionMode:
+        _, traj = run_hold(spectrum.ground_state, h1, sched, mode, spectrum, include_initial=True)
+        assert traj.times == [36.0 + j * 0.25 for j in range(5)]
+        if mode is EvolutionMode.EXACT_STEP:
+            # the exact hold leaves the ground state where it is
+            assert traj.fidelity == pytest.approx([1.0] * 5, abs=1e-12)
+    plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
+    _, traj = run_hold(plus, h1, sched, EvolutionMode.EXACT_STEP, spectrum, include_initial=True)
+    ground = spectrum.ground_state.amplitudes
+    assert traj.fidelity[0] == min(fidelity_per_state(plus.amplitudes, ground), 1.0)
 
 
 def test_crossing_ramp_records_degeneracy_warning():
@@ -328,43 +329,23 @@ def test_spectrum_of_wrong_size_rejected():
     with pytest.raises(DomainError, match="spectrum dimension"):
         evolve_step(basis_state(2, 0), h, 0.25, EvolutionMode.EXACT_STEP, wrong)
     sched = Schedule(total_time=1.0, dt=0.25, hold_time=1.0)
-    with pytest.raises(DomainError, match="spectrum dimension"):
-        run_hold(basis_state(2, 0), h, sched, EvolutionMode.EXACT_STEP, spectrum=wrong)
-
-
-def test_observable_register_checked():
-    h0 = initial_hamiltonian(J, 1)
-    h1 = hadamard_hamiltonian(J)
-    bad = {"expval_Z": PauliSum(2, ((1.0, "ZI"),))}
-    with pytest.raises(DomainError):
-        run_adiabatic(h0, h1, BENCHMARK, EvolutionMode.EXACT_STEP, observables=bad)
-
-
-def test_energy_key_reserved():
-    h0 = initial_hamiltonian(J, 1)
-    h1 = hadamard_hamiltonian(J)
-    with pytest.raises(DomainError):
-        run_adiabatic(
-            h0,
-            h1,
-            BENCHMARK,
-            EvolutionMode.EXACT_STEP,
-            observables={"energy": PauliSum(1, ((1.0, "Z"),))},
-        )
+    for mode in EvolutionMode:
+        with pytest.raises(DomainError, match="spectrum dimension"):
+            run_hold(basis_state(2, 0), h, sched, mode, wrong)
 
 
 def test_trajectory_time_ordering_enforced():
     from vacuum_refine import Trajectory
 
     traj = Trajectory()
-    traj.extend([0.0], {"energy": [-1.0]}, [1.0])
+    traj.extend([0.0], [-1.0], [1.0])
 
     def refused(times, match="times must increase"):
-        before = (list(traj.times), list(traj.fidelity), {k: list(v) for k, v in traj.observables.items()})
+        before = (list(traj.times), list(traj.energy), list(traj.fidelity))
         with pytest.raises(DomainError, match=match):
-            traj.extend(times, {"energy": [0.5] * len(times)}, [1.0] * len(times))
+            traj.extend(times, [0.5] * len(times), [1.0] * len(times))
         # nothing is appended on a refusal
-        assert (traj.times, traj.fidelity, traj.observables) == before
+        assert (traj.times, traj.energy, traj.fidelity) == before
 
     refused([0.0])  # equal to the last time held
     refused([-1.0])  # earlier
@@ -373,12 +354,14 @@ def test_trajectory_time_ordering_enforced():
     # a block is checked as a whole: one bad time refuses every record of it
     refused([1.0, 2.0, 2.0, 3.0], match="got 2.0 after 2.0")
     with pytest.raises(DomainError, match="one value per time"):
-        traj.extend([1.0, 2.0], {"energy": [0.5]}, [1.0, 1.0])
+        traj.extend([1.0, 2.0], [0.5], [1.0, 1.0])
+    with pytest.raises(DomainError, match="one value per time"):
+        traj.extend([1.0, 2.0], [0.5, 0.25], [1.0])
     assert traj.times == [0.0]
-    traj.extend([1.0, 2.0], {"energy": [0.5, 0.25]}, [0.9, 0.8])
+    traj.extend([1.0, 2.0], [0.5, 0.25], [0.9, 0.8])
     assert traj.times == [0.0, 1.0, 2.0]
+    assert traj.energy == [-1.0, 0.5, 0.25]
     assert traj.fidelity == [1.0, 0.9, 0.8]
-    assert traj.observables == {"energy": [-1.0, 0.5, 0.25]}
 
 
 # --- records read out in blocks ------------------------------------------
@@ -397,15 +380,14 @@ def test_block_readout_matches_per_state_readout():
     h0 = initial_hamiltonian(J, 6)
     observable = PauliSum(6, ((0.5, "ZIIIII"), (0.25, "IIZZII"), (-0.5, "IXIIIY")))
     sched = Schedule(total_time=2.0, dt=0.05, hold_time=1.0)
-    final, ramp = run_adiabatic(
-        h0, CHAIN6, sched, EvolutionMode.EXACT_STEP, {"o": observable}, record_states=True
-    )
+    final, ramp = run_adiabatic(h0, CHAIN6, sched, EvolutionMode.EXACT_STEP)
     assert ramp.states.shape == (41, 64)
     assert ramp.states[-1].tobytes() == final.amplitudes.tobytes()
     matrices: dict = {}
     state = basis_state(6, 0)
     s_values = [0.0] + [(k + 0.5) * sched.dt / sched.total_time for k in range(40)]
-    columns = zip(ramp.observables["energy"], ramp.observables["o"], ramp.fidelity)
+    read = expectations(ramp.states, observable.coeffs, observable.words).tolist()
+    columns = zip(ramp.energy, read, ramp.fidelity)
     for k, (psi, s, (energy, o, f)) in enumerate(zip(ramp.states, s_values, columns, strict=True)):
         h_k = interpolate(h0, CHAIN6, s)
         spectrum = exact_diagonalize(h_k)
@@ -417,44 +399,28 @@ def test_block_readout_matches_per_state_readout():
         ground = spectrum.ground_state.amplitudes
         assert f == min(fidelity_per_state(psi, ground), 1.0)
 
+    spectrum = exact_diagonalize(CHAIN6)
     held, hold = run_hold(
-        final,
-        CHAIN6,
-        sched,
-        EvolutionMode.EXACT_STEP,
-        {"o": observable},
-        record_states=True,
-        include_initial=True,
+        final, CHAIN6, sched, EvolutionMode.EXACT_STEP, spectrum, include_initial=True
     )
     assert hold.states.shape == (21, 64)
     assert hold.states[-1].tobytes() == held.amplitudes.tobytes()
-    ground = exact_diagonalize(CHAIN6).ground_state.amplitudes
-    for psi, energy, f in zip(hold.states, hold.observables["energy"], hold.fidelity, strict=True):
+    ground = spectrum.ground_state.amplitudes
+    for psi, energy, f in zip(hold.states, hold.energy, hold.fidelity, strict=True):
         assert energy == expectation_per_state(psi, CHAIN6.terms, matrices)
         assert f == min(fidelity_per_state(psi, ground), 1.0)
 
 
-def test_states_are_kept_only_when_asked():
-    h0, h1 = initial_hamiltonian(J, 1), hadamard_hamiltonian(J)
-    sched = Schedule(total_time=1.0, dt=0.25, hold_time=0.5)
-    _, ramp = run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP)
-    assert ramp.states is None
-    _, bare = run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP, record_states=True, records=False)
-    assert bare.states is None
-    _, empty = run_hold(basis_state(1, 0), h1, Schedule(1.0, 0.25), EvolutionMode.EXACT_STEP, record_states=True)
-    # a hold of no steps records nothing but still has its columns
-    assert empty.times == empty.fidelity == [] and empty.states.shape == (0, 2)
-    assert empty.observables == {"energy": []}
-
-
 def test_hold_refuses_a_state_that_leaves_the_unit_sphere():
-    # a non-unitary "spectrum" grows the norm step by step; the block's
-    # norm check refuses the first record past the tolerance
-    grow = Spectrum(1, np.array([0.0, 1e-8j]), np.eye(2))
+    # a "spectrum" whose excited eigenvector is 1e-8 too long takes every
+    # record after the initial one off the unit sphere (|psi|^2 = 1 + 2e-8);
+    # the block's norm check refuses it
+    stretched = Spectrum(1, np.array([-1.0, 1.0]), np.diag([1.0, 1.0 + 1e-8]))
     plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
     sched = Schedule(total_time=1.0, dt=0.25, hold_time=2.5)
     with pytest.raises(DomainError, match="not normalized"):
-        run_hold(plus, hadamard_hamiltonian(J), sched, EvolutionMode.EXACT_STEP, spectrum=grow, fidelity_target=plus)
+        h = hadamard_hamiltonian(J)
+        run_hold(plus, h, sched, EvolutionMode.EXACT_STEP, stretched, include_initial=True)
 
 
 def test_trotter_ramp_reads_the_coefficient_rows(count_calls):
@@ -506,14 +472,16 @@ def _ramp_oracle(h0, h1, schedule, observables):
     return rows, warnings
 
 
-def _hold_oracle(state, h, schedule, start_time, include_initial):
+def _hold_oracle(state, h, schedule, include_initial):
     """(t, amplitudes) per record of the exact hold, each from the held state.
 
     Record j, j steps of dt in, is ``apply_evolution(spectrum, j * dt,
-    state)``; the initial record, with ``include_initial``, is the state
-    itself.  No record is stepped from the one before it.
+    state)`` at time T + j dt; the initial record, with
+    ``include_initial``, is the state itself.  No record is stepped from
+    the one before it.
     """
     spectrum = exact_diagonalize(h)
+    start_time = schedule.total_time
     rows = [(start_time, state.amplitudes)] if include_initial else []
     for j in range(1, schedule.num_hold_steps + 1):
         amplitudes = apply_evolution(spectrum, j * schedule.dt, state.amplitudes)
@@ -533,13 +501,17 @@ def _readout(states, h, observables):
     return rows
 
 
-def _assert_matches(trajectory, rows):
+def _assert_matches(trajectory, rows, observables):
     assert len(trajectory.times) == len(rows) == len(trajectory.states)
     assert trajectory.times == [t for t, _, _, _ in rows]
     assert trajectory.fidelity == [ground for _, _, _, ground in rows]
-    names = list(rows[0][2]) if rows else list(trajectory.observables)
-    assert list(trajectory.observables) == names
-    assert trajectory.observables == {name: [values[name] for _, _, values, _ in rows] for name in names}
+    # each observable's column as the estimator reads it from the states
+    columns = {
+        name: expectations(trajectory.states, obs.coeffs, obs.words).tolist()
+        for name, obs in observables.items()
+    }
+    columns["energy"] = trajectory.energy
+    assert columns == {name: [values[name] for _, _, values, _ in rows] for name in columns}
     for psi, (_, amplitudes, _, _) in zip(trajectory.states, rows):
         assert psi.tobytes() == amplitudes.tobytes()
 
@@ -566,15 +538,14 @@ def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
     ]
     words, coeffs = ramp_coefficients(h0, h1, s_values)
     assert [start for start, *_ in adiabatic._ramp_stacks(n, words, coeffs, None)] == stacks
-    final, ramp = run_adiabatic(
-        h0, h1, schedule, EvolutionMode.EXACT_STEP, observables, record_states=True
-    )
+    final, ramp = run_adiabatic(h0, h1, schedule, EvolutionMode.EXACT_STEP)
     rows, warnings = _ramp_oracle(h0, h1, schedule, observables)
-    _assert_matches(ramp, rows)
+    _assert_matches(ramp, rows, observables)
     assert ramp.warnings == warnings
     assert final.amplitudes.tobytes() == rows[-1][1].tobytes()
     assert not np.shares_memory(final.amplitudes, ramp.states)
 
+    spectrum = exact_diagonalize(h1)
     for hold_schedule in (schedule, Schedule(schedule.total_time, schedule.dt)):
         for include_initial in (False, True):
             held, hold = run_hold(
@@ -582,14 +553,10 @@ def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
                 h1,
                 hold_schedule,
                 EvolutionMode.EXACT_STEP,
-                observables,
-                record_states=True,
-                start_time=schedule.total_time,
+                spectrum,
                 include_initial=include_initial,
             )
-            expected = _hold_oracle(
-                final, h1, hold_schedule, schedule.total_time, include_initial
-            )
+            expected = _hold_oracle(final, h1, hold_schedule, include_initial)
             assert len(expected) == hold_schedule.num_hold_steps + include_initial
             for psi, (_, amplitudes) in zip(hold.states, expected):
                 assert np.max(np.abs(psi - amplitudes)) <= 1e-14
@@ -601,6 +568,7 @@ def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
                     (t, psi, values, ground)
                     for (t, _), psi, (values, ground) in zip(expected, hold.states, readout)
                 ],
+                observables,
             )
             last = hold.states[-1] if expected else final.amplitudes
             assert held.amplitudes.tobytes() == last.tobytes()
@@ -613,9 +581,9 @@ def test_exact_loops_apply_no_evolution_per_step(count_calls):
     # not called once per step
     applied = count_calls("hamiltonian.apply_evolution")
     h0, h1 = initial_hamiltonian(J, 1), hadamard_hamiltonian(J)
-    observables = {"expval_Z": _mean_z(1)}
-    final, _ = run_adiabatic(h0, h1, BENCHMARK, EvolutionMode.EXACT_STEP, observables)
-    run_hold(final, h1, BENCHMARK, EvolutionMode.EXACT_STEP, observables, include_initial=True)
+    spectrum = exact_diagonalize(h1)
+    final, _ = run_adiabatic(h0, h1, BENCHMARK, EvolutionMode.EXACT_STEP)
+    run_hold(final, h1, BENCHMARK, EvolutionMode.EXACT_STEP, spectrum, include_initial=True)
     assert applied == []
 
 
@@ -634,7 +602,7 @@ def test_closed_form_hold_matches_expm(h):
     scipy_linalg = pytest.importorskip("scipy.linalg")
     n = h.num_qubits
     state = StateVector(n, random_state(n, np.random.default_rng(n)))
-    held, hold = run_hold(state, h, BENCHMARK, EvolutionMode.EXACT_STEP, record_states=True)
+    held, hold = run_hold(state, h, BENCHMARK, EvolutionMode.EXACT_STEP, exact_diagonalize(h))
     assert len(hold.times) == 288
     u = scipy_linalg.expm(-1j * BENCHMARK.hold_time * pauli_sum_matrix(h.terms, n))
     assert np.max(np.abs(hold.states[-1] - u @ state.amplitudes)) <= 1e-14
@@ -653,7 +621,7 @@ def _embedded(h: PauliSum, width: int) -> PauliSum:
 @pytest.mark.parametrize("width", [2, 3])
 def test_exact_hold_leaves_leading_ancillas_alone(width):
     # a state wider than h holds under I (x) h: every record against scipy's
-    # exp(-i kron(I, H) t), H built with index loops, and the default
+    # exp(-i kron(I, H) (t - T)), H built with index loops, and the
     # fidelity target is |0...0> beside H's ground vector
     scipy_linalg = pytest.importorskip("scipy.linalg")
     h = ONE_QUBIT_YZX
@@ -662,80 +630,57 @@ def test_exact_hold_leaves_leading_ancillas_alone(width):
     mean_z = _mean_z(width)
     sched = Schedule(total_time=1.0, dt=0.25, hold_time=1.5)
     held, hold = run_hold(
-        state,
-        h,
-        sched,
-        EvolutionMode.EXACT_STEP,
-        {"expval_Z": mean_z},
-        record_states=True,
-        include_initial=True,
+        state, h, sched, EvolutionMode.EXACT_STEP, exact_diagonalize(h), include_initial=True
     )
+    held_z = expectations(hold.states, mean_z.coeffs, mean_z.words)
     matrix = pauli_sum_matrix(joint, width)
     zeros = np.zeros(2 ** (width - 1))
     zeros[0] = 1.0
     target = np.kron(zeros, np.linalg.eigh(pauli_sum_matrix(h.terms, 1))[1][:, 0])
     assert len(hold.times) == 7 and hold.warnings == []
     for r, t in enumerate(hold.times):
-        expected = scipy_linalg.expm(-1j * (t * matrix)) @ state.amplitudes
+        expected = scipy_linalg.expm(-1j * ((t - sched.total_time) * matrix)) @ state.amplitudes
         assert np.max(np.abs(hold.states[r] - expected)) <= 1e-12
-        assert abs(hold.observables["energy"][r] - expectation_per_state(expected, joint)) <= 1e-12
+        assert abs(hold.energy[r] - expectation_per_state(expected, joint)) <= 1e-12
         z = expectation_per_state(expected, mean_z.terms)
-        assert abs(hold.observables["expval_Z"][r] - z) <= 1e-12
+        assert abs(held_z[r] - z) <= 1e-12
         assert abs(hold.fidelity[r] - fidelity_per_state(target, expected)) <= 1e-12
     assert held.amplitudes.tobytes() == hold.states[-1].tobytes()
 
 
 @pytest.mark.parametrize("width", [2, 3])
 def test_trotter_hold_under_h_is_the_hold_under_the_embedded_operator(width):
-    # both read the same word table, so every bit agrees; the embedded
-    # operator's ground level is degenerate, so its target is named
+    # both read the same word table, so every bit of the states and the
+    # energies agrees; each fidelity is taken against its own operator's
+    # ground vector, and the embedded operator's ground level is degenerate
     h = ONE_QUBIT_YZX
+    embedded = _embedded(h, width)
     state = StateVector(width, random_state(width, np.random.default_rng(60 + width)))
-    observables = {"expval_Z": _mean_z(width)}
     sched = Schedule(total_time=1.0, dt=0.25, hold_time=1.5)
-    ground = np.zeros(2**width, dtype=np.complex128)
-    ground[:2] = exact_diagonalize(h).ground_state.amplitudes
-    runs = [
-        run_hold(state, h, sched, EvolutionMode.TROTTER1, observables, record_states=True),
-        run_hold(
-            state,
-            _embedded(h, width),
-            sched,
-            EvolutionMode.TROTTER1,
-            observables,
-            record_states=True,
-            fidelity_target=StateVector(width, ground),
-        ),
-    ]
-    (held, hold), (joint_held, joint_hold) = runs
+    spectrum, joint_spectrum = exact_diagonalize(h), exact_diagonalize(embedded)
+    mode = EvolutionMode.TROTTER1
+    held, hold = run_hold(state, h, sched, mode, spectrum)
+    joint_held, joint_hold = run_hold(state, embedded, sched, mode, joint_spectrum)
     assert held.amplitudes.tobytes() == joint_held.amplitudes.tobytes()
     assert hold.states.tobytes() == joint_hold.states.tobytes()
-    assert hold.observables == joint_hold.observables
-    assert hold.fidelity == joint_hold.fidelity
-    assert hold.warnings == joint_hold.warnings == []
+    assert hold.times == joint_hold.times
+    assert hold.energy == joint_hold.energy
+    ground = np.zeros(2**width, dtype=np.complex128)
+    ground[:2] = spectrum.ground_state.amplitudes
+    for psi, f, joint_f in zip(hold.states, hold.fidelity, joint_hold.fidelity, strict=True):
+        assert f == min(fidelity_per_state(psi, ground), 1.0)
+        joint_ground = joint_spectrum.ground_state.amplitudes
+        assert joint_f == min(fidelity_per_state(psi, joint_ground), 1.0)
+    assert hold.warnings == []
+    assert joint_hold.warnings == ["ground level of the held operator is degenerate"]
 
 
 def test_hold_refuses_a_state_narrower_than_its_operator():
     sched = Schedule(total_time=1.0, dt=0.25, hold_time=1.0)
+    h = transverse_ising_pair(J)
     for mode in EvolutionMode:
         with pytest.raises(DomainError, match="operator acts on 2 qubit"):
-            run_hold(basis_state(1, 0), transverse_ising_pair(J), sched, mode)
-
-
-@pytest.mark.parametrize("mode", list(EvolutionMode))
-def test_hold_refuses_a_fidelity_target_of_another_register_before_any_step(mode):
-    # a one-qubit target for a two-qubit state, its leading qubit an ancilla
-    counters = _Counters()
-    with pytest.raises(DomainError, match=r"fidelity target has 1 qubit\(s\), state has 2"):
-        run_hold(
-            basis_state(2, 0),
-            hadamard_hamiltonian(0.7),
-            Schedule(1.0, 0.25, 1.0),
-            mode,
-            fidelity_target=basis_state(1, 0),
-            counters=counters,
-        )
-    assert counters.steps == 0 and counters.matrices_diagonalized == 0
+            run_hold(basis_state(1, 0), h, sched, mode, exact_diagonalize(h))
 
 
 @pytest.mark.parametrize(
@@ -748,7 +693,7 @@ def test_hold_states_do_not_depend_on_the_block_size(h, monkeypatch):
     # 21 records in one block: a block holds 2^16 // d records
     n = h.num_qubits
     state = StateVector(n, random_state(n, np.random.default_rng(40 + n)))
-    observables = {"expval_Z": _mean_z(n)}
+    spectrum = exact_diagonalize(h)
     sched = Schedule(total_time=1.0, dt=0.05, hold_time=1.0)
     read = adiabatic._Recorder.read
     blocks = []
@@ -762,13 +707,7 @@ def test_hold_states_do_not_depend_on_the_block_size(h, monkeypatch):
     def hold():
         blocks.clear()
         _, trajectory = run_hold(
-            state,
-            h,
-            sched,
-            EvolutionMode.EXACT_STEP,
-            observables,
-            record_states=True,
-            include_initial=True,
+            state, h, sched, EvolutionMode.EXACT_STEP, spectrum, include_initial=True
         )
         return trajectory, list(blocks)
 
@@ -779,7 +718,7 @@ def test_hold_states_do_not_depend_on_the_block_size(h, monkeypatch):
         blocked, blocked_blocks = hold()
         assert blocked_blocks == [rows] * (21 // rows)
         assert blocked.states.tobytes() == default.states.tobytes()
-        assert blocked.observables == default.observables
+        assert blocked.energy == default.energy
         assert blocked.fidelity == default.fidelity
 
 
@@ -792,13 +731,10 @@ def test_ramp_does_not_depend_on_the_cast_budget(h1, monkeypatch):
     # 511 leaves each matrix to the kernel, one operand at a time
     n = h1.num_qubits
     h0 = initial_hamiltonian(J, n)
-    observables = {"expval_Z": _mean_z(n)}
     sched = Schedule(total_time=4.0, dt=0.125)
 
     def ramp():
-        return run_adiabatic(
-            h0, h1, sched, EvolutionMode.EXACT_STEP, observables, record_states=True
-        )
+        return run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP)
 
     final, default = ramp()
     for entries in (2048, 512, 511):
@@ -806,7 +742,7 @@ def test_ramp_does_not_depend_on_the_cast_budget(h1, monkeypatch):
         cast, trajectory = ramp()
         assert cast.amplitudes.tobytes() == final.amplitudes.tobytes()
         assert trajectory.states.tobytes() == default.states.tobytes()
-        assert trajectory.observables == default.observables
+        assert trajectory.energy == default.energy
         assert trajectory.fidelity == default.fidelity
         assert trajectory.warnings == default.warnings
 
@@ -831,7 +767,7 @@ def test_each_stack_is_freed_before_the_next_is_diagonalized(h1, mode, matrices,
 
     monkeypatch.setattr(adiabatic, "_diagonalize_stack", tracked)
     sched = Schedule(total_time=1.0, dt=0.125)
-    run_adiabatic(initial_hamiltonian(J, n), h1, sched, mode, record_states=True)
+    run_adiabatic(initial_hamiltonian(J, n), h1, sched, mode)
     assert len(alive) >= 3
     assert alive == [0] * len(alive)
 
@@ -860,7 +796,7 @@ def test_eight_qubit_ramp_adds_little_to_a_diagonalization_peak():
             diagonalization = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP, {"expval_Z": _mean_z(8)})
+            run_adiabatic(h0, h1, sched, EvolutionMode.EXACT_STEP)
             ramp = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -872,14 +808,11 @@ def _ramp_both_ways(h1, schedule, monkeypatch, mode=EvolutionMode.EXACT_STEP):
     """The ramp of ``h1`` on the Chebyshev path and on the eigenvector path, with counters."""
     n = h1.num_qubits
     h0 = initial_hamiltonian(J, n)
-    observables = {"expval_Z": _mean_z(n)}
     runs = []
     for qubits in (adiabatic._CHEBYSHEV_QUBITS, 99):
         monkeypatch.setattr(adiabatic, "_CHEBYSHEV_QUBITS", qubits)
         counters = _Counters()
-        final, trajectory = run_adiabatic(
-            h0, h1, schedule, mode, observables, record_states=True, counters=counters
-        )
+        final, trajectory = run_adiabatic(h0, h1, schedule, mode, counters=counters)
         runs.append((final, trajectory, counters))
     return runs
 
@@ -910,8 +843,7 @@ def test_chebyshev_ramp_matches_the_eigenvector_ramp(h1, buffers, monkeypatch):
     assert np.max(np.abs(final.amplitudes - eig_final.amplitudes)) <= 1e-12
     assert ramp.times == eig_ramp.times
     assert np.max(np.abs(np.subtract(ramp.fidelity, eig_ramp.fidelity))) <= 1e-12
-    for name, values in ramp.observables.items():
-        assert np.max(np.abs(np.subtract(values, eig_ramp.observables[name]))) <= 1e-12
+    assert np.max(np.abs(np.subtract(ramp.energy, eig_ramp.energy))) <= 1e-12
     assert ramp.warnings == eig_ramp.warnings == []
     assert abs(counters.min_ramp_gap - eig_counters.min_ramp_gap) <= 1e-12
     assert counters.min_ramp_gap_s == eig_counters.min_ramp_gap_s
@@ -935,7 +867,7 @@ def test_chebyshev_ramp_matches_expm():
     h1 = _chain_with_y(7, 4)
     h0 = initial_hamiltonian(J, 7)
     schedule = Schedule(total_time=2.0, dt=0.25)
-    _, ramp = run_adiabatic(h0, h1, schedule, EvolutionMode.EXACT_STEP, record_states=True)
+    _, ramp = run_adiabatic(h0, h1, schedule, EvolutionMode.EXACT_STEP)
     m0, m1 = pauli_sum_matrix(h0.terms, 7), pauli_sum_matrix(h1.terms, 7)
     psi = ramp.states[0]
     for k, state in enumerate(ramp.states[1:]):
@@ -965,7 +897,7 @@ def test_trotter_ramp_at_seven_qubits_reads_the_ground_vectors(monkeypatch):
     )
     assert ramp.states.tobytes() == eig_ramp.states.tobytes()
     assert final.amplitudes.tobytes() == eig_final.amplitudes.tobytes()
-    assert ramp.observables == eig_ramp.observables
+    assert ramp.energy == eig_ramp.energy
     assert np.max(np.abs(np.subtract(ramp.fidelity, eig_ramp.fidelity))) <= 1e-12
     assert counters.chebyshev_terms == eig_counters.chebyshev_terms == 0
 
@@ -988,7 +920,6 @@ def test_ground_only_ramp_does_not_depend_on_the_stack_size(h1, stacks, mode, mo
     # bit is the same
     n = h1.num_qubits
     h0 = initial_hamiltonian(J, n)
-    observables = {"expval_Z": _mean_z(n)}
     schedule = Schedule(total_time=8.0, dt=0.125)
     read = adiabatic._Recorder.read
     blocks = []
@@ -1003,9 +934,7 @@ def test_ground_only_ramp_does_not_depend_on_the_stack_size(h1, stacks, mode, mo
         monkeypatch.setattr(statevector, "_STACK_ENTRIES", entries)
         blocks.clear()
         counters = _Counters()
-        final, trajectory = run_adiabatic(
-            h0, h1, schedule, mode, observables, record_states=True, counters=counters
-        )
+        final, trajectory = run_adiabatic(h0, h1, schedule, mode, counters=counters)
         return final, trajectory, counters, list(blocks)
 
     final, default, counters, default_blocks = ramp(statevector._STACK_ENTRIES)
@@ -1016,8 +945,58 @@ def test_ground_only_ramp_does_not_depend_on_the_stack_size(h1, stacks, mode, mo
         assert stacked_blocks == expected
         assert stacked.amplitudes.tobytes() == final.amplitudes.tobytes()
         assert trajectory.states.tobytes() == default.states.tobytes()
-        assert trajectory.observables == default.observables
+        assert trajectory.energy == default.energy
         assert trajectory.fidelity == default.fidelity
         assert trajectory.warnings == default.warnings
         for name in ("krylov_products", "krylov_checks", "chebyshev_terms", "min_ramp_gap"):
             assert getattr(stacked_counters, name) == getattr(counters, name)
+
+
+# --- what the ramp and the hold record ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, name", [(cmd_filter_run, "benchmark_shots"), (cmd_sweep, "benchmark")]
+)
+def test_the_ramp_and_the_hold_read_only_the_energy(command, name, tmp_path, monkeypatch):
+    # the recorder reads each block's energy against the ramp's word table
+    # or the held operator's, and no other operator: every observable
+    # column of a command is read from the trajectory's states by its
+    # estimator
+    config = with_overrides(load_config(str(CONFIGS / f"{name}.cfg")), out=f"{tmp_path}/run")
+    h1 = build_model(config)
+    h0 = initial_hamiltonian(config.model.J, h1.num_qubits)
+    ramp_words, _ = ramp_coefficients(h0, h1, [0.0])
+    tables = []
+    read = adiabatic.expectations
+
+    def recorded(states, coeffs, words):
+        tables.append(words.tobytes())
+        return read(states, coeffs, words)
+
+    monkeypatch.setattr(adiabatic, "expectations", recorded)
+    command(config)
+    assert set(tables) == {ramp_words.tobytes(), h1.words.tobytes()}
+
+
+@pytest.mark.parametrize("mode", list(EvolutionMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("h1", [hadamard_hamiltonian(J), _chain_with_y(7, 4)], ids=["1", "7"])
+def test_states_are_kept_whenever_records_are_taken(h1, mode):
+    # one state row per record, on the eigenvector ramp (1 qubit) and the
+    # Chebyshev ramp (7 qubits); a ramp without records keeps none
+    n = h1.num_qubits
+    h0 = initial_hamiltonian(J, n)
+    spectrum = exact_diagonalize(h1)
+    sched = Schedule(total_time=1.0, dt=0.25, hold_time=0.5)
+    final, ramp = run_adiabatic(h0, h1, sched, mode)
+    assert ramp.states.shape == (len(ramp.times), 2**n) == (5, 2**n)
+    assert ramp.states[-1].tobytes() == final.amplitudes.tobytes()
+    _, bare = run_adiabatic(h0, h1, sched, mode, records=False)
+    assert bare.times == bare.energy == bare.fidelity == [] and bare.states is None
+    held, hold = run_hold(final, h1, sched, mode, spectrum, include_initial=True)
+    assert hold.states.shape == (len(hold.times), 2**n) == (3, 2**n)
+    assert hold.states[-1].tobytes() == held.amplitudes.tobytes()
+    # a hold of no steps records nothing and keeps an empty stack
+    _, empty = run_hold(final, h1, Schedule(1.0, 0.25), mode, spectrum)
+    assert empty.times == empty.energy == empty.fidelity == []
+    assert empty.states.shape == (0, 2**n)

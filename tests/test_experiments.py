@@ -942,9 +942,10 @@ def test_seeds_a_multiple_of_2_32_apart_share_no_stream():
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-# the stages each command runs; the others stay at zero
+# the stages each command runs; the others stay at zero.  Every trajectory
+# column of an observable is read in estimation, exact or sampled.
 _RUN_STAGES = {
-    "sweep": {"ramp", "hold", "writing"},
+    "sweep": {"ramp", "hold", "estimation", "writing"},
     "filter-run": {"ramp", "filter", "estimation", "hold", "writing"},
     "refine": {"ramp", "filter", "writing"},
     "diag": {"writing"},
@@ -970,8 +971,7 @@ def test_shipped_manifests_record_the_stage_times(tmp_path, name, command):
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     stages = manifest["stages"]
     assert list(stages) == ["ramp", "hold", "filter", "estimation", "writing"]
-    ran = _RUN_STAGES[command] | ({"estimation"} if name == "benchmark_shots" else set())
-    assert {stage for stage, seconds in stages.items() if seconds > 0} == ran
+    assert {stage for stage, seconds in stages.items() if seconds > 0} == _RUN_STAGES[command]
     assert all(isinstance(seconds, float) and seconds >= 0 for seconds in stages.values())
     assert sum(stages.values()) <= manifest["duration_seconds"]
     assert "stages" not in manifest["counters"]

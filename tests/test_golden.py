@@ -42,7 +42,10 @@ target and its own spectrum, the kept ancilla leading the register, and
 discard mode came to hold branch 0 over sqrt(p0) in place of
 ``postselect``.  Nor did one move when every dense matrix, one
 operator's and each ramp stack's on both ramp paths, came to be written
-by one build from the operators' X-group entries.
+by one build from the operators' X-group entries.  Nor when every
+observable column, exact or sampled, came to be read by the estimator
+from the trajectory's recorded states, the ramp and the hold recording
+only the states, their energies and their fidelities.
 Manifests are not compared because they carry a wall-clock duration.
 
 To rewrite the snapshots of the named cases after a deliberate,
