@@ -13,7 +13,6 @@ from .adiabatic import (
 from .config import (
     EstimationConfig,
     ExperimentConfig,
-    FilterSettings,
     ModelConfig,
     RefineSettings,
     build_model,
@@ -49,8 +48,8 @@ from .experiments import (
     cmd_sweep,
 )
 from .filtering import (
-    FilterConfig,
     FilterOutcome,
+    FilterSettings,
     RefinementReport,
     RefinementStep,
     apply_filter,

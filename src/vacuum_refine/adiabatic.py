@@ -401,10 +401,6 @@ def run_adiabatic(
     smallest gap between the two lowest levels of any ramp operator, with
     its s.
     """
-    if h0.num_qubits != h1.num_qubits:
-        raise DomainError(
-            f"operators act on different registers: {h0.num_qubits} vs {h1.num_qubits}"
-        )
     n = h0.num_qubits
     trajectory = Trajectory()
     dt = schedule.dt

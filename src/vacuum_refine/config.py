@@ -10,10 +10,11 @@ steps).
 The key table ``_KEYS`` is the one description of the format: for each
 key, in the order ``config_to_text`` writes them, the ``ExperimentConfig``
 field it sets, how its value is parsed and written, and its bound.
-Defaults come from the dataclasses.  Only the rules joining several keys
-are written out: ``filter.theta`` goes with ``filter.theta_mode = fixed``
-alone, ``filter.powers`` lists one power per ancilla, and ``Schedule``
-needs T/dt and hold_time/dt integral.
+Defaults come from the dataclasses.  The rules joining several keys
+belong to the section types, which check them when a section is built:
+``Schedule`` needs T/dt and hold_time/dt integral, and ``FilterSettings``
+takes ``filter.theta`` with ``filter.theta_mode = fixed`` alone and one
+power per ancilla, each at most 2^53.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 from .adiabatic import EvolutionMode, Schedule
 from .errors import ConfigError, DomainError
 from .estimation import MAX_SHOTS
+from .filtering import FilterSettings
 from .hamiltonian import (
     PauliSum,
     hadamard_hamiltonian,
@@ -39,15 +41,6 @@ from .hamiltonian import (
 class ModelConfig:
     J: float = math.pi / 4.0
     hamiltonian: str = "hadamard"
-
-
-@dataclass(frozen=True)
-class FilterSettings:
-    ancillas: int = 2
-    theta_mode: str = "auto"
-    theta: float | None = None
-    powers: tuple[int, ...] | None = None
-    discard: bool = True
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,6 @@ def _parse_powers(key: str, value: str) -> tuple[int, ...]:
         powers = tuple(int(part.strip()) for part in value.split(","))
     except ValueError:
         raise ConfigError(f"{key}: expected a comma list of integers, got {value!r}") from None
-    if any(p < 1 for p in powers):
-        raise ConfigError(f"{key}: powers must be positive integers, got {value!r}")
     return powers
 
 
@@ -201,8 +192,8 @@ def _assign(config: ExperimentConfig, values: dict[str, Any]) -> ExperimentConfi
     """A copy of ``config`` with each key of ``values`` set to its checked value.
 
     The fields of one section are replaced together, so a section's own
-    checks (``Schedule``'s) see its final values; their ``DomainError``
-    becomes a ``ConfigError`` naming the section.
+    checks (``Schedule``'s, ``FilterSettings``') see its final values;
+    their ``DomainError`` becomes a ``ConfigError`` naming the section.
     """
     top: dict[str, Any] = {}
     sections: dict[str, dict[str, Any]] = {}
@@ -244,19 +235,7 @@ def parse_config(text: str) -> ExperimentConfig:
         for key, entry in _KEYS.items()
         if key in raw
     }
-    config = _assign(ExperimentConfig(), values)
-
-    settings = config.filter
-    if settings.theta_mode == "fixed" and settings.theta is None:
-        raise ConfigError("filter.theta: required when filter.theta_mode = fixed")
-    if settings.theta_mode != "fixed" and settings.theta is not None:
-        raise ConfigError("filter.theta: set only with filter.theta_mode = fixed")
-    if settings.powers is not None and len(settings.powers) != settings.ancillas:
-        raise ConfigError(
-            f"filter.powers: {len(settings.powers)} power(s) listed for "
-            f"{settings.ancillas} ancilla(s)"
-        )
-    return config
+    return _assign(ExperimentConfig(), values)
 
 
 def load_config(path: str) -> ExperimentConfig:

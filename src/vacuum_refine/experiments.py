@@ -61,13 +61,7 @@ from .config import EstimationConfig, ExperimentConfig, build_model, config_to_t
 from .counters import _Counters
 from .errors import ConfigError, DomainError
 from .estimation import corrected_expectation, cross_term, shot_estimates
-from .filtering import (
-    FilterConfig,
-    RefinementReport,
-    _check_outcome,
-    refine_iteratively,
-    tag_circuit_one_qubit,
-)
+from .filtering import RefinementReport, _check_outcome, refine_iteratively, tag_circuit_one_qubit
 from .hamiltonian import (
     DEFAULT_DENSE_CAP,
     DEGENERACY_TOL,
@@ -433,26 +427,17 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
             f"model.hamiltonian: refinement supports 1 to {DEFAULT_DENSE_CAP} system qubits, "
             f"got {h1.num_qubits}"
         )
-    # refuse unusable filter settings before the ramp, not at the first pass
-    try:
-        FilterConfig(config.filter.ancillas, 0.0, config.filter.powers)
-    except DomainError as exc:
-        raise ConfigError(f"filter: {exc}") from exc
     spectrum = run.diagonalize(h1, "iterative refinement needs a non-degenerate ground level")
     final, _ = run.ramp(h1, records=False)
     start_fidelity = fidelity(final, spectrum.ground_state)
-
-    fixed_theta = config.filter.theta if config.filter.theta_mode == "fixed" else None
     with run.counters.stage("filter"):
         report = refine_iteratively(
             final,
             h1,
             spectrum,
-            m=config.filter.ancillas,
+            config.filter,
             max_iters=config.refine.max_iters,
             target_infidelity=config.refine.target_infidelity,
-            powers=config.filter.powers,
-            fixed_theta=fixed_theta,
         )
     run.counters.filter_passes += len(report.steps)
     rows = []
@@ -479,8 +464,8 @@ def cmd_refine(config: ExperimentConfig) -> CommandResult:
         "start_fidelity": start_fidelity,
         "passes": len(report.steps),
         "status": report.status,
-        "final_fidelity": report.steps[-1].fidelity_to_ground if report.steps else start_fidelity,
-        "final_excited_weight": report.steps[-1].excited_weight if report.steps else 1.0 - start_fidelity,
+        "final_fidelity": report.steps[-1].fidelity_to_ground,
+        "final_excited_weight": report.steps[-1].excited_weight,
     }
     run.warnings += _excited_level_warnings(report, spectrum)
     lines = [

@@ -38,6 +38,13 @@ untouched while suppressing the rest; the leading global phase i is
 applied as a controlled phase, which is why it matters physically.
 Iterating estimate -> filter -> post-select sharpens E0' and the state
 together.
+
+``FilterSettings`` is the filter's one settings type and the config's
+``filter`` section; it checks every filter rule when it is built, so a
+command refuses an unusable filter at load.  A power must be at most
+2^53, the largest integer a float64 holds exactly, or p * theta / 2
+would not be its phase.  Theta is not a setting: each pass picks its
+own, so ``apply_filter`` and ``filter_amplitude`` take it as an argument.
 """
 
 from __future__ import annotations
@@ -64,39 +71,55 @@ _MAX_POWER = 2**53
 
 
 @dataclass(frozen=True)
-class FilterConfig:
-    """Ancilla count, phase parameter and per-ancilla propagator powers."""
+class FilterSettings:
+    """The filter's settings, the config's ``filter`` section.
 
-    num_ancillas: int
-    theta: float
+    ``ancillas`` ancillas carry the propagator powers ``powers``, None
+    meaning 2^j for ancilla j (``ancilla_powers`` resolves them).  Each
+    pass sets theta = pi / E0' (``theta_mode = "auto"``) or uses
+    ``theta``, which is set exactly when ``theta_mode = "fixed"``.
+    ``discard`` post-selects ``filter-run``'s tagged ancilla instead of
+    keeping the joint state.
+    """
+
+    ancillas: int = 2
+    theta_mode: str = "auto"
+    theta: float | None = None
     powers: tuple[int, ...] | None = None
+    discard: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_ancillas, int) or self.num_ancillas < 1:
-            raise DomainError(
-                f"num_ancillas must be a positive integer, got {self.num_ancillas!r}"
-            )
+        m = self.ancillas
+        if not isinstance(m, int) or m < 1:
+            raise DomainError(f"filter.ancillas must be a positive integer, got {m!r}")
+        if self.theta_mode not in ("auto", "fixed"):
+            raise DomainError(f"filter.theta_mode must be auto or fixed, got {self.theta_mode!r}")
+        if self.theta_mode == "fixed" and self.theta is None:
+            raise DomainError("filter.theta is required when filter.theta_mode = fixed")
+        if self.theta_mode != "fixed" and self.theta is not None:
+            raise DomainError("filter.theta is set only with filter.theta_mode = fixed")
         powers = self.powers
         if powers is None:
-            if self.num_ancillas > _MAX_POWER.bit_length():
-                raise DomainError(
-                    f"{self.num_ancillas} ancillas need powers up to 2^{self.num_ancillas - 1}, "
-                    f"above 2^53"
-                )
-            powers = tuple(2**j for j in range(self.num_ancillas))
-        else:
-            if not all(isinstance(p, numbers.Integral) for p in powers):
-                raise DomainError(f"powers must be integers, got {tuple(powers)!r}")
-            powers = tuple(int(p) for p in powers)
-            if len(powers) != self.num_ancillas:
-                raise DomainError(
-                    f"{len(powers)} power(s) given for {self.num_ancillas} ancilla(s)"
-                )
-            if any(p < 1 for p in powers):
-                raise DomainError(f"powers must be strictly positive, got {powers}")
-            if max(powers) > _MAX_POWER:
-                raise DomainError(f"powers must be at most 2^53, got {powers}")
+            if m > _MAX_POWER.bit_length():
+                raise DomainError(f"{m} ancillas need powers up to 2^{m - 1}, above 2^53")
+            return
+        if not all(isinstance(p, numbers.Integral) for p in powers):
+            raise DomainError(f"filter.powers must be integers, got {tuple(powers)!r}")
+        powers = tuple(int(p) for p in powers)
+        if len(powers) != m:
+            raise DomainError(f"filter.powers lists {len(powers)} power(s) for {m} ancilla(s)")
+        if any(p < 1 for p in powers):
+            raise DomainError(f"filter.powers must be positive integers, got {powers}")
+        if max(powers) > _MAX_POWER:
+            raise DomainError(f"filter.powers must be at most 2^53, got {powers}")
         object.__setattr__(self, "powers", powers)
+
+    @property
+    def ancilla_powers(self) -> tuple[int, ...]:
+        """The propagator power of each ancilla, the default 2^j resolved."""
+        if self.powers is None:
+            return tuple(2**j for j in range(self.ancillas))
+        return self.powers
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,14 +213,14 @@ def controlled_u_power(
     return StateVector(joint.num_qubits, psi.reshape(-1))
 
 
-def filter_amplitude(energy: float, theta: float, config: FilterConfig) -> complex:
+def filter_amplitude(energy: float, theta: float, settings: FilterSettings) -> complex:
     """Closed-form amplitude multiplier for an eigencomponent of ``energy``.
 
     Each power's phase i^p * exp(-i * energy * p * theta / 2) is built as
     ``apply_filter`` builds it, with i^p exact as i^(p mod 4).
     """
     result = 1.0 + 0.0j
-    for p in config.powers:
+    for p in settings.ancilla_powers:
         result *= (1 + 1j ** (p % 4) * np.exp(-1j * energy * (p * theta / 2.0))) / 2
     return complex(result)
 
@@ -211,9 +234,9 @@ def _check_outcome(probability: float, m: int) -> None:
 
 
 def apply_filter(
-    system_state: StateVector, spectrum: Spectrum, config: FilterConfig
+    system_state: StateVector, spectrum: Spectrum, settings: FilterSettings, theta: float
 ) -> FilterOutcome:
-    """Filter a system state with m ancillas and post-select all zeros.
+    """Filter a system state at ``theta`` with m ancillas and post-select all zeros.
 
     ``spectrum`` is ``exact_diagonalize(h)`` and serves every ancilla.
     The all-zeros ancilla branch of the circuit is the system state under
@@ -227,12 +250,12 @@ def apply_filter(
             f"operator acts on {n_sys} qubit(s), state has {system_state.num_qubits}"
         )
     psi = system_state.amplitudes
-    for p in config.powers:
+    for p in settings.ancilla_powers:
         # i^(p mod 4) is exact; Python's complex power is exact only up to p = 100
         phase = 1j ** (p % 4)
-        psi = (psi + apply_evolution(spectrum, p * config.theta / 2.0, psi, phase=phase)) / 2.0
+        psi = (psi + apply_evolution(spectrum, p * theta / 2.0, psi, phase=phase)) / 2.0
     probability = float(np.sum(np.abs(psi) ** 2))
-    _check_outcome(probability, config.num_ancillas)
+    _check_outcome(probability, settings.ancillas)
     refined = StateVector(n_sys, psi / np.sqrt(probability))
     return FilterOutcome(success_probability=probability, refined_state=refined)
 
@@ -241,17 +264,16 @@ def refine_iteratively(
     system_state: StateVector,
     h: PauliSum,
     spectrum: Spectrum,
-    m: int,
+    settings: FilterSettings,
     max_iters: int = 5,
     target_infidelity: float = 1e-8,
-    powers: tuple[int, ...] | None = None,
-    fixed_theta: float | None = None,
 ) -> RefinementReport:
     """Alternate energy estimation and filtering until the state is clean.
 
     ``spectrum`` is ``exact_diagonalize(h)``.  Each pass estimates
     E0' = <psi|h|psi> on the current state, picks theta = pi / E0' (or
-    reuses ``fixed_theta``), filters with ``m`` ancillas and post-selects.
+    ``settings.theta`` in fixed mode), filters with ``settings`` and
+    post-selects.
     Per-pass metrics come from the exact spectrum, which serves as the
     measuring stick and as the source of the filter's propagators.  A
     pass whose post-selection is impossible or whose energy estimate
@@ -271,8 +293,8 @@ def refine_iteratively(
         e0_prime = expectation_observable(state, h)
         theta = float("nan")
         try:
-            theta = fixed_theta if fixed_theta is not None else choose_theta(e0_prime)
-            outcome = apply_filter(state, spectrum, FilterConfig(m, theta, powers))
+            theta = settings.theta if settings.theta_mode == "fixed" else choose_theta(e0_prime)
+            outcome = apply_filter(state, spectrum, settings, theta)
         except (DegenerateEnergyError, ImpossibleOutcomeError) as exc:
             weights = eigen_overlaps(state, spectrum).weights
             steps.append(

@@ -13,7 +13,7 @@ import pytest
 
 from vacuum_refine import (
     EvolutionMode,
-    FilterConfig,
+    FilterSettings,
     PauliSum,
     Schedule,
     StateVector,
@@ -261,14 +261,14 @@ def test_criterion_6_filter_closed_form():
         spectrum = exact_diagonalize(h)
         theta = float(rng.uniform(0.3, 6.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         m = int(rng.integers(1, 4))
-        config = FilterConfig(m, theta)
+        settings = FilterSettings(m)
 
         mix = float(rng.uniform(0.2, 0.8))
         coeffs = np.array([np.sqrt(mix), np.sqrt(1 - mix) * np.exp(2j * np.pi * rng.random())])
         psi = StateVector(1, spectrum.eigenvectors @ coeffs)
-        outcome = apply_filter(psi, spectrum, config)
+        outcome = apply_filter(psi, spectrum, settings, theta)
         probability, circuit = filter_circuit(
-            pauli_sum_matrix(h.terms, 1), psi.amplitudes, theta, config.powers
+            pauli_sum_matrix(h.terms, 1), psi.amplitudes, theta, settings.ancilla_powers
         )
         worst_vs_circuit = max(
             worst_vs_circuit,
@@ -278,7 +278,7 @@ def test_criterion_6_filter_closed_form():
         refined_coeffs = eigen_overlaps(outcome.refined_state, spectrum).coefficients
         circuit_coeffs = spectrum.eigenvectors.conj().T @ circuit
         for j in range(2):
-            want = filter_amplitude(float(spectrum.eigenvalues[j]), theta, config)
+            want = filter_amplitude(float(spectrum.eigenvalues[j]), theta, settings)
             got = np.sqrt(outcome.success_probability) * refined_coeffs[j] / coeffs[j]
             worst = max(worst, abs(got - want))
             got = np.sqrt(probability) * circuit_coeffs[j] / coeffs[j]
@@ -286,13 +286,12 @@ def test_criterion_6_filter_closed_form():
             checked += 1
 
     # resonance: the targeted level passes with amplitude exactly one
-    resonance = filter_amplitude(-J, choose_theta(-J), FilterConfig(3, choose_theta(-J)))
+    resonance = filter_amplitude(-J, choose_theta(-J), FilterSettings(3))
     # the excited level of the one-qubit model is rejected outright
     spectrum = exact_diagonalize(hadamard_hamiltonian(J))
     theta = choose_theta(-J)
-    config = FilterConfig(2, theta)
     psi = StateVector(1, spectrum.eigenvectors @ np.array([INV_SQRT2, INV_SQRT2]))
-    outcome = apply_filter(psi, spectrum, config)
+    outcome = apply_filter(psi, spectrum, FilterSettings(2), theta)
     excited_left = abs(
         np.sqrt(outcome.success_probability)
         * eigen_overlaps(outcome.refined_state, spectrum).coefficients[1]
@@ -336,18 +335,18 @@ def test_criterion_7_iterative_refinement(outdir):
     worst = 0.0
     worst_circuit = 0.0
     fidelities = []
+    settings = FilterSettings(3)
     for _ in range(5):
         e0p = expectation_observable(state, h1)
         theta = choose_theta(e0p)
-        config = FilterConfig(3, theta)
         before = eigen_overlaps(state, spectrum).weights
         amps = np.array(
-            [abs(filter_amplitude(float(e), theta, config)) ** 2 for e in spectrum.eigenvalues]
+            [abs(filter_amplitude(float(e), theta, settings)) ** 2 for e in spectrum.eigenvalues]
         )
         predicted = before * amps
         predicted /= predicted.sum()
-        outcome = apply_filter(state, spectrum, config)
-        probability, circuit = filter_circuit(hmat, state.amplitudes, theta, config.powers)
+        outcome = apply_filter(state, spectrum, settings, theta)
+        probability, circuit = filter_circuit(hmat, state.amplitudes, theta, settings.ancilla_powers)
         worst_circuit = max(
             worst_circuit,
             abs(outcome.success_probability - probability),

@@ -216,19 +216,27 @@ def test_sweep_refuses_a_model_above_the_dense_cap_before_any_state(tmp_path, ca
         ("filter.ancillas = 2\nfilter.powers = 1,9007199254740992\n", True),
         ("filter.ancillas = 2\nfilter.powers = 1,9007199254740993\n", False),
     ],
+    ids=["54_ancillas", "55_ancillas", "power_2_53", "power_2_53_plus_1"],
 )
-def test_refine_refuses_powers_above_2_to_53_before_the_ramp(tmp_path, monkeypatch, extra, accepted):
-    # a larger power has no exact float64, so its phase p * theta / 2 would be wrong
+@pytest.mark.parametrize(
+    "command", [cmd_sweep, cmd_filter_run, cmd_refine, cmd_diag], ids=lambda c: c.__name__
+)
+def test_every_command_refuses_powers_above_2_to_53_at_load(
+    tmp_path, monkeypatch, command, extra, accepted
+):
+    # a larger power has no exact float64, so its phase p * theta / 2 would
+    # be wrong; every command diagonalizes its target once, after its config
+    # refusals, so reaching that call means the settings were accepted
     class Reached(Exception):
         pass
 
-    def ramp(*args, **kwargs):
+    def diagonalize(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(experiments, "run_adiabatic", ramp)
-    expected = Reached if accepted else ConfigError
-    with pytest.raises(expected):
-        cmd_refine(_config(tmp_path, "model.hamiltonian = tfim2\n" + extra))
+    monkeypatch.setattr(experiments, "exact_diagonalize", diagonalize)
+    with pytest.raises(Reached if accepted else ConfigError):
+        command(_config(tmp_path, extra))
+    assert accepted or list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("n", [6, 8])

@@ -7,7 +7,7 @@ import pytest
 from vacuum_refine import (
     DegenerateEnergyError,
     DomainError,
-    FilterConfig,
+    FilterSettings,
     ImpossibleOutcomeError,
     PauliSum,
     StateVector,
@@ -50,29 +50,41 @@ def _tag(system_amps, spec):
 
 
 def test_filter_config_powers():
-    assert FilterConfig(3, 1.0).powers == (1, 2, 4)
-    assert FilterConfig(2, 1.0, powers=(1, 3)).powers == (1, 3)
+    assert FilterSettings(3).ancilla_powers == (1, 2, 4)
+    assert FilterSettings(2, powers=(1, 3)).ancilla_powers == (1, 3)
+    # the default powers stay unset, as the config echo writes them
+    assert FilterSettings(3).powers is None
     with pytest.raises(DomainError):
-        FilterConfig(0, 1.0)
+        FilterSettings(0)
     with pytest.raises(DomainError):
-        FilterConfig(2, 1.0, powers=(1,))
+        FilterSettings(2, powers=(1,))
     with pytest.raises(DomainError):
-        FilterConfig(2, 1.0, powers=(0, 1))
+        FilterSettings(2, powers=(0, 1))
     # a power above 2^53 has no exact float64, so p * theta / 2 is not its phase
-    assert FilterConfig(54, 1.0).powers[-1] == 2**53
-    assert FilterConfig(1, 1.0, powers=(2**53,)).powers == (2**53,)
+    assert FilterSettings(54).ancilla_powers[-1] == 2**53
+    assert FilterSettings(1, powers=(2**53,)).ancilla_powers == (2**53,)
     with pytest.raises(DomainError, match="2\\^1099, above 2\\^53"):
-        FilterConfig(1100, 1.0)
+        FilterSettings(1100)
     with pytest.raises(DomainError, match="at most 2\\^53"):
-        FilterConfig(2, 1.0, powers=(1, 2**53 + 1))
+        FilterSettings(2, powers=(1, 2**53 + 1))
+    # theta is set exactly when theta_mode is fixed
+    assert FilterSettings(theta_mode="fixed", theta=-1.3).theta == -1.3
+    with pytest.raises(DomainError, match="filter.theta is required"):
+        FilterSettings(theta_mode="fixed")
+    with pytest.raises(DomainError, match="filter.theta is set only"):
+        FilterSettings(theta=-1.3)
+    # an unknown mode would otherwise run as auto
+    with pytest.raises(DomainError, match="filter.theta_mode must be auto or fixed"):
+        FilterSettings(theta_mode="Fixed", theta=-1.3)
 
 
 def test_filter_config_refuses_non_integer_powers():
     # a power of 1.5 was truncated to U^1, and 0.5 refused as "got (0, 2)"
     for powers in ((1.5, 2), (0.5, 2), (2.0, 4)):
         with pytest.raises(DomainError, match=re.escape(f"got {powers!r}")):
-            FilterConfig(2, 1.0, powers=powers)
-    assert FilterConfig(2, 1.0, powers=(np.int64(1), 3)).powers == (1, 3)
+            FilterSettings(2, powers=powers)
+    assert FilterSettings(2, powers=(np.int64(1), 3)).powers == (1, 3)
+    assert all(type(p) is int for p in FilterSettings(2, powers=[np.int64(1), 3]).powers)
 
 
 def test_tag_leaves_ground_unmarked():
@@ -133,10 +145,10 @@ def test_estimate_e0_exact():
     # each pass estimates E0' as the exact energy <psi|h|psi> of its input
     spec, v0, v1 = _eigpair()
     h = hadamard_hamiltonian(J)
-    ground = refine_iteratively(StateVector(1, v0), h, spec, m=1, max_iters=1)
+    ground = refine_iteratively(StateVector(1, v0), h, spec, FilterSettings(1), max_iters=1)
     assert ground.steps[0].e0_prime == pytest.approx(-J, abs=1e-12)
     mixed = StateVector(1, np.sqrt(0.9) * v0 + np.sqrt(0.1) * v1)
-    report = refine_iteratively(mixed, h, spec, m=1, max_iters=1)
+    report = refine_iteratively(mixed, h, spec, FilterSettings(1), max_iters=1)
     assert report.steps[0].e0_prime == pytest.approx(0.9 * -J + 0.1 * J, abs=1e-12)
 
 
@@ -218,9 +230,9 @@ def test_controlled_u_power_validation():
 
 
 def test_filter_amplitude_resonance_and_rejection():
-    config = FilterConfig(3, choose_theta(-J))
-    assert filter_amplitude(-J, config.theta, config) == pytest.approx(1.0, abs=1e-14)
-    assert abs(filter_amplitude(J, config.theta, config)) < 1e-14
+    settings, theta = FilterSettings(3), choose_theta(-J)
+    assert filter_amplitude(-J, theta, settings) == pytest.approx(1.0, abs=1e-14)
+    assert abs(filter_amplitude(J, theta, settings)) < 1e-14
 
 
 def test_filter_amplitude_magnitude_closed_form():
@@ -230,10 +242,10 @@ def test_filter_amplitude_magnitude_closed_form():
         e0p = float(rng.uniform(0.2, 2.0)) * (1 if rng.random() < 0.5 else -1)
         energy = float(rng.uniform(-2.0, 2.0))
         m = int(rng.integers(1, 4))
-        config = FilterConfig(m, choose_theta(e0p))
-        amp = filter_amplitude(energy, config.theta, config)
+        settings = FilterSettings(m)
+        amp = filter_amplitude(energy, choose_theta(e0p), settings)
         phi = (np.pi / 2.0) * (1.0 - energy / e0p)
-        expected = np.prod([abs(np.cos(p * phi / 2.0)) for p in config.powers])
+        expected = np.prod([abs(np.cos(p * phi / 2.0)) for p in settings.ancilla_powers])
         assert abs(abs(amp) - expected) < 1e-12
         assert abs(amp) <= 1.0 + 1e-12
 
@@ -244,10 +256,10 @@ def test_closed_form_holds_at_large_powers(powers):
     # with apply_filter where Python's complex power drifts by about p * 1e-16
     spec, v0, v1 = _eigpair()
     theta = choose_theta(-1.3)
-    config = FilterConfig(len(powers), theta, powers)
+    settings = FilterSettings(len(powers), powers=powers)
     for energy, vector in zip(spec.eigenvalues, (v0, v1)):
-        outcome = apply_filter(StateVector(1, vector), spec, config)
-        amplitude = filter_amplitude(energy, theta, config)
+        outcome = apply_filter(StateVector(1, vector), spec, settings, theta)
+        amplitude = filter_amplitude(energy, theta, settings)
         assert abs(outcome.success_probability - abs(amplitude) ** 2) < 1e-12
 
 
@@ -270,10 +282,10 @@ def test_apply_filter_matches_closed_form_one_qubit():
         alpha, beta = np.sqrt(mix), np.sqrt(1 - mix) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         psi = StateVector(1, alpha * v0 + beta * v1)
         theta = choose_theta(float(rng.uniform(-2.0, -0.3)))
-        config = FilterConfig(int(rng.integers(1, 4)), theta)
-        outcome = apply_filter(psi, spec, config)
-        a0 = filter_amplitude(spec.eigenvalues[0], theta, config)
-        a1 = filter_amplitude(spec.eigenvalues[1], theta, config)
+        settings = FilterSettings(int(rng.integers(1, 4)))
+        outcome = apply_filter(psi, spec, settings, theta)
+        a0 = filter_amplitude(spec.eigenvalues[0], theta, settings)
+        a1 = filter_amplitude(spec.eigenvalues[1], theta, settings)
         unnorm = a0 * alpha * v0 + a1 * beta * v1
         prob = np.sum(np.abs(unnorm) ** 2)
         assert outcome.success_probability == pytest.approx(prob, abs=1e-12)
@@ -290,9 +302,9 @@ def test_apply_filter_matches_closed_form_two_qubit():
     coeffs /= np.linalg.norm(coeffs)
     psi = StateVector(2, spec.eigenvectors @ coeffs)
     theta = choose_theta(float(spec.eigenvalues[0]))
-    config = FilterConfig(2, theta)
-    outcome = apply_filter(psi, spec, config)
-    amps = np.array([filter_amplitude(e, theta, config) for e in spec.eigenvalues])
+    settings = FilterSettings(2)
+    outcome = apply_filter(psi, spec, settings, theta)
+    amps = np.array([filter_amplitude(e, theta, settings) for e in spec.eigenvalues])
     unnorm = spec.eigenvectors @ (amps * coeffs)
     prob = np.sum(np.abs(unnorm) ** 2)
     assert outcome.success_probability == pytest.approx(prob, abs=1e-12)
@@ -301,14 +313,14 @@ def test_apply_filter_matches_closed_form_two_qubit():
     # the spectrum's register must be the state's
     one_qubit = exact_diagonalize(hadamard_hamiltonian(J))
     with pytest.raises(DomainError, match=r"operator acts on 1 qubit\(s\), state has 2"):
-        apply_filter(psi, one_qubit, config)
+        apply_filter(psi, one_qubit, settings, theta)
 
 
 def test_apply_filter_uses_supplied_spectrum(count_calls):
     h = transverse_ising_pair(J)
     spec = exact_diagonalize(h)
     psi = StateVector(2, spec.eigenvectors @ np.array([0.8, 0.4, 0.4, 0.2]))
-    config = FilterConfig(3, choose_theta(float(spec.eigenvalues[0])))
+    settings = FilterSettings(3)
     diagonalized = count_calls("hamiltonian.exact_diagonalize")
     propagators = count_calls("hamiltonian.evolution_unitary")
     circuit = [
@@ -320,8 +332,8 @@ def test_apply_filter_uses_supplied_spectrum(count_calls):
             "filtering.controlled_u_power",
         )
     ]
-    apply_filter(psi, spec, config)
-    report = refine_iteratively(psi, h, spec, m=3)
+    apply_filter(psi, spec, settings, choose_theta(float(spec.eigenvalues[0])))
+    report = refine_iteratively(psi, h, spec, settings)
     assert not report.status.startswith("aborted")
     # the one spectrum serves every ancilla of every pass
     assert diagonalized == []
@@ -347,7 +359,8 @@ def test_apply_filter_matches_circuit_oracle(n, powers):
         hmat = pauli_sum_matrix(h.terms, n)
         theta = float(rng.uniform(0.3, 3.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         amps = random_state(n, rng)
-        outcome = apply_filter(StateVector(n, amps), spec, FilterConfig(len(powers), theta, powers))
+        settings = FilterSettings(len(powers), powers=powers)
+        outcome = apply_filter(StateVector(n, amps), spec, settings, theta)
         probability, refined = filter_circuit(hmat, amps, theta, powers)
         assert probability > 1e-3
         assert abs(outcome.success_probability - probability) < 1e-12
@@ -359,10 +372,10 @@ def test_apply_filter_refuses_an_excited_eigenstate_on_its_rejection_zero():
     # removes the excited eigenstate entirely
     spec = exact_diagonalize(transverse_ising_pair(J))
     excited = StateVector(2, spec.eigenvectors[:, 1])
-    config = FilterConfig(2, -np.pi / float(spec.eigenvalues[1]))
-    assert abs(filter_amplitude(float(spec.eigenvalues[1]), config.theta, config)) < 1e-15
+    settings, theta = FilterSettings(2), -np.pi / float(spec.eigenvalues[1])
+    assert abs(filter_amplitude(float(spec.eigenvalues[1]), theta, settings)) < 1e-15
     with pytest.raises(ImpossibleOutcomeError, match="outcome 00 on qubits"):
-        apply_filter(excited, spec, config)
+        apply_filter(excited, spec, settings, theta)
 
 
 def test_apply_filter_phase_of_a_large_power_is_exact():
@@ -371,7 +384,7 @@ def test_apply_filter_phase_of_a_large_power_is_exact():
     # 1j ** p is off by about 6e-8 at this power
     spec = exact_diagonalize(PauliSum(1, ((1.0, "I"), (1.0, "Z"))))
     assert spec.eigenvalues[0] == 0.0
-    outcome = apply_filter(basis_state(1, 1), spec, FilterConfig(1, 1.0, powers=(2**30 + 1,)))
+    outcome = apply_filter(basis_state(1, 1), spec, FilterSettings(1, powers=(2**30 + 1,)), 1.0)
     assert abs(outcome.success_probability - 0.5) < 1e-15
 
 
@@ -382,14 +395,14 @@ def test_apply_filter_leaves_its_input_untouched():
     psi = StateVector(2, random_state(2, rng))
     before = psi.amplitudes.copy()
     psi.amplitudes.setflags(write=False)
-    outcome = apply_filter(psi, spec, FilterConfig(3, choose_theta(float(spec.eigenvalues[0]))))
+    outcome = apply_filter(psi, spec, FilterSettings(3), choose_theta(float(spec.eigenvalues[0])))
     assert np.array_equal(psi.amplitudes, before)
     assert not np.shares_memory(outcome.refined_state.amplitudes, psi.amplitudes)
 
 
 def test_filter_on_exact_ground_is_identity():
     spec, v0, _ = _eigpair()
-    outcome = apply_filter(StateVector(1, v0), spec, FilterConfig(2, choose_theta(-J)))
+    outcome = apply_filter(StateVector(1, v0), spec, FilterSettings(2), choose_theta(-J))
     assert outcome.success_probability == pytest.approx(1.0, abs=1e-12)
     overlap = abs(np.vdot(v0, outcome.refined_state.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -398,7 +411,7 @@ def test_filter_on_exact_ground_is_identity():
 def test_refine_fixed_point():
     spec, v0, _ = _eigpair()
     h = hadamard_hamiltonian(J)
-    report = refine_iteratively(StateVector(1, v0), h, spec, m=2)
+    report = refine_iteratively(StateVector(1, v0), h, spec, FilterSettings(2))
     assert report.status == "converged"
     assert len(report.steps) == 1
     step = report.steps[0]
@@ -411,7 +424,7 @@ def test_refine_cleans_mixed_state():
     spec, v0, v1 = _eigpair()
     h = hadamard_hamiltonian(J)
     start = StateVector(1, np.sqrt(0.9) * v0 + np.sqrt(0.1) * v1)
-    report = refine_iteratively(start, h, spec, m=2, max_iters=5)
+    report = refine_iteratively(start, h, spec, FilterSettings(2), max_iters=5)
     assert report.status == "converged"
     weights = [s.excited_weight for s in report.steps]
     assert all(b < a for a, b in zip(weights, weights[1:]))
@@ -430,12 +443,11 @@ def test_refine_first_pass_matches_closed_form():
     h = hadamard_hamiltonian(J)
     w = 0.85
     start = StateVector(1, np.sqrt(w) * v0 + np.sqrt(1 - w) * v1)
-    report = refine_iteratively(start, h, spec, m=2, max_iters=1)
+    report = refine_iteratively(start, h, spec, FilterSettings(2), max_iters=1)
     e0p = w * -J + (1 - w) * J
     theta = choose_theta(e0p)
-    config = FilterConfig(2, theta)
-    a0 = abs(filter_amplitude(-J, theta, config)) ** 2
-    a1 = abs(filter_amplitude(J, theta, config)) ** 2
+    a0 = abs(filter_amplitude(-J, theta, FilterSettings(2))) ** 2
+    a1 = abs(filter_amplitude(J, theta, FilterSettings(2))) ** 2
     prob = w * a0 + (1 - w) * a1
     step = report.steps[0]
     assert step.theta == pytest.approx(theta, abs=1e-12)
@@ -447,7 +459,7 @@ def test_refine_aborts_on_zero_energy_estimate():
     spec, v0, v1 = _eigpair()
     h = hadamard_hamiltonian(J)
     balanced = StateVector(1, np.sqrt(0.5) * v0 + np.sqrt(0.5) * v1)
-    report = refine_iteratively(balanced, h, spec, m=2)
+    report = refine_iteratively(balanced, h, spec, FilterSettings(2))
     assert report.status.startswith("aborted")
     assert len(report.steps) == 1
     step = report.steps[0]
@@ -462,9 +474,8 @@ def test_refine_aborts_when_postselection_impossible():
     h = hadamard_hamiltonian(J)
     # a pure excited state with theta on the ground resonance is rejected
     # with certainty, so the all-zeros outcome never occurs
-    report = refine_iteratively(
-        StateVector(1, v1), h, spec, m=2, fixed_theta=choose_theta(-J)
-    )
+    fixed = FilterSettings(2, theta_mode="fixed", theta=choose_theta(-J))
+    report = refine_iteratively(StateVector(1, v1), h, spec, fixed)
     assert report.status.startswith("aborted")
     step = report.steps[0]
     assert step.theta == pytest.approx(-4.0, abs=1e-12)
@@ -479,7 +490,7 @@ def test_refine_rejects_degenerate_operator(count_calls):
     for terms in (((1.0, "ZZ"),), ((0.5, "ZZ"), (0.3, "ZI"), (0.3, "IZ"))):
         h = PauliSum(2, terms)
         with pytest.raises(DomainError, match="non-degenerate ground level"):
-            refine_iteratively(basis_state(2, 1), h, exact_diagonalize(h), m=1)
+            refine_iteratively(basis_state(2, 1), h, exact_diagonalize(h), FilterSettings(1))
     assert filtered == []
 
 
@@ -487,10 +498,10 @@ def test_refine_respects_max_iters():
     spec, v0, v1 = _eigpair()
     h = hadamard_hamiltonian(J)
     start = StateVector(1, np.sqrt(0.9) * v0 + np.sqrt(0.1) * v1)
-    report = refine_iteratively(start, h, spec, m=1, max_iters=1, target_infidelity=0.0)
+    report = refine_iteratively(start, h, spec, FilterSettings(1), max_iters=1, target_infidelity=0.0)
     assert report.status == "max_iterations"
     assert len(report.steps) == 1
     with pytest.raises(DomainError, match="max_iters must be >= 1"):
-        refine_iteratively(start, h, spec, m=1, max_iters=0)
+        refine_iteratively(start, h, spec, FilterSettings(1), max_iters=0)
     with pytest.raises(DomainError, match="target_infidelity must be >= 0"):
-        refine_iteratively(start, h, spec, m=1, target_infidelity=-1.0)
+        refine_iteratively(start, h, spec, FilterSettings(1), target_infidelity=-1.0)

@@ -1,51 +1,32 @@
 """Byte-identity of command outputs against committed snapshots.
 
-The files under ``tests/golden/`` were written by the package before the
-operator representation moved to X/Z bitmasks; every CSV and diag report
-must still come out byte for byte the same.  The two exceptions are
-``diag_pair`` and ``refine_pair``, rewritten when real operators moved to
-real arithmetic: a value near zero moved there by less than 1e-15, which
-``test_real_arithmetic_moves_only_rounding_noise`` checks against the
-complex path.  ``refine_pair`` was rewritten once more when propagators
-came to be applied straight from the spectrum, V (phases * (V^H x)),
-instead of through a dense matrix: only ``excited_weight``, which is
-1 - F at the float64 resolution of F near 1, moved, at pass 3 from
-2.79122649e-08 to 2.79122654e-08 and at pass 4 from 2.61337174e-10 to
-2.61337618e-10.  ``refine_pair`` and ``refine_pair_fixed_theta`` were
-rewritten when the filter came to be applied on the system register as
-prod_j (I + U^p_j) / 2 instead of through the joint ancilla circuit;
-again only ``excited_weight`` moved, by 2e-16 to 7e-16 in 1 - F:
-``refine_pair`` pass 3 from 2.79122654e-08 to 2.79122652e-08, and
-``refine_pair_fixed_theta`` pass 4 from 3.14068476e-08 to 3.14068469e-08
-and pass 5 from 2.8493401e-09 to 2.84933988e-09.  The shot-mode
-snapshots (``filter_shots``, ``filter_keep_shots`` and
-``sweep_chain3y_shots``) were rewritten when shot seeds became streams:
-each estimated term k draws from ``SeedSequence(seed, spawn_key=(k,))``
-instead of each value from its own seed ``seed + counter``, and a word's
-shots are one binomial over its even-parity weight, so every sampled
-value and standard error moved while the exact columns did not.  No
-byte moved when a word's parity probability came to be read as
-(1 + <P>) / 2 from the per-word overlaps of the word table instead of
-the Born weights of the rotated state.  The ``chain6`` and ``chain7y``
-snapshots (a multi-stack eigenvector ramp, and ramps of 7 qubits that
-take no eigenvectors, in both step modes and in ``refine``) were written
-while those ramps took ``eigvalsh`` and inverse iteration; no byte moved
-when block Lanczos replaced both.  The three stacks of the ``chain6``
-ramp were diagonalized in a thread pool when its snapshot was written; no
-byte moved when they came one after another on the calling thread.
-Nor did one move when the tag became the one-ancilla filter on the
-system state and keep mode's hold came to take the ancilla-embedded
-operator's spectrum from the target's instead of diagonalizing it.
-No byte moved either, ``filter_keep_trotter`` (written before that
-change) included, when both modes' holds came to run under the one-qubit
-target and its own spectrum, the kept ancilla leading the register, and
-discard mode came to hold branch 0 over sqrt(p0) in place of
-``postselect``.  Nor did one move when every dense matrix, one
-operator's and each ramp stack's on both ramp paths, came to be written
-by one build from the operators' X-group entries.  Nor when every
-observable column, exact or sampled, came to be read by the estimator
-from the trajectory's recorded states, the ramp and the hold recording
-only the states, their energies and their fidelities.
+Every CSV and diag report must come out byte for byte as its snapshot
+under ``tests/golden/``.  Snapshots rewritten after a deliberate output
+change, and by how much:
+
+- ``diag_pair`` and ``refine_pair``, when real operators moved to real
+  arithmetic: a value near zero moved by less than 1e-15, which
+  ``test_real_arithmetic_moves_only_rounding_noise`` checks against the
+  complex path.
+- ``refine_pair``, when propagators came to be applied straight from
+  the spectrum, V (phases * (V^H x)), instead of through a dense
+  matrix: only ``excited_weight``, which is 1 - F at the float64
+  resolution of F near 1, moved, at pass 3 from 2.79122649e-08 to
+  2.79122654e-08 and at pass 4 from 2.61337174e-10 to 2.61337618e-10.
+- ``refine_pair`` and ``refine_pair_fixed_theta``, when the filter came
+  to be applied on the system register as prod_j (I + U^p_j) / 2
+  instead of through the joint ancilla circuit: again only
+  ``excited_weight`` moved, by 2e-16 to 7e-16 in 1 - F, ``refine_pair``
+  pass 3 from 2.79122654e-08 to 2.79122652e-08, and
+  ``refine_pair_fixed_theta`` pass 4 from 3.14068476e-08 to
+  3.14068469e-08 and pass 5 from 2.8493401e-09 to 2.84933988e-09.
+- ``filter_shots``, ``filter_keep_shots`` and ``sweep_chain3y_shots``,
+  when shot seeds became streams: each estimated term k draws from
+  ``SeedSequence(seed, spawn_key=(k,))`` instead of each value from its
+  own seed ``seed + counter``, and a word's shots are one binomial over
+  its even-parity weight, so every sampled value and standard error
+  moved while the exact columns did not.
+
 Manifests are not compared because they carry a wall-clock duration.
 
 To rewrite the snapshots of the named cases after a deliberate,
