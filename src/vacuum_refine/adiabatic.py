@@ -32,19 +32,24 @@ table, so no operator is built per step.
 
 The ramp and the hold work a block of states at a time.  For each stack
 of the ramp one comparison gives every step's degeneracy flag.  Up to 6
-qubits one ``np.exp`` gives every step's phases, and the step loop walks
-the stack's eigenvectors, phases and state rows together and only
-applies the propagator kernel (``_propagate``: one ``dot`` with V^*, one
-in-place phase multiplication, one ``dot`` with V^T), which writes each
-new state straight into its row of the block's (rows, d) array.  The
-kernel's complex operands are cast once per slice of the stack
-(``_operands``), within the stack's entry budget or one matrix at a
-time.  From 7 qubits the step loop walks the stack's operators instead,
-their matrices rebuilt in the stack's buffer, and each step is a
-Chebyshev expansion of exp(-i h dt) between the operator's E0 and its
-upper bound (``chebyshev._chebyshev_stack``: one product with the
-matrix per term, about 15 terms a step on the 8-qubit chains at
-dt = 1/8), which keeps the norm to the unitarity tolerance.
+qubits one ``np.exp`` gives every step's phases, and the step loop
+writes each new state straight into its row of the block's (rows, d)
+array.  Up to ``_STEP_MATRIX_QUBITS`` (3) qubits, where a step's few
+products cost less than the calls that make them, the stack's row-form
+step propagators M_k = V_k^* diag(e^{-i E_k dt}) V_k^T are built at once
+in batched products (``_step_matrices``), as many entries as the
+eigenvectors, and each step is one ``dot`` with M_k.  From 4 qubits a
+step applies the propagator kernel (``_propagate``: one ``dot`` with
+V^*, one in-place phase multiplication, one ``dot`` with V^T), whose 2
+d^2 a step beat the d^3 of building M_k; its complex operands are cast
+once per slice of the stack (``_operands``), within the stack's entry
+budget or one matrix at a time.  From 7 qubits the step loop walks the
+stack's operators instead, their matrices rebuilt in the stack's
+buffer, and each step is a Chebyshev expansion of exp(-i h dt) between
+the operator's E0 and its upper bound (``chebyshev._chebyshev_stack``:
+one product with the matrix per term, about 15 terms a step on the
+8-qubit chains at dt = 1/8), which keeps the norm to the unitarity
+tolerance.
 The stack is released before the next one is computed.  An exact hold
 is not stepped: under one operator exp(-i h t) psi =
 V (exp(-i E t) * V^H psi) for any t, so with c = V^H psi taken once,
@@ -85,6 +90,7 @@ from .hamiltonian import (
     _propagate,
     _real_rows,
     _refuse_dense,
+    _step_matrices,
     _transposed,
     apply_evolution,
     ramp_coefficients,
@@ -108,6 +114,14 @@ _GRID_ATOL = 1e-9
 # thread, 74 ms by default; 54-56 ms while each operator was built, bound
 # and read out alone) and wins by half from 8 on.
 _CHEBYSHEV_QUBITS = 7
+# Up to this many qubits, an exact ramp step is one product with its
+# prebuilt row-form propagator; above, the three-call kernel
+# (``_step_stack``).  Measured on one ramp stack, stepped whole (minima
+# of 200 runs, 2-vCPU host): the shipped one-qubit ramp (864 steps)
+# 1.51 -> 0.68 ms; 32 steps of the seed-7 chains at dt = 1/8, 0.070 ->
+# 0.045 ms at 2 qubits, 0.077 -> 0.055 ms at 3 and 0.094 -> 0.097 ms at
+# 4, and 16 steps at 6 qubits 0.92 -> 1.37 ms.
+_STEP_MATRIX_QUBITS = 3
 
 
 class EvolutionMode(enum.Enum):
@@ -301,10 +315,19 @@ def _step_stack(
     """Step ``amplitudes`` through a stack's eigenvectors and phases, into the rows of ``states``.
 
     Step k applies V_k (phases_k * (V_k^H x)) to the row before it and
-    writes row k.  The operands are cast once per slice of the stack
-    (``_operands``).  Returns the last row; no reference to the stack
-    outlives the call.
+    writes row k.  Up to ``_STEP_MATRIX_QUBITS`` qubits every step's
+    row-form propagator M_k = V_k^* diag(phases_k) V_k^T is built at
+    once (``_step_matrices``: batched products, as many entries as the
+    eigenvectors) and a step is one ``dot`` with M_k.  Above, building
+    M_k costs d^3 a step against the kernel's 2 d^2, so a step is the
+    kernel (``_propagate``), its operands cast once per slice of the
+    stack (``_operands``).  Returns the last row; no reference to the
+    stack outlives the call.
     """
+    if vectors.shape[-1] <= 2**_STEP_MATRIX_QUBITS:
+        for matrix, row in zip(_step_matrices(vectors, phases), states):
+            amplitudes = amplitudes.dot(matrix, out=row)
+        return amplitudes
     for operands, step_phases, row in zip(_operands(vectors), phases, states):
         amplitudes = _propagate(operands, step_phases, amplitudes, out=row)
     return amplitudes

@@ -403,9 +403,12 @@ def _propagate(
     amplitudes: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """V (phases * (V^H x)) for each row x of ``amplitudes``: the one propagator kernel.
+    """V (phases * (V^H x)) for each row x of ``amplitudes``: the propagator kernel.
 
-    With ``phases`` = exp(-i * eigenvalues * t) it applies exp(-i h t).
+    With ``phases`` = exp(-i * eigenvalues * t) it applies exp(-i h t)
+    without building the propagator, so it serves every application
+    except the exact ramp steps of small registers, which take one
+    product with a prebuilt step matrix (``_step_matrices``) instead.
     In row form that is ((x @ V^*) * phases) @ V^T: one ``ndarray.dot``,
     one in-place phase multiplication and one ``ndarray.dot`` into
     ``out``, when given.  ``operands`` is the pair (V^*, V^T) of
@@ -422,6 +425,25 @@ def _propagate(
     rotated = amplitudes.dot(operands[0] if pair else _conjugated(operands))
     rotated *= phases
     return rotated.dot(operands[1] if pair else _transposed(operands), out=out)
+
+
+def _step_matrices(vectors: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """M_k = V_k^* diag(phases_k) V_k^T for each matrix of a (k, d, d) stack, as complex128.
+
+    A row x then steps as x @ M_k, the row form of ``_propagate``'s
+    V (phases * (V^H x)) in one product.  A real V's matrices are two
+    real batched products, V (Re phases) V^T and V (Im phases) V^T,
+    written into the real and imaginary parts; a complex V's are one
+    complex batched product.  Each matrix is computed alone, so its bits
+    do not depend on the stack it is built in.
+    """
+    transposed = vectors.swapaxes(-1, -2)
+    if np.iscomplexobj(vectors):
+        return np.matmul(vectors.conj() * phases[:, np.newaxis], transposed)
+    matrices = np.empty(vectors.shape, dtype=np.complex128)
+    matrices.real = np.matmul(vectors * phases.real[:, np.newaxis], transposed)
+    matrices.imag = np.matmul(vectors * phases.imag[:, np.newaxis], transposed)
+    return matrices
 
 
 def apply_evolution(

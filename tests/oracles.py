@@ -144,6 +144,84 @@ def multinomial_per_row(marginals: np.ndarray, shots: int, seeds) -> np.ndarray:
     return counts
 
 
+def expm_ramp(m0: np.ndarray, m1: np.ndarray, total_time: float, dt: float) -> np.ndarray:
+    """The midpoint ramp from m0 to m1, each step scipy's ``expm`` of its matrix.
+
+    Starts from |0...0>; step k applies exp(-i dt ((1 - s) m0 + s m1)) at
+    s = (k + 1/2) dt / T.  Returns the (steps + 1, d) states, row 0 the
+    initial state and row k the state after k steps.
+    """
+    from scipy.linalg import expm
+
+    steps = int(round(total_time / dt))
+    states = np.zeros((steps + 1, m0.shape[0]), dtype=np.complex128)
+    states[0, 0] = 1.0
+    for k in range(steps):
+        s = (k + 0.5) * dt / total_time
+        states[k + 1] = expm(-1j * dt * ((1 - s) * m0 + s * m1)) @ states[k]
+    return states
+
+
+def sweep_trajectory(
+    terms0, terms1, n: int, total_time: float, dt: float, hold_time: float
+) -> list[tuple[float, float, float, float]]:
+    """(t, mean <Z_q>, fidelity, energy) of each record of an exact sweep.
+
+    The ramp's records are the states of ``expm_ramp``, record k read
+    against the operator at its step's midpoint s (s = 0 for record 0):
+    its energy, and its fidelity to that operator's ground vector from
+    ``np.linalg.eigh``, clamped to 1.  The hold's record j is
+    exp(-i H1 j dt) applied to the ramp's last state by ``expm``, at
+    time T + j dt, read against H1.  Every matrix is built with index loops.
+    """
+    from scipy.linalg import expm
+
+    m0, m1 = pauli_sum_matrix(terms0, n), pauli_sum_matrix(terms1, n)
+    mean_z = pauli_sum_matrix([(1.0 / n, "I" * q + "Z" + "I" * (n - q - 1)) for q in range(n)], n)
+    states = expm_ramp(m0, m1, total_time, dt)
+    steps = len(states) - 1
+    s_values = [0.0] + [(k + 0.5) * dt / total_time for k in range(steps)]
+    records = [
+        (k * dt, psi, (1 - s) * m0 + s * m1) for k, (psi, s) in enumerate(zip(states, s_values))
+    ]
+    for j in range(1, int(round(hold_time / dt)) + 1):
+        held = expm(-1j * (j * dt) * m1) @ states[-1]
+        records.append((total_time + j * dt, held, m1))
+    rows = []
+    for t, psi, hmat in records:
+        ground = np.linalg.eigh(hmat)[1][:, 0]
+        rows.append(
+            (
+                t,
+                float(np.vdot(psi, mean_z @ psi).real),
+                min(fidelity_per_state(ground, psi), 1.0),
+                float(np.vdot(psi, hmat @ psi).real),
+            )
+        )
+    return rows
+
+
+def refine_passes(
+    hmat: np.ndarray, amplitudes: np.ndarray, powers, max_iters: int, target: float, theta=None
+) -> list[tuple[float, float, float, float, float]]:
+    """(E0', theta, success probability, fidelity, 1 - fidelity) of each refine pass.
+
+    Each pass takes the exact E0' = <psi|H|psi>, sets theta = pi / E0'
+    unless ``theta`` is given, and runs ``filter_circuit`` on the state;
+    the fidelity is to the ground vector of ``np.linalg.eigh``.  The
+    passes stop after ``max_iters`` or once 1 - fidelity <= ``target``.
+    """
+    ground = np.linalg.eigh(hmat)[1][:, 0]
+    rows = []
+    for _ in range(max_iters):
+        e0_prime = float(np.vdot(amplitudes, hmat @ amplitudes).real)
+        pass_theta = np.pi / e0_prime if theta is None else theta
+        probability, amplitudes = filter_circuit(hmat, amplitudes, pass_theta, powers)
+        weight = fidelity_per_state(ground, amplitudes)
+        rows.append((e0_prime, pass_theta, probability, weight, 1.0 - weight))
+        if 1.0 - weight <= target:
+            break
+    return rows
 
 
 def filter_circuit(

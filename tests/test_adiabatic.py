@@ -35,10 +35,12 @@ from vacuum_refine import (
 )
 from vacuum_refine import adiabatic, statevector
 from vacuum_refine.counters import _Counters
+from vacuum_refine.hamiltonian import _step_matrices
 from vacuum_refine.statevector import expectations
 
 from oracles import (
     expectation_per_state,
+    expm_ramp,
     fidelity_per_state,
     pauli_sum_matrix,
     random_state,
@@ -47,6 +49,9 @@ from oracles import (
 
 J = np.pi / 4
 CHAIN3Y = parse_pauli_text((Path(__file__).parent / "golden" / "chain3y.txt").read_text())
+CHAIN4Y = PauliSum(
+    4, parse_pauli_text(seeded_chain_text(4, 3)).terms + ((0.4, "YYII"), (-0.3, "IIIY"))
+)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BENCHMARK = Schedule(total_time=36.0, dt=1.0 / 24.0, hold_time=12.0)
@@ -448,7 +453,9 @@ def _ramp_oracle(h0, h1, schedule, observables):
 
     Returns (t, amplitudes, observables with energy, fidelity) per record
     and the warnings, from ``exact_diagonalize(interpolate(h0, h1, s))``
-    per step, so no stacked path is involved.
+    per step, so no stacked path is involved.  Up to
+    ``_STEP_MATRIX_QUBITS`` qubits a step is one product with that
+    operator's own step matrix, built alone; above, ``apply_evolution``.
     """
     n, dt = h0.num_qubits, schedule.dt
     steps = schedule.num_ramp_steps
@@ -457,7 +464,11 @@ def _ramp_oracle(h0, h1, schedule, observables):
     rows, warnings = [], []
     for k, s in enumerate(s_values):
         spectrum = exact_diagonalize(interpolate(h0, h1, s))
-        if k:
+        if k and n <= adiabatic._STEP_MATRIX_QUBITS:
+            phases = np.exp(-1j * spectrum.eigenvalues * dt)
+            matrix = _step_matrices(spectrum.eigenvectors[np.newaxis], phases[np.newaxis])[0]
+            state = StateVector(n, state.amplitudes.dot(matrix))
+        elif k:
             state = StateVector(n, apply_evolution(spectrum, dt, state.amplitudes))
         if spectrum.degenerate:
             warnings.append(
@@ -527,6 +538,8 @@ def _mean_z(n):
         (hadamard_hamiltonian(J), BENCHMARK, [0]),
         # s = 0 has no Y word, so it is real and the complex rest is a second stack
         (CHAIN3Y, Schedule(total_time=4.0, dt=0.125, hold_time=1.0), [0, 1]),
+        # four qubits, past the step matrices: the kernel against apply_evolution
+        (CHAIN4Y, Schedule(total_time=2.0, dt=0.125, hold_time=0.5), [0, 1]),
     ],
 )
 def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
@@ -541,6 +554,10 @@ def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
     final, ramp = run_adiabatic(h0, h1, schedule, EvolutionMode.EXACT_STEP)
     rows, warnings = _ramp_oracle(h0, h1, schedule, observables)
     _assert_matches(ramp, rows, observables)
+    # and independently: scipy's exp(-i H dt) of each step's matrix built with index loops
+    m0, m1 = pauli_sum_matrix(h0.terms, n), pauli_sum_matrix(h1.terms, n)
+    expected = expm_ramp(m0, m1, schedule.total_time, schedule.dt)
+    assert np.max(np.abs(ramp.states - expected)) <= 1e-13
     assert ramp.warnings == warnings
     assert final.amplitudes.tobytes() == rows[-1][1].tobytes()
     assert not np.shares_memory(final.amplitudes, ramp.states)
@@ -575,9 +592,45 @@ def test_stacked_loops_match_the_per_step_oracle(h1, schedule, stacks):
             assert not np.shares_memory(held.amplitudes, hold.states)
 
 
+# the step form each register size takes; moving _STEP_MATRIX_QUBITS moves this table
+_STEP_FORMS = {1: "matrices", 2: "matrices", 3: "matrices", 4: "kernel"}
+
+
+@pytest.mark.parametrize("n", sorted(_STEP_FORMS))
+@pytest.mark.parametrize("y_words", [False, True], ids=["real", "y_words"])
+def test_step_forms_agree_and_the_register_size_picks_one(n, y_words, monkeypatch, count_calls):
+    # a seeded chain's ramp stepped by prebuilt step matrices and by the
+    # kernel, real and with an odd-Y word (complex eigenvectors)
+    h1 = parse_pauli_text(seeded_chain_text(n, 20 + n))
+    if y_words:
+        h1 = PauliSum(n, h1.terms + ((0.35, "I" * (n - 1) + "Y"),))
+    h0 = initial_hamiltonian(J, n)
+    schedule = Schedule(total_time=2.0, dt=0.125)
+    built = count_calls("hamiltonian._step_matrices")
+    kernel = count_calls("hamiltonian._propagate")
+
+    def forms():
+        taken = {"matrices"} if built else set()
+        taken |= {"kernel"} if kernel else set()
+        built.clear()
+        kernel.clear()
+        return taken
+
+    final, _ = run_adiabatic(h0, h1, schedule, EvolutionMode.EXACT_STEP)
+    assert forms() == {_STEP_FORMS[n]}
+    states = {}
+    for qubits, form in ((0, "kernel"), (99, "matrices")):
+        monkeypatch.setattr(adiabatic, "_STEP_MATRIX_QUBITS", qubits)
+        _, ramp = run_adiabatic(h0, h1, schedule, EvolutionMode.EXACT_STEP)
+        assert forms() == {form}
+        states[form] = ramp.states
+    assert np.max(np.abs(states["kernel"] - states["matrices"])) <= 1e-13
+    assert final.amplitudes.tobytes() == states[_STEP_FORMS[n]][-1].tobytes()
+
+
 def test_exact_loops_apply_no_evolution_per_step(count_calls):
-    # the ramp and the hold run the propagator kernel from their stacked
-    # phases; apply_evolution, with its per-call phases and size check, is
+    # the ramp and the hold step from their stacked phases;
+    # apply_evolution, with its per-call phases and size check, is
     # not called once per step
     applied = count_calls("hamiltonian.apply_evolution")
     h0, h1 = initial_hamiltonian(J, 1), hadamard_hamiltonian(J)

@@ -985,11 +985,9 @@ def test_shipped_manifests_record_the_stage_times(tmp_path, name, command):
     assert "stages" not in manifest["counters"]
 
 
-def test_chain_sweep_csvs_do_not_depend_on_the_blas_threads(tmp_path):
-    # the seed-7 8-qubit chain sweep, whose ramp takes its levels by block
-    # Lanczos and steps by Chebyshev expansion, in fresh processes on one
-    # and on two OpenBLAS threads: the bits of a product may depend on the
-    # threads, and with them the block at which Lanczos stops
+def _chain_sweep_config(tmp_path: Path) -> Path:
+    """The seed-7 8-qubit chain sweep, whose ramp takes its levels by block
+    Lanczos and steps by Chebyshev expansion."""
     model = tmp_path / "chain.txt"
     model.write_text(seeded_chain_text(8, seed=7))
     config = tmp_path / "chain.cfg"
@@ -997,18 +995,37 @@ def test_chain_sweep_csvs_do_not_depend_on_the_blas_threads(tmp_path):
         f"model.hamiltonian = {model}\nschedule.T = 4\nschedule.dt = 0.125\n"
         "schedule.hold_time = 1\n"
     )
+    return config
+
+
+@pytest.mark.parametrize(
+    "command, shipped",
+    [
+        ("sweep", None),
+        # one-qubit ramp by step matrices, hold and shots
+        ("filter-run", "benchmark_shots.cfg"),
+        # two-qubit ramp by step matrices and the filter's propagators
+        ("refine", "pair_refine.cfg"),
+    ],
+    ids=["chain_sweep", "shots_filter_run", "pair_refine"],
+)
+def test_csvs_do_not_depend_on_the_blas_threads(tmp_path, command, shipped):
+    # each command in fresh processes on one and on two OpenBLAS threads:
+    # the bits of a product may depend on the threads, and with them the
+    # block at which Lanczos stops
+    config = CONFIGS / shipped if shipped else _chain_sweep_config(tmp_path)
     source = str(Path(__file__).resolve().parent.parent / "src")
     outputs = {}
     for threads in ("1", "2"):
         path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
         prefix = f"{tmp_path}/threads{threads}"
-        command = ["sweep", "--config", str(config), "--out", prefix]
+        arguments = [command, "--config", str(config), "--out", prefix]
         code = "import sys; from vacuum_refine.cli import main; sys.exit(main(sys.argv[1:]))"
-        subprocess.run([sys.executable, "-c", code, *command], env=env, check=True)
+        subprocess.run([sys.executable, "-c", code, *arguments], env=env, check=True)
         manifest = json.loads(Path(f"{prefix}_manifest.json").read_text())
         assert manifest["blas_threads"] in (int(threads), "unknown")
-        outputs[threads] = [
-            Path(f"{prefix}_{suffix}.csv").read_bytes() for suffix in ("trajectory", "summary")
-        ]
+        csvs = sorted(tmp_path.glob(f"threads{threads}_*.csv"))
+        assert csvs
+        outputs[threads] = {file.name.split("_", 1)[1]: file.read_bytes() for file in csvs}
     assert outputs["1"] == outputs["2"]
